@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -157,8 +158,22 @@ def _load_dataset(cfg: dict) -> Dataset:
 
 
 def _grid_for(cfg: dict, cache):
-    lo, hi = (float(v) for v in str(cfg["grid_span"]).split(","))
+    text = str(cfg["grid_span"])
+    try:
+        lo, hi = (float(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--grid-span must be two numbers LO,HI, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+        raise ConfigError(f"--grid-span needs finite 0 < LO < HI, got {text!r}")
     return default_lambda_grid(cache, n_points=int(cfg["grid_points"]), span=(lo, hi))
+
+
+def _require_independent(cfg: dict) -> None:
+    if cfg["cluster_col"]:
+        raise ConfigError(
+            "the LRT and RLRT support independent data only; "
+            "use --method score or cusum for clustered data"
+        )
 
 
 def _cache_dir(cfg: dict) -> Path:
@@ -180,6 +195,8 @@ _ECHO_TEST_KEYS = [
 
 def _cmd_test(args: argparse.Namespace) -> int:
     cfg = _effective(args)
+    if cfg["method"] in ("lrt", "rlrt"):
+        _require_independent(cfg)
     dataset = _load_dataset(cfg)
     method = cfg["method"]
     out_dir = Path(cfg["out"])
@@ -316,6 +333,7 @@ def _cmd_null_sim(args: argparse.Namespace) -> int:
     cfg = _effective(args)
     if cfg["method"] not in ("lrt", "rlrt"):
         raise ConfigError("null-sim applies to --method lrt or rlrt")
+    _require_independent(cfg)
     dataset = _load_dataset(cfg)
     knots = place_knots(dataset.t, cfg["knots"], cfg["degree"])
     design = build_design(dataset, knots)

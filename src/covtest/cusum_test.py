@@ -84,34 +84,38 @@ def cumulative_process(fit: NullFit, ordering: np.ndarray) -> CusumProcess:
     return CusumProcess(points=points, values=values, n_units=fit.n_units)
 
 
-def _resample_matrix(
+def _resampled_blocks(
     fit: NullFit, proj: RemlProjection, ordering: np.ndarray, n_resamples: int, seed: SeedLike
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resampled processes, one row per draw, evaluated at the jump points.
+):
+    """Jump points, and resampled processes evaluated there in blocks of rows.
 
     Each draw multiplies residual contributions by unit-level N(0, 1)
     multipliers and re-applies the residual-forming map
-    I - X (X'V^-1 X)^-1 X'V^-1 = V P, which injects the same estimation
+    I - X (X'V^-1 X)^-1 X'V^-1, which injects the same estimation
     effect the observed residuals carry. Since residuals are a fixed point of
     that map, a single unit reduces to multiplying the observed process by
-    one normal draw.
+    one normal draw. The blocks are yielded as (start, stop, processes) so
+    that callers needing only sup-norms never hold every path at once.
     """
     if n_resamples < 1:
         raise ConfigError(f"n_resamples must be >= 1, got {n_resamples}")
     order, points, first = _sorted_contributions(fit, ordering)
-    resid_form = fit.V @ proj.P                          # I - X(X'V^-1X)^-1 X'V^-1
     contrib = fit.residuals
     unit = fit.cluster if fit.cluster is not None else np.arange(fit.n)
     n_units = fit.n_units
-    processes = np.empty((n_resamples, points.size))
     root_m = math.sqrt(n_units)
-    for start, stop, rng in chunked_streams(seed, n_resamples, _RESAMPLE_CHUNK):
-        mult = rng.standard_normal((stop - start, n_units))
-        perturbed = mult[:, unit] * contrib[None, :]
-        projected = perturbed @ resid_form.T
-        steps = np.add.reduceat(projected[:, order], first, axis=1)
-        processes[start:stop] = np.cumsum(steps, axis=1) / root_m
-    return processes, points, first
+
+    def blocks():
+        for start, stop, rng in chunked_streams(seed, n_resamples, _RESAMPLE_CHUNK):
+            perturbed = rng.standard_normal((stop - start, n_units))[:, unit]
+            perturbed *= contrib[None, :]
+            projected = proj.residual_map(perturbed)
+            steps = np.add.reduceat(projected[:, order], first, axis=1)
+            np.cumsum(steps, axis=1, out=steps)
+            steps /= root_m
+            yield start, stop, steps
+
+    return points, blocks()
 
 
 def multiplier_null(
@@ -122,8 +126,11 @@ def multiplier_null(
     seed: SeedLike = 0,
 ) -> np.ndarray:
     """Sup-norms of ``n_resamples`` multiplier draws of the null process."""
-    processes, _, _ = _resample_matrix(fit, proj, ordering, n_resamples, seed)
-    return np.abs(processes).max(axis=1)
+    _, blocks = _resampled_blocks(fit, proj, ordering, n_resamples, seed)
+    sups = np.empty(n_resamples)
+    for start, stop, processes in blocks:
+        sups[start:stop] = np.abs(processes).max(axis=1)
+    return sups
 
 
 def multiplier_processes(
@@ -134,7 +141,10 @@ def multiplier_processes(
     seed: SeedLike = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(points, processes) for plotting resampled paths next to the observed one."""
-    processes, points, _ = _resample_matrix(fit, proj, ordering, n_resamples, seed)
+    points, blocks = _resampled_blocks(fit, proj, ordering, n_resamples, seed)
+    processes = np.empty((n_resamples, points.size))
+    for start, stop, block in blocks:
+        processes[start:stop] = block
     return points, processes
 
 

@@ -18,6 +18,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import warnings
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -470,12 +473,25 @@ def null_distribution_key(
 
 
 def save_null_distribution(null: NullDistribution, path: str | Path) -> None:
-    """Write samples plus provenance; samples stored as little-endian float64."""
-    np.savez(
-        path,
-        samples=null.samples.astype("<f8"),
-        provenance=np.array(json.dumps(null.provenance, sort_keys=True)),
-    )
+    """Write samples plus provenance; samples stored as little-endian float64.
+
+    The file is written under a temporary name in the same directory and
+    then renamed into place, so an interrupted write never leaves a partial
+    entry at ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh,
+                samples=null.samples.astype("<f8"),
+                provenance=np.array(json.dumps(null.provenance, sort_keys=True)),
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_null_distribution(path: str | Path) -> NullDistribution:
@@ -512,7 +528,13 @@ def simulate_null_cached(
     key = null_distribution_key(cache, kind, h, grid, n_sims, seed)
     path = cache_dir / f"null_{key[:24]}.npz"
     if path.exists():
-        return load_null_distribution(path)
+        try:
+            return load_null_distribution(path)
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, ConfigError) as exc:
+            warnings.warn(
+                f"{path}: unreadable null cache entry ({exc}); simulating again",
+                stacklevel=2,
+            )
     null = simulate_null(cache, kind, h, grid, n_sims, seed)
     save_null_distribution(null, path)
     return null

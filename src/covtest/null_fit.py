@@ -1,8 +1,10 @@
 """Null-model fitting: OLS for independent data, REML for random intercepts.
 
-Exposes the fitted coefficients, variance estimates, residuals, the marginal
-covariance V, and the REML projection matrix P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1
-required by the score and cumulative-sum tests.
+Under the null the marginal covariance is V = sigma2 (I + ratio ZZ') with Z
+the cluster indicators (ratio = 0 for independent data). Nothing here builds
+an n x n matrix: fits profile the likelihood from per-cluster sums, and the
+REML projection P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1 used by the score and
+cumulative-sum tests is kept in factored form (see :class:`RemlProjection`).
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ __all__ = [
     "fit_ols",
     "fit_reml_random_intercept",
     "reml_projection",
-    "marginal_loglik",
-    "restricted_loglik",
 ]
 
 # Separates genuine near-zero noise (sigma ~ 1e-12 gives rss/yty ~ 1e-24)
@@ -32,24 +32,49 @@ __all__ = [
 _PERFECT_FIT_REL = 1e-25
 
 
+def _cluster_sums(a: np.ndarray, cluster: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Sums of the rows of ``a`` within each cluster 0..m-1 (none empty)."""
+    order = np.argsort(cluster, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return np.add.reduceat(a[order], starts, axis=0)
+
+
+def _whiten(
+    a, sigma2: float, ratio: float, cluster: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """V^-1/2 a along axis 0: (a - d[cluster] * mean_cluster(a)) / sigma.
+
+    On a cluster of size n_i, I + ratio 11' has eigenvalue 1 + ratio n_i
+    along 1 and 1 elsewhere, so its inverse square root shrinks the cluster
+    mean by d_i = 1 - (1 + ratio n_i)^-1/2. Every d_i is 0 when ratio = 0.
+    """
+    out = np.asarray(a, dtype=float) / math.sqrt(sigma2)
+    if ratio > 0.0:
+        shrink = (1.0 - 1.0 / np.sqrt(1.0 + ratio * sizes)) / sizes
+        sums = _cluster_sums(out, cluster, sizes)
+        out -= (sums * shrink.reshape((-1,) + (1,) * (out.ndim - 1)))[cluster]
+    return out
+
+
 @dataclass(frozen=True)
 class NullFit:
     """Fitted null polynomial model.
 
-    ``sigma2_b`` is 0 for independent data; V is the estimated marginal
-    covariance sigma2_eps * I + sigma2_b * ZZ'.
+    ``ratio`` is sigma2_b / sigma2_eps, 0 for independent data, so the
+    marginal covariance is sigma2_eps (I + ratio ZZ').
     """
 
     beta: np.ndarray
     sigma2_eps: float
-    sigma2_b: float
-    V: np.ndarray
-    loglik: float
-    restricted_loglik: float
+    ratio: float
     fitted: np.ndarray
     residuals: np.ndarray
     cluster: np.ndarray | None
     method: str
+
+    @property
+    def sigma2_b(self) -> float:
+        return self.ratio * self.sigma2_eps
 
     @property
     def n(self) -> int:
@@ -61,43 +86,52 @@ class NullFit:
             return self.n
         return int(self.cluster.max()) + 1
 
+    @property
+    def V(self) -> np.ndarray:
+        """Dense n x n marginal covariance, built on demand for dense checks."""
+        V = np.eye(self.n)
+        if self.ratio > 0.0:
+            V += self.ratio * (self.cluster[:, None] == self.cluster[None, :])
+        return self.sigma2_eps * V
+
 
 @dataclass(frozen=True)
 class RemlProjection:
-    """Symmetric projection with PX = 0 and PVP = P."""
+    """REML projection P = V^-1/2 (I - QQ') V^-1/2 in factored form.
 
-    P: np.ndarray
+    ``Q R`` is the thin QR of V^-1/2 X for V = sigma2 (I + ratio ZZ'), so P is
+    symmetric, annihilates the columns of X and satisfies P V P = P. Applying
+    V^-1/2 or the residual-forming map costs O(n p) per column.
+    """
 
+    sigma2: float
+    ratio: float
+    cluster: np.ndarray
+    sizes: np.ndarray
+    X: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
 
-def _gls(y: np.ndarray, X: np.ndarray, V_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    XtVi = X.T @ V_inv
-    beta = np.linalg.solve(XtVi @ X, XtVi @ y)
-    return beta, y - X @ beta
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
 
+    def whiten(self, a) -> np.ndarray:
+        """V^-1/2 a for a vector or a matrix with one row per observation."""
+        return _whiten(a, self.sigma2, self.ratio, self.cluster, self.sizes)
 
-def marginal_loglik(y: np.ndarray, X: np.ndarray, V: np.ndarray, beta: np.ndarray) -> float:
-    """Gaussian marginal log-likelihood at (beta, V)."""
-    n = y.shape[0]
-    r = y - X @ beta
-    sign, logdet = np.linalg.slogdet(V)
-    if sign <= 0:
-        raise NumericalError("covariance matrix is not positive definite")
-    return float(-0.5 * (n * math.log(2 * math.pi) + logdet + r @ np.linalg.solve(V, r)))
+    def residual_map(self, G: np.ndarray) -> np.ndarray:
+        """Rows of G through I - X (X'V^-1 X)^-1 X'V^-1, i.e. G - (R^-1 Q'V^-1/2 G')' X'."""
+        coef = np.linalg.solve(self.R, self.Q.T @ self.whiten(G.T))
+        return G - coef.T @ self.X.T
 
-
-def restricted_loglik(y: np.ndarray, X: np.ndarray, V: np.ndarray) -> float:
-    """Restricted (REML) log-likelihood at V, with fixed effects profiled out."""
-    n, p = X.shape
-    sign, logdet = np.linalg.slogdet(V)
-    if sign <= 0:
-        raise NumericalError("covariance matrix is not positive definite")
-    V_inv = np.linalg.inv(V)
-    beta, r = _gls(y, X, V_inv)
-    s2, logdet_x = np.linalg.slogdet(X.T @ V_inv @ X)
-    if s2 <= 0:
-        raise ModelError("X'V^-1 X is singular")
-    quad = r @ V_inv @ r
-    return float(-0.5 * ((n - p) * math.log(2 * math.pi) + logdet + logdet_x + quad))
+    @property
+    def P(self) -> np.ndarray:
+        """Dense n x n projection, built on demand for dense checks."""
+        root = self.whiten(np.eye(self.n))  # V^-1/2, symmetric
+        rq = root @ self.Q
+        P = root @ root - rq @ rq.T
+        return 0.5 * (P + P.T)
 
 
 def fit_ols(dataset: Dataset, design: DesignMatrices, variance: str = "reml") -> NullFit:
@@ -112,6 +146,8 @@ def fit_ols(dataset: Dataset, design: DesignMatrices, variance: str = "reml") ->
     n, p_fixed = X.shape
     if n <= p_fixed:
         raise ModelError(f"need n > {p_fixed} rows to fit {p_fixed} coefficients, got n = {n}")
+    if variance not in ("reml", "ml"):
+        raise ConfigError(f"variance must be 'reml' or 'ml', got {variance!r}")
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     fitted = X @ beta
     resid = y - fitted
@@ -120,20 +156,10 @@ def fit_ols(dataset: Dataset, design: DesignMatrices, variance: str = "reml") ->
         raise DegenerateFitError(
             "residuals are numerically zero; error variance is not estimable"
         )
-    if variance == "reml":
-        sigma2 = rss / (n - p_fixed)
-    elif variance == "ml":
-        sigma2 = rss / n
-    else:
-        raise ConfigError(f"variance must be 'reml' or 'ml', got {variance!r}")
-    V = sigma2 * np.eye(n)
     return NullFit(
         beta=beta,
-        sigma2_eps=sigma2,
-        sigma2_b=0.0,
-        V=V,
-        loglik=marginal_loglik(y, X, V, beta),
-        restricted_loglik=restricted_loglik(y, X, V),
+        sigma2_eps=rss / (n - p_fixed if variance == "reml" else n),
+        ratio=0.0,
         fitted=fitted,
         residuals=resid,
         cluster=dataset.cluster,
@@ -147,13 +173,6 @@ def dataset_design_matrix(dataset: Dataset, design: DesignMatrices) -> np.ndarra
             f"design has {design.X.shape[0]} rows but dataset has {dataset.n}"
         )
     return design.X
-
-
-def _cluster_indicator(cluster: np.ndarray) -> np.ndarray:
-    m = int(cluster.max()) + 1
-    Z = np.zeros((cluster.shape[0], m))
-    Z[np.arange(cluster.shape[0]), cluster] = 1.0
-    return Z
 
 
 def _golden_section(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
@@ -188,6 +207,13 @@ def fit_reml_random_intercept(
     golden-section refinement. The boundary estimate sigma2_b = 0 is a valid
     result, not an error. ``variance="ml"`` maximises the unrestricted
     likelihood instead.
+
+    With W = I + ratio ZZ' and g_i = ratio / (1 + ratio n_i), W^-1 subtracts
+    g_i times the cluster sum, so X'W^-1 X = X'X - sum_i g_i s_i s_i' over the
+    cluster sums s_i of X, and log|W| = sum_i log(1 + ratio n_i). Each ratio
+    thus costs O(m p^2) after one O(n p) pass. The sums are taken of the OLS
+    residuals e rather than y (GLS of y is OLS plus GLS of e), which keeps the
+    restricted residual sum of squares free of cancellation.
     """
     if dataset.cluster is None:
         raise ConfigError("random-intercept fit requires cluster labels")
@@ -204,7 +230,21 @@ def fit_reml_random_intercept(
         raise ModelError(f"need n > {p_fixed} rows to fit {p_fixed} coefficients, got n = {n}")
 
     sizes = np.bincount(cluster, minlength=n_clusters)
-    Z = _cluster_indicator(cluster)
+    beta_ols, *_ = np.linalg.lstsq(X, y, rcond=None)
+    e = y - X @ beta_ols
+    sum_x = _cluster_sums(X, cluster, sizes)
+    sum_e = _cluster_sums(e, cluster, sizes)
+    xtx, xte, ete = X.T @ X, X.T @ e, float(e @ e)
+
+    def gls_terms(ratio: float):
+        """X'W^-1 X, the GLS correction to the OLS beta, and r'W^-1 r."""
+        g = ratio / (1.0 + ratio * sizes)
+        xtwx = xtx - (sum_x * g[:, None]).T @ sum_x
+        xtwe = xte - sum_x.T @ (g * sum_e)
+        delta = np.linalg.solve(xtwx, xtwe)
+        rss = ete - float(g @ sum_e**2) - float(xtwe @ delta)
+        return xtwx, delta, rss
+
     if sizes.max() == 1:
         warnings.warn(
             "every cluster has a single row; the intercept variance is "
@@ -213,23 +253,13 @@ def fit_reml_random_intercept(
         )
         ratio_hat = 0.0
     else:
-        # Rotate to the eigenbasis of ZZ' so each ratio evaluation is O(n p^2).
-        lam, Q = np.linalg.eigh(Z @ Z.T)
-        lam = np.clip(lam, 0.0, None)
-        yt = Q.T @ y
-        Xt = Q.T @ X
 
         def neg_profile(log_ratio: float) -> float:
             ratio = math.exp(log_ratio)
-            w = 1.0 / (1.0 + ratio * lam)
-            XtW = Xt * w[:, None]
-            XtWX = XtW.T @ Xt
-            beta = np.linalg.solve(XtWX, XtW.T @ yt)
-            resid = yt - Xt @ beta
-            rss = float(w @ resid**2)
-            logdet_w = float(np.log1p(ratio * lam).sum())
+            xtwx, _, rss = gls_terms(ratio)
+            logdet_w = float(np.log1p(ratio * sizes).sum())
             if variance == "reml":
-                sign, logdet_x = np.linalg.slogdet(XtWX)
+                sign, logdet_x = np.linalg.slogdet(xtwx)
                 crit = (n - p_fixed) * math.log(rss) + logdet_w + logdet_x
             else:
                 crit = n * math.log(rss) + logdet_w
@@ -251,26 +281,21 @@ def fit_reml_random_intercept(
             log_ratio, refined = _golden_section(neg_profile, lo, hi)
             ratio_hat = math.exp(log_ratio) if refined < corner else 0.0
 
-    W = np.eye(n) + ratio_hat * (Z @ Z.T)
-    W_inv = np.linalg.inv(W)
-    beta, resid = _gls(y, X, W_inv)
-    rss = float(resid @ W_inv @ resid)
+    _, delta, _ = gls_terms(ratio_hat)
+    beta = beta_ols + delta
+    fitted = X @ beta
+    resid = y - fitted
+    white = _whiten(resid, 1.0, ratio_hat, cluster, sizes)
+    rss = float(white @ white)
     if rss <= _PERFECT_FIT_REL * float(y @ y):
         raise DegenerateFitError(
             "residuals are numerically zero; error variance is not estimable"
         )
-    dof = (n - p_fixed) if variance == "reml" else n
-    sigma2_eps = rss / dof
-    sigma2_b = ratio_hat * sigma2_eps
-    V = sigma2_eps * W
     return NullFit(
         beta=beta,
-        sigma2_eps=sigma2_eps,
-        sigma2_b=sigma2_b,
-        V=V,
-        loglik=marginal_loglik(y, X, V, beta),
-        restricted_loglik=restricted_loglik(y, X, V),
-        fitted=X @ beta,
+        sigma2_eps=rss / ((n - p_fixed) if variance == "reml" else n),
+        ratio=ratio_hat,
+        fitted=fitted,
         residuals=resid,
         cluster=cluster,
         method="reml-random-intercept",
@@ -280,13 +305,24 @@ def fit_reml_random_intercept(
 def reml_projection(fit: NullFit, X: np.ndarray) -> RemlProjection:
     """P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1 for the fitted covariance.
 
-    Symmetric, annihilates the columns of X, and satisfies P V P = P.
+    Symmetric, annihilates the columns of X, and satisfies P V P = P. Only the
+    thin QR of V^-1/2 X is computed; see :class:`RemlProjection`.
     """
-    V = fit.V
-    cond = np.linalg.cond(V)
+    X = np.asarray(X, dtype=float)
+    if X.shape[0] != fit.n:
+        raise ConfigError(f"design has {X.shape[0]} rows but the fit has {fit.n}")
+    if fit.ratio > 0.0 and fit.cluster is None:
+        raise ConfigError("a positive intercept variance needs cluster labels")
+    if fit.cluster is None:
+        cluster = np.arange(fit.n)
+    else:
+        _, cluster = np.unique(fit.cluster, return_inverse=True)
+    sizes = np.bincount(cluster)
+    # V's eigenvalues are sigma2 (1 + ratio n_i) and sigma2.
+    cond = 1.0 + fit.ratio * float(sizes.max())
     if cond > 1e12:
         raise NumericalError(f"fitted covariance is ill-conditioned (cond = {cond:.3e})")
-    V_inv = np.linalg.inv(V)
-    ViX = V_inv @ X
-    P = V_inv - ViX @ np.linalg.solve(X.T @ ViX, ViX.T)
-    return RemlProjection(P=0.5 * (P + P.T))
+    Q, R = np.linalg.qr(_whiten(X, fit.sigma2_eps, fit.ratio, cluster, sizes))
+    return RemlProjection(
+        sigma2=fit.sigma2_eps, ratio=fit.ratio, cluster=cluster, sizes=sizes, X=X, Q=Q, R=R
+    )

@@ -74,36 +74,45 @@ def _upper_tail(u_quad: float, moments: ScoreMoments) -> float:
     return max(p, np.finfo(float).tiny)
 
 
+def _sq_norm(A: np.ndarray) -> float:
+    return float(np.einsum("ij,ij->", A, A))
+
+
 def score_statistic(fit: NullFit, proj: RemlProjection, kernel: SmootherKernel) -> ScoreResult:
     """Compute the score statistic and its calibrated one-sided p-value.
 
     All three inputs must come from the same dataset and design. Raises
     DegenerateTestError when the projection annihilates the kernel (the test
     carries no information, e.g. M = 0 or col(M) inside col(X)).
+
+    With the whitened kernel K = V^-1/2 M V^-1/2 and P = V^-1/2 (I - QQ') V^-1/2,
+    tr(PM) = tr K - tr Q'KQ and tr((PM)^2) = |K|^2 - 2 |KQ|^2 + |Q'KQ|^2
+    (Frobenius norms), so no n x n projection is formed.
     """
     M = kernel.M
-    P = proj.P
     n = fit.n
-    if M.shape != (n, n) or P.shape != (n, n):
+    if M.shape != (n, n) or proj.n != n:
         raise ConfigError(
-            f"kernel {M.shape} and projection {P.shape} must both be {n} x {n}"
+            f"kernel {M.shape} and projection ({proj.n} rows) must both match n = {n}"
         )
-    mean = 0.5 * float((P * M).sum())  # tr(PM) with both symmetric
-    trace_m = float(np.trace(M))
-    if mean <= 1e-12 * max(trace_m, 0.0) or mean <= 0.0:
+    K = proj.whiten(proj.whiten(M).T)  # M symmetric, so this is V^-1/2 M V^-1/2
+    KQ = K @ proj.Q
+    QKQ = proj.Q.T @ KQ
+    trace_k = float(np.trace(K))
+    mean = 0.5 * (trace_k - float(np.trace(QKQ)))  # tr(PM) / 2
+    if mean <= 1e-12 * max(trace_k, 0.0) or mean <= 0.0:
         raise DegenerateTestError(
             "projection annihilates the smoother kernel; score test is degenerate"
         )
-    PM = P @ M
-    variance = 0.5 * float((PM * PM.T).sum())  # tr((PM)^2)
+    variance = 0.5 * (_sq_norm(K) - 2.0 * _sq_norm(KQ) + _sq_norm(QKQ))  # tr((PM)^2) / 2
     moments = ScoreMoments(
         mean=mean,
         variance=variance,
         scale=variance / (2.0 * mean),
         df=2.0 * mean**2 / variance,
     )
-    v_inv_r = np.linalg.solve(fit.V, fit.residuals)
-    u_quad = max(0.5 * float(v_inv_r @ M @ v_inv_r), 0.0)  # PSD form, clamp roundoff
+    white_r = proj.whiten(fit.residuals)
+    u_quad = max(0.5 * float(white_r @ K @ white_r), 0.0)  # PSD form, clamp roundoff
     return ScoreResult(
         u_quad=u_quad,
         null_mean=mean,

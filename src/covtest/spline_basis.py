@@ -204,10 +204,30 @@ def smoother_kernel(
         M = natural_spline_gram((t - lo) / (hi - lo), degree)
     else:
         raise ConfigError(f"unknown kernel kind {kind!r}")
-    eigs = np.linalg.eigvalsh(M)
-    tol = 1e-8 * max(abs(eigs[0]), abs(eigs[-1]))
-    if eigs[0] < -tol:
-        raise NumericalError(
-            f"smoother kernel is not PSD (min eigenvalue {eigs[0]:.3e}); construction bug"
-        )
+    _check_psd(M)
     return SmootherKernel(M=M, kind=kind)
+
+
+def _check_psd(M: np.ndarray) -> None:
+    """Raise NumericalError unless M + tau I has a Cholesky factor.
+
+    tau = 1e-8 max diag(M) is at most 1e-8 times the largest eigenvalue, so
+    this rejects every kernel with an eigenvalue below -tau, at a fraction
+    of the cost of a full eigendecomposition.
+    """
+    diag = np.diagonal(M)
+    tau = 1e-8 * float(diag.max()) if diag.size else 0.0
+    if tau <= 0.0:
+        ok = not M.any()  # a PSD matrix with zero diagonal is zero
+    else:
+        shifted = M.copy()
+        shifted.flat[:: M.shape[0] + 1] += tau
+        try:
+            np.linalg.cholesky(shifted)
+            ok = True
+        except np.linalg.LinAlgError:
+            ok = False
+    if not ok:
+        raise NumericalError(
+            f"smoother kernel is not PSD (Cholesky of M + {tau:.3e} I failed); construction bug"
+        )

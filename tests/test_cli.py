@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, config handling, error surfacing."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +75,19 @@ class TestTestCommand:
         assert lines[0] == "point,observed,resample_1,resample_2,resample_3"
         assert len(lines) == 1 + 60
 
+    def test_truncated_cache_entry_is_rebuilt(self, null_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["test", "--input", null_csv, "--method", "rlrt", "--nsims", 500,
+                "--seed", 4, "--out", out]
+        assert run(args) == 0
+        first = (out / "result_rlrt.json").read_bytes()
+        (entry,) = (out / "null_cache").glob("null_*.npz")
+        entry.write_bytes(entry.read_bytes()[:100])
+        with pytest.warns(UserWarning, match="unreadable null cache entry"):
+            assert run(args) == 0
+        assert (out / "result_rlrt.json").read_bytes() == first
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_grid_override_changes_provenance(self, null_csv, tmp_path):
         out1, out2 = tmp_path / "g1", tmp_path / "g2"
         base = ["test", "--input", null_csv, "--method", "rlrt", "--nsims", 400, "--seed", 2]
@@ -118,6 +133,47 @@ class TestErrorSurfacing:
         assert run(["test", "--input", path, "--method", "rlrt", "--knots", 1,
                     "--out", tmp_path]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestRejectedInputs:
+    @pytest.fixture
+    def clustered_csv(self, tmp_path):
+        ds = generate_dataset(40, 0.25, 0, seed=(14, 0))
+        from covtest import Dataset
+
+        path = tmp_path / "clustered.csv"
+        save_csv(Dataset(y=ds.y, S=ds.S, t=ds.t, cluster=np.arange(40) % 8), path)
+        return path
+
+    @pytest.mark.parametrize("method", ["lrt", "rlrt"])
+    def test_lrt_refuses_clusters(self, clustered_csv, tmp_path, capsys, method):
+        code = run(["test", "--input", clustered_csv, "--method", method,
+                    "--cluster-col", "cluster", "--nsims", 200, "--out", tmp_path / "o"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "independent data only" in err and "score or cusum" in err
+        assert not (tmp_path / "o" / f"result_{method}.json").exists()
+
+    def test_null_sim_refuses_clusters(self, clustered_csv, tmp_path, capsys):
+        code = run(["null-sim", "--input", clustered_csv, "--method", "rlrt",
+                    "--cluster-col", "cluster", "--nsims", 200, "--out", tmp_path / "o"])
+        assert code == 1
+        assert "independent data only" in capsys.readouterr().err
+
+    def test_score_and_cusum_accept_clusters(self, clustered_csv, tmp_path):
+        for method in ("score", "cusum"):
+            assert run(["test", "--input", clustered_csv, "--method", method, "--resamples", 100,
+                        "--cluster-col", "cluster", "--out", tmp_path / "o"]) == 0
+
+    @pytest.mark.parametrize("span", ["5", "a,b", "1e8,1e-6", "1,2,3", "0,1e3", "1e-6,inf"])
+    def test_malformed_grid_span(self, null_csv, tmp_path, capsys, span):
+        code = run(["test", "--input", null_csv, "--method", "rlrt", "--nsims", 200,
+                    "--grid-span", span, "--out", tmp_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --grid-span")
+        assert "Traceback" not in err
 
 
 class TestConfigFile:
@@ -212,9 +268,13 @@ class TestReportCommand:
 
 class TestEntryPoint:
     def test_console_script_runs(self):
+        import covtest
+
+        src = str(Path(covtest.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "covtest.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "covtest" in proc.stdout

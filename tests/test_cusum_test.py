@@ -17,7 +17,7 @@ from covtest import (
     reml_projection,
     sup_test,
 )
-from covtest.null_fit import NullFit, RemlProjection
+from covtest.null_fit import NullFit
 from covtest.spline_basis import KnotSet
 
 
@@ -27,10 +27,7 @@ def manual_fit(residuals, cluster=None, n=None):
     return NullFit(
         beta=np.zeros(1),
         sigma2_eps=1.0,
-        sigma2_b=0.0,
-        V=np.eye(n),
-        loglik=0.0,
-        restricted_loglik=0.0,
+        ratio=0.0,
         fitted=np.zeros(n),
         residuals=residuals,
         cluster=None if cluster is None else np.asarray(cluster),
@@ -99,7 +96,7 @@ class TestMultiplierNull:
     def test_zero_residuals_give_zero_sups(self, small_dataset):
         design, fit, proj = fitted_pieces(small_dataset)
         silent = manual_fit(np.zeros(small_dataset.n))
-        sups = multiplier_null(silent, RemlProjection(P=proj.P), small_dataset.t, 50, seed=1)
+        sups = multiplier_null(silent, proj, small_dataset.t, 50, seed=1)
         np.testing.assert_array_equal(sups, np.zeros(50))
 
     def test_single_unit_scales_observed_process(self, small_dataset):
@@ -107,10 +104,7 @@ class TestMultiplierNull:
         one_unit = NullFit(
             beta=fit.beta,
             sigma2_eps=fit.sigma2_eps,
-            sigma2_b=0.0,
-            V=fit.V,
-            loglik=fit.loglik,
-            restricted_loglik=fit.restricted_loglik,
+            ratio=0.0,
             fitted=fit.fitted,
             residuals=fit.residuals,
             cluster=np.zeros(fit.n, dtype=int),

@@ -468,3 +468,29 @@ class TestNullCache:
         np.savez(path, samples=np.zeros(3), provenance=np.array('{"format": "nope"}'))
         with pytest.raises(ConfigError, match="not a recognised"):
             load_null_distribution(path)
+
+    def test_truncated_entry_is_resimulated(self, tmp_path):
+        ds, design = make_design(30, 1, 1, 4, seed=54)
+        cache = spectral_decompose(design)
+        first = simulate_null_cached(cache, "rlrt", 0, None, 800, seed=5, cache_dir=tmp_path)
+        (path,) = tmp_path.glob("null_*.npz")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.warns(UserWarning, match="unreadable null cache entry"):
+            again = simulate_null_cached(cache, "rlrt", 0, None, 800, seed=5, cache_dir=tmp_path)
+        assert np.array_equal(again.samples, first.samples)
+        assert path.read_bytes() == data
+        assert np.array_equal(load_null_distribution(path).samples, first.samples)
+
+    def test_interrupted_save_leaves_nothing(self, tmp_path, monkeypatch):
+        ds, design = make_design(30, 1, 1, 4, seed=55)
+        null = simulate_null(spectral_decompose(design), "rlrt", 0, None, 200, seed=3)
+
+        def crash(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savez", crash)
+        with pytest.raises(KeyboardInterrupt):
+            save_null_distribution(null, tmp_path / "null.npz")
+        assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,7 @@
 """Null-model fitting: OLS, random-intercept REML, and the REML projection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,25 +18,12 @@ from covtest import (
 )
 from covtest.null_fit import NullFit
 from covtest.spline_basis import KnotSet
+from oracles import restricted_loglik
 
 
 def design_for(ds, degree=1, n_knots=0):
     knots = place_knots(ds.t, n_knots, degree) if n_knots else KnotSet(np.empty(0), degree)
     return build_design(ds, knots)
-
-
-def dense_rll(y, X, V):
-    """Test-local restricted log-likelihood (paper-form constants included)."""
-    n, p = X.shape
-    Vi = np.linalg.inv(V)
-    beta = np.linalg.solve(X.T @ Vi @ X, X.T @ Vi @ y)
-    r = y - X @ beta
-    return -0.5 * (
-        (n - p) * np.log(2 * np.pi)
-        + np.linalg.slogdet(V)[1]
-        + np.linalg.slogdet(X.T @ Vi @ X)[1]
-        + r @ Vi @ r
-    )
 
 
 class TestFitOls:
@@ -127,10 +116,10 @@ class TestRemlRandomIntercept:
         for s_eps in np.arange(0.05, 0.5, 1e-3):
             for s_b in np.arange(max(fit.sigma2_b - 0.5, 0.0), fit.sigma2_b + 0.5, 2.5e-2):
                 V = s_eps * np.eye(ds.n) + s_b * (Z @ Z.T)
-                val = dense_rll(ds.y, X, V)
+                val = restricted_loglik(ds.y, X, V)
                 if val > best[0]:
                     best = (val, (s_eps, s_b))
-        assert fit.restricted_loglik >= best[0] - 1e-6
+        assert restricted_loglik(ds.y, X, fit.V) >= best[0] - 1e-6
         assert fit.sigma2_eps == pytest.approx(best[1][0], abs=5e-3)
         assert fit.sigma2_b == pytest.approx(best[1][1], abs=5e-2)
 
@@ -140,8 +129,8 @@ class TestRemlRandomIntercept:
             design = design_for(ds)
             fit = fit_reml_random_intercept(ds, design)
             ols = fit_ols(ds, design)
-            corner = dense_rll(ds.y, design.X, ols.sigma2_eps * np.eye(ds.n))
-            assert fit.restricted_loglik >= corner - 1e-8
+            corner = restricted_loglik(ds.y, design.X, ols.sigma2_eps * np.eye(ds.n))
+            assert restricted_loglik(ds.y, design.X, fit.V) >= corner - 1e-8
 
     def test_boundary_zero_is_valid(self):
         ds = clustered_dataset(n_clusters=6, size=5, shift=0.0, noise=1.0, seed=11)
@@ -186,10 +175,7 @@ class TestRemlProjection:
         fit = NullFit(
             beta=np.array([0.0]),
             sigma2_eps=1.0,
-            sigma2_b=0.0,
-            V=np.eye(2),
-            loglik=0.0,
-            restricted_loglik=0.0,
+            ratio=0.0,
             fitted=np.zeros(2),
             residuals=np.zeros(2),
             cluster=None,
@@ -227,17 +213,16 @@ class TestRemlProjection:
             np.testing.assert_allclose(P @ fit.V @ P, P, atol=1e-8 * scale)
 
     def test_ill_conditioned_covariance(self):
+        """cond(V) = 1 + ratio * (largest cluster size): 1 + 1.5e12 fails, 1 + 9e11 passes."""
         fit = NullFit(
             beta=np.array([0.0]),
             sigma2_eps=1.0,
-            sigma2_b=0.0,
-            V=np.diag([1.0, 1e-15]),
-            loglik=0.0,
-            restricted_loglik=0.0,
-            fitted=np.zeros(2),
-            residuals=np.zeros(2),
-            cluster=None,
-            method="ols",
+            ratio=5e11,
+            fitted=np.zeros(4),
+            residuals=np.zeros(4),
+            cluster=np.array([0, 0, 0, 1]),
+            method="reml-random-intercept",
         )
         with pytest.raises(NumericalError, match="ill-conditioned"):
-            reml_projection(fit, np.ones((2, 1)))
+            reml_projection(fit, np.ones((4, 1)))
+        assert reml_projection(replace(fit, ratio=3e11), np.ones((4, 1))).Q.shape == (4, 1)

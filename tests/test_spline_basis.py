@@ -12,6 +12,7 @@ from covtest import (
     ConfigError,
     Dataset,
     ModelError,
+    NumericalError,
     build_design,
     natural_spline_gram,
     place_knots,
@@ -247,3 +248,24 @@ class TestSmootherKernel:
         M1 = smoother_kernel(t, 1, NATURAL_SPLINE).M
         M2 = smoother_kernel(5.0 * t - 2.0, 1, NATURAL_SPLINE).M
         np.testing.assert_allclose(M1, M2, atol=1e-12)
+
+    def test_indefinite_kernel_raises(self, monkeypatch):
+        """The PSD guard rejects a kernel with an eigenvalue below -1e-8 max diag."""
+        import covtest.spline_basis as sb
+
+        rng = np.random.default_rng(3)
+        basis, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        eigs = np.linspace(1.0, 2.0, 30)
+        eigs[7] = -1e-6
+        bad = (basis * eigs) @ basis.T
+        monkeypatch.setattr(sb, "natural_spline_gram", lambda u, degree=1: 0.5 * (bad + bad.T))
+        with pytest.raises(NumericalError, match="not PSD"):
+            smoother_kernel(np.linspace(0, 1, 30), 1)
+
+    def test_semidefinite_kernels_pass(self):
+        t = np.linspace(0, 1, 400)
+        knots = place_knots(t, 12, 1)
+        assert smoother_kernel(t, 1, PENALIZED_GRAM, knots).M.shape == (400, 400)  # rank 12
+        assert smoother_kernel(t, 3).M.shape == (400, 400)
+        high = KnotSet(np.array([2.0]), 1)  # every row of B is zero
+        assert not smoother_kernel(t, 1, PENALIZED_GRAM, high).M.any()
