@@ -188,7 +188,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 _ECHO_TEST_KEYS = [
     "input", "method", "degree", "h", "knots", "kernel", "nsims", "resamples",
-    "seed", "level", "out", "threads", "rescale_t", "y_col", "t_col", "s_cols",
+    "seed", "level", "out", "rescale_t", "y_col", "t_col", "s_cols",
     "cluster_col", "ordering",
 ]
 
@@ -302,7 +302,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = SimConfig(
         m_values=tuple(int(v) for v in str(cfg["m"]).split(",")),
         sigma_values=tuple(float(v) for v in str(cfg["sigma"]).split(",")),
-        c_values=tuple(int(v) for v in str(cfg["c"]).split(",")),
+        c_values=tuple(float(v) for v in str(cfg["c"]).split(",")),
         levels=tuple(float(v) for v in str(cfg["levels"]).split(",")),
         tests=tuple(str(cfg["tests"]).split(",")),
         n_runs=int(cfg["runs"]),
@@ -382,7 +382,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         f = line.split(",")
         cells.append(
             SimCell(
-                test=f[0], m=int(f[1]), sigma=float(f[2]), c=int(f[3]), level=float(f[4]),
+                test=f[0], m=int(f[1]), sigma=float(f[2]), c=float(f[3]), level=float(f[4]),
                 n_runs=int(f[5]), failures=int(f[6]), rejections=int(f[7]),
             )
         )
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test = sub.add_parser("test", help="run one test on a data file")
     _add_common(
         p_test, "input", "method", "degree", "h", "knots", "kernel", "nsims",
-        "resamples", "seed", "level", "out", "threads", "config", "rescale-t",
+        "resamples", "seed", "level", "out", "config", "rescale-t",
         "y-col", "t-col", "s-cols", "cluster-col", "ordering", "emit-processes",
         "grid-points", "grid-span",
     )

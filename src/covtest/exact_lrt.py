@@ -1,16 +1,15 @@
 """Exact likelihood-ratio tests for a zero spline variance component.
 
-Two routes to the same statistics:
-
-* the *dense* route fits the null and alternative models directly by
-  profiled (restricted) likelihood over a smoothing-ratio grid -- used for
-  observed statistics;
-* the *spectral* route expresses everything through the eigenvalues of the
-  two K x K spline Gram matrices and simulates the exact finite-sample null
-  distribution from independent chi-square draws -- used for the null
-  sampler.
-
-Their agreement is a tested invariant, not an assumption.
+The LRT and RLRT depend on y only through its null residual (Crainiceanu &
+Ruppert 2004, JRSS-B 66:165). With P0 the projection off the fixed-effects
+columns and P0B = U diag(s) W' (thin SVD), the profiled likelihood at every
+smoothing ratio is a function of s^2 (the eigenvalues of B'P0B), the
+eigenvalues of B'B, the squared coordinates (U'y)^2 and the residual energy
+left in the other n - p - K directions. Observed statistics evaluate that
+profile on the data; the null sampler draws the same coordinates as
+independent chi-square variables and evaluates the same profile. Both take
+O(nK^2) work once and O(GK) per grid sweep; no n x n matrix is formed.
+Agreement with a dense two-model fit is a tested invariant.
 """
 
 from __future__ import annotations
@@ -55,6 +54,9 @@ _EIG_CLIP_REL = 1e-12
 _ZERO_STAT = 1e-12
 _SIM_CHUNK = 1024
 _PERFECT_REL = 1e-25
+# Part of every null-cache key: raise it whenever simulate_null's draws change,
+# so entries written by an earlier sampler are never served.
+_SAMPLER_VERSION = 1
 
 
 def _seed_repr(seed: SeedLike):
@@ -163,13 +165,35 @@ def _eig_desc_clipped(gram: np.ndarray) -> np.ndarray:
     return eigs
 
 
+def _project_off(X: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Thin Q factor of X and each array with its part in col(X) removed.
+
+    Raises ModelError unless X has more rows than columns and full column
+    rank (judged from the diagonal of R).
+    """
+    n, p = X.shape
+    if n <= p:
+        raise ModelError(f"need n > {p} rows, got n = {n}")
+    Q, R = np.linalg.qr(X)
+    diag = np.abs(np.diag(R))
+    if diag.min() <= max(n, p) * np.finfo(float).eps * diag.max():
+        raise ModelError(f"fixed-effects design is rank deficient ({p} columns)")
+    return Q, [a - Q @ (Q.T @ a) for a in arrays]
+
+
+def _residual_coordinates(X: np.ndarray, B: np.ndarray, y: np.ndarray):
+    """Q of X, eigenvalues s^2 of B'P0B, squared coordinates (U'y)^2 and ||P0 y||^2."""
+    Q, (r, PB) = _project_off(X, y, B)
+    U, sv, _ = np.linalg.svd(PB, full_matrices=False)
+    return Q, sv**2, (U.T @ r) ** 2, float(r @ r)
+
+
 def spectral_decompose(design: DesignMatrices) -> SpectralCache:
     """Eigenvalues of B'P0B and B'B for the exact null sampler."""
     X, B = design.X, design.B
     if B.shape[1] < 1:
         raise ConfigError("spectral decomposition needs at least one knot")
-    Q, _ = np.linalg.qr(X)
-    PB = B - Q @ (Q.T @ B)
+    _, (PB,) = _project_off(X, B)
     return SpectralCache(
         proj_eigs=_eig_desc_clipped(B.T @ PB),
         raw_eigs=_eig_desc_clipped(B.T @ B),
@@ -187,15 +211,8 @@ def spectral_coordinates(design: DesignMatrices, y: np.ndarray) -> tuple[np.ndar
     is the squared norm in the remaining residual directions. Feeding these to
     :func:`profile_terms` reproduces the dense profiled likelihood exactly.
     """
-    X, B = design.X, design.B
-    m, p_fixed = X.shape
-    Q_full, _ = np.linalg.qr(X, mode="complete")
-    comp = Q_full[:, p_fixed:]
-    u = comp.T @ y
-    U, sv, _ = np.linalg.svd(comp.T @ B, full_matrices=False)
-    head = (U.T @ u) ** 2
-    tail = float(max(u @ u - head.sum(), 0.0))
-    return head, tail
+    _, _, head, rss0 = _residual_coordinates(design.X, design.B, y)
+    return head, float(max(rss0 - head.sum(), 0.0))
 
 
 def default_lambda_grid(
@@ -220,7 +237,7 @@ def profile_terms(
 ) -> ProfileTerms:
     """Numerator, denominator, and likelihood gain at one grid value.
 
-    ``num`` and ``den`` split the weighted residual energy between the spline
+    ``num`` and ``den`` split the shrunken residual energy between the spline
     directions and their complement; ``gain`` is the profiled 2*delta-loglik
     of the alternative over the null at this smoothing ratio. gain(0) = 0
     exactly.
@@ -239,41 +256,37 @@ def profile_terms(
     return ProfileTerms(num=num, den=den, gain=gain)
 
 
-class ProfileSolver:
-    """Dense profiled-likelihood engine for one spline basis B.
+def _grid_profile(
+    values: np.ndarray, proj: np.ndarray, pen_eigs: np.ndarray, mult: int,
+    coord_sq: np.ndarray, tail: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Profiled statistic and its residual energy at every grid value.
 
-    Diagonalises BB' once; each dataset then costs one rotation plus a
-    weighted least-squares sweep over the grid. Reused across the replicates
-    of a simulation study, where B is fixed and the covariate part of X
-    varies.
+    ``coord_sq`` (rows x K) holds squared coordinates along the spline
+    directions, paired with ``proj``; ``tail`` (rows) the residual energy in
+    the remaining directions. Returns ``mult * log(rss(0) / rss(lam)) -
+    sum(log(1 + lam * pen_eigs))`` and ``rss(lam)``, both rows x G.
+    """
+    shrink = 1.0 + np.outer(values, proj)                  # G x K
+    gain_w = (values[:, None] * proj[None, :]) / shrink    # G x K
+    num = coord_sq @ gain_w.T                              # rows x G
+    den = coord_sq @ (1.0 / shrink).T + tail[:, None]
+    pen = np.log1p(np.outer(values, pen_eigs)).sum(axis=1)
+    return mult * np.log1p(num / den) - pen[None, :], den
+
+
+class ProfileSolver:
+    """Observed LRT/RLRT statistics for one spline basis B.
+
+    Holds B and the eigenvalues of B'B. Each dataset costs a thin QR of X, a
+    thin SVD of the projected basis P0B (n x K) and a G x K profile over the
+    grid. Reused across the replicates of a simulation study, where B is
+    fixed and the covariate part of X varies.
     """
 
     def __init__(self, B: np.ndarray):
-        gram = B @ B.T
-        eigs, Q = np.linalg.eigh(0.5 * (gram + gram.T))
-        self.eigs = np.clip(eigs, 0.0, None)
-        self.rotation = Q
-        self.n_obs = B.shape[0]
-        self.n_knots = B.shape[1]
-
-    def logdet_v(self, grid: np.ndarray) -> np.ndarray:
-        return np.log1p(np.outer(grid, self.eigs)).sum(axis=1)
-
-    def gls_path(self, y: np.ndarray, X: np.ndarray, grid: np.ndarray):
-        """GLS residual quadratic form and log|X'V^-1 X| at every grid value."""
-        yt = self.rotation.T @ y
-        Xt = self.rotation.T @ X
-        w = 1.0 / (1.0 + np.outer(grid, self.eigs))        # G x m
-        Xw = w[:, :, None] * Xt[None, :, :]                # G x m x p
-        XtWX = np.einsum("mi,gmj->gij", Xt, Xw)
-        XtWy = np.einsum("gmi,m->gi", Xw, yt)
-        beta = np.linalg.solve(XtWX, XtWy[..., None])[..., 0]
-        resid = yt[None, :] - np.einsum("mi,gi->gm", Xt, beta)
-        rss = np.einsum("gm,gm->g", w, resid**2)
-        sign, logdet = np.linalg.slogdet(XtWX)
-        if np.any(sign <= 0):
-            raise ModelError("X'V^-1 X became singular along the grid")
-        return rss, logdet
+        self.B = B
+        self.raw_eigs = np.clip(np.linalg.eigvalsh(B.T @ B), 0.0, None)
 
     def statistics(
         self,
@@ -282,50 +295,38 @@ class ProfileSolver:
         grid: LambdaGrid,
         specs: list[tuple[str, int]],
     ) -> list[TestResult]:
-        """Observed statistics for several (kind, h) pairs from one GLS sweep."""
+        """Observed statistics for several (kind, h) pairs from one decomposition.
+
+        For the LRT with h > 0 the null also drops the last h columns of X;
+        the extra residual energy is the squared norm of y along the last h
+        columns of Q, the term :func:`simulate_null` draws as chi-square(h).
+        """
         values = grid.values
-        m = self.n_obs
-        p_fixed = X.shape[1]
-        if m <= p_fixed:
-            raise ModelError(f"need n > {p_fixed} rows, got n = {m}")
-        yty = float(y @ y)
-        rss, logdet_xwx = self.gls_path(y, X, values)
-        if rss[0] <= _PERFECT_REL * yty or np.any(rss <= 0):
+        n, p = X.shape
+        Q, proj, head, rss0 = _residual_coordinates(X, self.B, y)
+        if rss0 <= _PERFECT_REL * float(y @ y):
             raise DegenerateFitError("null fit is numerically perfect; statistic undefined")
-        logdet_v = self.logdet_v(values)
+        tail = np.array([max(rss0 - head.sum(), 0.0)])
         out = []
         for kind, h in specs:
-            if kind == "lrt":
-                if h > 0:
-                    null_beta, *_ = np.linalg.lstsq(X[:, :-h], y, rcond=None)
-                    null_resid = y - X[:, :-h] @ null_beta
-                    rss_null = float(null_resid @ null_resid)
-                    if rss_null <= _PERFECT_REL * yty:
-                        raise DegenerateFitError("null fit is numerically perfect; statistic undefined")
-                else:
-                    rss_null = float(rss[0])
-                path = m * np.log(rss_null / rss) - logdet_v
-                sigma_div = m
-            elif kind == "rlrt":
-                pen = logdet_v + logdet_xwx - logdet_xwx[0]
-                path = (m - p_fixed) * np.log(rss[0] / rss) - pen
-                sigma_div = m - p_fixed
-            else:
+            if kind not in ("lrt", "rlrt"):
                 raise ConfigError(f"unknown statistic kind {kind!r}")
-            k = int(np.argmax(path))
-            raw = float(path[k])
-            stat = max(raw, 0.0)
+            mult, pen_eigs = (n, self.raw_eigs) if kind == "lrt" else (n - p, proj)
+            path, den = _grid_profile(values, proj, pen_eigs, mult, head[None, :], tail)
+            k = int(np.argmax(path[0]))
+            extra = float(((Q[:, p - h:].T @ y) ** 2).sum()) if kind == "lrt" else 0.0
+            raw = float(path[0, k]) + n * math.log1p(extra / rss0)
             lam_hat = float(values[k])
-            sigma2 = float(rss[k]) / sigma_div
+            sigma2 = float(den[0, k]) / mult
             out.append(
                 TestResult(
                     method=kind,
-                    statistic=stat,
+                    statistic=max(raw, 0.0),
                     lambda_hat=lam_hat,
                     nuisance={
                         "sigma2_eps": sigma2,
                         "sigma2_spline": lam_hat * sigma2,
-                        "rss_null": rss_null if kind == "lrt" and h > 0 else float(rss[0]),
+                        "rss_null": rss0 + extra,
                         "h": h,
                         "grid_sha": grid.sha(),
                     },
@@ -354,7 +355,7 @@ def observed_statistic(
     h: int = 0,
     grid: LambdaGrid | None = None,
 ) -> TestResult:
-    """Observed LRT/RLRT statistic by dense profiled likelihood over the grid.
+    """Observed LRT/RLRT statistic: the profiled likelihood ratio over the grid.
 
     The null model drops the top ``h`` polynomial coefficients and sets the
     spline variance to zero; the alternative profiles the error variance and
@@ -397,22 +398,15 @@ def simulate_null(
             f"must exceed the knot count {cache.n_knots}"
         )
     values = grid.values
-    proj = cache.proj_eigs
-    shrink = 1.0 + np.outer(values, proj)                  # G x K
-    gain_w = (values[:, None] * proj[None, :]) / shrink    # G x K
     if kind == "lrt":
-        pen = np.log1p(np.outer(values, cache.raw_eigs)).sum(axis=1)
-        mult = cache.n_obs
+        pen_eigs, mult = cache.raw_eigs, cache.n_obs
     else:
-        pen = np.log1p(np.outer(values, proj)).sum(axis=1)
-        mult = cache.complement_dim
+        pen_eigs, mult = cache.proj_eigs, cache.complement_dim
     samples = np.empty(n_sims)
     for start, stop, rng in chunked_streams(seed, n_sims, _SIM_CHUNK):
         w = rng.chisquare(1.0, size=(stop - start, cache.n_knots))
         tail = rng.chisquare(tail_df, size=stop - start)
-        num = w @ gain_w.T                                  # n x G
-        den = w @ (1.0 / shrink).T + tail[:, None]
-        stat = (mult * np.log1p(num / den) - pen[None, :]).max(axis=1)
+        stat = _grid_profile(values, cache.proj_eigs, pen_eigs, mult, w, tail)[0].max(axis=1)
         if kind == "lrt" and h > 0:
             extra = rng.chisquare(h, size=stop - start)
             stat = stat + cache.n_obs * np.log1p(extra / (w.sum(axis=1) + tail))
@@ -462,6 +456,7 @@ def null_distribution_key(
 ) -> str:
     """Stable content key over everything the sampler depends on."""
     payload = {
+        "sampler_version": _SAMPLER_VERSION,
         "kind": kind,
         "h": h,
         "n_sims": n_sims,

@@ -101,7 +101,7 @@ class SimConfig:
 
     m_values: tuple[int, ...] = (50, 100)
     sigma_values: tuple[float, ...] = (0.25, 0.5)
-    c_values: tuple[int, ...] = (0, 1, 2, 3, 4)
+    c_values: tuple[float, ...] = (0, 1, 2, 3, 4)
     levels: tuple[float, ...] = (0.05, 0.1)
     tests: tuple[str, ...] = ("lrt1", "lrt2", "rlrt", "score")
     n_runs: int = 1000
@@ -143,7 +143,7 @@ class SimCell:
     test: str
     m: int
     sigma: float
-    c: int
+    c: float
     level: float
     n_runs: int
     failures: int
@@ -170,7 +170,7 @@ class SimReport:
     failure_messages: list[str] = field(default_factory=list)
     runtime_s: float = 0.0
 
-    def get(self, test: str, m: int, sigma: float, c: int, level: float) -> SimCell:
+    def get(self, test: str, m: int, sigma: float, c: float, level: float) -> SimCell:
         for cell in self.cells:
             if (
                 cell.test == test
@@ -187,7 +187,7 @@ class SimReport:
         lines = ["test,m,sigma,c,level,n_runs,failures,rejections,fraction,se"]
         for cell in self.cells:
             lines.append(
-                f"{cell.test},{cell.m},{cell.sigma:g},{cell.c},{cell.level:g},"
+                f"{cell.test},{cell.m},{cell.sigma:g},{cell.c:g},{cell.level:g},"
                 f"{cell.n_runs},{cell.failures},{cell.rejections},"
                 f"{cell.fraction:.6f},{cell.se:.6f}"
             )
@@ -201,7 +201,7 @@ class SimReport:
         for m in cfg.m_values:
             out.append(f"empirical rejection rates, m = {m}, {cfg.n_runs} runs")
             header = f"{'level':>6} {'sigma':>6} {'test':<6}" + "".join(
-                f"{f'c={c}':>8}" for c in cfg.c_values
+                f"{f'c={c:g}':>8}" for c in cfg.c_values
             )
             out.append(header)
             out.append("-" * len(header))
@@ -271,7 +271,7 @@ def _run_replicate(config: SimConfig, m: int, sigma: float, fixtures: dict, rep:
 
         def record_failure(ti, name, exc):
             fail[ti, ci] = True
-            messages.append(f"{name} m={m} sigma={sigma:g} c={c} rep={rep}: {exc}")
+            messages.append(f"{name} m={m} sigma={sigma:g} c={c:g} rep={rep}: {exc}")
 
         for d, members in groups.items():
             try:

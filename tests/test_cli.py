@@ -211,6 +211,18 @@ class TestSimulateCommand:
         assert (out / "report.txt").exists()
         assert "n_runs = 2" in (out / "effective_config.txt").read_text()
 
+    def test_fractional_departure_levels(self, tmp_path):
+        out = tmp_path / "sim"
+        code = run(["simulate", "--m", 30, "--sigma", "0.25", "--c", "0,0.5", "--runs", 2,
+                    "--tests", "score", "--levels", "0.05", "--seed", 2, "--out", out])
+        assert code == 0
+        rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
+        assert [row[3] for row in rows] == ["0", "0.5"]
+        assert "c=0.5" in (out / "report.txt").read_text()
+        rendered = tmp_path / "rendered"
+        assert run(["report", "--input", out / "report.csv", "--out", rendered]) == 0
+        assert (rendered / "report.txt").read_text() == (out / "report.txt").read_text()
+
     def test_warm_cache_identical_and_faster(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         cache = tmp_path / "cache"

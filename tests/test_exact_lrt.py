@@ -1,6 +1,8 @@
 """Exact LRT/RLRT: spectral cache, profile terms, null sampler, observed stats."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from scipy.stats import ks_2samp
 from covtest import (
     ConfigError,
     Dataset,
+    DegenerateFitError,
     LambdaGrid,
+    ModelError,
     NullDistribution,
     build_design,
     default_lambda_grid,
@@ -25,6 +29,7 @@ from covtest import (
     spectral_coordinates,
     spectral_decompose,
 )
+from covtest import exact_lrt
 from covtest.exact_lrt import (
     ProfileSolver,
     SpectralCache,
@@ -259,6 +264,22 @@ class TestSimulateNull:
         se = math.sqrt(zm_s * (1 - zm_s) / 20000 + zm_b * (1 - zm_b) / 800 + 1e-12)
         assert abs(zm_s - zm_b) <= 3.5 * se
 
+    @pytest.mark.parametrize(
+        "kind,d,h,digest",
+        [
+            ("rlrt", 1, 0, "3caaf0404d6e3d399c1855a191325a898635f8ff74e446ea202a1179a8863372"),
+            ("lrt", 1, 0, "1e65e57e9b9967798852238de02bbc88ef3bca66600568dd293dcac6114ad080"),
+            ("lrt", 2, 1, "09ae420219a52343d9e18501a39dba80ab2cbe58d7574213c27d4c735e316d5a"),
+        ],
+    )
+    def test_samples_pinned(self, kind, d, h, digest):
+        """The draws behind every cached null; a change here needs a new _SAMPLER_VERSION."""
+        ds = generate_dataset(60, 0.25, 0, seed=(5, 0))
+        design = build_design(ds, place_knots(ds.t, 10, d))
+        null = simulate_null(spectral_decompose(design), kind, h, None, 3000, seed=17)
+        got = hashlib.sha256(np.ascontiguousarray(null.samples, dtype="<f8").tobytes()).hexdigest()
+        assert got == digest
+
     def test_rlrt_ignores_h(self):
         ds, design = make_design(30, 1, 1, 4, seed=8)
         cache = spectral_decompose(design)
@@ -340,6 +361,32 @@ class TestObservedStatistic:
             stat = solver.statistics(ds.y, design.X, grid, [("rlrt", 0)])[0].statistic
             zeros += stat <= 1e-12
         assert zeros / n_reps >= 0.55
+
+    def test_guards(self):
+        ds, design = make_design(30, 1, 1, 4, seed=43)
+        solver = ProfileSolver(design.B)
+        grid = default_lambda_grid(spectral_decompose(design))
+        collinear = np.column_stack([design.X, 2.0 * design.X[:, 0]])
+        with pytest.raises(ModelError, match="rank deficient"):
+            solver.statistics(ds.y, collinear, grid, [("rlrt", 0)])
+        with pytest.raises(ModelError, match="rows"):
+            solver.statistics(ds.y[:3], design.X[:3], grid, [("rlrt", 0)])
+        perfect = design.X @ np.arange(1.0, design.X.shape[1] + 1)
+        with pytest.raises(DegenerateFitError):
+            solver.statistics(perfect, design.X, grid, [("lrt", 0)])
+
+    def test_no_n_by_n_work_at_large_n(self):
+        """One 20 000 x 20 000 float64 array would take 3.2 GB."""
+        ds = generate_dataset(20000, 0.25, 2, seed=(3, 0))
+        design = build_design(ds, place_knots(ds.t, 20, 1))
+        grid = default_lambda_grid(spectral_decompose(design))
+        tracemalloc.start()
+        try:
+            observed_statistic(ds, design, "rlrt", 0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_h_validation(self):
         ds, design = make_design(30, 1, 1, 4, seed=41)
@@ -452,7 +499,7 @@ class TestNullCache:
         assert np.array_equal(first.samples, second.samples)
         assert len(list(tmp_path.glob("null_*.npz"))) == 1
 
-    def test_key_sensitivity(self):
+    def test_key_sensitivity(self, monkeypatch):
         ds, design = make_design(30, 1, 1, 4, seed=53)
         cache = spectral_decompose(design)
         grid = default_lambda_grid(cache)
@@ -462,6 +509,8 @@ class TestNullCache:
         assert null_distribution_key(cache, "rlrt", 0, grid, 1000, 6) != base
         other_grid = default_lambda_grid(cache, n_points=100)
         assert null_distribution_key(cache, "rlrt", 0, other_grid, 1000, 5) != base
+        monkeypatch.setattr(exact_lrt, "_SAMPLER_VERSION", exact_lrt._SAMPLER_VERSION + 1)
+        assert null_distribution_key(cache, "rlrt", 0, grid, 1000, 5) != base
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bogus.npz"
