@@ -9,7 +9,7 @@ resampling; plus a Monte Carlo harness for size/power studies.
 
 __version__ = "0.1.0"
 
-from .data_io import ColumnMap, Dataset, DataSummary, TRange, load_csv, save_csv, summarize
+from .data_io import ColumnMap, Dataset, load_csv, save_csv
 from .errors import (
     ConfigError,
     CovtestError,
@@ -53,7 +53,7 @@ from .exact_lrt import (
     spectral_coordinates,
     spectral_decompose,
 )
-from .score_test import ScoreMoments, ScoreResult, run_score_test, satterthwaite_pvalue, score_statistic
+from .score_test import ScoreMoments, ScoreResult, run_score_test, score_statistic
 from .cusum_test import (
     CusumProcess,
     CusumResult,
@@ -66,7 +66,7 @@ from .sim_study import SimCell, SimConfig, SimReport, generate_dataset, nonlinea
 
 __all__ = [
     "__version__",
-    "ColumnMap", "Dataset", "DataSummary", "TRange", "load_csv", "save_csv", "summarize",
+    "ColumnMap", "Dataset", "load_csv", "save_csv",
     "CovtestError", "DataError", "ConfigError", "ModelError", "NumericalError",
     "DegenerateFitError", "DegenerateTestError", "StudyError",
     "KnotSet", "DesignMatrices", "SmootherKernel", "place_knots", "truncated_power",
@@ -75,7 +75,7 @@ __all__ = [
     "SpectralCache", "LambdaGrid", "NullDistribution", "TestResult", "ProfileSolver",
     "spectral_decompose", "spectral_coordinates", "default_lambda_grid", "profile_terms",
     "simulate_null", "simulate_null_cached", "observed_statistic", "p_value", "attach_pvalue",
-    "ScoreMoments", "ScoreResult", "score_statistic", "satterthwaite_pvalue", "run_score_test",
+    "ScoreMoments", "ScoreResult", "score_statistic", "run_score_test",
     "CusumProcess", "CusumResult", "cumulative_process", "multiplier_null",
     "multiplier_processes", "sup_test",
     "SimConfig", "SimCell", "SimReport", "generate_dataset", "nonlinear_effect", "run_study",

@@ -4,6 +4,10 @@ Subcommands: ``test`` (one test on a CSV file), ``simulate`` (Monte Carlo
 size/power study), ``null-sim`` (precompute a null-distribution cache),
 ``report`` (re-render a study CSV as an aligned table). All randomness flows
 from --seed; reruns with identical flags produce byte-identical result files.
+
+Each option is declared once, in ``_OPTIONS``. A ``--config`` file becomes
+``--key=value`` tokens placed right after the subcommand name, so one parser
+checks flags and config values alike, and flags given later win.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .cusum_test import cumulative_process, multiplier_null, multiplier_processes, sup_test
-from .data_io import ColumnMap, Dataset, load_csv, summarize
+from .data_io import ColumnMap, Dataset, load_csv
 from .errors import ConfigError, CovtestError
 from .exact_lrt import (
     attach_pvalue,
@@ -30,118 +34,108 @@ from .exact_lrt import (
 )
 from .null_fit import fit_ols, fit_reml_random_intercept, reml_projection
 from .score_test import run_score_test
-from .sim_study import SimCell, SimConfig, run_study
-from .spline_basis import NATURAL_SPLINE, PENALIZED_GRAM, build_design, place_knots
+from .sim_study import SimCell, SimConfig, SimReport, run_study
+from .spline_basis import NATURAL_SPLINE, PENALIZED_GRAM, KnotSet, build_design, place_knots
 
 _KERNELS = {"natural": NATURAL_SPLINE, "penalized": PENALIZED_GRAM}
 
-_DEFAULTS = {
-    "method": "rlrt",
-    "degree": 1,
-    "h": 0,
-    "knots": 20,
-    "kernel": "natural",
-    "nsims": 10000,
-    "resamples": 1000,
-    "seed": 0,
-    "level": 0.05,
-    "out": ".",
-    "threads": 1,
-    "rescale_t": False,
-    "y_col": "y",
-    "t_col": "t",
-    "s_cols": None,
-    "cluster_col": None,
-    "ordering": "t",
-    "emit_processes": 0,
-    "grid_points": 200,
-    "grid_span": "1e-6,1e8",
-    "m": "50,100",
-    "sigma": "0.25,0.5",
-    "c": "0,1,2,3,4",
-    "runs": 1000,
-    "tests": "lrt1,lrt2,rlrt,score",
-    "levels": "0.05,0.1",
-    "input": None,
-    "config": None,
+
+def _list_of(cast, what: str):
+    """Argparse type for a comma-separated list, parsed into a tuple."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}"
+            ) from None
+
+    return parse
+
+
+_NUMBERS = _list_of(float, "numbers")
+
+_OPTIONS = {
+    "input": dict(help="input CSV path"),
+    "method": dict(default="rlrt", choices=["lrt", "rlrt", "score", "cusum"], help="test to run"),
+    "degree": dict(type=int, default=1, help="spline degree d"),
+    "h": dict(type=int, default=0, help="top polynomial coefficients dropped under the null"),
+    "knots": dict(type=int, default=20, help="number of quantile knots"),
+    "kernel": dict(default="natural", choices=list(_KERNELS),
+                   help="smoother kernel for the score test"),
+    "nsims": dict(type=int, default=10000, help="null-distribution simulation draws"),
+    "resamples": dict(type=int, default=1000, help="multiplier resamples for the cusum test"),
+    "seed": dict(type=int, default=0, help="master seed; the only entropy source"),
+    "level": dict(type=float, default=0.05, help="nominal level for the decision line"),
+    "out": dict(default=".", help="output directory"),
+    "threads": dict(type=int, default=1, help="worker count (results are identical for any value)"),
+    "config": dict(help="flat key = value config file; flags win"),
+    "rescale-t": dict(action="store_true", help="affinely map t to [0, 1] at load"),
+    "y-col": dict(default="y", help="response column name"),
+    "t-col": dict(default="t", help="smooth covariate column name"),
+    "s-cols": dict(help="comma-separated covariate columns (default: all others)"),
+    "cluster-col": dict(help="cluster label column"),
+    "ordering": dict(default="t", choices=["t", "fitted"],
+                     help="ordering variable for the cusum process"),
+    "emit-processes": dict(type=int, default=0,
+                           help="also write this many resampled cusum paths as CSV"),
+    "grid-points": dict(type=int, default=200, help="log-spaced smoothing-grid points after 0"),
+    "grid-span": dict(default="1e-6,1e8",
+                      help="smoothing-grid span as LO,HI (scaled by the design)"),
+    "m": dict(type=_list_of(int, "integers"), default="50,100",
+              help="comma-separated sample sizes"),
+    "sigma": dict(type=_NUMBERS, default="0.25,0.5",
+                  help="comma-separated noise standard deviations"),
+    "c": dict(type=_NUMBERS, default="0,1,2,3,4", help="comma-separated departure levels"),
+    "runs": dict(type=int, default=1000, help="Monte Carlo replicates"),
+    "tests": dict(type=_list_of(str, "names"), default="lrt1,lrt2,rlrt,score",
+                  help="comma-separated tests: lrt1,lrt2,rlrt,score,cusum"),
+    "levels": dict(type=_NUMBERS, default="0.05,0.1", help="comma-separated nominal levels"),
 }
 
-
-def _add_common(sub: argparse.ArgumentParser, *names: str) -> None:
-    spec = {
-        "input": dict(type=str, help="input CSV path"),
-        "method": dict(choices=["lrt", "rlrt", "score", "cusum"], help="test to run"),
-        "degree": dict(type=int, help="spline degree d"),
-        "h": dict(type=int, help="top polynomial coefficients dropped under the null"),
-        "knots": dict(type=int, help="number of quantile knots"),
-        "kernel": dict(choices=list(_KERNELS), help="smoother kernel for the score test"),
-        "nsims": dict(type=int, help="null-distribution simulation draws"),
-        "resamples": dict(type=int, help="multiplier resamples for the cusum test"),
-        "seed": dict(type=int, help="master seed; the only entropy source"),
-        "level": dict(type=float, help="nominal level for the decision line"),
-        "out": dict(type=str, help="output directory"),
-        "threads": dict(type=int, help="worker count (results are identical for any value)"),
-        "config": dict(type=str, help="flat key = value config file; flags win"),
-        "rescale-t": dict(action="store_const", const=True, help="affinely map t to [0, 1] at load"),
-        "y-col": dict(type=str, help="response column name"),
-        "t-col": dict(type=str, help="smooth covariate column name"),
-        "s-cols": dict(type=str, help="comma-separated covariate columns (default: all others)"),
-        "cluster-col": dict(type=str, help="cluster label column"),
-        "ordering": dict(choices=["t", "fitted"], help="ordering variable for the cusum process"),
-        "emit-processes": dict(type=int, help="also write this many resampled cusum paths as CSV"),
-        "grid-points": dict(type=int, help="log-spaced smoothing-grid points after 0"),
-        "grid-span": dict(type=str, help="smoothing-grid span as LO,HI (scaled by the design)"),
-        "m": dict(type=str, help="comma-separated sample sizes"),
-        "sigma": dict(type=str, help="comma-separated noise standard deviations"),
-        "c": dict(type=str, help="comma-separated departure levels"),
-        "runs": dict(type=int, help="Monte Carlo replicates"),
-        "tests": dict(type=str, help="comma-separated tests: lrt1,lrt2,rlrt,score,cusum"),
-        "levels": dict(type=str, help="comma-separated nominal levels"),
-    }
-    for name in names:
-        sub.add_argument(f"--{name}", default=None, **spec[name])
+_SWITCH_WORDS = {"true": True, "yes": True, "on": True, "1": True,
+                 "false": False, "no": False, "off": False, "0": False}
 
 
-def _read_config_file(path: str) -> dict:
-    values: dict = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose every failure is a ConfigError, not exit code 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _config_tokens(path: str, command: str) -> list[str]:
+    """Turn a flat ``key = value`` file into ``--key=value`` tokens.
+
+    Keys are long flag names with ``_`` or ``-``; a switch takes true/false.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    tokens = []
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
-    return values
-
-
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
-    caster = {
-        "degree": int, "h": int, "knots": int, "nsims": int, "resamples": int,
-        "seed": int, "threads": int, "runs": int, "emit_processes": int,
-        "grid_points": int, "level": float,
-        "rescale_t": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    }.get(key)
-    return caster(value) if caster else value
-
-
-def _effective(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        for key, value in _read_config_file(args.config).items():
-            if key not in cfg:
-                raise ConfigError(f"unknown config key {key!r}")
-            cfg[key] = _coerce(key, value)
-    for key, value in vars(args).items():
-        if key in cfg and value is not None:
-            cfg[key] = value
-    return cfg
+        name = key.replace("_", "-")
+        if name not in _COMMANDS[command][2] or name == "config":
+            raise ConfigError(f"{path}:{line_no}: unknown config key {key!r} for covtest {command}")
+        if _OPTIONS[name].get("action") != "store_true":
+            tokens.append(f"--{name}={value}")
+        elif value.lower() not in _SWITCH_WORDS:
+            raise ConfigError(f"{path}:{line_no}: {key} must be true or false, got {value!r}")
+        elif _SWITCH_WORDS[value.lower()]:
+            tokens.append(f"--{name}")
+    return tokens
 
 
 def _echo_lines(cfg: dict, keys: list[str]) -> list[str]:
-    return [f"{key.replace('_', '-')} = {cfg[key]}" for key in keys if cfg[key] is not None]
+    return [f"{key.replace('_', '-')} = {cfg[key]}" for key in keys if cfg.get(key) is not None]
 
 
 def _load_dataset(cfg: dict) -> Dataset:
@@ -193,19 +187,17 @@ _ECHO_TEST_KEYS = [
 ]
 
 
-def _cmd_test(args: argparse.Namespace) -> int:
-    cfg = _effective(args)
+def _cmd_test(cfg: dict) -> int:
     if cfg["method"] in ("lrt", "rlrt"):
         _require_independent(cfg)
     dataset = _load_dataset(cfg)
     method = cfg["method"]
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    info = summarize(dataset)
     record: dict = {
         "method": method,
-        "n": info.n,
-        "p": info.p,
+        "n": dataset.n,
+        "p": dataset.p,
         "effective_config": _echo_lines(cfg, _ECHO_TEST_KEYS),
     }
     if method in ("lrt", "rlrt"):
@@ -245,9 +237,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
                 "df": result.moments.df,
             },
         )
-    else:  # cusum
-        knots = place_knots(dataset.t, cfg["knots"], cfg["degree"])
-        design = build_design(dataset, knots)
+    else:  # cusum: X = [S | A] does not depend on the knots, so place none
+        design = build_design(dataset, KnotSet(np.empty(0), cfg["degree"]))
         if dataset.cluster is not None and dataset.n_units >= 2:
             fit = fit_reml_random_intercept(dataset, design)
         else:
@@ -289,28 +280,21 @@ def _cmd_test(args: argparse.Namespace) -> int:
     return 0
 
 
-_ECHO_SIM_KEYS = [
-    "m", "sigma", "c", "levels", "tests", "runs", "knots", "nsims", "resamples",
-    "seed", "threads", "out",
-]
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _effective(args)
+def _cmd_simulate(cfg: dict) -> int:
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     config = SimConfig(
-        m_values=tuple(int(v) for v in str(cfg["m"]).split(",")),
-        sigma_values=tuple(float(v) for v in str(cfg["sigma"]).split(",")),
-        c_values=tuple(float(v) for v in str(cfg["c"]).split(",")),
-        levels=tuple(float(v) for v in str(cfg["levels"]).split(",")),
-        tests=tuple(str(cfg["tests"]).split(",")),
-        n_runs=int(cfg["runs"]),
-        n_knots=int(cfg["knots"]),
-        n_sims_null=int(cfg["nsims"]),
-        cusum_resamples=int(cfg["resamples"]),
-        seed=int(cfg["seed"]),
-        threads=int(cfg["threads"]),
+        m_values=cfg["m"],
+        sigma_values=cfg["sigma"],
+        c_values=cfg["c"],
+        levels=cfg["levels"],
+        tests=cfg["tests"],
+        n_runs=cfg["runs"],
+        n_knots=cfg["knots"],
+        n_sims_null=cfg["nsims"],
+        cusum_resamples=cfg["resamples"],
+        seed=cfg["seed"],
+        threads=cfg["threads"],
         cache_dir=str(_cache_dir(cfg)),
     )
     report = run_study(config)
@@ -329,8 +313,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_null_sim(args: argparse.Namespace) -> int:
-    cfg = _effective(args)
+def _cmd_null_sim(cfg: dict) -> int:
     if cfg["method"] not in ("lrt", "rlrt"):
         raise ConfigError("null-sim applies to --method lrt or rlrt")
     _require_independent(cfg)
@@ -368,24 +351,29 @@ def _cmd_null_sim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    cfg = _effective(args)
+def _cmd_report(cfg: dict) -> int:
     if not cfg["input"]:
         raise ConfigError("--input is required")
-    lines = Path(cfg["input"]).read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
+    try:
+        lines = Path(cfg["input"]).read_text(encoding="utf-8").strip().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {cfg['input']}: {exc}") from None
+    header = lines[0].split(",") if lines else []
     expected = "test,m,sigma,c,level,n_runs,failures,rejections,fraction,se".split(",")
     if header != expected:
         raise ConfigError(f"{cfg['input']}: not a study report CSV (header {header})")
     cells = []
-    for line in lines[1:]:
+    for row, line in enumerate(lines[1:], 2):
         f = line.split(",")
-        cells.append(
-            SimCell(
+        try:
+            cells.append(SimCell(
                 test=f[0], m=int(f[1]), sigma=float(f[2]), c=float(f[3]), level=float(f[4]),
                 n_runs=int(f[5]), failures=int(f[6]), rejections=int(f[7]),
-            )
-        )
+            ))
+        except (IndexError, ValueError):
+            raise ConfigError(f"{cfg['input']}:{row}: malformed report row {line!r}") from None
+    if not cells:
+        raise ConfigError(f"{cfg['input']}: report CSV has no rows")
 
     def ordered(values):
         seen = []
@@ -402,8 +390,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         tests=ordered(c.test for c in cells),
         n_runs=max(c.n_runs for c in cells),
     )
-    from .sim_study import SimReport
-
     table = SimReport(cells=cells, config=config).to_table()
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -412,49 +398,58 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+# Subcommand -> (handler, help, the _OPTIONS it takes).
+_COMMANDS = {
+    "test": (_cmd_test, "run one test on a data file", (
+        "input", "method", "degree", "h", "knots", "kernel", "nsims", "resamples",
+        "seed", "level", "out", "config", "rescale-t", "y-col", "t-col", "s-cols",
+        "cluster-col", "ordering", "emit-processes", "grid-points", "grid-span",
+    )),
+    "simulate": (_cmd_simulate, "run the Monte Carlo size/power study", (
+        "m", "sigma", "c", "levels", "tests", "runs", "knots", "nsims", "resamples",
+        "seed", "out", "threads", "config",
+    )),
+    "null-sim": (_cmd_null_sim, "precompute a null-distribution cache", (
+        "input", "method", "degree", "h", "knots", "nsims", "seed", "out", "config",
+        "rescale-t", "y-col", "t-col", "s-cols", "cluster-col", "grid-points", "grid-span",
+    )),
+    "report": (_cmd_report, "render a study report CSV as a table", ("input", "out", "config")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="covtest",
         description="Lack-of-fit tests for polynomial covariate effects against spline alternatives.",
     )
     parser.add_argument("--version", action="version", version=f"covtest {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_test = sub.add_parser("test", help="run one test on a data file")
-    _add_common(
-        p_test, "input", "method", "degree", "h", "knots", "kernel", "nsims",
-        "resamples", "seed", "level", "out", "config", "rescale-t",
-        "y-col", "t-col", "s-cols", "cluster-col", "ordering", "emit-processes",
-        "grid-points", "grid-span",
-    )
-    p_test.set_defaults(func=_cmd_test)
-
-    p_sim = sub.add_parser("simulate", help="run the Monte Carlo size/power study")
-    _add_common(
-        p_sim, "m", "sigma", "c", "levels", "tests", "runs", "knots", "nsims",
-        "resamples", "seed", "out", "threads", "config",
-    )
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_null = sub.add_parser("null-sim", help="precompute a null-distribution cache")
-    _add_common(
-        p_null, "input", "method", "degree", "h", "knots", "nsims", "seed", "out",
-        "config", "rescale-t", "y-col", "t-col", "s-cols", "cluster-col",
-        "grid-points", "grid-span",
-    )
-    p_null.set_defaults(func=_cmd_null_sim)
-
-    p_rep = sub.add_parser("report", help="render a study report CSV as a table")
-    _add_common(p_rep, "input", "out", "config")
-    p_rep.set_defaults(func=_cmd_report)
+    for command, (_, help_text, names) in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=help_text)
+        for name in names:
+            p_cmd.add_argument(f"--{name}", **_OPTIONS[name])
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv, splicing in the ``--config`` file's options if one is given."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config:
+        at = argv.index(args.command) + 1
+        tokens = _config_tokens(args.config, args.command)
+        try:
+            args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return args.func(args)
+        args = _parse_args(argv)
+        return _COMMANDS[args.command][0](vars(args))
     except CovtestError as exc:
         print(f"{exc.category} error: {exc}", file=sys.stderr)
         return 1

@@ -18,12 +18,9 @@ from .errors import ConfigError, DataError
 
 __all__ = [
     "Dataset",
-    "TRange",
-    "DataSummary",
     "ColumnMap",
     "load_csv",
     "save_csv",
-    "summarize",
 ]
 
 
@@ -110,21 +107,6 @@ class Dataset:
         if hi == lo:
             raise DataError("cannot rescale constant t")
         return Dataset(self.y, self.S, (self.t - lo) / (hi - lo), self.cluster)
-
-
-@dataclass(frozen=True)
-class TRange:
-    t_min: float
-    t_max: float
-
-
-@dataclass(frozen=True)
-class DataSummary:
-    n: int
-    p: int
-    n_distinct_t: int
-    t_range: TRange
-    n_clusters: int | None = None
 
 
 @dataclass(frozen=True)
@@ -227,13 +209,3 @@ def save_csv(dataset: Dataset, path: str | Path, columns: ColumnMap = ColumnMap(
                 row.append(str(int(dataset.cluster[i])))
             writer.writerow(row)
 
-
-def summarize(dataset: Dataset) -> DataSummary:
-    """Basic counts and the observed range of the smooth covariate."""
-    return DataSummary(
-        n=dataset.n,
-        p=dataset.p,
-        n_distinct_t=int(np.unique(dataset.t).size),
-        t_range=TRange(float(dataset.t.min()), float(dataset.t.max())),
-        n_clusters=None if dataset.cluster is None else dataset.n_units,
-    )

@@ -224,6 +224,8 @@ def default_lambda_grid(
     overall spline energy. The same grid must be used for observed statistics
     and for the null simulation so that grid coarseness cancels.
     """
+    if n_points < 1:
+        raise ConfigError(f"the lambda grid needs at least 1 point after 0, got {n_points}")
     raw = cache.raw_eigs if isinstance(cache, SpectralCache) else np.asarray(cache, dtype=float)
     mean_eig = float(raw.mean()) if raw.size else 0.0
     if mean_eig <= 0:

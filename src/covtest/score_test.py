@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .data_io import Dataset
 from .errors import ConfigError, DegenerateTestError
@@ -31,7 +30,6 @@ __all__ = [
     "ScoreMoments",
     "ScoreResult",
     "score_statistic",
-    "satterthwaite_pvalue",
     "run_score_test",
 ]
 
@@ -70,7 +68,10 @@ class ScoreResult:
 
 
 def _upper_tail(u_quad: float, moments: ScoreMoments) -> float:
-    p = float(chi2.sf(u_quad / moments.scale, moments.df))
+    """Upper tail of scale * chisq(df) beyond u_quad, floored at the smallest float."""
+    from scipy.special import chdtrc  # imported here: only the score test needs scipy
+
+    p = float(chdtrc(moments.df, u_quad / moments.scale))
     return max(p, np.finfo(float).tiny)
 
 
@@ -121,11 +122,6 @@ def score_statistic(fit: NullFit, proj: RemlProjection, kernel: SmootherKernel) 
         p_value=_upper_tail(u_quad, moments),
         kernel_kind=kernel.kind,
     )
-
-
-def satterthwaite_pvalue(result: ScoreResult) -> float:
-    """One-sided upper-tail probability of scale * chisq(df) beyond u_quad."""
-    return _upper_tail(result.u_quad, result.moments)
 
 
 def run_score_test(

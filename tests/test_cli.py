@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, config handling, error surfacing."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from covtest import generate_dataset, save_csv
+from covtest import Dataset, generate_dataset, save_csv
 from covtest.cli import main
 
 
@@ -166,6 +170,13 @@ class TestRejectedInputs:
             assert run(["test", "--input", clustered_csv, "--method", method, "--resamples", 100,
                         "--cluster-col", "cluster", "--out", tmp_path / "o"]) == 0
 
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_grid_without_points(self, null_csv, tmp_path, capsys, points):
+        code = run(["test", "--input", null_csv, "--method", "rlrt", "--nsims", 200,
+                    "--grid-points", points, "--out", tmp_path])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: the lambda grid needs")
+
     @pytest.mark.parametrize("span", ["5", "a,b", "1e8,1e-6", "1,2,3", "0,1e3", "1e-6,inf"])
     def test_malformed_grid_span(self, null_csv, tmp_path, capsys, span):
         code = run(["test", "--input", null_csv, "--method", "rlrt", "--nsims", 200,
@@ -271,6 +282,15 @@ class TestReportCommand:
         assert "m = 30" in text and "score" in text
         assert text == (out / "report.txt").read_text()
 
+    @pytest.mark.parametrize(
+        "body", ["", "score,30,0.25,0,0.05,2,0\n", "score,x,0.25,0,0.05,2,0,1,0.5,0.3\n"]
+    )
+    def test_rejects_malformed_rows(self, tmp_path, capsys, body):
+        bad = tmp_path / "r.csv"
+        bad.write_text("test,m,sigma,c,level,n_runs,failures,rejections,fraction,se\n" + body)
+        assert run(["report", "--input", bad, "--out", tmp_path]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_rejects_foreign_csv(self, tmp_path, capsys):
         bad = tmp_path / "x.csv"
         bad.write_text("a,b\n1,2\n")
@@ -278,15 +298,274 @@ class TestReportCommand:
         assert "config error" in capsys.readouterr().err
 
 
+def src_env():
+    """The environment with this package's ``src`` first on the child's PYTHONPATH."""
+    import covtest
+
+    src = str(Path(covtest.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
-        import covtest
-
-        src = str(Path(covtest.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "covtest.cli", "--version"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == 0
         assert "covtest" in proc.stdout
+
+
+def outcome(argv):
+    """(exit code, stderr) of one in-process CLI call; SystemExit counts as an exit."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("line", [
+        "method = bogus", "kernel = bogus", "ordering = bogus", "degree = abc",
+        "threads = 2", "rescale_t = maybe", "no equals sign",
+    ])
+    def test_bad_config_line(self, null_csv, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, err = outcome(["test", "--input", null_csv, "--config", cfg, "--out", tmp_path / "o"])
+        assert code == 1
+        assert err.startswith(f"config error: {cfg}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "--config", "missing.cfg"],
+        ["simulate", "--c", "a"],
+        ["simulate", "--m", "50,1.5"],
+        ["test", "--threads", "2"],
+        ["test", "--method", "bogus"],
+        ["frobnicate"],
+        [],
+        ["report", "--input", "missing.csv"],
+    ])
+    def test_bad_argv(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, err = outcome(argv)
+        assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["test", "--help"], ["--version"]])
+    def test_help_and_version_exit_zero(self, argv):
+        assert outcome(argv)[0] == 0
+
+    def test_console_script_reports_config_error(self, null_csv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "covtest.cli", "test", "--input", str(null_csv),
+             "--threads", "2"],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+
+    def test_inapplicable_key_named(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("runs = 2\ninput = data.csv\n")
+        code, err = outcome(["simulate", "--config", cfg, "--out", tmp_path])
+        assert code == 1
+        assert "unknown config key 'input'" in err and ":2:" in err
+
+
+class TestConfigParity:
+    def test_config_equals_flags(self, null_csv, tmp_path):
+        out = tmp_path / "out"
+        flags = ["--method", "rlrt", "--degree", "1", "--knots", "12", "--nsims", "600",
+                 "--seed", "9", "--grid-points", "80", "--grid-span", "1e-5,1e7", "--rescale-t"]
+        assert run(["test", "--input", null_csv, "--out", out] + flags) == 0
+        by_flags = (out / "result_rlrt.json").read_bytes()
+        (out / "result_rlrt.json").unlink()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "method = rlrt\ndegree = 1\nknots=12\nnsims = 600\nseed = 9  # trailing comment\n"
+            "grid_points = 80\ngrid-span = 1e-5,1e7\nrescale_t = yes\n"
+        )
+        assert run(["test", "--input", null_csv, "--out", out, "--config", cfg]) == 0
+        assert (out / "result_rlrt.json").read_bytes() == by_flags
+
+    def test_list_options_from_config(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("m = 30\nsigma = 0.25\nc = 0,0.5\nlevels = 0.05\ntests = score\nruns = 2\n")
+        assert run(["simulate", "--config", cfg, "--c", "0", "--out", tmp_path / "s"]) == 0
+        rows = (tmp_path / "s" / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["0"]
+
+
+class TestLazyScipy:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import covtest.cli, sys; assert 'scipy' not in sys.modules"],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestCusumKnots:
+    def test_few_distinct_t(self, tmp_path):
+        """Cusum places no knots, so 8 distinct t values (fewer than the default
+        20 knots need) are enough."""
+        rng = np.random.default_rng(3)
+        t = np.repeat(np.linspace(0.0, 1.0, 8), 5)
+        S = rng.normal(size=(40, 1))
+        path = tmp_path / "few.csv"
+        save_csv(Dataset(y=S[:, 0] + t + 0.2 * rng.normal(size=40), S=S, t=t), path)
+        out = tmp_path / "out"
+        assert run(["test", "--input", path, "--method", "cusum", "--resamples", 200,
+                    "--out", out]) == 0
+        record = json.loads((out / "result_cusum.json").read_text())
+        assert 0.0 < record["p_value"] <= 1.0
+        assert any("knots = 20" in line for line in record["effective_config"])
+
+
+# Every option each subcommand takes, written out independently of cli.py.
+TAKES = {
+    "test": {"input", "method", "degree", "h", "knots", "kernel", "nsims", "resamples", "seed",
+             "level", "out", "config", "rescale-t", "y-col", "t-col", "s-cols", "cluster-col",
+             "ordering", "emit-processes", "grid-points", "grid-span"},
+    "simulate": {"m", "sigma", "c", "levels", "tests", "runs", "knots", "nsims", "resamples",
+                 "seed", "out", "threads", "config"},
+    "null-sim": {"input", "method", "degree", "h", "knots", "nsims", "seed", "out", "config",
+                 "rescale-t", "y-col", "t-col", "s-cols", "cluster-col", "grid-points",
+                 "grid-span"},
+    "report": {"input", "out", "config"},
+}
+ALL_OPTIONS = set().union(*TAKES.values())
+NUMBERS = {"degree", "h", "knots", "nsims", "resamples", "seed", "level", "threads",
+           "emit-processes", "grid-points", "runs"}
+CHOICES = {"method": ("lrt", "rlrt", "score", "cusum"), "kernel": ("natural", "penalized"),
+           "ordering": ("t", "fitted")}
+LISTS = {"m": ["1", "20"], "sigma": ["0.5", "1"], "c": ["0", "0.5"], "levels": ["0.05"]}
+SWITCH_WORDS = {"true", "yes", "on", "1", "false", "no", "off", "0"}
+# No digits and none of the letters of "inf" or "nan": never parses as a number.
+NOT_A_NUMBER = st.text(alphabet="bcdeghjkmopqrsuvwxz.,_+- ", min_size=1, max_size=6)
+WORD = st.from_regex(r"[a-z][a-z_-]{1,10}", fullmatch=True)
+
+
+def is_prefix_of_any(word, options):
+    """argparse expands an unambiguous prefix of a long flag, so such words are not unknown."""
+    return any(option.startswith(word) for option in options)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    save_csv(generate_dataset(30, 0.25, 0, seed=(15, 0)), root / "d.csv")
+    (root / "report.csv").write_text(
+        "test,m,sigma,c,level,n_runs,failures,rejections,fraction,se\n"
+        "score,30,0.25,0,0.05,2,0,1,0.500000,0.353553\n"
+    )
+    return root
+
+
+def base_argv(command, root):
+    """A complete, valid and cheap call of each subcommand."""
+    return {
+        "test": ["test", "--input", root / "d.csv", "--method", "score"],
+        "simulate": ["simulate", "--m", "20", "--sigma", "0.25", "--c", "0", "--runs", "1",
+                     "--tests", "score", "--levels", "0.05", "--knots", "5"],
+        "null-sim": ["null-sim", "--input", root / "d.csv", "--nsims", "50", "--knots", "5"],
+        "report": ["report", "--input", root / "report.csv"],
+    }[command] + ["--out", root / "out"]
+
+
+@st.composite
+def bad_value(draw, command):
+    """(option, value): an option the subcommand takes, with a value it must reject."""
+    name = draw(st.sampled_from(sorted(TAKES[command] & (NUMBERS | set(CHOICES) | set(LISTS)))))
+    if name in CHOICES:
+        return name, draw(WORD.filter(lambda w: w not in CHOICES[name]))
+    if name in LISTS:
+        good = draw(st.lists(st.sampled_from(LISTS[name]), max_size=2))
+        bad = draw(st.one_of(NOT_A_NUMBER, st.just(""), st.just("2.5" if name == "m" else "")))
+        return name, ",".join(good + [bad])
+    return name, draw(NOT_A_NUMBER)
+
+
+def abbreviations(command):
+    """Proper prefixes of the subcommand's options that name no option of it."""
+    return sorted({o[:k] for o in TAKES[command] for k in range(1, len(o))} - TAKES[command])
+
+
+def config_line(kind, command):
+    """A config-file line of the given kind of fault."""
+    if kind == "unknown key":
+        unknown = WORD.filter(lambda w: w.replace("_", "-") not in ALL_OPTIONS)
+        return st.builds("{} = 1".format, unknown)
+    if kind == "abbreviated key":
+        return st.builds("{} = 1".format, st.sampled_from(abbreviations(command)))
+    if kind == "foreign key":
+        return st.builds("{} = 1".format, st.sampled_from(sorted(ALL_OPTIONS - TAKES[command])))
+    if kind == "no equals sign":
+        return st.just("a line without an equals sign")
+    if kind == "bad config value":
+        return bad_value(command).map(lambda pair: f"{pair[0].replace('-', '_')} = {pair[1]}")
+    assert kind == "bad switch word"
+    return st.builds("rescale_t = {}".format, WORD.filter(lambda w: w not in SWITCH_WORDS))
+
+
+def bad_fragment(kind, command, root):
+    """Argv tokens that must make an otherwise valid call fail with a config error."""
+    if kind == "unknown flag":
+        flags = {f"--{o}" for o in ALL_OPTIONS | {"help", "version"}}
+        words = WORD.filter(lambda w: not is_prefix_of_any(f"--{w}", flags))
+        return words.map(lambda w: [f"--{w}", "1"])
+    if kind == "foreign flag":
+        own = {f"--{o}" for o in TAKES[command] | {"help"}}
+        foreign = [f"--{o}" for o in sorted(ALL_OPTIONS - TAKES[command])]
+        foreign = [f for f in foreign if not is_prefix_of_any(f, own)]
+        return st.sampled_from(foreign).map(lambda f: [f, "1"])
+    if kind == "bad value":
+        return bad_value(command).map(lambda pair: [f"--{pair[0]}", pair[1]])
+    if kind == "missing config":
+        return WORD.map(lambda w: ["--config", root / f"missing-{w}.cfg"])
+
+    def written(line):
+        cfg = root / "fuzz.cfg"
+        cfg.write_text(line + "\n")
+        return ["--config", cfg]
+
+    return config_line(kind, command).map(written)
+
+
+FAULTS = [
+    (command, kind)
+    for command in sorted(TAKES)
+    for kind in ("unknown flag", "foreign flag", "bad value", "missing config", "unknown key",
+                 "abbreviated key", "foreign key", "no equals sign", "bad config value",
+                 "bad switch word")
+    if not (command == "report" and kind in ("bad value", "bad config value"))
+    and not (kind == "bad switch word" and "rescale-t" not in TAKES[command])
+]
+
+
+class TestCliFuzz:
+    @pytest.mark.parametrize("command", sorted(TAKES))
+    def test_base_calls_succeed(self, fuzz_dir, command):
+        """So each fuzz failure below comes from the fragment it adds."""
+        assert outcome(base_argv(command, fuzz_dir))[0] == 0
+
+    @pytest.mark.parametrize("command,kind", FAULTS)
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_bad_input_is_one_config_error_line(self, fuzz_dir, command, kind, data):
+        argv = base_argv(command, fuzz_dir)
+        fragment = data.draw(bad_fragment(kind, command, fuzz_dir))
+        # Insert after the subcommand name or before any flag, never between a flag and its value.
+        at = data.draw(st.sampled_from(
+            [i for i in range(1, len(argv) + 1) if i == len(argv) or str(argv[i]).startswith("--")]
+        ))
+        code, err = outcome(argv[:at] + fragment + argv[at:])
+        assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err

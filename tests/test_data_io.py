@@ -1,20 +1,16 @@
-"""Dataset loading, validation, and summary."""
+"""Dataset loading and validation."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from covtest import (
     ColumnMap,
     DataError,
     ConfigError,
     Dataset,
-    TRange,
     generate_dataset,
     load_csv,
     save_csv,
-    summarize,
 )
 
 
@@ -132,25 +128,3 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(y=[1, 2], S=np.empty((2, 0)), t=[5.0, 5.0]).with_rescaled_t()
 
-
-class TestSummarize:
-    def test_basic_range(self):
-        ds = Dataset(y=[1, 2, 3], S=np.empty((3, 0)), t=[0.0, 0.5, 1.0])
-        assert summarize(ds).t_range == TRange(0.0, 1.0)
-
-    def test_degenerate_range(self):
-        ds = Dataset(y=[1, 2, 3], S=np.empty((3, 0)), t=[2.0, 2.0, 2.0])
-        assert summarize(ds).t_range == TRange(2.0, 2.0)
-
-    def test_grid_distinct_count(self):
-        ds = generate_dataset(100, 0.25, 0, seed=(5, 0))
-        info = summarize(ds)
-        assert info.n_distinct_t == 100
-        assert info.t_range == TRange(0.0, 1.0)
-
-    @given(st.integers(0, 2**32 - 1))
-    def test_permutation_invariant(self, seed):
-        base = generate_dataset(23, 0.5, 1, seed=(9, 0))
-        perm = np.random.default_rng(seed).permutation(23)
-        shuffled = Dataset(y=base.y[perm], S=base.S[perm], t=base.t[perm])
-        assert summarize(shuffled) == summarize(base)

@@ -15,12 +15,11 @@ from covtest import (
     generate_dataset,
     reml_projection,
     run_score_test,
-    satterthwaite_pvalue,
     score_statistic,
     smoother_kernel,
 )
 from covtest.null_fit import NullFit
-from covtest.score_test import ScoreMoments, ScoreResult
+from covtest.score_test import ScoreMoments, _upper_tail
 from covtest.spline_basis import KnotSet, PENALIZED_GRAM
 from oracles import restricted_loglik
 
@@ -112,38 +111,30 @@ class TestScoreStatistic:
 
 
 class TestSatterthwaite:
-    def moments(self, scale, df):
-        return ScoreMoments(mean=scale * df, variance=2 * scale**2 * df, scale=scale, df=df)
+    """The scaled chi-square tail behind ``ScoreResult.p_value``."""
 
-    def result_at(self, u_quad, scale=1.0, df=4.0):
-        mom = self.moments(scale, df)
-        return ScoreResult(
-            u_quad=u_quad,
-            null_mean=mom.mean,
-            u_score=u_quad - mom.mean,
-            moments=mom,
-            p_value=0.5,
-            kernel_kind="test",
-        )
+    def tail(self, u_quad, scale=1.0, df=4.0):
+        mom = ScoreMoments(mean=scale * df, variance=2 * scale**2 * df, scale=scale, df=df)
+        return _upper_tail(u_quad, mom)
 
     def test_zero_statistic_gives_one(self):
-        assert satterthwaite_pvalue(self.result_at(0.0)) == 1.0
+        assert self.tail(0.0) == 1.0
 
     @pytest.mark.parametrize("df", [1.0, 2.5, 7.0, 20.0, 50.0])
     def test_value_at_null_mean(self, df):
         """Oracle: regularized upper incomplete gamma at (df/2, df/2)."""
-        p = satterthwaite_pvalue(self.result_at(df * 2.0, scale=2.0, df=df))
+        p = self.tail(df * 2.0, scale=2.0, df=df)
         assert p == pytest.approx(float(gammaincc(df / 2, df / 2)), rel=1e-10)
         assert 0.25 < p < 0.55
 
     def test_huge_statistic_stays_positive(self):
-        p = satterthwaite_pvalue(self.result_at(1e6, scale=0.5, df=2.0))
+        p = self.tail(1e6, scale=0.5, df=2.0)
         assert 0.0 < p < 1e-10
 
     def test_matches_result_field(self, small_dataset):
         _, fit, proj, kern = ols_pieces(small_dataset)
         result = score_statistic(fit, proj, kern)
-        assert satterthwaite_pvalue(result) == result.p_value
+        assert _upper_tail(result.u_quad, result.moments) == result.p_value
 
 
 class TestInvariances:
