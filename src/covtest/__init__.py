@@ -25,7 +25,6 @@ from .spline_basis import (
     KnotSet,
     SmootherKernel,
     build_design,
-    natural_spline_gram,
     place_knots,
     smoother_kernel,
     truncated_power,
@@ -70,7 +69,7 @@ __all__ = [
     "CovtestError", "DataError", "ConfigError", "ModelError", "NumericalError",
     "DegenerateFitError", "DegenerateTestError", "StudyError",
     "KnotSet", "DesignMatrices", "SmootherKernel", "place_knots", "truncated_power",
-    "build_design", "smoother_kernel", "natural_spline_gram",
+    "build_design", "smoother_kernel",
     "NullFit", "RemlProjection", "fit_ols", "fit_reml_random_intercept", "reml_projection",
     "SpectralCache", "LambdaGrid", "NullDistribution", "TestResult", "ProfileSolver",
     "spectral_decompose", "spectral_coordinates", "default_lambda_grid", "profile_terms",

@@ -188,17 +188,22 @@ _ECHO_TEST_KEYS = [
 
 
 def _cmd_test(cfg: dict) -> int:
-    if cfg["method"] in ("lrt", "rlrt"):
-        _require_independent(cfg)
-    dataset = _load_dataset(cfg)
     method = cfg["method"]
+    if method in ("lrt", "rlrt"):
+        _require_independent(cfg)
+    if not 0.0 < cfg["level"] < 1.0:
+        raise ConfigError(f"--level must lie in (0, 1), got {cfg['level']!r}")
+    dataset = _load_dataset(cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Only the LRT/RLRT and the penalized score kernel place knots.
+    places_knots = method in ("lrt", "rlrt") or (method == "score" and cfg["kernel"] == "penalized")
+    echo = [key for key in _ECHO_TEST_KEYS if places_knots or key != "knots"]
     record: dict = {
         "method": method,
         "n": dataset.n,
         "p": dataset.p,
-        "effective_config": _echo_lines(cfg, _ECHO_TEST_KEYS),
+        "effective_config": _echo_lines(cfg, echo),
     }
     if method in ("lrt", "rlrt"):
         knots = place_knots(dataset.t, cfg["knots"], cfg["degree"])
@@ -281,8 +286,6 @@ def _cmd_test(cfg: dict) -> int:
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = SimConfig(
         m_values=cfg["m"],
         sigma_values=cfg["sigma"],
@@ -297,6 +300,8 @@ def _cmd_simulate(cfg: dict) -> int:
         threads=cfg["threads"],
         cache_dir=str(_cache_dir(cfg)),
     )
+    out_dir = Path(cfg["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = run_study(config)
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     (out_dir / "report.txt").write_text(report.to_table(), encoding="utf-8")

@@ -120,6 +120,10 @@ class RemlProjection:
         """V^-1/2 a for a vector or a matrix with one row per observation."""
         return _whiten(a, self.sigma2, self.ratio, self.cluster, self.sizes)
 
+    def cluster_sums(self, a: np.ndarray) -> np.ndarray:
+        """Z'a: the sums of the rows of ``a`` within each cluster."""
+        return _cluster_sums(a, self.cluster, self.sizes)
+
     def residual_map(self, G: np.ndarray) -> np.ndarray:
         """Rows of G through I - X (X'V^-1 X)^-1 X'V^-1, i.e. G - (R^-1 Q'V^-1/2 G')' X'."""
         coef = np.linalg.solve(self.R, self.Q.T @ self.whiten(G.T))

@@ -118,6 +118,8 @@ class SimConfig:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
         if any(s <= 0 for s in self.sigma_values):
             raise ConfigError("all sigma values must be > 0")
+        if not all(0.0 < a < 1.0 for a in self.levels):
+            raise ConfigError(f"nominal levels must lie in (0, 1), got {list(self.levels)}")
         unknown = [t for t in self.tests if t not in KNOWN_TESTS]
         if unknown:
             raise ConfigError(f"unknown tests {unknown}; known: {list(KNOWN_TESTS)}")

@@ -3,7 +3,9 @@
 Builds the polynomial basis ``A`` (columns 1, t, ..., t^d), the truncated
 power basis ``B`` (columns (t - knot)_+^d), the combined fixed-effects matrix
 ``X = [S | A]``, and the symmetric smoother kernels consumed by the
-variance-component score test.
+variance-component score test. The kernels are held in structured form (a
+semiseparable natural-spline kernel, or the factor B of B B'), so none of
+them needs an n x n array.
 """
 
 from __future__ import annotations
@@ -14,17 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import Dataset
-from .errors import ConfigError, ModelError, NumericalError
+from .errors import ConfigError, ModelError
 
 __all__ = [
     "KnotSet",
     "DesignMatrices",
     "SmootherKernel",
+    "GramKernel",
+    "NaturalSplineKernel",
     "place_knots",
     "truncated_power",
     "build_design",
     "smoother_kernel",
-    "natural_spline_gram",
 ]
 
 PENALIZED_GRAM = "penalized-gram"
@@ -74,12 +77,100 @@ class DesignMatrices:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
 class SmootherKernel:
-    """Symmetric PSD kernel matrix used by the score test."""
+    """Symmetric PSD n x n kernel M used by the score test.
 
-    M: np.ndarray
-    kind: str
+    The score test reads a kernel only through ``apply`` (M A for an n x k
+    block A), ``trace`` (tr M) and ``sq_norm`` (|M|_F^2). This class holds M
+    as a dense matrix, for hand-made kernels and dense checks;
+    :func:`smoother_kernel` returns the structured subclasses, which form M
+    only when ``.M`` is asked for.
+    """
+
+    def __init__(self, M, kind: str):
+        self._M = np.asarray(M, dtype=float)
+        self.kind = kind
+        self.n = self._M.shape[0]
+        self.trace = float(np.trace(self._M))
+        self.sq_norm = float(np.einsum("ij,ij->", self._M, self._M))
+
+    @property
+    def M(self) -> np.ndarray:
+        return self._M
+
+    def apply(self, A) -> np.ndarray:
+        """M A for a vector or a matrix with one row per observation."""
+        return self._M @ A
+
+
+class _StructuredKernel(SmootherKernel):
+    @property
+    def M(self) -> np.ndarray:
+        """Dense n x n kernel, built on demand for dense checks."""
+        M = self.apply(np.eye(self.n))
+        return 0.5 * (M + M.T)
+
+
+class GramKernel(_StructuredKernel):
+    """M = B B' held as its n x K factor B: M A = B (B'A), |M|_F = |B'B|_F."""
+
+    def __init__(self, B: np.ndarray):
+        self.B = B
+        self.kind = PENALIZED_GRAM
+        self.n = B.shape[0]
+        self.trace = float(np.einsum("ij,ij->", B, B))
+        gram = B.T @ B
+        self.sq_norm = float(np.einsum("ij,ij->", gram, gram))
+
+    def apply(self, A) -> np.ndarray:
+        return self.B @ (self.B.T @ A)
+
+
+class NaturalSplineKernel(_StructuredKernel):
+    """Covariance kernel of a degree-d integrated Wiener process on [0, 1].
+
+    k(a, b) = int_0^min(a, b) (a - w)^d (b - w)^d dw / (d!)^2. For a <= b it
+    expands to sum_l f_l(a) g_l(b) with f_l(a) = c_l a^(2d+1-l), g_l(b) = b^l
+    and c_l = (-1)^(d-l) / (l! (2d+1-l)!), so M is semiseparable in sorted-u
+    order. Row i of M A (rows sorted by u) is
+    sum_l g_l(u_i) sum_{j<=i} f_l(u_j) A_j + f_l(u_i) sum_{j>i} g_l(u_j) A_j:
+    one prefix and one suffix sum per l, O(n (d+1) k) for an n x k block.
+    Tied u are safe: both expansions agree at a = b.
+    """
+
+    def __init__(self, u: np.ndarray, degree: int):
+        self.kind = NATURAL_SPLINE
+        self.n = u.shape[0]
+        self._order = np.argsort(u, kind="stable")
+        us = u[self._order]
+        powers = np.arange(degree + 1)
+        c = np.array([
+            (-1.0) ** (degree - p) / (math.factorial(p) * math.factorial(2 * degree + 1 - p))
+            for p in powers
+        ])
+        self._f = c * us[:, None] ** (2 * degree + 1 - powers)
+        self._g = us[:, None] ** powers
+        diag = us ** (2 * degree + 1) / ((2 * degree + 1) * math.factorial(degree) ** 2)
+        self.trace = float(diag.sum())
+        # |M|_F^2 = sum_i k_ii^2 + 2 sum_j g_j' (sum_{i<j} f_i f_i') g_j
+        outer = self._f[:, :, None] * self._f[:, None, :]
+        before = np.zeros_like(outer)
+        np.cumsum(outer[:-1], axis=0, out=before[1:])
+        cross = float(np.einsum("jl,jlm,jm->", self._g, before, self._g))
+        self.sq_norm = float(diag @ diag) + 2.0 * cross
+
+    def apply(self, A) -> np.ndarray:
+        A = np.asarray(A, dtype=float)
+        block = A.reshape(self.n, -1)[self._order]
+        out = np.zeros_like(block)
+        for p in range(self._f.shape[1]):
+            f, g = self._f[:, p : p + 1], self._g[:, p : p + 1]
+            out += g * np.cumsum(f * block, axis=0)
+            after = np.cumsum((g * block)[::-1], axis=0)[::-1]  # sum over j >= i
+            out[:-1] += f[:-1] * after[1:]
+        result = np.empty_like(out)
+        result[self._order] = out
+        return result.reshape(A.shape)
 
 
 def place_knots(t, n_knots: int, degree: int = 1) -> KnotSet:
@@ -156,26 +247,6 @@ def build_design(dataset: Dataset, knots: KnotSet) -> DesignMatrices:
     return DesignMatrices(A=A, B=B, X=X, knots=knots, t=np.asarray(t, dtype=float))
 
 
-def natural_spline_gram(u: np.ndarray, degree: int = 1) -> np.ndarray:
-    """Covariance kernel of a degree-d integrated Wiener process on [0, 1].
-
-    Entry (i, j) is the closed form of
-    ``int_0^min(u_i, u_j) (u_i - w)^d (u_j - w)^d dw / (d!)^2``.
-    For the linearity test (d = 1) this is the familiar cubic-spline kernel
-    ``s*t*min - (s + t)*min^2/2 + min^3/3``.
-    """
-    u = np.asarray(u, dtype=float)
-    lo = np.minimum.outer(u, u)
-    hi = np.maximum.outer(u, u)
-    gap = hi - lo
-    out = np.zeros_like(lo)
-    # For a <= b: int_0^a (a-w)^d (b-w)^d dw expanded around (a - w).
-    for j in range(degree + 1):
-        out += math.comb(degree, j) * gap ** (degree - j) * lo ** (degree + j + 1) / (degree + j + 1)
-    out /= math.factorial(degree) ** 2
-    return 0.5 * (out + out.T)
-
-
 def smoother_kernel(
     t,
     degree: int = 1,
@@ -185,8 +256,8 @@ def smoother_kernel(
     """Build the effective smoother kernel over the observed t values.
 
     ``penalized-gram`` is B B' from the truncated power basis (requires
-    knots); ``natural-spline-kernel`` evaluates the integrated-Wiener kernel
-    on t affinely rescaled to [0, 1]. The rescale changes the kernel only by
+    knots), held as B; ``natural-spline-kernel`` is the integrated-Wiener
+    kernel on t affinely rescaled to [0, 1], held in semiseparable form. The rescale changes the kernel only by
     a constant factor, which the score test absorbs into its scale
     calibration, so test decisions are unaffected.
     """
@@ -194,40 +265,10 @@ def smoother_kernel(
     if kind == PENALIZED_GRAM:
         if knots is None:
             raise ConfigError("penalized-gram kernel requires a knot set")
-        B = _trunc_basis(t, knots)
-        M = B @ B.T
-        M = 0.5 * (M + M.T)
-    elif kind == NATURAL_SPLINE:
+        return GramKernel(_trunc_basis(t, knots))
+    if kind == NATURAL_SPLINE:
         lo, hi = float(t.min()), float(t.max())
         if hi == lo:
             raise ModelError("smoother kernel needs non-constant t")
-        M = natural_spline_gram((t - lo) / (hi - lo), degree)
-    else:
-        raise ConfigError(f"unknown kernel kind {kind!r}")
-    _check_psd(M)
-    return SmootherKernel(M=M, kind=kind)
-
-
-def _check_psd(M: np.ndarray) -> None:
-    """Raise NumericalError unless M + tau I has a Cholesky factor.
-
-    tau = 1e-8 max diag(M) is at most 1e-8 times the largest eigenvalue, so
-    this rejects every kernel with an eigenvalue below -tau, at a fraction
-    of the cost of a full eigendecomposition.
-    """
-    diag = np.diagonal(M)
-    tau = 1e-8 * float(diag.max()) if diag.size else 0.0
-    if tau <= 0.0:
-        ok = not M.any()  # a PSD matrix with zero diagonal is zero
-    else:
-        shifted = M.copy()
-        shifted.flat[:: M.shape[0] + 1] += tau
-        try:
-            np.linalg.cholesky(shifted)
-            ok = True
-        except np.linalg.LinAlgError:
-            ok = False
-    if not ok:
-        raise NumericalError(
-            f"smoother kernel is not PSD (Cholesky of M + {tau:.3e} I failed); construction bug"
-        )
+        return NaturalSplineKernel((t - lo) / (hi - lo), degree)
+    raise ConfigError(f"unknown kernel kind {kind!r}")

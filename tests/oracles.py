@@ -1,8 +1,8 @@
-"""Dense n x n reference formulas for the null fit, projection, score and cusum.
+"""Dense n x n reference formulas for the null fit, projection, kernel, score and cusum.
 
-The package keeps V = sigma2 (I + ratio ZZ') and the REML projection in
-factored form and never builds an n x n matrix for them. These are the
-textbook dense versions, kept here as test oracles only.
+The package keeps V = sigma2 (I + ratio ZZ'), the REML projection and the
+smoother kernels in factored form and never builds an n x n matrix for them.
+These are the textbook dense versions, kept here as test oracles only.
 """
 
 import math
@@ -80,3 +80,22 @@ class DenseResidualMap:
 
     def residual_map(self, G):
         return G @ self.resid_form.T
+
+
+def natural_spline_gram(u, degree=1):
+    """Covariance kernel of a degree-d integrated Wiener process on [0, 1].
+
+    Entry (i, j) is the closed form of
+    ``int_0^min(u_i, u_j) (u_i - w)^d (u_j - w)^d dw / (d!)^2``.
+    For the linearity test (d = 1) this is the familiar cubic-spline kernel
+    ``s*t*min - (s + t)*min^2/2 + min^3/3``.
+    """
+    u = np.asarray(u, dtype=float)
+    lo = np.minimum.outer(u, u)
+    gap = np.maximum.outer(u, u) - lo
+    out = np.zeros_like(lo)
+    # For a <= b: int_0^a (a-w)^d (b-w)^d dw expanded around (a - w).
+    for j in range(degree + 1):
+        out += math.comb(degree, j) * gap ** (degree - j) * lo ** (degree + j + 1) / (degree + j + 1)
+    out /= math.factorial(degree) ** 2
+    return 0.5 * (out + out.T)

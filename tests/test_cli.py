@@ -350,6 +350,11 @@ class TestParseErrors:
         ["frobnicate"],
         [],
         ["report", "--input", "missing.csv"],
+        ["test", "--method", "score", "--level", "7"],
+        ["test", "--method", "rlrt", "--level", "0"],
+        ["test", "--level", "nan"],
+        ["simulate", "--levels", "2"],
+        ["simulate", "--levels", "0.05,1"],
     ])
     def test_bad_argv(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -410,6 +415,19 @@ class TestLazyScipy:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_score_run_loads_no_scipy(self, null_csv, tmp_path):
+        code = (
+            "import sys; from covtest.cli import main; "
+            f"assert main(['test', '--input', {str(null_csv)!r}, '--method', 'score', "
+            f"'--out', {str(tmp_path)!r}]) == 0; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "assert not loaded, loaded"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "result_score.json").exists()
+
 
 class TestCusumKnots:
     def test_few_distinct_t(self, tmp_path):
@@ -425,7 +443,16 @@ class TestCusumKnots:
                     "--out", out]) == 0
         record = json.loads((out / "result_cusum.json").read_text())
         assert 0.0 < record["p_value"] <= 1.0
-        assert any("knots = 20" in line for line in record["effective_config"])
+        assert not any(line.startswith("knots") for line in record["effective_config"])
+
+    @pytest.mark.parametrize("kernel,echoed", [("natural", False), ("penalized", True)])
+    def test_score_echoes_knots_only_when_placed(self, null_csv, tmp_path, kernel, echoed):
+        out = tmp_path / "out"
+        assert run(["test", "--input", null_csv, "--method", "score", "--kernel", kernel,
+                    "--knots", 12, "--out", out]) == 0
+        record = json.loads((out / "result_score.json").read_text())
+        knots = [line for line in record["effective_config"] if line.startswith("knots")]
+        assert knots == (["knots = 12"] if echoed else [])
 
 
 # Every option each subcommand takes, written out independently of cli.py.

@@ -1,8 +1,10 @@
 """Variance-component score test and its scaled chi-square calibration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.special import gammaincc
+from scipy.special import chdtrc, gammaincc
 
 from covtest import (
     ConfigError,
@@ -131,6 +133,18 @@ class TestSatterthwaite:
         p = self.tail(1e6, scale=0.5, df=2.0)
         assert 0.0 < p < 1e-10
 
+    def test_matches_scipy_tail(self):
+        """Oracle: scipy's chdtrc, wherever it does not underflow."""
+        rng = np.random.default_rng(8)
+        df = np.concatenate([rng.uniform(0.1, 1000, 6000), np.exp(rng.uniform(-2.3, 6.9, 6000))])
+        x = df * np.exp(rng.uniform(np.log(1e-3), np.log(20), df.size))
+        x[::3] = np.abs(df[::3] + 3 * np.sqrt(2 * df[::3]) * rng.standard_normal(df[::3].size))
+        want = chdtrc(df, x)
+        got = np.array([self.tail(xi, 1.0, dfi) for dfi, xi in zip(df, x)])
+        keep = want > 1e-300
+        assert keep.sum() > 10000 and (want[keep] < 1e-100).any()
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-10, atol=0)
+
     def test_matches_result_field(self, small_dataset):
         _, fit, proj, kern = ols_pieces(small_dataset)
         result = score_statistic(fit, proj, kern)
@@ -201,3 +215,30 @@ class TestRunScoreTest:
     def test_detects_strong_departure(self):
         ds = generate_dataset(100, 0.25, 4, seed=(55, 0))
         assert run_score_test(ds).p_value < 0.001
+
+
+class TestMemory:
+    @pytest.mark.parametrize("clusters", [0, 500])
+    def test_large_n_stays_small(self, clusters):
+        """Kernel and score at n = 20 000 stay far below one n x n array (3.2 GB)."""
+        rng = np.random.default_rng(clusters)
+        n = 20_000
+        t = rng.uniform(0, 1, n)
+        S = rng.standard_normal((n, 2))
+        cluster = rng.integers(0, clusters, n) if clusters else None
+        y = S @ [1.0, -0.5] + t + 0.3 * rng.standard_normal(n)
+        if clusters:
+            y = y + rng.normal(0, 0.5, clusters)[cluster]
+        ds = Dataset(y=y, S=S, t=t, cluster=cluster)
+        design = build_design(ds, KnotSet(np.empty(0), 1))
+        fit = fit_reml_random_intercept(ds, design) if clusters else fit_ols(ds, design)
+        assert (fit.ratio > 0) == bool(clusters)
+        proj = reml_projection(fit, design.X)
+        tracemalloc.start()
+        try:
+            result = score_statistic(fit, proj, smoother_kernel(ds.t, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < result.p_value <= 1.0
+        assert peak < 64 * 2**20

@@ -149,6 +149,11 @@ class TestRunStudy:
         with pytest.raises(ConfigError, match="unknown tests"):
             tiny_config(tests=("wavelet",))
 
+    @pytest.mark.parametrize("levels", [(2.0,), (0.05, 1.0), (0.0,), (float("nan"),)])
+    def test_level_outside_unit_interval_rejected(self, levels):
+        with pytest.raises(ConfigError, match="levels"):
+            tiny_config(levels=levels)
+
     def test_study_error_on_mass_failures(self, monkeypatch):
         import covtest.sim_study as sim_study
 

@@ -12,14 +12,13 @@ from covtest import (
     ConfigError,
     Dataset,
     ModelError,
-    NumericalError,
     build_design,
-    natural_spline_gram,
     place_knots,
     smoother_kernel,
     truncated_power,
 )
-from covtest.spline_basis import NATURAL_SPLINE, PENALIZED_GRAM, KnotSet
+from covtest.spline_basis import NATURAL_SPLINE, PENALIZED_GRAM, KnotSet, SmootherKernel
+from oracles import natural_spline_gram
 
 
 def plain_dataset(t, p=0, seed=0):
@@ -249,18 +248,13 @@ class TestSmootherKernel:
         M2 = smoother_kernel(5.0 * t - 2.0, 1, NATURAL_SPLINE).M
         np.testing.assert_allclose(M1, M2, atol=1e-12)
 
-    def test_indefinite_kernel_raises(self, monkeypatch):
-        """The PSD guard rejects a kernel with an eigenvalue below -1e-8 max diag."""
-        import covtest.spline_basis as sb
-
-        rng = np.random.default_rng(3)
-        basis, _ = np.linalg.qr(rng.standard_normal((30, 30)))
-        eigs = np.linspace(1.0, 2.0, 30)
-        eigs[7] = -1e-6
-        bad = (basis * eigs) @ basis.T
-        monkeypatch.setattr(sb, "natural_spline_gram", lambda u, degree=1: 0.5 * (bad + bad.T))
-        with pytest.raises(NumericalError, match="not PSD"):
-            smoother_kernel(np.linspace(0, 1, 30), 1)
+    def test_dense_view_is_psd(self):
+        """M = int phi phi' dw and B B' are PSD by construction; the dense views keep that."""
+        t = np.random.default_rng(3).uniform(-1, 4, 60)
+        for degree in range(4):
+            for kind, ks in ((NATURAL_SPLINE, None), (PENALIZED_GRAM, place_knots(t, 6, degree))):
+                eigs = np.linalg.eigvalsh(smoother_kernel(t, degree, kind, ks).M)
+                assert eigs.min() >= -1e-12 * eigs.max()
 
     def test_semidefinite_kernels_pass(self):
         t = np.linspace(0, 1, 400)
@@ -269,3 +263,61 @@ class TestSmootherKernel:
         assert smoother_kernel(t, 3).M.shape == (400, 400)
         high = KnotSet(np.array([2.0]), 1)  # every row of B is zero
         assert not smoother_kernel(t, 1, PENALIZED_GRAM, high).M.any()
+
+
+def _ties(seed, n=80):
+    """Unsorted t on a coarse grid, so many values repeat."""
+    return np.round(np.random.default_rng(seed).uniform(-2.0, 5.0, n), 1)
+
+
+def _rel(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestStructuredKernel:
+    """The structured kernels against the dense oracle kernel."""
+
+    def kernels(self, degree, seed):
+        t = _ties(seed)
+        u = (t - t.min()) / (t.max() - t.min())
+        yield smoother_kernel(t, degree), natural_spline_gram(u, degree)
+        knots = place_knots(t, 8, degree)
+        B = build_design(plain_dataset(t), knots).B
+        yield smoother_kernel(t, degree, PENALIZED_GRAM, knots), B @ B.T
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_products_match_dense(self, degree):
+        for kern, dense in self.kernels(degree, seed=10 + degree):
+            A = np.random.default_rng(degree).standard_normal((dense.shape[0], 5))
+            assert _rel(kern.apply(A), dense @ A) <= 1e-12
+            assert _rel(kern.apply(A[:, 2]), dense @ A[:, 2]) <= 1e-12
+            assert kern.apply(A[:, 2]).shape == (dense.shape[0],)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_trace_and_norm_match_dense(self, degree):
+        for kern, dense in self.kernels(degree, seed=20 + degree):
+            assert kern.trace == pytest.approx(np.trace(dense), rel=1e-12)
+            assert kern.sq_norm == pytest.approx(float((dense * dense).sum()), rel=1e-12)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_dense_view_matches_oracle(self, degree):
+        for kern, dense in self.kernels(degree, seed=30 + degree):
+            assert kern.M.shape == dense.shape
+            assert _rel(kern.M, dense) <= 1e-12
+            np.testing.assert_array_equal(kern.M, kern.M.T)
+
+    def test_tied_rows_are_identical(self):
+        t = _ties(5)
+        M = smoother_kernel(t, 2).M
+        i, j = np.flatnonzero(t == t[0])[:2]
+        np.testing.assert_array_equal(M[i], M[j])
+
+    def test_dense_wrapper(self):
+        rng = np.random.default_rng(6)
+        F = rng.standard_normal((12, 3))
+        kern = SmootherKernel(M=F @ F.T, kind="custom")
+        A = rng.standard_normal((12, 2))
+        np.testing.assert_allclose(kern.apply(A), F @ (F.T @ A), rtol=1e-12)
+        assert kern.trace == pytest.approx(float((F * F).sum()), rel=1e-12)
+        assert kern.sq_norm == pytest.approx(float(((F.T @ F) ** 2).sum()), rel=1e-12)
+        assert kern.n == 12 and kern.kind == "custom"
