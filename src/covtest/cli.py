@@ -134,10 +134,6 @@ def _config_tokens(path: str, command: str) -> list[str]:
     return tokens
 
 
-def _echo_lines(cfg: dict, keys: list[str]) -> list[str]:
-    return [f"{key.replace('_', '-')} = {cfg[key]}" for key in keys if cfg.get(key) is not None]
-
-
 def _load_dataset(cfg: dict) -> Dataset:
     if not cfg["input"]:
         raise ConfigError("--input is required")
@@ -162,6 +158,18 @@ def _grid_for(cfg: dict, cache):
     return default_lambda_grid(cache, n_points=int(cfg["grid_points"]), span=(lo, hi))
 
 
+def _lrt_null(cfg: dict, dataset: Dataset):
+    """Design, lambda grid and (cached) simulated null of an LRT/RLRT run."""
+    design = build_design(dataset, place_knots(dataset.t, cfg["knots"], cfg["degree"]))
+    cache = spectral_decompose(design)
+    grid = _grid_for(cfg, cache)
+    null = simulate_null_cached(
+        cache, cfg["method"], cfg["h"], grid, cfg["nsims"],
+        seed=(cfg["seed"], 1), cache_dir=_cache_dir(cfg),
+    )
+    return design, grid, null
+
+
 def _require_independent(cfg: dict) -> None:
     if cfg["cluster_col"]:
         raise ConfigError(
@@ -180,11 +188,23 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-_ECHO_TEST_KEYS = [
-    "input", "method", "degree", "h", "knots", "kernel", "nsims", "resamples",
-    "seed", "level", "out", "rescale_t", "y_col", "t_col", "s_cols",
-    "cluster_col", "ordering",
-]
+# Options of `covtest test` that a method does not read, left out of its
+# effective_config echo. The score test reads knots only for the penalized kernel.
+_UNREAD_BY = {
+    "lrt": "kernel resamples ordering emit-processes",
+    "rlrt": "kernel resamples ordering emit-processes",
+    "score": "h nsims resamples seed ordering emit-processes grid-points grid-span",
+    "cusum": "h knots kernel nsims grid-points grid-span",
+}
+
+
+def _echo_lines(cfg: dict, command: str) -> list[str]:
+    """'option = value' for each set option of ``command`` the method reads."""
+    unread = _UNREAD_BY[cfg["method"]].split() + ["config"]
+    if cfg["method"] == "score" and cfg["kernel"] != "penalized":
+        unread.append("knots")
+    values = {name: cfg[name.replace("-", "_")] for name in _COMMANDS[command][2]}
+    return [f"{name} = {v}" for name, v in values.items() if name not in unread and v is not None]
 
 
 def _cmd_test(cfg: dict) -> int:
@@ -196,24 +216,14 @@ def _cmd_test(cfg: dict) -> int:
     dataset = _load_dataset(cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Only the LRT/RLRT and the penalized score kernel place knots.
-    places_knots = method in ("lrt", "rlrt") or (method == "score" and cfg["kernel"] == "penalized")
-    echo = [key for key in _ECHO_TEST_KEYS if places_knots or key != "knots"]
     record: dict = {
         "method": method,
         "n": dataset.n,
         "p": dataset.p,
-        "effective_config": _echo_lines(cfg, echo),
+        "effective_config": _echo_lines(cfg, "test"),
     }
     if method in ("lrt", "rlrt"):
-        knots = place_knots(dataset.t, cfg["knots"], cfg["degree"])
-        design = build_design(dataset, knots)
-        cache = spectral_decompose(design)
-        grid = _grid_for(cfg, cache)
-        null = simulate_null_cached(
-            cache, method, cfg["h"], grid, cfg["nsims"],
-            seed=(cfg["seed"], 1), cache_dir=_cache_dir(cfg),
-        )
+        design, grid, null = _lrt_null(cfg, dataset)
         result = attach_pvalue(
             observed_statistic(dataset, design, method, cfg["h"], grid), null
         )
@@ -322,22 +332,13 @@ def _cmd_null_sim(cfg: dict) -> int:
     if cfg["method"] not in ("lrt", "rlrt"):
         raise ConfigError("null-sim applies to --method lrt or rlrt")
     _require_independent(cfg)
-    dataset = _load_dataset(cfg)
-    knots = place_knots(dataset.t, cfg["knots"], cfg["degree"])
-    design = build_design(dataset, knots)
-    cache = spectral_decompose(design)
-    grid = _grid_for(cfg, cache)
-    cache_dir = _cache_dir(cfg)
-    null = simulate_null_cached(
-        cache, cfg["method"], cfg["h"], grid, cfg["nsims"],
-        seed=(cfg["seed"], 1), cache_dir=cache_dir,
-    )
+    _, _, null = _lrt_null(cfg, _load_dataset(cfg))
     out_dir = Path(cfg["out"])
     summary_path = out_dir / f"null_summary_{cfg['method']}.json"
     _write_json(
         summary_path,
         {
-            "cache_dir": str(cache_dir),
+            "cache_dir": str(_cache_dir(cfg)),
             "zero_mass_fraction": null.zero_mass_fraction,
             "n_sims": null.n_sims,
             "quantiles": {
@@ -346,7 +347,7 @@ def _cmd_null_sim(cfg: dict) -> int:
                 "q99": float(np.quantile(null.samples, 0.99)),
             },
             "provenance": null.provenance,
-            "effective_config": _echo_lines(cfg, _ECHO_TEST_KEYS),
+            "effective_config": _echo_lines(cfg, "null-sim"),
         },
     )
     print(
@@ -381,11 +382,7 @@ def _cmd_report(cfg: dict) -> int:
         raise ConfigError(f"{cfg['input']}: report CSV has no rows")
 
     def ordered(values):
-        seen = []
-        for v in values:
-            if v not in seen:
-                seen.append(v)
-        return tuple(seen)
+        return tuple(dict.fromkeys(values))
 
     config = SimConfig(
         m_values=ordered(c.m for c in cells),

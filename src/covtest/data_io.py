@@ -32,13 +32,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def _normalize_cluster(labels) -> np.ndarray:
     """Remap arbitrary labels to 0..m-1 in first-appearance order."""
-    seen: dict = {}
-    out = np.empty(len(labels), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out[i] = seen[lab]
-    return out
+    index: dict = {}
+    return np.array([index.setdefault(lab, len(index)) for lab in labels], dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 from .data_io import Dataset
 from .errors import ConfigError, DegenerateFitError, ModelError, NumericalError
 from .rng import SeedLike, chunked_streams
-from .spline_basis import DesignMatrices
+from .spline_basis import DesignMatrices, require_full_rank
 
 __all__ = [
     "SpectralCache",
@@ -175,17 +175,16 @@ def _project_off(X: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, list[n
     if n <= p:
         raise ModelError(f"need n > {p} rows, got n = {n}")
     Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= max(n, p) * np.finfo(float).eps * diag.max():
-        raise ModelError(f"fixed-effects design is rank deficient ({p} columns)")
+    require_full_rank(R, n)
     return Q, [a - Q @ (Q.T @ a) for a in arrays]
 
 
-def _residual_coordinates(X: np.ndarray, B: np.ndarray, y: np.ndarray):
-    """Q of X, eigenvalues s^2 of B'P0B, squared coordinates (U'y)^2 and ||P0 y||^2."""
-    Q, (r, PB) = _project_off(X, y, B)
+def _residual_coordinates(X: np.ndarray, B: np.ndarray, Y: np.ndarray):
+    """Q of X, eigenvalues s^2 of B'P0B, and per column of Y (n x C) the
+    squared coordinates (U'y)^2 (C x K) and ||P0 y||^2 (C)."""
+    Q, (R, PB) = _project_off(X, Y, B)
     U, sv, _ = np.linalg.svd(PB, full_matrices=False)
-    return Q, sv**2, (U.T @ r) ** 2, float(r @ r)
+    return Q, sv**2, (R.T @ U) ** 2, np.einsum("ij,ij->j", R, R)
 
 
 def spectral_decompose(design: DesignMatrices) -> SpectralCache:
@@ -211,7 +210,8 @@ def spectral_coordinates(design: DesignMatrices, y: np.ndarray) -> tuple[np.ndar
     is the squared norm in the remaining residual directions. Feeding these to
     :func:`profile_terms` reproduces the dense profiled likelihood exactly.
     """
-    _, _, head, rss0 = _residual_coordinates(design.X, design.B, y)
+    y = np.asarray(y, dtype=float)[:, None]
+    _, _, (head,), (rss0,) = _residual_coordinates(design.X, design.B, y)
     return head, float(max(rss0 - head.sum(), 0.0))
 
 
@@ -259,31 +259,33 @@ def profile_terms(
 
 
 def _grid_profile(
-    values: np.ndarray, proj: np.ndarray, pen_eigs: np.ndarray, mult: int,
-    coord_sq: np.ndarray, tail: np.ndarray,
+    values: np.ndarray, proj: np.ndarray, coord_sq: np.ndarray, tail: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Profiled statistic and its residual energy at every grid value.
+    """Log residual-energy ratio and residual energy at every grid value.
 
     ``coord_sq`` (rows x K) holds squared coordinates along the spline
     directions, paired with ``proj``; ``tail`` (rows) the residual energy in
-    the remaining directions. Returns ``mult * log(rss(0) / rss(lam)) -
-    sum(log(1 + lam * pen_eigs))`` and ``rss(lam)``, both rows x G.
+    the remaining directions. Returns ``log(rss(0) / rss(lam))`` and
+    ``rss(lam)``, both rows x G. A statistic kind scales the first by its
+    ``mult`` and subtracts its penalty ``sum(log(1 + lam * pen_eigs))``.
     """
     shrink = 1.0 + np.outer(values, proj)                  # G x K
     gain_w = (values[:, None] * proj[None, :]) / shrink    # G x K
     num = coord_sq @ gain_w.T                              # rows x G
     den = coord_sq @ (1.0 / shrink).T + tail[:, None]
-    pen = np.log1p(np.outer(values, pen_eigs)).sum(axis=1)
-    return mult * np.log1p(num / den) - pen[None, :], den
+    num /= den
+    return np.log1p(num, out=num), den
 
 
 class ProfileSolver:
     """Observed LRT/RLRT statistics for one spline basis B.
 
-    Holds B and the eigenvalues of B'B. Each dataset costs a thin QR of X, a
-    thin SVD of the projected basis P0B (n x K) and a G x K profile over the
-    grid. Reused across the replicates of a simulation study, where B is
-    fixed and the covariate part of X varies.
+    Holds B and the eigenvalues of B'B. A call costs one thin QR of X, one
+    thin SVD of the projected basis P0B (n x K) and one G x K grid sweep,
+    shared by every (kind, h) pair and every response column given with that
+    X. A simulation study reuses the solver across replicates, where B is
+    fixed, and passes the departure levels of a replicate, which share X, as
+    the columns of one response matrix.
     """
 
     def __init__(self, B: np.ndarray):
@@ -296,45 +298,66 @@ class ProfileSolver:
         X: np.ndarray,
         grid: LambdaGrid,
         specs: list[tuple[str, int]],
-    ) -> list[TestResult]:
+    ) -> list:
         """Observed statistics for several (kind, h) pairs from one decomposition.
 
-        For the LRT with h > 0 the null also drops the last h columns of X;
-        the extra residual energy is the squared norm of y along the last h
-        columns of Q, the term :func:`simulate_null` draws as chi-square(h).
+        A vector y (n,) gives ``list[TestResult]`` in ``specs`` order; a
+        matrix Y (n x C) gives one such list per column, with the
+        DegenerateFitError the vector form raises in place of the list of a
+        column whose null fit is numerically perfect. For the LRT with h > 0
+        the null also drops the last h columns of X; the extra residual
+        energy is the squared norm of y along the last h columns of Q, the
+        term :func:`simulate_null` draws as chi-square(h).
         """
-        values = grid.values
-        n, p = X.shape
-        Q, proj, head, rss0 = _residual_coordinates(X, self.B, y)
-        if rss0 <= _PERFECT_REL * float(y @ y):
-            raise DegenerateFitError("null fit is numerically perfect; statistic undefined")
-        tail = np.array([max(rss0 - head.sum(), 0.0)])
-        out = []
-        for kind, h in specs:
+        Y = np.asarray(y, dtype=float)
+        out = self._columns(Y.reshape(Y.shape[0], -1), X, grid, specs)
+        if Y.ndim == 1 and isinstance(out[0], DegenerateFitError):
+            raise out[0]
+        return out if Y.ndim == 2 else out[0]
+
+    def _columns(self, Y: np.ndarray, X: np.ndarray, grid: LambdaGrid, specs) -> list:
+        for kind, _ in specs:
             if kind not in ("lrt", "rlrt"):
                 raise ConfigError(f"unknown statistic kind {kind!r}")
+        values, grid_sha = grid.values, grid.sha()
+        n, p = X.shape
+        Q, proj, head, rss0 = _residual_coordinates(X, self.B, Y)
+        ok = rss0 > _PERFECT_REL * np.einsum("ij,ij->j", Y, Y)
+        Y, head, rss0 = Y[:, ok], head[ok], rss0[ok]
+        ratio, den = _grid_profile(values, proj, head, np.maximum(rss0 - head.sum(axis=1), 0.0))
+        sweeps = []
+        for kind, h in specs:
             mult, pen_eigs = (n, self.raw_eigs) if kind == "lrt" else (n - p, proj)
-            path, den = _grid_profile(values, proj, pen_eigs, mult, head[None, :], tail)
-            k = int(np.argmax(path[0]))
-            extra = float(((Q[:, p - h:].T @ y) ** 2).sum()) if kind == "lrt" else 0.0
-            raw = float(path[0, k]) + n * math.log1p(extra / rss0)
-            lam_hat = float(values[k])
-            sigma2 = float(den[0, k]) / mult
-            out.append(
-                TestResult(
-                    method=kind,
-                    statistic=max(raw, 0.0),
-                    lambda_hat=lam_hat,
-                    nuisance={
-                        "sigma2_eps": sigma2,
-                        "sigma2_spline": lam_hat * sigma2,
-                        "rss_null": rss0 + extra,
-                        "h": h,
-                        "grid_sha": grid.sha(),
-                    },
-                    clamped=raw < 0.0,
+            path = mult * ratio - np.log1p(np.outer(values, pen_eigs)).sum(axis=1)[None, :]
+            extra = ((Q[:, p - h:].T @ Y) ** 2).sum(axis=0) if kind == "lrt" else np.zeros_like(rss0)
+            sweeps.append((kind, h, mult, path, path.argmax(axis=1), extra))
+        out: list = []
+        for usable, row in zip(ok, np.cumsum(ok) - 1):  # row: the column's row in the sweep
+            if not usable:
+                out.append(DegenerateFitError("null fit is numerically perfect; statistic undefined"))
+                continue
+            results = []
+            for kind, h, mult, path, best, extra in sweeps:
+                k = int(best[row])
+                raw = float(path[row, k]) + n * math.log1p(float(extra[row]) / float(rss0[row]))
+                lam_hat = float(values[k])
+                sigma2 = float(den[row, k]) / mult
+                results.append(
+                    TestResult(
+                        method=kind,
+                        statistic=max(raw, 0.0),
+                        lambda_hat=lam_hat,
+                        nuisance={
+                            "sigma2_eps": sigma2,
+                            "sigma2_spline": lam_hat * sigma2,
+                            "rss_null": float(rss0[row] + extra[row]),
+                            "h": h,
+                            "grid_sha": grid_sha,
+                        },
+                        clamped=raw < 0.0,
+                    )
                 )
-            )
+            out.append(results)
         return out
 
 
@@ -367,8 +390,7 @@ def observed_statistic(
     _check_h(kind, h, design.degree)
     if grid is None:
         grid = default_lambda_grid(_eig_desc_clipped(design.B.T @ design.B))
-    solver = ProfileSolver(design.B)
-    return solver.statistics(dataset.y, design.X, grid, [(kind, h)])[0]
+    return ProfileSolver(design.B).statistics(dataset.y, design.X, grid, [(kind, h)])[0]
 
 
 def simulate_null(
@@ -404,11 +426,15 @@ def simulate_null(
         pen_eigs, mult = cache.raw_eigs, cache.n_obs
     else:
         pen_eigs, mult = cache.proj_eigs, cache.complement_dim
+    pen = np.log1p(np.outer(values, pen_eigs)).sum(axis=1)
     samples = np.empty(n_sims)
     for start, stop, rng in chunked_streams(seed, n_sims, _SIM_CHUNK):
         w = rng.chisquare(1.0, size=(stop - start, cache.n_knots))
         tail = rng.chisquare(tail_df, size=stop - start)
-        stat = _grid_profile(values, cache.proj_eigs, pen_eigs, mult, w, tail)[0].max(axis=1)
+        path = _grid_profile(values, cache.proj_eigs, w, tail)[0]
+        path *= mult
+        path -= pen
+        stat = path.max(axis=1)
         if kind == "lrt" and h > 0:
             extra = rng.chisquare(h, size=stop - start)
             stat = stat + cache.n_obs * np.log1p(extra / (w.sum(axis=1) + tail))

@@ -145,37 +145,46 @@ def fit_ols(dataset: Dataset, design: DesignMatrices, variance: str = "reml") ->
     (``variance="ml"`` divides by n instead). A perfect fit is rejected:
     every downstream statistic divides by the residual variance.
     """
-    X = dataset_design_matrix(dataset, design)
-    y = dataset.y
-    n, p_fixed = X.shape
-    if n <= p_fixed:
-        raise ModelError(f"need n > {p_fixed} rows to fit {p_fixed} coefficients, got n = {n}")
-    if variance not in ("reml", "ml"):
-        raise ConfigError(f"variance must be 'reml' or 'ml', got {variance!r}")
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    X = _null_design(dataset, design, variance)
+    beta, *_ = np.linalg.lstsq(X, dataset.y, rcond=None)
+    return _null_fit(dataset, X, beta, variance, "ols")
+
+
+def _null_fit(
+    dataset: Dataset, X: np.ndarray, beta: np.ndarray, variance: str, method: str,
+    ratio: float = 0.0, sizes: np.ndarray | None = None,
+) -> NullFit:
+    """NullFit at the fitted coefficients, the error variance from the
+    V^-1-weighted residual sum of squares. Rejects a numerically perfect fit."""
     fitted = X @ beta
-    resid = y - fitted
-    rss = float(resid @ resid)
-    if rss <= _PERFECT_FIT_REL * float(y @ y):
+    resid = dataset.y - fitted
+    white = _whiten(resid, 1.0, ratio, dataset.cluster, sizes)
+    rss = float(white @ white)
+    if rss <= _PERFECT_FIT_REL * float(dataset.y @ dataset.y):
         raise DegenerateFitError(
             "residuals are numerically zero; error variance is not estimable"
         )
+    n, p_fixed = X.shape
     return NullFit(
         beta=beta,
         sigma2_eps=rss / (n - p_fixed if variance == "reml" else n),
-        ratio=0.0,
+        ratio=ratio,
         fitted=fitted,
         residuals=resid,
         cluster=dataset.cluster,
-        method="ols",
+        method=method,
     )
 
 
-def dataset_design_matrix(dataset: Dataset, design: DesignMatrices) -> np.ndarray:
-    if design.X.shape[0] != dataset.n:
-        raise ConfigError(
-            f"design has {design.X.shape[0]} rows but dataset has {dataset.n}"
-        )
+def _null_design(dataset: Dataset, design: DesignMatrices, variance: str) -> np.ndarray:
+    """design.X, once the arguments both null fits take are checked."""
+    if variance not in ("reml", "ml"):
+        raise ConfigError(f"variance must be 'reml' or 'ml', got {variance!r}")
+    n, p_fixed = design.X.shape
+    if n != dataset.n:
+        raise ConfigError(f"design has {n} rows but dataset has {dataset.n}")
+    if n <= p_fixed:
+        raise ModelError(f"need n > {p_fixed} rows to fit {p_fixed} coefficients, got n = {n}")
     return design.X
 
 
@@ -221,17 +230,13 @@ def fit_reml_random_intercept(
     """
     if dataset.cluster is None:
         raise ConfigError("random-intercept fit requires cluster labels")
-    if variance not in ("reml", "ml"):
-        raise ConfigError(f"variance must be 'reml' or 'ml', got {variance!r}")
-    X = dataset_design_matrix(dataset, design)
+    X = _null_design(dataset, design, variance)
     y = dataset.y
     n, p_fixed = X.shape
     cluster = dataset.cluster
     n_clusters = int(cluster.max()) + 1
     if n_clusters < 2:
         raise ConfigError(f"random-intercept fit needs >= 2 clusters, got {n_clusters}")
-    if n <= p_fixed:
-        raise ModelError(f"need n > {p_fixed} rows to fit {p_fixed} coefficients, got n = {n}")
 
     sizes = np.bincount(cluster, minlength=n_clusters)
     beta_ols, *_ = np.linalg.lstsq(X, y, rcond=None)
@@ -286,23 +291,8 @@ def fit_reml_random_intercept(
             ratio_hat = math.exp(log_ratio) if refined < corner else 0.0
 
     _, delta, _ = gls_terms(ratio_hat)
-    beta = beta_ols + delta
-    fitted = X @ beta
-    resid = y - fitted
-    white = _whiten(resid, 1.0, ratio_hat, cluster, sizes)
-    rss = float(white @ white)
-    if rss <= _PERFECT_FIT_REL * float(y @ y):
-        raise DegenerateFitError(
-            "residuals are numerically zero; error variance is not estimable"
-        )
-    return NullFit(
-        beta=beta,
-        sigma2_eps=rss / ((n - p_fixed) if variance == "reml" else n),
-        ratio=ratio_hat,
-        fitted=fitted,
-        residuals=resid,
-        cluster=cluster,
-        method="reml-random-intercept",
+    return _null_fit(
+        dataset, X, beta_ols + delta, variance, "reml-random-intercept", ratio_hat, sizes
     )
 
 

@@ -5,7 +5,9 @@ linearity, applies the configured tests to each replicate, and tabulates
 empirical rejection rates per (test, sample size, noise level, departure,
 nominal level). Per-replicate random streams are keyed by (master seed,
 replicate, variate role), so the generated data do not depend on which tests
-are enabled, on the execution order, or on the worker count.
+are enabled, on the execution order, or on the worker count. The departure
+levels of a replicate share S and t, hence one design and one LRT/RLRT
+decomposition per spline degree.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from . import rng as rngmod
 from .data_io import Dataset
 from .errors import ConfigError, CovtestError, StudyError
 from .exact_lrt import (
-    LambdaGrid,
-    NullDistribution,
     ProfileSolver,
     default_lambda_grid,
     p_value,
@@ -116,6 +116,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
+        if not self.c_values:
+            raise ConfigError("c_values needs at least one departure level")
         if any(s <= 0 for s in self.sigma_values):
             raise ConfigError("all sigma values must be > 0")
         if not all(0.0 < a < 1.0 for a in self.levels):
@@ -173,16 +175,11 @@ class SimReport:
     runtime_s: float = 0.0
 
     def get(self, test: str, m: int, sigma: float, c: float, level: float) -> SimCell:
+        key = (test, m, sigma, c, level)
         for cell in self.cells:
-            if (
-                cell.test == test
-                and cell.m == m
-                and cell.sigma == sigma
-                and cell.c == c
-                and cell.level == level
-            ):
+            if (cell.test, cell.m, cell.sigma, cell.c, cell.level) == key:
                 return cell
-        raise KeyError((test, m, sigma, c, level))
+        raise KeyError(key)
 
     def to_csv(self) -> str:
         """Machine-readable report; deterministic given the same counts."""
@@ -220,45 +217,40 @@ class SimReport:
 
 
 def _study_fixtures(config: SimConfig, m: int):
-    """Design pieces that are constant across the replicates of one m.
-
-    LRT variants sharing a spline degree are grouped so each replicate pays
-    for a single profiled-likelihood sweep per degree.
-    """
+    """Pieces shared by every replicate and departure level of one m: knots
+    per spline degree (1 always, for score and cusum) and, per LRT degree, a
+    ProfileSolver, the lambda grid and each variant's null distribution. The
+    variants of a degree form a group, evaluated in one call for all c."""
     base = generate_dataset(m, config.sigma_values[0], 0, (config.seed, 0), config.s_scale_as_sd)
-    fixtures: dict = {"t": base.t}
-    degrees = {1} | {_LRT_VARIANTS[n][1] for n in config.tests if n in _LRT_VARIANTS}
-    for d in sorted(degrees):
-        fixtures[("knots", d)] = place_knots(base.t, config.n_knots, d)
     groups: dict[int, list[tuple[int, str, str, int]]] = {}
+    fixtures: dict = {"lrt_groups": groups, ("knots", 1): place_knots(base.t, config.n_knots, 1)}
     for vi, name in enumerate(config.tests):
         if name not in _LRT_VARIANTS:
             continue
         kind, d, h = _LRT_VARIANTS[name]
-        design0 = build_design(base, fixtures[("knots", d)])
-        if ("solver", d) not in fixtures:
-            cache = spectral_decompose(design0)
+        if d not in groups:
+            fixtures[("knots", d)] = place_knots(base.t, config.n_knots, d)
+            design0 = build_design(base, fixtures[("knots", d)])
+            fixtures[("cache", d)] = spectral_decompose(design0)
             fixtures[("solver", d)] = ProfileSolver(design0.B)
-            fixtures[("grid", d)] = default_lambda_grid(cache)
-            fixtures[("cache", d)] = cache
+            fixtures[("grid", d)] = default_lambda_grid(fixtures[("cache", d)])
         fixtures[("null", name)] = simulate_null_cached(
-            fixtures[("cache", d)],
-            kind,
-            h,
-            fixtures[("grid", d)],
-            config.n_sims_null,
-            seed=(config.seed, 9000 + vi),
-            cache_dir=config.cache_dir,
+            fixtures[("cache", d)], kind, h, fixtures[("grid", d)], config.n_sims_null,
+            seed=(config.seed, 9000 + vi), cache_dir=config.cache_dir,
         )
         groups.setdefault(d, []).append((vi, name, kind, h))
-    fixtures["lrt_groups"] = groups
     if "score" in config.tests:
         fixtures["kernel"] = smoother_kernel(base.t, 1, NATURAL_SPLINE)
     return fixtures
 
 
 def _run_replicate(config: SimConfig, m: int, sigma: float, fixtures: dict, rep: int):
-    """Rejection indicators for one replicate: (test, c, level) booleans."""
+    """Rejection indicators for one replicate: (test, c, level) booleans.
+
+    X and B are built once per degree from the first dataset, as every c
+    shares S and t; each LRT group makes one ProfileSolver call on the
+    responses of all c, and score and cusum fit each c on the degree-1 design.
+    """
     n_tests = len(config.tests)
     out = np.zeros((n_tests, len(config.c_values), len(config.levels)), dtype=bool)
     fail = np.zeros((n_tests, len(config.c_values)), dtype=bool)
@@ -266,28 +258,35 @@ def _run_replicate(config: SimConfig, m: int, sigma: float, fixtures: dict, rep:
     levels = np.asarray(config.levels)
     groups = fixtures["lrt_groups"]
     need_fit = "score" in config.tests or "cusum" in config.tests
-    for ci, c in enumerate(config.c_values):
-        dataset = generate_dataset(m, sigma, c, (config.seed, rep), config.s_scale_as_sd)
-        need_degrees = set(groups) | ({1} if need_fit else set())
-        designs = {d: build_design(dataset, fixtures[("knots", d)]) for d in sorted(need_degrees)}
+    datasets = [
+        generate_dataset(m, sigma, c, (config.seed, rep), config.s_scale_as_sd)
+        for c in config.c_values
+    ]
+    need_degrees = set(groups) | ({1} if need_fit else set())
+    designs = {d: build_design(datasets[0], fixtures[("knots", d)]) for d in sorted(need_degrees)}
+    Y = np.column_stack([dataset.y for dataset in datasets])
+    lrt_results = {}
+    for d, members in groups.items():
+        specs = [(kind, h) for _, _, kind, h in members]
+        try:
+            solver, grid = fixtures[("solver", d)], fixtures[("grid", d)]
+            lrt_results[d] = solver.statistics(Y, designs[d].X, grid, specs)
+        except CovtestError as exc:  # the shared X failed: every c fails
+            lrt_results[d] = [exc] * len(datasets)
+    for ci, (c, dataset) in enumerate(zip(config.c_values, datasets)):
 
         def record_failure(ti, name, exc):
             fail[ti, ci] = True
             messages.append(f"{name} m={m} sigma={sigma:g} c={c:g} rep={rep}: {exc}")
 
         for d, members in groups.items():
-            try:
-                solver: ProfileSolver = fixtures[("solver", d)]
-                grid: LambdaGrid = fixtures[("grid", d)]
-                specs = [(kind, h) for _, _, kind, h in members]
-                results = solver.statistics(dataset.y, designs[d].X, grid, specs)
-            except CovtestError as exc:
+            results = lrt_results[d][ci]
+            if isinstance(results, CovtestError):
                 for ti, name, _, _ in members:
-                    record_failure(ti, name, exc)
+                    record_failure(ti, name, results)
                 continue
             for (ti, name, _, _), result in zip(members, results):
-                null: NullDistribution = fixtures[("null", name)]
-                out[ti, ci, :] = p_value(result.statistic, null) < levels
+                out[ti, ci, :] = p_value(result.statistic, fixtures[("null", name)]) < levels
         if need_fit:
             try:
                 fit = fit_ols(dataset, designs[1])
@@ -349,18 +348,10 @@ def run_study(config: SimConfig) -> SimReport:
             for ti, test in enumerate(config.tests):
                 for ci, c in enumerate(config.c_values):
                     for li, level in enumerate(config.levels):
-                        cells.append(
-                            SimCell(
-                                test=test,
-                                m=m,
-                                sigma=sigma,
-                                c=c,
-                                level=level,
-                                n_runs=config.n_runs,
-                                failures=int(fails[ti, ci]),
-                                rejections=int(counts[ti, ci, li]),
-                            )
-                        )
+                        cells.append(SimCell(
+                            test=test, m=m, sigma=sigma, c=c, level=level, n_runs=config.n_runs,
+                            failures=int(fails[ti, ci]), rejections=int(counts[ti, ci, li]),
+                        ))
             total_fail += int(fails.sum())
             total_apps += len(config.tests) * len(config.c_values) * config.n_runs
     if total_apps and total_fail > 0.01 * total_apps:

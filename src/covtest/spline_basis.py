@@ -72,10 +72,6 @@ class DesignMatrices:
     def degree(self) -> int:
         return self.knots.degree
 
-    @property
-    def n_fixed(self) -> int:
-        return self.X.shape[1]
-
 
 class SmootherKernel:
     """Symmetric PSD n x n kernel M used by the score test.
@@ -220,12 +216,20 @@ def _poly_basis(t: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _trunc_basis(t: np.ndarray, knots: KnotSet) -> np.ndarray:
-    if knots.n_knots == 0:
-        return np.empty((t.shape[0], 0))
-    diff = t[:, None] - knots.knots[None, :]
-    if knots.degree == 0:
-        return (diff > 0).astype(float)
-    return np.where(diff > 0, diff, 0.0) ** knots.degree
+    return truncated_power(t[:, None], knots.knots[None, :], knots.degree)
+
+
+def require_full_rank(R: np.ndarray, n_rows: int) -> None:
+    """Raise ModelError unless R, the triangular factor of an n_rows x p
+    fixed-effects design, shows full column rank: every |R_jj| must exceed
+    max(n, p) * eps * max |R_jj|."""
+    diag = np.abs(np.diag(R))
+    tol = max(n_rows, R.shape[1]) * np.finfo(float).eps * diag.max()
+    if diag.min() <= tol:
+        raise ModelError(
+            f"fixed-effects design is rank deficient ({R.shape[1]} columns, "
+            f"rank {int((diag > tol).sum())})"
+        )
 
 
 def build_design(dataset: Dataset, knots: KnotSet) -> DesignMatrices:
@@ -239,11 +243,8 @@ def build_design(dataset: Dataset, knots: KnotSet) -> DesignMatrices:
     B = _trunc_basis(t, knots)
     X = np.hstack([dataset.S, A]) if dataset.p else A
     # A fat matrix (n < columns) cannot have full column rank; fitting guards n.
-    if X.shape[0] >= X.shape[1] and np.linalg.matrix_rank(X) < X.shape[1]:
-        raise ModelError(
-            f"fixed-effects design is rank deficient ({X.shape[1]} columns, "
-            f"rank {np.linalg.matrix_rank(X)})"
-        )
+    if X.shape[0] >= X.shape[1]:
+        require_full_rank(np.linalg.qr(X, mode="r"), X.shape[0])
     return DesignMatrices(A=A, B=B, X=X, knots=knots, t=np.asarray(t, dtype=float))
 
 

@@ -445,6 +445,21 @@ class TestCusumKnots:
         assert 0.0 < record["p_value"] <= 1.0
         assert not any(line.startswith("knots") for line in record["effective_config"])
 
+    def test_echo_lists_only_options_the_method_reads(self, null_csv, tmp_path):
+        def echoed(method):
+            out = tmp_path / method
+            assert run(["test", "--input", null_csv, "--method", method, "--nsims", 300,
+                        "--resamples", 100, "--out", out]) == 0
+            record = json.loads((out / f"result_{method}.json").read_text())
+            return {line.split(" = ")[0] for line in record["effective_config"]}
+
+        cusum = echoed("cusum")
+        assert not cusum & {"kernel", "nsims", "h", "knots"}
+        assert {"resamples", "seed", "ordering"} <= cusum
+        rlrt = echoed("rlrt")
+        assert {"nsims", "knots", "seed", "grid-points", "grid-span"} <= rlrt
+        assert not rlrt & {"kernel", "resamples", "ordering", "config"}
+
     @pytest.mark.parametrize("kernel,echoed", [("natural", False), ("penalized", True)])
     def test_score_echoes_knots_only_when_placed(self, null_csv, tmp_path, kernel, echoed):
         out = tmp_path / "out"

@@ -375,6 +375,20 @@ class TestObservedStatistic:
         with pytest.raises(DegenerateFitError):
             solver.statistics(perfect, design.X, grid, [("lrt", 0)])
 
+    def test_degenerate_column_fails_alone(self):
+        """In the matrix form a perfect-fit column gets its error; the others
+        are those of single-column calls."""
+        ds, design = make_design(30, 1, 1, 4, seed=43)
+        solver = ProfileSolver(design.B)
+        grid = default_lambda_grid(spectral_decompose(design))
+        perfect = design.X @ np.arange(1.0, design.X.shape[1] + 1)
+        got = solver.statistics(np.column_stack([ds.y, perfect]), design.X, grid, [("lrt", 0)])
+        assert isinstance(got[1], DegenerateFitError)
+        assert str(got[1]) == "null fit is numerically perfect; statistic undefined"
+        (ref,) = solver.statistics(ds.y, design.X, grid, [("lrt", 0)])
+        assert got[0][0].statistic == pytest.approx(ref.statistic, rel=1e-12, abs=1e-12)
+        assert got[0][0].lambda_hat == ref.lambda_hat
+
     def test_no_n_by_n_work_at_large_n(self):
         """One 20 000 x 20 000 float64 array would take 3.2 GB."""
         ds = generate_dataset(20000, 0.25, 2, seed=(3, 0))
@@ -396,6 +410,32 @@ class TestObservedStatistic:
             observed_statistic(ds, design, "rlrt", 1)
         with pytest.raises(ConfigError):
             observed_statistic(ds, design, "wald", 0)
+
+
+class TestBatchedColumns:
+    @pytest.mark.parametrize("degree,specs", [
+        (1, [("lrt", 0), ("rlrt", 0)]),
+        (2, [("lrt", 1), ("lrt", 0), ("rlrt", 0)]),
+    ])
+    def test_matrix_matches_single_columns(self, degree, specs):
+        """Five departure levels of one replicate share X: one matrix call
+        gives what five single-column calls give."""
+        datasets = [generate_dataset(60, 0.5, c, seed=(17, 2)) for c in range(5)]
+        design = build_design(datasets[0], place_knots(datasets[0].t, 12, degree))
+        solver = ProfileSolver(design.B)
+        grid = default_lambda_grid(spectral_decompose(design))
+        Y = np.column_stack([ds.y for ds in datasets])
+        batched = solver.statistics(Y, design.X, grid, specs)
+        assert len(batched) == 5
+        for ds, column in zip(datasets, batched):
+            single = solver.statistics(ds.y, design.X, grid, specs)
+            assert [r.method for r in column] == [kind for kind, _ in specs]
+            for got, ref in zip(column, single):
+                assert got.statistic == pytest.approx(ref.statistic, rel=1e-12, abs=1e-12)
+                assert got.lambda_hat == ref.lambda_hat
+                assert got.nuisance["rss_null"] == pytest.approx(ref.nuisance["rss_null"], rel=1e-12)
+                assert got.nuisance["grid_sha"] == ref.nuisance["grid_sha"]
+        assert batched[4][0].statistic > batched[0][0].statistic  # the departure is visible
 
 
 class TestSpectralDenseEquivalence:

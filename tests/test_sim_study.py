@@ -1,5 +1,6 @@
 """Monte Carlo harness: data generation, study orchestration, reporting."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from covtest import (
     ConfigError,
+    Dataset,
     SimConfig,
     StudyError,
     build_design,
@@ -114,6 +116,40 @@ def tiny_config(**kw):
 
 
 class TestRunStudy:
+    def test_report_csv_pinned(self):
+        """All five tests at two departure levels; the sha256 was taken before
+        the departure levels of a replicate shared one LRT decomposition."""
+        report = run_study(tiny_config(
+            tests=("lrt1", "lrt2", "rlrt", "score", "cusum"), c_values=(0, 3),
+            levels=(0.05, 0.1), n_runs=6,
+        ))
+        digest = hashlib.sha256(report.to_csv().encode()).hexdigest()
+        assert digest == "10075346968ee15538ed8c5591bc26d96f6e44b9704362f9d8047d48614794b8"
+
+    def test_perfect_fit_fails_only_its_departure(self, monkeypatch):
+        """A perfect null fit at one c fails that c's LRT cells only, with the
+        solver's message; the shared design keeps the other c working."""
+        import covtest.sim_study as sim_study
+
+        real = sim_study.generate_dataset
+
+        def perfect_at_c2(m, sigma, c, seed, s_scale_as_sd=False):
+            ds = real(m, sigma, c, seed, s_scale_as_sd)
+            if c == 2 and seed == (5, 0):
+                y = 1.3 * ds.S[:, 0] + 0.45 * ds.S[:, 1] + 0.5 - ds.t
+                return Dataset(y=y, S=ds.S, t=ds.t)
+            return ds
+
+        monkeypatch.setattr(sim_study, "generate_dataset", perfect_at_c2)
+        report = run_study(tiny_config(tests=("lrt1", "rlrt"), c_values=(0, 2), n_runs=100))
+        assert report.failure_messages == [
+            f"{name} m=30 sigma=0.25 c=2 rep=0: null fit is numerically perfect; statistic undefined"
+            for name in ("lrt1", "rlrt")
+        ]
+        for name in ("lrt1", "rlrt"):
+            assert report.get(name, 30, 0.25, 2, 0.05).failures == 1
+            assert report.get(name, 30, 0.25, 0, 0.05).failures == 0
+
     def test_minimal_run(self):
         report = run_study(tiny_config())
         cell = report.get("score", 30, 0.25, 0, 0.05)
@@ -144,6 +180,10 @@ class TestRunStudy:
         serial = run_study(tiny_config(**cfg, threads=1))
         threaded = run_study(tiny_config(**cfg, threads=3))
         assert serial.to_csv() == threaded.to_csv()
+
+    def test_empty_departure_levels_rejected(self):
+        with pytest.raises(ConfigError, match="departure level"):
+            tiny_config(c_values=())
 
     def test_unknown_test_rejected(self):
         with pytest.raises(ConfigError, match="unknown tests"):
