@@ -22,6 +22,7 @@ from .spline_basis import DesignMatrices
 __all__ = [
     "NullFit",
     "RemlProjection",
+    "fit_null",
     "fit_ols",
     "fit_reml_random_intercept",
     "reml_projection",
@@ -30,6 +31,11 @@ __all__ = [
 # Separates genuine near-zero noise (sigma ~ 1e-12 gives rss/yty ~ 1e-24)
 # from pure float roundoff of an exact fit (~ (eps * cond)^2 ~ 1e-27).
 _PERFECT_FIT_REL = 1e-25
+
+# The random-intercept ratio is sought in [0, _RATIO_MAX], the REML root
+# bracketed by steps of a factor _BRACKET_STEP.
+_RATIO_MAX = 1e8
+_BRACKET_STEP = 10.0
 
 
 def _cluster_sums(a: np.ndarray, cluster: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -138,20 +144,28 @@ class RemlProjection:
         return 0.5 * (P + P.T)
 
 
-def fit_ols(dataset: Dataset, design: DesignMatrices, variance: str = "reml") -> NullFit:
+def fit_ols(dataset: Dataset, design: DesignMatrices) -> NullFit:
     """Ordinary least squares fit of the null polynomial model.
 
-    The error variance uses the REML-type divisor n - p - d - 1 by default
-    (``variance="ml"`` divides by n instead). A perfect fit is rejected:
-    every downstream statistic divides by the residual variance.
+    The error variance is the residual sum of squares over n - p, the REML
+    estimate for p fixed effects. A perfect fit is rejected: every downstream
+    statistic divides by the residual variance.
     """
-    X = _null_design(dataset, design, variance)
+    X = _null_design(dataset, design)
     beta, *_ = np.linalg.lstsq(X, dataset.y, rcond=None)
-    return _null_fit(dataset, X, beta, variance, "ols")
+    return _null_fit(dataset, X, beta, "ols")
+
+
+def fit_null(dataset: Dataset, design: DesignMatrices) -> NullFit:
+    """The null fit the score and cusum tests use: the random-intercept REML
+    fit when the data have two or more clusters, OLS otherwise."""
+    if dataset.cluster is not None and dataset.n_units >= 2:
+        return fit_reml_random_intercept(dataset, design)
+    return fit_ols(dataset, design)
 
 
 def _null_fit(
-    dataset: Dataset, X: np.ndarray, beta: np.ndarray, variance: str, method: str,
+    dataset: Dataset, X: np.ndarray, beta: np.ndarray, method: str,
     ratio: float = 0.0, sizes: np.ndarray | None = None,
 ) -> NullFit:
     """NullFit at the fitted coefficients, the error variance from the
@@ -167,7 +181,7 @@ def _null_fit(
     n, p_fixed = X.shape
     return NullFit(
         beta=beta,
-        sigma2_eps=rss / (n - p_fixed if variance == "reml" else n),
+        sigma2_eps=rss / (n - p_fixed),
         ratio=ratio,
         fitted=fitted,
         residuals=resid,
@@ -176,10 +190,8 @@ def _null_fit(
     )
 
 
-def _null_design(dataset: Dataset, design: DesignMatrices, variance: str) -> np.ndarray:
+def _null_design(dataset: Dataset, design: DesignMatrices) -> np.ndarray:
     """design.X, once the arguments both null fits take are checked."""
-    if variance not in ("reml", "ml"):
-        raise ConfigError(f"variance must be 'reml' or 'ml', got {variance!r}")
     n, p_fixed = design.X.shape
     if n != dataset.n:
         raise ConfigError(f"design has {n} rows but dataset has {dataset.n}")
@@ -188,49 +200,24 @@ def _null_design(dataset: Dataset, design: DesignMatrices, variance: str) -> np.
     return design.X
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float = 1e-10, max_iter: int = 200):
-    """Minimise a unimodal scalar function on [lo, hi] by golden section."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(max_iter):
-        if b - a < tol * (1.0 + abs(a) + abs(b)):
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    x = c if fc < fd else d
-    return x, min(fc, fd)
-
-
-def fit_reml_random_intercept(
-    dataset: Dataset, design: DesignMatrices, variance: str = "reml"
-) -> NullFit:
+def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullFit:
     """REML fit of the null model with a Gaussian random intercept per cluster.
 
-    The variance pair is found by profiling the restricted likelihood over the
-    ratio sigma2_b / sigma2_eps: a log-spaced grid over [1e-8, 1e8] followed by
-    golden-section refinement. The boundary estimate sigma2_b = 0 is a valid
-    result, not an error. ``variance="ml"`` maximises the unrestricted
-    likelihood instead.
-
-    With W = I + ratio ZZ' and g_i = ratio / (1 + ratio n_i), W^-1 subtracts
-    g_i times the cluster sum, so X'W^-1 X = X'X - sum_i g_i s_i s_i' over the
-    cluster sums s_i of X, and log|W| = sum_i log(1 + ratio n_i). Each ratio
-    thus costs O(m p^2) after one O(n p) pass. The sums are taken of the OLS
-    residuals e rather than y (GLS of y is OLS plus GLS of e), which keeps the
-    restricted residual sum of squares free of cancellation.
+    The ratio sigma2_b / sigma2_eps minimises the REML criterion
+    f = (n - p) log rss + log|W| + log|X'W^-1 X| for W = I + ratio ZZ' and rss
+    the GLS residual sum of squares. W^-1 subtracts g_i = ratio / (1 + ratio n_i)
+    times each cluster sum, so with g_i' = (1 + ratio n_i)^-2 and s_i, c_i the
+    cluster sums of X and of the GLS residuals, the REML score equation is
+    f' = sum_i n_i / (1 + ratio n_i) - sum_i g_i' s_i'(X'W^-1 X)^-1 s_i
+    - (n - p) sum_i g_i' c_i^2 / rss = 0 (Harville 1977): O(m p^2) per ratio
+    after one O(n p) pass. The estimate is 0, the OLS fit, when f'(0) >= 0,
+    else the root of f' bisected to adjacent floats, or the cap 1e8 when f' < 0
+    up to it. The sums are taken of the OLS residuals e rather than y (GLS of
+    y is OLS plus GLS of e), which keeps rss free of cancellation.
     """
     if dataset.cluster is None:
         raise ConfigError("random-intercept fit requires cluster labels")
-    X = _null_design(dataset, design, variance)
+    X = _null_design(dataset, design)
     y = dataset.y
     n, p_fixed = X.shape
     cluster = dataset.cluster
@@ -246,13 +233,27 @@ def fit_reml_random_intercept(
     xtx, xte, ete = X.T @ X, X.T @ e, float(e @ e)
 
     def gls_terms(ratio: float):
-        """X'W^-1 X, the GLS correction to the OLS beta, and r'W^-1 r."""
+        """(X'W^-1 X)^-1, the GLS correction to the OLS beta, and r'W^-1 r."""
         g = ratio / (1.0 + ratio * sizes)
-        xtwx = xtx - (sum_x * g[:, None]).T @ sum_x
+        xtwx_inv = np.linalg.inv(xtx - (sum_x * g[:, None]).T @ sum_x)
         xtwe = xte - sum_x.T @ (g * sum_e)
-        delta = np.linalg.solve(xtwx, xtwe)
+        delta = xtwx_inv @ xtwe
         rss = ete - float(g @ sum_e**2) - float(xtwe @ delta)
-        return xtwx, delta, rss
+        return xtwx_inv, delta, rss
+
+    def slope(ratio: float) -> float:
+        """f'(ratio), the derivative of the REML criterion."""
+        xtwx_inv, delta, rss = gls_terms(ratio)
+        w = 1.0 / (1.0 + ratio * sizes)
+        lev = ((sum_x @ xtwx_inv) * sum_x).sum(axis=1)
+        resid_sums = sum_e - sum_x @ delta
+        quad = float(w**2 @ resid_sums**2) / rss if rss > 0.0 else math.inf
+        value = float(sizes @ w) - float(w**2 @ lev) - (n - p_fixed) * quad
+        if not math.isfinite(value):
+            raise NumericalError(
+                f"restricted likelihood slope not finite at variance ratio {ratio:.3e}"
+            )
+        return value
 
     if sizes.max() == 1:
         warnings.warn(
@@ -261,39 +262,18 @@ def fit_reml_random_intercept(
             stacklevel=2,
         )
         ratio_hat = 0.0
-    else:
-
-        def neg_profile(log_ratio: float) -> float:
-            ratio = math.exp(log_ratio)
-            xtwx, _, rss = gls_terms(ratio)
-            logdet_w = float(np.log1p(ratio * sizes).sum())
-            if variance == "reml":
-                sign, logdet_x = np.linalg.slogdet(xtwx)
-                crit = (n - p_fixed) * math.log(rss) + logdet_w + logdet_x
-            else:
-                crit = n * math.log(rss) + logdet_w
-            if not math.isfinite(crit):
-                raise NumericalError(
-                    f"restricted likelihood not finite at variance ratio {ratio:.3e}"
-                )
-            return 0.5 * crit
-
-        grid = np.log(np.logspace(-8, 8, 81))
-        values = np.array([neg_profile(g) for g in grid])
-        best = int(np.argmin(values))
-        corner = neg_profile(math.log(1e-12))  # effectively ratio = 0
-        if corner <= values[best]:
-            ratio_hat = 0.0
-        else:
-            lo = grid[max(best - 1, 0)]
-            hi = grid[min(best + 1, grid.size - 1)]
-            log_ratio, refined = _golden_section(neg_profile, lo, hi)
-            ratio_hat = math.exp(log_ratio) if refined < corner else 0.0
-
-    _, delta, _ = gls_terms(ratio_hat)
-    return _null_fit(
-        dataset, X, beta_ols + delta, variance, "reml-random-intercept", ratio_hat, sizes
-    )
+    elif slope(0.0) >= 0.0:
+        ratio_hat = 0.0
+    else:  # grow a bracket from 1, shrink it while lo = 0, then bisect in log ratio;
+        # a slope still negative at the cap leaves every mid in lo and returns the cap
+        lo, hi = 0.0, 1.0
+        while hi < _RATIO_MAX and slope(hi) < 0.0:
+            lo, hi = hi, min(hi * _BRACKET_STEP, _RATIO_MAX)
+        while lo < (mid := math.sqrt(lo * hi) if lo > 0.0 else hi / _BRACKET_STEP) < hi:
+            lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+        ratio_hat = hi
+    delta = gls_terms(ratio_hat)[1] if ratio_hat > 0.0 else 0.0
+    return _null_fit(dataset, X, beta_ols + delta, "reml-random-intercept", ratio_hat, sizes)
 
 
 def reml_projection(fit: NullFit, X: np.ndarray) -> RemlProjection:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data_io import Dataset
 from .errors import ConfigError, DegenerateTestError, NumericalError
-from .null_fit import NullFit, RemlProjection, fit_ols, fit_reml_random_intercept, reml_projection
+from .null_fit import NullFit, RemlProjection, fit_null, reml_projection
 from .spline_basis import (
     NATURAL_SPLINE,
     PENALIZED_GRAM,
@@ -207,7 +207,6 @@ def run_score_test(
     kernel_kind: str = NATURAL_SPLINE,
     knots: KnotSet | None = None,
     n_knots: int = 20,
-    variance: str = "reml",
 ) -> ScoreResult:
     """Fit the null model and run the score test end to end.
 
@@ -219,10 +218,7 @@ def run_score_test(
     if kernel_kind == PENALIZED_GRAM and knots is None:
         knots = place_knots(dataset.t, n_knots, degree)
     design = build_design(dataset, knots if knots is not None else KnotSet(np.empty(0), degree))
-    if dataset.cluster is not None and dataset.n_units >= 2:
-        fit = fit_reml_random_intercept(dataset, design, variance=variance)
-    else:
-        fit = fit_ols(dataset, design, variance=variance)
+    fit = fit_null(dataset, design)
     proj = reml_projection(fit, design.X)
     kern = smoother_kernel(dataset.t, degree, kernel_kind, knots)
     return score_statistic(fit, proj, kern)

@@ -27,15 +27,6 @@ def gls(y, X, V_inv):
     return beta, y - X @ beta
 
 
-def marginal_loglik(y, X, V, beta):
-    """Gaussian marginal log-likelihood at (beta, V)."""
-    n = y.shape[0]
-    r = y - X @ beta
-    sign, logdet = np.linalg.slogdet(V)
-    assert sign > 0, "covariance matrix is not positive definite"
-    return float(-0.5 * (n * math.log(2 * math.pi) + logdet + r @ np.linalg.solve(V, r)))
-
-
 def restricted_loglik(y, X, V):
     """Restricted (REML) log-likelihood at V, with fixed effects profiled out."""
     n, p = X.shape
@@ -49,12 +40,77 @@ def restricted_loglik(y, X, V):
     return float(-0.5 * ((n - p) * math.log(2 * math.pi) + logdet + logdet_x + quad))
 
 
-def dense_fit(y, X, cluster, ratio, variance="reml"):
-    """GLS fit at a fixed variance ratio: (beta, sigma2_eps, residuals)."""
+def dense_fit(y, X, cluster, ratio):
+    """GLS fit at a fixed variance ratio: (beta, REML sigma2_eps, residuals)."""
     n, p = X.shape
     W_inv = np.linalg.inv(intercept_covariance(cluster, 1.0, ratio))
     beta, r = gls(y, X, W_inv)
-    return beta, float(r @ W_inv @ r) / ((n - p) if variance == "reml" else n), r
+    return beta, float(r @ W_inv @ r) / (n - p), r
+
+
+def _cholesky(A):
+    """Lower Cholesky factor, written out so that it runs in any float dtype."""
+    L = np.zeros_like(A)
+    for j in range(A.shape[0]):
+        L[j, j] = np.sqrt(A[j, j] - L[j, :j] @ L[j, :j])
+        L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    return L
+
+
+def _cho_solve(L, b):
+    """A^-1 b for A = L L' by forward and back substitution."""
+    x = np.array(b, dtype=L.dtype)
+    for i in range(L.shape[0]):
+        x[i] = (x[i] - L[i, :i] @ x[:i]) / L[i, i]
+    for i in range(L.shape[0] - 1, -1, -1):
+        x[i] = (x[i] - L[i + 1 :, i] @ x[i + 1 :]) / L[i, i]
+    return x
+
+
+def reml_slope_terms(y, X, cluster, ratio, dtype=np.longdouble):
+    """The two terms of the slope of the REML criterion in the ratio.
+
+    For f = (n - p) log(y'P_W y) + log|W| + log|X'W^-1 X|, W = I + ratio ZZ'
+    and P_W = W^-1 - W^-1 X (X'W^-1 X)^-1 X'W^-1, the slope is
+    f' = tr(P_W ZZ') - (n - p) y'P_W ZZ'P_W y / y'P_W y; the two terms are
+    returned in that order. Dense, by Cholesky, in ``dtype`` throughout.
+    """
+    y, X = np.asarray(y, dtype=dtype), np.asarray(X, dtype=dtype)
+    n, p = X.shape
+    cluster = np.asarray(cluster)
+    Z = (cluster[:, None] == np.unique(cluster)[None, :]).astype(dtype)
+    L = _cholesky(np.eye(n, dtype=dtype) + dtype(ratio) * (Z @ Z.T))
+    WiX = _cho_solve(L, X)
+    Lx = _cholesky(X.T @ WiX)
+
+    def project(a):
+        Wia = _cho_solve(L, a)
+        return Wia - WiX @ _cho_solve(Lx, X.T @ Wia)
+
+    Py, PZ = project(y), project(Z)
+    zPy = Z.T @ Py
+    return (Z * PZ).sum(), (n - p) * (zPy @ zPy) / (y @ Py)
+
+
+def reml_root(y, X, cluster, rtol=1e-14):
+    """Extended-precision REML ratio: 0 when the slope at 0 is >= 0, else the
+    root of the slope in [1e-12, 1e8], bisected in log ratio."""
+
+    def slope(ratio):
+        trace, quad = reml_slope_terms(y, X, cluster, ratio)
+        return trace - quad
+
+    if slope(0.0) >= 0:
+        return 0.0
+    lo, hi = np.longdouble(1e-12), np.longdouble(1e8)
+    assert slope(lo) < 0 <= slope(hi), "REML root outside [1e-12, 1e8]"
+    while hi - lo > rtol * hi:
+        mid = np.sqrt(lo * hi)
+        if slope(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.sqrt(lo * hi))
 
 
 def dense_projection(V, X):

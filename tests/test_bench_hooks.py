@@ -7,10 +7,13 @@ break them without this test.
 
 from pathlib import Path
 
+import numpy as np
+
 from covtest import (
-    SimConfig, build_design, generate_dataset, observed_statistic, place_knots, run_study,
+    Dataset, SimConfig, build_design, generate_dataset, observed_statistic, place_knots,
+    run_study, save_csv,
 )
-from covtest import exact_lrt
+from covtest import cli, exact_lrt, score_test
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -59,3 +62,38 @@ def test_study_makes_one_solver_call_per_replicate_and_degree(monkeypatch):
     assert names.count("exact_lrt.ProfileSolver.statistics") == replicates * 2  # degrees 1 and 2
     assert names.count("sim_study.generate_dataset") >= replicates * len(config.c_values)
     assert "spline_basis.build_design" in names
+
+
+def test_null_fit_layers_recorded_for_score_and_cusum(monkeypatch, tmp_path):
+    """Clustered score and cusum calls record the random-intercept fit and the
+    projection, an independent one the OLS fit: the benchmark's null_fit.*
+    layer metrics are read from these spans."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    ds = generate_dataset(40, 0.25, 0, seed=(14, 0))
+    cluster = np.arange(40) % 8
+    effects = np.random.default_rng(3).normal(0.0, 0.5, 8)
+    clustered = Dataset(y=ds.y + effects[cluster], S=ds.S, t=ds.t, cluster=cluster)
+    save_csv(clustered, tmp_path / "clustered.csv")
+    cusum_argv = ["test", "--input", str(tmp_path / "clustered.csv"), "--method", "cusum",
+                  "--cluster-col", "cluster", "--resamples", "100", "--out", str(tmp_path / "o")]
+    calls = {
+        "score": lambda: score_test.run_score_test(clustered),
+        "cusum": lambda: cli.main(cusum_argv),
+        "independent": lambda: score_test.run_score_test(ds),
+    }
+    names = {}
+    for call, run in calls.items():
+        spans = tracer.Tracer()
+        spans.install()
+        try:
+            run()
+        finally:
+            spans.restore()
+        names[call] = {span.name for span in spans.spans}
+    for call in ("score", "cusum"):
+        assert {"null_fit.fit_reml_random_intercept", "null_fit.reml_projection"} <= names[call]
+        assert "null_fit.fit_ols" not in names[call]
+    assert {"null_fit.fit_ols", "null_fit.reml_projection"} <= names["independent"]
+    assert "null_fit.fit_reml_random_intercept" not in names["independent"]

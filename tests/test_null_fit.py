@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from covtest import (
     ConfigError,
@@ -18,7 +20,7 @@ from covtest import (
 )
 from covtest.null_fit import NullFit
 from covtest.spline_basis import KnotSet
-from oracles import restricted_loglik
+from oracles import reml_slope_terms, restricted_loglik
 
 
 def design_for(ds, degree=1, n_knots=0):
@@ -58,15 +60,6 @@ class TestFitOls:
         np.testing.assert_allclose(
             design.X.T @ fit.residuals, 0.0, atol=1e-10 * np.abs(small_dataset.y).max()
         )
-
-    def test_ml_variance_divisor(self, small_dataset):
-        design = design_for(small_dataset)
-        reml = fit_ols(small_dataset, design, variance="reml")
-        ml = fit_ols(small_dataset, design, variance="ml")
-        n, p = design.X.shape
-        assert ml.sigma2_eps == pytest.approx(reml.sigma2_eps * (n - p) / n, rel=1e-12)
-        with pytest.raises(ConfigError):
-            fit_ols(small_dataset, design, variance="bogus")
 
     def test_too_few_rows(self):
         ds = Dataset(y=[1.0, 2.0], S=np.empty((2, 0)), t=[0.0, 1.0])
@@ -137,6 +130,15 @@ class TestRemlRandomIntercept:
         fit = fit_reml_random_intercept(ds, design_for(ds))
         assert fit.sigma2_b >= 0.0
 
+    def test_exactly_clustered_data_stop_at_the_ratio_cap(self):
+        """Without within-cluster noise the REML slope stays negative: the
+        ratio stops at its cap 1e8."""
+        t = np.linspace(0, 1, 40)
+        cluster = np.arange(40) % 5
+        ds = Dataset(y=1.0 + 2.0 * t + np.arange(5.0)[cluster] ** 2, S=np.empty((40, 0)), t=t,
+                     cluster=cluster)
+        assert fit_reml_random_intercept(ds, design_for(ds)).ratio == 1e8
+
     def test_normal_equations_invariant(self):
         ds = clustered_dataset(seed=5)
         design = design_for(ds)
@@ -144,6 +146,39 @@ class TestRemlRandomIntercept:
         X = design.X
         lhs = X.T @ np.linalg.solve(fit.V, ds.y - X @ fit.beta)
         np.testing.assert_allclose(lhs, 0.0, atol=1e-8 * np.abs(ds.y).max())
+
+
+@st.composite
+def unbalanced_clustered(draw):
+    """Unbalanced clusters, singletons among them, with no, moderate or large
+    between-cluster spread against unit noise."""
+    sizes = draw(
+        st.lists(st.integers(1, 6), min_size=3, max_size=10)
+        .filter(lambda sizes: max(sizes) > 1 and sum(sizes) >= 8)
+    )
+    spread = draw(st.sampled_from([0.0, 1.0, 30.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cluster = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    t = rng.uniform(0, 1, cluster.size)
+    S = rng.standard_normal((cluster.size, 1))
+    effects = spread * rng.standard_normal(len(sizes))
+    y = 0.5 * t + 0.8 * S[:, 0] + effects[cluster] + rng.standard_normal(cluster.size)
+    return Dataset(y=y, S=S, t=t, cluster=cluster)
+
+
+@given(unbalanced_clustered())
+def test_fit_is_a_stationary_point_of_dense_reml(ds):
+    """The dense REML slope is zero at a positive fitted ratio and >= 0 at a
+    zero one, and the fit's restricted likelihood beats the OLS corner."""
+    design = design_for(ds)
+    fit = fit_reml_random_intercept(ds, design)
+    trace, quad = reml_slope_terms(ds.y, design.X, ds.cluster, fit.ratio, dtype=float)
+    if fit.ratio > 0.0:
+        assert abs(trace - quad) <= 1e-9 * trace
+    else:
+        assert trace - quad >= -1e-12 * trace
+    corner = restricted_loglik(ds.y, design.X, fit_ols(ds, design).sigma2_eps * np.eye(ds.n))
+    assert restricted_loglik(ds.y, design.X, fit.V) >= corner - 1e-12 * abs(corner)
 
 
 class TestAgainstStatsmodels:

@@ -4,8 +4,8 @@ The null fit, REML projection, score moments and cusum resampling never build
 V, P or ZZ'. Here each is checked against its dense textbook form, for OLS,
 for random-intercept data with unequal cluster sizes and singleton clusters,
 and for a clustered fit on the boundary ratio = 0. Random-intercept oracles
-are evaluated at the fit's own variance ratio, which the golden-section
-search fixes only to its tolerance.
+are evaluated at the fit's own variance ratio; that ratio is itself checked
+against the root of an extended-precision dense REML slope.
 """
 
 import numpy as np
@@ -28,9 +28,10 @@ from oracles import (
     dense_projection,
     dense_score,
     intercept_covariance,
-    marginal_loglik,
+    reml_root,
     restricted_loglik,
 )
+from test_null_fit import clustered_dataset
 
 RTOL = 1e-9
 
@@ -88,15 +89,10 @@ def test_cases_cover_both_sides_of_the_boundary():
 
 
 @pytest.mark.parametrize("kind", CASES)
-@pytest.mark.parametrize("variance", ["reml", "ml"])
-def test_fit_matches_dense_gls_at_its_ratio(kind, variance):
-    ds, design, _, _ = _pieces(kind)
-    if kind == "ols":
-        fit = fit_ols(ds, design, variance=variance)
-    else:
-        fit = fit_reml_random_intercept(ds, design, variance=variance)
+def test_fit_matches_dense_gls_at_its_ratio(kind):
+    ds, design, fit, _ = _pieces(kind)
     labels = ds.cluster if ds.cluster is not None else np.arange(ds.n)
-    beta, sigma2, resid = dense_fit(ds.y, design.X, labels, fit.ratio, variance)
+    beta, sigma2, resid = dense_fit(ds.y, design.X, labels, fit.ratio)
     assert _rel(fit.beta, beta) <= RTOL
     assert fit.sigma2_eps == pytest.approx(sigma2, rel=RTOL)
     assert _rel(fit.residuals, resid) <= RTOL
@@ -111,23 +107,40 @@ def test_boundary_fit_is_ols():
     assert fit.sigma2_eps == pytest.approx(ols.sigma2_eps, rel=1e-12)
 
 
-@pytest.mark.parametrize("variance", ["reml", "ml"])
-def test_ratio_maximises_dense_likelihood(variance):
+def test_ratio_maximises_dense_likelihood():
     """The fitted ratio beats its neighbours and the boundary under the dense
-    restricted (REML) or marginal (ML) log-likelihood, sigma2 and beta profiled."""
-    ds, design, _, _ = _pieces("clustered")
-    fit = fit_reml_random_intercept(ds, design, variance=variance)
+    restricted log-likelihood, sigma2 and beta profiled."""
+    ds, design, fit, _ = _pieces("clustered")
 
     def loglik(ratio):
-        beta, sigma2, _ = dense_fit(ds.y, design.X, ds.cluster, ratio, variance)
-        V = intercept_covariance(ds.cluster, sigma2, ratio)
-        if variance == "reml":
-            return restricted_loglik(ds.y, design.X, V)
-        return marginal_loglik(ds.y, design.X, V, beta)
+        _, sigma2, _ = dense_fit(ds.y, design.X, ds.cluster, ratio)
+        return restricted_loglik(ds.y, design.X, intercept_covariance(ds.cluster, sigma2, ratio))
 
     best = loglik(fit.ratio)
     for ratio in (0.0, fit.ratio * (1 - 1e-3), fit.ratio * (1 + 1e-3)):
         assert best >= loglik(ratio)
+
+
+def _root_case(case):
+    if case.startswith("seed"):
+        return clustered_dataset(n_clusters=12, size=5, seed=int(case[4:]))
+    return _pieces(case)[0]
+
+
+@pytest.mark.parametrize("case", ["clustered", "boundary", "seed0", "seed1", "seed2"])
+def test_ratio_is_the_extended_precision_reml_root(case):
+    """The fitted ratio is the root of the dense REML slope, solved in
+    extended precision, to 1e-10; on the boundary it is exactly 0 and the fit
+    is the OLS fit."""
+    ds = _root_case(case)
+    design = _design(ds)
+    fit = fit_reml_random_intercept(ds, design)
+    root = reml_root(ds.y, design.X, ds.cluster)
+    assert fit.ratio == pytest.approx(root, rel=1e-10, abs=0.0)
+    if root == 0.0:
+        np.testing.assert_array_equal(fit.beta, fit_ols(ds, design).beta)
+    else:
+        assert root > 0.1
 
 
 @pytest.mark.parametrize("kind", CASES)
