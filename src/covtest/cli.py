@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -245,12 +246,7 @@ def _cmd_test(cfg: dict) -> int:
             u_quad=result.u_quad,
             null_mean=result.null_mean,
             p_value=result.p_value,
-            moments={
-                "mean": result.moments.mean,
-                "variance": result.moments.variance,
-                "scale": result.moments.scale,
-                "df": result.moments.df,
-            },
+            moments=asdict(result.moments),
         )
     else:  # cusum: X = [S | A] does not depend on the knots, so place none
         design = build_design(dataset, KnotSet(np.empty(0), cfg["degree"]))
@@ -338,11 +334,7 @@ def _cmd_null_sim(cfg: dict) -> int:
             "cache_dir": str(_cache_dir(cfg)),
             "zero_mass_fraction": null.zero_mass_fraction,
             "n_sims": null.n_sims,
-            "quantiles": {
-                "q90": float(np.quantile(null.samples, 0.90)),
-                "q95": float(np.quantile(null.samples, 0.95)),
-                "q99": float(np.quantile(null.samples, 0.99)),
-            },
+            "quantiles": {f"q{q}": float(np.quantile(null.samples, q / 100)) for q in (90, 95, 99)},
             "provenance": null.provenance,
             "effective_config": _echo_lines(cfg, "null-sim"),
         },

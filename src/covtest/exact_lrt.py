@@ -21,6 +21,7 @@ import os
 import warnings
 import zipfile
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -112,6 +113,7 @@ class LambdaGrid:
             raise ConfigError("lambda grid must be strictly increasing")
         object.__setattr__(self, "values", v)
 
+    @cached_property
     def sha(self) -> str:
         return _sha(self.values)
 
@@ -129,6 +131,10 @@ class NullDistribution:
     @property
     def n_sims(self) -> int:
         return self.samples.shape[0]
+
+    @cached_property
+    def sorted_samples(self) -> np.ndarray:
+        return np.sort(self.samples)
 
 
 @dataclass(frozen=True)
@@ -319,7 +325,7 @@ class ProfileSolver:
         for kind, _ in specs:
             if kind not in ("lrt", "rlrt"):
                 raise ConfigError(f"unknown statistic kind {kind!r}")
-        values, grid_sha = grid.values, grid.sha()
+        values, grid_sha = grid.values, grid.sha
         n, p = X.shape
         Q, proj, head, rss0 = _residual_coordinates(X, self.B, Y)
         ok = rss0 > _PERFECT_REL * np.einsum("ij,ij->j", Y, Y)
@@ -422,10 +428,8 @@ def simulate_null(
             f"must exceed the knot count {cache.n_knots}"
         )
     values = grid.values
-    if kind == "lrt":
-        pen_eigs, mult = cache.raw_eigs, cache.n_obs
-    else:
-        pen_eigs, mult = cache.proj_eigs, cache.complement_dim
+    pen_eigs, mult = ((cache.raw_eigs, cache.n_obs) if kind == "lrt"
+                      else (cache.proj_eigs, cache.complement_dim))
     pen = np.log1p(np.outer(values, pen_eigs)).sum(axis=1)
     samples = np.empty(n_sims)
     for start, stop, rng in chunked_streams(seed, n_sims, _SIM_CHUNK):
@@ -447,7 +451,7 @@ def simulate_null(
         "h": h,
         "n_sims": n_sims,
         "seed": _seed_repr(seed),
-        "grid_sha": grid.sha(),
+        "grid_sha": grid.sha,
         "n_grid": int(values.size),
         **cache.fingerprint(),
     }
@@ -460,11 +464,14 @@ def simulate_null(
     )
 
 
-def p_value(observed: float, null: NullDistribution) -> float:
-    """Empirical upper-tail p-value with the add-one rule (never exactly 0)."""
+def p_value(observed: float | np.ndarray, null: NullDistribution) -> float | np.ndarray:
+    """Empirical upper-tail p-value with the add-one rule (never exactly 0):
+    (1 + #{samples >= observed}) / (1 + n_sims), elementwise for an array."""
     if null.n_sims < 1:
         raise ConfigError("null distribution has no samples")
-    return (1 + int((null.samples >= observed).sum())) / (1 + null.n_sims)
+    above = null.n_sims - np.searchsorted(null.sorted_samples, observed, side="left")
+    p = (1 + above) / (1 + null.n_sims)
+    return p if np.ndim(p) else float(p)
 
 
 def attach_pvalue(result: TestResult, null: NullDistribution) -> TestResult:
@@ -489,7 +496,7 @@ def null_distribution_key(
         "h": h,
         "n_sims": n_sims,
         "seed": _seed_repr(seed),
-        "grid_sha": grid.sha(),
+        "grid_sha": grid.sha,
         **cache.fingerprint(),
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()

@@ -24,6 +24,7 @@ __all__ = [
     "RemlProjection",
     "fit_null",
     "fit_ols",
+    "fit_ols_columns",
     "fit_reml_random_intercept",
     "reml_projection",
 ]
@@ -33,9 +34,10 @@ __all__ = [
 _PERFECT_FIT_REL = 1e-25
 
 # The random-intercept ratio is sought in [0, _RATIO_MAX], the REML root
-# bracketed by steps of a factor _BRACKET_STEP.
+# bracketed by steps of a factor _BRACKET_STEP and closed to _ROOT_TOL.
 _RATIO_MAX = 1e8
 _BRACKET_STEP = 10.0
+_ROOT_TOL = 1e-14
 
 
 def _cluster_sums(a: np.ndarray, cluster: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -190,6 +192,26 @@ def _null_fit(
     )
 
 
+def fit_ols_columns(datasets: list[Dataset], design: DesignMatrices):
+    """OLS fits of responses that share one design, from one thin QR of X.
+
+    Returns the projection at unit error variance and, per dataset, the fit
+    :func:`fit_ols` gives (to rounding) or, for a numerically perfect fit, the
+    error it raises.
+    """
+    X = _null_design(datasets[0], design)
+    Q, R = np.linalg.qr(X)
+    betas = np.linalg.solve(R, Q.T @ np.column_stack([dataset.y for dataset in datasets]))
+    fits: list = []
+    for dataset, beta in zip(datasets, betas.T):
+        try:
+            fits.append(_null_fit(dataset, X, beta, "ols"))
+        except DegenerateFitError as exc:
+            fits.append(exc)
+    n = X.shape[0]
+    return RemlProjection(1.0, 0.0, np.arange(n), np.ones(n, dtype=np.int64), X, Q, R), fits
+
+
 def _null_design(dataset: Dataset, design: DesignMatrices) -> np.ndarray:
     """design.X, once the arguments both null fits take are checked."""
     n, p_fixed = design.X.shape
@@ -211,7 +233,7 @@ def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullF
     f' = sum_i n_i / (1 + ratio n_i) - sum_i g_i' s_i'(X'W^-1 X)^-1 s_i
     - (n - p) sum_i g_i' c_i^2 / rss = 0 (Harville 1977): O(m p^2) per ratio
     after one O(n p) pass. The estimate is 0, the OLS fit, when f'(0) >= 0,
-    else the root of f' bisected to adjacent floats, or the cap 1e8 when f' < 0
+    else the root of f' (see :func:`_log_root`), or the cap 1e8 when f' < 0
     up to it. The sums are taken of the OLS residuals e rather than y (GLS of
     y is OLS plus GLS of e), which keeps rss free of cancellation.
     """
@@ -242,13 +264,16 @@ def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullF
         return xtwx_inv, delta, rss
 
     def slope(ratio: float) -> float:
-        """f'(ratio), the derivative of the REML criterion."""
+        """f'(ratio) = T - Q, the trace term less the residual term, relative
+        to |T| + Q: of the sign of f' and near linear in log ratio at the root."""
         xtwx_inv, delta, rss = gls_terms(ratio)
         w = 1.0 / (1.0 + ratio * sizes)
         lev = ((sum_x @ xtwx_inv) * sum_x).sum(axis=1)
         resid_sums = sum_e - sum_x @ delta
-        quad = float(w**2 @ resid_sums**2) / rss if rss > 0.0 else math.inf
-        value = float(sizes @ w) - float(w**2 @ lev) - (n - p_fixed) * quad
+        trace = float(sizes @ w) - float(w**2 @ lev)
+        quad = (n - p_fixed) * float(w**2 @ resid_sums**2) / rss if rss > 0.0 else math.inf
+        scale = abs(trace) + quad
+        value = (trace - quad) / scale if scale > 0.0 else 0.0
         if not math.isfinite(value):
             raise NumericalError(
                 f"restricted likelihood slope not finite at variance ratio {ratio:.3e}"
@@ -264,16 +289,36 @@ def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullF
         ratio_hat = 0.0
     elif slope(0.0) >= 0.0:
         ratio_hat = 0.0
-    else:  # grow a bracket from 1, shrink it while lo = 0, then bisect in log ratio;
-        # a slope still negative at the cap leaves every mid in lo and returns the cap
-        lo, hi = 0.0, 1.0
-        while hi < _RATIO_MAX and slope(hi) < 0.0:
-            lo, hi = hi, min(hi * _BRACKET_STEP, _RATIO_MAX)
-        while lo < (mid := math.sqrt(lo * hi) if lo > 0.0 else hi / _BRACKET_STEP) < hi:
-            lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
-        ratio_hat = hi
+    else:  # bracket the root by factors of 10 from 1; the cap when f' < 0 up to it
+        lo = hi = 1.0
+        f_lo = f_hi = slope(1.0)
+        while f_lo >= 0.0:
+            hi, f_hi, lo = lo, f_lo, lo / _BRACKET_STEP
+            f_lo = slope(lo)
+        while f_hi < 0.0 and hi < _RATIO_MAX:
+            lo, f_lo, hi = hi, f_hi, min(hi * _BRACKET_STEP, _RATIO_MAX)
+            f_hi = slope(hi)
+        ratio_hat = hi if f_hi < 0.0 else _log_root(slope, lo, hi, f_lo, f_hi)
     delta = gls_terms(ratio_hat)[1] if ratio_hat > 0.0 else 0.0
     return _null_fit(dataset, X, beta_ols + delta, "reml-random-intercept", ratio_hat, sizes)
+
+
+def _log_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Root of f in (lo, hi], f(lo) < 0 <= f(hi), by regula falsi in log x with
+    the Illinois rule, bisecting when a step leaves the bracket, until |f| or the
+    bracket width (relative beyond |log x| = 1) is at most _ROOT_TOL."""
+    a, b, kept = math.log(lo), math.log(hi), 0
+    x, fx = b, f_hi
+    while abs(fx) > _ROOT_TOL and b - a > _ROOT_TOL * max(1.0, abs(b)):
+        x = b - f_hi * (b - a) / (f_hi - f_lo)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        fx = f(math.exp(x))
+        if fx < 0.0:
+            a, f_lo, f_hi, kept = x, fx, f_hi * (0.5 if kept > 0 else 1.0), 1
+        else:
+            b, f_hi, f_lo, kept = x, fx, f_lo * (0.5 if kept < 0 else 1.0), -1
+    return math.exp(x)
 
 
 def reml_projection(fit: NullFit, X: np.ndarray) -> RemlProjection:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import Dataset
-from .errors import ConfigError, DegenerateTestError, NumericalError
+from .errors import ConfigError, CovtestError, DegenerateTestError, NumericalError
 from .null_fit import NullFit, RemlProjection, fit_null, reml_projection
 from .spline_basis import (
     NATURAL_SPLINE,
@@ -37,6 +37,7 @@ __all__ = [
     "ScoreMoments",
     "ScoreResult",
     "score_statistic",
+    "score_statistics",
     "run_score_test",
 ]
 
@@ -155,26 +156,35 @@ def _whitened_norms(kernel: SmootherKernel, proj: RemlProjection) -> tuple[float
 
 
 def score_statistic(fit: NullFit, proj: RemlProjection, kernel: SmootherKernel) -> ScoreResult:
-    """Compute the score statistic and its calibrated one-sided p-value.
+    """Compute the score statistic and its calibrated one-sided p-value. All
+    three inputs must come from the same dataset and design."""
+    return score_statistics([fit], proj, kernel)[0]
 
-    All three inputs must come from the same dataset and design. Raises
+
+def score_statistics(fits: list, proj: RemlProjection, kernel: SmootherKernel) -> list:
+    """:func:`score_statistic` for the null fits of responses that share one
+    design and ``proj``, at any error variance and the fits' variance ratio. An
+    error in ``fits`` (a failed fit) stands in for that fit's result. Raises
     DegenerateTestError when the projection annihilates the kernel (the test
     carries no information, e.g. M = 0 or col(M) inside col(X)).
 
     With the whitened kernel K = V^-1/2 M V^-1/2 and P = V^-1/2 (I - QQ') V^-1/2,
     tr(PM) = tr K - tr Q'KQ and tr((PM)^2) = |K|^2 - 2 |KQ|^2 + |Q'KQ|^2
-    (Frobenius norms). The kernel is applied once, to [V^-1/2 Q | V^-1 r];
-    tr K and |K|^2 come from :func:`_whitened_norms`. No n x n matrix is formed.
+    (Frobenius norms). The kernel is applied once, to [V^-1/2 Q | V^-1 r of
+    every column]; tr K and |K|^2 come from :func:`_whitened_norms`. A column
+    whose V is s times proj's has mean / s, variance / s^2 and u_quad / s^2.
     """
-    n = fit.n
-    if kernel.n != n or proj.n != n:
+    n, failed = proj.n, [isinstance(fit, CovtestError) for fit in fits]
+    ok = [fit for fit, bad in zip(fits, failed) if not bad]
+    if kernel.n != n or any(fit.n != n or fit.ratio != proj.ratio for fit in ok):
         raise ConfigError(
-            f"kernel ({kernel.n} rows) and projection ({proj.n} rows) must both match n = {n}"
+            f"kernel ({kernel.n} rows) and fits must match the projection's n = {n} and ratio"
         )
+    residuals = np.column_stack([np.zeros(n) if bad else fit.residuals for fit, bad in zip(fits, failed)])
     WQ = proj.whiten(proj.Q)
-    v = proj.whiten(proj.whiten(fit.residuals))  # V^-1 r
+    v = proj.whiten(proj.whiten(residuals))  # V^-1 r
     MG = kernel.apply(np.column_stack([WQ, v]))
-    MWQ, Mv = MG[:, :-1], MG[:, -1]
+    MWQ, Mv = MG[:, : WQ.shape[1]], MG[:, WQ.shape[1]:]
     trace_k, sq_norm_k = _whitened_norms(kernel, proj)
     QKQ = WQ.T @ MWQ
     mean = 0.5 * (trace_k - float(np.trace(QKQ)))  # tr(PM) / 2
@@ -184,21 +194,18 @@ def score_statistic(fit: NullFit, proj: RemlProjection, kernel: SmootherKernel) 
         )
     # tr((PM)^2) / 2, with KQ = V^-1/2 M V^-1/2 Q
     variance = 0.5 * (sq_norm_k - 2.0 * _sq_norm(proj.whiten(MWQ)) + _sq_norm(QKQ))
-    moments = ScoreMoments(
-        mean=mean,
-        variance=variance,
-        scale=variance / (2.0 * mean),
-        df=2.0 * mean**2 / variance,
-    )
-    u_quad = max(0.5 * float(v @ Mv), 0.0)  # PSD form, clamp roundoff
-    return ScoreResult(
-        u_quad=u_quad,
-        null_mean=mean,
-        u_score=u_quad - mean,
-        moments=moments,
-        p_value=_upper_tail(u_quad, moments),
-        kernel_kind=kernel.kind,
-    )
+    out = []
+    for quad, fit, bad in zip(0.5 * np.einsum("ij,ij->j", v, Mv), fits, failed):
+        if bad:
+            out.append(fit)
+            continue
+        s = fit.sigma2_eps / proj.sigma2
+        m, var = mean / s, variance / s**2
+        moments = ScoreMoments(mean=m, variance=var, scale=var / (2.0 * m), df=2.0 * m**2 / var)
+        u_quad = max(float(quad) / s**2, 0.0)  # PSD form, clamp roundoff
+        out.append(ScoreResult(u_quad=u_quad, null_mean=m, u_score=u_quad - m, moments=moments,
+                               p_value=_upper_tail(u_quad, moments), kernel_kind=kernel.kind))
+    return out
 
 
 def run_score_test(

@@ -6,8 +6,8 @@ empirical rejection rates per (test, sample size, noise level, departure,
 nominal level). Per-replicate random streams are keyed by (master seed,
 replicate, variate role), so the generated data do not depend on which tests
 are enabled, on the execution order, or on the worker count. The departure
-levels of a replicate share S and t, hence one design and one LRT/RLRT
-decomposition per spline degree.
+levels of a replicate share S and t, hence one draw, one design and one
+LRT/RLRT decomposition per spline degree.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .exact_lrt import (
     simulate_null_cached,
     spectral_decompose,
 )
-from .null_fit import fit_ols, reml_projection
-from .score_test import score_statistic
+from .null_fit import fit_ols, fit_ols_columns, reml_projection
+from .score_test import score_statistics
 from .cusum_test import cumulative_process, multiplier_null, sup_test
 from .spline_basis import NATURAL_SPLINE, build_design, place_knots, smoother_kernel
 
@@ -70,17 +70,19 @@ def nonlinear_effect(t, c: float):
 def generate_dataset(
     m: int,
     sigma: float,
-    c: float,
+    c: float | tuple[float, ...],
     seed: rngmod.SeedLike,
     s_scale_as_sd: bool = False,
-) -> Dataset:
+) -> Dataset | list[Dataset]:
     """One simulated dataset: two Gaussian covariates, a fixed t grid on
     [0, 1], and Gaussian noise of standard deviation sigma.
 
     The second argument of the covariate law is a variance by default
     (``s_scale_as_sd=True`` reads it as a standard deviation instead). The
     covariate and noise draws come from per-role streams under ``seed``, so
-    datasets with the same seed share draws across c and sigma.
+    datasets with the same seed share draws across c and sigma. A sequence
+    ``c`` gives one dataset per departure level from one set of draws: they
+    share S and t, and each y equals the one a scalar call with that c gives.
     """
     if m < 2:
         raise ConfigError(f"need m >= 2, got {m}")
@@ -89,10 +91,12 @@ def generate_dataset(
     scale = (lambda v: v) if s_scale_as_sd else math.sqrt
     s1 = rngmod.stream(seed, 0).normal(0.0, scale(_S_VARIANCES[0]), m)
     s2 = rngmod.stream(seed, 1).normal(0.0, scale(_S_VARIANCES[1]), m)
-    noise = rngmod.stream(seed, 2).standard_normal(m)
+    noise = sigma * rngmod.stream(seed, 2).standard_normal(m)
     t = np.arange(m) / (m - 1)
-    y = _TRUE_COEF[0] * s1 + _TRUE_COEF[1] * s2 + nonlinear_effect(t, c) + sigma * noise
-    return Dataset(y=y, S=np.column_stack([s1, s2]), t=t)
+    S, linear = np.column_stack([s1, s2]), _TRUE_COEF[0] * s1 + _TRUE_COEF[1] * s2
+    out = [Dataset(y=linear + nonlinear_effect(t, level) + noise, S=S, t=t)
+           for level in (c if np.ndim(c) else [c])]
+    return out if np.ndim(c) else out[0]
 
 
 @dataclass(frozen=True)
@@ -131,10 +135,7 @@ class SimConfig:
     def lines(self) -> list[str]:
         """Flat key = value echo of the effective configuration."""
         out = []
-        for key in (
-            "m_values sigma_values c_values levels tests n_runs n_knots "
-            "n_sims_null cusum_resamples seed threads s_scale_as_sd cache_dir"
-        ).split():
+        for key in (f.name for f in fields(self)):
             value = getattr(self, key)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
@@ -247,69 +248,57 @@ def _study_fixtures(config: SimConfig, m: int):
 def _run_replicate(config: SimConfig, m: int, sigma: float, fixtures: dict, rep: int):
     """Rejection indicators for one replicate: (test, c, level) booleans.
 
-    X and B are built once per degree from the first dataset, as every c
-    shares S and t; each LRT group makes one ProfileSolver call on the
-    responses of all c, and score and cusum fit each c on the degree-1 design.
+    One draw gives every c, which share S and t, so X and B are built once per
+    degree. Each LRT group makes one ProfileSolver call on the responses of all
+    c and one p-value lookup per variant; the score test fits and scores all c
+    from one QR of X and one kernel application; cusum fits each c on its own.
     """
-    n_tests = len(config.tests)
-    out = np.zeros((n_tests, len(config.c_values), len(config.levels)), dtype=bool)
-    fail = np.zeros((n_tests, len(config.c_values)), dtype=bool)
-    messages: list[str] = []
-    levels = np.asarray(config.levels)
+    tests, n_c = config.tests, len(config.c_values)
+    datasets = generate_dataset(m, sigma, config.c_values, (config.seed, rep), config.s_scale_as_sd)
     groups = fixtures["lrt_groups"]
-    need_fit = "score" in config.tests or "cusum" in config.tests
-    datasets = [
-        generate_dataset(m, sigma, c, (config.seed, rep), config.s_scale_as_sd)
-        for c in config.c_values
-    ]
-    need_degrees = set(groups) | ({1} if need_fit else set())
+    need_degrees = set(groups) | ({1} if {"score", "cusum"} & set(tests) else set())
     designs = {d: build_design(datasets[0], fixtures[("knots", d)]) for d in sorted(need_degrees)}
     Y = np.column_stack([dataset.y for dataset in datasets])
-    lrt_results = {}
+    pvals: dict[int, list] = {}  # test index -> per c, a p-value or the error that failed it
     for d, members in groups.items():
         specs = [(kind, h) for _, _, kind, h in members]
         try:
             solver, grid = fixtures[("solver", d)], fixtures[("grid", d)]
-            lrt_results[d] = solver.statistics(Y, designs[d].X, grid, specs)
+            per_c = solver.statistics(Y, designs[d].X, grid, specs)
         except CovtestError as exc:  # the shared X failed: every c fails
-            lrt_results[d] = [exc] * len(datasets)
-    for ci, (c, dataset) in enumerate(zip(config.c_values, datasets)):
-
-        def record_failure(ti, name, exc):
-            fail[ti, ci] = True
-            messages.append(f"{name} m={m} sigma={sigma:g} c={c:g} rep={rep}: {exc}")
-
-        for d, members in groups.items():
-            results = lrt_results[d][ci]
-            if isinstance(results, CovtestError):
-                for ti, name, _, _ in members:
-                    record_failure(ti, name, results)
-                continue
-            for (ti, name, _, _), result in zip(members, results):
-                out[ti, ci, :] = p_value(result.statistic, fixtures[("null", name)]) < levels
-        if need_fit:
+            per_c = [exc] * n_c
+        ok = [results for results in per_c if not isinstance(results, CovtestError)]
+        for j, (ti, name, _, _) in enumerate(members):
+            found = iter(p_value(np.array([r[j].statistic for r in ok]), fixtures[("null", name)]))
+            pvals[ti] = [r if isinstance(r, CovtestError) else next(found) for r in per_c]
+    for ti, name in enumerate(tests):
+        if name == "score":
             try:
-                fit = fit_ols(dataset, designs[1])
-                proj = reml_projection(fit, designs[1].X)
+                proj, fits = fit_ols_columns(datasets, designs[1])
+                scores = score_statistics(fits, proj, fixtures["kernel"])
+                pvals[ti] = [r if isinstance(r, CovtestError) else r.p_value for r in scores]
             except CovtestError as exc:
-                for ti, name in enumerate(config.tests):
-                    if name in ("score", "cusum"):
-                        record_failure(ti, name, exc)
-                continue
-            for ti, name in enumerate(config.tests):
+                pvals[ti] = [exc] * n_c
+        elif name == "cusum":
+            pvals[ti] = []
+            for dataset in datasets:
                 try:
-                    if name == "score":
-                        p = score_statistic(fit, proj, fixtures["kernel"]).p_value
-                    elif name == "cusum":
-                        sups = multiplier_null(
-                            fit, proj, dataset.t, config.cusum_resamples, seed=(config.seed, rep, 3)
-                        )
-                        p = sup_test(cumulative_process(fit, dataset.t), sups).p_value
-                    else:
-                        continue
-                    out[ti, ci, :] = p < levels
+                    fit = fit_ols(dataset, designs[1])
+                    sups = multiplier_null(fit, reml_projection(fit, designs[1].X), dataset.t,
+                                           config.cusum_resamples, seed=(config.seed, rep, 3))
+                    pvals[ti].append(sup_test(cumulative_process(fit, dataset.t), sups).p_value)
                 except CovtestError as exc:
-                    record_failure(ti, name, exc)
+                    pvals[ti].append(exc)
+    out = np.zeros((len(tests), n_c, len(config.levels)), dtype=bool)
+    fail = np.zeros((len(tests), n_c), dtype=bool)
+    messages = []
+    for ci, c in enumerate(config.c_values):
+        for ti, per_c in pvals.items():
+            if isinstance(per_c[ci], CovtestError):
+                fail[ti, ci] = True
+                messages.append(f"{tests[ti]} m={m} sigma={sigma:g} c={c:g} rep={rep}: {per_c[ci]}")
+            else:
+                out[ti, ci, :] = per_c[ci] < np.asarray(config.levels)
     return out, fail, messages
 
 
@@ -354,6 +343,7 @@ def run_study(config: SimConfig) -> SimReport:
                         ))
             total_fail += int(fails.sum())
             total_apps += len(config.tests) * len(config.c_values) * config.n_runs
+        del fixtures  # this m's nulls and their sorted copies, before the next m's are simulated
     if total_apps and total_fail > 0.01 * total_apps:
         preview = "; ".join(all_messages[:5])
         raise StudyError(

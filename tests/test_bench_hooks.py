@@ -5,6 +5,8 @@ functions and ``ProfileSolver``'s methods by name; a rename in ``src/`` would
 break them without this test.
 """
 
+import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +44,9 @@ def test_tracer_installs_and_restores(monkeypatch):
 
 
 def test_study_makes_one_solver_call_per_replicate_and_degree(monkeypatch):
-    """Each replicate evaluates all departure levels of an LRT degree in one
-    ProfileSolver call, and the layers the benchmark reports still appear."""
+    """Each replicate draws all its departure levels in one generate_dataset
+    call and evaluates them in one ProfileSolver call per LRT degree, and the
+    layers the benchmark reports still appear."""
     monkeypatch.syspath_prepend(str(BENCH))
     import tracer
 
@@ -60,8 +63,19 @@ def test_study_makes_one_solver_call_per_replicate_and_degree(monkeypatch):
     names = [span.name for span in spans.spans]
     replicates = len(config.m_values) * len(config.sigma_values) * config.n_runs
     assert names.count("exact_lrt.ProfileSolver.statistics") == replicates * 2  # degrees 1 and 2
-    assert names.count("sim_study.generate_dataset") >= replicates * len(config.c_values)
     assert "spline_basis.build_design" in names
+    # One draw per replicate for all its departure levels, plus the draw each
+    # m's fixtures build their design from.
+    draws = Counter(
+        json.dumps(span.info["replicate"])
+        for span in spans.spans if span.name == "sim_study.generate_dataset"
+    )
+    expected = Counter(
+        json.dumps([m, sigma, [config.seed, rep]])
+        for m in config.m_values for sigma in config.sigma_values for rep in range(config.n_runs)
+    )
+    expected.update(json.dumps([m, config.sigma_values[0], [config.seed, 0]]) for m in config.m_values)
+    assert draws == expected
 
 
 def test_null_fit_layers_recorded_for_score_and_cusum(monkeypatch, tmp_path):

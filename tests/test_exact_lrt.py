@@ -437,6 +437,20 @@ class TestBatchedColumns:
                 assert got.nuisance["grid_sha"] == ref.nuisance["grid_sha"]
         assert batched[4][0].statistic > batched[0][0].statistic  # the departure is visible
 
+    def test_grid_hashed_once(self, monkeypatch):
+        """The grid's sha is computed once, however many statistics use it."""
+        hashed = []
+        real = exact_lrt._sha
+        monkeypatch.setattr(exact_lrt, "_sha", lambda a: hashed.append(a) or real(a))
+        ds = generate_dataset(40, 0.5, 2, seed=(17, 3))
+        design = build_design(ds, place_knots(ds.t, 8, 1))
+        grid = default_lambda_grid(spectral_decompose(design))
+        solver = ProfileSolver(design.B)
+        for _ in range(3):
+            result = solver.statistics(ds.y, design.X, grid, [("rlrt", 0)])[0]
+        assert result.nuisance["grid_sha"] == grid.sha == real(grid.values)
+        assert sum(a is grid.values for a in hashed) == 1
+
 
 class TestSpectralDenseEquivalence:
     def test_profile_terms_match_dense_path(self):
@@ -480,6 +494,21 @@ class TestPValue:
         null = self.fixed_null([0.0, 0.0, 0.5, 1.0])
         assert p_value(0.0, null) >= null.zero_mass_fraction
         assert p_value(0.0, null) == 1.0
+
+    def test_sorted_lookup_matches_brute_force_count(self):
+        """Ties, zero mass, and values below and above every sample, one at a
+        time and as one array: the add-one count of samples >= observed."""
+        samples = np.array([7.0, 2.5, 0.0, 0.3, 2.5, 0.0, 1.2, 0.3, 0.0])
+        null = self.fixed_null(samples)
+        observed = np.array([-np.inf, -1.0, 0.0, 1e-300, 0.3, np.nextafter(0.3, 1.0), 1.2,
+                             2.5, 6.999, 7.0, 7.5, np.inf])
+        brute = np.array([(1 + int((samples >= x).sum())) / (1 + samples.size) for x in observed])
+        assert np.array_equal(p_value(observed, null), brute)
+        for x, want in zip(observed, brute):
+            got = p_value(float(x), null)
+            assert type(got) is float and got == want
+        assert p_value(0.0, null) == 1.0
+        assert p_value(7.5, null) == 1.0 / 10.0
 
     def test_median_maps_near_half(self):
         """Oracle: rank-based count on the sorted samples."""

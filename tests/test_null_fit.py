@@ -139,6 +139,28 @@ class TestRemlRandomIntercept:
                      cluster=cluster)
         assert fit_reml_random_intercept(ds, design_for(ds)).ratio == 1e8
 
+    @pytest.mark.parametrize("spread", [0.1, 0.3, 1.0, 5.0])
+    def test_root_takes_few_slope_evaluations(self, spread, monkeypatch):
+        """On 100 clusters the ratio takes at most 15 slope evaluations (each
+        inverts X'W^-1 X once; one more inverse gives the final GLS fit), and
+        the fit is a root of the dense REML slope."""
+        inverses = []
+        real = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a) or real(a))
+        rng = np.random.default_rng(int(10 * spread))
+        cluster = np.arange(400) % 100
+        t = rng.uniform(0, 1, 400)
+        S = rng.standard_normal((400, 2))
+        y = S @ [1.0, -0.5] + t + spread * rng.standard_normal(100)[cluster]
+        ds = Dataset(y=y + 0.25 * rng.standard_normal(400), S=S, t=t, cluster=cluster)
+        design = design_for(ds)
+        fit = fit_reml_random_intercept(ds, design)
+        assert fit.ratio > 0.0
+        assert len(inverses) - 1 <= 15
+        monkeypatch.undo()
+        trace, quad = reml_slope_terms(ds.y, design.X, ds.cluster, fit.ratio, dtype=float)
+        assert abs(trace - quad) <= 1e-9 * trace
+
     def test_normal_equations_invariant(self):
         ds = clustered_dataset(seed=5)
         design = design_for(ds)

@@ -10,19 +10,21 @@ from covtest import (
     ConfigError,
     Dataset,
     SmootherKernel,
+    DegenerateFitError,
     DegenerateTestError,
     build_design,
     fit_ols,
     fit_reml_random_intercept,
     generate_dataset,
+    place_knots,
     reml_projection,
     run_score_test,
     score_statistic,
     smoother_kernel,
 )
-from covtest.null_fit import NullFit
-from covtest.score_test import ScoreMoments, _upper_tail
-from covtest.spline_basis import KnotSet, PENALIZED_GRAM
+from covtest.null_fit import NullFit, fit_ols_columns
+from covtest.score_test import ScoreMoments, _upper_tail, score_statistics
+from covtest.spline_basis import KnotSet, NATURAL_SPLINE, PENALIZED_GRAM
 from oracles import restricted_loglik
 
 
@@ -110,6 +112,47 @@ class TestScoreStatistic:
         mom = score_statistic(fit, proj, kern).moments
         assert mom.scale * mom.df == pytest.approx(mom.mean, rel=1e-12)
         assert 2 * mom.scale**2 * mom.df == pytest.approx(mom.variance, rel=1e-12)
+
+
+class TestBatchedColumns:
+    @pytest.mark.parametrize("kind", [NATURAL_SPLINE, PENALIZED_GRAM])
+    def test_columns_match_their_own_fits(self, kind):
+        """One QR of X and one kernel application for the departure levels of
+        a replicate give each level's single-fit result; a perfect-fit column
+        gets fit_ols's error and fails alone."""
+        datasets = generate_dataset(60, 0.5, (0, 1, 2, 4), seed=(23, 1))
+        base = datasets[0]
+        perfect = Dataset(y=base.S @ [1.3, 0.45] + 0.5 - base.t, S=base.S, t=base.t)
+        datasets.insert(2, perfect)
+        design = build_design(base, KnotSet(np.empty(0), 1))
+        knots = place_knots(base.t, 10, 1) if kind == PENALIZED_GRAM else None
+        kern = smoother_kernel(base.t, 1, kind, knots)
+        proj, fits = fit_ols_columns(datasets, design)
+        results = score_statistics(fits, proj, kern)
+        assert len(fits) == len(results) == len(datasets)
+        with pytest.raises(DegenerateFitError) as single:
+            fit_ols(perfect, design)
+        for failed in (fits[2], results[2]):
+            assert isinstance(failed, DegenerateFitError) and str(failed) == str(single.value)
+        for i, (ds, got) in enumerate(zip(datasets, results)):
+            if i == 2:
+                continue
+            fit = fit_ols(ds, design)
+            assert fits[i].sigma2_eps == pytest.approx(fit.sigma2_eps, rel=1e-12)
+            np.testing.assert_allclose(fits[i].residuals, fit.residuals, rtol=0, atol=1e-12)
+            want = score_statistic(fit, reml_projection(fit, design.X), kern)
+            for field in ("u_quad", "null_mean", "u_score", "p_value"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+            assert got.moments.mean == pytest.approx(want.moments.mean, rel=1e-12)
+            # The variance is |K|^2 / 2 less terms of nearly its size (here it is
+            # 1,400-1,800 times smaller), so two float evaluations of it agree to
+            # a few eps of |K|^2 / 2, not of the variance.
+            cancel = 0.5 * kern.sq_norm / fit.sigma2_eps**2 / want.moments.variance
+            for field in ("variance", "scale", "df"):
+                assert getattr(got.moments, field) == pytest.approx(
+                    getattr(want.moments, field), rel=16 * np.finfo(float).eps * cancel)
+            assert got.kernel_kind == want.kernel_kind
+        assert results[-1].p_value < results[0].p_value  # the departure is visible
 
 
 class TestSatterthwaite:

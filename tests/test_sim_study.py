@@ -17,6 +17,7 @@ from covtest import (
     nonlinear_effect,
     run_study,
 )
+from covtest.rng import stream
 from covtest.spline_basis import KnotSet
 
 
@@ -58,6 +59,23 @@ class TestGenerateDataset:
         assert np.array_equal(a.S, b.S)
         shift = nonlinear_effect(a.t, 3) - nonlinear_effect(a.t, 0)
         np.testing.assert_allclose(b.y - a.y, shift, atol=1e-12)
+
+    def test_departure_levels_from_one_draw(self):
+        """A sequence of c gives, bit for bit, the datasets of one call per c:
+        the design's formula on the per-role streams, with S and t shared."""
+        levels = (0, 1, 2.5, 4)
+        many = generate_dataset(50, 0.25, levels, seed=(9, 6))
+        s1 = stream((9, 6), 0).normal(0.0, math.sqrt(0.3), 50)
+        s2 = stream((9, 6), 1).normal(0.0, math.sqrt(0.4), 50)
+        noise = stream((9, 6), 2).standard_normal(50)
+        t = np.arange(50) / 49
+        assert len(many) == len(levels)
+        for c, ds in zip(levels, many):
+            one = generate_dataset(50, 0.25, c, seed=(9, 6))
+            y = 1.3 * s1 + 0.45 * s2 + nonlinear_effect(t, c) + 0.25 * noise
+            assert np.array_equal(ds.y, y) and np.array_equal(one.y, y)
+            assert np.array_equal(ds.S, one.S) and np.array_equal(ds.t, one.t)
+            assert np.shares_memory(ds.S, many[0].S) and np.shares_memory(ds.t, many[0].t)
 
     def test_shared_noise_across_sigma(self):
         lo = generate_dataset(30, 0.25, 0, seed=(9, 5))
@@ -134,11 +152,11 @@ class TestRunStudy:
         real = sim_study.generate_dataset
 
         def perfect_at_c2(m, sigma, c, seed, s_scale_as_sd=False):
-            ds = real(m, sigma, c, seed, s_scale_as_sd)
-            if c == 2 and seed == (5, 0):
-                y = 1.3 * ds.S[:, 0] + 0.45 * ds.S[:, 1] + 0.5 - ds.t
-                return Dataset(y=y, S=ds.S, t=ds.t)
-            return ds
+            out = real(m, sigma, c, seed, s_scale_as_sd)
+            if np.ndim(c) == 0 or seed != (5, 0):  # the fixtures' draw, or another replicate
+                return out
+            y = 1.3 * out[0].S[:, 0] + 0.45 * out[0].S[:, 1] + 0.5 - out[0].t
+            return [Dataset(y=y, S=ds.S, t=ds.t) if level == 2 else ds for level, ds in zip(c, out)]
 
         monkeypatch.setattr(sim_study, "generate_dataset", perfect_at_c2)
         report = run_study(tiny_config(tests=("lrt1", "rlrt"), c_values=(0, 2), n_runs=100))
@@ -200,7 +218,7 @@ class TestRunStudy:
         def boom(*args, **kwargs):
             raise ConfigError("synthetic failure")
 
-        monkeypatch.setattr(sim_study, "score_statistic", boom)
+        monkeypatch.setattr(sim_study, "score_statistics", boom)
         with pytest.raises(StudyError, match="synthetic failure"):
             run_study(tiny_config(n_runs=4))
 
@@ -208,7 +226,7 @@ class TestRunStudy:
         import covtest.sim_study as sim_study
 
         calls = {"n": 0}
-        real = sim_study.score_statistic
+        real = sim_study.score_statistics
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -216,7 +234,7 @@ class TestRunStudy:
                 raise ConfigError("one-off failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(sim_study, "score_statistic", flaky)
+        monkeypatch.setattr(sim_study, "score_statistics", flaky)
         report = run_study(
             tiny_config(tests=("score", "rlrt"), n_runs=100, c_values=(0,), n_sims_null=300)
         )
