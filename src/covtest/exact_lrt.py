@@ -264,21 +264,34 @@ def profile_terms(
     return ProfileTerms(num=num, den=den, gain=gain)
 
 
+def _grid_weights(values: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K x G weights of the spline coordinates in the profile's numerator
+    (``lam * proj / (1 + lam * proj)``) and denominator (``1 / (1 + lam * proj)``)."""
+    shrink = 1.0 + np.outer(values, proj)                  # G x K
+    return ((values[:, None] * proj[None, :]) / shrink).T, (1.0 / shrink).T
+
+
 def _grid_profile(
-    values: np.ndarray, proj: np.ndarray, coord_sq: np.ndarray, tail: np.ndarray
+    weights: tuple[np.ndarray, np.ndarray],
+    coord_sq: np.ndarray,
+    tail: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Log residual-energy ratio and residual energy at every grid value.
 
-    ``coord_sq`` (rows x K) holds squared coordinates along the spline
-    directions, paired with ``proj``; ``tail`` (rows) the residual energy in
-    the remaining directions. Returns ``log(rss(0) / rss(lam))`` and
-    ``rss(lam)``, both rows x G. A statistic kind scales the first by its
-    ``mult`` and subtracts its penalty ``sum(log(1 + lam * pen_eigs))``.
+    ``weights`` come from :func:`_grid_weights`; ``coord_sq`` (rows x K)
+    holds squared coordinates along the spline directions and ``tail``
+    (rows) the residual energy in the remaining directions. Returns
+    ``log(rss(0) / rss(lam))`` and ``rss(lam)``, both rows x G. A statistic
+    kind scales the first by its ``mult`` and subtracts its penalty
+    ``sum(log(1 + lam * pen_eigs))``. Given ``out`` (2 x >= rows x G), both
+    results are written into its leading rows and returned as views of it.
     """
-    shrink = 1.0 + np.outer(values, proj)                  # G x K
-    gain_w = (values[:, None] * proj[None, :]) / shrink    # G x K
-    num = coord_sq @ gain_w.T                              # rows x G
-    den = coord_sq @ (1.0 / shrink).T + tail[:, None]
+    rows = coord_sq.shape[0]
+    num, den = (None, None) if out is None else (out[0, :rows], out[1, :rows])
+    num = np.matmul(coord_sq, weights[0], out=num)         # rows x G
+    den = np.matmul(coord_sq, weights[1], out=den)
+    den += tail[:, None]
     num /= den
     return np.log1p(num, out=num), den
 
@@ -330,7 +343,9 @@ class ProfileSolver:
         Q, proj, head, rss0 = _residual_coordinates(X, self.B, Y)
         ok = rss0 > _PERFECT_REL * np.einsum("ij,ij->j", Y, Y)
         Y, head, rss0 = Y[:, ok], head[ok], rss0[ok]
-        ratio, den = _grid_profile(values, proj, head, np.maximum(rss0 - head.sum(axis=1), 0.0))
+        ratio, den = _grid_profile(
+            _grid_weights(values, proj), head, np.maximum(rss0 - head.sum(axis=1), 0.0)
+        )
         sweeps = []
         for kind, h in specs:
             mult, pen_eigs = (n, self.raw_eigs) if kind == "lrt" else (n - p, proj)
@@ -431,11 +446,13 @@ def simulate_null(
     pen_eigs, mult = ((cache.raw_eigs, cache.n_obs) if kind == "lrt"
                       else (cache.proj_eigs, cache.complement_dim))
     pen = np.log1p(np.outer(values, pen_eigs)).sum(axis=1)
+    weights = _grid_weights(values, cache.proj_eigs)
+    work = np.empty((2, min(n_sims, _SIM_CHUNK), values.size))  # reused by every chunk
     samples = np.empty(n_sims)
     for start, stop, rng in chunked_streams(seed, n_sims, _SIM_CHUNK):
         w = rng.chisquare(1.0, size=(stop - start, cache.n_knots))
         tail = rng.chisquare(tail_df, size=stop - start)
-        path = _grid_profile(values, cache.proj_eigs, w, tail)[0]
+        path = _grid_profile(weights, w, tail, work)[0]
         path *= mult
         path -= pen
         stat = path.max(axis=1)
@@ -443,7 +460,7 @@ def simulate_null(
             extra = rng.chisquare(h, size=stop - start)
             stat = stat + cache.n_obs * np.log1p(extra / (w.sum(axis=1) + tail))
         samples[start:stop] = stat
-    samples = np.clip(samples, 0.0, None)
+    np.clip(samples, 0.0, None, out=samples)
     provenance = {
         "format": "covtest-null-cache",
         "version": 1,

@@ -54,6 +54,14 @@ def synthetic_design(X, B, degree):
     return DesignMatrices(A=X[:, -degree - 1:], B=B, X=X, knots=knots, t=X[:, -1])
 
 
+def pinned_null_digest(kind, d, h, n_sims):
+    """sha256 of the null samples drawn for one fixed design and seed."""
+    ds = generate_dataset(60, 0.25, 0, seed=(5, 0))
+    design = build_design(ds, place_knots(ds.t, 10, d))
+    null = simulate_null(spectral_decompose(design), kind, h, None, n_sims, seed=17)
+    return hashlib.sha256(np.ascontiguousarray(null.samples, dtype="<f8").tobytes()).hexdigest()
+
+
 def dense_path(y, X, B, grid_values, kind, h):
     """Independent dense two-model profiled likelihood (naive inverses)."""
     m, p = X.shape
@@ -274,11 +282,48 @@ class TestSimulateNull:
     )
     def test_samples_pinned(self, kind, d, h, digest):
         """The draws behind every cached null; a change here needs a new _SAMPLER_VERSION."""
-        ds = generate_dataset(60, 0.25, 0, seed=(5, 0))
-        design = build_design(ds, place_knots(ds.t, 10, d))
-        null = simulate_null(spectral_decompose(design), kind, h, None, 3000, seed=17)
-        got = hashlib.sha256(np.ascontiguousarray(null.samples, dtype="<f8").tobytes()).hexdigest()
-        assert got == digest
+        assert pinned_null_digest(kind, d, h, 3000) == digest
+
+    @pytest.mark.parametrize(
+        "kind,d,h,n_sims,digest",
+        [
+            ("rlrt", 1, 0, 500, "b60bd866bad791ed4ee2337576173bdbac93ce2f0523deb8ffe21e41652d433e"),
+            ("rlrt", 1, 0, 2048, "ba64f224456421bd75c940f8abb0db38fd42f572796a11e4f9cd48a351829dd0"),
+            ("lrt", 2, 1, 500, "4b1c6b56221d98eb00e978197c6204a8831329bc0d4142f50e430797d33998b5"),
+            ("lrt", 2, 1, 2048, "9f94b6823bd3571a3eac7ce039e4c3169b20e60a3853352c0f47411cdb9526e7"),
+        ],
+    )
+    def test_samples_pinned_at_chunk_edges(self, kind, d, h, n_sims, digest):
+        """One partial chunk and exactly two full ones, through the reused work buffer."""
+        assert pinned_null_digest(kind, d, h, n_sims) == digest
+
+    @pytest.mark.parametrize("rows", [exact_lrt._SIM_CHUNK, 300])
+    def test_grid_profile_buffers_bit_identical(self, rows):
+        rng = np.random.default_rng(rows)
+        values = np.concatenate([[0.0], np.logspace(-6, 8, 200)])
+        weights = exact_lrt._grid_weights(values, np.sort(rng.uniform(0, 5, 20))[::-1])
+        w, tail = rng.chisquare(1.0, size=(rows, 20)), rng.chisquare(70, size=rows)
+        ref = exact_lrt._grid_profile(weights, w, tail)
+        work = np.empty((2, exact_lrt._SIM_CHUNK, values.size))
+        got = exact_lrt._grid_profile(weights, w, tail, work)
+        for r, g, buf in zip(ref, got, work):
+            assert g.shape == (rows, values.size)
+            assert g.tobytes() == r.tobytes()
+            assert np.shares_memory(g, buf)
+
+    def test_memory_bounded_by_one_chunk(self):
+        """Every chunk reuses one 2 x 1024 x G work array (3.3 MB at G = 201)."""
+        ds = generate_dataset(100, 0.25, 0, seed=(1, 0))
+        cache = spectral_decompose(build_design(ds, place_knots(ds.t, 20, 1)))
+        grid = default_lambda_grid(cache)
+        assert grid.values.size == 201 and cache.n_knots == 20
+        tracemalloc.start()
+        try:
+            simulate_null(cache, "rlrt", 0, grid, 10000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20
 
     def test_rlrt_ignores_h(self):
         ds, design = make_design(30, 1, 1, 4, seed=8)
