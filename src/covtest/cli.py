@@ -269,7 +269,7 @@ def _cmd_test(cfg: dict) -> int:
             lines = ["point,observed," + ",".join(f"resample_{k+1}" for k in range(paths.shape[0]))]
             for j, point in enumerate(points):
                 lines.append(
-                    f"{point!r},{process.values[j]!r},"
+                    f"{float(point)!r},{float(process.values[j])!r},"
                     + ",".join(repr(float(v)) for v in paths[:, j])
                 )
             (out_dir / f"cusum_process_{cfg['ordering']}.csv").write_text(

@@ -96,24 +96,31 @@ def _resampled_blocks(
     that map, a single unit reduces to multiplying the observed process by
     one normal draw. The blocks are yielded as (start, stop, processes) so
     that callers needing only sup-norms never hold every path at once.
+
+    Rows are laid out in sorted order once per call. A block's process at a
+    jump is then cumsum(g) - coef' cumsum(X)' at the last row of its ties,
+    with coef = R^-1 (V^-1/2 Q)' g fitted in O(n p) per resample.
     """
     if n_resamples < 1:
         raise ConfigError(f"n_resamples must be >= 1, got {n_resamples}")
     order, points, first = _sorted_contributions(fit, ordering)
-    contrib = fit.residuals
-    unit = fit.cluster if fit.cluster is not None else np.arange(fit.n)
+    rows = order if fit.cluster is None else fit.cluster[order]
+    contrib = fit.residuals[order]
+    white_q = proj.whiten(proj.Q)[order]
+    last = np.append(first[1:], fit.n) - 1
+    x_cum = np.cumsum(proj.X[order], axis=0)[last].T
     n_units = fit.n_units
-    root_m = math.sqrt(n_units)
 
     def blocks():
         for start, stop, rng in chunked_streams(seed, n_resamples, _RESAMPLE_CHUNK):
-            perturbed = rng.standard_normal((stop - start, n_units))[:, unit]
-            perturbed *= contrib[None, :]
-            projected = proj.residual_map(perturbed)
-            steps = np.add.reduceat(projected[:, order], first, axis=1)
-            np.cumsum(steps, axis=1, out=steps)
-            steps /= root_m
-            yield start, stop, steps
+            g = np.take(rng.standard_normal((stop - start, n_units)), rows, axis=1)
+            g *= contrib
+            coef = np.linalg.solve(proj.R, (g @ white_q).T).T
+            np.cumsum(g, axis=1, out=g)
+            g = np.take(g, last, axis=1)
+            g -= coef @ x_cum
+            g /= math.sqrt(n_units)
+            yield start, stop, g
 
     return points, blocks()
 
@@ -129,7 +136,7 @@ def multiplier_null(
     _, blocks = _resampled_blocks(fit, proj, ordering, n_resamples, seed)
     sups = np.empty(n_resamples)
     for start, stop, processes in blocks:
-        sups[start:stop] = np.abs(processes).max(axis=1)
+        sups[start:stop] = np.abs(processes, out=processes).max(axis=1)
     return sups
 
 

@@ -155,35 +155,33 @@ def load_csv(path: str | Path, columns: ColumnMap = ColumnMap()) -> Dataset:
     if not rows:
         raise DataError(f"{path}: no data rows")
 
-    def parse(row_no: int, row: list[str], idx: int) -> float:
-        cell = row[idx].strip()
+    cols = [iy, it, *i_s]
+    values = None
+    if all(len(row) == len(header) for row in rows):
         try:
-            v = float(cell)
+            values = np.array([[float(row[i].strip()) for row in rows] for i in cols])
         except ValueError:
-            raise DataError(
-                f"{path}: non-numeric value {cell!r} in column {header[idx]!r} at data row {row_no}"
-            ) from None
-        if not np.isfinite(v):
-            raise DataError(
-                f"{path}: non-finite value {cell!r} in column {header[idx]!r} at data row {row_no}"
-            )
-        return v
+            pass
+    if values is None or not np.isfinite(values).all():
+        raise DataError(f"{path}: {_first_fault(rows, header, cols)}")
+    cluster = [row[icl].strip() for row in rows] if icl is not None else None
+    return Dataset(y=values[0], S=values[2:].T, t=values[1], cluster=cluster)
 
-    n = len(rows)
-    y = np.empty(n)
-    t = np.empty(n)
-    S = np.empty((n, len(i_s)))
-    cluster = [] if icl is not None else None
+
+def _first_fault(rows: list[list[str]], header: list[str], cols: list[int]) -> str:
+    """The first ragged row or unusable cell of ``cols``, in row-major order."""
     for r, row in enumerate(rows, start=1):
         if len(row) != len(header):
-            raise DataError(f"{path}: data row {r} has {len(row)} cells, expected {len(header)}")
-        y[r - 1] = parse(r, row, iy)
-        t[r - 1] = parse(r, row, it)
-        for j, idx in enumerate(i_s):
-            S[r - 1, j] = parse(r, row, idx)
-        if cluster is not None:
-            cluster.append(row[icl].strip())
-    return Dataset(y=y, S=S, t=t, cluster=cluster)
+            return f"data row {r} has {len(row)} cells, expected {len(header)}"
+        for idx in cols:
+            cell = row[idx].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                return f"non-numeric value {cell!r} in column {header[idx]!r} at data row {r}"
+            if not np.isfinite(v):
+                return f"non-finite value {cell!r} in column {header[idx]!r} at data row {r}"
+    raise AssertionError("no unusable cell found")
 
 
 def save_csv(dataset: Dataset, path: str | Path, columns: ColumnMap = ColumnMap()) -> None:

@@ -132,11 +132,6 @@ class RemlProjection:
         """Z'a: the sums of the rows of ``a`` within each cluster."""
         return _cluster_sums(a, self.cluster, self.sizes)
 
-    def residual_map(self, G: np.ndarray) -> np.ndarray:
-        """Rows of G through I - X (X'V^-1 X)^-1 X'V^-1, i.e. G - (R^-1 Q'V^-1/2 G')' X'."""
-        coef = np.linalg.solve(self.R, self.Q.T @ self.whiten(G.T))
-        return G - coef.T @ self.X.T
-
     @property
     def P(self) -> np.ndarray:
         """Dense n x n projection, built on demand for dense checks."""

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from covtest.rng import chunked_streams
+
 
 def intercept_covariance(cluster, sigma2, ratio):
     """sigma2 (I + ratio ZZ') for cluster labels (``None``: independent rows)."""
@@ -128,14 +130,29 @@ def dense_score(V, P, M, residuals):
     return 0.5 * float(v @ M @ v), 0.5 * float(np.trace(PM)), 0.5 * float((PM * PM.T).sum())
 
 
-class DenseResidualMap:
-    """Stand-in projection whose residual-forming map is the dense V P."""
+def dense_multiplier_processes(fit, X, ordering, n_resamples, seed):
+    """(points, processes): multiplier-resampled cusum paths by the dense map.
 
-    def __init__(self, V, P):
-        self.resid_form = V @ P  # I - X (X'V^-1 X)^-1 X'V^-1
-
-    def residual_map(self, G):
-        return G @ self.resid_form.T
+    The unit-level N(0, 1) draws are the package's, one generator per chunk of
+    256 resamples from ``chunked_streams``. Each perturbed residual vector goes
+    through the n x n residual-forming map I - X (X'V^-1 X)^-1 X'V^-1, is
+    summed in ``ordering`` and read where each run of tied values ends, and is
+    scaled by the square root of the number of units.
+    """
+    n = fit.n
+    unit = np.arange(n) if fit.cluster is None else np.asarray(fit.cluster)
+    m = int(unit.max()) + 1
+    V_inv = np.linalg.inv(fit.V)
+    resid_form = np.eye(n) - X @ np.linalg.solve(X.T @ V_inv @ X, X.T @ V_inv)
+    draws = np.vstack([
+        rng.standard_normal((stop - start, m))
+        for start, stop, rng in chunked_streams(seed, n_resamples, 256)
+    ])
+    mapped = (draws[:, unit] * fit.residuals) @ resid_form.T
+    ordering = np.asarray(ordering, dtype=float)
+    points, counts = np.unique(ordering, return_counts=True)
+    sums = np.cumsum(mapped[:, np.argsort(ordering, kind="stable")], axis=1)
+    return points, sums[:, np.cumsum(counts) - 1] / math.sqrt(m)
 
 
 def natural_spline_gram(u, degree=1):

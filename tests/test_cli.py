@@ -78,6 +78,8 @@ class TestTestCommand:
         lines = (out / "cusum_process_t.csv").read_text().strip().splitlines()
         assert lines[0] == "point,observed,resample_1,resample_2,resample_3"
         assert len(lines) == 1 + 60
+        table = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+        assert table.shape == (60, 5)
 
     def test_truncated_cache_entry_is_rebuilt(self, null_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -427,6 +429,32 @@ class TestLazyScipy:
                               env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "result_score.json").exists()
+
+
+class TestCusumDraws:
+    """The multiplier draws are part of the result: a rewrite of the resampler
+    must keep every p-value. These counts come from the earlier resampler,
+    which mapped each draw in unsorted row order."""
+
+    @pytest.mark.parametrize(
+        "clustered, seed, ordering, count",
+        [(False, 5, "t", 775), (True, 6, "fitted", 1009)],
+    )
+    def test_p_value_pinned(self, tmp_path, clustered, seed, ordering, count):
+        ds = generate_dataset(120, 0.5, 1, seed=(22 if clustered else 21, 0))
+        extra = []
+        if clustered:
+            label = np.arange(120) % 15
+            y = ds.y + np.random.default_rng(22).normal(0, 0.5, 15)[label]
+            ds = Dataset(y=y, S=ds.S, t=ds.t, cluster=label)
+            extra = ["--cluster-col", "cluster"]
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+        out = tmp_path / "out"
+        assert run(["test", "--input", path, "--method", "cusum", "--resamples", 2000,
+                    "--seed", seed, "--ordering", ordering, "--out", out, *extra]) == 0
+        record = json.loads((out / "result_cusum.json").read_text())
+        assert record["p_value"] == (1 + count) / 2001
 
 
 class TestCusumKnots:

@@ -1,6 +1,7 @@
 """Cumulative-sum residual processes and the multiplier resampling test."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from covtest import (
     build_design,
     cumulative_process,
     fit_ols,
+    fit_reml_random_intercept,
     generate_dataset,
     multiplier_null,
     multiplier_processes,
@@ -191,3 +193,31 @@ class TestCalibration:
             p = sup_test(cumulative_process(fit, ds.t), sups).p_value
             rejections += p < 0.05
         assert rejections / n_reps >= 0.5
+
+
+class TestMemory:
+    @pytest.mark.parametrize("clusters", [0, 500])
+    def test_large_n_blocks_stay_small(self, clusters):
+        """1000 resamples at n = 20 000 hold at most four 256 x n float64 blocks
+        at once (164 MB), whether the units are rows or 500 clusters."""
+        rng = np.random.default_rng(clusters)
+        n = 20_000
+        t = rng.uniform(0, 1, n)
+        S = rng.standard_normal((n, 2))
+        cluster = rng.integers(0, clusters, n) if clusters else None
+        y = S @ [1.0, -0.5] + t + 0.3 * rng.standard_normal(n)
+        if clusters:
+            y = y + rng.normal(0, 0.5, clusters)[cluster]
+        ds = Dataset(y=y, S=S, t=t, cluster=cluster)
+        design = build_design(ds, KnotSet(np.empty(0), 1))
+        fit = fit_reml_random_intercept(ds, design) if clusters else fit_ols(ds, design)
+        assert (fit.ratio > 0) == bool(clusters)
+        proj = reml_projection(fit, design.X)
+        tracemalloc.start()
+        try:
+            sups = multiplier_null(fit, proj, ds.t, 1000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(sups > 0.0)
+        assert peak < 4 * 256 * n * 8

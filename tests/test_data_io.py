@@ -99,6 +99,37 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.cluster, [0, 1, 0, 2])
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("y,t,s1\n1,0.1,2\n2,oops,3\n3,0.3\n",
+             "non-numeric value 'oops' in column 't' at data row 2"),
+            ("y,t,s1\n1,0.1,2\n2,0.2\n3,oops,3\n", "data row 2 has 2 cells, expected 3"),
+            ("y,t\n1,0.1\n2,0.2,9\n", "data row 2 has 3 cells, expected 2"),
+            ("s1,y,t\nbad,inf,0.1\n", "non-finite value 'inf' in column 'y' at data row 1"),
+            ("y,t\n1,0.1\n nan ,0.2\n", "non-finite value 'nan' in column 'y' at data row 2"),
+            ("y,t,s1\n1,0.1,-Infinity\n", "non-finite value '-Infinity' in column 's1' at data row 1"),
+            ("y,t\n1,\n", "non-numeric value '' in column 't' at data row 1"),
+        ],
+    )
+    def test_first_fault_in_row_major_order(self, tmp_path, text, message):
+        """Rows in file order; within a row, its length, then y, t and the
+        covariates, whatever their place in the header."""
+        path = write(tmp_path, text)
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_cells_are_stripped_before_parsing(self, tmp_path):
+        """Spaces, tabs and the separator characters str.strip removes (but
+        float does not) surround a number; signs and exponents parse as float."""
+        path = write(tmp_path, "y,t,s1,g\n +1e3 ,\t0.5 ,\x1c-2.5e-3\x1c, a\n1,0.1,2,a \n")
+        ds = load_csv(path, ColumnMap(cluster="g"))
+        assert ds.y.tolist() == [1000.0, 1.0]
+        assert ds.t.tolist() == [0.5, 0.1]
+        assert ds.S.tolist() == [[-0.0025], [2.0]]
+        assert ds.cluster.tolist() == [0, 0]
+
 class TestDataset:
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="mismatch"):

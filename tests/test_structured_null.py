@@ -8,23 +8,28 @@ are evaluated at the fit's own variance ratio; that ratio is itself checked
 against the root of an extended-precision dense REML slope.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from covtest import (
     Dataset,
     build_design,
+    cumulative_process,
     fit_ols,
     fit_reml_random_intercept,
     multiplier_null,
+    multiplier_processes,
     reml_projection,
     score_statistic,
     smoother_kernel,
 )
+from covtest.rng import chunked_streams
 from covtest.spline_basis import KnotSet
 from oracles import (
-    DenseResidualMap,
     dense_fit,
+    dense_multiplier_processes,
     dense_projection,
     dense_score,
     intercept_covariance,
@@ -166,16 +171,39 @@ def test_score_moments_match_dense(kind):
 @pytest.mark.parametrize("kind", CASES)
 def test_cusum_sups_match_dense_residual_map(kind):
     ds, design, fit, proj = _pieces(kind)
-    dense = DenseResidualMap(fit.V, dense_projection(fit.V, design.X))
+    _, dense = dense_multiplier_processes(fit, design.X, ds.t, 300, seed=4)
     got = multiplier_null(fit, proj, ds.t, 300, seed=4)
-    want = multiplier_null(fit, dense, ds.t, 300, seed=4)
-    np.testing.assert_allclose(got, want, rtol=RTOL)
+    np.testing.assert_allclose(got, np.abs(dense).max(axis=1), rtol=RTOL)
+
+
+@pytest.mark.parametrize(
+    "kind, ordering", [("ols", "t"), ("clustered", "t"), ("clustered", "rounded t")]
+)
+def test_cusum_paths_match_dense_residual_map(kind, ordering):
+    """Every resampled path, at every jump, to 1e-12 of the paths' scale; the
+    rounded ordering ties rows, so a jump sums several of them."""
+    ds, design, fit, proj = _pieces(kind)
+    order_by = np.round(ds.t, 1) if ordering == "rounded t" else ds.t
+    points, paths = multiplier_processes(fit, proj, order_by, 300, seed=6)
+    want_points, want = dense_multiplier_processes(fit, design.X, order_by, 300, seed=6)
+    np.testing.assert_array_equal(points, want_points)
+    assert (points.size < ds.n) == (ordering == "rounded t")
+    assert np.abs(paths - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("kind", CASES)
 def test_residual_map_fixes_residuals_and_kills_design(kind):
+    """With every row in one unit, all rows share one multiplier, so each
+    resampled path is that multiplier times the partial sums of the mapped
+    contributions: the observed process for the residuals (a fixed point of
+    the map) and zero for a column of the design (which the map annihilates)."""
     ds, design, fit, proj = _pieces(kind)
-    mapped = proj.residual_map(np.vstack([fit.residuals, design.X.T]))
-    scale = np.abs(fit.residuals).max()
-    np.testing.assert_allclose(mapped[0], fit.residuals, atol=1e-10 * scale)
-    assert np.abs(mapped[1:]).max() <= 1e-10 * np.abs(design.X).max()
+    one_unit = replace(fit, cluster=np.zeros(ds.n, dtype=np.int64))
+    _, _, rng = next(chunked_streams(1, 5, 256))
+    multipliers = rng.standard_normal((5, 1))
+    _, paths = multiplier_processes(one_unit, proj, ds.t, 5, seed=1)
+    observed = cumulative_process(one_unit, ds.t).values
+    np.testing.assert_allclose(paths, multipliers * observed, atol=1e-10 * np.abs(paths).max())
+    for column in design.X.T:
+        _, paths = multiplier_processes(replace(one_unit, residuals=column), proj, ds.t, 5, seed=1)
+        assert np.abs(paths).max() <= 1e-10 * ds.n * np.abs(column).max()
