@@ -33,7 +33,7 @@ from .exact_lrt import (
     simulate_null_cached,
     spectral_decompose,
 )
-from .null_fit import fit_null, reml_projection
+from .null_fit import fit_null
 from .score_test import run_score_test
 from .sim_study import SimCell, SimConfig, SimReport, run_study
 from .spline_basis import NATURAL_SPLINE, PENALIZED_GRAM, KnotSet, build_design, place_knots
@@ -250,8 +250,7 @@ def _cmd_test(cfg: dict) -> int:
         )
     else:  # cusum: X = [S | A] does not depend on the knots, so place none
         design = build_design(dataset, KnotSet(np.empty(0), cfg["degree"]))
-        fit = fit_null(dataset, design)
-        proj = reml_projection(fit, design.X)
+        fit, proj = fit_null(dataset, design)
         ordering = dataset.t if cfg["ordering"] == "t" else fit.fitted
         process = cumulative_process(fit, ordering)
         sups = multiplier_null(fit, proj, ordering, cfg["resamples"], seed=(cfg["seed"], 2))

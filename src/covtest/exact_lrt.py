@@ -30,7 +30,7 @@ import numpy as np
 from .data_io import Dataset
 from .errors import ConfigError, DegenerateFitError, ModelError, NumericalError
 from .rng import SeedLike, chunked_streams
-from .spline_basis import DesignMatrices, require_full_rank
+from .spline_basis import DesignMatrices, checked_qr
 
 __all__ = [
     "SpectralCache",
@@ -171,24 +171,11 @@ def _eig_desc_clipped(gram: np.ndarray) -> np.ndarray:
     return eigs
 
 
-def _project_off(X: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Thin Q factor of X and each array with its part in col(X) removed.
-
-    Raises ModelError unless X has more rows than columns and full column
-    rank (judged from the diagonal of R).
-    """
-    n, p = X.shape
-    if n <= p:
-        raise ModelError(f"need n > {p} rows, got n = {n}")
-    Q, R = np.linalg.qr(X)
-    require_full_rank(R, n)
-    return Q, [a - Q @ (Q.T @ a) for a in arrays]
-
-
 def _residual_coordinates(X: np.ndarray, B: np.ndarray, Y: np.ndarray):
-    """Q of X, eigenvalues s^2 of B'P0B, and per column of Y (n x C) the
-    squared coordinates (U'y)^2 (C x K) and ||P0 y||^2 (C)."""
-    Q, (R, PB) = _project_off(X, Y, B)
+    """Q of X (see :func:`checked_qr`), eigenvalues s^2 of B'P0B, and per
+    column of Y (n x C) the squared coordinates (U'y)^2 (C x K) and ||P0 y||^2 (C)."""
+    Q, _ = checked_qr(X)
+    R, PB = (a - Q @ (Q.T @ a) for a in (Y, B))
     U, sv, _ = np.linalg.svd(PB, full_matrices=False)
     return Q, sv**2, (R.T @ U) ** 2, np.einsum("ij,ij->j", R, R)
 
@@ -198,7 +185,8 @@ def spectral_decompose(design: DesignMatrices) -> SpectralCache:
     X, B = design.X, design.B
     if B.shape[1] < 1:
         raise ConfigError("spectral decomposition needs at least one knot")
-    _, (PB,) = _project_off(X, B)
+    Q, _ = checked_qr(X)
+    PB = B - Q @ (Q.T @ B)
     return SpectralCache(
         proj_eigs=_eig_desc_clipped(B.T @ PB),
         raw_eigs=_eig_desc_clipped(B.T @ B),
@@ -296,10 +284,20 @@ def _grid_profile(
     return np.log1p(num, out=num), den
 
 
+def _kind_penalty(kind: str, values: np.ndarray, n_obs: int, n_resid: int,
+                  raw_eigs: np.ndarray, proj_eigs: np.ndarray) -> tuple[int, np.ndarray]:
+    """(mult, pen) of a statistic kind on the grid: its profile is mult * log(rss(0) /
+    rss(lam)) - pen(lam), with mult = n and B'B's eigenvalues for the LRT, n - p
+    and B'P0B's for the RLRT."""
+    mult, eigs = (n_obs, raw_eigs) if kind == "lrt" else (n_resid, proj_eigs)
+    return mult, np.log1p(np.outer(values, eigs)).sum(axis=1)
+
+
 class ProfileSolver:
     """Observed LRT/RLRT statistics for one spline basis B.
 
-    Holds B and the eigenvalues of B'B. A call costs one thin QR of X, one
+    Holds B and the eigenvalues of B'B, clipped as the null sampler's are
+    (see :func:`spectral_decompose`). A call costs one thin QR of X, one
     thin SVD of the projected basis P0B (n x K) and one G x K grid sweep,
     shared by every (kind, h) pair and every response column given with that
     X. A simulation study reuses the solver across replicates, where B is
@@ -309,7 +307,7 @@ class ProfileSolver:
 
     def __init__(self, B: np.ndarray):
         self.B = B
-        self.raw_eigs = np.clip(np.linalg.eigvalsh(B.T @ B), 0.0, None)
+        self.raw_eigs = _eig_desc_clipped(B.T @ B)
 
     def statistics(
         self,
@@ -328,13 +326,8 @@ class ProfileSolver:
         energy is the squared norm of y along the last h columns of Q, the
         term :func:`simulate_null` draws as chi-square(h).
         """
-        Y = np.asarray(y, dtype=float)
-        out = self._columns(Y.reshape(Y.shape[0], -1), X, grid, specs)
-        if Y.ndim == 1 and isinstance(out[0], DegenerateFitError):
-            raise out[0]
-        return out if Y.ndim == 2 else out[0]
-
-    def _columns(self, Y: np.ndarray, X: np.ndarray, grid: LambdaGrid, specs) -> list:
+        y = np.asarray(y, dtype=float)
+        Y = y.reshape(y.shape[0], -1)
         for kind, _ in specs:
             if kind not in ("lrt", "rlrt"):
                 raise ConfigError(f"unknown statistic kind {kind!r}")
@@ -348,8 +341,8 @@ class ProfileSolver:
         )
         sweeps = []
         for kind, h in specs:
-            mult, pen_eigs = (n, self.raw_eigs) if kind == "lrt" else (n - p, proj)
-            path = mult * ratio - np.log1p(np.outer(values, pen_eigs)).sum(axis=1)[None, :]
+            mult, pen = _kind_penalty(kind, values, n, n - p, self.raw_eigs, proj)
+            path = mult * ratio - pen[None, :]
             extra = ((Q[:, p - h:].T @ Y) ** 2).sum(axis=0) if kind == "lrt" else np.zeros_like(rss0)
             sweeps.append((kind, h, mult, path, path.argmax(axis=1), extra))
         out: list = []
@@ -379,7 +372,9 @@ class ProfileSolver:
                     )
                 )
             out.append(results)
-        return out
+        if y.ndim == 1 and isinstance(out[0], DegenerateFitError):
+            raise out[0]
+        return out if y.ndim == 2 else out[0]
 
 
 def _check_h(kind: str, h: int, degree: int) -> None:
@@ -409,9 +404,10 @@ def observed_statistic(
     at 0 (the supremum includes the null itself).
     """
     _check_h(kind, h, design.degree)
+    solver = ProfileSolver(design.B)
     if grid is None:
-        grid = default_lambda_grid(_eig_desc_clipped(design.B.T @ design.B))
-    return ProfileSolver(design.B).statistics(dataset.y, design.X, grid, [(kind, h)])[0]
+        grid = default_lambda_grid(solver.raw_eigs)
+    return solver.statistics(dataset.y, design.X, grid, [(kind, h)])[0]
 
 
 def simulate_null(
@@ -443,9 +439,9 @@ def simulate_null(
             f"must exceed the knot count {cache.n_knots}"
         )
     values = grid.values
-    pen_eigs, mult = ((cache.raw_eigs, cache.n_obs) if kind == "lrt"
-                      else (cache.proj_eigs, cache.complement_dim))
-    pen = np.log1p(np.outer(values, pen_eigs)).sum(axis=1)
+    mult, pen = _kind_penalty(
+        kind, values, cache.n_obs, cache.complement_dim, cache.raw_eigs, cache.proj_eigs
+    )
     weights = _grid_weights(values, cache.proj_eigs)
     work = np.empty((2, min(n_sims, _SIM_CHUNK), values.size))  # reused by every chunk
     samples = np.empty(n_sims)

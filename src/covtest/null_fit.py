@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import Dataset
-from .errors import ConfigError, DegenerateFitError, ModelError, NumericalError
-from .spline_basis import DesignMatrices
+from .errors import ConfigError, DegenerateFitError, NumericalError
+from .spline_basis import DesignMatrices, checked_qr
 
 __all__ = [
     "NullFit",
@@ -148,17 +148,18 @@ def fit_ols(dataset: Dataset, design: DesignMatrices) -> NullFit:
     estimate for p fixed effects. A perfect fit is rejected: every downstream
     statistic divides by the residual variance.
     """
-    X = _null_design(dataset, design)
-    beta, *_ = np.linalg.lstsq(X, dataset.y, rcond=None)
-    return _null_fit(dataset, X, beta, "ols")
+    (fit,) = fit_ols_columns([dataset], design)[1]
+    if isinstance(fit, DegenerateFitError):
+        raise fit
+    return fit
 
 
-def fit_null(dataset: Dataset, design: DesignMatrices) -> NullFit:
-    """The null fit the score and cusum tests use: the random-intercept REML
-    fit when the data have two or more clusters, OLS otherwise."""
-    if dataset.cluster is not None and dataset.n_units >= 2:
-        return fit_reml_random_intercept(dataset, design)
-    return fit_ols(dataset, design)
+def fit_null(dataset: Dataset, design: DesignMatrices) -> tuple[NullFit, RemlProjection]:
+    """The null fit the score and cusum tests use, and its projection: the
+    random-intercept REML fit when the data have two or more clusters, else OLS."""
+    reml = dataset.cluster is not None and dataset.n_units >= 2
+    fit = (fit_reml_random_intercept if reml else fit_ols)(dataset, design)
+    return fit, reml_projection(fit, design.X)
 
 
 def _null_fit(
@@ -191,11 +192,14 @@ def fit_ols_columns(datasets: list[Dataset], design: DesignMatrices):
     """OLS fits of responses that share one design, from one thin QR of X.
 
     Returns the projection at unit error variance and, per dataset, the fit
-    :func:`fit_ols` gives (to rounding) or, for a numerically perfect fit, the
-    error it raises.
+    :func:`fit_ols` returns or, for a numerically perfect fit, the error it
+    raises.
     """
-    X = _null_design(datasets[0], design)
-    Q, R = np.linalg.qr(X)
+    X = design.X
+    n = X.shape[0]
+    if n != datasets[0].n:
+        raise ConfigError(f"design has {n} rows but dataset has {datasets[0].n}")
+    Q, R = checked_qr(X)
     betas = np.linalg.solve(R, Q.T @ np.column_stack([dataset.y for dataset in datasets]))
     fits: list = []
     for dataset, beta in zip(datasets, betas.T):
@@ -203,18 +207,7 @@ def fit_ols_columns(datasets: list[Dataset], design: DesignMatrices):
             fits.append(_null_fit(dataset, X, beta, "ols"))
         except DegenerateFitError as exc:
             fits.append(exc)
-    n = X.shape[0]
     return RemlProjection(1.0, 0.0, np.arange(n), np.ones(n, dtype=np.int64), X, Q, R), fits
-
-
-def _null_design(dataset: Dataset, design: DesignMatrices) -> np.ndarray:
-    """design.X, once the arguments both null fits take are checked."""
-    n, p_fixed = design.X.shape
-    if n != dataset.n:
-        raise ConfigError(f"design has {n} rows but dataset has {dataset.n}")
-    if n <= p_fixed:
-        raise ModelError(f"need n > {p_fixed} rows to fit {p_fixed} coefficients, got n = {n}")
-    return design.X
 
 
 def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullFit:
@@ -234,17 +227,17 @@ def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullF
     """
     if dataset.cluster is None:
         raise ConfigError("random-intercept fit requires cluster labels")
-    X = _null_design(dataset, design)
-    y = dataset.y
-    n, p_fixed = X.shape
     cluster = dataset.cluster
     n_clusters = int(cluster.max()) + 1
     if n_clusters < 2:
         raise ConfigError(f"random-intercept fit needs >= 2 clusters, got {n_clusters}")
+    (ols,) = fit_ols_columns([dataset], design)[1]
+    if isinstance(ols, DegenerateFitError):
+        raise ols
+    X, beta_ols, e = design.X, ols.beta, ols.residuals
+    n, p_fixed = X.shape
 
     sizes = np.bincount(cluster, minlength=n_clusters)
-    beta_ols, *_ = np.linalg.lstsq(X, y, rcond=None)
-    e = y - X @ beta_ols
     sum_x = _cluster_sums(X, cluster, sizes)
     sum_e = _cluster_sums(e, cluster, sizes)
     xtx, xte, ete = X.T @ X, X.T @ e, float(e @ e)

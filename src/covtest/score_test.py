@@ -22,7 +22,7 @@ import numpy as np
 
 from .data_io import Dataset
 from .errors import ConfigError, CovtestError, DegenerateTestError, NumericalError
-from .null_fit import NullFit, RemlProjection, fit_null, reml_projection
+from .null_fit import NullFit, RemlProjection, fit_null
 from .spline_basis import (
     NATURAL_SPLINE,
     PENALIZED_GRAM,
@@ -225,7 +225,6 @@ def run_score_test(
     if kernel_kind == PENALIZED_GRAM and knots is None:
         knots = place_knots(dataset.t, n_knots, degree)
     design = build_design(dataset, knots if knots is not None else KnotSet(np.empty(0), degree))
-    fit = fit_null(dataset, design)
-    proj = reml_projection(fit, design.X)
+    fit, proj = fit_null(dataset, design)
     kern = smoother_kernel(dataset.t, degree, kernel_kind, knots)
     return score_statistic(fit, proj, kern)

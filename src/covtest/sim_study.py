@@ -29,7 +29,7 @@ from .exact_lrt import (
     simulate_null_cached,
     spectral_decompose,
 )
-from .null_fit import fit_ols, fit_ols_columns, reml_projection
+from .null_fit import fit_ols_columns
 from .score_test import score_statistics
 from .cusum_test import cumulative_process, multiplier_null, sup_test
 from .spline_basis import NATURAL_SPLINE, build_design, place_knots, smoother_kernel
@@ -122,8 +122,12 @@ class SimConfig:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
         if not self.c_values:
             raise ConfigError("c_values needs at least one departure level")
-        if any(s <= 0 for s in self.sigma_values):
-            raise ConfigError("all sigma values must be > 0")
+        if not all(math.isfinite(c) for c in self.c_values):
+            raise ConfigError(f"departure levels must be finite, got {list(self.c_values)}")
+        if not all(math.isfinite(s) and s > 0 for s in self.sigma_values):
+            raise ConfigError(f"sigma values must be finite and > 0, got {list(self.sigma_values)}")
+        if "cusum" in self.tests and self.cusum_resamples < 1:
+            raise ConfigError(f"cusum_resamples must be >= 1, got {self.cusum_resamples}")
         if not all(0.0 < a < 1.0 for a in self.levels):
             raise ConfigError(f"nominal levels must lie in (0, 1), got {list(self.levels)}")
         unknown = [t for t in self.tests if t not in KNOWN_TESTS]
@@ -250,13 +254,15 @@ def _run_replicate(config: SimConfig, m: int, sigma: float, fixtures: dict, rep:
 
     One draw gives every c, which share S and t, so X and B are built once per
     degree. Each LRT group makes one ProfileSolver call on the responses of all
-    c and one p-value lookup per variant; the score test fits and scores all c
-    from one QR of X and one kernel application; cusum fits each c on its own.
+    c and one p-value lookup per variant. Score and cusum share the OLS fits of
+    all c from one QR of X and its unit-variance projection, which the score
+    rescales per fit and the resampled cusum sups do not depend on.
     """
     tests, n_c = config.tests, len(config.c_values)
     datasets = generate_dataset(m, sigma, config.c_values, (config.seed, rep), config.s_scale_as_sd)
     groups = fixtures["lrt_groups"]
-    need_degrees = set(groups) | ({1} if {"score", "cusum"} & set(tests) else set())
+    ols_tests = {"score", "cusum"} & set(tests)
+    need_degrees = set(groups) | ({1} if ols_tests else set())
     designs = {d: build_design(datasets[0], fixtures[("knots", d)]) for d in sorted(need_degrees)}
     Y = np.column_stack([dataset.y for dataset in datasets])
     pvals: dict[int, list] = {}  # test index -> per c, a p-value or the error that failed it
@@ -271,24 +277,27 @@ def _run_replicate(config: SimConfig, m: int, sigma: float, fixtures: dict, rep:
         for j, (ti, name, _, _) in enumerate(members):
             found = iter(p_value(np.array([r[j].statistic for r in ok]), fixtures[("null", name)]))
             pvals[ti] = [r if isinstance(r, CovtestError) else next(found) for r in per_c]
+    if ols_tests:
+        try:
+            proj, fits = fit_ols_columns(datasets, designs[1])
+        except CovtestError as exc:  # the shared X failed: every c fails
+            proj, fits = None, [exc] * n_c
     for ti, name in enumerate(tests):
         if name == "score":
             try:
-                proj, fits = fit_ols_columns(datasets, designs[1])
-                scores = score_statistics(fits, proj, fixtures["kernel"])
-                pvals[ti] = [r if isinstance(r, CovtestError) else r.p_value for r in scores]
+                scores = fits if proj is None else score_statistics(fits, proj, fixtures["kernel"])
             except CovtestError as exc:
-                pvals[ti] = [exc] * n_c
-        elif name == "cusum":
-            pvals[ti] = []
-            for dataset in datasets:
-                try:
-                    fit = fit_ols(dataset, designs[1])
-                    sups = multiplier_null(fit, reml_projection(fit, designs[1].X), dataset.t,
-                                           config.cusum_resamples, seed=(config.seed, rep, 3))
-                    pvals[ti].append(sup_test(cumulative_process(fit, dataset.t), sups).p_value)
-                except CovtestError as exc:
-                    pvals[ti].append(exc)
+                scores = [exc] * n_c
+            pvals[ti] = [r if isinstance(r, CovtestError) else r.p_value for r in scores]
+        elif name == "cusum":  # SimConfig checks cusum_resamples, so only a fit can fail
+            pvals[ti] = [
+                fit if isinstance(fit, CovtestError) else sup_test(
+                    cumulative_process(fit, dataset.t),
+                    multiplier_null(fit, proj, dataset.t, config.cusum_resamples,
+                                    seed=(config.seed, rep, 3)),
+                ).p_value
+                for dataset, fit in zip(datasets, fits)
+            ]
     out = np.zeros((len(tests), n_c, len(config.levels)), dtype=bool)
     fail = np.zeros((len(tests), n_c), dtype=bool)
     messages = []

@@ -27,6 +27,7 @@ __all__ = [
     "place_knots",
     "truncated_power",
     "build_design",
+    "checked_qr",
     "smoother_kernel",
 ]
 
@@ -211,25 +212,25 @@ def truncated_power(x, knot: float, degree: int):
     return out if out.ndim else float(out)
 
 
-def _poly_basis(t: np.ndarray, degree: int) -> np.ndarray:
-    return np.vander(t, degree + 1, increasing=True)
-
-
 def _trunc_basis(t: np.ndarray, knots: KnotSet) -> np.ndarray:
     return truncated_power(t[:, None], knots.knots[None, :], knots.degree)
 
 
-def require_full_rank(R: np.ndarray, n_rows: int) -> None:
-    """Raise ModelError unless R, the triangular factor of an n_rows x p
-    fixed-effects design, shows full column rank: every |R_jj| must exceed
-    max(n, p) * eps * max |R_jj|."""
+def checked_qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of an n x p fixed-effects design, the one factorisation every
+    least-squares step takes. Raises ModelError unless n > p and X has full
+    column rank: every |R_jj| must exceed n * eps * max |R_jj|."""
+    n, p = X.shape
+    if n <= p:
+        raise ModelError(f"need n > {p} rows to fit {p} coefficients, got n = {n}")
+    Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
-    tol = max(n_rows, R.shape[1]) * np.finfo(float).eps * diag.max()
+    tol = n * np.finfo(float).eps * diag.max()
     if diag.min() <= tol:
         raise ModelError(
-            f"fixed-effects design is rank deficient ({R.shape[1]} columns, "
-            f"rank {int((diag > tol).sum())})"
+            f"fixed-effects design is rank deficient ({p} columns, rank {int((diag > tol).sum())})"
         )
+    return Q, R
 
 
 def build_design(dataset: Dataset, knots: KnotSet) -> DesignMatrices:
@@ -239,12 +240,13 @@ def build_design(dataset: Dataset, knots: KnotSet) -> DesignMatrices:
     degree >= 1).
     """
     t = dataset.t
-    A = _poly_basis(t, knots.degree)
+    A = np.vander(t, knots.degree + 1, increasing=True)
     B = _trunc_basis(t, knots)
     X = np.hstack([dataset.S, A]) if dataset.p else A
-    # A fat matrix (n < columns) cannot have full column rank; fitting guards n.
-    if X.shape[0] >= X.shape[1]:
-        require_full_rank(np.linalg.qr(X, mode="r"), X.shape[0])
+    # A design with no more rows than columns is left to the fits, which
+    # reject it by its row count; a study replicate then fails per test.
+    if X.shape[0] > X.shape[1]:
+        checked_qr(X)
     return DesignMatrices(A=A, B=B, X=X, knots=knots, t=np.asarray(t, dtype=float))
 
 

@@ -257,6 +257,19 @@ class TestSimulateCommand:
         assert list(cache.glob("null_*.npz"))
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--tests", "cusum", "--resamples", "0"],
+        ["--sigma", "nan"],
+        ["--sigma", "inf"],
+        ["--c", "nan"],
+    ], ids=["no-resamples", "sigma-nan", "sigma-inf", "c-nan"])
+    def test_invalid_study_value_is_config_error(self, tmp_path, capsys, flags):
+        args = ["simulate", "--m", 30, "--sigma", "0.25", "--c", "0", "--runs", 3,
+                "--tests", "score", "--out", tmp_path / "sim"]
+        assert run(args + flags) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+
 class TestNullSimCommand:
     def test_writes_cache_and_summary(self, null_csv, tmp_path, monkeypatch):
         cache = tmp_path / "cachedir"

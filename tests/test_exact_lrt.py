@@ -146,6 +146,19 @@ class TestSpectralDecompose:
         assert np.all(cache.proj_eigs <= cache.raw_eigs + 1e-9)
         assert cache.complement_dim == 40 - 1 - 2 - 1
 
+    def test_solver_penalty_eigenvalues_are_the_samplers(self, rng):
+        """The observed LRT penalty uses the eigenvalues of B'B the null
+        sampler uses, bit for bit: descending, with the same clipping of a
+        near-zero eigenvalue (here from two almost equal basis columns)."""
+        _, design = make_design(40, 1, 1, 6, seed=9)
+        Q, _ = np.linalg.qr(rng.standard_normal((20, 4)))
+        b = rng.standard_normal(20)
+        near = synthetic_design(Q[:, :2], np.column_stack([b, b + 1e-9 * Q[:, 2], Q[:, 3]]), 1)
+        for d in (design, near):
+            raw = spectral_decompose(d).raw_eigs
+            np.testing.assert_array_equal(ProfileSolver(d.B).raw_eigs, raw)
+        assert raw[-1] == 0.0
+
 
 class TestProfileTerms:
     def cache_one(self):

@@ -11,6 +11,7 @@ from covtest import (
     ConfigError,
     Dataset,
     DegenerateFitError,
+    ModelError,
     NumericalError,
     build_design,
     fit_ols,
@@ -18,8 +19,8 @@ from covtest import (
     place_knots,
     reml_projection,
 )
-from covtest.null_fit import NullFit
-from covtest.spline_basis import KnotSet
+from covtest.null_fit import NullFit, fit_ols_columns
+from covtest.spline_basis import DesignMatrices, KnotSet
 from oracles import reml_slope_terms, restricted_loglik
 
 
@@ -65,6 +66,26 @@ class TestFitOls:
         ds = Dataset(y=[1.0, 2.0], S=np.empty((2, 0)), t=[0.0, 1.0])
         with pytest.raises(Exception, match="n >"):
             fit_ols(ds, design_for(ds, degree=1))
+
+    def test_is_the_one_column_case_of_fit_ols_columns(self, rng):
+        ds = Dataset(y=rng.standard_normal(25), S=rng.standard_normal((25, 2)),
+                     t=np.linspace(0, 1, 25))
+        design = design_for(ds)
+        fit, column = fit_ols(ds, design), fit_ols_columns([ds], design)[1][0]
+        for name in ("beta", "fitted", "residuals"):
+            np.testing.assert_array_equal(getattr(fit, name), getattr(column, name))
+        assert fit.sigma2_eps == column.sigma2_eps
+
+    def test_rank_deficient_design_rejected(self, rng):
+        """A hand-built design that skipped build_design's check: the fit
+        refuses it rather than return a minimum-norm solution."""
+        t = np.linspace(0, 1, 12)
+        A = np.column_stack([np.ones(12), t])
+        X = np.column_stack([2.0 * t, A])  # the covariate duplicates t
+        ds = Dataset(y=rng.standard_normal(12), S=X[:, :1], t=t)
+        design = DesignMatrices(A=A, B=np.empty((12, 0)), X=X, knots=KnotSet(np.empty(0), 1), t=t)
+        with pytest.raises(ModelError, match=r"rank deficient \(3 columns, rank 2\)"):
+            fit_ols(ds, design)
 
 
 def clustered_dataset(n_clusters=6, size=5, shift=2.0, noise=0.5, seed=0, p=1):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +199,29 @@ class TestRunStudy:
         serial = run_study(tiny_config(**cfg, threads=1))
         threaded = run_study(tiny_config(**cfg, threads=3))
         assert serial.to_csv() == threaded.to_csv()
+
+    def test_score_and_cusum_share_one_ols_fit_per_replicate(self, monkeypatch):
+        """Each replicate fits all its departure levels with one fit_ols_columns
+        call, which both score and cusum use; neither refits per level."""
+        import covtest.null_fit as null_fit
+        import covtest.sim_study as sim_study
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import tracer
+
+        config = tiny_config(tests=("score", "cusum"), n_runs=3, c_values=(0, 2, 4))
+        spans = tracer.Tracer()
+        spans.install()
+        monkeypatch.setattr(sim_study, "fit_ols_columns",
+                            spans.wrap("null_fit.fit_ols_columns", null_fit.fit_ols_columns))
+        try:
+            run_study(config)
+        finally:
+            spans.restore()
+        names = [span.name for span in spans.spans]
+        assert names.count("null_fit.fit_ols_columns") == config.n_runs
+        assert names.count("cusum_test.multiplier_null") == config.n_runs * len(config.c_values)
+        assert "null_fit.fit_ols" not in names and "null_fit.reml_projection" not in names
 
     def test_empty_departure_levels_rejected(self):
         with pytest.raises(ConfigError, match="departure level"):
