@@ -161,6 +161,8 @@ def _grid_for(cfg: dict, cache):
 
 def _lrt_null(cfg: dict, dataset: Dataset):
     """Design, lambda grid and (cached) simulated null of an LRT/RLRT run."""
+    if cfg["knots"] == 0:  # before the design, whose rank check would answer first
+        raise ConfigError("spectral decomposition needs at least one knot")
     design = build_design(dataset, place_knots(dataset.t, cfg["knots"], cfg["degree"]))
     cache = spectral_decompose(design)
     grid = _grid_for(cfg, cache)

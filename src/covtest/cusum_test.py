@@ -121,6 +121,7 @@ def _resampled_blocks(
             g -= coef @ x_cum
             g /= math.sqrt(n_units)
             yield start, stop, g
+            del g  # with the caller's reference gone, this block is freed before the next draw
 
     return points, blocks()
 
@@ -137,6 +138,7 @@ def multiplier_null(
     sups = np.empty(n_resamples)
     for start, stop, processes in blocks:
         sups[start:stop] = np.abs(processes, out=processes).max(axis=1)
+        del processes
     return sups
 
 

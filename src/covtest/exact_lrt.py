@@ -30,7 +30,7 @@ import numpy as np
 from .data_io import Dataset
 from .errors import ConfigError, DegenerateFitError, ModelError, NumericalError
 from .rng import SeedLike, chunked_streams
-from .spline_basis import DesignMatrices, checked_qr
+from .spline_basis import DesignMatrices, stacked_qr
 
 __all__ = [
     "SpectralCache",
@@ -171,13 +171,14 @@ def _eig_desc_clipped(gram: np.ndarray) -> np.ndarray:
     return eigs
 
 
-def _residual_coordinates(X: np.ndarray, B: np.ndarray, Y: np.ndarray):
-    """Q of X (see :func:`checked_qr`), eigenvalues s^2 of B'P0B, and per
-    column of Y (n x C) the squared coordinates (U'y)^2 (C x K) and ||P0 y||^2 (C)."""
-    Q, _ = checked_qr(X)
-    R, PB = (a - Q @ (Q.T @ a) for a in (Y, B))
+def _residual_coordinates(Q: np.ndarray, B: np.ndarray, Y: np.ndarray):
+    """For Q the orthonormal QR factor of X (n x p), the eigenvalues s^2 of
+    B'P0B and, per column of Y (n x C), the squared coordinates (U'y)^2
+    (C x K) and ||P0 y||^2 (C). A stack of Q and Y (leading axis R) gives a
+    stack of each, every slice bit for bit its own call's."""
+    R, PB = (a - Q @ (Q.swapaxes(-1, -2) @ a) for a in (Y, B))
     U, sv, _ = np.linalg.svd(PB, full_matrices=False)
-    return Q, sv**2, (R.T @ U) ** 2, np.einsum("ij,ij->j", R, R)
+    return sv**2, (R.swapaxes(-1, -2) @ U) ** 2, np.einsum("...ij,...ij->...j", R, R)
 
 
 def spectral_decompose(design: DesignMatrices) -> SpectralCache:
@@ -185,7 +186,7 @@ def spectral_decompose(design: DesignMatrices) -> SpectralCache:
     X, B = design.X, design.B
     if B.shape[1] < 1:
         raise ConfigError("spectral decomposition needs at least one knot")
-    Q, _ = checked_qr(X)
+    Q, _ = design.factors()
     PB = B - Q @ (Q.T @ B)
     return SpectralCache(
         proj_eigs=_eig_desc_clipped(B.T @ PB),
@@ -205,7 +206,7 @@ def spectral_coordinates(design: DesignMatrices, y: np.ndarray) -> tuple[np.ndar
     :func:`profile_terms` reproduces the dense profiled likelihood exactly.
     """
     y = np.asarray(y, dtype=float)[:, None]
-    _, _, (head,), (rss0,) = _residual_coordinates(design.X, design.B, y)
+    _, (head,), (rss0,) = _residual_coordinates(design.factors()[0], design.B, y)
     return head, float(max(rss0 - head.sum(), 0.0))
 
 
@@ -254,9 +255,12 @@ def profile_terms(
 
 def _grid_weights(values: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K x G weights of the spline coordinates in the profile's numerator
-    (``lam * proj / (1 + lam * proj)``) and denominator (``1 / (1 + lam * proj)``)."""
-    shrink = 1.0 + np.outer(values, proj)                  # G x K
-    return ((values[:, None] * proj[None, :]) / shrink).T, (1.0 / shrink).T
+    (``lam * proj / (1 + lam * proj)``) and denominator (``1 / (1 + lam * proj)``);
+    R x K x G for a stack of R eigenvalue vectors (R x K)."""
+    scaled = values[:, None] * proj[..., None, :]          # (R x) G x K
+    shrink = 1.0 + scaled
+    num, den = np.divide(scaled, shrink, out=scaled), np.divide(1.0, shrink, out=shrink)
+    return num.swapaxes(-1, -2), den.swapaxes(-1, -2)
 
 
 def _grid_profile(
@@ -270,7 +274,8 @@ def _grid_profile(
     ``weights`` come from :func:`_grid_weights`; ``coord_sq`` (rows x K)
     holds squared coordinates along the spline directions and ``tail``
     (rows) the residual energy in the remaining directions. Returns
-    ``log(rss(0) / rss(lam))`` and ``rss(lam)``, both rows x G. A statistic
+    ``log(rss(0) / rss(lam))`` and ``rss(lam)``, both rows x G; stacks of
+    weights, coordinates and tails (leading axis R) give stacks. A statistic
     kind scales the first by its ``mult`` and subtracts its penalty
     ``sum(log(1 + lam * pen_eigs))``. Given ``out`` (2 x >= rows x G), both
     results are written into its leading rows and returned as views of it.
@@ -279,7 +284,7 @@ def _grid_profile(
     num, den = (None, None) if out is None else (out[0, :rows], out[1, :rows])
     num = np.matmul(coord_sq, weights[0], out=num)         # rows x G
     den = np.matmul(coord_sq, weights[1], out=den)
-    den += tail[:, None]
+    den += tail[..., None]
     num /= den
     return np.log1p(num, out=num), den
 
@@ -288,9 +293,9 @@ def _kind_penalty(kind: str, values: np.ndarray, n_obs: int, n_resid: int,
                   raw_eigs: np.ndarray, proj_eigs: np.ndarray) -> tuple[int, np.ndarray]:
     """(mult, pen) of a statistic kind on the grid: its profile is mult * log(rss(0) /
     rss(lam)) - pen(lam), with mult = n and B'B's eigenvalues for the LRT, n - p
-    and B'P0B's for the RLRT."""
+    and B'P0B's for the RLRT; pen is R x G for a stack of B'P0B eigenvalues (R x K)."""
     mult, eigs = (n_obs, raw_eigs) if kind == "lrt" else (n_resid, proj_eigs)
-    return mult, np.log1p(np.outer(values, eigs)).sum(axis=1)
+    return mult, np.log1p(values[:, None] * eigs[..., None, :]).sum(axis=-1)
 
 
 class ProfileSolver:
@@ -301,8 +306,8 @@ class ProfileSolver:
     thin SVD of the projected basis P0B (n x K) and one G x K grid sweep,
     shared by every (kind, h) pair and every response column given with that
     X. A simulation study reuses the solver across replicates, where B is
-    fixed, and passes the departure levels of a replicate, which share X, as
-    the columns of one response matrix.
+    fixed, and passes a block of replicates as one stack: the departure
+    levels of a replicate share X and are the columns of its response matrix.
     """
 
     def __init__(self, B: np.ndarray):
@@ -315,66 +320,81 @@ class ProfileSolver:
         X: np.ndarray,
         grid: LambdaGrid,
         specs: list[tuple[str, int]],
+        qr: tuple | None = None,
     ) -> list:
         """Observed statistics for several (kind, h) pairs from one decomposition.
 
         A vector y (n,) gives ``list[TestResult]`` in ``specs`` order; a
         matrix Y (n x C) gives one such list per column, with the
         DegenerateFitError the vector form raises in place of the list of a
-        column whose null fit is numerically perfect. For the LRT with h > 0
-        the null also drops the last h columns of X; the extra residual
-        energy is the squared norm of y along the last h columns of Q, the
-        term :func:`simulate_null` draws as chi-square(h).
+        column whose null fit is numerically perfect. A stack Y (R x n x C)
+        with X (R x n x p) gives per replicate what the matrix form gives for
+        its slices, or the ModelError that rejects its X; each slice's results
+        are bit for bit those of its own call. ``qr`` saves the QR of X when
+        the caller has it: :func:`checked_qr` of a matrix X or
+        :func:`stacked_qr` of a stack. For the LRT with h > 0 the null also
+        drops the last h columns of X; the extra residual energy is the
+        squared norm of y along the last h columns of Q, the term
+        :func:`simulate_null` draws as chi-square(h).
         """
         y = np.asarray(y, dtype=float)
-        Y = y.reshape(y.shape[0], -1)
         for kind, _ in specs:
             if kind not in ("lrt", "rlrt"):
                 raise ConfigError(f"unknown statistic kind {kind!r}")
-        values, grid_sha = grid.values, grid.sha
-        n, p = X.shape
-        Q, proj, head, rss0 = _residual_coordinates(X, self.B, Y)
-        ok = rss0 > _PERFECT_REL * np.einsum("ij,ij->j", Y, Y)
-        Y, head, rss0 = Y[:, ok], head[ok], rss0[ok]
-        ratio, den = _grid_profile(
-            _grid_weights(values, proj), head, np.maximum(rss0 - head.sum(axis=1), 0.0)
-        )
-        sweeps = []
-        for kind, h in specs:
-            mult, pen = _kind_penalty(kind, values, n, n - p, self.raw_eigs, proj)
-            path = mult * ratio - pen[None, :]
-            extra = ((Q[:, p - h:].T @ Y) ** 2).sum(axis=0) if kind == "lrt" else np.zeros_like(rss0)
-            sweeps.append((kind, h, mult, path, path.argmax(axis=1), extra))
-        out: list = []
-        for usable, row in zip(ok, np.cumsum(ok) - 1):  # row: the column's row in the sweep
-            if not usable:
-                out.append(DegenerateFitError("null fit is numerically perfect; statistic undefined"))
-                continue
-            results = []
-            for kind, h, mult, path, best, extra in sweeps:
-                k = int(best[row])
-                raw = float(path[row, k]) + n * math.log1p(float(extra[row]) / float(rss0[row]))
-                lam_hat = float(values[k])
-                sigma2 = float(den[row, k]) / mult
-                results.append(
-                    TestResult(
-                        method=kind,
-                        statistic=max(raw, 0.0),
-                        lambda_hat=lam_hat,
-                        nuisance={
-                            "sigma2_eps": sigma2,
-                            "sigma2_spline": lam_hat * sigma2,
-                            "rss_null": float(rss0[row] + extra[row]),
-                            "h": h,
-                            "grid_sha": grid_sha,
-                        },
-                        clamped=raw < 0.0,
+        stacked = y.ndim == 3
+        Y = y if stacked else y.reshape(1, y.shape[0], -1)
+        if qr is None:
+            Q, _, errors = stacked_qr(X if stacked else X[None])
+        else:
+            Q, errors = (qr[0], qr[2]) if stacked else (qr[0][None], [None])
+        n, p = X.shape[-2:]
+        perfect = DegenerateFitError("null fit is numerically perfect; statistic undefined")
+        # Per replicate: its X's error, else per column the results or `perfect`.
+        out: list = [[perfect] * Y.shape[2] if error is None else error for error in errors]
+        if Q is not None:
+            values, grid_sha = grid.values, grid.sha
+            proj, head, rss0 = _residual_coordinates(Q, self.B, Y)
+            usable = rss0 > _PERFECT_REL * np.einsum("...ij,...ij->...j", Y, Y)
+            usable &= np.array([error is None for error in errors])[:, None]
+            # An unusable cell sweeps a unit tail, so no division is by zero.
+            tail = np.where(usable, np.maximum(rss0 - head.sum(axis=-1), 0.0), 1.0)
+            ratio, den = _grid_profile(_grid_weights(values, proj), head, tail)
+            sweeps = []
+            for kind, h in specs:
+                mult, pen = _kind_penalty(kind, values, n, n - p, self.raw_eigs, proj)
+                path = mult * ratio - pen[..., None, :]
+                extra = (((Q[..., p - h:].swapaxes(-1, -2) @ Y) ** 2).sum(axis=-2)
+                         if kind == "lrt" else np.zeros_like(rss0))
+                sweeps.append((kind, h, mult, path, path.argmax(axis=-1), extra))
+            for r, c in zip(*np.nonzero(usable)):
+                results = out[r][c] = []
+                for kind, h, mult, path, best, extra in sweeps:
+                    k = int(best[r, c])
+                    raw = float(path[r, c, k]) + n * math.log1p(float(extra[r, c]) / float(rss0[r, c]))
+                    lam_hat = float(values[k])
+                    sigma2 = float(den[r, c, k]) / mult
+                    results.append(
+                        TestResult(
+                            method=kind,
+                            statistic=max(raw, 0.0),
+                            lambda_hat=lam_hat,
+                            nuisance={
+                                "sigma2_eps": sigma2,
+                                "sigma2_spline": lam_hat * sigma2,
+                                "rss_null": float(rss0[r, c] + extra[r, c]),
+                                "h": h,
+                                "grid_sha": grid_sha,
+                            },
+                            clamped=raw < 0.0,
+                        )
                     )
-                )
-            out.append(results)
-        if y.ndim == 1 and isinstance(out[0], DegenerateFitError):
+        if stacked:
+            return out
+        if isinstance(out[0], ModelError):
             raise out[0]
-        return out if y.ndim == 2 else out[0]
+        if y.ndim == 1 and out[0][0] is perfect:
+            raise perfect
+        return out[0] if y.ndim == 2 else out[0][0]
 
 
 def _check_h(kind: str, h: int, degree: int) -> None:
@@ -407,7 +427,7 @@ def observed_statistic(
     solver = ProfileSolver(design.B)
     if grid is None:
         grid = default_lambda_grid(solver.raw_eigs)
-    return solver.statistics(dataset.y, design.X, grid, [(kind, h)])[0]
+    return solver.statistics(dataset.y, design.X, grid, [(kind, h)], design.factors())[0]
 
 
 def simulate_null(

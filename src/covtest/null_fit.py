@@ -17,7 +17,7 @@ import numpy as np
 
 from .data_io import Dataset
 from .errors import ConfigError, DegenerateFitError, NumericalError
-from .spline_basis import DesignMatrices, checked_qr
+from .spline_basis import DesignMatrices
 
 __all__ = [
     "NullFit",
@@ -189,7 +189,8 @@ def _null_fit(
 
 
 def fit_ols_columns(datasets: list[Dataset], design: DesignMatrices):
-    """OLS fits of responses that share one design, from one thin QR of X.
+    """OLS fits of responses that share one design, from the design's checked
+    thin QR of X (see :meth:`DesignMatrices.factors`).
 
     Returns the projection at unit error variance and, per dataset, the fit
     :func:`fit_ols` returns or, for a numerically perfect fit, the error it
@@ -199,7 +200,7 @@ def fit_ols_columns(datasets: list[Dataset], design: DesignMatrices):
     n = X.shape[0]
     if n != datasets[0].n:
         raise ConfigError(f"design has {n} rows but dataset has {datasets[0].n}")
-    Q, R = checked_qr(X)
+    Q, R = design.factors()
     betas = np.linalg.solve(R, Q.T @ np.column_stack([dataset.y for dataset in datasets]))
     fits: list = []
     for dataset, beta in zip(datasets, betas.T):

@@ -6,8 +6,9 @@ empirical rejection rates per (test, sample size, noise level, departure,
 nominal level). Per-replicate random streams are keyed by (master seed,
 replicate, variate role), so the generated data do not depend on which tests
 are enabled, on the execution order, or on the worker count. The departure
-levels of a replicate share S and t, hence one draw, one design and one
-LRT/RLRT decomposition per spline degree.
+levels of a replicate share S and t, hence one draw and one X per spline
+degree. Replicates run in blocks of ``_BLOCK``, each one stacked LRT/RLRT
+decomposition per spline degree.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .exact_lrt import (
 from .null_fit import fit_ols_columns
 from .score_test import score_statistics
 from .cusum_test import cumulative_process, multiplier_null, sup_test
-from .spline_basis import NATURAL_SPLINE, build_design, place_knots, smoother_kernel
+from .spline_basis import NATURAL_SPLINE, build_design, place_knots, smoother_kernel, stacked_qr
 
 __all__ = [
     "nonlinear_effect",
@@ -51,6 +52,9 @@ _LRT_VARIANTS = {
     "rlrt": ("rlrt", 1, 0),
 }
 KNOWN_TESTS = ("lrt1", "lrt2", "rlrt", "score", "cusum")
+
+# Replicates per block: the unit of the stacked LRT pass and of the thread pool.
+_BLOCK = 32
 
 _TRUE_COEF = (1.3, 0.45)
 _S_VARIANCES = (0.3, 0.4)
@@ -222,22 +226,22 @@ class SimReport:
 
 
 def _study_fixtures(config: SimConfig, m: int):
-    """Pieces shared by every replicate and departure level of one m: knots
-    per spline degree (1 always, for score and cusum) and, per LRT degree, a
+    """Pieces shared by every replicate and departure level of one m: per
+    spline degree used (1 for score and cusum), the design of one draw, whose
+    A and B every replicate shares as t is the same grid; per LRT degree, a
     ProfileSolver, the lambda grid and each variant's null distribution. The
     variants of a degree form a group, evaluated in one call for all c."""
     base = generate_dataset(m, config.sigma_values[0], 0, (config.seed, 0), config.s_scale_as_sd)
+    lrt = [(vi, name, *_LRT_VARIANTS[name]) for vi, name in enumerate(config.tests)
+           if name in _LRT_VARIANTS]
+    degrees = {d for _, _, _, d, _ in lrt} | ({1} if {"score", "cusum"} & set(config.tests) else set())
+    designs = {d: build_design(base, place_knots(base.t, config.n_knots, d)) for d in sorted(degrees)}
     groups: dict[int, list[tuple[int, str, str, int]]] = {}
-    fixtures: dict = {"lrt_groups": groups, ("knots", 1): place_knots(base.t, config.n_knots, 1)}
-    for vi, name in enumerate(config.tests):
-        if name not in _LRT_VARIANTS:
-            continue
-        kind, d, h = _LRT_VARIANTS[name]
+    fixtures: dict = {"designs": designs, "lrt_groups": groups}
+    for vi, name, kind, d, h in lrt:
         if d not in groups:
-            fixtures[("knots", d)] = place_knots(base.t, config.n_knots, d)
-            design0 = build_design(base, fixtures[("knots", d)])
-            fixtures[("cache", d)] = spectral_decompose(design0)
-            fixtures[("solver", d)] = ProfileSolver(design0.B)
+            fixtures[("cache", d)] = spectral_decompose(designs[d])
+            fixtures[("solver", d)] = ProfileSolver(designs[d].B)
             fixtures[("grid", d)] = default_lambda_grid(fixtures[("cache", d)])
         fixtures[("null", name)] = simulate_null_cached(
             fixtures[("cache", d)], kind, h, fixtures[("grid", d)], config.n_sims_null,
@@ -249,66 +253,75 @@ def _study_fixtures(config: SimConfig, m: int):
     return fixtures
 
 
-def _run_replicate(config: SimConfig, m: int, sigma: float, fixtures: dict, rep: int):
-    """Rejection indicators for one replicate: (test, c, level) booleans.
+def _run_block(config: SimConfig, m: int, sigma: float, fixtures: dict, reps: range):
+    """Rejection counts (test x c x level), failure counts (test x c) and
+    failure messages of the replicates ``reps``.
 
-    One draw gives every c, which share S and t, so X and B are built once per
-    degree. Each LRT group makes one ProfileSolver call on the responses of all
-    c and one p-value lookup per variant. Score and cusum share the OLS fits of
-    all c from one QR of X and its unit-variance projection, which the score
-    rescales per fit and the resampled cusum sups do not depend on.
+    Each replicate draws every c at once, so its c share S, t and hence X. Per
+    degree the block stacks the replicates' X = [S | A] and takes one QR of
+    the stack; each LRT group makes one ProfileSolver call on the stacked
+    responses and one p-value lookup per variant. A replicate whose X is
+    rejected fails all its cells with the rejection. Per replicate, score and
+    cusum share the OLS fits of all c from its QR and their unit-variance
+    projection, which the score rescales per fit and the resampled cusum sups
+    do not depend on.
     """
-    tests, n_c = config.tests, len(config.c_values)
-    datasets = generate_dataset(m, sigma, config.c_values, (config.seed, rep), config.s_scale_as_sd)
-    groups = fixtures["lrt_groups"]
-    ols_tests = {"score", "cusum"} & set(tests)
-    need_degrees = set(groups) | ({1} if ols_tests else set())
-    designs = {d: build_design(datasets[0], fixtures[("knots", d)]) for d in sorted(need_degrees)}
-    Y = np.column_stack([dataset.y for dataset in datasets])
-    pvals: dict[int, list] = {}  # test index -> per c, a p-value or the error that failed it
-    for d, members in groups.items():
+    tests, n_c, levels = config.tests, len(config.c_values), np.asarray(config.levels)
+    draws = [generate_dataset(m, sigma, config.c_values, (config.seed, rep), config.s_scale_as_sd)
+             for rep in reps]
+    Y = np.stack([np.column_stack([dataset.y for dataset in datasets]) for datasets in draws])
+    S = np.stack([datasets[0].S for datasets in draws])
+    X = {d: np.concatenate([S, np.broadcast_to(design.A, (len(S),) + design.A.shape)], axis=2)
+         for d, design in fixtures["designs"].items()}
+    factors = {d: stacked_qr(Xd) for d, Xd in X.items()}
+    pvals: dict[int, list] = {}  # test index -> per replicate, per c a p-value or the error that failed it
+    for d, members in fixtures["lrt_groups"].items():
         specs = [(kind, h) for _, _, kind, h in members]
-        try:
-            solver, grid = fixtures[("solver", d)], fixtures[("grid", d)]
-            per_c = solver.statistics(Y, designs[d].X, grid, specs)
-        except CovtestError as exc:  # the shared X failed: every c fails
-            per_c = [exc] * n_c
-        ok = [results for results in per_c if not isinstance(results, CovtestError)]
+        per_rep = fixtures[("solver", d)].statistics(Y, X[d], fixtures[("grid", d)], specs, factors[d])
+        per_rep = [[cells] * n_c if isinstance(cells, CovtestError) else cells for cells in per_rep]
+        ok = [res for per_c in per_rep for res in per_c if not isinstance(res, CovtestError)]
         for j, (ti, name, _, _) in enumerate(members):
-            found = iter(p_value(np.array([r[j].statistic for r in ok]), fixtures[("null", name)]))
-            pvals[ti] = [r if isinstance(r, CovtestError) else next(found) for r in per_c]
-    if ols_tests:
+            found = iter(p_value(np.array([res[j].statistic for res in ok]), fixtures[("null", name)]))
+            pvals[ti] = [[res if isinstance(res, CovtestError) else next(found) for res in per_c]
+                         for per_c in per_rep]
+    ols = [(ti, name) for ti, name in enumerate(tests) if name in ("score", "cusum")]
+    pvals.update((ti, []) for ti, _ in ols)
+    for r, (rep, datasets) in enumerate(zip(reps, draws) if ols else ()):
+        Q, R, errors = factors[1]  # a rejected X is left to the fit, which raises its error
+        design = replace(fixtures["designs"][1], X=X[1][r], qr=None if errors[r] else (Q[r], R[r]))
         try:
-            proj, fits = fit_ols_columns(datasets, designs[1])
+            proj, fits = fit_ols_columns(datasets, design)
         except CovtestError as exc:  # the shared X failed: every c fails
             proj, fits = None, [exc] * n_c
-    for ti, name in enumerate(tests):
-        if name == "score":
-            try:
-                scores = fits if proj is None else score_statistics(fits, proj, fixtures["kernel"])
-            except CovtestError as exc:
-                scores = [exc] * n_c
-            pvals[ti] = [r if isinstance(r, CovtestError) else r.p_value for r in scores]
-        elif name == "cusum":  # SimConfig checks cusum_resamples, so only a fit can fail
-            pvals[ti] = [
-                fit if isinstance(fit, CovtestError) else sup_test(
-                    cumulative_process(fit, dataset.t),
-                    multiplier_null(fit, proj, dataset.t, config.cusum_resamples,
-                                    seed=(config.seed, rep, 3)),
-                ).p_value
-                for dataset, fit in zip(datasets, fits)
-            ]
-    out = np.zeros((len(tests), n_c, len(config.levels)), dtype=bool)
-    fail = np.zeros((len(tests), n_c), dtype=bool)
+        for ti, name in ols:
+            if name == "score":
+                try:
+                    scores = fits if proj is None else score_statistics(fits, proj, fixtures["kernel"])
+                except CovtestError as exc:
+                    scores = [exc] * n_c
+                pvals[ti].append([s if isinstance(s, CovtestError) else s.p_value for s in scores])
+            else:  # cusum; SimConfig checks cusum_resamples, so only a fit can fail
+                pvals[ti].append([
+                    fit if isinstance(fit, CovtestError) else sup_test(
+                        cumulative_process(fit, dataset.t),
+                        multiplier_null(fit, proj, dataset.t, config.cusum_resamples,
+                                        seed=(config.seed, rep, 3)),
+                    ).p_value
+                    for dataset, fit in zip(datasets, fits)
+                ])
+    counts = np.zeros((len(tests), n_c, len(levels)), dtype=np.int64)
+    fails = np.zeros((len(tests), n_c), dtype=np.int64)
     messages = []
-    for ci, c in enumerate(config.c_values):
-        for ti, per_c in pvals.items():
-            if isinstance(per_c[ci], CovtestError):
-                fail[ti, ci] = True
-                messages.append(f"{tests[ti]} m={m} sigma={sigma:g} c={c:g} rep={rep}: {per_c[ci]}")
-            else:
-                out[ti, ci, :] = per_c[ci] < np.asarray(config.levels)
-    return out, fail, messages
+    for r, rep in enumerate(reps):
+        for ci, c in enumerate(config.c_values):
+            for ti, per_rep in pvals.items():
+                cell = per_rep[r][ci]
+                if isinstance(cell, CovtestError):
+                    fails[ti, ci] += 1
+                    messages.append(f"{tests[ti]} m={m} sigma={sigma:g} c={c:g} rep={rep}: {cell}")
+                else:
+                    counts[ti, ci] += cell < levels
+    return counts, fails, messages
 
 
 def run_study(config: SimConfig) -> SimReport:
@@ -316,8 +329,9 @@ def run_study(config: SimConfig) -> SimReport:
 
     Every configured test sees the same generated dataset within a replicate.
     Null distributions for the LRT variants are simulated once per (m, design)
-    and reused across replicates and departure levels. Replicates may run on a
-    thread pool; identical output is guaranteed for any worker count.
+    and reused across replicates and departure levels. The replicates of each
+    (m, sigma) run in blocks of ``_BLOCK`` (see :func:`_run_block`), which may
+    run on a thread pool; the output is the same for any worker count.
     """
     started = time.perf_counter()
     cells: list[SimCell] = []
@@ -331,17 +345,20 @@ def run_study(config: SimConfig) -> SimReport:
             counts = np.zeros(shape, dtype=np.int64)
             fails = np.zeros(shape[:2], dtype=np.int64)
 
-            def job(rep: int):
-                return _run_replicate(config, m, sigma, fixtures, rep)
+            blocks = [range(start, min(start + _BLOCK, config.n_runs))
+                      for start in range(0, config.n_runs, _BLOCK)]
+
+            def job(reps: range):
+                return _run_block(config, m, sigma, fixtures, reps)
 
             if config.threads > 1:
                 with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                    results = list(pool.map(job, range(config.n_runs)))
+                    results = list(pool.map(job, blocks))
             else:
-                results = [job(rep) for rep in range(config.n_runs)]
-            for out, fail, messages in results:
-                counts += out
-                fails += fail
+                results = [job(reps) for reps in blocks]
+            for block_counts, block_fails, messages in results:
+                counts += block_counts
+                fails += block_fails
                 all_messages.extend(messages)
             for ti, test in enumerate(config.tests):
                 for ci, c in enumerate(config.c_values):

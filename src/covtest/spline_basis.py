@@ -28,6 +28,7 @@ __all__ = [
     "truncated_power",
     "build_design",
     "checked_qr",
+    "stacked_qr",
     "smoother_kernel",
 ]
 
@@ -60,7 +61,8 @@ class DesignMatrices:
     """Design matrices for one dataset and one knot set.
 
     ``A`` is n x (d+1) polynomial, ``B`` is n x K truncated power,
-    ``X = [S | A]`` is the combined fixed-effects design.
+    ``X = [S | A]`` is the combined fixed-effects design and ``qr`` its
+    checked thin QR when already taken (see :meth:`factors`).
     """
 
     A: np.ndarray
@@ -68,10 +70,15 @@ class DesignMatrices:
     X: np.ndarray
     knots: KnotSet
     t: np.ndarray
+    qr: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def degree(self) -> int:
         return self.knots.degree
+
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The checked thin QR of X: ``qr`` if set, else :func:`checked_qr` of X."""
+        return checked_qr(self.X) if self.qr is None else self.qr
 
 
 class SmootherKernel:
@@ -216,38 +223,48 @@ def _trunc_basis(t: np.ndarray, knots: KnotSet) -> np.ndarray:
     return truncated_power(t[:, None], knots.knots[None, :], knots.degree)
 
 
-def checked_qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR of an n x p fixed-effects design, the one factorisation every
-    least-squares step takes. Raises ModelError unless n > p and X has full
-    column rank: every |R_jj| must exceed n * eps * max |R_jj|."""
-    n, p = X.shape
+def stacked_qr(X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, list]:
+    """Thin QR of each n x p fixed-effects design in an R x n x p stack, the
+    one factorisation every least-squares step takes, and per design the
+    ModelError that rejects it or None. A design is rejected unless n > p and
+    it has full column rank: every |R_jj| must exceed n * eps * max |R_jj|.
+    With n <= p every design is rejected and no factors are returned."""
+    stack, n, p = X.shape
     if n <= p:
-        raise ModelError(f"need n > {p} rows to fit {p} coefficients, got n = {n}")
+        return None, None, [ModelError(f"need n > {p} rows to fit {p} coefficients, got n = {n}")] * stack
     Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    tol = n * np.finfo(float).eps * diag.max()
-    if diag.min() <= tol:
-        raise ModelError(
-            f"fixed-effects design is rank deficient ({p} columns, rank {int((diag > tol).sum())})"
-        )
-    return Q, R
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    tol = n * np.finfo(float).eps * diag.max(axis=1)
+    errors = [
+        None if d.min() > tl else
+        ModelError(f"fixed-effects design is rank deficient ({p} columns, rank {int((d > tl).sum())})")
+        for d, tl in zip(diag, tol)
+    ]
+    return Q, R, errors
+
+
+def checked_qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of one n x p design (see :func:`stacked_qr`); raises its ModelError."""
+    Q, R, (error,) = stacked_qr(X[None])
+    if error is not None:
+        raise error
+    return Q[0], R[0]
 
 
 def build_design(dataset: Dataset, knots: KnotSet) -> DesignMatrices:
     """Assemble A, B, and X = [S | A] for a dataset.
 
     Raises ModelError when X is rank deficient (e.g. constant t with
-    degree >= 1).
+    degree >= 1); otherwise the design keeps the checked QR of X.
     """
     t = dataset.t
     A = np.vander(t, knots.degree + 1, increasing=True)
     B = _trunc_basis(t, knots)
     X = np.hstack([dataset.S, A]) if dataset.p else A
     # A design with no more rows than columns is left to the fits, which
-    # reject it by its row count; a study replicate then fails per test.
-    if X.shape[0] > X.shape[1]:
-        checked_qr(X)
-    return DesignMatrices(A=A, B=B, X=X, knots=knots, t=np.asarray(t, dtype=float))
+    # reject it by its row count.
+    qr = checked_qr(X) if X.shape[0] > X.shape[1] else None
+    return DesignMatrices(A=A, B=B, X=X, knots=knots, t=np.asarray(t, dtype=float), qr=qr)
 
 
 def smoother_kernel(

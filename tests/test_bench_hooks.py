@@ -6,6 +6,7 @@ break them without this test.
 """
 
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from covtest import (
     Dataset, SimConfig, build_design, generate_dataset, observed_statistic, place_knots,
     run_study, save_csv,
 )
-from covtest import cli, exact_lrt, score_test
+from covtest import cli, exact_lrt, score_test, sim_study
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -43,13 +44,14 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert observed_statistic is exact_lrt.observed_statistic
 
 
-def test_study_makes_one_solver_call_per_replicate_and_degree(monkeypatch):
+def test_study_makes_one_solver_call_per_block_and_degree(monkeypatch):
     """Each replicate draws all its departure levels in one generate_dataset
-    call and evaluates them in one ProfileSolver call per LRT degree, and the
-    layers the benchmark reports still appear."""
+    call, each block of replicates is evaluated in one ProfileSolver call per
+    LRT degree, and the layers the benchmark reports still appear."""
     monkeypatch.syspath_prepend(str(BENCH))
     import tracer
 
+    monkeypatch.setattr(sim_study, "_BLOCK", 2)  # three runs make two blocks
     config = SimConfig(
         m_values=(30,), sigma_values=(0.25, 0.5), c_values=(0, 2, 4), levels=(0.05,),
         tests=("lrt1", "lrt2", "rlrt", "score"), n_runs=3, n_knots=8, n_sims_null=200, seed=4,
@@ -61,8 +63,8 @@ def test_study_makes_one_solver_call_per_replicate_and_degree(monkeypatch):
     finally:
         spans.restore()
     names = [span.name for span in spans.spans]
-    replicates = len(config.m_values) * len(config.sigma_values) * config.n_runs
-    assert names.count("exact_lrt.ProfileSolver.statistics") == replicates * 2  # degrees 1 and 2
+    blocks = len(config.m_values) * len(config.sigma_values) * math.ceil(config.n_runs / sim_study._BLOCK)
+    assert names.count("exact_lrt.ProfileSolver.statistics") == blocks * 2  # degrees 1 and 2
     assert "spline_basis.build_design" in names
     # One draw per replicate for all its departure levels, plus the draw each
     # m's fixtures build their design from.

@@ -53,6 +53,38 @@ class TestTestCommand:
         assert record["p_value"] < 0.01
         assert record["reject_at_level"] is True
 
+    @pytest.mark.parametrize("args", [
+        ["--method", "rlrt"], ["--method", "lrt", "--degree", 2, "--h", 1],
+        ["--method", "score"], ["--method", "score", "--kernel", "penalized"],
+        ["--method", "cusum"], ["--method", "score", "--cluster-col", "cluster"],
+        ["--method", "cusum", "--cluster-col", "cluster"],
+    ])
+    def test_design_is_factored_once(self, tmp_path, monkeypatch, args):
+        """build_design's checked QR of X serves every later step of a call:
+        the spectral decomposition, the observed statistic and the null fits."""
+        import importlib
+        import pkgutil
+
+        import covtest
+        from covtest import spline_basis
+
+        factored = []
+        real = spline_basis.stacked_qr
+
+        def counted(X):
+            factored.append(X.shape)
+            return real(X)
+
+        for info in pkgutil.iter_modules(covtest.__path__):
+            module = importlib.import_module(f"covtest.{info.name}")
+            if getattr(module, "stacked_qr", None) is real:
+                monkeypatch.setattr(module, "stacked_qr", counted)
+        ds = generate_dataset(40, 0.25, 2, seed=(16, 0))
+        save_csv(Dataset(y=ds.y, S=ds.S, t=ds.t, cluster=np.arange(40) % 8), tmp_path / "in.csv")
+        assert run(["test", "--input", tmp_path / "in.csv", "--knots", 8, "--nsims", 200,
+                    "--resamples", 50, "--out", tmp_path / "o", *args]) == 0
+        assert len(factored) == 1
+
     def test_rlrt_outputs_byte_identical(self, null_csv, tmp_path):
         out = tmp_path / "a"
         args = ["test", "--input", null_csv, "--method", "rlrt", "--degree", 1,
@@ -142,6 +174,21 @@ class TestErrorSurfacing:
 
 
 class TestRejectedInputs:
+    @pytest.mark.parametrize("command", ["test", "null-sim"])
+    @pytest.mark.parametrize("method", ["lrt", "rlrt"])
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_zero_knots_is_config_error(self, tmp_path, capsys, command, method, rank_deficient):
+        """Zero knots is one config error, also where X = [S | 1, t] is rank
+        deficient (a covariate equal to 2t) and the design check would fail."""
+        ds = generate_dataset(30, 0.25, 0, seed=(15, 0))
+        S = np.column_stack([ds.S[:, 0], 2.0 * ds.t]) if rank_deficient else ds.S
+        save_csv(Dataset(y=ds.y, S=S, t=ds.t), tmp_path / "in.csv")
+        code = run([command, "--input", tmp_path / "in.csv", "--method", method, "--knots", 0,
+                    "--nsims", 200, "--out", tmp_path / "o"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "config error: spectral decomposition needs at least one knot\n"
+
     @pytest.fixture
     def clustered_csv(self, tmp_path):
         ds = generate_dataset(40, 0.25, 0, seed=(14, 0))

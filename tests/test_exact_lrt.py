@@ -37,7 +37,7 @@ from covtest.exact_lrt import (
     null_distribution_key,
     save_null_distribution,
 )
-from covtest.spline_basis import DesignMatrices, KnotSet
+from covtest.spline_basis import DesignMatrices, KnotSet, stacked_qr
 
 
 def make_design(m, p, d, n_knots, seed=0, t=None):
@@ -508,6 +508,76 @@ class TestBatchedColumns:
             result = solver.statistics(ds.y, design.X, grid, [("rlrt", 0)])[0]
         assert result.nuisance["grid_sha"] == grid.sha == real(grid.values)
         assert sum(a is grid.values for a in hashed) == 1
+
+
+def result_fields(result):
+    """Every field of a TestResult, for exact comparison."""
+    nuisance = result.nuisance
+    return (result.method, result.statistic, result.lambda_hat, result.clamped,
+            nuisance["sigma2_eps"], nuisance["sigma2_spline"], nuisance["rss_null"], nuisance["h"])
+
+
+def replicate_stack(m, degree, n_reps, seed):
+    """Study-like replicates: one t grid, so one A and B, and per replicate
+    its own S and five departure levels as the columns of Y."""
+    draws = [generate_dataset(m, 0.5, (0, 1, 2, 3, 4), seed=(seed, rep)) for rep in range(n_reps)]
+    design = build_design(draws[0][0], place_knots(draws[0][0].t, 12 if m > 30 else 8, degree))
+    X = np.stack([np.hstack([datasets[0].S, design.A]) for datasets in draws])
+    Y = np.stack([np.column_stack([ds.y for ds in datasets]) for datasets in draws])
+    return design, X, Y
+
+
+class TestStackedReplicates:
+    SPECS = [("lrt", 0), ("rlrt", 0), ("lrt", 1)]
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("m", [30, 50, 100])
+    def test_stack_matches_single_calls_bit_for_bit(self, m, degree):
+        """A stack of replicates with different S gives, slice by slice, the
+        bits of one matrix call per replicate, for every (kind, h)."""
+        design, X, Y = replicate_stack(m, degree, 7, seed=21)
+        solver = ProfileSolver(design.B)
+        grid = default_lambda_grid(spectral_decompose(design))
+        stacked = solver.statistics(Y, X, grid, self.SPECS)
+        assert len(stacked) == 7
+        for r in range(7):
+            single = solver.statistics(Y[r], X[r], grid, self.SPECS)
+            assert len(stacked[r]) == len(single) == 5
+            for got, ref in zip(stacked[r], single):
+                assert list(map(result_fields, got)) == list(map(result_fields, ref))
+        given_qr = solver.statistics(Y, X, grid, self.SPECS, stacked_qr(X))
+        for got, ref in zip(given_qr, stacked):
+            assert [list(map(result_fields, c)) for c in got] == [list(map(result_fields, c)) for c in ref]
+
+    def test_failures_stay_in_their_cells(self):
+        """A replicate with collinear S fails whole, with the design check's
+        message; a perfect-fit column fails alone; the rest are untouched."""
+        design, X, Y = replicate_stack(30, 1, 4, seed=22)
+        X[1, :, 1] = 2.0 * X[1, :, 0]
+        Y[2, :, 3] = X[2] @ np.arange(1.0, 5.0)
+        solver = ProfileSolver(design.B)
+        grid = default_lambda_grid(spectral_decompose(design))
+        stacked = solver.statistics(Y, X, grid, self.SPECS)
+        assert isinstance(stacked[1], ModelError)
+        assert str(stacked[1]) == "fixed-effects design is rank deficient (4 columns, rank 3)"
+        with pytest.raises(ModelError, match="rank deficient"):
+            solver.statistics(Y[1], X[1], grid, self.SPECS)
+        assert isinstance(stacked[2][3], DegenerateFitError)
+        assert str(stacked[2][3]) == "null fit is numerically perfect; statistic undefined"
+        for r in (0, 2, 3):
+            single = solver.statistics(Y[r], X[r], grid, self.SPECS)
+            for c, (got, ref) in enumerate(zip(stacked[r], single)):
+                if (r, c) == (2, 3):
+                    assert isinstance(ref, DegenerateFitError)
+                    continue
+                assert list(map(result_fields, got)) == list(map(result_fields, ref))
+
+    def test_too_few_rows_fail_every_replicate(self):
+        design, X, Y = replicate_stack(30, 1, 3, seed=23)
+        solver = ProfileSolver(design.B)
+        grid = default_lambda_grid(spectral_decompose(design))
+        stacked = solver.statistics(Y[:, :4], X[:, :4], grid, self.SPECS)
+        assert [str(e) for e in stacked] == ["need n > 4 rows to fit 4 coefficients, got n = 4"] * 3
 
 
 class TestSpectralDenseEquivalence:

@@ -169,6 +169,64 @@ class TestRunStudy:
             assert report.get(name, 30, 0.25, 2, 0.05).failures == 1
             assert report.get(name, 30, 0.25, 0, 0.05).failures == 0
 
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_block_size_does_not_change_report(self, monkeypatch, block):
+        """The report is that of the default block size for any block size,
+        also when the runs are no multiple of it."""
+        import covtest.sim_study as sim_study
+
+        config = tiny_config(tests=("lrt1", "lrt2", "rlrt", "score", "cusum"), c_values=(0, 3),
+                             levels=(0.05, 0.1), n_runs=20, n_sims_null=300, cusum_resamples=50)
+        reference = run_study(config).to_csv()
+        if block is not None:
+            monkeypatch.setattr(sim_study, "_BLOCK", block)
+        assert run_study(config).to_csv() == reference
+
+    def test_collinear_and_perfect_fit_fail_only_their_cells(self, monkeypatch):
+        """In one block, a replicate with collinear S fails all its cells with
+        the design check's message and a perfect fit at one c fails that c."""
+        import covtest.sim_study as sim_study
+
+        real = sim_study.generate_dataset
+
+        def broken(m, sigma, c, seed, s_scale_as_sd=False):
+            out = real(m, sigma, c, seed, s_scale_as_sd)
+            if seed == (5, 1):
+                S = np.column_stack([out[0].S[:, 0], 2.0 * out[0].S[:, 0]])
+                return [Dataset(y=ds.y, S=S, t=ds.t) for ds in out]
+            if seed == (5, 2):
+                y = 1.3 * out[0].S[:, 0] + 0.45 * out[0].S[:, 1] + 0.5 - out[0].t
+                return [Dataset(y=y, S=ds.S, t=ds.t) if level == 2 else ds
+                        for level, ds in zip(c, out)]
+            return out
+
+        monkeypatch.setattr(sim_study, "generate_dataset", broken)
+        tests = ("lrt1", "rlrt", "score")
+        report = run_study(tiny_config(tests=tests, c_values=(0, 2), n_runs=150))
+        rank = "fixed-effects design is rank deficient (4 columns, rank 3)"
+        assert report.failure_messages == [
+            f"{name} m=30 sigma=0.25 c={c} rep=1: {rank}" for c in (0, 2) for name in tests
+        ] + [
+            f"{name} m=30 sigma=0.25 c=2 rep=2: null fit is numerically perfect; statistic undefined"
+            for name in ("lrt1", "rlrt")
+        ] + ["score m=30 sigma=0.25 c=2 rep=2: residuals are numerically zero; error variance is not estimable"]
+        for name in tests:
+            assert report.get(name, 30, 0.25, 0, 0.05).failures == 1
+            assert report.get(name, 30, 0.25, 2, 0.05).failures == 2
+
+    def test_too_few_rows_fail_every_test_application(self):
+        """With m <= p every application fails with the fit's row-count message."""
+        config = tiny_config(m_values=(4,), tests=("score", "cusum"), c_values=(0, 2),
+                             n_runs=3, n_knots=1, cusum_resamples=20, seed=2)
+        with pytest.raises(StudyError) as info:
+            run_study(config)
+        rows = "need n > 4 rows to fit 4 coefficients, got n = 4"
+        assert str(info.value) == "12 of 12 test applications failed (> 1%): " + "; ".join([
+            f"score m=4 sigma=0.25 c=0 rep=0: {rows}", f"cusum m=4 sigma=0.25 c=0 rep=0: {rows}",
+            f"score m=4 sigma=0.25 c=2 rep=0: {rows}", f"cusum m=4 sigma=0.25 c=2 rep=0: {rows}",
+            f"score m=4 sigma=0.25 c=0 rep=1: {rows}",
+        ])
+
     def test_minimal_run(self):
         report = run_study(tiny_config())
         cell = report.get("score", 30, 0.25, 0, 0.05)
