@@ -216,6 +216,8 @@ def _cmd_test(cfg: dict) -> int:
         _require_independent(cfg)
     if not 0.0 < cfg["level"] < 1.0:
         raise ConfigError(f"--level must lie in (0, 1), got {cfg['level']!r}")
+    if cfg["emit_processes"] < 0:
+        raise ConfigError(f"--emit-processes must be >= 0 (0 writes none), got {cfg['emit_processes']}")
     dataset = _load_dataset(cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -441,7 +443,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(argv)
-        return _COMMANDS[args.command][0](vars(args))
+        try:
+            return _COMMANDS[args.command][0](vars(args))
+        except OSError as exc:  # inputs are read by code that raises CovtestError
+            raise ConfigError(f"cannot write to the output or null-cache directory: {exc}") from None
     except CovtestError as exc:
         print(f"{exc.category} error: {exc}", file=sys.stderr)
         return 1

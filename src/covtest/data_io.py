@@ -122,20 +122,23 @@ def load_csv(path: str | Path, columns: ColumnMap = ColumnMap()) -> Dataset:
     """Load a dataset from a UTF-8 CSV file with a header row.
 
     Comma delimiter, '.' decimal separator. Row order is preserved.
-    Raises ConfigError for missing columns and DataError for unusable cells,
-    naming the offending row and column.
+    Raises ConfigError for a missing file or column, and DataError for a file
+    that cannot be read or decoded and for unusable cells, naming the
+    offending row and column.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: file is empty")
+    header = [h.strip() for h in header]
 
     def col_index(name: str) -> int:
         try:

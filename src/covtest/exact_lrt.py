@@ -275,10 +275,10 @@ def _grid_profile(
     holds squared coordinates along the spline directions and ``tail``
     (rows) the residual energy in the remaining directions. Returns
     ``log(rss(0) / rss(lam))`` and ``rss(lam)``, both rows x G; stacks of
-    weights, coordinates and tails (leading axis R) give stacks. A statistic
-    kind scales the first by its ``mult`` and subtracts its penalty
-    ``sum(log(1 + lam * pen_eigs))``. Given ``out`` (2 x >= rows x G), both
-    results are written into its leading rows and returned as views of it.
+    weights, coordinates and tails (leading axis R) give stacks;
+    :func:`_sweep` turns the first into a statistic kind's profile. Given
+    ``out`` (2 x >= rows x G), both results are written into its leading
+    rows and returned as views of it.
     """
     rows = coord_sq.shape[0]
     num, den = (None, None) if out is None else (out[0, :rows], out[1, :rows])
@@ -298,16 +298,30 @@ def _kind_penalty(kind: str, values: np.ndarray, n_obs: int, n_resid: int,
     return mult, np.log1p(values[:, None] * eigs[..., None, :]).sum(axis=-1)
 
 
+def _sweep(ratio: np.ndarray, mult: int, pen: np.ndarray, out: np.ndarray | None = None):
+    """Grid maximum of a statistic kind's profile mult * log(rss(0) / rss(lam))
+    - pen(lam), with ``ratio`` the log ratio from :func:`_grid_profile` and
+    ``mult`` and ``pen`` from :func:`_kind_penalty`, shaped to broadcast
+    against it. Returns the index and the value of the maximum along the last
+    axis. Given ``out``, the profile is written there."""
+    path = np.multiply(ratio, mult, out=out)
+    path -= pen
+    best = path.argmax(axis=-1)
+    return best, np.take_along_axis(path, best[..., None], axis=-1)[..., 0]
+
+
 class ProfileSolver:
     """Observed LRT/RLRT statistics for one spline basis B.
 
     Holds B and the eigenvalues of B'B, clipped as the null sampler's are
-    (see :func:`spectral_decompose`). A call costs one thin QR of X, one
-    thin SVD of the projected basis P0B (n x K) and one G x K grid sweep,
-    shared by every (kind, h) pair and every response column given with that
-    X. A simulation study reuses the solver across replicates, where B is
-    fixed, and passes a block of replicates as one stack: the departure
-    levels of a replicate share X and are the columns of its response matrix.
+    (see :func:`spectral_decompose`). A call takes a stack of replicates:
+    one thin QR of each X, one thin SVD of each projected basis P0B (n x K)
+    and one G x K grid sweep, shared by every (kind, h) pair and every
+    response column of that X. The sweep's maximum is taken by the step
+    :func:`simulate_null` takes, so the observed statistic and its null are
+    one profile functional. A simulation study reuses the solver across
+    replicates, where B is fixed, and passes a block of replicates as one
+    stack; :func:`observed_statistic` passes one replicate with one column.
     """
 
     def __init__(self, B: np.ndarray):
@@ -316,85 +330,53 @@ class ProfileSolver:
 
     def statistics(
         self,
-        y: np.ndarray,
+        Y: np.ndarray,
         X: np.ndarray,
         grid: LambdaGrid,
         specs: list[tuple[str, int]],
         qr: tuple | None = None,
-    ) -> list:
-        """Observed statistics for several (kind, h) pairs from one decomposition.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
+        """Observed statistics of Y (R x n x C) under X (R x n x p) for S
+        (kind, h) pairs from one decomposition per replicate.
 
-        A vector y (n,) gives ``list[TestResult]`` in ``specs`` order; a
-        matrix Y (n x C) gives one such list per column, with the
-        DegenerateFitError the vector form raises in place of the list of a
-        column whose null fit is numerically perfect. A stack Y (R x n x C)
-        with X (R x n x p) gives per replicate what the matrix form gives for
-        its slices, or the ModelError that rejects its X; each slice's results
-        are bit for bit those of its own call. ``qr`` saves the QR of X when
-        the caller has it: :func:`checked_qr` of a matrix X or
-        :func:`stacked_qr` of a stack. For the LRT with h > 0 the null also
+        Returns S x R x C arrays of the statistic before clamping at 0, the
+        grid index of lambda-hat, the error variance there and the null
+        residual sum of squares, and a map from each failed (replicate,
+        column) cell, whose array entries are meaningless, to its error: the
+        ModelError that rejects the replicate's X, or a DegenerateFitError for
+        a numerically perfect null fit. A cell's numbers do not depend on the
+        other cells. ``qr`` saves the QR of X when the caller has
+        :func:`stacked_qr`'s result. For the LRT with h > 0 the null also
         drops the last h columns of X; the extra residual energy is the
         squared norm of y along the last h columns of Q, the term
         :func:`simulate_null` draws as chi-square(h).
         """
-        y = np.asarray(y, dtype=float)
-        for kind, _ in specs:
-            if kind not in ("lrt", "rlrt"):
-                raise ConfigError(f"unknown statistic kind {kind!r}")
-        stacked = y.ndim == 3
-        Y = y if stacked else y.reshape(1, y.shape[0], -1)
-        if qr is None:
-            Q, _, errors = stacked_qr(X if stacked else X[None])
-        else:
-            Q, errors = (qr[0], qr[2]) if stacked else (qr[0][None], [None])
+        for kind, h in specs:
+            if kind not in ("lrt", "rlrt") or kind == "rlrt" and h:
+                raise ConfigError(f"statistics are ('lrt', h) or ('rlrt', 0), got ({kind!r}, {h})")
         n, p = X.shape[-2:]
-        perfect = DegenerateFitError("null fit is numerically perfect; statistic undefined")
-        # Per replicate: its X's error, else per column the results or `perfect`.
-        out: list = [[perfect] * Y.shape[2] if error is None else error for error in errors]
+        Q, _, errors = stacked_qr(X) if qr is None else qr
+        out = np.zeros((4, len(specs), Y.shape[0], Y.shape[2]))
+        usable = np.zeros(out.shape[2:], dtype=bool)
         if Q is not None:
-            values, grid_sha = grid.values, grid.sha
+            values = grid.values
             proj, head, rss0 = _residual_coordinates(Q, self.B, Y)
             usable = rss0 > _PERFECT_REL * np.einsum("...ij,...ij->...j", Y, Y)
             usable &= np.array([error is None for error in errors])[:, None]
-            # An unusable cell sweeps a unit tail, so no division is by zero.
+            # A failed cell is swept with unit energy in the tail, so no division is by zero.
+            rss0 = np.where(usable, rss0, 1.0)
             tail = np.where(usable, np.maximum(rss0 - head.sum(axis=-1), 0.0), 1.0)
             ratio, den = _grid_profile(_grid_weights(values, proj), head, tail)
-            sweeps = []
-            for kind, h in specs:
+            for j, (kind, h) in enumerate(specs):
                 mult, pen = _kind_penalty(kind, values, n, n - p, self.raw_eigs, proj)
-                path = mult * ratio - pen[..., None, :]
-                extra = (((Q[..., p - h:].swapaxes(-1, -2) @ Y) ** 2).sum(axis=-2)
-                         if kind == "lrt" else np.zeros_like(rss0))
-                sweeps.append((kind, h, mult, path, path.argmax(axis=-1), extra))
-            for r, c in zip(*np.nonzero(usable)):
-                results = out[r][c] = []
-                for kind, h, mult, path, best, extra in sweeps:
-                    k = int(best[r, c])
-                    raw = float(path[r, c, k]) + n * math.log1p(float(extra[r, c]) / float(rss0[r, c]))
-                    lam_hat = float(values[k])
-                    sigma2 = float(den[r, c, k]) / mult
-                    results.append(
-                        TestResult(
-                            method=kind,
-                            statistic=max(raw, 0.0),
-                            lambda_hat=lam_hat,
-                            nuisance={
-                                "sigma2_eps": sigma2,
-                                "sigma2_spline": lam_hat * sigma2,
-                                "rss_null": float(rss0[r, c] + extra[r, c]),
-                                "h": h,
-                                "grid_sha": grid_sha,
-                            },
-                            clamped=raw < 0.0,
-                        )
-                    )
-        if stacked:
-            return out
-        if isinstance(out[0], ModelError):
-            raise out[0]
-        if y.ndim == 1 and out[0][0] is perfect:
-            raise perfect
-        return out[0] if y.ndim == 2 else out[0][0]
+                best, top = _sweep(ratio, mult, pen[..., None, :])
+                extra = ((Q[..., p - h:].swapaxes(-1, -2) @ Y) ** 2).sum(axis=-2)
+                sigma2 = np.take_along_axis(den, best[..., None], axis=-1)[..., 0] / mult
+                out[:, j] = top + n * np.log1p(extra / rss0), best, sigma2, rss0 + extra
+        failed = {(int(r), int(c)): errors[r] or DegenerateFitError(
+                      "null fit is numerically perfect; statistic undefined")
+                  for r, c in zip(*np.nonzero(~usable))}
+        return out[0], out[1].astype(np.intp), out[2], out[3], failed
 
 
 def _check_h(kind: str, h: int, degree: int) -> None:
@@ -427,7 +409,16 @@ def observed_statistic(
     solver = ProfileSolver(design.B)
     if grid is None:
         grid = default_lambda_grid(solver.raw_eigs)
-    return solver.statistics(dataset.y, design.X, grid, [(kind, h)], design.factors())[0]
+    Q, R = design.factors()
+    *cell, errors = solver.statistics(dataset.y[None, :, None], design.X[None], grid,
+                                      [(kind, h)], (Q[None], R[None], [None]))
+    if errors:
+        raise errors[0, 0]
+    raw, k, sigma2, rss_null = (a.item() for a in cell)
+    lam_hat = float(grid.values[k])
+    nuisance = {"sigma2_eps": sigma2, "sigma2_spline": lam_hat * sigma2, "rss_null": rss_null,
+                "h": h, "grid_sha": grid.sha}
+    return TestResult(kind, max(raw, 0.0), lam_hat, nuisance, clamped=raw < 0.0)
 
 
 def simulate_null(
@@ -468,10 +459,8 @@ def simulate_null(
     for start, stop, rng in chunked_streams(seed, n_sims, _SIM_CHUNK):
         w = rng.chisquare(1.0, size=(stop - start, cache.n_knots))
         tail = rng.chisquare(tail_df, size=stop - start)
-        path = _grid_profile(weights, w, tail, work)[0]
-        path *= mult
-        path -= pen
-        stat = path.max(axis=1)
+        ratio = _grid_profile(weights, w, tail, work)[0]
+        stat = _sweep(ratio, mult, pen, out=ratio)[1]
         if kind == "lrt" and h > 0:
             extra = rng.chisquare(h, size=stop - start)
             stat = stat + cache.n_obs * np.log1p(extra / (w.sum(axis=1) + tail))

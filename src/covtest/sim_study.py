@@ -8,7 +8,8 @@ replicate, variate role), so the generated data do not depend on which tests
 are enabled, on the execution order, or on the worker count. The departure
 levels of a replicate share S and t, hence one draw and one X per spline
 degree. Replicates run in blocks of ``_BLOCK``, each one stacked LRT/RLRT
-decomposition per spline degree.
+decomposition per spline degree whose arrays of statistics become one test x
+replicate x departure-level array of p-values.
 """
 
 from __future__ import annotations
@@ -260,11 +261,14 @@ def _run_block(config: SimConfig, m: int, sigma: float, fixtures: dict, reps: ra
     Each replicate draws every c at once, so its c share S, t and hence X. Per
     degree the block stacks the replicates' X = [S | A] and takes one QR of
     the stack; each LRT group makes one ProfileSolver call on the stacked
-    responses and one p-value lookup per variant. A replicate whose X is
-    rejected fails all its cells with the rejection. Per replicate, score and
-    cusum share the OLS fits of all c from its QR and their unit-variance
-    projection, which the score rescales per fit and the resampled cusum sups
-    do not depend on.
+    responses and one p-value lookup per variant over its replicate x c
+    statistics. A replicate whose X is rejected fails all its cells with the
+    rejection. Per replicate, score and cusum share the OLS fits of all c from
+    its QR and their unit-variance projection, which the score rescales per
+    fit and the resampled cusum sups do not depend on. The p-values fill one
+    test x replicate x c array, where a failed cell stays NaN; the failure
+    messages of a (replicate, c) follow evaluation order: the LRT groups,
+    then score and cusum.
     """
     tests, n_c, levels = config.tests, len(config.c_values), np.asarray(config.levels)
     draws = [generate_dataset(m, sigma, config.c_values, (config.seed, rep), config.s_scale_as_sd)
@@ -274,18 +278,19 @@ def _run_block(config: SimConfig, m: int, sigma: float, fixtures: dict, reps: ra
     X = {d: np.concatenate([S, np.broadcast_to(design.A, (len(S),) + design.A.shape)], axis=2)
          for d, design in fixtures["designs"].items()}
     factors = {d: stacked_qr(Xd) for d, Xd in X.items()}
-    pvals: dict[int, list] = {}  # test index -> per replicate, per c a p-value or the error that failed it
+    pvals = np.full((len(tests), len(reps), n_c), np.nan)
+    failed: dict[tuple[int, int], list] = {}  # (replicate, c) -> [(test index, error)]
     for d, members in fixtures["lrt_groups"].items():
         specs = [(kind, h) for _, _, kind, h in members]
-        per_rep = fixtures[("solver", d)].statistics(Y, X[d], fixtures[("grid", d)], specs, factors[d])
-        per_rep = [[cells] * n_c if isinstance(cells, CovtestError) else cells for cells in per_rep]
-        ok = [res for per_c in per_rep for res in per_c if not isinstance(res, CovtestError)]
+        stats, *_, cell_errors = fixtures[("solver", d)].statistics(
+            Y, X[d], fixtures[("grid", d)], specs, factors[d])
+        group = [ti for ti, _, _, _ in members]
         for j, (ti, name, _, _) in enumerate(members):
-            found = iter(p_value(np.array([res[j].statistic for res in ok]), fixtures[("null", name)]))
-            pvals[ti] = [[res if isinstance(res, CovtestError) else next(found) for res in per_c]
-                         for per_c in per_rep]
+            pvals[ti] = p_value(np.maximum(stats[j], 0.0), fixtures[("null", name)])
+        for (r, ci), error in cell_errors.items():
+            pvals[group, r, ci] = np.nan
+            failed.setdefault((r, ci), []).extend((ti, error) for ti in group)
     ols = [(ti, name) for ti, name in enumerate(tests) if name in ("score", "cusum")]
-    pvals.update((ti, []) for ti, _ in ols)
     for r, (rep, datasets) in enumerate(zip(reps, draws) if ols else ()):
         Q, R, errors = factors[1]  # a rejected X is left to the fit, which raises its error
         design = replace(fixtures["designs"][1], X=X[1][r], qr=None if errors[r] else (Q[r], R[r]))
@@ -296,32 +301,26 @@ def _run_block(config: SimConfig, m: int, sigma: float, fixtures: dict, reps: ra
         for ti, name in ols:
             if name == "score":
                 try:
-                    scores = fits if proj is None else score_statistics(fits, proj, fixtures["kernel"])
+                    results = fits if proj is None else score_statistics(fits, proj, fixtures["kernel"])
                 except CovtestError as exc:
-                    scores = [exc] * n_c
-                pvals[ti].append([s if isinstance(s, CovtestError) else s.p_value for s in scores])
+                    results = [exc] * n_c
             else:  # cusum; SimConfig checks cusum_resamples, so only a fit can fail
-                pvals[ti].append([
+                results = [
                     fit if isinstance(fit, CovtestError) else sup_test(
                         cumulative_process(fit, dataset.t),
                         multiplier_null(fit, proj, dataset.t, config.cusum_resamples,
                                         seed=(config.seed, rep, 3)),
-                    ).p_value
+                    )
                     for dataset, fit in zip(datasets, fits)
-                ])
-    counts = np.zeros((len(tests), n_c, len(levels)), dtype=np.int64)
-    fails = np.zeros((len(tests), n_c), dtype=np.int64)
-    messages = []
-    for r, rep in enumerate(reps):
-        for ci, c in enumerate(config.c_values):
-            for ti, per_rep in pvals.items():
-                cell = per_rep[r][ci]
-                if isinstance(cell, CovtestError):
-                    fails[ti, ci] += 1
-                    messages.append(f"{tests[ti]} m={m} sigma={sigma:g} c={c:g} rep={rep}: {cell}")
+                ]
+            for ci, result in enumerate(results):
+                if isinstance(result, CovtestError):
+                    failed.setdefault((r, ci), []).append((ti, result))
                 else:
-                    counts[ti, ci] += cell < levels
-    return counts, fails, messages
+                    pvals[ti, r, ci] = result.p_value
+    messages = [f"{tests[ti]} m={m} sigma={sigma:g} c={config.c_values[ci]:g} rep={reps[r]}: {error}"
+                for r, ci in sorted(failed) for ti, error in failed[r, ci]]
+    return (pvals[..., None] < levels).sum(axis=1), np.isnan(pvals).sum(axis=1), messages
 
 
 def run_study(config: SimConfig) -> SimReport:

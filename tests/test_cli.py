@@ -173,6 +173,52 @@ class TestErrorSurfacing:
         assert "error:" in capsys.readouterr().err
 
 
+class TestFileSystemFaults:
+    """A file that cannot be read, or a directory that cannot be made, ends
+    in one '<category> error:' line and exit code 1, not a traceback."""
+
+    @pytest.mark.parametrize("fault", ["directory", "not UTF-8"])
+    def test_unreadable_input_is_data_error(self, tmp_path, fault):
+        path = tmp_path / "in.csv"
+        if fault == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"y,t\n\xff\xfe,0.5\n")
+        code, err = outcome(["test", "--input", path, "--method", "score", "--out", tmp_path / "out"])
+        assert code == 1
+        assert err.startswith(f"data error: cannot read {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["test", "--method", "score"],
+        ["simulate", "--m", 20, "--c", 0, "--runs", 1, "--tests", "score", "--knots", 5],
+        ["null-sim", "--method", "rlrt", "--knots", 5, "--nsims", 50],
+    ], ids=lambda argv: argv[0])
+    def test_out_naming_a_file_is_config_error(self, null_csv, tmp_path, monkeypatch, command):
+        monkeypatch.delenv("COVTEST_CACHE_DIR", raising=False)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        inputs = [] if command[0] == "simulate" else ["--input", null_csv]
+        code, err = outcome(command + inputs + ["--out", taken])
+        assert code == 1
+        assert err.startswith("config error: cannot write to the output or null-cache directory: ")
+        assert str(taken) in err and err.count("\n") == 1
+
+    def test_cache_dir_below_a_file_is_config_error(self, null_csv, tmp_path, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setenv("COVTEST_CACHE_DIR", str(taken / "cache"))
+        code, err = outcome(["test", "--input", null_csv, "--method", "rlrt", "--knots", 5,
+                             "--nsims", 50, "--out", tmp_path / "out"])
+        assert code == 1
+        assert err.startswith("config error: cannot write to the output or null-cache directory: ")
+        assert str(taken / "cache") in err and err.count("\n") == 1
+
+    def test_negative_emit_processes_names_the_flag(self, null_csv, tmp_path):
+        code, err = outcome(["test", "--input", null_csv, "--method", "cusum", "--resamples", 20,
+                             "--emit-processes", -1, "--out", tmp_path])
+        assert (code, err) == (1, "config error: --emit-processes must be >= 0 (0 writes none), got -1\n")
+
+
 class TestRejectedInputs:
     @pytest.mark.parametrize("command", ["test", "null-sim"])
     @pytest.mark.parametrize("method", ["lrt", "rlrt"])

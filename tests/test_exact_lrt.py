@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -409,43 +410,45 @@ class TestObservedStatistic:
         """Under the null the restricted statistic has a large point mass at 0."""
         ds0 = generate_dataset(40, 0.5, 0, seed=(200, 0))
         design0 = build_design(ds0, place_knots(ds0.t, 10, 1))
-        solver = ProfileSolver(design0.B)
         grid = default_lambda_grid(spectral_decompose(design0))
         zeros = 0
         n_reps = 150
         for rep in range(n_reps):
             ds = generate_dataset(40, 0.5, 0, seed=(200, rep))
             design = build_design(ds, design0.knots)
-            stat = solver.statistics(ds.y, design.X, grid, [("rlrt", 0)])[0].statistic
+            stat = observed_statistic(ds, design, "rlrt", 0, grid).statistic
             zeros += stat <= 1e-12
         assert zeros / n_reps >= 0.55
 
     def test_guards(self):
         ds, design = make_design(30, 1, 1, 4, seed=43)
-        solver = ProfileSolver(design.B)
         grid = default_lambda_grid(spectral_decompose(design))
         collinear = np.column_stack([design.X, 2.0 * design.X[:, 0]])
         with pytest.raises(ModelError, match="rank deficient"):
-            solver.statistics(ds.y, collinear, grid, [("rlrt", 0)])
+            observed_statistic(ds, replace(design, X=collinear, qr=None), "rlrt", 0, grid)
+        short = Dataset(y=ds.y[:3], S=ds.S[:3], t=ds.t[:3])
         with pytest.raises(ModelError, match="rows"):
-            solver.statistics(ds.y[:3], design.X[:3], grid, [("rlrt", 0)])
-        perfect = design.X @ np.arange(1.0, design.X.shape[1] + 1)
+            observed_statistic(short, replace(design, X=design.X[:3], B=design.B[:3], qr=None),
+                               "rlrt", 0, grid)
+        perfect = Dataset(y=design.X @ np.arange(1.0, design.X.shape[1] + 1), S=ds.S, t=ds.t)
         with pytest.raises(DegenerateFitError):
-            solver.statistics(perfect, design.X, grid, [("lrt", 0)])
+            observed_statistic(perfect, design, "lrt", 0, grid)
 
     def test_degenerate_column_fails_alone(self):
-        """In the matrix form a perfect-fit column gets its error; the others
-        are those of single-column calls."""
+        """A perfect-fit column gets its error; the other column is that of a
+        single-column call."""
         ds, design = make_design(30, 1, 1, 4, seed=43)
         solver = ProfileSolver(design.B)
         grid = default_lambda_grid(spectral_decompose(design))
         perfect = design.X @ np.arange(1.0, design.X.shape[1] + 1)
-        got = solver.statistics(np.column_stack([ds.y, perfect]), design.X, grid, [("lrt", 0)])
-        assert isinstance(got[1], DegenerateFitError)
-        assert str(got[1]) == "null fit is numerically perfect; statistic undefined"
-        (ref,) = solver.statistics(ds.y, design.X, grid, [("lrt", 0)])
-        assert got[0][0].statistic == pytest.approx(ref.statistic, rel=1e-12, abs=1e-12)
-        assert got[0][0].lambda_hat == ref.lambda_hat
+        Y = np.column_stack([ds.y, perfect])[None]
+        got = solver.statistics(Y, design.X[None], grid, [("lrt", 0)])
+        assert list(got[4]) == [(0, 1)]
+        assert isinstance(got[4][0, 1], DegenerateFitError)
+        assert str(got[4][0, 1]) == "null fit is numerically perfect; statistic undefined"
+        ref = observed_statistic(ds, design, "lrt", 0, grid)
+        assert got[0][0, 0, 0] == pytest.approx(ref.statistic, rel=1e-12, abs=1e-12)
+        assert grid.values[got[1][0, 0, 0]] == ref.lambda_hat
 
     def test_no_n_by_n_work_at_large_n(self):
         """One 20 000 x 20 000 float64 array would take 3.2 GB."""
@@ -476,24 +479,25 @@ class TestBatchedColumns:
         (2, [("lrt", 1), ("lrt", 0), ("rlrt", 0)]),
     ])
     def test_matrix_matches_single_columns(self, degree, specs):
-        """Five departure levels of one replicate share X: one matrix call
-        gives what five single-column calls give."""
+        """Five departure levels of one replicate share X: one call with
+        five columns gives what five single-column calls give."""
         datasets = [generate_dataset(60, 0.5, c, seed=(17, 2)) for c in range(5)]
         design = build_design(datasets[0], place_knots(datasets[0].t, 12, degree))
         solver = ProfileSolver(design.B)
         grid = default_lambda_grid(spectral_decompose(design))
-        Y = np.column_stack([ds.y for ds in datasets])
-        batched = solver.statistics(Y, design.X, grid, specs)
-        assert len(batched) == 5
-        for ds, column in zip(datasets, batched):
-            single = solver.statistics(ds.y, design.X, grid, specs)
-            assert [r.method for r in column] == [kind for kind, _ in specs]
-            for got, ref in zip(column, single):
-                assert got.statistic == pytest.approx(ref.statistic, rel=1e-12, abs=1e-12)
-                assert got.lambda_hat == ref.lambda_hat
-                assert got.nuisance["rss_null"] == pytest.approx(ref.nuisance["rss_null"], rel=1e-12)
-                assert got.nuisance["grid_sha"] == ref.nuisance["grid_sha"]
-        assert batched[4][0].statistic > batched[0][0].statistic  # the departure is visible
+        Y = np.column_stack([ds.y for ds in datasets])[None]
+        batched = solver.statistics(Y, design.X[None], grid, specs)
+        assert [a.shape for a in batched[:4]] == [(len(specs), 1, 5)] * 4 and batched[4] == {}
+        for c, ds in enumerate(datasets):
+            for j, (kind, h) in enumerate(specs):
+                got = cell_fields(batched, grid, specs, j, 0, c)
+                ref = observed_statistic(ds, design, kind, h, grid)
+                assert got[0] == ref.method
+                assert got[1] == pytest.approx(ref.statistic, rel=1e-12, abs=1e-12)
+                assert got[2] == ref.lambda_hat
+                assert got[6] == pytest.approx(ref.nuisance["rss_null"], rel=1e-12)
+                assert ref.nuisance["grid_sha"] == grid.sha
+        assert batched[0][0, 0, 4] > batched[0][0, 0, 0]  # the departure is visible
 
     def test_grid_hashed_once(self, monkeypatch):
         """The grid's sha is computed once, however many statistics use it."""
@@ -503,9 +507,8 @@ class TestBatchedColumns:
         ds = generate_dataset(40, 0.5, 2, seed=(17, 3))
         design = build_design(ds, place_knots(ds.t, 8, 1))
         grid = default_lambda_grid(spectral_decompose(design))
-        solver = ProfileSolver(design.B)
         for _ in range(3):
-            result = solver.statistics(ds.y, design.X, grid, [("rlrt", 0)])[0]
+            result = observed_statistic(ds, design, "rlrt", 0, grid)
         assert result.nuisance["grid_sha"] == grid.sha == real(grid.values)
         assert sum(a is grid.values for a in hashed) == 1
 
@@ -515,6 +518,20 @@ def result_fields(result):
     nuisance = result.nuisance
     return (result.method, result.statistic, result.lambda_hat, result.clamped,
             nuisance["sigma2_eps"], nuisance["sigma2_spline"], nuisance["rss_null"], nuisance["h"])
+
+
+def cell_fields(got, grid, specs, j, r, c):
+    """``result_fields`` of the TestResult that cell (r, c) of the j-th
+    (kind, h) of a ``ProfileSolver.statistics`` result stands for."""
+    raw, k, sigma2, rss_null = (a[j, r, c].item() for a in got[:4])
+    lam = float(grid.values[k])
+    return (specs[j][0], max(raw, 0.0), lam, raw < 0.0, sigma2, lam * sigma2, rss_null, specs[j][1])
+
+
+def single_cell(design, X, Y, r, c):
+    """Dataset and design of column c of replicate r of a replicate stack."""
+    ds = Dataset(y=Y[r, :, c], S=X[r, :, :2], t=design.t)
+    return ds, replace(design, X=X[r], qr=None)
 
 
 def replicate_stack(m, degree, n_reps, seed):
@@ -534,20 +551,30 @@ class TestStackedReplicates:
     @pytest.mark.parametrize("m", [30, 50, 100])
     def test_stack_matches_single_calls_bit_for_bit(self, m, degree):
         """A stack of replicates with different S gives, slice by slice, the
-        bits of one matrix call per replicate, for every (kind, h)."""
+        bits of one call per replicate, for every (kind, h) and every
+        TestResult field; observed_statistic gives the bits of a call on its
+        one cell, and those of the stack to rounding."""
         design, X, Y = replicate_stack(m, degree, 7, seed=21)
         solver = ProfileSolver(design.B)
         grid = default_lambda_grid(spectral_decompose(design))
         stacked = solver.statistics(Y, X, grid, self.SPECS)
-        assert len(stacked) == 7
+        assert stacked[0].shape == (3, 7, 5) and stacked[4] == {}
         for r in range(7):
-            single = solver.statistics(Y[r], X[r], grid, self.SPECS)
-            assert len(stacked[r]) == len(single) == 5
-            for got, ref in zip(stacked[r], single):
-                assert list(map(result_fields, got)) == list(map(result_fields, ref))
+            single = solver.statistics(Y[r:r + 1], X[r:r + 1], grid, self.SPECS)
+            for c in range(5):
+                ds, design_r = single_cell(design, X, Y, r, c)
+                one = solver.statistics(ds.y[None, :, None], X[r:r + 1], grid, self.SPECS)
+                for j, (kind, h) in enumerate(self.SPECS):
+                    got = cell_fields(stacked, grid, self.SPECS, j, r, c)
+                    assert got == cell_fields(single, grid, self.SPECS, j, 0, c)
+                    ref = result_fields(observed_statistic(ds, design_r, kind, h, grid))
+                    assert ref == cell_fields(one, grid, self.SPECS, j, 0, 0)
+                    assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+                    assert got[2] == ref[2]  # the same lambda-hat
         given_qr = solver.statistics(Y, X, grid, self.SPECS, stacked_qr(X))
-        for got, ref in zip(given_qr, stacked):
-            assert [list(map(result_fields, c)) for c in got] == [list(map(result_fields, c)) for c in ref]
+        for got, ref in zip(given_qr[:4], stacked[:4]):
+            np.testing.assert_array_equal(got, ref)
+        assert given_qr[4] == {}
 
     def test_failures_stay_in_their_cells(self):
         """A replicate with collinear S fails whole, with the design check's
@@ -558,26 +585,35 @@ class TestStackedReplicates:
         solver = ProfileSolver(design.B)
         grid = default_lambda_grid(spectral_decompose(design))
         stacked = solver.statistics(Y, X, grid, self.SPECS)
-        assert isinstance(stacked[1], ModelError)
-        assert str(stacked[1]) == "fixed-effects design is rank deficient (4 columns, rank 3)"
+        errors = stacked[4]
+        assert list(errors) == [(1, c) for c in range(5)] + [(2, 3)]
+        for c in range(5):
+            assert isinstance(errors[1, c], ModelError)
+            assert str(errors[1, c]) == "fixed-effects design is rank deficient (4 columns, rank 3)"
         with pytest.raises(ModelError, match="rank deficient"):
-            solver.statistics(Y[1], X[1], grid, self.SPECS)
-        assert isinstance(stacked[2][3], DegenerateFitError)
-        assert str(stacked[2][3]) == "null fit is numerically perfect; statistic undefined"
+            observed_statistic(*single_cell(design, X, Y, 1, 0), "lrt", 0, grid)
+        assert isinstance(errors[2, 3], DegenerateFitError)
+        assert str(errors[2, 3]) == "null fit is numerically perfect; statistic undefined"
+        with pytest.raises(DegenerateFitError):
+            observed_statistic(*single_cell(design, X, Y, 2, 3), "lrt", 0, grid)
         for r in (0, 2, 3):
-            single = solver.statistics(Y[r], X[r], grid, self.SPECS)
-            for c, (got, ref) in enumerate(zip(stacked[r], single)):
+            single = solver.statistics(Y[r:r + 1], X[r:r + 1], grid, self.SPECS)
+            assert list(single[4]) == ([(0, 3)] if r == 2 else [])
+            for c in range(5):
                 if (r, c) == (2, 3):
-                    assert isinstance(ref, DegenerateFitError)
                     continue
-                assert list(map(result_fields, got)) == list(map(result_fields, ref))
+                for j in range(len(self.SPECS)):
+                    assert (cell_fields(stacked, grid, self.SPECS, j, r, c)
+                            == cell_fields(single, grid, self.SPECS, j, 0, c))
 
     def test_too_few_rows_fail_every_replicate(self):
         design, X, Y = replicate_stack(30, 1, 3, seed=23)
         solver = ProfileSolver(design.B)
         grid = default_lambda_grid(spectral_decompose(design))
         stacked = solver.statistics(Y[:, :4], X[:, :4], grid, self.SPECS)
-        assert [str(e) for e in stacked] == ["need n > 4 rows to fit 4 coefficients, got n = 4"] * 3
+        rows = "need n > 4 rows to fit 4 coefficients, got n = 4"
+        assert {cell: str(e) for cell, e in stacked[4].items()} == {
+            (r, c): rows for r in range(3) for c in range(5)}
 
 
 class TestSpectralDenseEquivalence:

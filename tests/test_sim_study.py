@@ -214,6 +214,28 @@ class TestRunStudy:
             assert report.get(name, 30, 0.25, 0, 0.05).failures == 1
             assert report.get(name, 30, 0.25, 2, 0.05).failures == 2
 
+    def test_failure_messages_follow_evaluation_order(self, monkeypatch):
+        """Within a (replicate, c) the messages list the LRT cells, evaluated
+        first, then score, whatever the order of ``tests``; failures.txt is
+        written in this order."""
+        import covtest.sim_study as sim_study
+
+        real = sim_study.generate_dataset
+
+        def collinear_rep1(m, sigma, c, seed, s_scale_as_sd=False):
+            out = real(m, sigma, c, seed, s_scale_as_sd)
+            if seed != (5, 1):
+                return out
+            S = np.column_stack([out[0].S[:, 0], 2.0 * out[0].S[:, 0]])
+            return [Dataset(y=ds.y, S=S, t=ds.t) for ds in out]
+
+        monkeypatch.setattr(sim_study, "generate_dataset", collinear_rep1)
+        report = run_study(tiny_config(tests=("score", "lrt1"), c_values=(0, 2), n_runs=150))
+        rank = "fixed-effects design is rank deficient (4 columns, rank 3)"
+        assert report.failure_messages == [
+            f"{name} m=30 sigma=0.25 c={c} rep=1: {rank}" for c in (0, 2) for name in ("lrt1", "score")
+        ]
+
     def test_too_few_rows_fail_every_test_application(self):
         """With m <= p every application fails with the fit's row-count message."""
         config = tiny_config(m_values=(4,), tests=("score", "cusum"), c_values=(0, 2),
