@@ -8,6 +8,13 @@ from --seed; reruns with identical flags produce byte-identical result files.
 Each option is declared once, in ``_OPTIONS``. A ``--config`` file becomes
 ``--key=value`` tokens placed right after the subcommand name, so one parser
 checks flags and config values alike, and flags given later win.
+
+At module level this file imports only the standard library, numpy,
+``errors`` and ``__version__``: parsing the command line loads no test
+engine. Each handler imports the covtest functions it calls inside its own
+body, so a ``score`` call never loads the exact-LRT engine, an ``rlrt`` call
+never loads the score or cusum tests, and only ``simulate`` and ``report``
+load the study harness.
 """
 
 from __future__ import annotations
@@ -17,28 +24,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .cusum_test import cumulative_process, multiplier_null, multiplier_processes, sup_test
-from .data_io import ColumnMap, Dataset, load_csv
 from .errors import ConfigError, CovtestError
-from .exact_lrt import (
-    attach_pvalue,
-    default_lambda_grid,
-    observed_statistic,
-    simulate_null_cached,
-    spectral_decompose,
-)
-from .null_fit import fit_null
-from .score_test import run_score_test
-from .sim_study import SimCell, SimConfig, SimReport, run_study
-from .spline_basis import NATURAL_SPLINE, PENALIZED_GRAM, KnotSet, build_design, place_knots
-
-_KERNELS = {"natural": NATURAL_SPLINE, "penalized": PENALIZED_GRAM}
 
 
 def _list_of(cast, what: str):
@@ -63,7 +54,7 @@ _OPTIONS = {
     "degree": dict(type=int, default=1, help="spline degree d"),
     "h": dict(type=int, default=0, help="top polynomial coefficients dropped under the null"),
     "knots": dict(type=int, default=20, help="number of quantile knots"),
-    "kernel": dict(default="natural", choices=list(_KERNELS),
+    "kernel": dict(default="natural", choices=["natural", "penalized"],
                    help="smoother kernel for the score test"),
     "nsims": dict(type=int, default=10000, help="null-distribution simulation draws"),
     "resamples": dict(type=int, default=1000, help="multiplier resamples for the cusum test"),
@@ -135,7 +126,9 @@ def _config_tokens(path: str, command: str) -> list[str]:
     return tokens
 
 
-def _load_dataset(cfg: dict) -> Dataset:
+def _load_dataset(cfg: dict):
+    from .data_io import ColumnMap, load_csv
+
     if not cfg["input"]:
         raise ConfigError("--input is required")
     s_cols = tuple(cfg["s_cols"].split(",")) if cfg["s_cols"] else None
@@ -149,6 +142,8 @@ def _load_dataset(cfg: dict) -> Dataset:
 
 
 def _grid_for(cfg: dict, cache):
+    from .exact_lrt import default_lambda_grid
+
     text = str(cfg["grid_span"])
     try:
         lo, hi = (float(v) for v in text.split(","))
@@ -159,8 +154,11 @@ def _grid_for(cfg: dict, cache):
     return default_lambda_grid(cache, n_points=int(cfg["grid_points"]), span=(lo, hi))
 
 
-def _lrt_null(cfg: dict, dataset: Dataset):
+def _lrt_null(cfg: dict, dataset):
     """Design, lambda grid and (cached) simulated null of an LRT/RLRT run."""
+    from .exact_lrt import simulate_null_cached, spectral_decompose
+    from .spline_basis import build_design, place_knots
+
     if cfg["knots"] == 0:  # before the design, whose rank check would answer first
         raise ConfigError("spectral decomposition needs at least one knot")
     design = build_design(dataset, place_knots(dataset.t, cfg["knots"], cfg["degree"]))
@@ -228,6 +226,8 @@ def _cmd_test(cfg: dict) -> int:
         "effective_config": _echo_lines(cfg, "test"),
     }
     if method in ("lrt", "rlrt"):
+        from .exact_lrt import attach_pvalue, observed_statistic
+
         design, grid, null = _lrt_null(cfg, dataset)
         result = attach_pvalue(
             observed_statistic(dataset, design, method, cfg["h"], grid), null
@@ -241,10 +241,16 @@ def _cmd_test(cfg: dict) -> int:
             null_provenance=result.null_provenance,
         )
     elif method == "score":
-        knots = place_knots(dataset.t, cfg["knots"], cfg["degree"]) if cfg["kernel"] == "penalized" else None
-        result = run_score_test(
-            dataset, degree=cfg["degree"], kernel_kind=_KERNELS[cfg["kernel"]], knots=knots
-        )
+        from dataclasses import asdict
+
+        from .score_test import run_score_test
+        from .spline_basis import NATURAL_SPLINE, PENALIZED_GRAM, place_knots
+
+        if cfg["kernel"] == "penalized":
+            kind, knots = PENALIZED_GRAM, place_knots(dataset.t, cfg["knots"], cfg["degree"])
+        else:
+            kind, knots = NATURAL_SPLINE, None
+        result = run_score_test(dataset, degree=cfg["degree"], kernel_kind=kind, knots=knots)
         record.update(
             statistic=result.u_score,
             u_quad=result.u_quad,
@@ -253,6 +259,10 @@ def _cmd_test(cfg: dict) -> int:
             moments=asdict(result.moments),
         )
     else:  # cusum: X = [S | A] does not depend on the knots, so place none
+        from .cusum_test import cumulative_process, multiplier_null, multiplier_processes, sup_test
+        from .null_fit import fit_null
+        from .spline_basis import KnotSet, build_design
+
         design = build_design(dataset, KnotSet(np.empty(0), cfg["degree"]))
         fit, proj = fit_null(dataset, design)
         ordering = dataset.t if cfg["ordering"] == "t" else fit.fitted
@@ -292,6 +302,8 @@ def _cmd_test(cfg: dict) -> int:
 
 
 def _cmd_simulate(cfg: dict) -> int:
+    from .sim_study import SimConfig, run_study
+
     config = SimConfig(
         m_values=cfg["m"],
         sigma_values=cfg["sigma"],
@@ -350,6 +362,8 @@ def _cmd_null_sim(cfg: dict) -> int:
 
 
 def _cmd_report(cfg: dict) -> int:
+    from .sim_study import SimCell, SimConfig, SimReport
+
     if not cfg["input"]:
         raise ConfigError("--input is required")
     try:

@@ -28,7 +28,11 @@ __all__ = [
     "sup_test",
 ]
 
+# Each chunk of 256 resamples draws from its own stream, keyed by the chunk
+# index; the chunk is worked through in sub-blocks of 32 rows, drawn in turn
+# from that stream, so the working set does not grow with the chunk.
 _RESAMPLE_CHUNK = 256
+_SUB_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,10 @@ def _resampled_blocks(
 
     Rows are laid out in sorted order once per call. A block's process at a
     jump is then cumsum(g) - coef' cumsum(X)' at the last row of its ties,
-    with coef = R^-1 (V^-1/2 Q)' g fitted in O(n p) per resample.
+    with coef = R^-1 (V^-1/2 Q)' g fitted in O(n p) per resample. A block
+    is a sub-block of at most ``_SUB_BLOCK`` rows of a ``_RESAMPLE_CHUNK``
+    chunk; its multipliers are the next rows of the chunk's stream, the same
+    numbers one draw of the whole chunk gives.
     """
     if n_resamples < 1:
         raise ConfigError(f"n_resamples must be >= 1, got {n_resamples}")
@@ -113,15 +120,17 @@ def _resampled_blocks(
 
     def blocks():
         for start, stop, rng in chunked_streams(seed, n_resamples, _RESAMPLE_CHUNK):
-            g = np.take(rng.standard_normal((stop - start, n_units)), rows, axis=1)
-            g *= contrib
-            coef = np.linalg.solve(proj.R, (g @ white_q).T).T
-            np.cumsum(g, axis=1, out=g)
-            g = np.take(g, last, axis=1)
-            g -= coef @ x_cum
-            g /= math.sqrt(n_units)
-            yield start, stop, g
-            del g  # with the caller's reference gone, this block is freed before the next draw
+            for lo in range(start, stop, _SUB_BLOCK):
+                hi = min(lo + _SUB_BLOCK, stop)
+                g = np.take(rng.standard_normal((hi - lo, n_units)), rows, axis=1)
+                g *= contrib
+                coef = np.linalg.solve(proj.R, (g @ white_q).T).T
+                np.cumsum(g, axis=1, out=g)
+                g = np.take(g, last, axis=1)
+                g -= coef @ x_cum
+                g /= math.sqrt(n_units)
+                yield lo, hi, g
+                del g  # with the caller's reference gone, this block is freed before the next draw
 
     return points, blocks()
 

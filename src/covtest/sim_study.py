@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -351,6 +350,8 @@ def run_study(config: SimConfig) -> SimReport:
                 return _run_block(config, m, sigma, fixtures, reps)
 
             if config.threads > 1:
+                from concurrent.futures import ThreadPoolExecutor  # loads logging; serial runs skip it
+
                 with ThreadPoolExecutor(max_workers=config.threads) as pool:
                     results = list(pool.map(job, blocks))
             else:

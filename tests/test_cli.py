@@ -537,6 +537,42 @@ class TestLazyScipy:
         assert (tmp_path / "result_score.json").exists()
 
 
+def loaded_modules(code):
+    """covtest modules, and concurrent.futures if present, after ``code`` runs
+    in a fresh interpreter."""
+    probe = (
+        f"{code}\nimport sys\n"
+        "print(' '.join(m for m in sys.modules"
+        " if m.split('.')[0] == 'covtest' or m == 'concurrent.futures'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split("\n")[-2].split())
+
+
+class TestModulesPerCommand:
+    """A command imports only the covtest modules it runs, and no thread pool."""
+
+    def test_cli_import(self):
+        assert loaded_modules("import covtest.cli") == {"covtest", "covtest.cli", "covtest.errors"}
+
+    @pytest.mark.parametrize("method, modules", [
+        ("score", "data_io errors null_fit score_test spline_basis"),
+        ("rlrt", "data_io errors exact_lrt rng spline_basis"),
+        ("cusum", "cusum_test data_io errors null_fit rng spline_basis"),
+    ])
+    def test_test_command(self, null_csv, tmp_path, method, modules):
+        code = (
+            "from covtest.cli import main\n"
+            f"assert main(['test', '--input', {str(null_csv)!r}, '--method', {method!r}, "
+            f"'--nsims', '200', '--resamples', '50', '--out', {str(tmp_path)!r}]) == 0"
+        )
+        expected = {"covtest", "covtest.cli"} | {f"covtest.{m}" for m in modules.split()}
+        assert loaded_modules(code) == expected
+        assert (tmp_path / f"result_{method}.json").exists()
+
+
 class TestCusumDraws:
     """The multiplier draws are part of the result: a rewrite of the resampler
     must keep every p-value. These counts come from the earlier resampler,

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from covtest import (
     reml_projection,
     sup_test,
 )
+from covtest import rng as rngmod
+from covtest.cusum_test import _RESAMPLE_CHUNK, _SUB_BLOCK
 from covtest.null_fit import NullFit
 from covtest.spline_basis import KnotSet
 
@@ -193,6 +196,74 @@ class TestCalibration:
             p = sup_test(cumulative_process(fit, ds.t), sups).p_value
             rejections += p < 0.05
         assert rejections / n_reps >= 0.5
+
+
+def drawn_pieces(n, clusters):
+    """Data, OLS or random-intercept fit and projection at size n (no departure)."""
+    rng = np.random.default_rng((n, clusters))
+    t = rng.uniform(0, 1, n)
+    S = rng.standard_normal((n, 2))
+    cluster = np.arange(n) % clusters if clusters else None
+    y = S @ [1.0, -0.5] + t + 0.3 * rng.standard_normal(n)
+    if clusters:
+        y = y + rng.normal(0, 0.5, clusters)[cluster]
+    ds = Dataset(y=y, S=S, t=t, cluster=cluster)
+    design = build_design(ds, KnotSet(np.empty(0), 1))
+    fit = fit_reml_random_intercept(ds, design) if clusters else fit_ols(ds, design)
+    return ds, design, fit, reml_projection(fit, design.X)
+
+
+class TestSubBlocks:
+    """Each 256-resample chunk is worked in sub-blocks of 32 rows, each drawn
+    in turn from the chunk's stream."""
+
+    @pytest.mark.parametrize("n_units", [1, 37, 2000])
+    def test_sub_block_draws_equal_one_chunk_draw(self, n_units):
+        gen = rngmod.stream((5, 2), 3)
+        parts = [
+            gen.standard_normal((min(_SUB_BLOCK, _RESAMPLE_CHUNK - lo), n_units))
+            for lo in range(0, _RESAMPLE_CHUNK, _SUB_BLOCK)
+        ]
+        whole = rngmod.stream((5, 2), 3).standard_normal((_RESAMPLE_CHUNK, n_units))
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_single_unit_multipliers_are_the_chunk_draws(self, small_dataset):
+        """With one unit every path is its multiplier times the observed
+        process, so the multipliers can be read back: resample r is row
+        r % 256 of one draw from the stream of chunk r // 256."""
+        _, fit, proj = fitted_pieces(small_dataset)
+        one_unit = replace(fit, cluster=np.zeros(fit.n, dtype=int))
+        observed = cumulative_process(one_unit, small_dataset.t)
+        _, paths = multiplier_processes(one_unit, proj, small_dataset.t, 600, seed=(8, 1))
+        j = int(np.abs(observed.values).argmax())
+        want = np.concatenate([
+            rng.standard_normal((stop - start, 1))[:, 0]
+            for start, stop, rng in rngmod.chunked_streams((8, 1), 600, _RESAMPLE_CHUNK)
+        ])
+        np.testing.assert_allclose(paths[:, j] / observed.values[j], want, rtol=1e-9)
+
+    @pytest.mark.parametrize("clusters", [0, 15])
+    def test_null_is_sup_norm_of_processes(self, clusters):
+        """600 resamples end in a partial chunk (88 rows) and a partial
+        sub-block (24 rows)."""
+        ds, _, fit, proj = drawn_pieces(120, clusters)
+        sups = multiplier_null(fit, proj, ds.t, 600, seed=(3, clusters))
+        _, paths = multiplier_processes(fit, proj, ds.t, 600, seed=(3, clusters))
+        assert np.array_equal(sups, np.abs(paths).max(axis=1))
+
+    @pytest.mark.parametrize("clusters", [0, 100])
+    def test_working_set_is_a_few_sub_blocks(self, clusters):
+        """1000 resamples at n = 2000 hold about four 32 x n float64 blocks
+        plus the O(np) sorted layout, not a 256 x n chunk."""
+        ds, design, fit, proj = drawn_pieces(2000, clusters)
+        n, p = design.X.shape
+        tracemalloc.start()
+        try:
+            multiplier_null(fit, proj, ds.t, 1000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * _SUB_BLOCK * n * 8 + (4 * p + 8) * n * 8
 
 
 class TestMemory:
