@@ -371,8 +371,7 @@ def _cmd_report(cfg: dict) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {cfg['input']}: {exc}") from None
     header = lines[0].split(",") if lines else []
-    expected = "test,m,sigma,c,level,n_runs,failures,rejections,fraction,se".split(",")
-    if header != expected:
+    if header != SimReport.CSV_HEADER.split(","):
         raise ConfigError(f"{cfg['input']}: not a study report CSV (header {header})")
     cells = []
     for row, line in enumerate(lines[1:], 2):

@@ -60,12 +60,6 @@ _PERFECT_REL = 1e-25
 _SAMPLER_VERSION = 1
 
 
-def _seed_repr(seed: SeedLike):
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    return [int(s) for s in seed]
-
-
 @dataclass(frozen=True)
 class SpectralCache:
     """Eigenvalues driving the exact null sampler.
@@ -87,16 +81,6 @@ class SpectralCache:
     def complement_dim(self) -> int:
         """Dimension of the residual space: n - p - d - 1."""
         return self.n_obs - self.n_cov - self.degree - 1
-
-    def fingerprint(self) -> dict:
-        return {
-            "n_obs": self.n_obs,
-            "n_cov": self.n_cov,
-            "degree": self.degree,
-            "n_knots": self.n_knots,
-            "proj_eigs_sha": _sha(self.proj_eigs),
-            "raw_eigs_sha": _sha(self.raw_eigs),
-        }
 
 
 @dataclass(frozen=True)
@@ -120,17 +104,28 @@ class LambdaGrid:
 
 @dataclass(frozen=True)
 class NullDistribution:
-    """Simulated finite-sample null distribution of an LRT/RLRT statistic."""
+    """Simulated finite-sample null distribution of an LRT/RLRT statistic: the
+    draws (each >= 0) and the provenance dict :func:`simulate_null` records,
+    which the null-cache key hashes. The other attributes are read from these."""
 
     samples: np.ndarray
-    kind: str
-    h: int
-    zero_mass_fraction: float
     provenance: dict
+
+    @property
+    def kind(self) -> str:
+        return self.provenance["kind"]
+
+    @property
+    def h(self) -> int:
+        return self.provenance["h"]
 
     @property
     def n_sims(self) -> int:
         return self.samples.shape[0]
+
+    @property
+    def zero_mass_fraction(self) -> float:
+        return float((self.samples <= _ZERO_STAT).mean())
 
     @cached_property
     def sorted_samples(self) -> np.ndarray:
@@ -237,20 +232,23 @@ def profile_terms(
     ``num`` and ``den`` split the shrunken residual energy between the spline
     directions and their complement; ``gain`` is the profiled 2*delta-loglik
     of the alternative over the null at this smoothing ratio. gain(0) = 0
-    exactly.
+    exactly. The weights and the penalty are those of the engine's grid sweep
+    (:func:`_grid_weights`, :func:`_kind_penalty`) at the single value ``lam``.
     """
     coord_sq = np.asarray(coord_sq, dtype=float)
     if lam < 0:
         raise ConfigError(f"lambda must be >= 0, got {lam}")
     if tail_sum < 0:
         raise ConfigError(f"tail sum must be >= 0, got {tail_sum}")
-    shrink = 1.0 + lam * cache.proj_eigs
-    num = float(((lam * cache.proj_eigs / shrink) * coord_sq).sum())
-    den = float((coord_sq / shrink).sum() + tail_sum)
+    values = np.array([float(lam)])
+    num_w, den_w = _grid_weights(values, cache.proj_eigs)
+    num = float(coord_sq @ num_w[:, 0])
+    den = float(coord_sq @ den_w[:, 0] + tail_sum)
     if den <= 0:
         raise NumericalError("denominator of the profile ratio is zero")
-    gain = cache.n_obs * math.log1p(num / den) - float(np.log1p(lam * cache.raw_eigs).sum())
-    return ProfileTerms(num=num, den=den, gain=gain)
+    mult, pen = _kind_penalty("lrt", values, cache.n_obs, cache.complement_dim,
+                              cache.raw_eigs, cache.proj_eigs)
+    return ProfileTerms(num=num, den=den, gain=mult * math.log1p(num / den) - float(pen[0]))
 
 
 def _grid_weights(values: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -296,6 +294,11 @@ def _kind_penalty(kind: str, values: np.ndarray, n_obs: int, n_resid: int,
     and B'P0B's for the RLRT; pen is R x G for a stack of B'P0B eigenvalues (R x K)."""
     mult, eigs = (n_obs, raw_eigs) if kind == "lrt" else (n_resid, proj_eigs)
     return mult, np.log1p(values[:, None] * eigs[..., None, :]).sum(axis=-1)
+
+
+def _dropped_gain(n_obs: int, extra: np.ndarray, rss0: np.ndarray) -> np.ndarray:
+    """n log(1 + extra / rss(0)): the LRT's term for the h coefficients the null drops."""
+    return n_obs * np.log1p(extra / rss0)
 
 
 def _sweep(ratio: np.ndarray, mult: int, pen: np.ndarray, out: np.ndarray | None = None):
@@ -372,7 +375,7 @@ class ProfileSolver:
                 best, top = _sweep(ratio, mult, pen[..., None, :])
                 extra = ((Q[..., p - h:].swapaxes(-1, -2) @ Y) ** 2).sum(axis=-2)
                 sigma2 = np.take_along_axis(den, best[..., None], axis=-1)[..., 0] / mult
-                out[:, j] = top + n * np.log1p(extra / rss0), best, sigma2, rss0 + extra
+                out[:, j] = top + _dropped_gain(n, extra, rss0), best, sigma2, rss0 + extra
         failed = {(int(r), int(c)): errors[r] or DegenerateFitError(
                       "null fit is numerically perfect; statistic undefined")
                   for r, c in zip(*np.nonzero(~usable))}
@@ -463,27 +466,10 @@ def simulate_null(
         stat = _sweep(ratio, mult, pen, out=ratio)[1]
         if kind == "lrt" and h > 0:
             extra = rng.chisquare(h, size=stop - start)
-            stat = stat + cache.n_obs * np.log1p(extra / (w.sum(axis=1) + tail))
+            stat = stat + _dropped_gain(cache.n_obs, extra, w.sum(axis=1) + tail)
         samples[start:stop] = stat
     np.clip(samples, 0.0, None, out=samples)
-    provenance = {
-        "format": "covtest-null-cache",
-        "version": 1,
-        "kind": kind,
-        "h": h,
-        "n_sims": n_sims,
-        "seed": _seed_repr(seed),
-        "grid_sha": grid.sha,
-        "n_grid": int(values.size),
-        **cache.fingerprint(),
-    }
-    return NullDistribution(
-        samples=samples,
-        kind=kind,
-        h=h,
-        zero_mass_fraction=float((samples <= _ZERO_STAT).mean()),
-        provenance=provenance,
-    )
+    return NullDistribution(samples, _provenance(cache, kind, h, grid, n_sims, seed))
 
 
 def p_value(observed: float | np.ndarray, null: NullDistribution) -> float | np.ndarray:
@@ -508,19 +494,33 @@ def attach_pvalue(result: TestResult, null: NullDistribution) -> TestResult:
 # Disk cache for null distributions
 
 
-def null_distribution_key(
+def _provenance(
     cache: SpectralCache, kind: str, h: int, grid: LambdaGrid, n_sims: int, seed: SeedLike
-) -> str:
-    """Stable content key over everything the sampler depends on."""
-    payload = {
-        "sampler_version": _SAMPLER_VERSION,
+) -> dict:
+    """The identity of a simulated null: its file format and everything its draws depend on."""
+    return {
+        "format": "covtest-null-cache",
+        "version": 1,
         "kind": kind,
         "h": h,
         "n_sims": n_sims,
-        "seed": _seed_repr(seed),
+        "seed": int(seed) if isinstance(seed, (int, np.integer)) else [int(s) for s in seed],
         "grid_sha": grid.sha,
-        **cache.fingerprint(),
+        "n_grid": int(grid.values.size),
+        "n_obs": cache.n_obs,
+        "n_cov": cache.n_cov,
+        "degree": cache.degree,
+        "n_knots": cache.n_knots,
+        "proj_eigs_sha": _sha(cache.proj_eigs),
+        "raw_eigs_sha": _sha(cache.raw_eigs),
     }
+
+
+def null_distribution_key(
+    cache: SpectralCache, kind: str, h: int, grid: LambdaGrid, n_sims: int, seed: SeedLike
+) -> str:
+    """Stable content key: the null's provenance and the sampler version."""
+    payload = {**_provenance(cache, kind, h, grid, n_sims, seed), "sampler_version": _SAMPLER_VERSION}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
@@ -550,15 +550,10 @@ def load_null_distribution(path: str | Path) -> NullDistribution:
     with np.load(path, allow_pickle=False) as payload:
         provenance = json.loads(str(payload["provenance"]))
         samples = payload["samples"].astype(float)
-    if provenance.get("format") != "covtest-null-cache" or provenance.get("version") != 1:
+    if (provenance.get("format") != "covtest-null-cache" or provenance.get("version") != 1
+            or not {"kind", "h"} <= provenance.keys()):
         raise ConfigError(f"{path}: not a recognised null-distribution cache file")
-    return NullDistribution(
-        samples=samples,
-        kind=provenance["kind"],
-        h=provenance["h"],
-        zero_mass_fraction=float((samples <= _ZERO_STAT).mean()),
-        provenance=provenance,
-    )
+    return NullDistribution(samples, provenance)
 
 
 def simulate_null_cached(

@@ -25,11 +25,9 @@ from .errors import ConfigError, CovtestError, DegenerateTestError, NumericalErr
 from .null_fit import NullFit, RemlProjection, fit_null
 from .spline_basis import (
     NATURAL_SPLINE,
-    PENALIZED_GRAM,
     KnotSet,
     SmootherKernel,
     build_design,
-    place_knots,
     smoother_kernel,
 )
 
@@ -213,18 +211,14 @@ def run_score_test(
     degree: int = 1,
     kernel_kind: str = NATURAL_SPLINE,
     knots: KnotSet | None = None,
-    n_knots: int = 20,
 ) -> ScoreResult:
     """Fit the null model and run the score test end to end.
 
     Clustered datasets get the random-intercept REML null fit, independent
-    ones plain OLS. The default kernel is the natural smoothing-spline one;
-    ``penalized-gram`` uses the truncated power basis (placing ``n_knots``
-    quantile knots when none are supplied) for comparability with the LRT.
+    ones plain OLS, on X = [S | A], which does not depend on the knots. The
+    default kernel is the natural smoothing-spline one; ``penalized-gram`` is
+    B B' for the LRT's truncated power basis B of ``knots``, which it requires.
     """
-    if kernel_kind == PENALIZED_GRAM and knots is None:
-        knots = place_knots(dataset.t, n_knots, degree)
-    design = build_design(dataset, knots if knots is not None else KnotSet(np.empty(0), degree))
-    fit, proj = fit_null(dataset, design)
+    fit, proj = fit_null(dataset, build_design(dataset, KnotSet(np.empty(0), degree)))
     kern = smoother_kernel(dataset.t, degree, kernel_kind, knots)
     return score_statistic(fit, proj, kern)

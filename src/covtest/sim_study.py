@@ -76,25 +76,22 @@ def generate_dataset(
     sigma: float,
     c: float | tuple[float, ...],
     seed: rngmod.SeedLike,
-    s_scale_as_sd: bool = False,
 ) -> Dataset | list[Dataset]:
     """One simulated dataset: two Gaussian covariates, a fixed t grid on
     [0, 1], and Gaussian noise of standard deviation sigma.
 
-    The second argument of the covariate law is a variance by default
-    (``s_scale_as_sd=True`` reads it as a standard deviation instead). The
-    covariate and noise draws come from per-role streams under ``seed``, so
-    datasets with the same seed share draws across c and sigma. A sequence
-    ``c`` gives one dataset per departure level from one set of draws: they
-    share S and t, and each y equals the one a scalar call with that c gives.
+    The covariates are N(0, 0.3) and N(0, 0.4), given by their variances; the
+    draws come from per-role streams under ``seed``, so datasets with the same
+    seed share draws across c and sigma. A sequence ``c`` gives one dataset
+    per departure level from one set of draws: they share S and t, and each y
+    equals the one a scalar call with that c gives.
     """
     if m < 2:
         raise ConfigError(f"need m >= 2, got {m}")
     if sigma <= 0:
         raise ConfigError(f"sigma must be > 0, got {sigma}")
-    scale = (lambda v: v) if s_scale_as_sd else math.sqrt
-    s1 = rngmod.stream(seed, 0).normal(0.0, scale(_S_VARIANCES[0]), m)
-    s2 = rngmod.stream(seed, 1).normal(0.0, scale(_S_VARIANCES[1]), m)
+    s1 = rngmod.stream(seed, 0).normal(0.0, math.sqrt(_S_VARIANCES[0]), m)
+    s2 = rngmod.stream(seed, 1).normal(0.0, math.sqrt(_S_VARIANCES[1]), m)
     noise = sigma * rngmod.stream(seed, 2).standard_normal(m)
     t = np.arange(m) / (m - 1)
     S, linear = np.column_stack([s1, s2]), _TRUE_COEF[0] * s1 + _TRUE_COEF[1] * s2
@@ -118,7 +115,6 @@ class SimConfig:
     cusum_resamples: int = 1000
     seed: int = 0
     threads: int = 1
-    s_scale_as_sd: bool = False
     cache_dir: str | None = None
 
     def __post_init__(self):
@@ -139,6 +135,10 @@ class SimConfig:
             raise ConfigError(f"unknown tests {unknown}; known: {list(KNOWN_TESTS)}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        for axis in ("m_values", "sigma_values", "c_values", "levels", "tests"):
+            values = getattr(self, axis)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{axis} lists a value more than once: {list(values)}")
 
     def lines(self) -> list[str]:
         """Flat key = value echo of the effective configuration."""
@@ -170,14 +170,12 @@ class SimCell:
     @property
     def se(self) -> float:
         valid = self.n_runs - self.failures
-        if not valid:
-            return float("nan")
-        f = self.fraction
-        return math.sqrt(f * (1.0 - f) / valid)
+        return math.sqrt(self.fraction * (1.0 - self.fraction) / valid) if valid else float("nan")
 
 
 @dataclass
 class SimReport:
+    CSV_HEADER = "test,m,sigma,c,level,n_runs,failures,rejections,fraction,se"
     cells: list[SimCell]
     config: SimConfig
     failure_messages: list[str] = field(default_factory=list)
@@ -192,7 +190,7 @@ class SimReport:
 
     def to_csv(self) -> str:
         """Machine-readable report; deterministic given the same counts."""
-        lines = ["test,m,sigma,c,level,n_runs,failures,rejections,fraction,se"]
+        lines = [self.CSV_HEADER]
         for cell in self.cells:
             lines.append(
                 f"{cell.test},{cell.m},{cell.sigma:g},{cell.c:g},{cell.level:g},"
@@ -231,7 +229,7 @@ def _study_fixtures(config: SimConfig, m: int):
     A and B every replicate shares as t is the same grid; per LRT degree, a
     ProfileSolver, the lambda grid and each variant's null distribution. The
     variants of a degree form a group, evaluated in one call for all c."""
-    base = generate_dataset(m, config.sigma_values[0], 0, (config.seed, 0), config.s_scale_as_sd)
+    base = generate_dataset(m, config.sigma_values[0], 0, (config.seed, 0))
     lrt = [(vi, name, *_LRT_VARIANTS[name]) for vi, name in enumerate(config.tests)
            if name in _LRT_VARIANTS]
     degrees = {d for _, _, _, d, _ in lrt} | ({1} if {"score", "cusum"} & set(config.tests) else set())
@@ -270,8 +268,7 @@ def _run_block(config: SimConfig, m: int, sigma: float, fixtures: dict, reps: ra
     then score and cusum.
     """
     tests, n_c, levels = config.tests, len(config.c_values), np.asarray(config.levels)
-    draws = [generate_dataset(m, sigma, config.c_values, (config.seed, rep), config.s_scale_as_sd)
-             for rep in reps]
+    draws = [generate_dataset(m, sigma, config.c_values, (config.seed, rep)) for rep in reps]
     Y = np.stack([np.column_stack([dataset.y for dataset in datasets]) for datasets in draws])
     S = np.stack([datasets[0].S for datasets in draws])
     X = {d: np.concatenate([S, np.broadcast_to(design.A, (len(S),) + design.A.shape)], axis=2)
@@ -285,18 +282,18 @@ def _run_block(config: SimConfig, m: int, sigma: float, fixtures: dict, reps: ra
             Y, X[d], fixtures[("grid", d)], specs, factors[d])
         group = [ti for ti, _, _, _ in members]
         for j, (ti, name, _, _) in enumerate(members):
-            pvals[ti] = p_value(np.maximum(stats[j], 0.0), fixtures[("null", name)])
+            pvals[ti] = p_value(stats[j], fixtures[("null", name)])  # samples >= 0: no clamp needed
         for (r, ci), error in cell_errors.items():
             pvals[group, r, ci] = np.nan
             failed.setdefault((r, ci), []).extend((ti, error) for ti in group)
     ols = [(ti, name) for ti, name in enumerate(tests) if name in ("score", "cusum")]
     for r, (rep, datasets) in enumerate(zip(reps, draws) if ols else ()):
-        Q, R, errors = factors[1]  # a rejected X is left to the fit, which raises its error
-        design = replace(fixtures["designs"][1], X=X[1][r], qr=None if errors[r] else (Q[r], R[r]))
-        try:
-            proj, fits = fit_ols_columns(datasets, design)
-        except CovtestError as exc:  # the shared X failed: every c fails
-            proj, fits = None, [exc] * n_c
+        Q, R, errors = factors[1]
+        if errors[r]:  # the block's QR rejected the shared X: every c fails with its error
+            proj, fits = None, [errors[r]] * n_c
+        else:
+            proj, fits = fit_ols_columns(
+                datasets, replace(fixtures["designs"][1], X=X[1][r], qr=(Q[r], R[r])))
         for ti, name in ols:
             if name == "score":
                 try:

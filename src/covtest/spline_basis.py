@@ -87,8 +87,9 @@ class SmootherKernel:
     The score test reads a kernel only through ``apply`` (M A for an n x k
     block A), ``trace`` (tr M) and ``sq_norm`` (|M|_F^2). This class holds M
     as a dense matrix, for hand-made kernels and dense checks;
-    :func:`smoother_kernel` returns the structured subclasses, which form M
-    only when ``.M`` is asked for.
+    :func:`smoother_kernel` returns the structured subclasses, which override
+    those three. ``.M`` forms M from ``apply`` alone, so a subclass builds it
+    only when asked; for a dense symmetric M it returns M exactly.
     """
 
     def __init__(self, M, kind: str):
@@ -100,22 +101,16 @@ class SmootherKernel:
 
     @property
     def M(self) -> np.ndarray:
-        return self._M
+        """Dense n x n kernel, built on demand for dense checks."""
+        M = self.apply(np.eye(self.n))
+        return 0.5 * (M + M.T)
 
     def apply(self, A) -> np.ndarray:
         """M A for a vector or a matrix with one row per observation."""
         return self._M @ A
 
 
-class _StructuredKernel(SmootherKernel):
-    @property
-    def M(self) -> np.ndarray:
-        """Dense n x n kernel, built on demand for dense checks."""
-        M = self.apply(np.eye(self.n))
-        return 0.5 * (M + M.T)
-
-
-class GramKernel(_StructuredKernel):
+class GramKernel(SmootherKernel):
     """M = B B' held as its n x K factor B: M A = B (B'A), |M|_F = |B'B|_F."""
 
     def __init__(self, B: np.ndarray):
@@ -130,7 +125,7 @@ class GramKernel(_StructuredKernel):
         return self.B @ (self.B.T @ A)
 
 
-class NaturalSplineKernel(_StructuredKernel):
+class NaturalSplineKernel(SmootherKernel):
     """Covariance kernel of a degree-d integrated Wiener process on [0, 1].
 
     k(a, b) = int_0^min(a, b) (a - w)^d (b - w)^d dw / (d!)^2. For a <= b it

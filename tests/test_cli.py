@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config handling, error surfacing."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -362,6 +363,24 @@ class TestSimulateCommand:
         assert run(args + flags) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("flags, axis", [
+        (["--m", "30,30"], "m_values"),
+        (["--sigma", "0.25,0.5,0.25"], "sigma_values"),
+        (["--c", "0,0.0"], "c_values"),
+        (["--levels", "0.05,0.05"], "levels"),
+        (["--tests", "score,score"], "tests"),
+    ], ids=["m", "sigma", "c", "levels", "tests"])
+    def test_repeated_axis_value_is_config_error(self, tmp_path, capsys, flags, axis):
+        """A repeated value would run its slice twice and write duplicate
+        report rows, which ``covtest report`` renders as another table."""
+        args = ["simulate", "--m", 30, "--sigma", "0.25", "--c", "0", "--runs", 3,
+                "--tests", "score", "--out", tmp_path / "sim"]
+        assert run(args + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {axis} lists a value more than once")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "sim").exists()
+
 
 class TestNullSimCommand:
     def test_writes_cache_and_summary(self, null_csv, tmp_path, monkeypatch):
@@ -423,6 +442,33 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "covtest" in proc.stdout
+
+
+class TestExampleDataScript:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_example_data.py"
+
+    def make(self, out, *flags):
+        return subprocess.run([sys.executable, str(self.SCRIPT), "--m", "30", "--seed", "3",
+                               "--out", str(out), *flags], capture_output=True, text=True,
+                              env=src_env(), timeout=120)
+
+    def test_integer_departures_keep_their_bytes(self, tmp_path):
+        """The files the script wrote before --c was parsed by argparse, pinned by sha256."""
+        proc = self.make(tmp_path, "--c", "0,2")
+        assert proc.returncode == 0, proc.stderr
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.glob("*.csv")}
+        assert digests == {
+            "pl_m30_sigma0.25_c0.csv": "0b8eb28aedd2159562cf2e9fff5cc45ebd205f9a7cc9553d27b2e9d5155ff442",
+            "pl_m30_sigma0.25_c2.csv": "3b94a8f8b763bf8190987713762618dd7282cffac6aa2818404f01e3086f4f56",
+        }
+
+    def test_fractional_departure_is_a_usage_error(self, tmp_path):
+        proc = self.make(tmp_path / "out", "--c", "0,0.5")
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+        assert "expected comma-separated integers, got '0,0.5'" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 def outcome(argv):

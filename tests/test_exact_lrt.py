@@ -214,6 +214,22 @@ class TestProfileTerms:
         )
         assert profile_terms(cache, np.array(w), tail, 0.0).gain == 0.0
 
+    def test_gain_is_the_engine_profile(self):
+        """At every grid value the gain is the LRT profile of the grid sweep that
+        observed statistics and the null sampler run: n times the log ratio of
+        _grid_profile minus the penalty of _kind_penalty."""
+        ds, design = make_design(60, 2, 2, 12, seed=81)
+        cache = spectral_decompose(design)
+        values = default_lambda_grid(cache).values
+        head, tail = spectral_coordinates(design, ds.y + np.sin(6 * ds.t))
+        weights = exact_lrt._grid_weights(values, cache.proj_eigs)
+        ratio = exact_lrt._grid_profile(weights, head[None], np.array([tail]))[0][0]
+        mult, pen = exact_lrt._kind_penalty("lrt", values, cache.n_obs, cache.complement_dim,
+                                            cache.raw_eigs, cache.proj_eigs)
+        engine = mult * ratio - pen
+        gains = np.array([profile_terms(cache, head, tail, lam).gain for lam in values])
+        np.testing.assert_allclose(gains, engine, rtol=0, atol=1e-12 * np.abs(engine).max())
+
     def test_degenerate_inputs_rejected(self):
         cache = self.cache_one()
         with pytest.raises(ConfigError):
@@ -641,14 +657,8 @@ class TestSpectralDenseEquivalence:
 
 class TestPValue:
     def fixed_null(self, samples):
-        samples = np.asarray(samples, dtype=float)
-        return NullDistribution(
-            samples=samples,
-            kind="rlrt",
-            h=0,
-            zero_mass_fraction=float((samples <= 1e-12).mean()),
-            provenance={},
-        )
+        return NullDistribution(samples=np.asarray(samples, dtype=float),
+                                provenance={"kind": "rlrt", "h": 0})
 
     def test_observed_beyond_all_samples(self):
         null = self.fixed_null(np.linspace(0, 1, 999))
@@ -673,6 +683,16 @@ class TestPValue:
             assert type(got) is float and got == want
         assert p_value(0.0, null) == 1.0
         assert p_value(7.5, null) == 1.0 / 10.0
+
+    def test_statistics_at_or_below_zero_need_no_clamp(self):
+        """A simulated null's samples are >= 0, so a raw statistic <= 0 gets the
+        p-value of the clamped one: every sample counts."""
+        ds, design = make_design(30, 1, 1, 4, seed=63)
+        null = simulate_null(spectral_decompose(design), "rlrt", 0, None, 500, seed=4)
+        assert null.samples.min() == 0.0
+        raw = np.array([-np.inf, -50.0, -1e-300, -0.0, 0.0])
+        assert np.array_equal(p_value(raw, null), p_value(np.maximum(raw, 0.0), null))
+        assert np.all(p_value(raw, null) == 1.0)
 
     def test_median_maps_near_half(self):
         """Oracle: rank-based count on the sorted samples."""
@@ -732,6 +752,24 @@ class TestNullCache:
         assert np.array_equal(first.samples, second.samples)
         assert len(list(tmp_path.glob("null_*.npz"))) == 1
 
+    def test_cached_null_equals_the_simulated_one(self, tmp_path, monkeypatch):
+        """Saved by the cache and read back, an LRT null with h = 1 keeps its
+        samples, provenance, kind, h and zero mass."""
+        ds, design = make_design(40, 1, 2, 5, seed=55)
+        cache = spectral_decompose(design)
+        fresh = simulate_null(cache, "lrt", 1, None, 700, seed=(5, 1))
+        simulate_null_cached(cache, "lrt", 1, None, 700, seed=(5, 1), cache_dir=tmp_path)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the cached null was simulated again")
+
+        monkeypatch.setattr(exact_lrt, "simulate_null", no_draws)
+        back = simulate_null_cached(cache, "lrt", 1, None, 700, seed=(5, 1), cache_dir=tmp_path)
+        assert np.array_equal(back.samples, fresh.samples)
+        assert back.provenance == fresh.provenance
+        assert (back.kind, back.h, back.n_sims) == (fresh.kind, fresh.h, fresh.n_sims) == ("lrt", 1, 700)
+        assert back.zero_mass_fraction == fresh.zero_mass_fraction
+
     def test_key_sensitivity(self, monkeypatch):
         ds, design = make_design(30, 1, 1, 4, seed=53)
         cache = spectral_decompose(design)
@@ -748,6 +786,11 @@ class TestNullCache:
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bogus.npz"
         np.savez(path, samples=np.zeros(3), provenance=np.array('{"format": "nope"}'))
+        with pytest.raises(ConfigError, match="not a recognised"):
+            load_null_distribution(path)
+        # The format tag alone is not enough: kind and h are read from the provenance.
+        np.savez(path, samples=np.zeros(3),
+                 provenance=np.array('{"format": "covtest-null-cache", "version": 1, "h": 0}'))
         with pytest.raises(ConfigError, match="not a recognised"):
             load_null_distribution(path)
 

@@ -1,6 +1,7 @@
 """The covtest namespace resolves each public name from its home submodule."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -42,3 +43,15 @@ def test_name_is_read_at_access_time(monkeypatch):
     sentinel = object()
     monkeypatch.setattr(exact_lrt, "p_value", sentinel)
     assert covtest.p_value is sentinel
+
+
+def test_readme_library_sketch_runs(capsys):
+    """The README's "Library sketch" block runs as written and prints a score
+    p-value, then an RLRT statistic and its p-value."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    score_line, rlrt_line = capsys.readouterr().out.splitlines()
+    statistic, p = (float(v) for v in rlrt_line.split())
+    assert 0.0 < float(score_line) <= 1.0
+    assert statistic >= 0.0 and 0.0 < p <= 1.0

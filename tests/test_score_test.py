@@ -241,7 +241,8 @@ class TestRunScoreTest:
         assert result.kernel_kind == "natural-spline-kernel"
 
     def test_pipeline_penalized_kernel(self, small_dataset):
-        result = run_score_test(small_dataset, kernel_kind=PENALIZED_GRAM, n_knots=10)
+        knots = place_knots(small_dataset.t, 10, 1)
+        result = run_score_test(small_dataset, kernel_kind=PENALIZED_GRAM, knots=knots)
         assert 0.0 < result.p_value <= 1.0
         assert result.kernel_kind == "penalized-gram"
 

@@ -100,10 +100,9 @@ class TestGenerateDataset:
         assert abs(variances.mean() - sigma**2) <= 3 * se
 
     def test_sd_interpretation_switch(self):
-        var_ds = generate_dataset(4000, 0.25, 0, seed=(31, 0), s_scale_as_sd=False)
-        sd_ds = generate_dataset(4000, 0.25, 0, seed=(31, 0), s_scale_as_sd=True)
-        assert var_ds.S[:, 0].std() == pytest.approx(math.sqrt(0.3), rel=0.05)
-        assert sd_ds.S[:, 0].std() == pytest.approx(0.3, rel=0.05)
+        """The second argument of the covariate law is a variance."""
+        ds = generate_dataset(4000, 0.25, 0, seed=(31, 0))
+        assert ds.S[:, 0].std() == pytest.approx(math.sqrt(0.3), rel=0.05)
 
     def test_grid_is_equally_spaced(self):
         ds = generate_dataset(25, 0.25, 0, seed=(41, 0))
@@ -152,8 +151,8 @@ class TestRunStudy:
 
         real = sim_study.generate_dataset
 
-        def perfect_at_c2(m, sigma, c, seed, s_scale_as_sd=False):
-            out = real(m, sigma, c, seed, s_scale_as_sd)
+        def perfect_at_c2(m, sigma, c, seed):
+            out = real(m, sigma, c, seed)
             if np.ndim(c) == 0 or seed != (5, 0):  # the fixtures' draw, or another replicate
                 return out
             y = 1.3 * out[0].S[:, 0] + 0.45 * out[0].S[:, 1] + 0.5 - out[0].t
@@ -189,8 +188,8 @@ class TestRunStudy:
 
         real = sim_study.generate_dataset
 
-        def broken(m, sigma, c, seed, s_scale_as_sd=False):
-            out = real(m, sigma, c, seed, s_scale_as_sd)
+        def broken(m, sigma, c, seed):
+            out = real(m, sigma, c, seed)
             if seed == (5, 1):
                 S = np.column_stack([out[0].S[:, 0], 2.0 * out[0].S[:, 0]])
                 return [Dataset(y=ds.y, S=S, t=ds.t) for ds in out]
@@ -222,8 +221,8 @@ class TestRunStudy:
 
         real = sim_study.generate_dataset
 
-        def collinear_rep1(m, sigma, c, seed, s_scale_as_sd=False):
-            out = real(m, sigma, c, seed, s_scale_as_sd)
+        def collinear_rep1(m, sigma, c, seed):
+            out = real(m, sigma, c, seed)
             if seed != (5, 1):
                 return out
             S = np.column_stack([out[0].S[:, 0], 2.0 * out[0].S[:, 0]])
