@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -63,7 +62,6 @@ _OPTIONS = {
     "out": dict(default=".", help="output directory"),
     "threads": dict(type=int, default=1, help="worker count (results are identical for any value)"),
     "config": dict(help="flat key = value config file; flags win"),
-    "rescale-t": dict(action="store_true", help="affinely map t to [0, 1] at load"),
     "y-col": dict(default="y", help="response column name"),
     "t-col": dict(default="t", help="smooth covariate column name"),
     "s-cols": dict(help="comma-separated covariate columns (default: all others)"),
@@ -72,9 +70,6 @@ _OPTIONS = {
                      help="ordering variable for the cusum process"),
     "emit-processes": dict(type=int, default=0,
                            help="also write this many resampled cusum paths as CSV"),
-    "grid-points": dict(type=int, default=200, help="log-spaced smoothing-grid points after 0"),
-    "grid-span": dict(default="1e-6,1e8",
-                      help="smoothing-grid span as LO,HI (scaled by the design)"),
     "m": dict(type=_list_of(int, "integers"), default="50,100",
               help="comma-separated sample sizes"),
     "sigma": dict(type=_NUMBERS, default="0.25,0.5",
@@ -85,9 +80,6 @@ _OPTIONS = {
                   help="comma-separated tests: lrt1,lrt2,rlrt,score,cusum"),
     "levels": dict(type=_NUMBERS, default="0.05,0.1", help="comma-separated nominal levels"),
 }
-
-_SWITCH_WORDS = {"true": True, "yes": True, "on": True, "1": True,
-                 "false": False, "no": False, "off": False, "0": False}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +92,7 @@ class _Parser(argparse.ArgumentParser):
 def _config_tokens(path: str, command: str) -> list[str]:
     """Turn a flat ``key = value`` file into ``--key=value`` tokens.
 
-    Keys are long flag names with ``_`` or ``-``; a switch takes true/false.
+    Keys are long flag names with ``_`` or ``-``.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -117,12 +109,7 @@ def _config_tokens(path: str, command: str) -> list[str]:
         name = key.replace("_", "-")
         if name not in _COMMANDS[command][2] or name == "config":
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r} for covtest {command}")
-        if _OPTIONS[name].get("action") != "store_true":
-            tokens.append(f"--{name}={value}")
-        elif value.lower() not in _SWITCH_WORDS:
-            raise ConfigError(f"{path}:{line_no}: {key} must be true or false, got {value!r}")
-        elif _SWITCH_WORDS[value.lower()]:
-            tokens.append(f"--{name}")
+        tokens.append(f"--{name}={value}")
     return tokens
 
 
@@ -132,38 +119,22 @@ def _load_dataset(cfg: dict):
     if not cfg["input"]:
         raise ConfigError("--input is required")
     s_cols = tuple(cfg["s_cols"].split(",")) if cfg["s_cols"] else None
-    dataset = load_csv(
+    return load_csv(
         cfg["input"],
         ColumnMap(y=cfg["y_col"], t=cfg["t_col"], s=s_cols, cluster=cfg["cluster_col"]),
     )
-    if cfg["rescale_t"]:
-        dataset = dataset.with_rescaled_t()
-    return dataset
-
-
-def _grid_for(cfg: dict, cache):
-    from .exact_lrt import default_lambda_grid
-
-    text = str(cfg["grid_span"])
-    try:
-        lo, hi = (float(v) for v in text.split(","))
-    except ValueError:
-        raise ConfigError(f"--grid-span must be two numbers LO,HI, got {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
-        raise ConfigError(f"--grid-span needs finite 0 < LO < HI, got {text!r}")
-    return default_lambda_grid(cache, n_points=int(cfg["grid_points"]), span=(lo, hi))
 
 
 def _lrt_null(cfg: dict, dataset):
     """Design, lambda grid and (cached) simulated null of an LRT/RLRT run."""
-    from .exact_lrt import simulate_null_cached, spectral_decompose
+    from .exact_lrt import default_lambda_grid, simulate_null_cached, spectral_decompose
     from .spline_basis import build_design, place_knots
 
     if cfg["knots"] == 0:  # before the design, whose rank check would answer first
         raise ConfigError("spectral decomposition needs at least one knot")
     design = build_design(dataset, place_knots(dataset.t, cfg["knots"], cfg["degree"]))
     cache = spectral_decompose(design)
-    grid = _grid_for(cfg, cache)
+    grid = default_lambda_grid(cache)
     null = simulate_null_cached(
         cache, cfg["method"], cfg["h"], grid, cfg["nsims"],
         seed=(cfg["seed"], 1), cache_dir=_cache_dir(cfg),
@@ -194,8 +165,8 @@ def _write_json(path: Path, payload: dict) -> None:
 _UNREAD_BY = {
     "lrt": "kernel resamples ordering emit-processes",
     "rlrt": "kernel resamples ordering emit-processes",
-    "score": "h nsims resamples seed ordering emit-processes grid-points grid-span",
-    "cusum": "h knots kernel nsims grid-points grid-span",
+    "score": "h nsims resamples seed ordering emit-processes",
+    "cusum": "h knots kernel nsims",
 }
 
 
@@ -409,8 +380,8 @@ def _cmd_report(cfg: dict) -> int:
 _COMMANDS = {
     "test": (_cmd_test, "run one test on a data file", (
         "input", "method", "degree", "h", "knots", "kernel", "nsims", "resamples",
-        "seed", "level", "out", "config", "rescale-t", "y-col", "t-col", "s-cols",
-        "cluster-col", "ordering", "emit-processes", "grid-points", "grid-span",
+        "seed", "level", "out", "config", "y-col", "t-col", "s-cols", "cluster-col",
+        "ordering", "emit-processes",
     )),
     "simulate": (_cmd_simulate, "run the Monte Carlo size/power study", (
         "m", "sigma", "c", "levels", "tests", "runs", "knots", "nsims", "resamples",
@@ -418,7 +389,7 @@ _COMMANDS = {
     )),
     "null-sim": (_cmd_null_sim, "precompute a null-distribution cache", (
         "input", "method", "degree", "h", "knots", "nsims", "seed", "out", "config",
-        "rescale-t", "y-col", "t-col", "s-cols", "cluster-col", "grid-points", "grid-span",
+        "y-col", "t-col", "s-cols", "cluster-col",
     )),
     "report": (_cmd_report, "render a study report CSV as a table", ("input", "out", "config")),
 }

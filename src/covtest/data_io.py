@@ -95,14 +95,6 @@ class Dataset:
             return self.n
         return int(self.cluster.max()) + 1
 
-    def with_rescaled_t(self) -> "Dataset":
-        """Affinely map t onto [0, 1]. Knot and kernel constructions are
-        range-sensitive, so this is opt-in rather than automatic."""
-        lo, hi = float(self.t.min()), float(self.t.max())
-        if hi == lo:
-            raise DataError("cannot rescale constant t")
-        return Dataset(self.y, self.S, (self.t - lo) / (hi - lo), self.cluster)
-
 
 @dataclass(frozen=True)
 class ColumnMap:

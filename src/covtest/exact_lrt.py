@@ -30,7 +30,7 @@ import numpy as np
 from .data_io import Dataset
 from .errors import ConfigError, DegenerateFitError, ModelError, NumericalError
 from .rng import SeedLike, chunked_streams
-from .spline_basis import DesignMatrices, stacked_qr
+from .spline_basis import PERFECT_FIT_REL, DesignMatrices, stacked_qr
 
 __all__ = [
     "SpectralCache",
@@ -54,7 +54,6 @@ __all__ = [
 _EIG_CLIP_REL = 1e-12
 _ZERO_STAT = 1e-12
 _SIM_CHUNK = 1024
-_PERFECT_REL = 1e-25
 # Part of every null-cache key: raise it whenever simulate_null's draws change,
 # so entries written by an earlier sampler are never served.
 _SAMPLER_VERSION = 1
@@ -364,7 +363,7 @@ class ProfileSolver:
         if Q is not None:
             values = grid.values
             proj, head, rss0 = _residual_coordinates(Q, self.B, Y)
-            usable = rss0 > _PERFECT_REL * np.einsum("...ij,...ij->...j", Y, Y)
+            usable = rss0 > PERFECT_FIT_REL * np.einsum("...ij,...ij->...j", Y, Y)
             usable &= np.array([error is None for error in errors])[:, None]
             # A failed cell is swept with unit energy in the tail, so no division is by zero.
             rss0 = np.where(usable, rss0, 1.0)
@@ -565,7 +564,11 @@ def simulate_null_cached(
     seed: SeedLike = 0,
     cache_dir: str | Path | None = None,
 ) -> NullDistribution:
-    """Like :func:`simulate_null` but memoised on disk when cache_dir is set."""
+    """Like :func:`simulate_null` but memoised on disk when cache_dir is set.
+
+    An entry is served only if its provenance and sample count are those of
+    the request; an unreadable or foreign entry is simulated again and
+    overwritten, with a warning."""
     if grid is None:
         grid = default_lambda_grid(cache)
     if cache_dir is None:
@@ -576,7 +579,11 @@ def simulate_null_cached(
     path = cache_dir / f"null_{key[:24]}.npz"
     if path.exists():
         try:
-            return load_null_distribution(path)
+            null = load_null_distribution(path)
+            wanted = _provenance(cache, kind, h, grid, n_sims, seed)
+            if null.provenance != wanted or null.n_sims != n_sims:
+                raise ConfigError("its provenance or sample count is not the one its name hashes")
+            return null
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, ConfigError) as exc:
             warnings.warn(
                 f"{path}: unreadable null cache entry ({exc}); simulating again",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data_io import Dataset
 from .errors import ConfigError, DegenerateFitError, NumericalError
-from .spline_basis import DesignMatrices
+from .spline_basis import PERFECT_FIT_REL, DesignMatrices
 
 __all__ = [
     "NullFit",
@@ -28,10 +28,6 @@ __all__ = [
     "fit_reml_random_intercept",
     "reml_projection",
 ]
-
-# Separates genuine near-zero noise (sigma ~ 1e-12 gives rss/yty ~ 1e-24)
-# from pure float roundoff of an exact fit (~ (eps * cond)^2 ~ 1e-27).
-_PERFECT_FIT_REL = 1e-25
 
 # The random-intercept ratio is sought in [0, _RATIO_MAX], the REML root
 # bracketed by steps of a factor _BRACKET_STEP and closed to _ROOT_TOL.
@@ -172,7 +168,7 @@ def _null_fit(
     resid = dataset.y - fitted
     white = _whiten(resid, 1.0, ratio, dataset.cluster, sizes)
     rss = float(white @ white)
-    if rss <= _PERFECT_FIT_REL * float(dataset.y @ dataset.y):
+    if rss <= PERFECT_FIT_REL * float(dataset.y @ dataset.y):
         raise DegenerateFitError(
             "residuals are numerically zero; error variance is not estimable"
         )

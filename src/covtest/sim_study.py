@@ -201,7 +201,8 @@ class SimReport:
 
     def to_table(self) -> str:
         """Aligned text table: one block per m, rows test within sigma within
-        level, one column per departure level c (c = 0 is the empirical size)."""
+        level, one column per departure level c (c = 0 is the empirical size).
+        A cell missing from the report reads n/a."""
         cfg = self.config
         out = []
         for m in cfg.m_values:
@@ -216,7 +217,10 @@ class SimReport:
                     for test in cfg.tests:
                         row = f"{level:>6g} {sigma:>6g} {test:<6}"
                         for c in cfg.c_values:
-                            row += f"{self.get(test, m, sigma, c, level).fraction:>8.3f}"
+                            try:
+                                row += f"{self.get(test, m, sigma, c, level).fraction:>8.3f}"
+                            except KeyError:
+                                row += f"{'n/a':>8}"
                         out.append(row)
                 out.append("")
             out.append("")
@@ -261,7 +265,7 @@ def _run_block(config: SimConfig, m: int, sigma: float, fixtures: dict, reps: ra
     responses and one p-value lookup per variant over its replicate x c
     statistics. A replicate whose X is rejected fails all its cells with the
     rejection. Per replicate, score and cusum share the OLS fits of all c from
-    its QR and their unit-variance projection, which the score rescales per
+    its QR and their unit-variance projection, which the score scales per
     fit and the resampled cusum sups do not depend on. The p-values fill one
     test x replicate x c array, where a failed cell stays NaN; the failure
     messages of a (replicate, c) follow evaluation order: the LRT groups,

@@ -218,6 +218,13 @@ def _trunc_basis(t: np.ndarray, knots: KnotSet) -> np.ndarray:
     return truncated_power(t[:, None], knots.knots[None, :], knots.degree)
 
 
+# A least-squares fit is numerically perfect, with no estimable error variance,
+# when its residual sum of squares is at most this fraction of y'y. It separates
+# genuine near-zero noise (sigma ~ 1e-12 gives rss/yty ~ 1e-24) from pure float
+# roundoff of an exact fit (~ (eps * cond)^2 ~ 1e-27).
+PERFECT_FIT_REL = 1e-25
+
+
 def stacked_qr(X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, list]:
     """Thin QR of each n x p fixed-effects design in an R x n x p stack, the
     one factorisation every least-squares step takes, and per design the
@@ -272,9 +279,9 @@ def smoother_kernel(
 
     ``penalized-gram`` is B B' from the truncated power basis (requires
     knots), held as B; ``natural-spline-kernel`` is the integrated-Wiener
-    kernel on t affinely rescaled to [0, 1], held in semiseparable form. The rescale changes the kernel only by
-    a constant factor, which the score test absorbs into its scale
-    calibration, so test decisions are unaffected.
+    kernel on t mapped affinely onto [0, 1], held in semiseparable form. That
+    map changes the kernel only by a constant factor, which the score test
+    absorbs into its scale calibration, so test decisions are unaffected.
     """
     t = np.asarray(t, dtype=float)
     if kind == PENALIZED_GRAM:

@@ -127,25 +127,25 @@ class TestTestCommand:
         assert (out / "result_rlrt.json").read_bytes() == first
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_grid_override_changes_provenance(self, null_csv, tmp_path):
-        out1, out2 = tmp_path / "g1", tmp_path / "g2"
-        base = ["test", "--input", null_csv, "--method", "rlrt", "--nsims", 400, "--seed", 2]
-        assert run(base + ["--out", out1]) == 0
-        assert run(base + ["--grid-points", 50, "--grid-span", "1e-4,1e6", "--out", out2]) == 0
-        rec1 = json.loads((out1 / "result_rlrt.json").read_text())
-        rec2 = json.loads((out2 / "result_rlrt.json").read_text())
-        assert rec1["null_provenance"]["n_grid"] == 201
-        assert rec2["null_provenance"]["n_grid"] == 51
-        assert rec1["null_provenance"]["grid_sha"] != rec2["null_provenance"]["grid_sha"]
-
-    def test_rescale_t_flag(self, tmp_path):
-        ds = generate_dataset(40, 0.25, 0, seed=(13, 0))
-        from covtest import Dataset
-        wide = Dataset(y=ds.y, S=ds.S, t=10.0 + 5.0 * ds.t)
-        path = tmp_path / "wide.csv"
-        save_csv(wide, path)
+    def test_foreign_cache_entry_is_replaced(self, null_csv, tmp_path, capsys):
+        """An entry holding another seed's null under this request's name is not served."""
         out = tmp_path / "out"
-        assert run(["test", "--input", path, "--method", "score", "--rescale-t", "--out", out]) == 0
+
+        def entries_after(seed):
+            before = set((out / "null_cache").glob("null_*.npz"))
+            assert run(["test", "--input", null_csv, "--method", "rlrt", "--nsims", 500,
+                        "--seed", seed, "--out", out]) == 0
+            (entry,) = set((out / "null_cache").glob("null_*.npz")) - before
+            return entry, capsys.readouterr().out
+
+        seed1, _ = entries_after(1)
+        seed2, printed = entries_after(2)
+        seed2.write_bytes(seed1.read_bytes())
+        with pytest.warns(UserWarning, match="unreadable null cache entry"):
+            assert run(["test", "--input", null_csv, "--method", "rlrt", "--nsims", 500,
+                        "--seed", 2, "--out", out]) == 0
+        assert capsys.readouterr().out == printed
+        assert seed2.read_bytes() != seed1.read_bytes()
 
 
 class TestErrorSurfacing:
@@ -265,22 +265,6 @@ class TestRejectedInputs:
         for method in ("score", "cusum"):
             assert run(["test", "--input", clustered_csv, "--method", method, "--resamples", 100,
                         "--cluster-col", "cluster", "--out", tmp_path / "o"]) == 0
-
-    @pytest.mark.parametrize("points", [0, -3])
-    def test_grid_without_points(self, null_csv, tmp_path, capsys, points):
-        code = run(["test", "--input", null_csv, "--method", "rlrt", "--nsims", 200,
-                    "--grid-points", points, "--out", tmp_path])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("config error: the lambda grid needs")
-
-    @pytest.mark.parametrize("span", ["5", "a,b", "1e8,1e-6", "1,2,3", "0,1e3", "1e-6,inf"])
-    def test_malformed_grid_span(self, null_csv, tmp_path, capsys, span):
-        code = run(["test", "--input", null_csv, "--method", "rlrt", "--nsims", 200,
-                    "--grid-span", span, "--out", tmp_path])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: --grid-span")
-        assert "Traceback" not in err
 
 
 class TestConfigFile:
@@ -418,6 +402,17 @@ class TestReportCommand:
         assert run(["report", "--input", bad, "--out", tmp_path]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_partial_report_marks_missing_cells(self, tmp_path, capsys):
+        partial = tmp_path / "r.csv"
+        partial.write_text("test,m,sigma,c,level,n_runs,failures,rejections,fraction,se\n"
+                           "score,50,0.25,0,0.05,4,0,1,0.250000,0.216506\n"
+                           "score,100,0.25,2,0.05,4,0,3,0.750000,0.216506\n")
+        assert run(["report", "--input", partial, "--out", tmp_path / "o"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  0.05")]
+        assert rows == [["0.05", "0.25", "score", "0.250", "n/a"],
+                        ["0.05", "0.25", "score", "n/a", "0.750"]]
+
     def test_rejects_foreign_csv(self, tmp_path, capsys):
         bad = tmp_path / "x.csv"
         bad.write_text("a,b\n1,2\n")
@@ -486,6 +481,7 @@ class TestParseErrors:
     @pytest.mark.parametrize("line", [
         "method = bogus", "kernel = bogus", "ordering = bogus", "degree = abc",
         "threads = 2", "rescale_t = maybe", "no equals sign",
+        "rescale_t = true", "grid_points = 80", "grid_span = 1e-5,1e7",
     ])
     def test_bad_config_line(self, null_csv, tmp_path, line):
         cfg = tmp_path / "run.cfg"
@@ -509,6 +505,8 @@ class TestParseErrors:
         ["test", "--level", "nan"],
         ["simulate", "--levels", "2"],
         ["simulate", "--levels", "0.05,1"],
+        *([command, *removed] for command in ("test", "null-sim") for removed in (
+            ["--rescale-t"], ["--grid-points", "80"], ["--grid-span", "1e-5,1e7"])),
     ])
     def test_bad_argv(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -541,14 +539,14 @@ class TestConfigParity:
     def test_config_equals_flags(self, null_csv, tmp_path):
         out = tmp_path / "out"
         flags = ["--method", "rlrt", "--degree", "1", "--knots", "12", "--nsims", "600",
-                 "--seed", "9", "--grid-points", "80", "--grid-span", "1e-5,1e7", "--rescale-t"]
+                 "--seed", "9", "--s-cols", "s1", "--t-col", "t"]
         assert run(["test", "--input", null_csv, "--out", out] + flags) == 0
         by_flags = (out / "result_rlrt.json").read_bytes()
         (out / "result_rlrt.json").unlink()
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "method = rlrt\ndegree = 1\nknots=12\nnsims = 600\nseed = 9  # trailing comment\n"
-            "grid_points = 80\ngrid-span = 1e-5,1e7\nrescale_t = yes\n"
+            "s_cols = s1\nt-col = t\n"
         )
         assert run(["test", "--input", null_csv, "--out", out, "--config", cfg]) == 0
         assert (out / "result_rlrt.json").read_bytes() == by_flags
@@ -673,7 +671,7 @@ class TestCusumKnots:
         assert not cusum & {"kernel", "nsims", "h", "knots"}
         assert {"resamples", "seed", "ordering"} <= cusum
         rlrt = echoed("rlrt")
-        assert {"nsims", "knots", "seed", "grid-points", "grid-span"} <= rlrt
+        assert {"nsims", "knots", "seed"} <= rlrt
         assert not rlrt & {"kernel", "resamples", "ordering", "config"}
 
     @pytest.mark.parametrize("kernel,echoed", [("natural", False), ("penalized", True)])
@@ -689,22 +687,20 @@ class TestCusumKnots:
 # Every option each subcommand takes, written out independently of cli.py.
 TAKES = {
     "test": {"input", "method", "degree", "h", "knots", "kernel", "nsims", "resamples", "seed",
-             "level", "out", "config", "rescale-t", "y-col", "t-col", "s-cols", "cluster-col",
-             "ordering", "emit-processes", "grid-points", "grid-span"},
+             "level", "out", "config", "y-col", "t-col", "s-cols", "cluster-col", "ordering",
+             "emit-processes"},
     "simulate": {"m", "sigma", "c", "levels", "tests", "runs", "knots", "nsims", "resamples",
                  "seed", "out", "threads", "config"},
     "null-sim": {"input", "method", "degree", "h", "knots", "nsims", "seed", "out", "config",
-                 "rescale-t", "y-col", "t-col", "s-cols", "cluster-col", "grid-points",
-                 "grid-span"},
+                 "y-col", "t-col", "s-cols", "cluster-col"},
     "report": {"input", "out", "config"},
 }
 ALL_OPTIONS = set().union(*TAKES.values())
 NUMBERS = {"degree", "h", "knots", "nsims", "resamples", "seed", "level", "threads",
-           "emit-processes", "grid-points", "runs"}
+           "emit-processes", "runs"}
 CHOICES = {"method": ("lrt", "rlrt", "score", "cusum"), "kernel": ("natural", "penalized"),
            "ordering": ("t", "fitted")}
 LISTS = {"m": ["1", "20"], "sigma": ["0.5", "1"], "c": ["0", "0.5"], "levels": ["0.05"]}
-SWITCH_WORDS = {"true", "yes", "on", "1", "false", "no", "off", "0"}
 # No digits and none of the letters of "inf" or "nan": never parses as a number.
 NOT_A_NUMBER = st.text(alphabet="bcdeghjkmopqrsuvwxz.,_+- ", min_size=1, max_size=6)
 WORD = st.from_regex(r"[a-z][a-z_-]{1,10}", fullmatch=True)
@@ -766,10 +762,8 @@ def config_line(kind, command):
         return st.builds("{} = 1".format, st.sampled_from(sorted(ALL_OPTIONS - TAKES[command])))
     if kind == "no equals sign":
         return st.just("a line without an equals sign")
-    if kind == "bad config value":
-        return bad_value(command).map(lambda pair: f"{pair[0].replace('-', '_')} = {pair[1]}")
-    assert kind == "bad switch word"
-    return st.builds("rescale_t = {}".format, WORD.filter(lambda w: w not in SWITCH_WORDS))
+    assert kind == "bad config value"
+    return bad_value(command).map(lambda pair: f"{pair[0].replace('-', '_')} = {pair[1]}")
 
 
 def bad_fragment(kind, command, root):
@@ -800,10 +794,8 @@ FAULTS = [
     (command, kind)
     for command in sorted(TAKES)
     for kind in ("unknown flag", "foreign flag", "bad value", "missing config", "unknown key",
-                 "abbreviated key", "foreign key", "no equals sign", "bad config value",
-                 "bad switch word")
+                 "abbreviated key", "foreign key", "no equals sign", "bad config value")
     if not (command == "report" and kind in ("bad value", "bad config value"))
-    and not (kind == "bad switch word" and "rescale-t" not in TAKES[command])
 ]
 
 

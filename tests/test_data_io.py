@@ -152,10 +152,3 @@ class TestDataset:
         with pytest.raises(ValueError):
             small_dataset.y[0] = 99.0
 
-    def test_rescale_t(self):
-        ds = Dataset(y=[1, 2, 3], S=np.empty((3, 0)), t=[2.0, 4.0, 6.0])
-        scaled = ds.with_rescaled_t()
-        np.testing.assert_allclose(scaled.t, [0.0, 0.5, 1.0])
-        with pytest.raises(DataError):
-            Dataset(y=[1, 2], S=np.empty((2, 0)), t=[5.0, 5.0]).with_rescaled_t()
-

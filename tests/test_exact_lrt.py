@@ -20,6 +20,7 @@ from covtest import (
     NullDistribution,
     build_design,
     default_lambda_grid,
+    fit_ols,
     generate_dataset,
     observed_statistic,
     p_value,
@@ -38,7 +39,7 @@ from covtest.exact_lrt import (
     null_distribution_key,
     save_null_distribution,
 )
-from covtest.spline_basis import DesignMatrices, KnotSet, stacked_qr
+from covtest.spline_basis import PERFECT_FIT_REL, DesignMatrices, KnotSet, stacked_qr
 
 
 def make_design(m, p, d, n_knots, seed=0, t=None):
@@ -465,6 +466,25 @@ class TestObservedStatistic:
         ref = observed_statistic(ds, design, "lrt", 0, grid)
         assert got[0][0, 0, 0] == pytest.approx(ref.statistic, rel=1e-12, abs=1e-12)
         assert grid.values[got[1][0, 0, 0]] == ref.lambda_hat
+
+    @pytest.mark.parametrize("rel", [1e-24, 1e-26])
+    def test_one_perfect_fit_rule(self, rel):
+        """fit_ols and observed_statistic reject the same y: the one whose null
+        residual sum of squares is at most PERFECT_FIT_REL of y'y."""
+        ds, design = make_design(30, 1, 1, 4, seed=43)
+        grid = default_lambda_grid(spectral_decompose(design))
+        Q, _ = design.factors()
+        signal = design.X @ np.arange(1.0, design.X.shape[1] + 1)
+        noise = ds.y - Q @ (Q.T @ ds.y)
+        noise *= math.sqrt(rel * (signal @ signal) / (noise @ noise))
+        data = Dataset(y=signal + noise, S=ds.S, t=ds.t)
+        for call in (lambda: fit_ols(data, design),
+                     lambda: observed_statistic(data, design, "lrt", 0, grid)):
+            if rel < PERFECT_FIT_REL:
+                with pytest.raises(DegenerateFitError):
+                    call()
+            else:
+                call()
 
     def test_no_n_by_n_work_at_large_n(self):
         """One 20 000 x 20 000 float64 array would take 3.2 GB."""
