@@ -292,8 +292,9 @@ def _cmd_simulate(cfg: dict) -> int:
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     report = run_study(config)
+    table = report.to_table()
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-    (out_dir / "report.txt").write_text(report.to_table(), encoding="utf-8")
+    (out_dir / "report.txt").write_text(table, encoding="utf-8")
     (out_dir / "effective_config.txt").write_text(
         "\n".join(config.lines()) + "\n", encoding="utf-8"
     )
@@ -301,7 +302,7 @@ def _cmd_simulate(cfg: dict) -> int:
         (out_dir / "failures.txt").write_text(
             "\n".join(report.failure_messages) + "\n", encoding="utf-8"
         )
-    print(report.to_table())
+    print(table)
     print(f"wrote {out_dir / 'report.csv'}")
     print(f"runtime: {report.runtime_s:.1f}s", file=sys.stderr)
     return 0

@@ -8,6 +8,7 @@ this record.
 
 from __future__ import annotations
 
+import copy
 import csv
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        bad = np.argwhere(~np.isfinite(arr))[0]
+        raise DataError(f"non-finite value in {name} at row {int(bad[0]) + 1}")
 
 
 def _normalize_cluster(labels) -> np.ndarray:
@@ -66,9 +73,7 @@ class Dataset:
                 f"length mismatch: y has {n} rows, t has {t.shape[0]}, S has {S.shape[0]}"
             )
         for name, arr in (("y", y), ("t", t), ("S", S)):
-            if not np.all(np.isfinite(arr)):
-                bad = np.argwhere(~np.isfinite(arr))[0]
-                raise DataError(f"non-finite value in {name} at row {int(bad[0]) + 1}")
+            _check_finite(name, arr)
         cluster = self.cluster
         if cluster is not None:
             cluster = np.asarray(cluster)
@@ -79,6 +84,17 @@ class Dataset:
         object.__setattr__(self, "t", _readonly(t))
         object.__setattr__(self, "S", _readonly(S))
         object.__setattr__(self, "cluster", cluster)
+
+    def with_response(self, y) -> Dataset:
+        """This dataset with the response ``y``, which alone is checked: S, t
+        and the cluster labels are shared, already checked."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != self.y.shape:
+            raise DataError(f"response has shape {y.shape}, expected {self.y.shape}")
+        _check_finite("y", y)
+        out = copy.copy(self)
+        object.__setattr__(out, "y", _readonly(y))
+        return out
 
     @property
     def n(self) -> int:

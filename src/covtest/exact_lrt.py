@@ -30,7 +30,7 @@ import numpy as np
 from .data_io import Dataset
 from .errors import ConfigError, DegenerateFitError, ModelError, NumericalError
 from .rng import SeedLike, chunked_streams
-from .spline_basis import PERFECT_FIT_REL, DesignMatrices, stacked_qr
+from .spline_basis import OVERFLOW_MESSAGE, DesignMatrices, stacked_qr, unusable_fits
 
 __all__ = [
     "SpectralCache",
@@ -360,23 +360,29 @@ class ProfileSolver:
         Q, _, errors = stacked_qr(X) if qr is None else qr
         out = np.zeros((4, len(specs), Y.shape[0], Y.shape[2]))
         usable = np.zeros(out.shape[2:], dtype=bool)
+        overflowed = np.zeros_like(usable)
         if Q is not None:
             values = grid.values
-            proj, head, rss0 = _residual_coordinates(Q, self.B, Y)
-            usable = rss0 > PERFECT_FIT_REL * np.einsum("...ij,...ij->...j", Y, Y)
-            usable &= np.array([error is None for error in errors])[:, None]
-            # A failed cell is swept with unit energy in the tail, so no division is by zero.
+            with np.errstate(over="ignore", invalid="ignore"):  # unusable_fits reports an overflow
+                proj, head, rss0 = _residual_coordinates(Q, self.B, Y)
+                extras = {h: ((Q[..., p - h:].swapaxes(-1, -2) @ Y) ** 2).sum(axis=-2) for _, h in specs}
+                overflowed, perfect = unusable_fits(rss0, np.einsum("...ij,...ij->...j", Y, Y))
+            usable = ~(overflowed | perfect) & np.array([error is None for error in errors])[:, None]
+            # A failed cell is swept with no spline energy and unit energy in the
+            # tail, so no division is by zero and no value is infinite.
+            head = np.where(usable[..., None], head, 0.0)
             rss0 = np.where(usable, rss0, 1.0)
             tail = np.where(usable, np.maximum(rss0 - head.sum(axis=-1), 0.0), 1.0)
             ratio, den = _grid_profile(_grid_weights(values, proj), head, tail)
             for j, (kind, h) in enumerate(specs):
                 mult, pen = _kind_penalty(kind, values, n, n - p, self.raw_eigs, proj)
                 best, top = _sweep(ratio, mult, pen[..., None, :])
-                extra = ((Q[..., p - h:].swapaxes(-1, -2) @ Y) ** 2).sum(axis=-2)
+                extra = np.where(usable, extras[h], 0.0)
                 sigma2 = np.take_along_axis(den, best[..., None], axis=-1)[..., 0] / mult
                 out[:, j] = top + _dropped_gain(n, extra, rss0), best, sigma2, rss0 + extra
-        failed = {(int(r), int(c)): errors[r] or DegenerateFitError(
-                      "null fit is numerically perfect; statistic undefined")
+        failed = {(int(r), int(c)): errors[r] or (
+                      NumericalError(OVERFLOW_MESSAGE) if overflowed[r, c] else
+                      DegenerateFitError("null fit is numerically perfect; statistic undefined"))
                   for r, c in zip(*np.nonzero(~usable))}
         return out[0], out[1].astype(np.intp), out[2], out[3], failed
 

@@ -17,10 +17,11 @@ import numpy as np
 
 from .data_io import Dataset
 from .errors import ConfigError, DegenerateFitError, NumericalError
-from .spline_basis import PERFECT_FIT_REL, DesignMatrices
+from .spline_basis import OVERFLOW_MESSAGE, DesignMatrices, unusable_fits
 
 __all__ = [
     "NullFit",
+    "OlsFits",
     "RemlProjection",
     "fit_null",
     "fit_ols",
@@ -36,28 +37,45 @@ _BRACKET_STEP = 10.0
 _ROOT_TOL = 1e-14
 
 
+def _obs_axis(a: np.ndarray) -> int:
+    """The observation axis: a vector's only one, else the second to last, so
+    a matrix has one row per observation and a stack one matrix per replicate."""
+    return 0 if a.ndim == 1 else -2
+
+
 def _cluster_sums(a: np.ndarray, cluster: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Sums of the rows of ``a`` within each cluster 0..m-1 (none empty)."""
+    """Sums of ``a`` along its observation axis within each cluster 0..m-1 (none empty)."""
     order = np.argsort(cluster, kind="stable")
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    return np.add.reduceat(a[order], starts, axis=0)
+    axis = _obs_axis(a)
+    return np.add.reduceat(np.take(a, order, axis=axis), starts, axis=axis)
 
 
 def _whiten(
     a, sigma2: float, ratio: float, cluster: np.ndarray, sizes: np.ndarray
 ) -> np.ndarray:
-    """V^-1/2 a along axis 0: (a - d[cluster] * mean_cluster(a)) / sigma.
+    """V^-1/2 a along the observation axis: (a - d[cluster] * mean_cluster(a)) / sigma.
 
     On a cluster of size n_i, I + ratio 11' has eigenvalue 1 + ratio n_i
     along 1 and 1 elsewhere, so its inverse square root shrinks the cluster
     mean by d_i = 1 - (1 + ratio n_i)^-1/2. Every d_i is 0 when ratio = 0.
+    When V = I the result is ``a`` itself, as a float array.
     """
+    if sigma2 == 1.0 and ratio == 0.0:
+        return np.asarray(a, dtype=float)
     out = np.asarray(a, dtype=float) / math.sqrt(sigma2)
     if ratio > 0.0:
         shrink = (1.0 - 1.0 / np.sqrt(1.0 + ratio * sizes)) / sizes
-        sums = _cluster_sums(out, cluster, sizes)
-        out -= (sums * shrink.reshape((-1,) + (1,) * (out.ndim - 1)))[cluster]
+        sums = _cluster_sums(out, cluster, sizes) * shrink.reshape((-1,) + (1,) * min(out.ndim - 1, 1))
+        out -= np.take(sums, cluster, axis=_obs_axis(out))
     return out
+
+
+def _sq_norms(A: np.ndarray) -> np.ndarray:
+    """Squared norm of each column of a matrix or of a stack of them, each
+    taken as one dot product: a one-column fit's is its vector's ``r @ r``."""
+    cols = A.swapaxes(-1, -2)
+    return (cols[..., None, :] @ cols[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -105,7 +123,9 @@ class RemlProjection:
 
     ``Q R`` is the thin QR of V^-1/2 X for V = sigma2 (I + ratio ZZ'), so P is
     symmetric, annihilates the columns of X and satisfies P V P = P. Applying
-    V^-1/2 or the residual-forming map costs O(n p) per column.
+    V^-1/2 or the residual-forming map costs O(n p) per column. ``X``, ``Q``
+    and ``R`` may carry a leading replicate axis: the projections of a stack
+    of designs that share V, as a study block's OLS fits do.
     """
 
     sigma2: float
@@ -118,10 +138,16 @@ class RemlProjection:
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.X.shape[-2]
+
+    def replicate(self, r: int) -> RemlProjection:
+        """The projection of design ``r`` of a stack."""
+        return RemlProjection(self.sigma2, self.ratio, self.cluster, self.sizes,
+                              self.X[r], self.Q[r], self.R[r])
 
     def whiten(self, a) -> np.ndarray:
-        """V^-1/2 a for a vector or a matrix with one row per observation."""
+        """V^-1/2 a for a vector, a matrix with one row per observation, or a
+        stack of such matrices."""
         return _whiten(a, self.sigma2, self.ratio, self.cluster, self.sizes)
 
     def cluster_sums(self, a: np.ndarray) -> np.ndarray:
@@ -137,17 +163,45 @@ class RemlProjection:
         return 0.5 * (P + P.T)
 
 
+@dataclass(frozen=True)
+class OlsFits:
+    """OLS fits of a stack of responses: R x p x C coefficients, R x n x C
+    fitted values and residuals, R x C error variances, and a map from each
+    failed (replicate, column) cell to its error. A failed cell's residuals
+    are 0 and its error variance 1, so arrays computed from it stay finite."""
+
+    beta: np.ndarray
+    fitted: np.ndarray
+    residuals: np.ndarray
+    sigma2: np.ndarray
+    failed: dict
+
+    def null_fit(self, r: int, c: int, cluster: np.ndarray | None = None) -> NullFit:
+        """The NullFit of cell (r, c); its arrays are views of the stack's."""
+        return NullFit(beta=self.beta[r, :, c], sigma2_eps=float(self.sigma2[r, c]), ratio=0.0,
+                       fitted=self.fitted[r, :, c], residuals=self.residuals[r, :, c],
+                       cluster=cluster, method="ols")
+
+
 def fit_ols(dataset: Dataset, design: DesignMatrices) -> NullFit:
-    """Ordinary least squares fit of the null polynomial model.
+    """Ordinary least squares fit of the null polynomial model: the
+    one-replicate, one-column case of :func:`fit_ols_columns`, from the
+    design's checked thin QR of X (see :meth:`DesignMatrices.factors`).
 
     The error variance is the residual sum of squares over n - p, the REML
     estimate for p fixed effects. A perfect fit is rejected: every downstream
     statistic divides by the residual variance.
     """
-    (fit,) = fit_ols_columns([dataset], design)[1]
-    if isinstance(fit, DegenerateFitError):
-        raise fit
-    return fit
+    return _fit_one(dataset, design).null_fit(0, 0, dataset.cluster)
+
+
+def _fit_one(dataset: Dataset, design: DesignMatrices) -> OlsFits:
+    """The OLS fit of one response, a 1 x n x 1 stack; raises its error if it failed."""
+    Q, R = design.factors()
+    fits = fit_ols_columns(dataset.y[None, :, None], design.X[None], (Q[None], R[None], [None]))[1]
+    if fits.failed:
+        raise fits.failed[0, 0]
+    return fits
 
 
 def fit_null(dataset: Dataset, design: DesignMatrices) -> tuple[NullFit, RemlProjection]:
@@ -158,53 +212,45 @@ def fit_null(dataset: Dataset, design: DesignMatrices) -> tuple[NullFit, RemlPro
     return fit, reml_projection(fit, design.X)
 
 
-def _null_fit(
-    dataset: Dataset, X: np.ndarray, beta: np.ndarray, method: str,
-    ratio: float = 0.0, sizes: np.ndarray | None = None,
-) -> NullFit:
-    """NullFit at the fitted coefficients, the error variance from the
-    V^-1-weighted residual sum of squares. Rejects a numerically perfect fit."""
-    fitted = X @ beta
-    resid = dataset.y - fitted
-    white = _whiten(resid, 1.0, ratio, dataset.cluster, sizes)
-    rss = float(white @ white)
-    if rss <= PERFECT_FIT_REL * float(dataset.y @ dataset.y):
-        raise DegenerateFitError(
-            "residuals are numerically zero; error variance is not estimable"
-        )
-    n, p_fixed = X.shape
-    return NullFit(
-        beta=beta,
-        sigma2_eps=rss / (n - p_fixed),
-        ratio=ratio,
-        fitted=fitted,
-        residuals=resid,
-        cluster=dataset.cluster,
-        method=method,
-    )
+def _unusable(overflowed: bool) -> NumericalError | DegenerateFitError:
+    """The error of a fit :func:`~covtest.spline_basis.unusable_fits` rejects."""
+    if overflowed:
+        return NumericalError(OVERFLOW_MESSAGE)
+    return DegenerateFitError("residuals are numerically zero; error variance is not estimable")
 
 
-def fit_ols_columns(datasets: list[Dataset], design: DesignMatrices):
-    """OLS fits of responses that share one design, from the design's checked
-    thin QR of X (see :meth:`DesignMatrices.factors`).
+def fit_ols_columns(Y: np.ndarray, X: np.ndarray, factors: tuple) -> tuple[RemlProjection, OlsFits]:
+    """OLS fits of responses Y (R x n x C) under designs X (R x n x p), from
+    the designs' :func:`~covtest.spline_basis.stacked_qr` factors (Q, R,
+    errors), which must exist (n > p).
 
-    Returns the projection at unit error variance and, per dataset, the fit
-    :func:`fit_ols` returns or, for a numerically perfect fit, the error it
-    raises.
+    Returns the stack's projection at unit error variance and the fits. Cell
+    (r, c) fails with design r's error if it was rejected, else with a
+    NumericalError when a sum of squares overflows and a DegenerateFitError
+    when the fit is numerically perfect (:func:`~covtest.spline_basis.unusable_fits`).
+    A cell's numbers do not depend on the other cells.
     """
-    X = design.X
-    n = X.shape[0]
-    if n != datasets[0].n:
-        raise ConfigError(f"design has {n} rows but dataset has {datasets[0].n}")
-    Q, R = design.factors()
-    betas = np.linalg.solve(R, Q.T @ np.column_stack([dataset.y for dataset in datasets]))
-    fits: list = []
-    for dataset, beta in zip(datasets, betas.T):
-        try:
-            fits.append(_null_fit(dataset, X, beta, "ols"))
-        except DegenerateFitError as exc:
-            fits.append(exc)
-    return RemlProjection(1.0, 0.0, np.arange(n), np.ones(n, dtype=np.int64), X, Q, R), fits
+    Q, R, errors = factors
+    stack, n, p = X.shape
+    if Y.shape[1] != n:
+        raise ConfigError(f"design has {n} rows but dataset has {Y.shape[1]}")
+    rejected = np.array([error is not None for error in errors])
+    if rejected.any():  # a rejected design's R may be singular; its cells fail below
+        R = np.where(rejected[:, None, None], np.eye(p), R)
+    with np.errstate(over="ignore", invalid="ignore"):  # unusable_fits reports an overflow
+        beta = np.linalg.solve(R, Q.swapaxes(-1, -2) @ Y)
+        fitted = X @ beta
+        resid = Y - fitted
+        rss = _sq_norms(resid)
+        overflowed, perfect = unusable_fits(rss, _sq_norms(Y))
+    bad = rejected[:, None] | overflowed | perfect
+    failed = {(int(r), int(c)): errors[r] or _unusable(overflowed[r, c])
+              for r, c in zip(*np.nonzero(bad))}
+    if failed:
+        resid = np.where(bad[:, None, :], 0.0, resid)
+        rss = np.where(bad, n - p, rss)
+    proj = RemlProjection(1.0, 0.0, np.arange(n), np.ones(n, dtype=np.int64), X, Q, R)
+    return proj, OlsFits(beta=beta, fitted=fitted, residuals=resid, sigma2=rss / (n - p), failed=failed)
 
 
 def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullFit:
@@ -228,10 +274,8 @@ def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullF
     n_clusters = int(cluster.max()) + 1
     if n_clusters < 2:
         raise ConfigError(f"random-intercept fit needs >= 2 clusters, got {n_clusters}")
-    (ols,) = fit_ols_columns([dataset], design)[1]
-    if isinstance(ols, DegenerateFitError):
-        raise ols
-    X, beta_ols, e = design.X, ols.beta, ols.residuals
+    ols = _fit_one(dataset, design)
+    X, beta_ols, e = design.X, ols.beta[0, :, 0], ols.residuals[0, :, 0]
     n, p_fixed = X.shape
 
     sizes = np.bincount(cluster, minlength=n_clusters)
@@ -284,8 +328,17 @@ def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullF
             lo, f_lo, hi = hi, f_hi, min(hi * _BRACKET_STEP, _RATIO_MAX)
             f_hi = slope(hi)
         ratio_hat = hi if f_hi < 0.0 else _log_root(slope, lo, hi, f_lo, f_hi)
-    delta = gls_terms(ratio_hat)[1] if ratio_hat > 0.0 else 0.0
-    return _null_fit(dataset, X, beta_ols + delta, "reml-random-intercept", ratio_hat, sizes)
+    beta = beta_ols + (gls_terms(ratio_hat)[1] if ratio_hat > 0.0 else 0.0)
+    fitted = X @ beta
+    resid = dataset.y - fitted
+    with np.errstate(over="ignore", invalid="ignore"):  # unusable_fits reports an overflow
+        white = _whiten(resid, 1.0, ratio_hat, cluster, sizes)
+        rss = white @ white
+        overflowed, perfect = unusable_fits(rss, dataset.y @ dataset.y)
+    if overflowed or perfect:
+        raise _unusable(overflowed)
+    return NullFit(beta=beta, sigma2_eps=float(rss) / (n - p_fixed), ratio=ratio_hat, fitted=fitted,
+                   residuals=resid, cluster=cluster, method="reml-random-intercept")
 
 
 def _log_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:

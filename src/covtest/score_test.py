@@ -16,12 +16,12 @@ standard library alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data_io import Dataset
-from .errors import ConfigError, CovtestError, DegenerateTestError, NumericalError
+from .errors import ConfigError, DegenerateTestError, NumericalError
 from .null_fit import NullFit, RemlProjection, fit_null
 from .spline_basis import (
     NATURAL_SPLINE,
@@ -46,7 +46,7 @@ class ScoreMoments:
 
     mean = tr(PM)/2, variance = tr((PM)^2)/2, scale = variance/(2*mean),
     df = 2*mean^2/variance. By construction scale*df = mean and
-    2*scale^2*df = variance.
+    2*scale^2*df = variance. Floats for one fit, R x C arrays for a stack.
     """
 
     mean: float
@@ -62,7 +62,8 @@ class ScoreResult:
     ``u_quad`` is the quadratic part (always >= 0), ``null_mean`` its expected
     value under the null, and ``u_score = u_quad - null_mean`` the centred
     score; the p-value is the one-sided upper tail of the calibrated
-    chi-square at ``u_quad``.
+    chi-square at ``u_quad``. Floats for one fit, R x C arrays for a stack
+    (see :func:`score_statistics`).
     """
 
     u_quad: float
@@ -72,18 +73,32 @@ class ScoreResult:
     p_value: float
     kernel_kind: str
 
+    def cell(self, r: int, c: int) -> ScoreResult:
+        """The result of cell (r, c) of a stack's arrays, in floats."""
+        def at(a):
+            return float(a[r, c])
+
+        moments = ScoreMoments(*(at(getattr(self.moments, f.name)) for f in fields(ScoreMoments)))
+        return ScoreResult(u_quad=at(self.u_quad), null_mean=at(self.null_mean),
+                           u_score=at(self.u_score), moments=moments,
+                           p_value=at(self.p_value), kernel_kind=self.kernel_kind)
+
 
 _EPS = float(np.finfo(float).eps)
 _FLOOR = 1e-300
 _MAX_TERMS = 100_000
+_TINY = float(np.finfo(float).tiny)
 
 
 def _gamma_q(a: float, x: float) -> float:
     """Regularised upper incomplete gamma Q(a, x) for a > 0, x >= 0.
 
     A power series for P = 1 - Q below x = a + 1, a continued fraction for Q
-    above it (modified Lentz), each scaled by x^a e^-x / Gamma(a).
+    above it (modified Lentz), each scaled by x^a e^-x / Gamma(a). NaN for a
+    non-finite argument or when neither converges within _MAX_TERMS terms.
     """
+    if not (math.isfinite(a) and math.isfinite(x)):
+        return math.nan
     if x <= 0.0:
         return 1.0
     front = math.exp(a * math.log(x) - x - math.lgamma(a))
@@ -108,17 +123,28 @@ def _gamma_q(a: float, x: float) -> float:
             h *= d * c
             if abs(d * c - 1.0) <= _EPS:
                 return front * h
-    raise NumericalError(f"chi-square tail did not converge at a = {a!r}, x = {x!r}")
+    return math.nan
 
 
-def _upper_tail(u_quad: float, moments: ScoreMoments) -> float:
-    """Upper tail of scale * chisq(df) beyond u_quad, floored at the smallest float."""
-    p = _gamma_q(0.5 * moments.df, 0.5 * u_quad / moments.scale)
-    return max(p, np.finfo(float).tiny)
+def _tail_arguments(u_quad, moments: ScoreMoments) -> tuple[np.ndarray, np.ndarray]:
+    """(a, x) of the gamma tail at u_quad: df / 2 and u_quad / (2 scale)."""
+    return np.broadcast_arrays(0.5 * np.asarray(moments.df), 0.5 * np.asarray(u_quad) / moments.scale)
 
 
-def _sq_norm(A: np.ndarray) -> float:
-    return float(np.einsum("ij,ij->", A, A))
+def _upper_tail(u_quad, moments: ScoreMoments) -> np.ndarray:
+    """Upper tail of scale * chisq(df) beyond u_quad, elementwise (floats or
+    arrays of one shape), floored at the smallest float; NaN where
+    :func:`_gamma_q` is. The recurrence runs per element: an element's number
+    of terms depends on its own arguments, so a lockstep array recurrence
+    would run every element for as many terms as the slowest one needs."""
+    a, x = _tail_arguments(u_quad, moments)
+    p = [_gamma_q(ak, xk) for ak, xk in zip(a.ravel().tolist(), x.ravel().tolist())]
+    return np.maximum(np.reshape(p, a.shape), _TINY)
+
+
+def _sq_frobenius(A: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of a matrix, or of each matrix of a stack."""
+    return np.einsum("...ij,...ij->...", A, A)
 
 
 # Cluster indicator columns per kernel application: about 2 MB per n x b block.
@@ -154,56 +180,73 @@ def _whitened_norms(kernel: SmootherKernel, proj: RemlProjection) -> tuple[float
 
 
 def score_statistic(fit: NullFit, proj: RemlProjection, kernel: SmootherKernel) -> ScoreResult:
-    """Compute the score statistic and its calibrated one-sided p-value. All
-    three inputs must come from the same dataset and design."""
-    return score_statistics([fit], proj, kernel)[0]
+    """Compute the score statistic and its calibrated one-sided p-value: the
+    one-fit case of :func:`score_statistics`. All three inputs must come from
+    the same dataset and design."""
+    if fit.n != proj.n or fit.ratio != proj.ratio:
+        raise ConfigError(f"the fit ({fit.n} rows) must match the projection's n = {proj.n} and ratio")
+    block, failed = score_statistics(fit.residuals[None, :, None], np.full((1, 1), fit.sigma2_eps),
+                                     proj, kernel)
+    if failed:
+        raise failed[0, 0]
+    return block.cell(0, 0)
 
 
-def score_statistics(fits: list, proj: RemlProjection, kernel: SmootherKernel) -> list:
-    """:func:`score_statistic` for the null fits of responses that share one
-    design and ``proj``, at any error variance and the fits' variance ratio. An
-    error in ``fits`` (a failed fit) stands in for that fit's result. Raises
-    DegenerateTestError when the projection annihilates the kernel (the test
-    carries no information, e.g. M = 0 or col(M) inside col(X)).
+def score_statistics(
+    residuals: np.ndarray, sigma2: np.ndarray, proj: RemlProjection, kernel: SmootherKernel
+) -> tuple[ScoreResult, dict]:
+    """Score statistics of a stack of null fits: R x n x C residuals with R x
+    C error variances, where replicate r's columns share design r of ``proj``
+    (or its one design) and its variance ratio. Returns a ScoreResult of R x C
+    arrays and a map from each failed (replicate, column) cell to its error:
+    a DegenerateTestError for every cell of a replicate whose projection
+    annihilates the kernel (the test carries no information, e.g. M = 0 or
+    col(M) inside col(X)), or a NumericalError where the tail did not
+    converge. A failed cell's array entries are meaningless; a cell's numbers
+    do not depend on the other cells.
 
     With the whitened kernel K = V^-1/2 M V^-1/2 and P = V^-1/2 (I - QQ') V^-1/2,
     tr(PM) = tr K - tr Q'KQ and tr((PM)^2) = |K|^2 - 2 |KQ|^2 + |Q'KQ|^2
-    (Frobenius norms). The kernel is applied once, to [V^-1/2 Q | V^-1 r of
-    every column]; tr K and |K|^2 come from :func:`_whitened_norms`. A column
-    whose V is s times proj's has mean / s, variance / s^2 and u_quad / s^2.
+    (Frobenius norms). The kernel is applied once to the whole stack's
+    [V^-1/2 Q | V^-1 r of every column], an n x R(p + C) block; tr K and
+    |K|^2 come from :func:`_whitened_norms`. A column whose V is s times
+    proj's has mean / s, variance / s^2 and u_quad / s^2.
     """
-    n, failed = proj.n, [isinstance(fit, CovtestError) for fit in fits]
-    ok = [fit for fit, bad in zip(fits, failed) if not bad]
-    if kernel.n != n or any(fit.n != n or fit.ratio != proj.ratio for fit in ok):
+    n, (stack, _, n_cols) = proj.n, residuals.shape
+    if kernel.n != n or residuals.shape[1] != n:
         raise ConfigError(
-            f"kernel ({kernel.n} rows) and fits must match the projection's n = {n} and ratio"
+            f"kernel ({kernel.n} rows) and fits ({residuals.shape[1]}) must match the projection's n = {n}"
         )
-    residuals = np.column_stack([np.zeros(n) if bad else fit.residuals for fit, bad in zip(fits, failed)])
     WQ = proj.whiten(proj.Q)
     v = proj.whiten(proj.whiten(residuals))  # V^-1 r
-    MG = kernel.apply(np.column_stack([WQ, v]))
-    MWQ, Mv = MG[:, : WQ.shape[1]], MG[:, WQ.shape[1]:]
+    p = WQ.shape[-1]
+    G = np.empty((n, stack, p + n_cols))  # observation-major, so the kernel reads it in place
+    G[..., :p] = np.broadcast_to(WQ, (stack, n, p)).transpose(1, 0, 2)
+    G[..., p:] = v.transpose(1, 0, 2)
+    MG = kernel.apply(G.reshape(n, -1)).reshape(G.shape).transpose(1, 0, 2)
+    MWQ, Mv = MG[..., :p], MG[..., p:]
     trace_k, sq_norm_k = _whitened_norms(kernel, proj)
-    QKQ = WQ.T @ MWQ
-    mean = 0.5 * (trace_k - float(np.trace(QKQ)))  # tr(PM) / 2
-    if mean <= 1e-12 * max(trace_k, 0.0) or mean <= 0.0:
-        raise DegenerateTestError(
-            "projection annihilates the smoother kernel; score test is degenerate"
-        )
+    QKQ = WQ.swapaxes(-1, -2) @ MWQ
+    mean = 0.5 * (trace_k - np.trace(QKQ, axis1=-2, axis2=-1))  # tr(PM) / 2, per replicate
+    degenerate = (mean <= 1e-12 * max(trace_k, 0.0)) | (mean <= 0.0)
     # tr((PM)^2) / 2, with KQ = V^-1/2 M V^-1/2 Q
-    variance = 0.5 * (sq_norm_k - 2.0 * _sq_norm(proj.whiten(MWQ)) + _sq_norm(QKQ))
-    out = []
-    for quad, fit, bad in zip(0.5 * np.einsum("ij,ij->j", v, Mv), fits, failed):
-        if bad:
-            out.append(fit)
-            continue
-        s = fit.sigma2_eps / proj.sigma2
-        m, var = mean / s, variance / s**2
-        moments = ScoreMoments(mean=m, variance=var, scale=var / (2.0 * m), df=2.0 * m**2 / var)
-        u_quad = max(float(quad) / s**2, 0.0)  # PSD form, clamp roundoff
-        out.append(ScoreResult(u_quad=u_quad, null_mean=m, u_score=u_quad - m, moments=moments,
-                               p_value=_upper_tail(u_quad, moments), kernel_kind=kernel.kind))
-    return out
+    variance = 0.5 * (sq_norm_k - 2.0 * _sq_frobenius(proj.whiten(MWQ)) + _sq_frobenius(QKQ))
+    mean, variance = (np.where(degenerate, 1.0, a)[:, None] for a in (mean, variance))
+    s = sigma2 / proj.sigma2
+    m, var = mean / s, variance / s**2
+    moments = ScoreMoments(mean=m, variance=var, scale=var / (2.0 * m), df=2.0 * m**2 / var)
+    u_quad = np.maximum(0.5 * np.einsum("...ij,...ij->...j", v, Mv) / s**2, 0.0)  # PSD form, clamp roundoff
+    p_value = _upper_tail(u_quad, moments)
+    a, x = _tail_arguments(u_quad, moments)
+    failed = {(int(r), int(c)): NumericalError(
+                  f"chi-square tail did not converge at a = {float(a[r, c])!r}, x = {float(x[r, c])!r}")
+              for r, c in zip(*np.nonzero(np.isnan(p_value)))}
+    for r in np.flatnonzero(degenerate):
+        failed.update(((int(r), c), DegenerateTestError(
+            "projection annihilates the smoother kernel; score test is degenerate")) for c in range(n_cols))
+    result = ScoreResult(u_quad=u_quad, null_mean=m, u_score=u_quad - m, moments=moments,
+                         p_value=p_value, kernel_kind=kernel.kind)
+    return result, failed
 
 
 def run_score_test(

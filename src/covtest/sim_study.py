@@ -7,16 +7,20 @@ nominal level). Per-replicate random streams are keyed by (master seed,
 replicate, variate role), so the generated data do not depend on which tests
 are enabled, on the execution order, or on the worker count. The departure
 levels of a replicate share S and t, hence one draw and one X per spline
-degree. Replicates run in blocks of ``_BLOCK``, each one stacked LRT/RLRT
-decomposition per spline degree whose arrays of statistics become one test x
-replicate x departure-level array of p-values.
+degree. Replicates run in blocks of ``_BLOCK``, and a block is one set of
+arrays with a replicate axis R and a departure-level axis C: its responses
+(R x m x C), one stacked QR per spline degree, the LRT/RLRT statistics of one
+stacked decomposition per degree, one stacked OLS fit and the score
+statistics of one kernel application, which fill one test x replicate x
+departure-level array of p-values. Only the cusum resampling and the
+per-replicate data draw run per replicate.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -84,7 +88,9 @@ def generate_dataset(
     draws come from per-role streams under ``seed``, so datasets with the same
     seed share draws across c and sigma. A sequence ``c`` gives one dataset
     per departure level from one set of draws: they share S and t, and each y
-    equals the one a scalar call with that c gives.
+    equals the one a scalar call with that c gives. The responses of all
+    levels are the rows of one levels x m array, computed in one expression;
+    the first dataset checks S and t, the others only their y.
     """
     if m < 2:
         raise ConfigError(f"need m >= 2, got {m}")
@@ -95,9 +101,11 @@ def generate_dataset(
     noise = sigma * rngmod.stream(seed, 2).standard_normal(m)
     t = np.arange(m) / (m - 1)
     S, linear = np.column_stack([s1, s2]), _TRUE_COEF[0] * s1 + _TRUE_COEF[1] * s2
-    out = [Dataset(y=linear + nonlinear_effect(t, level) + noise, S=S, t=t)
-           for level in (c if np.ndim(c) else [c])]
-    return out if np.ndim(c) else out[0]
+    levels = np.asarray(c if np.ndim(c) else [c], dtype=float)
+    rows = linear + nonlinear_effect(t, levels[:, None]) + noise
+    first = Dataset(y=rows[0], S=S, t=t)
+    out = [first] + [first.with_response(y) for y in rows[1:]]
+    return out if np.ndim(c) else first
 
 
 @dataclass(frozen=True)
@@ -175,18 +183,20 @@ class SimCell:
 
 @dataclass
 class SimReport:
+    """The cells of a study, indexed once by (test, m, sigma, c, level)."""
+
     CSV_HEADER = "test,m,sigma,c,level,n_runs,failures,rejections,fraction,se"
     cells: list[SimCell]
     config: SimConfig
     failure_messages: list[str] = field(default_factory=list)
     runtime_s: float = 0.0
 
+    def __post_init__(self):
+        self._index = {(cell.test, cell.m, cell.sigma, cell.c, cell.level): cell for cell in self.cells}
+
     def get(self, test: str, m: int, sigma: float, c: float, level: float) -> SimCell:
-        key = (test, m, sigma, c, level)
-        for cell in self.cells:
-            if (cell.test, cell.m, cell.sigma, cell.c, cell.level) == key:
-                return cell
-        raise KeyError(key)
+        """The cell at these axis values; KeyError if the report has none."""
+        return self._index[test, m, sigma, c, level]
 
     def to_csv(self) -> str:
         """Machine-readable report; deterministic given the same counts."""
@@ -217,10 +227,8 @@ class SimReport:
                     for test in cfg.tests:
                         row = f"{level:>6g} {sigma:>6g} {test:<6}"
                         for c in cfg.c_values:
-                            try:
-                                row += f"{self.get(test, m, sigma, c, level).fraction:>8.3f}"
-                            except KeyError:
-                                row += f"{'n/a':>8}"
+                            cell = self._index.get((test, m, sigma, c, level))
+                            row += f"{'n/a':>8}" if cell is None else f"{cell.fraction:>8.3f}"
                         out.append(row)
                 out.append("")
             out.append("")
@@ -255,26 +263,40 @@ def _study_fixtures(config: SimConfig, m: int):
     return fixtures
 
 
+def _block_data(config: SimConfig, m: int, sigma: float, reps: range) -> tuple[np.ndarray, np.ndarray]:
+    """Responses (R x m x C, one column per departure level) and covariates
+    (R x m x 2) of the replicates ``reps``: one :func:`generate_dataset` call
+    per replicate, stacked. Every slice is bit for bit that replicate's data."""
+    draws = [generate_dataset(m, sigma, config.c_values, (config.seed, rep)) for rep in reps]
+    Y = np.stack([dataset.y for datasets in draws for dataset in datasets])
+    Y = Y.reshape(len(reps), len(config.c_values), m).transpose(0, 2, 1).copy()
+    return Y, np.stack([datasets[0].S for datasets in draws])
+
+
 def _run_block(config: SimConfig, m: int, sigma: float, fixtures: dict, reps: range):
     """Rejection counts (test x c x level), failure counts (test x c) and
     failure messages of the replicates ``reps``.
 
-    Each replicate draws every c at once, so its c share S, t and hence X. Per
+    The block is a set of R x m x C arrays (:func:`_block_data`): each
+    replicate draws every c at once, so its c share S, t and hence X. Per
     degree the block stacks the replicates' X = [S | A] and takes one QR of
     the stack; each LRT group makes one ProfileSolver call on the stacked
     responses and one p-value lookup per variant over its replicate x c
-    statistics. A replicate whose X is rejected fails all its cells with the
-    rejection. Per replicate, score and cusum share the OLS fits of all c from
-    its QR and their unit-variance projection, which the score scales per
-    fit and the resampled cusum sups do not depend on. The p-values fill one
-    test x replicate x c array, where a failed cell stays NaN; the failure
-    messages of a (replicate, c) follow evaluation order: the LRT groups,
-    then score and cusum.
+    statistics. Score and cusum share one OLS fit of the whole stack from its
+    QR (:func:`fit_ols_columns`); the score test scores every cell with one
+    kernel application (:func:`score_statistics`), and the cusum test
+    resamples each cell from its replicate's projection at unit variance,
+    which its resampled sups do not depend on. Every step reports failures
+    per cell: a replicate whose X is rejected fails all its cells with the
+    rejection, a perfect or overflowing fit fails its own cell. The p-values
+    fill one test x replicate x c array, where a failed cell stays NaN; the
+    failure messages of a (replicate, c) follow evaluation order: the LRT
+    groups, then score and cusum. The block's arrays are its own, so blocks
+    may run on separate threads.
     """
     tests, n_c, levels = config.tests, len(config.c_values), np.asarray(config.levels)
-    draws = [generate_dataset(m, sigma, config.c_values, (config.seed, rep)) for rep in reps]
-    Y = np.stack([np.column_stack([dataset.y for dataset in datasets]) for datasets in draws])
-    S = np.stack([datasets[0].S for datasets in draws])
+    Y, S = _block_data(config, m, sigma, reps)
+    cells = [(r, ci) for r in range(len(reps)) for ci in range(n_c)]
     X = {d: np.concatenate([S, np.broadcast_to(design.A, (len(S),) + design.A.shape)], axis=2)
          for d, design in fixtures["designs"].items()}
     factors = {d: stacked_qr(Xd) for d, Xd in X.items()}
@@ -291,33 +313,33 @@ def _run_block(config: SimConfig, m: int, sigma: float, fixtures: dict, reps: ra
             pvals[group, r, ci] = np.nan
             failed.setdefault((r, ci), []).extend((ti, error) for ti in group)
     ols = [(ti, name) for ti, name in enumerate(tests) if name in ("score", "cusum")]
-    for r, (rep, datasets) in enumerate(zip(reps, draws) if ols else ()):
-        Q, R, errors = factors[1]
-        if errors[r]:  # the block's QR rejected the shared X: every c fails with its error
-            proj, fits = None, [errors[r]] * n_c
+    if ols:
+        Q, _, errors = factors[1]
+        t = fixtures["designs"][1].t
+        if Q is None:  # no replicate has more rows than coefficients
+            fit_failed = {(r, ci): errors[r] for r, ci in cells}
         else:
-            proj, fits = fit_ols_columns(
-                datasets, replace(fixtures["designs"][1], X=X[1][r], qr=(Q[r], R[r])))
-        for ti, name in ols:
-            if name == "score":
-                try:
-                    results = fits if proj is None else score_statistics(fits, proj, fixtures["kernel"])
-                except CovtestError as exc:
-                    results = [exc] * n_c
-            else:  # cusum; SimConfig checks cusum_resamples, so only a fit can fail
-                results = [
-                    fit if isinstance(fit, CovtestError) else sup_test(
-                        cumulative_process(fit, dataset.t),
-                        multiplier_null(fit, proj, dataset.t, config.cusum_resamples,
-                                        seed=(config.seed, rep, 3)),
-                    )
-                    for dataset, fit in zip(datasets, fits)
-                ]
-            for ci, result in enumerate(results):
-                if isinstance(result, CovtestError):
-                    failed.setdefault((r, ci), []).append((ti, result))
-                else:
-                    pvals[ti, r, ci] = result.p_value
+            proj, fits = fit_ols_columns(Y, X[1], factors[1])
+            fit_failed = fits.failed
+    for ti, name in ols:
+        cell_errors = {}
+        if name == "score" and Q is not None:
+            try:
+                scores, cell_errors = score_statistics(fits.residuals, fits.sigma2, proj, fixtures["kernel"])
+                pvals[ti] = scores.p_value
+            except CovtestError as exc:
+                cell_errors = dict.fromkeys(cells, exc)
+        elif name == "cusum":  # SimConfig checks cusum_resamples, so only a fit can fail
+            for r, ci in cells:
+                if (r, ci) not in fit_failed:
+                    fit = fits.null_fit(r, ci)
+                    pvals[ti, r, ci] = sup_test(cumulative_process(fit, t), multiplier_null(
+                        fit, proj.replicate(r), t, config.cusum_resamples,
+                        seed=(config.seed, reps[r], 3))).p_value
+        cell_errors.update(fit_failed)  # a cell whose fit failed reports the fit's error
+        for (r, ci), error in cell_errors.items():
+            pvals[ti, r, ci] = np.nan
+            failed.setdefault((r, ci), []).append((ti, error))
     messages = [f"{tests[ti]} m={m} sigma={sigma:g} c={config.c_values[ci]:g} rep={reps[r]}: {error}"
                 for r, ci in sorted(failed) for ti, error in failed[r, ci]]
     return (pvals[..., None] < levels).sum(axis=1), np.isnan(pvals).sum(axis=1), messages

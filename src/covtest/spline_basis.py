@@ -141,6 +141,7 @@ class NaturalSplineKernel(SmootherKernel):
         self.kind = NATURAL_SPLINE
         self.n = u.shape[0]
         self._order = np.argsort(u, kind="stable")
+        self._sorted = bool(np.all(self._order == np.arange(self.n)))  # no gather, no scatter
         us = u[self._order]
         powers = np.arange(degree + 1)
         c = np.array([
@@ -160,16 +161,21 @@ class NaturalSplineKernel(SmootherKernel):
 
     def apply(self, A) -> np.ndarray:
         A = np.asarray(A, dtype=float)
-        block = A.reshape(self.n, -1)[self._order]
+        block = A.reshape(self.n, -1)
+        if not self._sorted:
+            block = block[self._order]
         out = np.zeros_like(block)
+        work = np.empty_like(block)  # one scratch array, reused in place
         for p in range(self._f.shape[1]):
             f, g = self._f[:, p : p + 1], self._g[:, p : p + 1]
-            out += g * np.cumsum(f * block, axis=0)
-            after = np.cumsum((g * block)[::-1], axis=0)[::-1]  # sum over j >= i
-            out[:-1] += f[:-1] * after[1:]
-        result = np.empty_like(out)
-        result[self._order] = out
-        return result.reshape(A.shape)
+            np.cumsum(np.multiply(f, block, out=work), axis=0, out=work)
+            out += np.multiply(work, g, out=work)
+            after = np.multiply(g, block, out=work)[::-1]
+            np.cumsum(after, axis=0, out=after)  # work[i] is the sum over j >= i
+            out[:-1] += np.multiply(work[1:], f[:-1], out=work[1:])
+        if not self._sorted:
+            out[self._order] = out.copy()
+        return out.reshape(A.shape)
 
 
 def place_knots(t, n_knots: int, degree: int = 1) -> KnotSet:
@@ -223,6 +229,18 @@ def _trunc_basis(t: np.ndarray, knots: KnotSet) -> np.ndarray:
 # genuine near-zero noise (sigma ~ 1e-12 gives rss/yty ~ 1e-24) from pure float
 # roundoff of an exact fit (~ (eps * cond)^2 ~ 1e-27).
 PERFECT_FIT_REL = 1e-25
+OVERFLOW_MESSAGE = "sum of squares of the response overflows double precision; rescale y"
+
+
+def unusable_fits(rss: np.ndarray, yty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one rule for least-squares fits with no estimable error variance,
+    applied elementwise: (overflowed, perfect) boolean arrays. A residual sum
+    of squares or y'y that is not finite overflowed double precision; a finite
+    fit is numerically perfect when rss <= PERFECT_FIT_REL * y'y. Take both
+    sums under ``np.errstate(over="ignore", invalid="ignore")``: an overflow is
+    reported by this rule, not by a RuntimeWarning."""
+    overflowed = ~(np.isfinite(rss) & np.isfinite(yty))
+    return overflowed, ~overflowed & (rss <= PERFECT_FIT_REL * yty)
 
 
 def stacked_qr(X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, list]:

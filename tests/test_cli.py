@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,24 @@ class TestErrorSurfacing:
         assert run(["test", "--input", path, "--method", "rlrt", "--knots", 1,
                     "--out", tmp_path]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["rlrt", "score", "cusum"])
+    def test_overflowing_sum_of_squares_is_one_numerical_error(self, tmp_path, method):
+        """y of order 1e160 overflows y'y: the call ends in one numerical error
+        line naming the overflow, not a perfect-fit model error, and no
+        RuntimeWarning is printed before it."""
+        ds = generate_dataset(60, 0.25, 2, seed=(13, 0))
+        path = tmp_path / "huge.csv"
+        save_csv(Dataset(y=1e160 * ds.y, S=ds.S, t=ds.t), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = outcome(["test", "--input", path, "--method", method, "--nsims", 200,
+                                 "--resamples", 50, "--out", tmp_path / "out"])
+        assert code == 1 and not caught
+        assert err == OVERFLOW_LINE
+
+
+OVERFLOW_LINE = "numerical error: sum of squares of the response overflows double precision; rescale y\n"
 
 
 class TestFileSystemFaults:
@@ -364,6 +383,22 @@ class TestSimulateCommand:
         assert err.startswith(f"config error: {axis} lists a value more than once")
         assert err.count("\n") == 1
         assert not (tmp_path / "sim").exists()
+
+    def test_overflowing_departure_fails_its_cells_with_the_overflow(self, tmp_path):
+        """At c = 1e308 every y'y overflows: those cells fail with the overflow,
+        not as perfect fits, the study ends in one numerical error line, and no
+        RuntimeWarning is printed."""
+        args = ["simulate", "--m", 30, "--sigma", "0.25", "--c", "0,1e308", "--runs", 4,
+                "--tests", "lrt2,rlrt,score", "--nsims", 200, "--knots", 8, "--out", tmp_path]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = outcome(args)
+        overflow = OVERFLOW_LINE.removeprefix("numerical error: ").strip()
+        cells = [f"{name} m=30 sigma=0.25 c=1e+308 rep={rep}: {overflow}"
+                 for rep in (0, 1) for name in ("lrt2", "rlrt", "score")]
+        assert code == 1 and not caught
+        assert err == ("numerical error: 12 of 24 test applications failed (> 1%): "
+                       + "; ".join(cells[:5]) + "\n")
 
 
 class TestNullSimCommand:

@@ -1,5 +1,6 @@
 """Null-model fitting: OLS, random-intercept REML, and the REML projection."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from covtest import (
     reml_projection,
 )
 from covtest.null_fit import NullFit, fit_ols_columns
-from covtest.spline_basis import DesignMatrices, KnotSet
+from covtest.spline_basis import DesignMatrices, KnotSet, stacked_qr
 from oracles import reml_slope_terms, restricted_loglik
 
 
@@ -68,13 +69,42 @@ class TestFitOls:
             fit_ols(ds, design_for(ds, degree=1))
 
     def test_is_the_one_column_case_of_fit_ols_columns(self, rng):
-        ds = Dataset(y=rng.standard_normal(25), S=rng.standard_normal((25, 2)),
-                     t=np.linspace(0, 1, 25))
-        design = design_for(ds)
-        fit, column = fit_ols(ds, design), fit_ols_columns([ds], design)[1][0]
-        for name in ("beta", "fitted", "residuals"):
-            np.testing.assert_array_equal(getattr(fit, name), getattr(column, name))
-        assert fit.sigma2_eps == column.sigma2_eps
+        """fit_ols is the 1 x n x 1 stack, bit for bit; in a stack of several
+        replicates and columns every cell is its own fit_ols up to rounding,
+        and a rejected design or a perfect fit fails only its own cells."""
+        t = np.linspace(0, 1, 25)
+        S = rng.standard_normal((3, 25, 2))
+        S[1, :, 1] = 2.0 * S[1, :, 0]  # replicate 1's X is rank deficient
+        Y = rng.standard_normal((3, 25, 2))
+        Y[2, :, 1] = S[2] @ [1.0, -0.5] + 0.5 - t  # replicate 2's second column fits exactly
+        datasets = [[Dataset(y=Y[r, :, c], S=S[r], t=t) for c in range(2)] for r in range(3)]
+        X = np.stack([np.column_stack([S[r], np.ones(25), t]) for r in range(3)])
+        proj, fits = fit_ols_columns(Y, X, stacked_qr(X))
+        assert sorted(fits.failed) == [(1, 0), (1, 1), (2, 1)]
+        assert str(fits.failed[1, 0]) == "fixed-effects design is rank deficient (4 columns, rank 3)"
+        assert isinstance(fits.failed[2, 1], DegenerateFitError)
+        for r, c in [(0, 0), (0, 1), (2, 0)]:
+            ds = datasets[r][c]
+            fit = fit_ols(ds, design_for(ds))
+            one = fit_ols_columns(Y[r, None, :, c, None], X[r, None], stacked_qr(X[r, None]))[1]
+            for name in ("beta", "fitted", "residuals"):
+                np.testing.assert_array_equal(getattr(fit, name), getattr(one.null_fit(0, 0), name))
+                np.testing.assert_allclose(getattr(fits.null_fit(r, c), name), getattr(fit, name),
+                                           rtol=1e-12, atol=1e-12)
+            assert fit.sigma2_eps == one.sigma2[0, 0]
+            assert fits.sigma2[r, c] == pytest.approx(fit.sigma2_eps, rel=1e-12)
+            np.testing.assert_array_equal(proj.replicate(r).Q, stacked_qr(X)[0][r])
+        for r, c in fits.failed:
+            assert fits.sigma2[r, c] == 1.0 and not fits.residuals[r, :, c].any()
+
+    def test_overflowing_sum_of_squares_is_a_numerical_error(self, rng):
+        """y'y = inf is an overflow, not a perfect fit, and warns nothing."""
+        t = np.linspace(0, 1, 30)
+        ds = Dataset(y=1e160 * (t + rng.standard_normal(30)), S=np.empty((30, 0)), t=t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="sum of squares of the response overflows"):
+                fit_ols(ds, design_for(ds))
 
     def test_rank_deficient_design_rejected(self, rng):
         """A hand-built design that skipped build_design's check: the fit

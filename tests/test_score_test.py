@@ -23,8 +23,8 @@ from covtest import (
     smoother_kernel,
 )
 from covtest.null_fit import NullFit, fit_ols_columns
-from covtest.score_test import ScoreMoments, _upper_tail, score_statistics
-from covtest.spline_basis import KnotSet, NATURAL_SPLINE, PENALIZED_GRAM
+from covtest.score_test import ScoreMoments, _gamma_q, _upper_tail, score_statistics
+from covtest.spline_basis import KnotSet, NATURAL_SPLINE, PENALIZED_GRAM, stacked_qr
 from oracles import restricted_loglik
 
 
@@ -117,42 +117,78 @@ class TestScoreStatistic:
 class TestBatchedColumns:
     @pytest.mark.parametrize("kind", [NATURAL_SPLINE, PENALIZED_GRAM])
     def test_columns_match_their_own_fits(self, kind):
-        """One QR of X and one kernel application for the departure levels of
-        a replicate give each level's single-fit result; a perfect-fit column
-        gets fit_ols's error and fails alone."""
-        datasets = generate_dataset(60, 0.5, (0, 1, 2, 4), seed=(23, 1))
-        base = datasets[0]
-        perfect = Dataset(y=base.S @ [1.3, 0.45] + 0.5 - base.t, S=base.S, t=base.t)
-        datasets.insert(2, perfect)
-        design = build_design(base, KnotSet(np.empty(0), 1))
+        """One stacked OLS fit and one kernel application for a block of
+        replicates and departure levels give each cell's one-fit result to
+        1e-12; a perfect-fit column gets fit_ols's error and fails alone."""
+        levels = (0, 1, 2, 4)
+        draws = [generate_dataset(60, 0.5, levels, seed=(23, rep)) for rep in range(3)]
+        base = draws[0][0]
+        draws[1][2] = Dataset(y=draws[1][0].S @ [1.3, 0.45] + 0.5 - base.t, S=draws[1][0].S, t=base.t)
+        Y = np.stack([np.column_stack([ds.y for ds in datasets]) for datasets in draws])
+        designs = [build_design(datasets[0], KnotSet(np.empty(0), 1)) for datasets in draws]
+        X = np.stack([design.X for design in designs])
         knots = place_knots(base.t, 10, 1) if kind == PENALIZED_GRAM else None
         kern = smoother_kernel(base.t, 1, kind, knots)
-        proj, fits = fit_ols_columns(datasets, design)
-        results = score_statistics(fits, proj, kern)
-        assert len(fits) == len(results) == len(datasets)
+        proj, fits = fit_ols_columns(Y, X, stacked_qr(X))
+        results, failed = score_statistics(fits.residuals, fits.sigma2, proj, kern)
+        assert results.p_value.shape == (3, len(levels)) and not failed
         with pytest.raises(DegenerateFitError) as single:
-            fit_ols(perfect, design)
-        for failed in (fits[2], results[2]):
-            assert isinstance(failed, DegenerateFitError) and str(failed) == str(single.value)
-        for i, (ds, got) in enumerate(zip(datasets, results)):
-            if i == 2:
-                continue
-            fit = fit_ols(ds, design)
-            assert fits[i].sigma2_eps == pytest.approx(fit.sigma2_eps, rel=1e-12)
-            np.testing.assert_allclose(fits[i].residuals, fit.residuals, rtol=0, atol=1e-12)
-            want = score_statistic(fit, reml_projection(fit, design.X), kern)
-            for field in ("u_quad", "null_mean", "u_score", "p_value"):
-                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
-            assert got.moments.mean == pytest.approx(want.moments.mean, rel=1e-12)
-            # The variance is |K|^2 / 2 less terms of nearly its size (here it is
-            # 1,400-1,800 times smaller), so two float evaluations of it agree to
-            # a few eps of |K|^2 / 2, not of the variance.
-            cancel = 0.5 * kern.sq_norm / fit.sigma2_eps**2 / want.moments.variance
-            for field in ("variance", "scale", "df"):
-                assert getattr(got.moments, field) == pytest.approx(
-                    getattr(want.moments, field), rel=16 * np.finfo(float).eps * cancel)
-            assert got.kernel_kind == want.kernel_kind
-        assert results[-1].p_value < results[0].p_value  # the departure is visible
+            fit_ols(draws[1][2], designs[1])
+        assert list(fits.failed) == [(1, 2)] and str(fits.failed[1, 2]) == str(single.value)
+        for r, datasets in enumerate(draws):
+            for c, ds in enumerate(datasets):
+                if (r, c) == (1, 2):
+                    continue
+                fit = fit_ols(ds, designs[r])
+                want = score_statistic(fit, reml_projection(fit, designs[r].X), kern)
+                got = results.cell(r, c)
+                for field in ("u_quad", "null_mean", "u_score", "p_value"):
+                    assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+                assert got.moments.mean == pytest.approx(want.moments.mean, rel=1e-12)
+                # The variance is |K|^2 / 2 less terms of nearly its size (here it is
+                # 1,400-1,800 times smaller), so two float evaluations of it agree to
+                # a few eps of |K|^2 / 2, not of the variance.
+                cancel = 0.5 * kern.sq_norm / fit.sigma2_eps**2 / want.moments.variance
+                for field in ("variance", "scale", "df"):
+                    assert getattr(got.moments, field) == pytest.approx(
+                        getattr(want.moments, field), rel=16 * np.finfo(float).eps * cancel)
+                assert got.kernel_kind == want.kernel_kind
+            assert results.p_value[r, -1] < results.p_value[r, 0]  # the departure is visible
+
+    def test_degenerate_replicate_fails_only_its_cells(self):
+        """A kernel inside one replicate's design span makes that replicate's
+        test degenerate; the other replicate still gets its statistics."""
+        draws = [generate_dataset(40, 0.5, (0, 2), seed=(29, rep)) for rep in range(2)]
+        Y = np.stack([np.column_stack([ds.y for ds in datasets]) for datasets in draws])
+        X = np.stack([build_design(datasets[0], KnotSet(np.empty(0), 1)).X for datasets in draws])
+        x0 = X[0, :, 0]
+        kern = SmootherKernel(M=np.outer(x0, x0), kind="span")
+        proj, fits = fit_ols_columns(Y, X, stacked_qr(X))
+        results, failed = score_statistics(fits.residuals, fits.sigma2, proj, kern)
+        assert sorted(failed) == [(0, 0), (0, 1)]
+        assert all(isinstance(error, DegenerateTestError) for error in failed.values())
+        fit = fit_ols(draws[1][1], build_design(draws[1][0], KnotSet(np.empty(0), 1)))
+        want = score_statistic(fit, reml_projection(fit, X[1]), kern)
+        assert results.cell(1, 1).p_value == pytest.approx(want.p_value, rel=1e-12)
+
+    def test_unconverged_tail_fails_only_its_cell(self, monkeypatch):
+        """A cell whose chi-square tail does not converge fails alone with a
+        numerical error naming its arguments."""
+        import covtest.score_test as score_test
+
+        datasets = generate_dataset(40, 0.5, (0, 4), seed=(31, 0))
+        design = build_design(datasets[0], KnotSet(np.empty(0), 1))
+        Y = np.column_stack([ds.y for ds in datasets])[None]
+        kern = smoother_kernel(datasets[0].t, 1)
+        proj, fits = fit_ols_columns(Y, design.X[None], stacked_qr(design.X[None]))
+        want, _ = score_statistics(fits.residuals, fits.sigma2, proj, kern)
+        # 20 terms close the c = 0 series (17) but not the c = 4 continued fraction (21).
+        monkeypatch.setattr(score_test, "_MAX_TERMS", 20)
+        results, failed = score_statistics(fits.residuals, fits.sigma2, proj, kern)
+        assert list(failed) == [(0, 1)]
+        a, x = score_test._tail_arguments(results.u_quad, results.moments)
+        assert str(failed[0, 1]) == f"chi-square tail did not converge at a = {a[0, 1]}, x = {x[0, 1]}"
+        assert results.p_value[0, 0] == want.p_value[0, 0]
 
 
 class TestSatterthwaite:
@@ -187,6 +223,19 @@ class TestSatterthwaite:
         keep = want > 1e-300
         assert keep.sum() > 10000 and (want[keep] < 1e-100).any()
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-10, atol=0)
+
+    def test_array_tail_is_the_scalar_tail_per_element(self):
+        """On arrays the tail takes _gamma_q's own recurrence per element, bit
+        for bit: on both sides of x = a + 1, at x = 0 and far in the tail,
+        where it is floored at the smallest float."""
+        a = np.array([[0.5, 0.5, 3.0, 3.0, 20.0], [20.0, 2.5, 2.5, 1.0, 0.7]])
+        x = np.array([[1.4999, 1.5001, 3.9, 4.1, 21.0 - 1e-9], [21.0, 0.0, 400.0, 800.0, 1.7]])
+        moments = ScoreMoments(mean=a, variance=a, scale=np.full(a.shape, 0.5), df=2.0 * a)
+        got = _upper_tail(x, moments)  # the tail at u_quad = x is Q(df / 2, x)
+        want = [[max(_gamma_q(ak, xk), np.finfo(float).tiny) for ak, xk in zip(ar, xr)]
+                for ar, xr in zip(a.tolist(), x.tolist())]
+        assert got.shape == a.shape and np.array_equal(got, want)
+        assert got[1, 1] == 1.0 and got[1, 3] == np.finfo(float).tiny
 
     def test_matches_result_field(self, small_dataset):
         _, fit, proj, kern = ols_pieces(small_dataset)

@@ -115,6 +115,20 @@ class TestGenerateDataset:
         with pytest.raises(ConfigError):
             generate_dataset(10, 0.0, 0, seed=0)
 
+    def test_block_slices_are_the_replicates_datasets(self):
+        """A study block's R x m x C responses and R x m x 2 covariates hold,
+        bit for bit, the data of one scalar generate_dataset call per
+        replicate and departure level."""
+        from covtest.sim_study import _block_data
+
+        config = tiny_config(c_values=(0, 1.5, 4), seed=8)
+        Y, S = _block_data(config, 30, 0.5, range(3, 9))
+        assert Y.shape == (6, 30, 3) and S.shape == (6, 30, 2) and Y.flags.c_contiguous
+        for r, rep in enumerate(range(3, 9)):
+            for ci, c in enumerate(config.c_values):
+                ds = generate_dataset(30, 0.5, c, seed=(8, rep))
+                assert np.array_equal(Y[r, :, ci], ds.y) and np.array_equal(S[r], ds.S)
+
 
 def tiny_config(**kw):
     base = dict(
@@ -274,31 +288,41 @@ class TestRunStudy:
             )
 
     def test_thread_count_does_not_change_output(self):
-        cfg = dict(tests=("rlrt", "score"), n_runs=8, c_values=(0, 3), n_sims_null=500)
+        """All five tests over a full block and a partial one: blocks on three
+        threads give the serial report."""
+        cfg = dict(tests=("lrt1", "lrt2", "rlrt", "score", "cusum"), n_runs=40, c_values=(0, 3),
+                   n_sims_null=500, cusum_resamples=50)
         serial = run_study(tiny_config(**cfg, threads=1))
         threaded = run_study(tiny_config(**cfg, threads=3))
         assert serial.to_csv() == threaded.to_csv()
 
     def test_score_and_cusum_share_one_ols_fit_per_replicate(self, monkeypatch):
-        """Each replicate fits all its departure levels with one fit_ols_columns
-        call, which both score and cusum use; neither refits per level."""
+        """Each block fits every replicate and departure level with one
+        fit_ols_columns call, which both score and cusum use, and scores them
+        with one score_statistics call; neither test refits per level, and
+        cusum resamples each (replicate, level) once."""
         import covtest.null_fit as null_fit
+        import covtest.score_test as score_test
         import covtest.sim_study as sim_study
 
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         import tracer
 
+        monkeypatch.setattr(sim_study, "_BLOCK", 2)  # three runs make two blocks
         config = tiny_config(tests=("score", "cusum"), n_runs=3, c_values=(0, 2, 4))
         spans = tracer.Tracer()
         spans.install()
         monkeypatch.setattr(sim_study, "fit_ols_columns",
                             spans.wrap("null_fit.fit_ols_columns", null_fit.fit_ols_columns))
+        monkeypatch.setattr(sim_study, "score_statistics",
+                            spans.wrap("score_test.score_statistics", score_test.score_statistics))
         try:
             run_study(config)
         finally:
             spans.restore()
         names = [span.name for span in spans.spans]
-        assert names.count("null_fit.fit_ols_columns") == config.n_runs
+        assert names.count("null_fit.fit_ols_columns") == 2
+        assert names.count("score_test.score_statistics") == 2
         assert names.count("cusum_test.multiplier_null") == config.n_runs * len(config.c_values)
         assert "null_fit.fit_ols" not in names and "null_fit.reml_projection" not in names
 
@@ -326,16 +350,19 @@ class TestRunStudy:
             run_study(tiny_config(n_runs=4))
 
     def test_failures_are_counted_not_dropped(self, monkeypatch):
+        """One cell the score test fails is counted in its cell, keeps its
+        message and leaves the run count alone."""
         import covtest.sim_study as sim_study
 
         calls = {"n": 0}
         real = sim_study.score_statistics
 
         def flaky(*args, **kwargs):
+            result, failed = real(*args, **kwargs)
             calls["n"] += 1
             if calls["n"] == 1:
-                raise ConfigError("one-off failure")
-            return real(*args, **kwargs)
+                failed[3, 0] = ConfigError("one-off failure")
+            return result, failed
 
         monkeypatch.setattr(sim_study, "score_statistics", flaky)
         report = run_study(
@@ -343,7 +370,7 @@ class TestRunStudy:
         )
         cell = report.get("score", 30, 0.25, 0, 0.05)
         assert cell.failures == 1
-        assert len(report.failure_messages) == 1
+        assert report.failure_messages == ["score m=30 sigma=0.25 c=0 rep=3: one-off failure"]
         assert cell.n_runs == 100
 
 
@@ -374,6 +401,10 @@ class TestSimReport:
         cell = report.get("score", 30, 0.25, 2, 0.05)
         f = cell.fraction
         assert cell.se == pytest.approx(math.sqrt(f * (1 - f) / cell.n_runs))
+
+    def test_missing_cell_raises_key_error(self, report):
+        with pytest.raises(KeyError):
+            report.get("cusum", 30, 0.25, 0, 0.05)
 
     def test_config_echo_lines(self, report):
         lines = report.config.lines()
