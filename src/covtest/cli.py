@@ -304,7 +304,7 @@ def _cmd_simulate(cfg: dict) -> int:
         )
     print(table)
     print(f"wrote {out_dir / 'report.csv'}")
-    print(f"runtime: {report.runtime_s:.1f}s", file=sys.stderr)
+    print(f"runtime: {report.runtime_s:.3f}s", file=sys.stderr)
     return 0
 
 

@@ -56,7 +56,7 @@ _ZERO_STAT = 1e-12
 _SIM_CHUNK = 1024
 # Part of every null-cache key: raise it whenever simulate_null's draws change,
 # so entries written by an earlier sampler are never served.
-_SAMPLER_VERSION = 1
+_SAMPLER_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -240,9 +240,9 @@ def profile_terms(
     if tail_sum < 0:
         raise ConfigError(f"tail sum must be >= 0, got {tail_sum}")
     values = np.array([float(lam)])
-    num_w, den_w = _grid_weights(values, cache.proj_eigs)
-    num = float(coord_sq @ num_w[:, 0])
-    den = float(coord_sq @ den_w[:, 0] + tail_sum)
+    den_w = _grid_weights(values, cache.proj_eigs)[:, 0]
+    num = float(coord_sq @ (lam * cache.proj_eigs * den_w))
+    den = float(coord_sq @ den_w + tail_sum)
     if den <= 0:
         raise NumericalError("denominator of the profile ratio is zero")
     mult, pen = _kind_penalty("lrt", values, cache.n_obs, cache.complement_dim,
@@ -250,40 +250,13 @@ def profile_terms(
     return ProfileTerms(num=num, den=den, gain=mult * math.log1p(num / den) - float(pen[0]))
 
 
-def _grid_weights(values: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K x G weights of the spline coordinates in the profile's numerator
-    (``lam * proj / (1 + lam * proj)``) and denominator (``1 / (1 + lam * proj)``);
-    R x K x G for a stack of R eigenvalue vectors (R x K)."""
-    scaled = values[:, None] * proj[..., None, :]          # (R x) G x K
-    shrink = 1.0 + scaled
-    num, den = np.divide(scaled, shrink, out=scaled), np.divide(1.0, shrink, out=shrink)
-    return num.swapaxes(-1, -2), den.swapaxes(-1, -2)
-
-
-def _grid_profile(
-    weights: tuple[np.ndarray, np.ndarray],
-    coord_sq: np.ndarray,
-    tail: np.ndarray,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Log residual-energy ratio and residual energy at every grid value.
-
-    ``weights`` come from :func:`_grid_weights`; ``coord_sq`` (rows x K)
-    holds squared coordinates along the spline directions and ``tail``
-    (rows) the residual energy in the remaining directions. Returns
-    ``log(rss(0) / rss(lam))`` and ``rss(lam)``, both rows x G; stacks of
-    weights, coordinates and tails (leading axis R) give stacks;
-    :func:`_sweep` turns the first into a statistic kind's profile. Given
-    ``out`` (2 x >= rows x G), both results are written into its leading
-    rows and returned as views of it.
-    """
-    rows = coord_sq.shape[0]
-    num, den = (None, None) if out is None else (out[0, :rows], out[1, :rows])
-    num = np.matmul(coord_sq, weights[0], out=num)         # rows x G
-    den = np.matmul(coord_sq, weights[1], out=den)
-    den += tail[..., None]
-    num /= den
-    return np.log1p(num, out=num), den
+def _grid_weights(values: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """K x G weights ``1 / (1 + lam * proj)`` of the spline coordinates in the
+    residual energy rss(lam), the profile's denominator (its numerator's are
+    ``lam * proj`` times these); R x K x G for a stack of R eigenvalue
+    vectors (R x K)."""
+    shrink = 1.0 + values[:, None] * proj[..., None, :]    # (R x) G x K
+    return np.divide(1.0, shrink, out=shrink).swapaxes(-1, -2)
 
 
 def _kind_penalty(kind: str, values: np.ndarray, n_obs: int, n_resid: int,
@@ -300,16 +273,16 @@ def _dropped_gain(n_obs: int, extra: np.ndarray, rss0: np.ndarray) -> np.ndarray
     return n_obs * np.log1p(extra / rss0)
 
 
-def _sweep(ratio: np.ndarray, mult: int, pen: np.ndarray, out: np.ndarray | None = None):
+def _grid_max(scaled: np.ndarray, mult: int) -> tuple[np.ndarray, np.ndarray]:
     """Grid maximum of a statistic kind's profile mult * log(rss(0) / rss(lam))
-    - pen(lam), with ``ratio`` the log ratio from :func:`_grid_profile` and
-    ``mult`` and ``pen`` from :func:`_kind_penalty`, shaped to broadcast
-    against it. Returns the index and the value of the maximum along the last
-    axis. Given ``out``, the profile is written there."""
-    path = np.multiply(ratio, mult, out=out)
-    path -= pen
-    best = path.argmax(axis=-1)
-    return best, np.take_along_axis(path, best[..., None], axis=-1)[..., 0]
+    - pen(lam), from its scaled residual energy rss(lam) * exp(pen(lam) / mult)
+    at every grid value (last axis). pen(0) = 0, so the profile is mult *
+    log(scaled(0) / scaled(lam)): it is largest where the scaled energy is
+    smallest, only there is a logarithm taken, and a maximum at lam = 0 is
+    exactly 0. Returns the index and the value of the maximum."""
+    best = scaled.argmin(axis=-1)
+    low = np.take_along_axis(scaled, best[..., None], axis=-1)[..., 0]
+    return best, mult * np.log(scaled[..., 0] / low)
 
 
 class ProfileSolver:
@@ -318,12 +291,14 @@ class ProfileSolver:
     Holds B and the eigenvalues of B'B, clipped as the null sampler's are
     (see :func:`spectral_decompose`). A call takes a stack of replicates:
     one thin QR of each X, one thin SVD of each projected basis P0B (n x K)
-    and one G x K grid sweep, shared by every (kind, h) pair and every
-    response column of that X. The sweep's maximum is taken by the step
-    :func:`simulate_null` takes, so the observed statistic and its null are
-    one profile functional. A simulation study reuses the solver across
-    replicates, where B is fixed, and passes a block of replicates as one
-    stack; :func:`observed_statistic` passes one replicate with one column.
+    and one K x G product for the residual energy on the grid, shared by
+    every (kind, h) pair and every response column of that X. Each kind
+    scales that energy by its penalty and takes its maximum by the step
+    :func:`simulate_null` takes (:func:`_grid_max`), so the observed
+    statistic and its null are one profile functional. A simulation study
+    reuses the solver across replicates, where B is fixed, and passes a block
+    of replicates as one stack; :func:`observed_statistic` passes one
+    replicate with one column.
     """
 
     def __init__(self, B: np.ndarray):
@@ -373,12 +348,13 @@ class ProfileSolver:
             head = np.where(usable[..., None], head, 0.0)
             rss0 = np.where(usable, rss0, 1.0)
             tail = np.where(usable, np.maximum(rss0 - head.sum(axis=-1), 0.0), 1.0)
-            ratio, den = _grid_profile(_grid_weights(values, proj), head, tail)
+            rss = head @ _grid_weights(values, proj)             # R x C x G
+            rss += tail[..., None]
             for j, (kind, h) in enumerate(specs):
                 mult, pen = _kind_penalty(kind, values, n, n - p, self.raw_eigs, proj)
-                best, top = _sweep(ratio, mult, pen[..., None, :])
+                best, top = _grid_max(rss * np.exp(pen / mult)[..., None, :], mult)
+                sigma2 = np.take_along_axis(rss, best[..., None], axis=-1)[..., 0] / mult
                 extra = np.where(usable, extras[h], 0.0)
-                sigma2 = np.take_along_axis(den, best[..., None], axis=-1)[..., 0] / mult
                 out[:, j] = top + _dropped_gain(n, extra, rss0), best, sigma2, rss0 + extra
         failed = {(int(r), int(c)): errors[r] or (
                       NumericalError(OVERFLOW_MESSAGE) if overflowed[r, c] else
@@ -461,14 +437,18 @@ def simulate_null(
     mult, pen = _kind_penalty(
         kind, values, cache.n_obs, cache.complement_dim, cache.raw_eigs, cache.proj_eigs
     )
-    weights = _grid_weights(values, cache.proj_eigs)
-    work = np.empty((2, min(n_sims, _SIM_CHUNK), values.size))  # reused by every chunk
+    scale = np.exp(pen / mult)
+    # [w | tail] @ weights is the scaled energy rss(lam) * scale(lam) that _grid_max takes.
+    weights = np.vstack([_grid_weights(values, cache.proj_eigs) * scale, scale])
+    rows = min(n_sims, _SIM_CHUNK)
+    coords, work = np.empty((rows, cache.n_knots + 1)), np.empty((rows, values.size))  # reused by every chunk
     samples = np.empty(n_sims)
     for start, stop, rng in chunked_streams(seed, n_sims, _SIM_CHUNK):
         w = rng.chisquare(1.0, size=(stop - start, cache.n_knots))
         tail = rng.chisquare(tail_df, size=stop - start)
-        ratio = _grid_profile(weights, w, tail, work)[0]
-        stat = _sweep(ratio, mult, pen, out=ratio)[1]
+        chunk = coords[:stop - start]
+        chunk[:, :-1], chunk[:, -1] = w, tail
+        stat = _grid_max(np.matmul(chunk, weights, out=work[:stop - start]), mult)[1]
         if kind == "lrt" and h > 0:
             extra = rng.chisquare(h, size=stop - start)
             stat = stat + _dropped_gain(cache.n_obs, extra, w.sum(axis=1) + tail)

@@ -36,7 +36,6 @@ from .exact_lrt import (
 )
 from .null_fit import fit_ols_columns
 from .score_test import score_statistics
-from .cusum_test import cumulative_process, multiplier_null, sup_test
 from .spline_basis import NATURAL_SPLINE, build_design, place_knots, smoother_kernel, stacked_qr
 
 __all__ = [
@@ -330,6 +329,8 @@ def _run_block(config: SimConfig, m: int, sigma: float, fixtures: dict, reps: ra
             except CovtestError as exc:
                 cell_errors = dict.fromkeys(cells, exc)
         elif name == "cusum":  # SimConfig checks cusum_resamples, so only a fit can fail
+            from .cusum_test import cumulative_process, multiplier_null, sup_test
+
             for r, ci in cells:
                 if (r, ci) not in fit_failed:
                     fit = fits.null_fit(r, ci)

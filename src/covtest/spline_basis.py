@@ -190,7 +190,8 @@ def place_knots(t, n_knots: int, degree: int = 1) -> KnotSet:
         raise ConfigError(f"number of knots must be >= 0, got {n_knots}")
     if n_knots == 0:
         return KnotSet(np.empty(0), degree)
-    distinct = np.unique(t)
+    ordered = np.sort(t, axis=None)  # not np.unique, which imports numpy.ma
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     if distinct.size < n_knots + 1:
         raise ConfigError(
             f"{n_knots} knots need at least {n_knots + 1} distinct t values, "

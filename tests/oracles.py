@@ -1,8 +1,10 @@
-"""Dense n x n reference formulas for the null fit, projection, kernel, score and cusum.
+"""Reference formulas for the null fit, projection, kernel, score, cusum and LRT sweep.
 
 The package keeps V = sigma2 (I + ratio ZZ'), the REML projection and the
 smoother kernels in factored form and never builds an n x n matrix for them.
-These are the textbook dense versions, kept here as test oracles only.
+These are the textbook dense versions, kept here as test oracles only. The
+LRT profile sweep is also kept in its written-out form, numerator over
+denominator, which the package's scaled-energy sweep must match.
 """
 
 import math
@@ -172,3 +174,35 @@ def natural_spline_gram(u, degree=1):
         out += math.comb(degree, j) * gap ** (degree - j) * lo ** (degree + j + 1) / (degree + j + 1)
     out /= math.factorial(degree) ** 2
     return 0.5 * (out + out.T)
+
+
+def log1p_ratio_sweep(coord_sq, tail, values, proj, mult, pen):
+    """Grid maximum of mult * log1p(num / den) - pen, the profile with its numerator
+    num(lam) = sum lam s / (1 + lam s) w and denominator den(lam) = sum w / (1 + lam s)
+    + tail written out. ``coord_sq`` is (R x) rows x K, ``tail`` (R x) rows, ``proj``
+    (R x) K and ``pen`` (R x) G. Returns the index of the maximum, its value and den there."""
+    scaled = values[:, None] * proj[..., None, :]                       # (R x) G x K
+    num = coord_sq @ (scaled / (1.0 + scaled)).swapaxes(-1, -2)
+    den = coord_sq @ (1.0 / (1.0 + scaled)).swapaxes(-1, -2) + tail[..., None]
+    path = mult * np.log1p(num / den) - pen[..., None, :]
+    best = path.argmax(axis=-1)
+    at = lambda a: np.take_along_axis(a, best[..., None], axis=-1)[..., 0]
+    return best, at(path), at(den)
+
+
+def log1p_ratio_null(cache, kind, h, values, n_sims, seed, chunk=1024):
+    """Null samples by :func:`log1p_ratio_sweep` on the package's chi-square draws: per
+    chunk stream K unit-df draws, one tail draw and, for the LRT with h > 0, one h-df
+    draw whose term n log1p(extra / rss(0)) is added; clipped at 0."""
+    mult, eigs = (cache.n_obs, cache.raw_eigs) if kind == "lrt" else (cache.complement_dim, cache.proj_eigs)
+    pen = np.log1p(values[:, None] * eigs).sum(axis=1)
+    samples = []
+    for start, stop, rng in chunked_streams(seed, n_sims, chunk):
+        w = rng.chisquare(1.0, size=(stop - start, cache.n_knots))
+        tail = rng.chisquare(cache.complement_dim - cache.n_knots, size=stop - start)
+        stat = log1p_ratio_sweep(w, tail, values, cache.proj_eigs, mult, pen)[1]
+        if kind == "lrt" and h > 0:
+            extra = rng.chisquare(h, size=stop - start)
+            stat = stat + cache.n_obs * np.log1p(extra / (w.sum(axis=1) + tail))
+        samples.append(stat)
+    return np.clip(np.concatenate(samples), 0.0, None)

@@ -617,12 +617,12 @@ class TestLazyScipy:
 
 
 def loaded_modules(code):
-    """covtest modules, and concurrent.futures if present, after ``code`` runs
-    in a fresh interpreter."""
+    """covtest modules, and concurrent.futures and numpy.ma if present, after
+    ``code`` runs in a fresh interpreter."""
     probe = (
         f"{code}\nimport sys\n"
         "print(' '.join(m for m in sys.modules"
-        " if m.split('.')[0] == 'covtest' or m == 'concurrent.futures'))"
+        " if m.split('.')[0] == 'covtest' or m in ('concurrent.futures', 'numpy.ma')))"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=src_env())
@@ -631,7 +631,8 @@ def loaded_modules(code):
 
 
 class TestModulesPerCommand:
-    """A command imports only the covtest modules it runs, and no thread pool."""
+    """A command imports only the covtest modules it runs, no thread pool and
+    not numpy.ma (whose import takes longer than an rlrt call's own work)."""
 
     def test_cli_import(self):
         assert loaded_modules("import covtest.cli") == {"covtest", "covtest.cli", "covtest.errors"}
@@ -650,6 +651,17 @@ class TestModulesPerCommand:
         expected = {"covtest", "covtest.cli"} | {f"covtest.{m}" for m in modules.split()}
         assert loaded_modules(code) == expected
         assert (tmp_path / f"result_{method}.json").exists()
+
+    def test_simulate_command(self, tmp_path):
+        """The default tests (lrt1, lrt2, rlrt, score) on one thread: no cusum module."""
+        code = (
+            "from covtest.cli import main\n"
+            "assert main(['simulate', '--m', '30', '--sigma', '0.25', '--c', '0,2', '--runs', '2', "
+            f"'--nsims', '200', '--knots', '8', '--out', {str(tmp_path)!r}]) == 0"
+        )
+        modules = "data_io errors exact_lrt null_fit rng score_test sim_study spline_basis"
+        assert loaded_modules(code) == {"covtest", "covtest.cli"} | {f"covtest.{m}" for m in modules.split()}
+        assert (tmp_path / "report.csv").exists()
 
 
 class TestCusumDraws:

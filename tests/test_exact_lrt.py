@@ -40,6 +40,7 @@ from covtest.exact_lrt import (
     save_null_distribution,
 )
 from covtest.spline_basis import PERFECT_FIT_REL, DesignMatrices, KnotSet, stacked_qr
+from oracles import log1p_ratio_null, log1p_ratio_sweep
 
 
 def make_design(m, p, d, n_knots, seed=0, t=None):
@@ -217,17 +218,18 @@ class TestProfileTerms:
 
     def test_gain_is_the_engine_profile(self):
         """At every grid value the gain is the LRT profile of the grid sweep that
-        observed statistics and the null sampler run: n times the log ratio of
-        _grid_profile minus the penalty of _kind_penalty."""
+        observed statistics and the null sampler run: _grid_max's n log(scaled(0)
+        / scaled(lam)) of the residual energy from _grid_weights scaled by
+        exp(pen / n), with pen from _kind_penalty."""
         ds, design = make_design(60, 2, 2, 12, seed=81)
         cache = spectral_decompose(design)
         values = default_lambda_grid(cache).values
         head, tail = spectral_coordinates(design, ds.y + np.sin(6 * ds.t))
-        weights = exact_lrt._grid_weights(values, cache.proj_eigs)
-        ratio = exact_lrt._grid_profile(weights, head[None], np.array([tail]))[0][0]
         mult, pen = exact_lrt._kind_penalty("lrt", values, cache.n_obs, cache.complement_dim,
                                             cache.raw_eigs, cache.proj_eigs)
-        engine = mult * ratio - pen
+        scaled = (head @ exact_lrt._grid_weights(values, cache.proj_eigs) + tail) * np.exp(pen / mult)
+        engine = mult * np.log(scaled[0] / scaled)
+        assert exact_lrt._grid_max(scaled, mult)[1] == engine.max()
         gains = np.array([profile_terms(cache, head, tail, lam).gain for lam in values])
         np.testing.assert_allclose(gains, engine, rtol=0, atol=1e-12 * np.abs(engine).max())
 
@@ -306,9 +308,9 @@ class TestSimulateNull:
     @pytest.mark.parametrize(
         "kind,d,h,digest",
         [
-            ("rlrt", 1, 0, "3caaf0404d6e3d399c1855a191325a898635f8ff74e446ea202a1179a8863372"),
-            ("lrt", 1, 0, "1e65e57e9b9967798852238de02bbc88ef3bca66600568dd293dcac6114ad080"),
-            ("lrt", 2, 1, "09ae420219a52343d9e18501a39dba80ab2cbe58d7574213c27d4c735e316d5a"),
+            ("rlrt", 1, 0, "74e465ee9366b8c395829371860032ef808b55020598db843c1fea2487fba9d6"),
+            ("lrt", 1, 0, "b5e19aa658498e8d7e6ae1be7c717fa3936ae5d9546e2050dfc79b0cb0e46f13"),
+            ("lrt", 2, 1, "af792daec12ce43d15b8acc82abb31db628b15ad2c6fcd0d42527e2f268b237c"),
         ],
     )
     def test_samples_pinned(self, kind, d, h, digest):
@@ -318,10 +320,10 @@ class TestSimulateNull:
     @pytest.mark.parametrize(
         "kind,d,h,n_sims,digest",
         [
-            ("rlrt", 1, 0, 500, "b60bd866bad791ed4ee2337576173bdbac93ce2f0523deb8ffe21e41652d433e"),
-            ("rlrt", 1, 0, 2048, "ba64f224456421bd75c940f8abb0db38fd42f572796a11e4f9cd48a351829dd0"),
-            ("lrt", 2, 1, 500, "4b1c6b56221d98eb00e978197c6204a8831329bc0d4142f50e430797d33998b5"),
-            ("lrt", 2, 1, 2048, "9f94b6823bd3571a3eac7ce039e4c3169b20e60a3853352c0f47411cdb9526e7"),
+            ("rlrt", 1, 0, 500, "ad02a423949e217349c8add66e877a949e7c102d32ea1fdf37108b282eba44ea"),
+            ("rlrt", 1, 0, 2048, "48059ca159b5bf1aa7959af1f5a79b6f97400d49c33cb6db338e743d2172b1a7"),
+            ("lrt", 2, 1, 500, "5267f4841c3d940836369b1e77905503e109c9d6a954029284037f9a41319856"),
+            ("lrt", 2, 1, 2048, "a5d3183975048b3746d484a3f254019bcb6d1e43cdd7a336e00175fee1a4df0b"),
         ],
     )
     def test_samples_pinned_at_chunk_edges(self, kind, d, h, n_sims, digest):
@@ -330,20 +332,27 @@ class TestSimulateNull:
 
     @pytest.mark.parametrize("rows", [exact_lrt._SIM_CHUNK, 300])
     def test_grid_profile_buffers_bit_identical(self, rows):
+        """The sampler's scaled energy, written into the leading rows of its
+        reused buffer, has the bits of a fresh product, and so has the grid
+        maximum _grid_max takes of it; the other rows are left alone."""
         rng = np.random.default_rng(rows)
         values = np.concatenate([[0.0], np.logspace(-6, 8, 200)])
-        weights = exact_lrt._grid_weights(values, np.sort(rng.uniform(0, 5, 20))[::-1])
-        w, tail = rng.chisquare(1.0, size=(rows, 20)), rng.chisquare(70, size=rows)
-        ref = exact_lrt._grid_profile(weights, w, tail)
-        work = np.empty((2, exact_lrt._SIM_CHUNK, values.size))
-        got = exact_lrt._grid_profile(weights, w, tail, work)
-        for r, g, buf in zip(ref, got, work):
-            assert g.shape == (rows, values.size)
-            assert g.tobytes() == r.tobytes()
-            assert np.shares_memory(g, buf)
+        proj = np.sort(rng.uniform(0, 5, 20))[::-1]
+        scale = np.exp(np.log1p(values[:, None] * proj).sum(1) / 90)
+        weights = np.vstack([exact_lrt._grid_weights(values, proj) * scale, scale])
+        coords = np.column_stack([rng.chisquare(1.0, size=(rows, 20)), rng.chisquare(70, size=rows)])
+        work = np.full((exact_lrt._SIM_CHUNK, values.size), np.nan)
+        got = np.matmul(coords, weights, out=work[:rows])
+        ref = coords @ weights
+        assert np.shares_memory(got, work) and got.tobytes() == ref.tobytes()
+        assert np.isnan(work[rows:]).all()
+        for r, g in zip(exact_lrt._grid_max(ref, 90), exact_lrt._grid_max(got, 90)):
+            assert g.shape == (rows,) and g.tobytes() == r.tobytes()
 
     def test_memory_bounded_by_one_chunk(self):
-        """Every chunk reuses one 2 x 1024 x G work array (3.3 MB at G = 201)."""
+        """Every chunk reuses one 1024 x G work array (1.6 MB at G = 201) and one
+        1024 x (K + 1) array of draws; the bound is the one the earlier
+        2 x 1024 x G buffer (3.3 MB) was held to."""
         ds = generate_dataset(100, 0.25, 0, seed=(1, 0))
         cache = spectral_decompose(build_design(ds, place_knots(ds.t, 20, 1)))
         grid = default_lambda_grid(cache)
@@ -355,6 +364,21 @@ class TestSimulateNull:
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * 2**20
+
+    @pytest.mark.parametrize("m", [30, 50, 100, 300])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_log1p_ratio_oracle(self, m, d):
+        """The scaled-energy sweep against the profile written out as numerator over
+        denominator, on the same draws: samples within 1e-12 max(1, |s|) and the
+        same draws at exactly zero."""
+        ds = generate_dataset(m, 0.25, 0, seed=(m, d))
+        cache = spectral_decompose(build_design(ds, place_knots(ds.t, 8 if m == 30 else 20, d)))
+        grid = default_lambda_grid(cache)
+        for kind, h in [("lrt", h) for h in range(d + 1)] + [("rlrt", 0)]:
+            got = simulate_null(cache, kind, h, grid, 1500, seed=(m, d, h)).samples
+            want = log1p_ratio_null(cache, kind, h, grid.values, 1500, (m, d, h))
+            np.testing.assert_array_equal(got == 0.0, want == 0.0)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_rlrt_ignores_h(self):
         ds, design = make_design(30, 1, 1, 4, seed=8)
@@ -611,6 +635,32 @@ class TestStackedReplicates:
         for got, ref in zip(given_qr[:4], stacked[:4]):
             np.testing.assert_array_equal(got, ref)
         assert given_qr[4] == {}
+
+    @pytest.mark.parametrize("m", [30, 50, 100, 300])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_matches_log1p_ratio_oracle(self, m, degree):
+        """The scaled-energy sweep against the profile written out as numerator
+        over denominator on the same coordinates: the same lambda-hat index,
+        statistics within 1e-12 max(1, |s|) and the error variance there to rounding."""
+        design, X, Y = replicate_stack(m, degree, 6, seed=24)
+        specs = [("lrt", h) for h in range(degree + 1)] + [("rlrt", 0)]
+        solver = ProfileSolver(design.B)
+        values = default_lambda_grid(spectral_decompose(design)).values
+        stat, index, sigma2, _, errors = solver.statistics(Y, X, LambdaGrid(values), specs)
+        assert errors == {}
+        Q, _, _ = stacked_qr(X)
+        proj, head, rss0 = exact_lrt._residual_coordinates(Q, design.B, Y)
+        tail = np.maximum(rss0 - head.sum(axis=-1), 0.0)
+        n, p = X.shape[1:]
+        for j, (kind, h) in enumerate(specs):
+            mult, eigs = (n, solver.raw_eigs) if kind == "lrt" else (n - p, proj)
+            pen = np.log1p(values[:, None] * eigs[..., None, :]).sum(axis=-1)
+            best, top, den = log1p_ratio_sweep(head, tail, values, proj, mult, pen)
+            extra = ((Q[..., p - h:].swapaxes(-1, -2) @ Y) ** 2).sum(axis=-2)
+            want = top + n * np.log1p(extra / rss0)
+            np.testing.assert_array_equal(index[j], best)
+            assert np.all(np.abs(stat[j] - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+            np.testing.assert_allclose(sigma2[j], den / mult, rtol=1e-14, atol=0)
 
     def test_failures_stay_in_their_cells(self):
         """A replicate with collinear S fails whole, with the design check's

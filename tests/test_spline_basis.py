@@ -47,6 +47,19 @@ class TestPlaceKnots:
         expected = [srt[math.ceil(k * srt.size / 10) - 1] for k in range(1, 10)]
         np.testing.assert_array_equal(ks.knots, expected)
 
+    @pytest.mark.parametrize("t", [
+        [0.3, 0.1, 0.3, 0.2, 0.1, 0.9, 0.2],   # unsorted with ties
+        [0.0, -0.0, 0.5, -0.0, 1.0, 0.0],      # signed zeros are one value
+        [5.0, 4.0, 3.0, 2.0, 1.0],             # descending
+    ])
+    def test_distinct_values_are_numpy_unique(self, t):
+        """With one knot fewer than the distinct t values, the knots are the
+        distinct values but the largest; one knot more is refused with their count."""
+        distinct = np.unique(t)
+        np.testing.assert_array_equal(place_knots(np.array(t), distinct.size - 1).knots, distinct[:-1])
+        with pytest.raises(ConfigError, match=f"found {distinct.size};"):
+            place_knots(np.array(t), distinct.size)
+
     def test_too_few_distinct_values(self):
         with pytest.raises(ConfigError, match="smaller knot count"):
             place_knots(np.array([1.0, 1.0, 2.0, 2.0]), 3)
