@@ -167,12 +167,13 @@ def multiplier_processes(
 
 
 def sup_test(observed: CusumProcess, null_sups: np.ndarray, process: str = "t") -> CusumResult:
-    """Empirical sup-norm test with the add-one p-value rule."""
+    """Empirical sup-norm test with the add-one p-value rule; a NaN sup gets a
+    NaN p-value."""
     null_sups = np.asarray(null_sups, dtype=float)
     if null_sups.size < 1:
         raise ConfigError("need at least one resampled sup-norm")
     obs = observed.sup
-    p = (1 + int((null_sups >= obs).sum())) / (1 + null_sups.size)
+    p = math.nan if math.isnan(obs) else (1 + int((null_sups >= obs).sum())) / (1 + null_sups.size)
     return CusumResult(
         observed_sup=obs, n_resamples=int(null_sups.size), p_value=p, process=process
     )

@@ -195,14 +195,12 @@ def _first_fault(rows: list[list[str]], header: list[str], cols: list[int]) -> s
     raise AssertionError("no unusable cell found")
 
 
-def save_csv(dataset: Dataset, path: str | Path, columns: ColumnMap = ColumnMap()) -> None:
-    """Write a dataset back to CSV; finite doubles round-trip bit-exactly."""
-    s_names = columns.s if columns.s is not None else tuple(f"s{k + 1}" for k in range(dataset.p))
-    if len(s_names) != dataset.p:
-        raise ConfigError(f"{len(s_names)} covariate names for {dataset.p} covariate columns")
-    header = [columns.y, columns.t, *s_names]
+def save_csv(dataset: Dataset, path: str | Path) -> None:
+    """Write a dataset to CSV under the header y,t,s1..sp[,cluster]; finite
+    doubles round-trip bit-exactly."""
+    header = ["y", "t", *(f"s{k + 1}" for k in range(dataset.p))]
     if dataset.cluster is not None:
-        header.append(columns.cluster or "cluster")
+        header.append("cluster")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -30,7 +30,7 @@ import numpy as np
 from .data_io import Dataset
 from .errors import ConfigError, DegenerateFitError, ModelError, NumericalError
 from .rng import SeedLike, chunked_streams
-from .spline_basis import OVERFLOW_MESSAGE, DesignMatrices, stacked_qr, unusable_fits
+from .spline_basis import OVERFLOW_MESSAGE, DesignMatrices, unusable_fits
 
 __all__ = [
     "SpectralCache",
@@ -141,7 +141,6 @@ class TestResult:
     nuisance: dict
     p_value: float | None = None
     null_provenance: dict | None = None
-    clamped: bool = False
 
 
 class ProfileTerms(NamedTuple):
@@ -204,23 +203,19 @@ def spectral_coordinates(design: DesignMatrices, y: np.ndarray) -> tuple[np.ndar
     return head, float(max(rss0 - head.sum(), 0.0))
 
 
-def default_lambda_grid(
-    cache: SpectralCache | np.ndarray, n_points: int = 200, span: tuple[float, float] = (1e-6, 1e8)
-) -> LambdaGrid:
-    """{0} followed by log-spaced points, scaled by the mean raw eigenvalue.
+def default_lambda_grid(cache: SpectralCache | np.ndarray) -> LambdaGrid:
+    """{0} followed by 200 log-spaced ratios from 1e-6 to 1e8, divided by the
+    mean of B'B's eigenvalues (the cache's ``raw_eigs``, or the array given).
 
     Scaling by 1/mean(raw_eigs) makes the grid adaptive to the design's
     overall spline energy. The same grid must be used for observed statistics
     and for the null simulation so that grid coarseness cancels.
     """
-    if n_points < 1:
-        raise ConfigError(f"the lambda grid needs at least 1 point after 0, got {n_points}")
     raw = cache.raw_eigs if isinstance(cache, SpectralCache) else np.asarray(cache, dtype=float)
     mean_eig = float(raw.mean()) if raw.size else 0.0
     if mean_eig <= 0:
         raise ModelError("spline basis is identically zero; cannot build a lambda grid")
-    values = np.concatenate([[0.0], np.logspace(math.log10(span[0]), math.log10(span[1]), n_points) / mean_eig])
-    return LambdaGrid(values)
+    return LambdaGrid(np.concatenate([[0.0], np.logspace(-6, 8, 200) / mean_eig]))
 
 
 def profile_terms(
@@ -279,7 +274,8 @@ def _grid_max(scaled: np.ndarray, mult: int) -> tuple[np.ndarray, np.ndarray]:
     at every grid value (last axis). pen(0) = 0, so the profile is mult *
     log(scaled(0) / scaled(lam)): it is largest where the scaled energy is
     smallest, only there is a logarithm taken, and a maximum at lam = 0 is
-    exactly 0. Returns the index and the value of the maximum."""
+    exactly 0; the grid starts at 0, so no maximum is below 0. Returns the
+    index and the value of the maximum."""
     best = scaled.argmin(axis=-1)
     low = np.take_along_axis(scaled, best[..., None], axis=-1)[..., 0]
     return best, mult * np.log(scaled[..., 0] / low)
@@ -311,28 +307,26 @@ class ProfileSolver:
         X: np.ndarray,
         grid: LambdaGrid,
         specs: list[tuple[str, int]],
-        qr: tuple | None = None,
+        qr: tuple,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
-        """Observed statistics of Y (R x n x C) under X (R x n x p) for S
-        (kind, h) pairs from one decomposition per replicate.
+        """Observed statistics of Y (R x n x C) under X (R x n x p), with
+        ``qr`` = ``spline_basis.stacked_qr(X)``, for S (kind, h) pairs.
 
-        Returns S x R x C arrays of the statistic before clamping at 0, the
-        grid index of lambda-hat, the error variance there and the null
-        residual sum of squares, and a map from each failed (replicate,
-        column) cell, whose array entries are meaningless, to its error: the
-        ModelError that rejects the replicate's X, or a DegenerateFitError for
-        a numerically perfect null fit. A cell's numbers do not depend on the
-        other cells. ``qr`` saves the QR of X when the caller has
-        :func:`stacked_qr`'s result. For the LRT with h > 0 the null also
-        drops the last h columns of X; the extra residual energy is the
-        squared norm of y along the last h columns of Q, the term
-        :func:`simulate_null` draws as chi-square(h).
+        Returns S x R x C arrays of the statistic (>= 0), the grid index of
+        lambda-hat, the error variance there and the null residual sum of
+        squares, and a map from each failed (replicate, column) cell, whose
+        array entries are meaningless, to its error: the ModelError that
+        rejects the replicate's X, or a DegenerateFitError for a numerically
+        perfect null fit. A cell's numbers do not depend on the other cells.
+        For the LRT with h > 0 the null also drops the last h columns of X;
+        the extra residual energy is the squared norm of y along the last h
+        columns of Q, the term :func:`simulate_null` draws as chi-square(h).
+        The solver cannot see the degree, so h is only held to 0..p - 1.
         """
-        for kind, h in specs:
-            if kind not in ("lrt", "rlrt") or kind == "rlrt" and h:
-                raise ConfigError(f"statistics are ('lrt', h) or ('rlrt', 0), got ({kind!r}, {h})")
         n, p = X.shape[-2:]
-        Q, _, errors = stacked_qr(X) if qr is None else qr
+        for kind, h in specs:
+            _check_h(kind, h, p - 1)
+        Q, _, errors = qr
         out = np.zeros((4, len(specs), Y.shape[0], Y.shape[2]))
         usable = np.zeros(out.shape[2:], dtype=bool)
         overflowed = np.zeros_like(usable)
@@ -363,11 +357,12 @@ class ProfileSolver:
         return out[0], out[1].astype(np.intp), out[2], out[3], failed
 
 
-def _check_h(kind: str, h: int, degree: int) -> None:
+def _check_h(kind: str, h: int, max_h: int) -> None:
+    """The LRT drops 0..max_h polynomial coefficients, the RLRT none."""
     if kind not in ("lrt", "rlrt"):
         raise ConfigError(f"statistic kind must be 'lrt' or 'rlrt', got {kind!r}")
-    if not 0 <= h <= degree:
-        raise ConfigError(f"h must lie in 0..{degree}, got {h}")
+    if not 0 <= h <= max_h:
+        raise ConfigError(f"h must lie in 0..{max_h}, got {h}")
     if kind == "rlrt" and h != 0:
         raise ConfigError(
             "the restricted statistic tests only the variance component (h = 0); "
@@ -386,8 +381,8 @@ def observed_statistic(
 
     The null model drops the top ``h`` polynomial coefficients and sets the
     spline variance to zero; the alternative profiles the error variance and
-    fixed effects in closed form at each grid ratio. The statistic is clamped
-    at 0 (the supremum includes the null itself).
+    fixed effects in closed form at each grid ratio. The statistic is >= 0
+    (see :func:`_grid_max`); ``h`` lies in 0..degree, and is 0 for the RLRT.
     """
     _check_h(kind, h, design.degree)
     solver = ProfileSolver(design.B)
@@ -398,11 +393,11 @@ def observed_statistic(
                                       [(kind, h)], (Q[None], R[None], [None]))
     if errors:
         raise errors[0, 0]
-    raw, k, sigma2, rss_null = (a.item() for a in cell)
+    stat, k, sigma2, rss_null = (a.item() for a in cell)
     lam_hat = float(grid.values[k])
     nuisance = {"sigma2_eps": sigma2, "sigma2_spline": lam_hat * sigma2, "rss_null": rss_null,
                 "h": h, "grid_sha": grid.sha}
-    return TestResult(kind, max(raw, 0.0), lam_hat, nuisance, clamped=raw < 0.0)
+    return TestResult(kind, stat, lam_hat, nuisance)
 
 
 def simulate_null(
@@ -453,17 +448,17 @@ def simulate_null(
             extra = rng.chisquare(h, size=stop - start)
             stat = stat + _dropped_gain(cache.n_obs, extra, w.sum(axis=1) + tail)
         samples[start:stop] = stat
-    np.clip(samples, 0.0, None, out=samples)
     return NullDistribution(samples, _provenance(cache, kind, h, grid, n_sims, seed))
 
 
 def p_value(observed: float | np.ndarray, null: NullDistribution) -> float | np.ndarray:
     """Empirical upper-tail p-value with the add-one rule (never exactly 0):
-    (1 + #{samples >= observed}) / (1 + n_sims), elementwise for an array."""
+    (1 + #{samples >= observed}) / (1 + n_sims), elementwise for an array.
+    A NaN statistic gets a NaN p-value: it is no evidence against the null."""
     if null.n_sims < 1:
         raise ConfigError("null distribution has no samples")
     above = null.n_sims - np.searchsorted(null.sorted_samples, observed, side="left")
-    p = (1 + above) / (1 + null.n_sims)
+    p = np.where(np.isnan(observed), np.nan, (1 + above) / (1 + null.n_sims))
     return p if np.ndim(p) else float(p)
 
 

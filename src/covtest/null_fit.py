@@ -92,7 +92,6 @@ class NullFit:
     fitted: np.ndarray
     residuals: np.ndarray
     cluster: np.ndarray | None
-    method: str
 
     @property
     def sigma2_b(self) -> float:
@@ -180,7 +179,7 @@ class OlsFits:
         """The NullFit of cell (r, c); its arrays are views of the stack's."""
         return NullFit(beta=self.beta[r, :, c], sigma2_eps=float(self.sigma2[r, c]), ratio=0.0,
                        fitted=self.fitted[r, :, c], residuals=self.residuals[r, :, c],
-                       cluster=cluster, method="ols")
+                       cluster=cluster)
 
 
 def fit_ols(dataset: Dataset, design: DesignMatrices) -> NullFit:
@@ -338,7 +337,7 @@ def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullF
     if overflowed or perfect:
         raise _unusable(overflowed)
     return NullFit(beta=beta, sigma2_eps=float(rss) / (n - p_fixed), ratio=ratio_hat, fitted=fitted,
-                   residuals=resid, cluster=cluster, method="reml-random-intercept")
+                   residuals=resid, cluster=cluster)
 
 
 def _log_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:

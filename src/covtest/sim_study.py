@@ -307,7 +307,7 @@ def _run_block(config: SimConfig, m: int, sigma: float, fixtures: dict, reps: ra
             Y, X[d], fixtures[("grid", d)], specs, factors[d])
         group = [ti for ti, _, _, _ in members]
         for j, (ti, name, _, _) in enumerate(members):
-            pvals[ti] = p_value(stats[j], fixtures[("null", name)])  # samples >= 0: no clamp needed
+            pvals[ti] = p_value(stats[j], fixtures[("null", name)])
         for (r, ci), error in cell_errors.items():
             pvals[group, r, ci] = np.nan
             failed.setdefault((r, ci), []).extend((ti, error) for ti in group)

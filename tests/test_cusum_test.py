@@ -21,7 +21,7 @@ from covtest import (
     sup_test,
 )
 from covtest import rng as rngmod
-from covtest.cusum_test import _RESAMPLE_CHUNK, _SUB_BLOCK
+from covtest.cusum_test import _RESAMPLE_CHUNK, _SUB_BLOCK, CusumProcess
 from covtest.null_fit import NullFit
 from covtest.spline_basis import KnotSet
 
@@ -36,7 +36,6 @@ def manual_fit(residuals, cluster=None, n=None):
         fitted=np.zeros(n),
         residuals=residuals,
         cluster=None if cluster is None else np.asarray(cluster),
-        method="ols",
     )
 
 
@@ -113,7 +112,6 @@ class TestMultiplierNull:
             fitted=fit.fitted,
             residuals=fit.residuals,
             cluster=np.zeros(fit.n, dtype=int),
-            method="ols",
         )
         observed = cumulative_process(one_unit, small_dataset.t)
         points, paths = multiplier_processes(one_unit, proj, small_dataset.t, 20, seed=2)
@@ -161,6 +159,14 @@ class TestSupTest:
         result = sup_test(process, sups)
         expected = (1 + int(np.sum(np.sort(sups) >= process.sup))) / 502
         assert result.p_value == expected
+
+    def test_nan_sup_does_not_reject(self):
+        """No resample is >= NaN, so the add-one count alone would give the
+        smallest p-value; a NaN sup gets a NaN p-value instead."""
+        process = CusumProcess(np.array([0.1, 0.2]), np.array([np.nan, 1.0]), n_units=2)
+        result = sup_test(process, np.linspace(0.0, 1.0, 99))
+        assert math.isnan(process.sup) and math.isnan(result.p_value)
+        assert result.n_resamples == 99
 
 
 class TestCalibration:

@@ -101,12 +101,16 @@ class TestLambdaGrid:
             LambdaGrid(np.array([0.0, 1.0, 1.0]))
 
     def test_default_grid_shape_and_scale(self):
+        """{0} and 200 log-spaced ratios on (1e-6, 1e8) over the mean eigenvalue,
+        with the bits of the grid written with explicit log10 ends."""
         eigs = np.array([4.0, 2.0])  # mean 3
-        grid = default_lambda_grid(eigs, n_points=10, span=(1e-2, 1e2))
+        grid = default_lambda_grid(eigs)
         assert grid.values[0] == 0.0
-        assert grid.values.size == 11
-        assert grid.values[1] == pytest.approx(1e-2 / 3.0)
-        assert grid.values[-1] == pytest.approx(1e2 / 3.0)
+        assert grid.values.size == 201
+        assert grid.values[1] == pytest.approx(1e-6 / 3.0)
+        assert grid.values[-1] == pytest.approx(1e8 / 3.0)
+        ratios = np.logspace(math.log10(1e-6), math.log10(1e8), 200)
+        assert grid.values[1:].tobytes() == (ratios / 3.0).tobytes()
 
     def test_zero_basis_rejected(self):
         with pytest.raises(Exception, match="identically zero"):
@@ -291,7 +295,7 @@ class TestSimulateNull:
         ds = Dataset(y=rng.standard_normal(m), S=np.empty((m, 0)), t=t)
         design = build_design(ds, place_knots(t, n_knots, d))
         cache = spectral_decompose(design)
-        grid = default_lambda_grid(cache, n_points=100)
+        grid = LambdaGrid(default_lambda_grid(cache).values[::2])
         spectral = simulate_null(cache, kind, h, grid, 20000, seed=31)
         brute = np.empty(800)
         for i in range(800):
@@ -439,8 +443,8 @@ class TestObservedStatistic:
         y = np.cos(5 * design.t) + 0.3 * rng.standard_normal(30)
         dsy = Dataset(y=y, S=ds.S, t=ds.t)
         cache = spectral_decompose(design)
-        coarse = default_lambda_grid(cache, n_points=40)
-        extra = default_lambda_grid(cache, n_points=160)
+        full = default_lambda_grid(cache).values
+        coarse, extra = LambdaGrid(full[::5]), LambdaGrid(full[::4])
         union = LambdaGrid(np.unique(np.concatenate([coarse.values, extra.values])))
         for kind in ("lrt", "rlrt"):
             s_coarse = observed_statistic(dsy, design, kind, 0, coarse).statistic
@@ -483,7 +487,7 @@ class TestObservedStatistic:
         grid = default_lambda_grid(spectral_decompose(design))
         perfect = design.X @ np.arange(1.0, design.X.shape[1] + 1)
         Y = np.column_stack([ds.y, perfect])[None]
-        got = solver.statistics(Y, design.X[None], grid, [("lrt", 0)])
+        got = solver.statistics(Y, design.X[None], grid, [("lrt", 0)], stacked_qr(design.X[None]))
         assert list(got[4]) == [(0, 1)]
         assert isinstance(got[4][0, 1], DegenerateFitError)
         assert str(got[4][0, 1]) == "null fit is numerically perfect; statistic undefined"
@@ -531,6 +535,55 @@ class TestObservedStatistic:
             observed_statistic(ds, design, "rlrt", 1)
         with pytest.raises(ConfigError):
             observed_statistic(ds, design, "wald", 0)
+        # The solver sees X (here p = 3) but not the degree: h = p would take the
+        # slice Q[..., 0:] and h = -1 the slice Q[..., p + 1:], wrapping to some
+        # other h's statistic.
+        solver = ProfileSolver(design.B)
+        grid = default_lambda_grid(solver.raw_eigs)
+        X = design.X[None]
+        p = X.shape[-1]
+        for kind, h in [("lrt", p), ("lrt", -1), ("rlrt", 1), ("wald", 0)]:
+            with pytest.raises(ConfigError):
+                solver.statistics(ds.y[None, :, None], X, grid, [(kind, h)], stacked_qr(X))
+
+
+@given(data=st.data())
+def test_statistics_and_null_samples_never_negative(data):
+    """Every observed statistic and every null draw is a grid maximum over a
+    grid starting at lambda = 0 (plus n log(1 + extra / rss0) >= 0), so none is
+    below 0 and no clamp is needed. Random shapes and h, with columns whose
+    lambda-hat sits at the bottom edge (no spline signal), at the top edge
+    (pure spline signal) and near-perfect null fits."""
+    d = data.draw(st.integers(1, 3), label="d")
+    p = data.draw(st.integers(0, 2), label="p")
+    k = data.draw(st.integers(1, 8), label="K")
+    m = data.draw(st.integers(p + d + k + 3, 60), label="m")
+    h = data.draw(st.integers(0, d), label="h")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    _, design = make_design(m, p, d, k, seed=seed)
+    X = np.stack([np.hstack([rng.standard_normal((m, p)), design.A]) for _ in range(2)])
+    Y = np.empty((2, m, 4))
+    for r in range(2):
+        fixed = X[r] @ rng.standard_normal(X.shape[2])
+        noise = rng.standard_normal(m)
+        Q, _ = np.linalg.qr(np.hstack([X[r], design.B]))
+        Y[r] = np.column_stack([fixed + noise,
+                                fixed + noise - Q @ (Q.T @ noise),      # lambda-hat = 0
+                                design.B @ rng.standard_normal(k) + 1e-9 * noise,
+                                fixed + 1e-11 * np.linalg.norm(fixed) * noise])
+    solver = ProfileSolver(design.B)
+    grid = default_lambda_grid(solver.raw_eigs)
+    specs = [("lrt", h), ("lrt", 0), ("rlrt", 0)]
+    stat, *_, failed = solver.statistics(Y, X, grid, specs, stacked_qr(X))
+    usable = np.ones(stat.shape[1:], dtype=bool)
+    for cell in failed:
+        usable[cell] = False
+    assert np.all(stat[:, usable] >= 0.0)
+    cache = spectral_decompose(design)
+    for kind, kind_h in (("lrt", h), ("rlrt", 0)):
+        null = simulate_null(cache, kind, kind_h, grid, 300, seed=seed)
+        assert np.all(null.samples >= 0.0)
 
 
 class TestBatchedColumns:
@@ -546,7 +599,7 @@ class TestBatchedColumns:
         solver = ProfileSolver(design.B)
         grid = default_lambda_grid(spectral_decompose(design))
         Y = np.column_stack([ds.y for ds in datasets])[None]
-        batched = solver.statistics(Y, design.X[None], grid, specs)
+        batched = solver.statistics(Y, design.X[None], grid, specs, stacked_qr(design.X[None]))
         assert [a.shape for a in batched[:4]] == [(len(specs), 1, 5)] * 4 and batched[4] == {}
         for c, ds in enumerate(datasets):
             for j, (kind, h) in enumerate(specs):
@@ -555,7 +608,7 @@ class TestBatchedColumns:
                 assert got[0] == ref.method
                 assert got[1] == pytest.approx(ref.statistic, rel=1e-12, abs=1e-12)
                 assert got[2] == ref.lambda_hat
-                assert got[6] == pytest.approx(ref.nuisance["rss_null"], rel=1e-12)
+                assert got[5] == pytest.approx(ref.nuisance["rss_null"], rel=1e-12)
                 assert ref.nuisance["grid_sha"] == grid.sha
         assert batched[0][0, 0, 4] > batched[0][0, 0, 0]  # the departure is visible
 
@@ -576,16 +629,16 @@ class TestBatchedColumns:
 def result_fields(result):
     """Every field of a TestResult, for exact comparison."""
     nuisance = result.nuisance
-    return (result.method, result.statistic, result.lambda_hat, result.clamped,
+    return (result.method, result.statistic, result.lambda_hat,
             nuisance["sigma2_eps"], nuisance["sigma2_spline"], nuisance["rss_null"], nuisance["h"])
 
 
 def cell_fields(got, grid, specs, j, r, c):
     """``result_fields`` of the TestResult that cell (r, c) of the j-th
     (kind, h) of a ``ProfileSolver.statistics`` result stands for."""
-    raw, k, sigma2, rss_null = (a[j, r, c].item() for a in got[:4])
+    stat, k, sigma2, rss_null = (a[j, r, c].item() for a in got[:4])
     lam = float(grid.values[k])
-    return (specs[j][0], max(raw, 0.0), lam, raw < 0.0, sigma2, lam * sigma2, rss_null, specs[j][1])
+    return (specs[j][0], stat, lam, sigma2, lam * sigma2, rss_null, specs[j][1])
 
 
 def single_cell(design, X, Y, r, c):
@@ -617,13 +670,14 @@ class TestStackedReplicates:
         design, X, Y = replicate_stack(m, degree, 7, seed=21)
         solver = ProfileSolver(design.B)
         grid = default_lambda_grid(spectral_decompose(design))
-        stacked = solver.statistics(Y, X, grid, self.SPECS)
+        stacked = solver.statistics(Y, X, grid, self.SPECS, stacked_qr(X))
         assert stacked[0].shape == (3, 7, 5) and stacked[4] == {}
         for r in range(7):
-            single = solver.statistics(Y[r:r + 1], X[r:r + 1], grid, self.SPECS)
+            qr = stacked_qr(X[r:r + 1])
+            single = solver.statistics(Y[r:r + 1], X[r:r + 1], grid, self.SPECS, qr)
             for c in range(5):
                 ds, design_r = single_cell(design, X, Y, r, c)
-                one = solver.statistics(ds.y[None, :, None], X[r:r + 1], grid, self.SPECS)
+                one = solver.statistics(ds.y[None, :, None], X[r:r + 1], grid, self.SPECS, qr)
                 for j, (kind, h) in enumerate(self.SPECS):
                     got = cell_fields(stacked, grid, self.SPECS, j, r, c)
                     assert got == cell_fields(single, grid, self.SPECS, j, 0, c)
@@ -631,10 +685,6 @@ class TestStackedReplicates:
                     assert ref == cell_fields(one, grid, self.SPECS, j, 0, 0)
                     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
                     assert got[2] == ref[2]  # the same lambda-hat
-        given_qr = solver.statistics(Y, X, grid, self.SPECS, stacked_qr(X))
-        for got, ref in zip(given_qr[:4], stacked[:4]):
-            np.testing.assert_array_equal(got, ref)
-        assert given_qr[4] == {}
 
     @pytest.mark.parametrize("m", [30, 50, 100, 300])
     @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -646,9 +696,10 @@ class TestStackedReplicates:
         specs = [("lrt", h) for h in range(degree + 1)] + [("rlrt", 0)]
         solver = ProfileSolver(design.B)
         values = default_lambda_grid(spectral_decompose(design)).values
-        stat, index, sigma2, _, errors = solver.statistics(Y, X, LambdaGrid(values), specs)
+        qr = stacked_qr(X)
+        stat, index, sigma2, _, errors = solver.statistics(Y, X, LambdaGrid(values), specs, qr)
         assert errors == {}
-        Q, _, _ = stacked_qr(X)
+        Q = qr[0]
         proj, head, rss0 = exact_lrt._residual_coordinates(Q, design.B, Y)
         tail = np.maximum(rss0 - head.sum(axis=-1), 0.0)
         n, p = X.shape[1:]
@@ -670,7 +721,7 @@ class TestStackedReplicates:
         Y[2, :, 3] = X[2] @ np.arange(1.0, 5.0)
         solver = ProfileSolver(design.B)
         grid = default_lambda_grid(spectral_decompose(design))
-        stacked = solver.statistics(Y, X, grid, self.SPECS)
+        stacked = solver.statistics(Y, X, grid, self.SPECS, stacked_qr(X))
         errors = stacked[4]
         assert list(errors) == [(1, c) for c in range(5)] + [(2, 3)]
         for c in range(5):
@@ -683,7 +734,8 @@ class TestStackedReplicates:
         with pytest.raises(DegenerateFitError):
             observed_statistic(*single_cell(design, X, Y, 2, 3), "lrt", 0, grid)
         for r in (0, 2, 3):
-            single = solver.statistics(Y[r:r + 1], X[r:r + 1], grid, self.SPECS)
+            single = solver.statistics(Y[r:r + 1], X[r:r + 1], grid, self.SPECS,
+                                       stacked_qr(X[r:r + 1]))
             assert list(single[4]) == ([(0, 3)] if r == 2 else [])
             for c in range(5):
                 if (r, c) == (2, 3):
@@ -696,7 +748,7 @@ class TestStackedReplicates:
         design, X, Y = replicate_stack(30, 1, 3, seed=23)
         solver = ProfileSolver(design.B)
         grid = default_lambda_grid(spectral_decompose(design))
-        stacked = solver.statistics(Y[:, :4], X[:, :4], grid, self.SPECS)
+        stacked = solver.statistics(Y[:, :4], X[:, :4], grid, self.SPECS, stacked_qr(X[:, :4]))
         rows = "need n > 4 rows to fit 4 coefficients, got n = 4"
         assert {cell: str(e) for cell, e in stacked[4].items()} == {
             (r, c): rows for r in range(3) for c in range(5)}
@@ -717,7 +769,7 @@ class TestSpectralDenseEquivalence:
             ds = Dataset(y=y, S=S, t=t)
             design = build_design(ds, place_knots(t, n_knots, d))
             cache = spectral_decompose(design)
-            grid = default_lambda_grid(cache, n_points=60)
+            grid = LambdaGrid(default_lambda_grid(cache).values[::3])
             head, tail = spectral_coordinates(design, y)
             dense = dense_path(y, design.X, design.B, grid.values, "lrt", 0)
             for g, lam in enumerate(grid.values):
@@ -763,6 +815,14 @@ class TestPValue:
         raw = np.array([-np.inf, -50.0, -1e-300, -0.0, 0.0])
         assert np.array_equal(p_value(raw, null), p_value(np.maximum(raw, 0.0), null))
         assert np.all(p_value(raw, null) == 1.0)
+
+    def test_nan_statistic_gets_nan(self):
+        """searchsorted puts NaN after every sample, which the add-one rule
+        alone would turn into the smallest p-value 1 / (1 + n_sims)."""
+        null = self.fixed_null([0.0, 0.3, 1.2, 2.5])
+        assert math.isnan(p_value(math.nan, null))
+        got = p_value(np.array([0.0, np.nan, 2.5, np.nan]), null)
+        np.testing.assert_array_equal(got, [1.0, np.nan, 0.4, np.nan])
 
     def test_median_maps_near_half(self):
         """Oracle: rank-based count on the sorted samples."""
@@ -848,7 +908,7 @@ class TestNullCache:
         assert null_distribution_key(cache, "lrt", 0, grid, 1000, 5) != base
         assert null_distribution_key(cache, "rlrt", 0, grid, 2000, 5) != base
         assert null_distribution_key(cache, "rlrt", 0, grid, 1000, 6) != base
-        other_grid = default_lambda_grid(cache, n_points=100)
+        other_grid = LambdaGrid(grid.values[::2])
         assert null_distribution_key(cache, "rlrt", 0, other_grid, 1000, 5) != base
         monkeypatch.setattr(exact_lrt, "_SAMPLER_VERSION", exact_lrt._SAMPLER_VERSION + 1)
         assert null_distribution_key(cache, "rlrt", 0, grid, 1000, 5) != base

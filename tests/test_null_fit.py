@@ -287,7 +287,6 @@ class TestRemlProjection:
             fitted=np.zeros(2),
             residuals=np.zeros(2),
             cluster=None,
-            method="ols",
         )
         X = np.ones((2, 1))
         proj = reml_projection(fit, X)
@@ -329,7 +328,6 @@ class TestRemlProjection:
             fitted=np.zeros(4),
             residuals=np.zeros(4),
             cluster=np.array([0, 0, 0, 1]),
-            method="reml-random-intercept",
         )
         with pytest.raises(NumericalError, match="ill-conditioned"):
             reml_projection(fit, np.ones((4, 1)))

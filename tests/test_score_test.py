@@ -46,7 +46,6 @@ class TestScoreStatistic:
             fitted=fit.fitted,
             residuals=np.zeros(fit.n),
             cluster=None,
-            method="ols",
         )
         result = score_statistic(silent, proj, kern)
         assert result.u_quad == 0.0
