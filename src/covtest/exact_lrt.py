@@ -56,7 +56,7 @@ _ZERO_STAT = 1e-12
 _SIM_CHUNK = 1024
 # Part of every null-cache key: raise it whenever simulate_null's draws change,
 # so entries written by an earlier sampler are never served.
-_SAMPLER_VERSION = 2
+_SAMPLER_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -284,22 +284,22 @@ def _grid_max(scaled: np.ndarray, mult: int) -> tuple[np.ndarray, np.ndarray]:
 class ProfileSolver:
     """Observed LRT/RLRT statistics for one spline basis B.
 
-    Holds B and the eigenvalues of B'B, clipped as the null sampler's are
-    (see :func:`spectral_decompose`). A call takes a stack of replicates:
-    one thin QR of each X, one thin SVD of each projected basis P0B (n x K)
-    and one K x G product for the residual energy on the grid, shared by
-    every (kind, h) pair and every response column of that X. Each kind
-    scales that energy by its penalty and takes its maximum by the step
-    :func:`simulate_null` takes (:func:`_grid_max`), so the observed
-    statistic and its null are one profile functional. A simulation study
-    reuses the solver across replicates, where B is fixed, and passes a block
-    of replicates as one stack; :func:`observed_statistic` passes one
-    replicate with one column.
+    Holds B, the spline degree and the eigenvalues of B'B, clipped as the null
+    sampler's are (see :func:`spectral_decompose`). A call takes a stack of
+    replicates: one thin QR of each X, one thin SVD of each projected basis
+    P0B (n x K) and one K x G product for the residual energy on the grid,
+    shared by every (kind, h) pair and every response column of that X. Each
+    kind scales that energy by its penalty and takes its maximum by the step
+    :func:`simulate_null` takes (:func:`_grid_max`), so the observed statistic
+    and its null are one profile functional. A simulation study reuses the
+    solver across replicates, where B is fixed, and passes a block of
+    replicates as one stack; :func:`observed_statistic` passes one replicate
+    with one column.
     """
 
-    def __init__(self, B: np.ndarray):
-        self.B = B
-        self.raw_eigs = _eig_desc_clipped(B.T @ B)
+    def __init__(self, design: DesignMatrices):
+        self.B, self.degree = design.B, design.degree
+        self.raw_eigs = _eig_desc_clipped(self.B.T @ self.B)
 
     def statistics(
         self,
@@ -320,12 +320,12 @@ class ProfileSolver:
         perfect null fit. A cell's numbers do not depend on the other cells.
         For the LRT with h > 0 the null also drops the last h columns of X;
         the extra residual energy is the squared norm of y along the last h
-        columns of Q, the term :func:`simulate_null` draws as chi-square(h).
-        The solver cannot see the degree, so h is only held to 0..p - 1.
+        columns of Q, the term :func:`simulate_null` draws as chi-square(h),
+        so h lies in 0..degree as there.
         """
         n, p = X.shape[-2:]
         for kind, h in specs:
-            _check_h(kind, h, p - 1)
+            _check_h(kind, h, self.degree)
         Q, _, errors = qr
         out = np.zeros((4, len(specs), Y.shape[0], Y.shape[2]))
         usable = np.zeros(out.shape[2:], dtype=bool)
@@ -384,8 +384,7 @@ def observed_statistic(
     fixed effects in closed form at each grid ratio. The statistic is >= 0
     (see :func:`_grid_max`); ``h`` lies in 0..degree, and is 0 for the RLRT.
     """
-    _check_h(kind, h, design.degree)
-    solver = ProfileSolver(design.B)
+    solver = ProfileSolver(design)
     if grid is None:
         grid = default_lambda_grid(solver.raw_eigs)
     Q, R = design.factors()
@@ -410,12 +409,14 @@ def simulate_null(
 ) -> NullDistribution:
     """Sample the exact finite-sample null distribution of the statistic.
 
-    Each replicate draws the chi-square ingredients (K unit-df draws for the
-    spline directions, one pooled draw for the residual tail, and for the LRT
-    with h > 0 one h-df draw for the dropped coefficients), evaluates the
-    profile gain over the whole grid, and records the supremum. Replicate
-    randomness comes from fixed-size chunk streams keyed by (seed, chunk), so
-    results are independent of scheduling and worker count.
+    Each replicate draws the chi-square ingredients, evaluates the profile
+    gain over the whole grid, and records the supremum: K unit-df terms for
+    the spline directions, each a squared standard normal; one pooled
+    chi-square(n - p - d - 1 - K) draw for the residual tail; and for the LRT
+    with h > 0 the dropped coefficients' chi-square(h) term, the sum of h
+    squared standard normals. Replicate randomness comes from fixed-size chunk
+    streams keyed by (seed, chunk), so results are independent of scheduling
+    and worker count.
     """
     _check_h(kind, h, cache.degree)
     if n_sims < 1:
@@ -435,19 +436,23 @@ def simulate_null(
     scale = np.exp(pen / mult)
     # [w | tail] @ weights is the scaled energy rss(lam) * scale(lam) that _grid_max takes.
     weights = np.vstack([_grid_weights(values, cache.proj_eigs) * scale, scale])
-    rows = min(n_sims, _SIM_CHUNK)
-    coords, work = np.empty((rows, cache.n_knots + 1)), np.empty((rows, values.size))  # reused by every chunk
+    rows, knots = min(n_sims, _SIM_CHUNK), cache.n_knots
+    # Reused by every chunk: the draws [w | tail], and one flat buffer that holds
+    # a chunk's standard normals until the product overwrites them with its
+    # scaled energies (rows x G; wider only for a grid shorter than K or h).
+    coords, work = np.empty((rows, knots + 1)), np.empty(rows * max(values.size, knots, h))
     samples = np.empty(n_sims)
     for start, stop, rng in chunked_streams(seed, n_sims, _SIM_CHUNK):
-        w = rng.chisquare(1.0, size=(stop - start, cache.n_knots))
-        tail = rng.chisquare(tail_df, size=stop - start)
-        chunk = coords[:stop - start]
-        chunk[:, :-1], chunk[:, -1] = w, tail
-        stat = _grid_max(np.matmul(chunk, weights, out=work[:stop - start]), mult)[1]
+        r = stop - start
+        chunk = coords[:r]
+        np.square(rng.standard_normal(out=work[:r * knots].reshape(r, knots)), out=chunk[:, :-1])
+        chunk[:, -1] = rng.chisquare(tail_df, size=r)
+        scaled = np.matmul(chunk, weights, out=work[:r * values.size].reshape(r, values.size))
+        samples[start:stop] = _grid_max(scaled, mult)[1]
         if kind == "lrt" and h > 0:
-            extra = rng.chisquare(h, size=stop - start)
-            stat = stat + _dropped_gain(cache.n_obs, extra, w.sum(axis=1) + tail)
-        samples[start:stop] = stat
+            z = rng.standard_normal(out=work[:r * h].reshape(r, h))
+            samples[start:stop] += _dropped_gain(cache.n_obs, np.square(z, out=z).sum(axis=1),
+                                                 chunk.sum(axis=1))
     return NullDistribution(samples, _provenance(cache, kind, h, grid, n_sims, seed))
 
 

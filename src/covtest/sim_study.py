@@ -250,7 +250,7 @@ def _study_fixtures(config: SimConfig, m: int):
     for vi, name, kind, d, h in lrt:
         if d not in groups:
             fixtures[("cache", d)] = spectral_decompose(designs[d])
-            fixtures[("solver", d)] = ProfileSolver(designs[d].B)
+            fixtures[("solver", d)] = ProfileSolver(designs[d])
             fixtures[("grid", d)] = default_lambda_grid(fixtures[("cache", d)])
         fixtures[("null", name)] = simulate_null_cached(
             fixtures[("cache", d)], kind, h, fixtures[("grid", d)], config.n_sims_null,

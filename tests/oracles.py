@@ -190,19 +190,33 @@ def log1p_ratio_sweep(coord_sq, tail, values, proj, mult, pen):
     return best, at(path), at(den)
 
 
-def log1p_ratio_null(cache, kind, h, values, n_sims, seed, chunk=1024):
-    """Null samples by :func:`log1p_ratio_sweep` on the package's chi-square draws: per
-    chunk stream K unit-df draws, one tail draw and, for the LRT with h > 0, one h-df
-    draw whose term n log1p(extra / rss(0)) is added; clipped at 0."""
+def squared_normals(rng, df, size):
+    """chi-square(df) draws of shape ``size`` as the package's sampler draws them
+    (sampler version 3): each the sum of df squared standard normals."""
+    z = rng.standard_normal((*size, df))
+    return (z * z).sum(axis=-1)
+
+
+def gamma_chisquare(rng, df, size):
+    """chi-square(df) draws by numpy's gamma-based sampler, the recipe of
+    sampler version 2 for the unit-df and h-df terms."""
+    return rng.chisquare(df, size)
+
+
+def log1p_ratio_null(cache, kind, h, values, n_sims, seed, chunk=1024, draw=squared_normals):
+    """Null samples by :func:`log1p_ratio_sweep`: per chunk stream K unit-df draws, one
+    chi-square tail draw and, for the LRT with h > 0, one h-df draw whose term
+    n log1p(extra / rss(0)) is added; clipped at 0. ``draw(rng, df, size)`` draws the
+    unit-df and h-df terms; the default gives the package's draws."""
     mult, eigs = (cache.n_obs, cache.raw_eigs) if kind == "lrt" else (cache.complement_dim, cache.proj_eigs)
     pen = np.log1p(values[:, None] * eigs).sum(axis=1)
     samples = []
     for start, stop, rng in chunked_streams(seed, n_sims, chunk):
-        w = rng.chisquare(1.0, size=(stop - start, cache.n_knots))
+        w = draw(rng, 1, (stop - start, cache.n_knots))
         tail = rng.chisquare(cache.complement_dim - cache.n_knots, size=stop - start)
         stat = log1p_ratio_sweep(w, tail, values, cache.proj_eigs, mult, pen)[1]
         if kind == "lrt" and h > 0:
-            extra = rng.chisquare(h, size=stop - start)
+            extra = draw(rng, h, (stop - start,))
             stat = stat + cache.n_obs * np.log1p(extra / (w.sum(axis=1) + tail))
         samples.append(stat)
     return np.clip(np.concatenate(samples), 0.0, None)

@@ -40,7 +40,7 @@ from covtest.exact_lrt import (
     save_null_distribution,
 )
 from covtest.spline_basis import PERFECT_FIT_REL, DesignMatrices, KnotSet, stacked_qr
-from oracles import log1p_ratio_null, log1p_ratio_sweep
+from oracles import gamma_chisquare, log1p_ratio_null, log1p_ratio_sweep
 
 
 def make_design(m, p, d, n_knots, seed=0, t=None):
@@ -163,7 +163,7 @@ class TestSpectralDecompose:
         near = synthetic_design(Q[:, :2], np.column_stack([b, b + 1e-9 * Q[:, 2], Q[:, 3]]), 1)
         for d in (design, near):
             raw = spectral_decompose(d).raw_eigs
-            np.testing.assert_array_equal(ProfileSolver(d.B).raw_eigs, raw)
+            np.testing.assert_array_equal(ProfileSolver(d).raw_eigs, raw)
         assert raw[-1] == 0.0
 
 
@@ -312,9 +312,9 @@ class TestSimulateNull:
     @pytest.mark.parametrize(
         "kind,d,h,digest",
         [
-            ("rlrt", 1, 0, "74e465ee9366b8c395829371860032ef808b55020598db843c1fea2487fba9d6"),
-            ("lrt", 1, 0, "b5e19aa658498e8d7e6ae1be7c717fa3936ae5d9546e2050dfc79b0cb0e46f13"),
-            ("lrt", 2, 1, "af792daec12ce43d15b8acc82abb31db628b15ad2c6fcd0d42527e2f268b237c"),
+            ("rlrt", 1, 0, "71830e4aa7f19a0d38858632202443b01da25810f4d0d282dfef68c7237555d4"),
+            ("lrt", 1, 0, "62445a312f2a51533e534d72d2c0a61d3e5a090dd54ab6ed083b2a434ab96a98"),
+            ("lrt", 2, 1, "8319daabe97a370db67f005ce22975d58a601998579eab681e4be8c3ec4b7e46"),
         ],
     )
     def test_samples_pinned(self, kind, d, h, digest):
@@ -324,10 +324,10 @@ class TestSimulateNull:
     @pytest.mark.parametrize(
         "kind,d,h,n_sims,digest",
         [
-            ("rlrt", 1, 0, 500, "ad02a423949e217349c8add66e877a949e7c102d32ea1fdf37108b282eba44ea"),
-            ("rlrt", 1, 0, 2048, "48059ca159b5bf1aa7959af1f5a79b6f97400d49c33cb6db338e743d2172b1a7"),
-            ("lrt", 2, 1, 500, "5267f4841c3d940836369b1e77905503e109c9d6a954029284037f9a41319856"),
-            ("lrt", 2, 1, 2048, "a5d3183975048b3746d484a3f254019bcb6d1e43cdd7a336e00175fee1a4df0b"),
+            ("rlrt", 1, 0, 500, "5e2b454cfdfce2623bd68b1b0bae9d8a36480ac662ec22bc6755c1e37c9ea382"),
+            ("rlrt", 1, 0, 2048, "3a791d962c43d21cbe5d5be22088dc516f80322936adecbcb74d1a4aba8aea03"),
+            ("lrt", 2, 1, 500, "62d048db08f90495e9362196e802dd8773e865d54820f852dacff2bb6c0cf618"),
+            ("lrt", 2, 1, 2048, "2eb7aca184b6d9c5916e8831cd4ee1457e7213a81a8dd2adf705b8ade8e58b28"),
         ],
     )
     def test_samples_pinned_at_chunk_edges(self, kind, d, h, n_sims, digest):
@@ -383,6 +383,37 @@ class TestSimulateNull:
             want = log1p_ratio_null(cache, kind, h, grid.values, 1500, (m, d, h))
             np.testing.assert_array_equal(got == 0.0, want == 0.0)
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_grid_shorter_than_knot_count(self):
+        """The chunk's normals take r x K entries of the work buffer and its
+        scaled energies r x G: a 3-value grid with K = 20 still fits both."""
+        ds = generate_dataset(100, 0.25, 0, seed=(7, 2))
+        cache = spectral_decompose(build_design(ds, place_knots(ds.t, 20, 2)))
+        values = np.array([0.0, 0.1, 10.0])
+        for kind, h in [("lrt", 2), ("rlrt", 0)]:
+            got = simulate_null(cache, kind, h, LambdaGrid(values), 1500, seed=(7, h)).samples
+            want = log1p_ratio_null(cache, kind, h, values, 1500, (7, h))
+            np.testing.assert_array_equal(got == 0.0, want == 0.0)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("m", [50, 100])
+    @pytest.mark.parametrize("kind,d,h", [("rlrt", 1, 0), ("lrt", 1, 0), ("lrt", 2, 1)])
+    def test_same_law_as_gamma_chisquare_draws(self, kind, d, h, m):
+        """The unit-df terms drawn as squared standard normals (and the h-df
+        term as a sum of h of them) give the null law of numpy's gamma-based
+        chi-square draws, the recipe of sampler version 2: a two-sample KS
+        test and the mass at zero, 20 000 draws each on fixed seeds."""
+        ds = generate_dataset(m, 0.25, 0, seed=(m, d))
+        cache = spectral_decompose(build_design(ds, place_knots(ds.t, 20, d)))
+        grid = default_lambda_grid(cache)
+        got = simulate_null(cache, kind, h, grid, 20000, seed=(41, m, d, h))
+        want = log1p_ratio_null(cache, kind, h, grid.values, 20000, (42, m, d, h),
+                                draw=gamma_chisquare)
+        stat, pv = ks_2samp(got.samples, want)
+        assert pv > 0.01, f"KS p = {pv:.4f} (stat {stat:.4f})"
+        zm_got, zm_want = got.zero_mass_fraction, float((want <= 1e-12).mean())
+        se = math.sqrt((zm_got * (1 - zm_got) + zm_want * (1 - zm_want)) / 20000 + 1e-12)
+        assert abs(zm_got - zm_want) <= 3.5 * se
 
     def test_rlrt_ignores_h(self):
         ds, design = make_design(30, 1, 1, 4, seed=8)
@@ -483,7 +514,7 @@ class TestObservedStatistic:
         """A perfect-fit column gets its error; the other column is that of a
         single-column call."""
         ds, design = make_design(30, 1, 1, 4, seed=43)
-        solver = ProfileSolver(design.B)
+        solver = ProfileSolver(design)
         grid = default_lambda_grid(spectral_decompose(design))
         perfect = design.X @ np.arange(1.0, design.X.shape[1] + 1)
         Y = np.column_stack([ds.y, perfect])[None]
@@ -535,14 +566,19 @@ class TestObservedStatistic:
             observed_statistic(ds, design, "rlrt", 1)
         with pytest.raises(ConfigError):
             observed_statistic(ds, design, "wald", 0)
-        # The solver sees X (here p = 3) but not the degree: h = p would take the
-        # slice Q[..., 0:] and h = -1 the slice Q[..., p + 1:], wrapping to some
-        # other h's statistic.
-        solver = ProfileSolver(design.B)
+        # The solver holds h to 0..degree as the null sampler does. Here d = 1
+        # and p = 4: h = 2 or 3 would drop covariate columns, which no null
+        # calibrates; h = p would take the slice Q[..., 0:] and h = -1 the slice
+        # Q[..., p + 1:], wrapping to some other h's statistic.
+        ds, design = make_design(30, 2, 1, 4, seed=41)
+        solver = ProfileSolver(design)
         grid = default_lambda_grid(solver.raw_eigs)
         X = design.X[None]
         p = X.shape[-1]
-        for kind, h in [("lrt", p), ("lrt", -1), ("rlrt", 1), ("wald", 0)]:
+        assert (design.degree, p) == (1, 4)
+        bad = [("lrt", design.degree + 1), ("lrt", p - 1), ("lrt", p), ("lrt", -1),
+               ("rlrt", 1), ("wald", 0)]
+        for kind, h in bad:
             with pytest.raises(ConfigError):
                 solver.statistics(ds.y[None, :, None], X, grid, [(kind, h)], stacked_qr(X))
 
@@ -572,7 +608,7 @@ def test_statistics_and_null_samples_never_negative(data):
                                 fixed + noise - Q @ (Q.T @ noise),      # lambda-hat = 0
                                 design.B @ rng.standard_normal(k) + 1e-9 * noise,
                                 fixed + 1e-11 * np.linalg.norm(fixed) * noise])
-    solver = ProfileSolver(design.B)
+    solver = ProfileSolver(design)
     grid = default_lambda_grid(solver.raw_eigs)
     specs = [("lrt", h), ("lrt", 0), ("rlrt", 0)]
     stat, *_, failed = solver.statistics(Y, X, grid, specs, stacked_qr(X))
@@ -596,7 +632,7 @@ class TestBatchedColumns:
         five columns gives what five single-column calls give."""
         datasets = [generate_dataset(60, 0.5, c, seed=(17, 2)) for c in range(5)]
         design = build_design(datasets[0], place_knots(datasets[0].t, 12, degree))
-        solver = ProfileSolver(design.B)
+        solver = ProfileSolver(design)
         grid = default_lambda_grid(spectral_decompose(design))
         Y = np.column_stack([ds.y for ds in datasets])[None]
         batched = solver.statistics(Y, design.X[None], grid, specs, stacked_qr(design.X[None]))
@@ -668,7 +704,7 @@ class TestStackedReplicates:
         TestResult field; observed_statistic gives the bits of a call on its
         one cell, and those of the stack to rounding."""
         design, X, Y = replicate_stack(m, degree, 7, seed=21)
-        solver = ProfileSolver(design.B)
+        solver = ProfileSolver(design)
         grid = default_lambda_grid(spectral_decompose(design))
         stacked = solver.statistics(Y, X, grid, self.SPECS, stacked_qr(X))
         assert stacked[0].shape == (3, 7, 5) and stacked[4] == {}
@@ -694,7 +730,7 @@ class TestStackedReplicates:
         statistics within 1e-12 max(1, |s|) and the error variance there to rounding."""
         design, X, Y = replicate_stack(m, degree, 6, seed=24)
         specs = [("lrt", h) for h in range(degree + 1)] + [("rlrt", 0)]
-        solver = ProfileSolver(design.B)
+        solver = ProfileSolver(design)
         values = default_lambda_grid(spectral_decompose(design)).values
         qr = stacked_qr(X)
         stat, index, sigma2, _, errors = solver.statistics(Y, X, LambdaGrid(values), specs, qr)
@@ -719,7 +755,7 @@ class TestStackedReplicates:
         design, X, Y = replicate_stack(30, 1, 4, seed=22)
         X[1, :, 1] = 2.0 * X[1, :, 0]
         Y[2, :, 3] = X[2] @ np.arange(1.0, 5.0)
-        solver = ProfileSolver(design.B)
+        solver = ProfileSolver(design)
         grid = default_lambda_grid(spectral_decompose(design))
         stacked = solver.statistics(Y, X, grid, self.SPECS, stacked_qr(X))
         errors = stacked[4]
@@ -746,7 +782,7 @@ class TestStackedReplicates:
 
     def test_too_few_rows_fail_every_replicate(self):
         design, X, Y = replicate_stack(30, 1, 3, seed=23)
-        solver = ProfileSolver(design.B)
+        solver = ProfileSolver(design)
         grid = default_lambda_grid(spectral_decompose(design))
         stacked = solver.statistics(Y[:, :4], X[:, :4], grid, self.SPECS, stacked_qr(X[:, :4]))
         rows = "need n > 4 rows to fit 4 coefficients, got n = 4"
