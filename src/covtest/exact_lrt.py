@@ -2,14 +2,13 @@
 
 The LRT and RLRT depend on y only through its null residual (Crainiceanu &
 Ruppert 2004, JRSS-B 66:165). With P0 the projection off the fixed-effects
-columns and P0B = U diag(s) W' (thin SVD), the profiled likelihood at every
-smoothing ratio is a function of s^2 (the eigenvalues of B'P0B), the
-eigenvalues of B'B, the squared coordinates (U'y)^2 and the residual energy
-left in the other n - p - K directions. Observed statistics evaluate that
-profile on the data; the null sampler draws the same coordinates as
-independent chi-square variables and evaluates the same profile. Both take
-O(nK^2) work once and O(GK) per grid sweep; no n x n matrix is formed.
-Agreement with a dense two-model fit is a tested invariant.
+columns and B'P0B = W diag(mu) W', the profiled likelihood at every smoothing
+ratio is a function of mu, the eigenvalues of B'B, the squared coordinates
+(y'P0B w)^2 / mu and the residual energy left in the other n - p - K
+directions. Observed statistics evaluate that profile on the data; the null
+sampler draws the same coordinates as chi-square variables on the same mu.
+Both take O(nK^2) work once and O(GK) per grid sweep; no n x n matrix is
+formed. Agreement with a dense two-model fit is a tested invariant.
 """
 
 from __future__ import annotations
@@ -153,37 +152,39 @@ def _sha(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
-def _eig_desc_clipped(gram: np.ndarray) -> np.ndarray:
+def _eig_desc_clipped(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues of the symmetrized gram(s), those below _EIG_CLIP_REL of the largest
+    set to 0, and eigenvectors in that order; eigvalsh's values, as eigh's differ in the last bits."""
+    sym = 0.5 * (gram + gram.swapaxes(-1, -2))
     try:
-        eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+        eigs, vectors = np.linalg.eigvalsh(sym)[..., ::-1], np.linalg.eigh(sym)[1][..., ::-1]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    eigs = eigs[::-1].copy()
-    top = eigs[0] if eigs.size else 0.0
-    eigs[eigs < _EIG_CLIP_REL * max(top, 0.0)] = 0.0
-    return eigs
+    return np.where(eigs < _EIG_CLIP_REL * np.maximum(eigs[..., :1], 0.0), 0.0, eigs), vectors
 
 
-def _residual_coordinates(Q: np.ndarray, B: np.ndarray, Y: np.ndarray):
-    """For Q the orthonormal QR factor of X (n x p), the eigenvalues s^2 of
-    B'P0B and, per column of Y (n x C), the squared coordinates (U'y)^2
-    (C x K) and ||P0 y||^2 (C). A stack of Q and Y (leading axis R) gives a
-    stack of each, every slice bit for bit its own call's."""
+def _projected_spectrum(Q: np.ndarray, B: np.ndarray, Y: np.ndarray):
+    """For Q the QR factor of X (R x n x p), B (n x K) and Y (R x n x C): mu, the clipped
+    eigenvalues of B'P0B (R x K); (y'P0B w)^2 / mu along their eigenvectors w (R x C x K), or 0
+    where mu is clipped, leaving that energy in the tail; and ||P0 y||^2 (R x C). A slice is bit
+    for bit its own call's. P0B w, unlike w'B'P0y, keeps P0y's rounding inside span(X) out."""
     R, PB = (a - Q @ (Q.swapaxes(-1, -2) @ a) for a in (Y, B))
-    U, sv, _ = np.linalg.svd(PB, full_matrices=False)
-    return sv**2, (R.swapaxes(-1, -2) @ U) ** 2, np.einsum("...ij,...ij->...j", R, R)
+    mu, W = _eig_desc_clipped(B.T @ PB)
+    coords = R.swapaxes(-1, -2) @ (PB @ W)
+    head = np.divide(coords**2, mu[..., None, :], out=np.zeros_like(coords), where=mu[..., None, :] > 0)
+    return mu, head, np.einsum("...ij,...ij->...j", R, R)
 
 
 def spectral_decompose(design: DesignMatrices) -> SpectralCache:
-    """Eigenvalues of B'P0B and B'B for the exact null sampler."""
+    """Eigenvalues of B'P0B (the bits observed_statistic reads) and B'B for the exact null sampler."""
     X, B = design.X, design.B
     if B.shape[1] < 1:
         raise ConfigError("spectral decomposition needs at least one knot")
     Q, _ = design.factors()
-    PB = B - Q @ (Q.T @ B)
+    (proj_eigs,), _, _ = _projected_spectrum(Q[None], B, np.empty((1, X.shape[0], 0)))
     return SpectralCache(
-        proj_eigs=_eig_desc_clipped(B.T @ PB),
-        raw_eigs=_eig_desc_clipped(B.T @ B),
+        proj_eigs=proj_eigs,
+        raw_eigs=_eig_desc_clipped(B.T @ B)[0],
         n_obs=X.shape[0],
         n_cov=X.shape[1] - design.degree - 1,
         degree=design.degree,
@@ -198,8 +199,8 @@ def spectral_coordinates(design: DesignMatrices, y: np.ndarray) -> tuple[np.ndar
     is the squared norm in the remaining residual directions. Feeding these to
     :func:`profile_terms` reproduces the dense profiled likelihood exactly.
     """
-    y = np.asarray(y, dtype=float)[:, None]
-    _, (head,), (rss0,) = _residual_coordinates(design.factors()[0], design.B, y)
+    y = np.asarray(y, dtype=float)[None, :, None]
+    _, ((head,),), ((rss0,),) = _projected_spectrum(design.factors()[0][None], design.B, y)
     return head, float(max(rss0 - head.sum(), 0.0))
 
 
@@ -286,20 +287,19 @@ class ProfileSolver:
 
     Holds B, the spline degree and the eigenvalues of B'B, clipped as the null
     sampler's are (see :func:`spectral_decompose`). A call takes a stack of
-    replicates: one thin QR of each X, one thin SVD of each projected basis
-    P0B (n x K) and one K x G product for the residual energy on the grid,
-    shared by every (kind, h) pair and every response column of that X. Each
-    kind scales that energy by its penalty and takes its maximum by the step
-    :func:`simulate_null` takes (:func:`_grid_max`), so the observed statistic
-    and its null are one profile functional. A simulation study reuses the
-    solver across replicates, where B is fixed, and passes a block of
-    replicates as one stack; :func:`observed_statistic` passes one replicate
-    with one column.
+    replicates: one thin QR of each X, the sampler's eigenpairs of each K x K
+    gram B'P0B (:func:`_projected_spectrum`) and one K x G product for the
+    residual energy on the grid, shared by every (kind, h) pair and response
+    column of that X. Each kind scales that energy by its penalty and takes its
+    maximum by the step :func:`simulate_null` takes (:func:`_grid_max`), so the
+    observed statistic and its null are one profile functional of one spectrum.
+    A study reuses the solver across replicates, where B is fixed, passing a
+    block of them as one stack; :func:`observed_statistic` passes one column.
     """
 
     def __init__(self, design: DesignMatrices):
         self.B, self.degree = design.B, design.degree
-        self.raw_eigs = _eig_desc_clipped(self.B.T @ self.B)
+        self.raw_eigs = _eig_desc_clipped(self.B.T @ self.B)[0]
 
     def statistics(
         self,
@@ -333,7 +333,7 @@ class ProfileSolver:
         if Q is not None:
             values = grid.values
             with np.errstate(over="ignore", invalid="ignore"):  # unusable_fits reports an overflow
-                proj, head, rss0 = _residual_coordinates(Q, self.B, Y)
+                proj, head, rss0 = _projected_spectrum(Q, self.B, Y)
                 extras = {h: ((Q[..., p - h:].swapaxes(-1, -2) @ Y) ** 2).sum(axis=-2) for _, h in specs}
                 overflowed, perfect = unusable_fits(rss0, np.einsum("...ij,...ij->...j", Y, Y))
             usable = ~(overflowed | perfect) & np.array([error is None for error in errors])[:, None]

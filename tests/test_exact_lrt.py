@@ -154,17 +154,25 @@ class TestSpectralDecompose:
         assert cache.complement_dim == 40 - 1 - 2 - 1
 
     def test_solver_penalty_eigenvalues_are_the_samplers(self, rng):
-        """The observed LRT penalty uses the eigenvalues of B'B the null
-        sampler uses, bit for bit: descending, with the same clipping of a
-        near-zero eigenvalue (here from two almost equal basis columns)."""
-        _, design = make_design(40, 1, 1, 6, seed=9)
+        """The observed statistic uses the eigenvalues of B'B and of B'P0B the
+        null sampler uses, bit for bit: descending, with the same clipping of a
+        near-zero eigenvalue (here from two almost equal basis columns). Those
+        of B'P0B are the ones the solver sweeps with on the one-replicate stack
+        observed_statistic passes."""
+        designs = [make_design(40, 1, 1, 6, seed=9)[1]]
+        for m in (30, 100, 2000):
+            ds = generate_dataset(m, 0.25, 2, seed=(8, m))
+            designs += [build_design(ds, place_knots(ds.t, 8 if m == 30 else 20, d)) for d in (1, 2, 3)]
         Q, _ = np.linalg.qr(rng.standard_normal((20, 4)))
         b = rng.standard_normal(20)
         near = synthetic_design(Q[:, :2], np.column_stack([b, b + 1e-9 * Q[:, 2], Q[:, 3]]), 1)
-        for d in (design, near):
-            raw = spectral_decompose(d).raw_eigs
-            np.testing.assert_array_equal(ProfileSolver(d).raw_eigs, raw)
-        assert raw[-1] == 0.0
+        for d in designs + [near]:
+            cache = spectral_decompose(d)
+            np.testing.assert_array_equal(ProfileSolver(d).raw_eigs, cache.raw_eigs)
+            y = rng.standard_normal(d.X.shape[0])
+            (proj,), _, _ = exact_lrt._projected_spectrum(d.factors()[0][None], d.B, y[None, :, None])
+            assert proj.tobytes() == cache.proj_eigs.tobytes()
+        assert spectral_decompose(near).raw_eigs[-1] == 0.0
 
 
 class TestProfileTerms:
@@ -437,17 +445,25 @@ class TestObservedStatistic:
 
     @pytest.mark.parametrize("kind,h", [("lrt", 0), ("lrt", 1), ("rlrt", 0)])
     def test_dense_oracle(self, kind, h):
-        """Oracle: independent dense GLS implementation of both model fits."""
+        """Oracle: independent dense GLS implementation of both model fits.
+        The last trial puts a knot below the smallest t: its column is a
+        polynomial of degree d in t, so it lies in span(X), one eigenvalue of
+        B'P0B is clipped to 0 and that direction's energy stays in the tail."""
         rng = np.random.default_rng(50)
-        for trial in range(4):
+        for trial in range(5):
             m = 25
             d = max(1, h)
             t = np.sort(rng.uniform(0, 1, m))
             S = rng.standard_normal((m, 1))
             y = S[:, 0] * 0.5 + np.sin(3 * t) + rng.standard_normal(m) * 0.3
             ds = Dataset(y=y, S=S, t=t)
-            design = build_design(ds, place_knots(t, 5, d))
-            grid = default_lambda_grid(spectral_decompose(design))
+            knots = place_knots(t, 5, d)
+            if trial == 4:
+                knots = KnotSet(np.concatenate([[t[0] - 0.1], knots.knots]), d)
+            design = build_design(ds, knots)
+            cache = spectral_decompose(design)
+            assert (cache.proj_eigs == 0.0).sum() == (trial == 4)
+            grid = default_lambda_grid(cache)
             result = observed_statistic(ds, design, kind, h, grid)
             oracle = max(dense_path(y, design.X, design.B, grid.values, kind, h).max(), 0.0)
             assert result.statistic == pytest.approx(oracle, abs=1e-6, rel=1e-6)
@@ -736,7 +752,7 @@ class TestStackedReplicates:
         stat, index, sigma2, _, errors = solver.statistics(Y, X, LambdaGrid(values), specs, qr)
         assert errors == {}
         Q = qr[0]
-        proj, head, rss0 = exact_lrt._residual_coordinates(Q, design.B, Y)
+        proj, head, rss0 = exact_lrt._projected_spectrum(Q, design.B, Y)
         tail = np.maximum(rss0 - head.sum(axis=-1), 0.0)
         n, p = X.shape[1:]
         for j, (kind, h) in enumerate(specs):
@@ -948,6 +964,17 @@ class TestNullCache:
         assert null_distribution_key(cache, "rlrt", 0, other_grid, 1000, 5) != base
         monkeypatch.setattr(exact_lrt, "_SAMPLER_VERSION", exact_lrt._SAMPLER_VERSION + 1)
         assert null_distribution_key(cache, "rlrt", 0, grid, 1000, 5) != base
+
+    @pytest.mark.parametrize("kind,m,d,key", [
+        ("rlrt", 100, 1, "ddd1c92d6743c0011c857cd7401890427a6e5fcdfec3dc13f763b52e182a4b6d"),
+        ("lrt", 2000, 3, "2b5f6fbca4faa6813724d18e5993744f7dd9728ef0a5abb733fb6911726ab0d7"),
+    ])
+    def test_keys_pinned(self, kind, m, d, key):
+        """The key hashes the eigenvalues bit for bit: one bit moved in any of
+        them would turn every cached null of the design into a miss."""
+        ds = generate_dataset(m, 0.25, 0, seed=(7, 0))
+        cache = spectral_decompose(build_design(ds, place_knots(ds.t, 20, d)))
+        assert null_distribution_key(cache, kind, 0, default_lambda_grid(cache), 10000, 3) == key
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "bogus.npz"
