@@ -5,14 +5,15 @@ linearity, applies the configured tests to each replicate, and tabulates
 empirical rejection rates per (test, sample size, noise level, departure,
 nominal level). Per-replicate random streams are keyed by (master seed,
 replicate, variate role), so the generated data do not depend on which tests
-are enabled, on the execution order, or on the worker count. The departure
-levels of a replicate share S and t, hence one draw and one X per spline
-degree. Replicates run in blocks of ``_BLOCK``, and a block is one set of
-arrays with a replicate axis R and a departure-level axis C: its responses
-(R x m x C), one stacked QR per spline degree, the LRT/RLRT statistics of one
-stacked decomposition per degree, one stacked OLS fit and the score
-statistics of one kernel application, which fill one test x replicate x
-departure-level array of p-values. Only the cusum resampling and the
+are enabled, on the execution order, or on the worker count. The streams do
+not depend on sigma or c either, so the noise and departure levels of a
+replicate share S, t and the noise draw z, hence one draw and one X per
+spline degree. Replicates run in blocks of ``_BLOCK``, and a block is one set
+of arrays with a replicate axis R and a column axis of every (sigma, c): its
+responses (R x m x SC), one stacked QR per spline degree, the LRT/RLRT
+statistics of one stacked decomposition per degree, one stacked OLS fit and
+the score statistics of one kernel application, which fill one test x
+replicate x column array of p-values. Only the cusum resampling and the
 per-replicate data draw run per replicate.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import rng as rngmod
-from .data_io import Dataset
+from .data_io import Dataset, _check_finite
 from .errors import ConfigError, CovtestError, StudyError
 from .exact_lrt import (
     ProfileSolver,
@@ -74,6 +75,24 @@ def nonlinear_effect(t, c: float):
     return out if out.ndim else float(out)
 
 
+def _draw(m: int, sigmas, levels, seed: rngmod.SeedLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One replicate's S (m x 2), t and responses: a sigmas x levels x m array
+    whose (sigma, c) row is (linear + f_c) + sigma z, from one draw of the
+    streams (seed, 0) and (seed, 1) for S and (seed, 2) for z. A non-finite
+    response raises the DataError a dataset would."""
+    s1 = rngmod.stream(seed, 0).normal(0.0, math.sqrt(_S_VARIANCES[0]), m)
+    s2 = rngmod.stream(seed, 1).normal(0.0, math.sqrt(_S_VARIANCES[1]), m)
+    z = rngmod.stream(seed, 2).standard_normal(m)
+    t = np.arange(m) / (m - 1)
+    S, linear = np.column_stack([s1, s2]), _TRUE_COEF[0] * s1 + _TRUE_COEF[1] * s2
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as the dataset check would
+        mean = linear + nonlinear_effect(t, np.asarray(levels, dtype=float)[:, None])
+        Y = mean + np.asarray(sigmas, dtype=float)[:, None, None] * z
+    if not np.isfinite(Y).all():
+        _check_finite("y", next(y for y in Y.reshape(-1, m) if not np.isfinite(y).all()))
+    return S, t, Y
+
+
 def generate_dataset(
     m: int,
     sigma: float,
@@ -87,21 +106,14 @@ def generate_dataset(
     draws come from per-role streams under ``seed``, so datasets with the same
     seed share draws across c and sigma. A sequence ``c`` gives one dataset
     per departure level from one set of draws: they share S and t, and each y
-    equals the one a scalar call with that c gives. The responses of all
-    levels are the rows of one levels x m array, computed in one expression;
-    the first dataset checks S and t, the others only their y.
+    equals the one a scalar call with that c gives; the first dataset checks
+    S and t, the others only their y.
     """
     if m < 2:
         raise ConfigError(f"need m >= 2, got {m}")
     if sigma <= 0:
         raise ConfigError(f"sigma must be > 0, got {sigma}")
-    s1 = rngmod.stream(seed, 0).normal(0.0, math.sqrt(_S_VARIANCES[0]), m)
-    s2 = rngmod.stream(seed, 1).normal(0.0, math.sqrt(_S_VARIANCES[1]), m)
-    noise = sigma * rngmod.stream(seed, 2).standard_normal(m)
-    t = np.arange(m) / (m - 1)
-    S, linear = np.column_stack([s1, s2]), _TRUE_COEF[0] * s1 + _TRUE_COEF[1] * s2
-    levels = np.asarray(c if np.ndim(c) else [c], dtype=float)
-    rows = linear + nonlinear_effect(t, levels[:, None]) + noise
+    S, t, (rows,) = _draw(m, [sigma], c if np.ndim(c) else [c], seed)
     first = Dataset(y=rows[0], S=S, t=t)
     out = [first] + [first.with_response(y) for y in rows[1:]]
     return out if np.ndim(c) else first
@@ -262,45 +274,47 @@ def _study_fixtures(config: SimConfig, m: int):
     return fixtures
 
 
-def _block_data(config: SimConfig, m: int, sigma: float, reps: range) -> tuple[np.ndarray, np.ndarray]:
-    """Responses (R x m x C, one column per departure level) and covariates
-    (R x m x 2) of the replicates ``reps``: one :func:`generate_dataset` call
-    per replicate, stacked. Every slice is bit for bit that replicate's data."""
-    draws = [generate_dataset(m, sigma, config.c_values, (config.seed, rep)) for rep in reps]
-    Y = np.stack([dataset.y for datasets in draws for dataset in datasets])
-    Y = Y.reshape(len(reps), len(config.c_values), m).transpose(0, 2, 1).copy()
-    return Y, np.stack([datasets[0].S for datasets in draws])
+def _block_data(config: SimConfig, m: int, reps: range) -> tuple[np.ndarray, np.ndarray]:
+    """Responses (R x m x SC, one column per noise and departure level,
+    sigma-major) and covariates (R x m x 2) of the replicates ``reps``: one
+    :func:`_draw` per replicate for every (sigma, c), stacked. Column
+    si * C + ci of replicate rep is bit for bit the y of
+    ``generate_dataset(m, sigma_values[si], c_values[ci], (seed, rep))``."""
+    draws = [_draw(m, config.sigma_values, config.c_values, (config.seed, rep)) for rep in reps]
+    Y = np.stack([rows for _, _, rows in draws]).reshape(len(reps), -1, m)
+    return Y.transpose(0, 2, 1).copy(), np.stack([S for S, _, _ in draws])
 
 
-def _run_block(config: SimConfig, m: int, sigma: float, fixtures: dict, reps: range):
-    """Rejection counts (test x c x level), failure counts (test x c) and
-    failure messages of the replicates ``reps``.
+def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
+    """Rejection counts (test x sigma x c x level), failure counts (test x
+    sigma x c) and the failure messages of each sigma of the replicates ``reps``.
 
-    The block is a set of R x m x C arrays (:func:`_block_data`): each
-    replicate draws every c at once, so its c share S, t and hence X. Per
-    degree the block stacks the replicates' X = [S | A] and takes one QR of
-    the stack; each LRT group makes one ProfileSolver call on the stacked
-    responses and one p-value lookup per variant over its replicate x c
-    statistics. Score and cusum share one OLS fit of the whole stack from its
-    QR (:func:`fit_ols_columns`); the score test scores every cell with one
-    kernel application (:func:`score_statistics`), and the cusum test
+    The block is a set of R x m x SC arrays (:func:`_block_data`): each
+    replicate draws every (sigma, c) at once, so its columns share S, t and
+    hence X. Per degree the block stacks the replicates' X = [S | A] and takes
+    one QR of the stack; each LRT group makes one ProfileSolver call on the
+    stacked responses and one p-value lookup per variant over its replicate x
+    column statistics. Score and cusum share one OLS fit of the whole stack
+    from its QR (:func:`fit_ols_columns`); the score test scores every cell
+    with one kernel application (:func:`score_statistics`), and the cusum test
     resamples each cell from its replicate's projection at unit variance,
     which its resampled sups do not depend on. Every step reports failures
     per cell: a replicate whose X is rejected fails all its cells with the
     rejection, a perfect or overflowing fit fails its own cell. The p-values
-    fill one test x replicate x c array, where a failed cell stays NaN; the
-    failure messages of a (replicate, c) follow evaluation order: the LRT
-    groups, then score and cusum. The block's arrays are its own, so blocks
-    may run on separate threads.
+    fill one test x replicate x column array, where a failed cell stays NaN;
+    the failure messages of a (replicate, sigma, c) follow evaluation order:
+    the LRT groups, then score and cusum. The block's arrays are its own, so
+    blocks may run on separate threads.
     """
-    tests, n_c, levels = config.tests, len(config.c_values), np.asarray(config.levels)
-    Y, S = _block_data(config, m, sigma, reps)
-    cells = [(r, ci) for r in range(len(reps)) for ci in range(n_c)]
+    tests, levels = config.tests, np.asarray(config.levels)
+    shape = (len(tests), len(config.sigma_values), len(config.c_values))
+    Y, S = _block_data(config, m, reps)
+    cells = [(r, k) for r in range(len(reps)) for k in range(Y.shape[2])]
     X = {d: np.concatenate([S, np.broadcast_to(design.A, (len(S),) + design.A.shape)], axis=2)
          for d, design in fixtures["designs"].items()}
     factors = {d: stacked_qr(Xd) for d, Xd in X.items()}
-    pvals = np.full((len(tests), len(reps), n_c), np.nan)
-    failed: dict[tuple[int, int], list] = {}  # (replicate, c) -> [(test index, error)]
+    pvals = np.full((len(tests), len(reps), Y.shape[2]), np.nan)
+    failed: dict[tuple[int, int], list] = {}  # (replicate, column) -> [(test index, error)]
     for d, members in fixtures["lrt_groups"].items():
         specs = [(kind, h) for _, _, kind, h in members]
         stats, *_, cell_errors = fixtures[("solver", d)].statistics(
@@ -308,15 +322,15 @@ def _run_block(config: SimConfig, m: int, sigma: float, fixtures: dict, reps: ra
         group = [ti for ti, _, _, _ in members]
         for j, (ti, name, _, _) in enumerate(members):
             pvals[ti] = p_value(stats[j], fixtures[("null", name)])
-        for (r, ci), error in cell_errors.items():
-            pvals[group, r, ci] = np.nan
-            failed.setdefault((r, ci), []).extend((ti, error) for ti in group)
+        for (r, k), error in cell_errors.items():
+            pvals[group, r, k] = np.nan
+            failed.setdefault((r, k), []).extend((ti, error) for ti in group)
     ols = [(ti, name) for ti, name in enumerate(tests) if name in ("score", "cusum")]
     if ols:
         Q, _, errors = factors[1]
         t = fixtures["designs"][1].t
         if Q is None:  # no replicate has more rows than coefficients
-            fit_failed = {(r, ci): errors[r] for r, ci in cells}
+            fit_failed = {(r, k): errors[r] for r, k in cells}
         else:
             proj, fits = fit_ols_columns(Y, X[1], factors[1])
             fit_failed = fits.failed
@@ -331,19 +345,23 @@ def _run_block(config: SimConfig, m: int, sigma: float, fixtures: dict, reps: ra
         elif name == "cusum":  # SimConfig checks cusum_resamples, so only a fit can fail
             from .cusum_test import cumulative_process, multiplier_null, sup_test
 
-            for r, ci in cells:
-                if (r, ci) not in fit_failed:
-                    fit = fits.null_fit(r, ci)
-                    pvals[ti, r, ci] = sup_test(cumulative_process(fit, t), multiplier_null(
+            for r, k in cells:
+                if (r, k) not in fit_failed:
+                    fit = fits.null_fit(r, k)
+                    pvals[ti, r, k] = sup_test(cumulative_process(fit, t), multiplier_null(
                         fit, proj.replicate(r), t, config.cusum_resamples,
                         seed=(config.seed, reps[r], 3))).p_value
         cell_errors.update(fit_failed)  # a cell whose fit failed reports the fit's error
-        for (r, ci), error in cell_errors.items():
-            pvals[ti, r, ci] = np.nan
-            failed.setdefault((r, ci), []).append((ti, error))
-    messages = [f"{tests[ti]} m={m} sigma={sigma:g} c={config.c_values[ci]:g} rep={reps[r]}: {error}"
-                for r, ci in sorted(failed) for ti, error in failed[r, ci]]
-    return (pvals[..., None] < levels).sum(axis=1), np.isnan(pvals).sum(axis=1), messages
+        for (r, k), error in cell_errors.items():
+            pvals[ti, r, k] = np.nan
+            failed.setdefault((r, k), []).append((ti, error))
+    messages = [[] for _ in config.sigma_values]
+    for r, k in sorted(failed):
+        si, ci = divmod(k, shape[2])
+        messages[si].extend(f"{tests[ti]} m={m} sigma={config.sigma_values[si]:g} c={config.c_values[ci]:g} "
+                            f"rep={reps[r]}: {error}" for ti, error in failed[r, k])
+    counts = (pvals[..., None] < levels).sum(axis=1).reshape(shape + levels.shape)
+    return counts, np.isnan(pvals).sum(axis=1).reshape(shape), messages
 
 
 def run_study(config: SimConfig) -> SimReport:
@@ -351,9 +369,11 @@ def run_study(config: SimConfig) -> SimReport:
 
     Every configured test sees the same generated dataset within a replicate.
     Null distributions for the LRT variants are simulated once per (m, design)
-    and reused across replicates and departure levels. The replicates of each
-    (m, sigma) run in blocks of ``_BLOCK`` (see :func:`_run_block`), which may
-    run on a thread pool; the output is the same for any worker count.
+    and reused across replicates, noise and departure levels. The replicates
+    of each m run in blocks of ``_BLOCK`` (see :func:`_run_block`), one draw
+    per replicate for every sigma, which may run on a thread pool; the output
+    is the same for any worker count. Cells and failure messages are split
+    back per sigma, in (m, sigma, block, replicate, c, test) order.
     """
     started = time.perf_counter()
     cells: list[SimCell] = []
@@ -362,37 +382,32 @@ def run_study(config: SimConfig) -> SimReport:
     total_apps = 0
     for m in config.m_values:
         fixtures = _study_fixtures(config, m)
-        for sigma in config.sigma_values:
-            shape = (len(config.tests), len(config.c_values), len(config.levels))
-            counts = np.zeros(shape, dtype=np.int64)
-            fails = np.zeros(shape[:2], dtype=np.int64)
+        blocks = [range(start, min(start + _BLOCK, config.n_runs))
+                  for start in range(0, config.n_runs, _BLOCK)]
 
-            blocks = [range(start, min(start + _BLOCK, config.n_runs))
-                      for start in range(0, config.n_runs, _BLOCK)]
+        def job(reps: range):
+            return _run_block(config, m, fixtures, reps)
 
-            def job(reps: range):
-                return _run_block(config, m, sigma, fixtures, reps)
+        if config.threads > 1:
+            from concurrent.futures import ThreadPoolExecutor  # loads logging; serial runs skip it
 
-            if config.threads > 1:
-                from concurrent.futures import ThreadPoolExecutor  # loads logging; serial runs skip it
-
-                with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                    results = list(pool.map(job, blocks))
-            else:
-                results = [job(reps) for reps in blocks]
-            for block_counts, block_fails, messages in results:
-                counts += block_counts
-                fails += block_fails
-                all_messages.extend(messages)
+            with ThreadPoolExecutor(max_workers=config.threads) as pool:
+                results = list(pool.map(job, blocks))
+        else:
+            results = [job(reps) for reps in blocks]
+        counts = sum(block_counts for block_counts, _, _ in results)
+        fails = sum(block_fails for _, block_fails, _ in results)
+        for si, sigma in enumerate(config.sigma_values):
+            all_messages.extend(message for *_, messages in results for message in messages[si])
             for ti, test in enumerate(config.tests):
                 for ci, c in enumerate(config.c_values):
                     for li, level in enumerate(config.levels):
                         cells.append(SimCell(
                             test=test, m=m, sigma=sigma, c=c, level=level, n_runs=config.n_runs,
-                            failures=int(fails[ti, ci]), rejections=int(counts[ti, ci, li]),
+                            failures=int(fails[ti, si, ci]), rejections=int(counts[ti, si, ci, li]),
                         ))
-            total_fail += int(fails.sum())
-            total_apps += len(config.tests) * len(config.c_values) * config.n_runs
+        total_fail += int(fails.sum())
+        total_apps += fails.size * config.n_runs
         del fixtures  # this m's nulls and their sorted copies, before the next m's are simulated
     if total_apps and total_fail > 0.01 * total_apps:
         preview = "; ".join(all_messages[:5])

@@ -400,6 +400,16 @@ class TestSimulateCommand:
         assert err == ("numerical error: 12 of 24 test applications failed (> 1%): "
                        + "; ".join(cells[:5]) + "\n")
 
+    def test_overflowing_noise_is_one_data_error_line(self, tmp_path):
+        """At sigma = 1e308 sigma z overflows: the study ends in the dataset
+        check's data error line, with no RuntimeWarning before it."""
+        args = ["simulate", "--m", 30, "--sigma", "0.25,1e308", "--c", "0,2", "--runs", 3,
+                "--tests", "score", "--out", tmp_path / "sim"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = outcome(args)
+        assert (code, err, caught) == (1, "data error: non-finite value in y at row 1\n", [])
+
 
 class TestNullSimCommand:
     def test_writes_cache_and_summary(self, null_csv, tmp_path, monkeypatch):

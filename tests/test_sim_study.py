@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from covtest import (
     ConfigError,
-    Dataset,
+    DataError,
     SimConfig,
     StudyError,
     build_design,
@@ -116,18 +118,43 @@ class TestGenerateDataset:
             generate_dataset(10, 0.0, 0, seed=0)
 
     def test_block_slices_are_the_replicates_datasets(self):
-        """A study block's R x m x C responses and R x m x 2 covariates hold,
-        bit for bit, the data of one scalar generate_dataset call per
-        replicate and departure level."""
+        """A study block's R x m x SC responses (sigma-major) and R x m x 2
+        covariates hold, bit for bit, the data of one scalar generate_dataset
+        call per replicate, noise level and departure level."""
         from covtest.sim_study import _block_data
 
-        config = tiny_config(c_values=(0, 1.5, 4), seed=8)
-        Y, S = _block_data(config, 30, 0.5, range(3, 9))
-        assert Y.shape == (6, 30, 3) and S.shape == (6, 30, 2) and Y.flags.c_contiguous
+        config = tiny_config(sigma_values=(0.5, 0.25), c_values=(0, 1.5, 4), seed=8)
+        Y, S = _block_data(config, 30, range(3, 9))
+        assert Y.shape == (6, 30, 6) and S.shape == (6, 30, 2) and Y.flags.c_contiguous
         for r, rep in enumerate(range(3, 9)):
-            for ci, c in enumerate(config.c_values):
-                ds = generate_dataset(30, 0.5, c, seed=(8, rep))
-                assert np.array_equal(Y[r, :, ci], ds.y) and np.array_equal(S[r], ds.S)
+            for si, sigma in enumerate(config.sigma_values):
+                for ci, c in enumerate(config.c_values):
+                    ds = generate_dataset(30, sigma, c, seed=(8, rep))
+                    assert np.array_equal(Y[r, :, 3 * si + ci], ds.y) and np.array_equal(S[r], ds.S)
+
+    def test_overflowing_noise_is_one_data_error(self):
+        """sigma z overflows at sigma = 1e308: the dataset check's DataError,
+        with no RuntimeWarning before it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"^non-finite value in y at row 7$"):
+                generate_dataset(30, 1e308, 0, seed=0)
+
+
+def broken_draw(real, collinear=None, perfect=None):
+    """``sim_study._draw`` at seed 5 with a collinear S at replicate
+    ``collinear`` and a perfect fit at c = 2 of replicate ``perfect``; the
+    fixtures' draw (replicate 0, c = 0 only) keeps its data."""
+
+    def draw(m, sigmas, levels, seed):
+        S, t, Y = real(m, sigmas, levels, seed)
+        if seed == (5, collinear):
+            S = np.column_stack([S[:, 0], 2.0 * S[:, 0]])
+        if seed == (5, perfect) and 2 in levels:
+            Y[:, list(levels).index(2)] = 1.3 * S[:, 0] + 0.45 * S[:, 1] + 0.5 - t
+        return S, t, Y
+
+    return draw
 
 
 def tiny_config(**kw):
@@ -163,16 +190,7 @@ class TestRunStudy:
         solver's message; the shared design keeps the other c working."""
         import covtest.sim_study as sim_study
 
-        real = sim_study.generate_dataset
-
-        def perfect_at_c2(m, sigma, c, seed):
-            out = real(m, sigma, c, seed)
-            if np.ndim(c) == 0 or seed != (5, 0):  # the fixtures' draw, or another replicate
-                return out
-            y = 1.3 * out[0].S[:, 0] + 0.45 * out[0].S[:, 1] + 0.5 - out[0].t
-            return [Dataset(y=y, S=ds.S, t=ds.t) if level == 2 else ds for level, ds in zip(c, out)]
-
-        monkeypatch.setattr(sim_study, "generate_dataset", perfect_at_c2)
+        monkeypatch.setattr(sim_study, "_draw", broken_draw(sim_study._draw, perfect=0))
         report = run_study(tiny_config(tests=("lrt1", "rlrt"), c_values=(0, 2), n_runs=100))
         assert report.failure_messages == [
             f"{name} m=30 sigma=0.25 c=2 rep=0: null fit is numerically perfect; statistic undefined"
@@ -200,20 +218,7 @@ class TestRunStudy:
         the design check's message and a perfect fit at one c fails that c."""
         import covtest.sim_study as sim_study
 
-        real = sim_study.generate_dataset
-
-        def broken(m, sigma, c, seed):
-            out = real(m, sigma, c, seed)
-            if seed == (5, 1):
-                S = np.column_stack([out[0].S[:, 0], 2.0 * out[0].S[:, 0]])
-                return [Dataset(y=ds.y, S=S, t=ds.t) for ds in out]
-            if seed == (5, 2):
-                y = 1.3 * out[0].S[:, 0] + 0.45 * out[0].S[:, 1] + 0.5 - out[0].t
-                return [Dataset(y=y, S=ds.S, t=ds.t) if level == 2 else ds
-                        for level, ds in zip(c, out)]
-            return out
-
-        monkeypatch.setattr(sim_study, "generate_dataset", broken)
+        monkeypatch.setattr(sim_study, "_draw", broken_draw(sim_study._draw, collinear=1, perfect=2))
         tests = ("lrt1", "rlrt", "score")
         report = run_study(tiny_config(tests=tests, c_values=(0, 2), n_runs=150))
         rank = "fixed-effects design is rank deficient (4 columns, rank 3)"
@@ -233,20 +238,64 @@ class TestRunStudy:
         written in this order."""
         import covtest.sim_study as sim_study
 
-        real = sim_study.generate_dataset
-
-        def collinear_rep1(m, sigma, c, seed):
-            out = real(m, sigma, c, seed)
-            if seed != (5, 1):
-                return out
-            S = np.column_stack([out[0].S[:, 0], 2.0 * out[0].S[:, 0]])
-            return [Dataset(y=ds.y, S=S, t=ds.t) for ds in out]
-
-        monkeypatch.setattr(sim_study, "generate_dataset", collinear_rep1)
+        monkeypatch.setattr(sim_study, "_draw", broken_draw(sim_study._draw, collinear=1))
         report = run_study(tiny_config(tests=("score", "lrt1"), c_values=(0, 2), n_runs=150))
         rank = "fixed-effects design is rank deficient (4 columns, rank 3)"
         assert report.failure_messages == [
             f"{name} m=30 sigma=0.25 c={c} rep=1: {rank}" for c in (0, 2) for name in ("lrt1", "score")
+        ]
+
+    def test_two_sigma_study_draws_and_factors_each_replicate_once(self, monkeypatch):
+        """The noise levels of a replicate share its draw and its X: each data
+        stream (seed, rep, role 0-2) is built once per (m, replicate), plus
+        once for the fixtures' draw of replicate 0, and the block takes one
+        stacked QR per (m, block, degree)."""
+        import covtest.rng as rngmod
+        import covtest.sim_study as sim_study
+
+        keys, factored = Counter(), []
+        real_stream, real_qr = rngmod.stream, sim_study.stacked_qr
+
+        def stream(seed, *indices):
+            keys[rngmod._entropy(seed) + indices] += 1
+            return real_stream(seed, *indices)
+
+        def stacked_qr(X):
+            factored.append(X.shape)
+            return real_qr(X)
+
+        monkeypatch.setattr(rngmod, "stream", stream)
+        monkeypatch.setattr(sim_study, "stacked_qr", stacked_qr)
+        monkeypatch.setattr(sim_study, "_BLOCK", 2)  # three runs make two blocks
+        config = tiny_config(m_values=(30, 40), sigma_values=(0.25, 0.5), c_values=(0, 2),
+                             tests=("lrt1", "lrt2", "score", "cusum"), n_runs=3)
+        run_study(config)
+        data = {key: count for key, count in keys.items() if len(key) == 3 and key[1] < config.n_runs}
+        assert data == {(5, rep, role): 2 * (1 + (rep == 0)) for rep in range(3) for role in range(3)}
+        assert len(factored) == 2 * 2 * 2  # (m, block, degree 1 or 2)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_two_sigma_failure_messages_pinned(self, monkeypatch, threads):
+        """One collinear replicate in the second block and a perfect fit in
+        the first: the messages list every sigma in turn, each in block,
+        replicate, c and evaluation order, as when each sigma ran on its own
+        blocks."""
+        import covtest.sim_study as sim_study
+
+        monkeypatch.setattr(sim_study, "_draw", broken_draw(sim_study._draw, collinear=40, perfect=2))
+        report = run_study(tiny_config(sigma_values=(0.25, 0.5), c_values=(0, 2),
+                                       tests=("score", "lrt1", "cusum", "rlrt"), n_runs=150,
+                                       cusum_resamples=50, threads=threads))
+        rank = "fixed-effects design is rank deficient (4 columns, rank 3)"
+        perfect = ["null fit is numerically perfect; statistic undefined"] * 2 + [
+            "residuals are numerically zero; error variance is not estimable"] * 2
+        assert report.failure_messages == [
+            message
+            for sigma in (0.25, 0.5)
+            for message in [f"{name} m=30 sigma={sigma} c=2 rep=2: {error}"
+                            for name, error in zip(("lrt1", "rlrt", "score", "cusum"), perfect)]
+            + [f"{name} m=30 sigma={sigma} c={c} rep=40: {rank}"
+               for c in (0, 2) for name in ("lrt1", "rlrt", "score", "cusum")]
         ]
 
     def test_too_few_rows_fail_every_test_application(self):
