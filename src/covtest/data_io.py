@@ -8,7 +8,6 @@ this record.
 
 from __future__ import annotations
 
-import copy
 import csv
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,17 +83,6 @@ class Dataset:
         object.__setattr__(self, "t", _readonly(t))
         object.__setattr__(self, "S", _readonly(S))
         object.__setattr__(self, "cluster", cluster)
-
-    def with_response(self, y) -> Dataset:
-        """This dataset with the response ``y``, which alone is checked: S, t
-        and the cluster labels are shared, already checked."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != self.y.shape:
-            raise DataError(f"response has shape {y.shape}, expected {self.y.shape}")
-        _check_finite("y", y)
-        out = copy.copy(self)
-        object.__setattr__(out, "y", _readonly(y))
-        return out
 
     @property
     def n(self) -> int:

@@ -328,28 +328,25 @@ class ProfileSolver:
             _check_h(kind, h, self.degree)
         Q, _, errors = qr
         out = np.zeros((4, len(specs), Y.shape[0], Y.shape[2]))
-        usable = np.zeros(out.shape[2:], dtype=bool)
-        overflowed = np.zeros_like(usable)
-        if Q is not None:
-            values = grid.values
-            with np.errstate(over="ignore", invalid="ignore"):  # unusable_fits reports an overflow
-                proj, head, rss0 = _projected_spectrum(Q, self.B, Y)
-                extras = {h: ((Q[..., p - h:].swapaxes(-1, -2) @ Y) ** 2).sum(axis=-2) for _, h in specs}
-                overflowed, perfect = unusable_fits(rss0, np.einsum("...ij,...ij->...j", Y, Y))
-            usable = ~(overflowed | perfect) & np.array([error is None for error in errors])[:, None]
-            # A failed cell is swept with no spline energy and unit energy in the
-            # tail, so no division is by zero and no value is infinite.
-            head = np.where(usable[..., None], head, 0.0)
-            rss0 = np.where(usable, rss0, 1.0)
-            tail = np.where(usable, np.maximum(rss0 - head.sum(axis=-1), 0.0), 1.0)
-            rss = head @ _grid_weights(values, proj)             # R x C x G
-            rss += tail[..., None]
-            for j, (kind, h) in enumerate(specs):
-                mult, pen = _kind_penalty(kind, values, n, n - p, self.raw_eigs, proj)
-                best, top = _grid_max(rss * np.exp(pen / mult)[..., None, :], mult)
-                sigma2 = np.take_along_axis(rss, best[..., None], axis=-1)[..., 0] / mult
-                extra = np.where(usable, extras[h], 0.0)
-                out[:, j] = top + _dropped_gain(n, extra, rss0), best, sigma2, rss0 + extra
+        values = grid.values
+        with np.errstate(over="ignore", invalid="ignore"):  # unusable_fits reports an overflow
+            proj, head, rss0 = _projected_spectrum(Q, self.B, Y)
+            extras = {h: ((Q[..., p - h:].swapaxes(-1, -2) @ Y) ** 2).sum(axis=-2) for _, h in specs}
+            overflowed, perfect = unusable_fits(rss0, np.einsum("...ij,...ij->...j", Y, Y))
+        usable = ~(overflowed | perfect) & np.array([error is None for error in errors])[:, None]
+        # A failed cell is swept with no spline energy and unit energy in the
+        # tail, so no division is by zero and no value is infinite.
+        head = np.where(usable[..., None], head, 0.0)
+        rss0 = np.where(usable, rss0, 1.0)
+        tail = np.where(usable, np.maximum(rss0 - head.sum(axis=-1), 0.0), 1.0)
+        rss = head @ _grid_weights(values, proj)             # R x C x G
+        rss += tail[..., None]
+        for j, (kind, h) in enumerate(specs):
+            mult, pen = _kind_penalty(kind, values, n, n - p, self.raw_eigs, proj)
+            best, top = _grid_max(rss * np.exp(pen / mult)[..., None, :], mult)
+            sigma2 = np.take_along_axis(rss, best[..., None], axis=-1)[..., 0] / mult
+            extra = np.where(usable, extras[h], 0.0)
+            out[:, j] = top + _dropped_gain(n, extra, rss0), best, sigma2, rss0 + extra
         failed = {(int(r), int(c)): errors[r] or (
                       NumericalError(OVERFLOW_MESSAGE) if overflowed[r, c] else
                       DegenerateFitError("null fit is numerically perfect; statistic undefined"))

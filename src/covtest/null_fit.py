@@ -17,7 +17,7 @@ import numpy as np
 
 from .data_io import Dataset
 from .errors import ConfigError, DegenerateFitError, NumericalError
-from .spline_basis import OVERFLOW_MESSAGE, DesignMatrices, unusable_fits
+from .spline_basis import OVERFLOW_MESSAGE, DesignMatrices, checked_qr, unusable_fits
 
 __all__ = [
     "NullFit",
@@ -221,7 +221,7 @@ def _unusable(overflowed: bool) -> NumericalError | DegenerateFitError:
 def fit_ols_columns(Y: np.ndarray, X: np.ndarray, factors: tuple) -> tuple[RemlProjection, OlsFits]:
     """OLS fits of responses Y (R x n x C) under designs X (R x n x p), from
     the designs' :func:`~covtest.spline_basis.stacked_qr` factors (Q, R,
-    errors), which must exist (n > p).
+    errors).
 
     Returns the stack's projection at unit error variance and the fits. Cell
     (r, c) fails with design r's error if it was rejected, else with a
@@ -362,7 +362,8 @@ def reml_projection(fit: NullFit, X: np.ndarray) -> RemlProjection:
     """P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1 for the fitted covariance.
 
     Symmetric, annihilates the columns of X, and satisfies P V P = P. Only the
-    thin QR of V^-1/2 X is computed; see :class:`RemlProjection`.
+    checked thin QR of V^-1/2 X is computed (:func:`~covtest.spline_basis.checked_qr`,
+    which raises the ModelError of an X that cannot be fit); see :class:`RemlProjection`.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[0] != fit.n:
@@ -378,7 +379,7 @@ def reml_projection(fit: NullFit, X: np.ndarray) -> RemlProjection:
     cond = 1.0 + fit.ratio * float(sizes.max())
     if cond > 1e12:
         raise NumericalError(f"fitted covariance is ill-conditioned (cond = {cond:.3e})")
-    Q, R = np.linalg.qr(_whiten(X, fit.sigma2_eps, fit.ratio, cluster, sizes))
+    Q, R = checked_qr(_whiten(X, fit.sigma2_eps, fit.ratio, cluster, sizes))
     return RemlProjection(
         sigma2=fit.sigma2_eps, ratio=fit.ratio, cluster=cluster, sizes=sizes, X=X, Q=Q, R=R
     )

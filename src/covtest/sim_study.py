@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .data_io import Dataset, _check_finite
-from .errors import ConfigError, CovtestError, StudyError
+from .errors import ConfigError, StudyError
 from .exact_lrt import (
     ProfileSolver,
     default_lambda_grid,
@@ -93,30 +93,20 @@ def _draw(m: int, sigmas, levels, seed: rngmod.SeedLike) -> tuple[np.ndarray, np
     return S, t, Y
 
 
-def generate_dataset(
-    m: int,
-    sigma: float,
-    c: float | tuple[float, ...],
-    seed: rngmod.SeedLike,
-) -> Dataset | list[Dataset]:
+def generate_dataset(m: int, sigma: float, c: float, seed: rngmod.SeedLike) -> Dataset:
     """One simulated dataset: two Gaussian covariates, a fixed t grid on
     [0, 1], and Gaussian noise of standard deviation sigma.
 
     The covariates are N(0, 0.3) and N(0, 0.4), given by their variances; the
     draws come from per-role streams under ``seed``, so datasets with the same
-    seed share draws across c and sigma. A sequence ``c`` gives one dataset
-    per departure level from one set of draws: they share S and t, and each y
-    equals the one a scalar call with that c gives; the first dataset checks
-    S and t, the others only their y.
+    seed share draws across c and sigma.
     """
     if m < 2:
         raise ConfigError(f"need m >= 2, got {m}")
     if sigma <= 0:
         raise ConfigError(f"sigma must be > 0, got {sigma}")
-    S, t, (rows,) = _draw(m, [sigma], c if np.ndim(c) else [c], seed)
-    first = Dataset(y=rows[0], S=S, t=t)
-    out = [first] + [first.with_response(y) for y in rows[1:]]
-    return out if np.ndim(c) else first
+    S, t, ((y,),) = _draw(m, [sigma], [c], seed)
+    return Dataset(y=y, S=S, t=t)
 
 
 @dataclass(frozen=True)
@@ -249,14 +239,18 @@ class SimReport:
 def _study_fixtures(config: SimConfig, m: int):
     """Pieces shared by every replicate and departure level of one m: per
     spline degree used (1 for score and cusum), the design of one draw, whose
-    A and B every replicate shares as t is the same grid; per LRT degree, a
+    A and B every replicate shares as t is the same grid, with knots only for
+    an LRT degree, since score and cusum read X alone; per LRT degree, a
     ProfileSolver, the lambda grid and each variant's null distribution. The
-    variants of a degree form a group, evaluated in one call for all c."""
+    variants of a degree form a group, evaluated in one call for all c.
+    Building a design raises the ModelError of an m too small to fit it."""
     base = generate_dataset(m, config.sigma_values[0], 0, (config.seed, 0))
     lrt = [(vi, name, *_LRT_VARIANTS[name]) for vi, name in enumerate(config.tests)
            if name in _LRT_VARIANTS]
-    degrees = {d for _, _, _, d, _ in lrt} | ({1} if {"score", "cusum"} & set(config.tests) else set())
-    designs = {d: build_design(base, place_knots(base.t, config.n_knots, d)) for d in sorted(degrees)}
+    knotted = {d for _, _, _, d, _ in lrt}
+    degrees = knotted | ({1} if {"score", "cusum"} & set(config.tests) else set())
+    designs = {d: build_design(base, place_knots(base.t, config.n_knots if d in knotted else 0, d))
+               for d in sorted(degrees)}
     groups: dict[int, list[tuple[int, str, str, int]]] = {}
     fixtures: dict = {"designs": designs, "lrt_groups": groups}
     for vi, name, kind, d, h in lrt:
@@ -309,7 +303,6 @@ def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
     tests, levels = config.tests, np.asarray(config.levels)
     shape = (len(tests), len(config.sigma_values), len(config.c_values))
     Y, S = _block_data(config, m, reps)
-    cells = [(r, k) for r in range(len(reps)) for k in range(Y.shape[2])]
     X = {d: np.concatenate([S, np.broadcast_to(design.A, (len(S),) + design.A.shape)], axis=2)
          for d, design in fixtures["designs"].items()}
     factors = {d: stacked_qr(Xd) for d, Xd in X.items()}
@@ -327,31 +320,23 @@ def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
             failed.setdefault((r, k), []).extend((ti, error) for ti in group)
     ols = [(ti, name) for ti, name in enumerate(tests) if name in ("score", "cusum")]
     if ols:
-        Q, _, errors = factors[1]
+        proj, fits = fit_ols_columns(Y, X[1], factors[1])
         t = fixtures["designs"][1].t
-        if Q is None:  # no replicate has more rows than coefficients
-            fit_failed = {(r, k): errors[r] for r, k in cells}
-        else:
-            proj, fits = fit_ols_columns(Y, X[1], factors[1])
-            fit_failed = fits.failed
     for ti, name in ols:
         cell_errors = {}
-        if name == "score" and Q is not None:
-            try:
-                scores, cell_errors = score_statistics(fits.residuals, fits.sigma2, proj, fixtures["kernel"])
-                pvals[ti] = scores.p_value
-            except CovtestError as exc:
-                cell_errors = dict.fromkeys(cells, exc)
-        elif name == "cusum":  # SimConfig checks cusum_resamples, so only a fit can fail
+        if name == "score":
+            scores, cell_errors = score_statistics(fits.residuals, fits.sigma2, proj, fixtures["kernel"])
+            pvals[ti] = scores.p_value
+        else:  # cusum: SimConfig checks cusum_resamples, so only a fit can fail
             from .cusum_test import cumulative_process, multiplier_null, sup_test
 
-            for r, k in cells:
-                if (r, k) not in fit_failed:
+            for r, k in np.ndindex(len(reps), Y.shape[2]):
+                if (r, k) not in fits.failed:
                     fit = fits.null_fit(r, k)
                     pvals[ti, r, k] = sup_test(cumulative_process(fit, t), multiplier_null(
                         fit, proj.replicate(r), t, config.cusum_resamples,
                         seed=(config.seed, reps[r], 3))).p_value
-        cell_errors.update(fit_failed)  # a cell whose fit failed reports the fit's error
+        cell_errors.update(fits.failed)  # a cell whose fit failed reports the fit's error
         for (r, k), error in cell_errors.items():
             pvals[ti, r, k] = np.nan
             failed.setdefault((r, k), []).append((ti, error))

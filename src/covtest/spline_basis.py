@@ -51,10 +51,6 @@ class KnotSet:
             raise ConfigError("knots must be strictly increasing")
         object.__setattr__(self, "knots", knots)
 
-    @property
-    def n_knots(self) -> int:
-        return int(self.knots.size)
-
 
 @dataclass(frozen=True)
 class DesignMatrices:
@@ -244,15 +240,15 @@ def unusable_fits(rss: np.ndarray, yty: np.ndarray) -> tuple[np.ndarray, np.ndar
     return overflowed, ~overflowed & (rss <= PERFECT_FIT_REL * yty)
 
 
-def stacked_qr(X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None, list]:
+def stacked_qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Thin QR of each n x p fixed-effects design in an R x n x p stack, the
     one factorisation every least-squares step takes, and per design the
-    ModelError that rejects it or None. A design is rejected unless n > p and
-    it has full column rank: every |R_jj| must exceed n * eps * max |R_jj|.
-    With n <= p every design is rejected and no factors are returned."""
-    stack, n, p = X.shape
+    ModelError that rejects it or None. A stack with n <= p rows raises its
+    ModelError: no design in it can be fit. A design is rejected unless it
+    has full column rank: every |R_jj| must exceed n * eps * max |R_jj|."""
+    _, n, p = X.shape
     if n <= p:
-        return None, None, [ModelError(f"need n > {p} rows to fit {p} coefficients, got n = {n}")] * stack
+        raise ModelError(f"need n > {p} rows to fit {p} coefficients, got n = {n}")
     Q, R = np.linalg.qr(X)
     diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
     tol = n * np.finfo(float).eps * diag.max(axis=1)
@@ -275,17 +271,15 @@ def checked_qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_design(dataset: Dataset, knots: KnotSet) -> DesignMatrices:
     """Assemble A, B, and X = [S | A] for a dataset.
 
-    Raises ModelError when X is rank deficient (e.g. constant t with
+    Raises the ModelError of :func:`checked_qr` when X cannot be fit: no
+    more rows than columns, or rank deficient (e.g. constant t with
     degree >= 1); otherwise the design keeps the checked QR of X.
     """
     t = dataset.t
     A = np.vander(t, knots.degree + 1, increasing=True)
     B = _trunc_basis(t, knots)
     X = np.hstack([dataset.S, A]) if dataset.p else A
-    # A design with no more rows than columns is left to the fits, which
-    # reject it by its row count.
-    qr = checked_qr(X) if X.shape[0] > X.shape[1] else None
-    return DesignMatrices(A=A, B=B, X=X, knots=knots, t=np.asarray(t, dtype=float), qr=qr)
+    return DesignMatrices(A=A, B=B, X=X, knots=knots, t=np.asarray(t, dtype=float), qr=checked_qr(X))
 
 
 def smoother_kernel(

@@ -63,7 +63,8 @@ class TestTestCommand:
     ])
     def test_design_is_factored_once(self, tmp_path, monkeypatch, args):
         """build_design's checked QR of X serves every later step of a call:
-        the spectral decomposition, the observed statistic and the null fits."""
+        the spectral decomposition, the observed statistic and the null fits.
+        Score and cusum take one more checked QR, of V^-1/2 X for the projection."""
         import importlib
         import pkgutil
 
@@ -74,7 +75,7 @@ class TestTestCommand:
         real = spline_basis.stacked_qr
 
         def counted(X):
-            factored.append(X.shape)
+            factored.append(X.copy())
             return real(X)
 
         for info in pkgutil.iter_modules(covtest.__path__):
@@ -85,7 +86,10 @@ class TestTestCommand:
         save_csv(Dataset(y=ds.y, S=ds.S, t=ds.t, cluster=np.arange(40) % 8), tmp_path / "in.csv")
         assert run(["test", "--input", tmp_path / "in.csv", "--knots", 8, "--nsims", 200,
                     "--resamples", 50, "--out", tmp_path / "o", *args]) == 0
-        assert len(factored) == 1
+        degree = args[args.index("--degree") + 1] if "--degree" in args else 1
+        A = np.vander(ds.t, degree + 1, increasing=True)  # X = [S | A]; V^-1/2 X scales A
+        assert [np.array_equal(stack[0, :, -A.shape[1]:], A) for stack in factored] == (
+            [True] if args[1] in ("lrt", "rlrt") else [True, False])
 
     def test_rlrt_outputs_byte_identical(self, null_csv, tmp_path):
         out = tmp_path / "a"
@@ -409,6 +413,33 @@ class TestSimulateCommand:
             warnings.simplefilter("always")
             code, err = outcome(args)
         assert (code, err, caught) == (1, "data error: non-finite value in y at row 1\n", [])
+
+    def test_too_few_rows_is_one_model_error(self, tmp_path, monkeypatch):
+        """At m = 4 the degree-1 design [S | 1, t] has as many rows as
+        coefficients: the study ends in that one model error while it builds
+        its fixtures, before any block of replicates runs."""
+        import covtest.sim_study as sim_study
+
+        blocks, real = [], sim_study._run_block
+        monkeypatch.setattr(sim_study, "_run_block", lambda *args: blocks.append(args) or real(*args))
+        code, err = outcome(["simulate", "--m", 4, "--tests", "score,cusum", "--knots", 1, "--runs", 3,
+                             "--out", tmp_path / "sim"])
+        assert (code, err) == (1, "model error: need n > 4 rows to fit 4 coefficients, got n = 4\n")
+        assert blocks == [] and not (tmp_path / "sim" / "report.csv").exists()
+
+    def test_score_and_cusum_place_no_knots(self, tmp_path):
+        """Score and cusum read X = [S | 1, t] alone, so their study places no
+        knots: it runs at m = 15, where 20 knots do not fit, and its report
+        does not depend on --knots."""
+        assert outcome(["simulate", "--m", 15, "--tests", "score,cusum", "--runs", 4,
+                        "--out", tmp_path / "m15"])[0] == 0
+        reports = []
+        for knots in (8, 20):
+            out = tmp_path / f"knots{knots}"
+            assert outcome(["simulate", "--m", 30, "--tests", "score,cusum", "--runs", 5,
+                            "--resamples", 50, "--knots", knots, "--out", out])[0] == 0
+            reports.append((out / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestNullSimCommand:

@@ -152,16 +152,3 @@ class TestDataset:
         with pytest.raises(ValueError):
             small_dataset.y[0] = 99.0
 
-
-    def test_with_response_checks_only_the_new_y(self):
-        """A new response shares S, t and the clusters, and is checked like
-        the constructor checks y: finite, of the dataset's length, read-only."""
-        ds = Dataset(y=[1.0, 2.0, 3.0], S=[[0.5], [0.1], [0.2]], t=[0.0, 0.5, 1.0], cluster=[4, 4, 5])
-        other = ds.with_response([3.0, 1.0, 2.0])
-        np.testing.assert_array_equal(other.y, [3.0, 1.0, 2.0])
-        assert other.S is ds.S and other.t is ds.t and other.cluster is ds.cluster
-        assert not other.y.flags.writeable and np.array_equal(ds.y, [1.0, 2.0, 3.0])
-        with pytest.raises(DataError, match="non-finite value in y at row 2"):
-            ds.with_response([1.0, np.nan, 2.0])
-        with pytest.raises(DataError, match="response has shape"):
-            ds.with_response([1.0, 2.0])

@@ -702,7 +702,7 @@ def single_cell(design, X, Y, r, c):
 def replicate_stack(m, degree, n_reps, seed):
     """Study-like replicates: one t grid, so one A and B, and per replicate
     its own S and five departure levels as the columns of Y."""
-    draws = [generate_dataset(m, 0.5, (0, 1, 2, 3, 4), seed=(seed, rep)) for rep in range(n_reps)]
+    draws = [[generate_dataset(m, 0.5, c, seed=(seed, rep)) for c in range(5)] for rep in range(n_reps)]
     design = build_design(draws[0][0], place_knots(draws[0][0].t, 12 if m > 30 else 8, degree))
     X = np.stack([np.hstack([datasets[0].S, design.A]) for datasets in draws])
     Y = np.stack([np.column_stack([ds.y for ds in datasets]) for datasets in draws])
@@ -796,14 +796,15 @@ class TestStackedReplicates:
                     assert (cell_fields(stacked, grid, self.SPECS, j, r, c)
                             == cell_fields(single, grid, self.SPECS, j, 0, c))
 
-    def test_too_few_rows_fail_every_replicate(self):
-        design, X, Y = replicate_stack(30, 1, 3, seed=23)
-        solver = ProfileSolver(design)
-        grid = default_lambda_grid(spectral_decompose(design))
-        stacked = solver.statistics(Y[:, :4], X[:, :4], grid, self.SPECS, stacked_qr(X[:, :4]))
-        rows = "need n > 4 rows to fit 4 coefficients, got n = 4"
-        assert {cell: str(e) for cell, e in stacked[4].items()} == {
-            (r, c): rows for r in range(3) for c in range(5)}
+    def test_too_few_rows_raise_for_the_stack(self):
+        """No design of a stack with n <= p rows can be fit, so stacked_qr
+        raises the row-count ModelError for the whole stack; one more row fits."""
+        _, X, _ = replicate_stack(30, 1, 3, seed=23)
+        for n in (1, 4):
+            with pytest.raises(ModelError) as info:
+                stacked_qr(X[:, :n])
+            assert str(info.value) == f"need n > 4 rows to fit 4 coefficients, got n = {n}"
+        assert stacked_qr(X[:, :5])[2] == [None] * 3
 
 
 class TestSpectralDenseEquivalence:

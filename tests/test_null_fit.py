@@ -319,6 +319,22 @@ class TestRemlProjection:
             scale = np.abs(P).max()
             np.testing.assert_allclose(P @ fit.V @ P, P, atol=1e-8 * scale)
 
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_rank_deficient_design_is_rejected(self, small_dataset, clustered):
+        """V^-1/2 X takes the design check of X, at ratio 0 and above: a
+        duplicated column is a ModelError, not a singular R."""
+        ds = small_dataset
+        if clustered:
+            ds = clustered_dataset(n_clusters=5, size=4, shift=1.0, noise=0.7, seed=0)
+        design = design_for(ds)
+        fit = (fit_reml_random_intercept if clustered else fit_ols)(ds, design)
+        assert (fit.ratio > 0.0) == clustered
+        X = np.column_stack([design.X, design.X[:, -1]])
+        p = X.shape[1]
+        with pytest.raises(ModelError) as info:
+            reml_projection(fit, X)
+        assert str(info.value) == f"fixed-effects design is rank deficient ({p} columns, rank {p - 1})"
+
     def test_ill_conditioned_covariance(self):
         """cond(V) = 1 + ratio * (largest cluster size): 1 + 1.5e12 fails, 1 + 9e11 passes."""
         fit = NullFit(

@@ -120,7 +120,7 @@ class TestBatchedColumns:
         replicates and departure levels give each cell's one-fit result to
         1e-12; a perfect-fit column gets fit_ols's error and fails alone."""
         levels = (0, 1, 2, 4)
-        draws = [generate_dataset(60, 0.5, levels, seed=(23, rep)) for rep in range(3)]
+        draws = [[generate_dataset(60, 0.5, c, seed=(23, rep)) for c in levels] for rep in range(3)]
         base = draws[0][0]
         draws[1][2] = Dataset(y=draws[1][0].S @ [1.3, 0.45] + 0.5 - base.t, S=draws[1][0].S, t=base.t)
         Y = np.stack([np.column_stack([ds.y for ds in datasets]) for datasets in draws])
@@ -157,7 +157,7 @@ class TestBatchedColumns:
     def test_degenerate_replicate_fails_only_its_cells(self):
         """A kernel inside one replicate's design span makes that replicate's
         test degenerate; the other replicate still gets its statistics."""
-        draws = [generate_dataset(40, 0.5, (0, 2), seed=(29, rep)) for rep in range(2)]
+        draws = [[generate_dataset(40, 0.5, c, seed=(29, rep)) for c in (0, 2)] for rep in range(2)]
         Y = np.stack([np.column_stack([ds.y for ds in datasets]) for datasets in draws])
         X = np.stack([build_design(datasets[0], KnotSet(np.empty(0), 1)).X for datasets in draws])
         x0 = X[0, :, 0]
@@ -175,7 +175,7 @@ class TestBatchedColumns:
         numerical error naming its arguments."""
         import covtest.score_test as score_test
 
-        datasets = generate_dataset(40, 0.5, (0, 4), seed=(31, 0))
+        datasets = [generate_dataset(40, 0.5, c, seed=(31, 0)) for c in (0, 4)]
         design = build_design(datasets[0], KnotSet(np.empty(0), 1))
         Y = np.column_stack([ds.y for ds in datasets])[None]
         kern = smoother_kernel(datasets[0].t, 1)
