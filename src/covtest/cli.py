@@ -95,7 +95,7 @@ def _config_tokens(path: str, command: str) -> list[str]:
     Keys are long flag names with ``_`` or ``-``.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     tokens = []
@@ -339,7 +339,7 @@ def _cmd_report(cfg: dict) -> int:
     if not cfg["input"]:
         raise ConfigError("--input is required")
     try:
-        lines = Path(cfg["input"]).read_text(encoding="utf-8").strip().splitlines()
+        lines = Path(cfg["input"]).read_text(encoding="utf-8-sig").strip().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {cfg['input']}: {exc}") from None
     header = lines[0].split(",") if lines else []

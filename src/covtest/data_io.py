@@ -117,16 +117,17 @@ class ColumnMap:
 def load_csv(path: str | Path, columns: ColumnMap = ColumnMap()) -> Dataset:
     """Load a dataset from a UTF-8 CSV file with a header row.
 
-    Comma delimiter, '.' decimal separator. Row order is preserved.
-    Raises ConfigError for a missing file or column, and DataError for a file
-    that cannot be read or decoded and for unusable cells, naming the
-    offending row and column.
+    Comma delimiter, '.' decimal separator, an optional byte-order mark. Row
+    order is preserved. Raises ConfigError for a missing file or column and a
+    header that names a column twice, and DataError for a file that cannot be
+    read or decoded and for unusable cells, naming the offending row and
+    column; an empty cluster label is unusable.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"input file not found: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             rows = [row for row in reader if row]
@@ -135,6 +136,9 @@ def load_csv(path: str | Path, columns: ColumnMap = ColumnMap()) -> Dataset:
     if header is None:
         raise DataError(f"{path}: file is empty")
     header = [h.strip() for h in header]
+    repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"{path}: column {repeated!r} appears more than once in the header")
 
     def col_index(name: str) -> int:
         try:
@@ -155,20 +159,22 @@ def load_csv(path: str | Path, columns: ColumnMap = ColumnMap()) -> Dataset:
         raise DataError(f"{path}: no data rows")
 
     cols = [iy, it, *i_s]
-    values = None
+    values = cluster = None
     if all(len(row) == len(header) for row in rows):
         try:
             values = np.array([[float(row[i].strip()) for row in rows] for i in cols])
         except ValueError:
             pass
-    if values is None or not np.isfinite(values).all():
-        raise DataError(f"{path}: {_first_fault(rows, header, cols)}")
-    cluster = [row[icl].strip() for row in rows] if icl is not None else None
+        if icl is not None:
+            cluster = [row[icl].strip() for row in rows]
+    if values is None or not np.isfinite(values).all() or (cluster is not None and "" in cluster):
+        raise DataError(f"{path}: {_first_fault(rows, header, cols, icl)}")
     return Dataset(y=values[0], S=values[2:].T, t=values[1], cluster=cluster)
 
 
-def _first_fault(rows: list[list[str]], header: list[str], cols: list[int]) -> str:
-    """The first ragged row or unusable cell of ``cols``, in row-major order."""
+def _first_fault(rows: list[list[str]], header: list[str], cols: list[int], icl: int | None) -> str:
+    """The first ragged row, unusable cell of ``cols`` or empty cluster label
+    (column ``icl``), in row-major order."""
     for r, row in enumerate(rows, start=1):
         if len(row) != len(header):
             return f"data row {r} has {len(row)} cells, expected {len(header)}"
@@ -180,6 +186,8 @@ def _first_fault(rows: list[list[str]], header: list[str], cols: list[int]) -> s
                 return f"non-numeric value {cell!r} in column {header[idx]!r} at data row {r}"
             if not np.isfinite(v):
                 return f"non-finite value {cell!r} in column {header[idx]!r} at data row {r}"
+        if icl is not None and not row[icl].strip():
+            return f"empty value in column {header[icl]!r} at data row {r}"
     raise AssertionError("no unusable cell found")
 
 

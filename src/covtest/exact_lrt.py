@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .data_io import Dataset
-from .errors import ConfigError, DegenerateFitError, ModelError, NumericalError
+from .errors import ConfigError, ModelError, NumericalError
 from .rng import SeedLike, chunked_streams
-from .spline_basis import OVERFLOW_MESSAGE, DesignMatrices, unusable_fits
+from .spline_basis import DesignMatrices, FactoredStack, failed_cells
 
 __all__ = [
     "SpectralCache",
@@ -180,8 +180,7 @@ def spectral_decompose(design: DesignMatrices) -> SpectralCache:
     X, B = design.X, design.B
     if B.shape[1] < 1:
         raise ConfigError("spectral decomposition needs at least one knot")
-    Q, _ = design.factors()
-    (proj_eigs,), _, _ = _projected_spectrum(Q[None], B, np.empty((1, X.shape[0], 0)))
+    (proj_eigs,), _, _ = _projected_spectrum(design.qr.Q, B, np.empty((1, X.shape[0], 0)))
     return SpectralCache(
         proj_eigs=proj_eigs,
         raw_eigs=_eig_desc_clipped(B.T @ B)[0],
@@ -200,7 +199,7 @@ def spectral_coordinates(design: DesignMatrices, y: np.ndarray) -> tuple[np.ndar
     :func:`profile_terms` reproduces the dense profiled likelihood exactly.
     """
     y = np.asarray(y, dtype=float)[None, :, None]
-    _, ((head,),), ((rss0,),) = _projected_spectrum(design.factors()[0][None], design.B, y)
+    _, ((head,),), ((rss0,),) = _projected_spectrum(design.qr.Q, design.B, y)
     return head, float(max(rss0 - head.sum(), 0.0))
 
 
@@ -302,56 +301,48 @@ class ProfileSolver:
         self.raw_eigs = _eig_desc_clipped(self.B.T @ self.B)[0]
 
     def statistics(
-        self,
-        Y: np.ndarray,
-        X: np.ndarray,
-        grid: LambdaGrid,
-        specs: list[tuple[str, int]],
-        qr: tuple,
+        self, Y: np.ndarray, factored: FactoredStack, grid: LambdaGrid, specs: list[tuple[str, int]]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict]:
-        """Observed statistics of Y (R x n x C) under X (R x n x p), with
-        ``qr`` = ``spline_basis.stacked_qr(X)``, for S (kind, h) pairs.
+        """Observed statistics of Y (R x n x C) under a stack of designs
+        factored by ``spline_basis.stacked_qr`` (R x n x p), for S (kind, h) pairs.
 
         Returns S x R x C arrays of the statistic (>= 0), the grid index of
         lambda-hat, the error variance there and the null residual sum of
         squares, and a map from each failed (replicate, column) cell, whose
-        array entries are meaningless, to its error: the ModelError that
-        rejects the replicate's X, or a DegenerateFitError for a numerically
-        perfect null fit. A cell's numbers do not depend on the other cells.
+        array entries are meaningless, to its error
+        (:func:`~covtest.spline_basis.failed_cells` of the null fit). A cell's
+        numbers do not depend on the other cells.
         For the LRT with h > 0 the null also drops the last h columns of X;
         the extra residual energy is the squared norm of y along the last h
         columns of Q, the term :func:`simulate_null` draws as chi-square(h),
         so h lies in 0..degree as there.
         """
-        n, p = X.shape[-2:]
+        Q = factored.Q
+        n, p = Q.shape[-2:]
+        if Y.shape[1] != n:
+            raise ConfigError(f"design has {n} rows but dataset has {Y.shape[1]}")
         for kind, h in specs:
             _check_h(kind, h, self.degree)
-        Q, _, errors = qr
         out = np.zeros((4, len(specs), Y.shape[0], Y.shape[2]))
         values = grid.values
-        with np.errstate(over="ignore", invalid="ignore"):  # unusable_fits reports an overflow
+        with np.errstate(over="ignore", invalid="ignore"):  # failed_cells reports an overflow
             proj, head, rss0 = _projected_spectrum(Q, self.B, Y)
             extras = {h: ((Q[..., p - h:].swapaxes(-1, -2) @ Y) ** 2).sum(axis=-2) for _, h in specs}
-            overflowed, perfect = unusable_fits(rss0, np.einsum("...ij,...ij->...j", Y, Y))
-        usable = ~(overflowed | perfect) & np.array([error is None for error in errors])[:, None]
+            failed, errors = failed_cells(factored, rss0, np.einsum("...ij,...ij->...j", Y, Y))
         # A failed cell is swept with no spline energy and unit energy in the
         # tail, so no division is by zero and no value is infinite.
-        head = np.where(usable[..., None], head, 0.0)
-        rss0 = np.where(usable, rss0, 1.0)
-        tail = np.where(usable, np.maximum(rss0 - head.sum(axis=-1), 0.0), 1.0)
+        head = np.where(failed[..., None], 0.0, head)
+        rss0 = np.where(failed, 1.0, rss0)
+        tail = np.where(failed, 1.0, np.maximum(rss0 - head.sum(axis=-1), 0.0))
         rss = head @ _grid_weights(values, proj)             # R x C x G
         rss += tail[..., None]
         for j, (kind, h) in enumerate(specs):
             mult, pen = _kind_penalty(kind, values, n, n - p, self.raw_eigs, proj)
             best, top = _grid_max(rss * np.exp(pen / mult)[..., None, :], mult)
             sigma2 = np.take_along_axis(rss, best[..., None], axis=-1)[..., 0] / mult
-            extra = np.where(usable, extras[h], 0.0)
+            extra = np.where(failed, 0.0, extras[h])
             out[:, j] = top + _dropped_gain(n, extra, rss0), best, sigma2, rss0 + extra
-        failed = {(int(r), int(c)): errors[r] or (
-                      NumericalError(OVERFLOW_MESSAGE) if overflowed[r, c] else
-                      DegenerateFitError("null fit is numerically perfect; statistic undefined"))
-                  for r, c in zip(*np.nonzero(~usable))}
-        return out[0], out[1].astype(np.intp), out[2], out[3], failed
+        return out[0], out[1].astype(np.intp), out[2], out[3], errors
 
 
 def _check_h(kind: str, h: int, max_h: int) -> None:
@@ -384,9 +375,7 @@ def observed_statistic(
     solver = ProfileSolver(design)
     if grid is None:
         grid = default_lambda_grid(solver.raw_eigs)
-    Q, R = design.factors()
-    *cell, errors = solver.statistics(dataset.y[None, :, None], design.X[None], grid,
-                                      [(kind, h)], (Q[None], R[None], [None]))
+    *cell, errors = solver.statistics(dataset.y[None, :, None], design.qr, grid, [(kind, h)])
     if errors:
         raise errors[0, 0]
     stat, k, sigma2, rss_null = (a.item() for a in cell)

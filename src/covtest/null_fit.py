@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import Dataset
-from .errors import ConfigError, DegenerateFitError, NumericalError
-from .spline_basis import OVERFLOW_MESSAGE, DesignMatrices, checked_qr, unusable_fits
+from .errors import ConfigError, NumericalError
+from .spline_basis import DesignMatrices, FactoredStack, checked_qr, failed_cells
 
 __all__ = [
     "NullFit",
@@ -185,7 +185,7 @@ class OlsFits:
 def fit_ols(dataset: Dataset, design: DesignMatrices) -> NullFit:
     """Ordinary least squares fit of the null polynomial model: the
     one-replicate, one-column case of :func:`fit_ols_columns`, from the
-    design's checked thin QR of X (see :meth:`DesignMatrices.factors`).
+    design's checked thin QR of X (``DesignMatrices.qr``).
 
     The error variance is the residual sum of squares over n - p, the REML
     estimate for p fixed effects. A perfect fit is rejected: every downstream
@@ -196,8 +196,7 @@ def fit_ols(dataset: Dataset, design: DesignMatrices) -> NullFit:
 
 def _fit_one(dataset: Dataset, design: DesignMatrices) -> OlsFits:
     """The OLS fit of one response, a 1 x n x 1 stack; raises its error if it failed."""
-    Q, R = design.factors()
-    fits = fit_ols_columns(dataset.y[None, :, None], design.X[None], (Q[None], R[None], [None]))[1]
+    fits = fit_ols_columns(dataset.y[None, :, None], design.qr)[1]
     if fits.failed:
         raise fits.failed[0, 0]
     return fits
@@ -211,40 +210,24 @@ def fit_null(dataset: Dataset, design: DesignMatrices) -> tuple[NullFit, RemlPro
     return fit, reml_projection(fit, design.X)
 
 
-def _unusable(overflowed: bool) -> NumericalError | DegenerateFitError:
-    """The error of a fit :func:`~covtest.spline_basis.unusable_fits` rejects."""
-    if overflowed:
-        return NumericalError(OVERFLOW_MESSAGE)
-    return DegenerateFitError("residuals are numerically zero; error variance is not estimable")
+def fit_ols_columns(Y: np.ndarray, factored: FactoredStack) -> tuple[RemlProjection, OlsFits]:
+    """OLS fits of responses Y (R x n x C) under a stack of designs factored
+    by :func:`~covtest.spline_basis.stacked_qr` (R x n x p).
 
-
-def fit_ols_columns(Y: np.ndarray, X: np.ndarray, factors: tuple) -> tuple[RemlProjection, OlsFits]:
-    """OLS fits of responses Y (R x n x C) under designs X (R x n x p), from
-    the designs' :func:`~covtest.spline_basis.stacked_qr` factors (Q, R,
-    errors).
-
-    Returns the stack's projection at unit error variance and the fits. Cell
-    (r, c) fails with design r's error if it was rejected, else with a
-    NumericalError when a sum of squares overflows and a DegenerateFitError
-    when the fit is numerically perfect (:func:`~covtest.spline_basis.unusable_fits`).
-    A cell's numbers do not depend on the other cells.
+    Returns the stack's projection at unit error variance and the fits. A
+    cell fails by :func:`~covtest.spline_basis.failed_cells`; its numbers do
+    not depend on the other cells.
     """
-    Q, R, errors = factors
-    stack, n, p = X.shape
+    X, Q, R, _ = factored
+    n, p = X.shape[-2:]
     if Y.shape[1] != n:
         raise ConfigError(f"design has {n} rows but dataset has {Y.shape[1]}")
-    rejected = np.array([error is not None for error in errors])
-    if rejected.any():  # a rejected design's R may be singular; its cells fail below
-        R = np.where(rejected[:, None, None], np.eye(p), R)
-    with np.errstate(over="ignore", invalid="ignore"):  # unusable_fits reports an overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # failed_cells reports an overflow
         beta = np.linalg.solve(R, Q.swapaxes(-1, -2) @ Y)
         fitted = X @ beta
         resid = Y - fitted
         rss = _sq_norms(resid)
-        overflowed, perfect = unusable_fits(rss, _sq_norms(Y))
-    bad = rejected[:, None] | overflowed | perfect
-    failed = {(int(r), int(c)): errors[r] or _unusable(overflowed[r, c])
-              for r, c in zip(*np.nonzero(bad))}
+        bad, failed = failed_cells(factored, rss, _sq_norms(Y))
     if failed:
         resid = np.where(bad[:, None, :], 0.0, resid)
         rss = np.where(bad, n - p, rss)
@@ -330,12 +313,12 @@ def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullF
     beta = beta_ols + (gls_terms(ratio_hat)[1] if ratio_hat > 0.0 else 0.0)
     fitted = X @ beta
     resid = dataset.y - fitted
-    with np.errstate(over="ignore", invalid="ignore"):  # unusable_fits reports an overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # failed_cells reports an overflow
         white = _whiten(resid, 1.0, ratio_hat, cluster, sizes)
         rss = white @ white
-        overflowed, perfect = unusable_fits(rss, dataset.y @ dataset.y)
-    if overflowed or perfect:
-        raise _unusable(overflowed)
+        failed = failed_cells(design.qr, *np.reshape([rss, dataset.y @ dataset.y], (2, 1, 1)))[1]
+    if failed:
+        raise failed[0, 0]
     return NullFit(beta=beta, sigma2_eps=float(rss) / (n - p_fixed), ratio=ratio_hat, fitted=fitted,
                    residuals=resid, cluster=cluster)
 
@@ -379,7 +362,7 @@ def reml_projection(fit: NullFit, X: np.ndarray) -> RemlProjection:
     cond = 1.0 + fit.ratio * float(sizes.max())
     if cond > 1e12:
         raise NumericalError(f"fitted covariance is ill-conditioned (cond = {cond:.3e})")
-    Q, R = checked_qr(_whiten(X, fit.sigma2_eps, fit.ratio, cluster, sizes))
+    _, (Q,), (R,), _ = checked_qr(_whiten(X, fit.sigma2_eps, fit.ratio, cluster, sizes))
     return RemlProjection(
         sigma2=fit.sigma2_eps, ratio=fit.ratio, cluster=cluster, sizes=sizes, X=X, Q=Q, R=R
     )

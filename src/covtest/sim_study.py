@@ -303,15 +303,14 @@ def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
     tests, levels = config.tests, np.asarray(config.levels)
     shape = (len(tests), len(config.sigma_values), len(config.c_values))
     Y, S = _block_data(config, m, reps)
-    X = {d: np.concatenate([S, np.broadcast_to(design.A, (len(S),) + design.A.shape)], axis=2)
-         for d, design in fixtures["designs"].items()}
-    factors = {d: stacked_qr(Xd) for d, Xd in X.items()}
+    factored = {d: stacked_qr(np.stack([np.hstack([s, design.A]) for s in S]))
+                for d, design in fixtures["designs"].items()}
     pvals = np.full((len(tests), len(reps), Y.shape[2]), np.nan)
     failed: dict[tuple[int, int], list] = {}  # (replicate, column) -> [(test index, error)]
     for d, members in fixtures["lrt_groups"].items():
         specs = [(kind, h) for _, _, kind, h in members]
         stats, *_, cell_errors = fixtures[("solver", d)].statistics(
-            Y, X[d], fixtures[("grid", d)], specs, factors[d])
+            Y, factored[d], fixtures[("grid", d)], specs)
         group = [ti for ti, _, _, _ in members]
         for j, (ti, name, _, _) in enumerate(members):
             pvals[ti] = p_value(stats[j], fixtures[("null", name)])
@@ -320,7 +319,7 @@ def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
             failed.setdefault((r, k), []).extend((ti, error) for ti in group)
     ols = [(ti, name) for ti, name in enumerate(tests) if name in ("score", "cusum")]
     if ols:
-        proj, fits = fit_ols_columns(Y, X[1], factors[1])
+        proj, fits = fit_ols_columns(Y, factored[1])
         t = fixtures["designs"][1].t
     for ti, name in ols:
         cell_errors = {}

@@ -11,16 +11,18 @@ them needs an n x n array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .data_io import Dataset
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, DegenerateFitError, ModelError, NumericalError
 
 __all__ = [
     "KnotSet",
     "DesignMatrices",
+    "FactoredStack",
     "SmootherKernel",
     "GramKernel",
     "NaturalSplineKernel",
@@ -29,6 +31,7 @@ __all__ = [
     "build_design",
     "checked_qr",
     "stacked_qr",
+    "failed_cells",
     "smoother_kernel",
 ]
 
@@ -52,13 +55,26 @@ class KnotSet:
         object.__setattr__(self, "knots", knots)
 
 
+class FactoredStack(NamedTuple):
+    """An R x n x p stack of fixed-effects designs ``X`` with the thin QR
+    factors ``Q`` (R x n x p) and ``R`` (R x p x p) of each, and per design
+    the ModelError that rejects it or None (see :func:`stacked_qr`)."""
+
+    X: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    errors: list
+
+
 @dataclass(frozen=True)
 class DesignMatrices:
     """Design matrices for one dataset and one knot set.
 
-    ``A`` is n x (d+1) polynomial, ``B`` is n x K truncated power,
-    ``X = [S | A]`` is the combined fixed-effects design and ``qr`` its
-    checked thin QR when already taken (see :meth:`factors`).
+    ``A`` is n x (d+1) polynomial, ``B`` is n x K truncated power and
+    ``X = [S | A]`` the combined fixed-effects design. ``qr`` is X's checked
+    thin QR as a one-design stack, taken when the design is made, so a design
+    that cannot be fit raises its ModelError there (:func:`checked_qr`), and
+    ``dataclasses.replace`` with a new X factors the new X.
     """
 
     A: np.ndarray
@@ -66,15 +82,14 @@ class DesignMatrices:
     X: np.ndarray
     knots: KnotSet
     t: np.ndarray
-    qr: tuple[np.ndarray, np.ndarray] | None = None
+    qr: FactoredStack = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "qr", checked_qr(self.X))
 
     @property
     def degree(self) -> int:
         return self.knots.degree
-
-    def factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The checked thin QR of X: ``qr`` if set, else :func:`checked_qr` of X."""
-        return checked_qr(self.X) if self.qr is None else self.qr
 
 
 class SmootherKernel:
@@ -226,26 +241,16 @@ def _trunc_basis(t: np.ndarray, knots: KnotSet) -> np.ndarray:
 # genuine near-zero noise (sigma ~ 1e-12 gives rss/yty ~ 1e-24) from pure float
 # roundoff of an exact fit (~ (eps * cond)^2 ~ 1e-27).
 PERFECT_FIT_REL = 1e-25
-OVERFLOW_MESSAGE = "sum of squares of the response overflows double precision; rescale y"
 
 
-def unusable_fits(rss: np.ndarray, yty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one rule for least-squares fits with no estimable error variance,
-    applied elementwise: (overflowed, perfect) boolean arrays. A residual sum
-    of squares or y'y that is not finite overflowed double precision; a finite
-    fit is numerically perfect when rss <= PERFECT_FIT_REL * y'y. Take both
-    sums under ``np.errstate(over="ignore", invalid="ignore")``: an overflow is
-    reported by this rule, not by a RuntimeWarning."""
-    overflowed = ~(np.isfinite(rss) & np.isfinite(yty))
-    return overflowed, ~overflowed & (rss <= PERFECT_FIT_REL * yty)
-
-
-def stacked_qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+def stacked_qr(X: np.ndarray) -> FactoredStack:
     """Thin QR of each n x p fixed-effects design in an R x n x p stack, the
     one factorisation every least-squares step takes, and per design the
     ModelError that rejects it or None. A stack with n <= p rows raises its
     ModelError: no design in it can be fit. A design is rejected unless it
-    has full column rank: every |R_jj| must exceed n * eps * max |R_jj|."""
+    has full column rank: every |R_jj| must exceed n * eps * max |R_jj|. A
+    rejected design's R is the identity, so a solve with it stays defined;
+    its fits fail by :func:`failed_cells`."""
     _, n, p = X.shape
     if n <= p:
         raise ModelError(f"need n > {p} rows to fit {p} coefficients, got n = {n}")
@@ -257,15 +262,35 @@ def stacked_qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
         ModelError(f"fixed-effects design is rank deficient ({p} columns, rank {int((d > tl).sum())})")
         for d, tl in zip(diag, tol)
     ]
-    return Q, R, errors
+    R[[error is not None for error in errors]] = np.eye(p)
+    return FactoredStack(X, Q, R, errors)
 
 
-def checked_qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR of one n x p design (see :func:`stacked_qr`); raises its ModelError."""
-    Q, R, (error,) = stacked_qr(X[None])
-    if error is not None:
-        raise error
-    return Q[0], R[0]
+def checked_qr(X: np.ndarray) -> FactoredStack:
+    """:func:`stacked_qr` of one n x p design as a one-design stack; raises its ModelError."""
+    factored = stacked_qr(X[None])
+    if factored.errors[0] is not None:
+        raise factored.errors[0]
+    return factored
+
+
+def failed_cells(factored: FactoredStack, rss: np.ndarray, yty: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The one rule for least-squares fits that cannot be used: of R x C fits
+    under the designs of ``factored``, with residual sums of squares ``rss``
+    and response energies ``yty``, the R x C mask of failed cells and each
+    failed (replicate, column) cell's error. That is the ModelError of its
+    design; else a NumericalError when rss or y'y is not finite (take both
+    under ``np.errstate(over="ignore", invalid="ignore")``); else a
+    DegenerateFitError when the fit is numerically perfect, rss <= PERFECT_FIT_REL * y'y."""
+    rejected = np.array([error is not None for error in factored.errors])[:, None]
+    overflowed = ~(np.isfinite(rss) & np.isfinite(yty))
+    failed = rejected | overflowed | (rss <= PERFECT_FIT_REL * yty)
+    errors = {(int(r), int(c)): factored.errors[r] or (
+                  NumericalError("sum of squares of the response overflows double precision; rescale y")
+                  if overflowed[r, c] else
+                  DegenerateFitError("null fit is numerically perfect; error variance is not estimable"))
+              for r, c in zip(*np.nonzero(failed))}
+    return failed, errors
 
 
 def build_design(dataset: Dataset, knots: KnotSet) -> DesignMatrices:
@@ -279,7 +304,7 @@ def build_design(dataset: Dataset, knots: KnotSet) -> DesignMatrices:
     A = np.vander(t, knots.degree + 1, increasing=True)
     B = _trunc_basis(t, knots)
     X = np.hstack([dataset.S, A]) if dataset.p else A
-    return DesignMatrices(A=A, B=B, X=X, knots=knots, t=np.asarray(t, dtype=float), qr=checked_qr(X))
+    return DesignMatrices(A=A, B=B, X=X, knots=knots, t=np.asarray(t, dtype=float))
 
 
 def smoother_kernel(

@@ -170,6 +170,28 @@ class TestErrorSurfacing:
         assert run(["test", "--method", "score", "--out", tmp_path]) == 1
         assert "config error:" in capsys.readouterr().err
 
+    def test_empty_cluster_label_is_data_error(self, tmp_path):
+        """An empty cluster cell is a missing value: the call refuses it
+        rather than read it as a seventh cluster of its own."""
+        ds = generate_dataset(60, 0.25, 0, seed=(14, 0))
+        path = tmp_path / "clustered.csv"
+        save_csv(Dataset(y=ds.y, S=ds.S, t=ds.t, cluster=np.arange(60) % 6), path)
+        lines = path.read_text().splitlines()
+        lines[8] = lines[8].rsplit(",", 1)[0] + ","  # data row 8 loses its label
+        path.write_text("\n".join(lines) + "\n")
+        code, err = outcome(["test", "--input", path, "--method", "score", "--cluster-col", "cluster",
+                             "--out", tmp_path / "o"])
+        assert (code, err) == (1, f"data error: {path}: empty value in column 'cluster' at data row 8\n")
+
+    def test_repeated_header_name_is_config_error(self, tmp_path):
+        """A header that names y twice is refused, not resolved to its first
+        column with the second read as a covariate."""
+        path = tmp_path / "twice.csv"
+        rows = "\n".join(f"{v},{v / 10},{v * v}" for v in range(1, 13))
+        path.write_text(f"y,t,y\n{rows}\n")
+        code, err = outcome(["test", "--input", path, "--method", "score", "--out", tmp_path / "o"])
+        assert (code, err) == (1, f"config error: {path}: column 'y' appears more than once in the header\n")
+
     def test_degenerate_design_is_model_error(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
         rows = "\n".join(f"{v},2.0" for v in (1.0, 2.0, 3.0, 4.0))
@@ -288,6 +310,36 @@ class TestRejectedInputs:
         for method in ("score", "cusum"):
             assert run(["test", "--input", clustered_csv, "--method", method, "--resamples", 100,
                         "--cluster-col", "cluster", "--out", tmp_path / "o"]) == 0
+
+
+BOM = "\ufeff"  # the UTF-8 byte-order mark that Excel's "CSV UTF-8" writes
+
+
+class TestByteOrderMark:
+    def test_data_file_gives_the_same_result(self, null_csv, tmp_path):
+        """A BOM-prefixed copy of a data file, at the same path, gives the
+        same result_score.json bytes."""
+        out = tmp_path / "o"
+        args = ["test", "--input", null_csv, "--method", "score", "--out", out]
+        assert run(args) == 0
+        plain = (out / "result_score.json").read_bytes()
+        null_csv.write_text(BOM + null_csv.read_text(encoding="utf-8"), encoding="utf-8")
+        assert run(args) == 0
+        assert (out / "result_score.json").read_bytes() == plain
+
+    def test_config_file(self, null_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BOM + "method = score\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["test", "--input", null_csv, "--config", cfg, "--out", out]) == 0
+        assert json.loads((out / "result_score.json").read_text())["method"] == "score"
+
+    def test_report_file(self, tmp_path, capsys):
+        report = tmp_path / "r.csv"
+        report.write_text(BOM + "test,m,sigma,c,level,n_runs,failures,rejections,fraction,se\n"
+                          "score,50,0.25,0,0.05,4,0,1,0.250000,0.216506\n", encoding="utf-8")
+        assert run(["report", "--input", report, "--out", tmp_path / "o"]) == 0
+        assert "m = 50" in capsys.readouterr().out
 
 
 class TestConfigFile:

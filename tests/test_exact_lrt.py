@@ -170,7 +170,7 @@ class TestSpectralDecompose:
             cache = spectral_decompose(d)
             np.testing.assert_array_equal(ProfileSolver(d).raw_eigs, cache.raw_eigs)
             y = rng.standard_normal(d.X.shape[0])
-            (proj,), _, _ = exact_lrt._projected_spectrum(d.factors()[0][None], d.B, y[None, :, None])
+            (proj,), _, _ = exact_lrt._projected_spectrum(d.qr.Q, d.B, y[None, :, None])
             assert proj.tobytes() == cache.proj_eigs.tobytes()
         assert spectral_decompose(near).raw_eigs[-1] == 0.0
 
@@ -517,14 +517,42 @@ class TestObservedStatistic:
         grid = default_lambda_grid(spectral_decompose(design))
         collinear = np.column_stack([design.X, 2.0 * design.X[:, 0]])
         with pytest.raises(ModelError, match="rank deficient"):
-            observed_statistic(ds, replace(design, X=collinear, qr=None), "rlrt", 0, grid)
+            observed_statistic(ds, replace(design, X=collinear), "rlrt", 0, grid)
         short = Dataset(y=ds.y[:3], S=ds.S[:3], t=ds.t[:3])
         with pytest.raises(ModelError, match="rows"):
-            observed_statistic(short, replace(design, X=design.X[:3], B=design.B[:3], qr=None),
+            observed_statistic(short, replace(design, X=design.X[:3], B=design.B[:3]),
                                "rlrt", 0, grid)
         perfect = Dataset(y=design.X @ np.arange(1.0, design.X.shape[1] + 1), S=ds.S, t=ds.t)
         with pytest.raises(DegenerateFitError):
             observed_statistic(perfect, design, "lrt", 0, grid)
+
+    def test_row_count_mismatch_is_a_config_error(self):
+        """A dataset with fewer rows than the design is refused by the sweep
+        with fit_ols's message, not by a shape error inside numpy."""
+        ds, design = make_design(80, 2, 1, 8, seed=44)
+        short = Dataset(y=ds.y[:60], S=ds.S[:60], t=ds.t[:60])
+        for call in (fit_ols, observed_statistic):
+            with pytest.raises(ConfigError) as info:
+                call(short, design)
+            assert str(info.value) == "design has 80 rows but dataset has 60"
+
+    def test_replaced_X_is_factored_anew(self):
+        """dataclasses.replace with a new X factors the new X: the spectral
+        cache, the observed statistics and the OLS fit are bit for bit those of
+        build_design on the dataset that X belongs to."""
+        ds, design = make_design(80, 2, 1, 8, seed=45)
+        plain = Dataset(y=ds.y, S=np.empty((80, 0)), t=ds.t)  # X = [1 | t], the intercept and t
+        built, swapped = build_design(plain, design.knots), replace(design, X=design.A)
+        cache = spectral_decompose(built)
+        assert spectral_decompose(swapped).proj_eigs.tobytes() == cache.proj_eigs.tobytes()
+        grid = default_lambda_grid(cache)
+        for kind, h in (("rlrt", 0), ("lrt", 0), ("lrt", 1)):
+            assert (observed_statistic(plain, swapped, kind, h, grid)
+                    == observed_statistic(plain, built, kind, h, grid))
+        got, want = fit_ols(plain, swapped), fit_ols(plain, built)
+        for name in ("beta", "fitted", "residuals"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.sigma2_eps == want.sigma2_eps
 
     def test_degenerate_column_fails_alone(self):
         """A perfect-fit column gets its error; the other column is that of a
@@ -534,10 +562,10 @@ class TestObservedStatistic:
         grid = default_lambda_grid(spectral_decompose(design))
         perfect = design.X @ np.arange(1.0, design.X.shape[1] + 1)
         Y = np.column_stack([ds.y, perfect])[None]
-        got = solver.statistics(Y, design.X[None], grid, [("lrt", 0)], stacked_qr(design.X[None]))
+        got = solver.statistics(Y, design.qr, grid, [("lrt", 0)])
         assert list(got[4]) == [(0, 1)]
         assert isinstance(got[4][0, 1], DegenerateFitError)
-        assert str(got[4][0, 1]) == "null fit is numerically perfect; statistic undefined"
+        assert str(got[4][0, 1]) == "null fit is numerically perfect; error variance is not estimable"
         ref = observed_statistic(ds, design, "lrt", 0, grid)
         assert got[0][0, 0, 0] == pytest.approx(ref.statistic, rel=1e-12, abs=1e-12)
         assert grid.values[got[1][0, 0, 0]] == ref.lambda_hat
@@ -548,7 +576,7 @@ class TestObservedStatistic:
         residual sum of squares is at most PERFECT_FIT_REL of y'y."""
         ds, design = make_design(30, 1, 1, 4, seed=43)
         grid = default_lambda_grid(spectral_decompose(design))
-        Q, _ = design.factors()
+        Q = design.qr.Q[0]
         signal = design.X @ np.arange(1.0, design.X.shape[1] + 1)
         noise = ds.y - Q @ (Q.T @ ds.y)
         noise *= math.sqrt(rel * (signal @ signal) / (noise @ noise))
@@ -589,14 +617,13 @@ class TestObservedStatistic:
         ds, design = make_design(30, 2, 1, 4, seed=41)
         solver = ProfileSolver(design)
         grid = default_lambda_grid(solver.raw_eigs)
-        X = design.X[None]
-        p = X.shape[-1]
+        p = design.X.shape[-1]
         assert (design.degree, p) == (1, 4)
         bad = [("lrt", design.degree + 1), ("lrt", p - 1), ("lrt", p), ("lrt", -1),
                ("rlrt", 1), ("wald", 0)]
         for kind, h in bad:
             with pytest.raises(ConfigError):
-                solver.statistics(ds.y[None, :, None], X, grid, [(kind, h)], stacked_qr(X))
+                solver.statistics(ds.y[None, :, None], design.qr, grid, [(kind, h)])
 
 
 @given(data=st.data())
@@ -627,7 +654,7 @@ def test_statistics_and_null_samples_never_negative(data):
     solver = ProfileSolver(design)
     grid = default_lambda_grid(solver.raw_eigs)
     specs = [("lrt", h), ("lrt", 0), ("rlrt", 0)]
-    stat, *_, failed = solver.statistics(Y, X, grid, specs, stacked_qr(X))
+    stat, *_, failed = solver.statistics(Y, stacked_qr(X), grid, specs)
     usable = np.ones(stat.shape[1:], dtype=bool)
     for cell in failed:
         usable[cell] = False
@@ -651,7 +678,7 @@ class TestBatchedColumns:
         solver = ProfileSolver(design)
         grid = default_lambda_grid(spectral_decompose(design))
         Y = np.column_stack([ds.y for ds in datasets])[None]
-        batched = solver.statistics(Y, design.X[None], grid, specs, stacked_qr(design.X[None]))
+        batched = solver.statistics(Y, design.qr, grid, specs)
         assert [a.shape for a in batched[:4]] == [(len(specs), 1, 5)] * 4 and batched[4] == {}
         for c, ds in enumerate(datasets):
             for j, (kind, h) in enumerate(specs):
@@ -696,7 +723,7 @@ def cell_fields(got, grid, specs, j, r, c):
 def single_cell(design, X, Y, r, c):
     """Dataset and design of column c of replicate r of a replicate stack."""
     ds = Dataset(y=Y[r, :, c], S=X[r, :, :2], t=design.t)
-    return ds, replace(design, X=X[r], qr=None)
+    return ds, replace(design, X=X[r])
 
 
 def replicate_stack(m, degree, n_reps, seed):
@@ -722,14 +749,14 @@ class TestStackedReplicates:
         design, X, Y = replicate_stack(m, degree, 7, seed=21)
         solver = ProfileSolver(design)
         grid = default_lambda_grid(spectral_decompose(design))
-        stacked = solver.statistics(Y, X, grid, self.SPECS, stacked_qr(X))
+        stacked = solver.statistics(Y, stacked_qr(X), grid, self.SPECS)
         assert stacked[0].shape == (3, 7, 5) and stacked[4] == {}
         for r in range(7):
             qr = stacked_qr(X[r:r + 1])
-            single = solver.statistics(Y[r:r + 1], X[r:r + 1], grid, self.SPECS, qr)
+            single = solver.statistics(Y[r:r + 1], qr, grid, self.SPECS)
             for c in range(5):
                 ds, design_r = single_cell(design, X, Y, r, c)
-                one = solver.statistics(ds.y[None, :, None], X[r:r + 1], grid, self.SPECS, qr)
+                one = solver.statistics(ds.y[None, :, None], qr, grid, self.SPECS)
                 for j, (kind, h) in enumerate(self.SPECS):
                     got = cell_fields(stacked, grid, self.SPECS, j, r, c)
                     assert got == cell_fields(single, grid, self.SPECS, j, 0, c)
@@ -749,9 +776,9 @@ class TestStackedReplicates:
         solver = ProfileSolver(design)
         values = default_lambda_grid(spectral_decompose(design)).values
         qr = stacked_qr(X)
-        stat, index, sigma2, _, errors = solver.statistics(Y, X, LambdaGrid(values), specs, qr)
+        stat, index, sigma2, _, errors = solver.statistics(Y, qr, LambdaGrid(values), specs)
         assert errors == {}
-        Q = qr[0]
+        Q = qr.Q
         proj, head, rss0 = exact_lrt._projected_spectrum(Q, design.B, Y)
         tail = np.maximum(rss0 - head.sum(axis=-1), 0.0)
         n, p = X.shape[1:]
@@ -773,7 +800,7 @@ class TestStackedReplicates:
         Y[2, :, 3] = X[2] @ np.arange(1.0, 5.0)
         solver = ProfileSolver(design)
         grid = default_lambda_grid(spectral_decompose(design))
-        stacked = solver.statistics(Y, X, grid, self.SPECS, stacked_qr(X))
+        stacked = solver.statistics(Y, stacked_qr(X), grid, self.SPECS)
         errors = stacked[4]
         assert list(errors) == [(1, c) for c in range(5)] + [(2, 3)]
         for c in range(5):
@@ -782,12 +809,11 @@ class TestStackedReplicates:
         with pytest.raises(ModelError, match="rank deficient"):
             observed_statistic(*single_cell(design, X, Y, 1, 0), "lrt", 0, grid)
         assert isinstance(errors[2, 3], DegenerateFitError)
-        assert str(errors[2, 3]) == "null fit is numerically perfect; statistic undefined"
+        assert str(errors[2, 3]) == "null fit is numerically perfect; error variance is not estimable"
         with pytest.raises(DegenerateFitError):
             observed_statistic(*single_cell(design, X, Y, 2, 3), "lrt", 0, grid)
         for r in (0, 2, 3):
-            single = solver.statistics(Y[r:r + 1], X[r:r + 1], grid, self.SPECS,
-                                       stacked_qr(X[r:r + 1]))
+            single = solver.statistics(Y[r:r + 1], stacked_qr(X[r:r + 1]), grid, self.SPECS)
             assert list(single[4]) == ([(0, 3)] if r == 2 else [])
             for c in range(5):
                 if (r, c) == (2, 3):
@@ -804,7 +830,7 @@ class TestStackedReplicates:
             with pytest.raises(ModelError) as info:
                 stacked_qr(X[:, :n])
             assert str(info.value) == f"need n > 4 rows to fit 4 coefficients, got n = {n}"
-        assert stacked_qr(X[:, :5])[2] == [None] * 3
+        assert stacked_qr(X[:, :5]).errors == [None] * 3
 
 
 class TestSpectralDenseEquivalence:

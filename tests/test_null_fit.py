@@ -79,21 +79,21 @@ class TestFitOls:
         Y[2, :, 1] = S[2] @ [1.0, -0.5] + 0.5 - t  # replicate 2's second column fits exactly
         datasets = [[Dataset(y=Y[r, :, c], S=S[r], t=t) for c in range(2)] for r in range(3)]
         X = np.stack([np.column_stack([S[r], np.ones(25), t]) for r in range(3)])
-        proj, fits = fit_ols_columns(Y, X, stacked_qr(X))
+        proj, fits = fit_ols_columns(Y, stacked_qr(X))
         assert sorted(fits.failed) == [(1, 0), (1, 1), (2, 1)]
         assert str(fits.failed[1, 0]) == "fixed-effects design is rank deficient (4 columns, rank 3)"
         assert isinstance(fits.failed[2, 1], DegenerateFitError)
         for r, c in [(0, 0), (0, 1), (2, 0)]:
             ds = datasets[r][c]
             fit = fit_ols(ds, design_for(ds))
-            one = fit_ols_columns(Y[r, None, :, c, None], X[r, None], stacked_qr(X[r, None]))[1]
+            one = fit_ols_columns(Y[r, None, :, c, None], stacked_qr(X[r, None]))[1]
             for name in ("beta", "fitted", "residuals"):
                 np.testing.assert_array_equal(getattr(fit, name), getattr(one.null_fit(0, 0), name))
                 np.testing.assert_allclose(getattr(fits.null_fit(r, c), name), getattr(fit, name),
                                            rtol=1e-12, atol=1e-12)
             assert fit.sigma2_eps == one.sigma2[0, 0]
             assert fits.sigma2[r, c] == pytest.approx(fit.sigma2_eps, rel=1e-12)
-            np.testing.assert_array_equal(proj.replicate(r).Q, stacked_qr(X)[0][r])
+            np.testing.assert_array_equal(proj.replicate(r).Q, stacked_qr(X).Q[r])
         for r, c in fits.failed:
             assert fits.sigma2[r, c] == 1.0 and not fits.residuals[r, :, c].any()
 
@@ -106,16 +106,14 @@ class TestFitOls:
             with pytest.raises(NumericalError, match="sum of squares of the response overflows"):
                 fit_ols(ds, design_for(ds))
 
-    def test_rank_deficient_design_rejected(self, rng):
-        """A hand-built design that skipped build_design's check: the fit
-        refuses it rather than return a minimum-norm solution."""
+    def test_rank_deficient_design_rejected(self):
+        """A hand-built design, made without build_design, is refused where it
+        is made, so no fit can return a minimum-norm solution."""
         t = np.linspace(0, 1, 12)
         A = np.column_stack([np.ones(12), t])
         X = np.column_stack([2.0 * t, A])  # the covariate duplicates t
-        ds = Dataset(y=rng.standard_normal(12), S=X[:, :1], t=t)
-        design = DesignMatrices(A=A, B=np.empty((12, 0)), X=X, knots=KnotSet(np.empty(0), 1), t=t)
         with pytest.raises(ModelError, match=r"rank deficient \(3 columns, rank 2\)"):
-            fit_ols(ds, design)
+            DesignMatrices(A=A, B=np.empty((12, 0)), X=X, knots=KnotSet(np.empty(0), 1), t=t)
 
 
 def clustered_dataset(n_clusters=6, size=5, shift=2.0, noise=0.5, seed=0, p=1):
