@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,42 +335,15 @@ def _cmd_null_sim(cfg: dict) -> int:
 
 
 def _cmd_report(cfg: dict) -> int:
-    from .sim_study import SimCell, SimConfig, SimReport
+    from .sim_study import SimReport
 
     if not cfg["input"]:
         raise ConfigError("--input is required")
     try:
-        lines = Path(cfg["input"]).read_text(encoding="utf-8-sig").strip().splitlines()
+        text = Path(cfg["input"]).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {cfg['input']}: {exc}") from None
-    header = lines[0].split(",") if lines else []
-    if header != SimReport.CSV_HEADER.split(","):
-        raise ConfigError(f"{cfg['input']}: not a study report CSV (header {header})")
-    cells = []
-    for row, line in enumerate(lines[1:], 2):
-        f = line.split(",")
-        try:
-            cells.append(SimCell(
-                test=f[0], m=int(f[1]), sigma=float(f[2]), c=float(f[3]), level=float(f[4]),
-                n_runs=int(f[5]), failures=int(f[6]), rejections=int(f[7]),
-            ))
-        except (IndexError, ValueError):
-            raise ConfigError(f"{cfg['input']}:{row}: malformed report row {line!r}") from None
-    if not cells:
-        raise ConfigError(f"{cfg['input']}: report CSV has no rows")
-
-    def ordered(values):
-        return tuple(dict.fromkeys(values))
-
-    config = SimConfig(
-        m_values=ordered(c.m for c in cells),
-        sigma_values=ordered(c.sigma for c in cells),
-        c_values=ordered(c.c for c in cells),
-        levels=ordered(c.level for c in cells),
-        tests=ordered(c.test for c in cells),
-        n_runs=max(c.n_runs for c in cells),
-    )
-    table = SimReport(cells=cells, config=config).to_table()
+    table = SimReport.from_csv(text, cfg["input"]).to_table()
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.txt").write_text(table, encoding="utf-8")
@@ -424,8 +398,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
+def _one_line_warning(message, *_) -> str:
+    """A warning as one ``warning: <message>`` line, like an error's line."""
+    return f"warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line_warning
     try:
         args = _parse_args(argv)
         try:
@@ -435,6 +415,8 @@ def main(argv: list[str] | None = None) -> int:
     except CovtestError as exc:
         print(f"{exc.category} error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

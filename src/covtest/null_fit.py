@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -204,9 +204,14 @@ def _fit_one(dataset: Dataset, design: DesignMatrices) -> OlsFits:
 
 def fit_null(dataset: Dataset, design: DesignMatrices) -> tuple[NullFit, RemlProjection]:
     """The null fit the score and cusum tests use, and its projection: the
-    random-intercept REML fit when the data have two or more clusters, else OLS."""
-    reml = dataset.cluster is not None and dataset.n_units >= 2
-    fit = (fit_reml_random_intercept if reml else fit_ols)(dataset, design)
+    random-intercept REML fit when the data have two or more clusters and one
+    of them two or more rows, else the OLS fit of independent rows, whose
+    ``cluster`` is None. One cluster, or clusters of one row each, carry no
+    intercept variance, and a one-cluster fit would resample one unit."""
+    if dataset.cluster is not None and 2 <= dataset.n_units < dataset.n:
+        fit = fit_reml_random_intercept(dataset, design)
+    else:
+        fit = replace(fit_ols(dataset, design), cluster=None)
     return fit, reml_projection(fit, design.X)
 
 

@@ -188,7 +188,6 @@ class SimReport:
 
     CSV_HEADER = "test,m,sigma,c,level,n_runs,failures,rejections,fraction,se"
     cells: list[SimCell]
-    config: SimConfig
     failure_messages: list[str] = field(default_factory=list)
     runtime_s: float = 0.0
 
@@ -210,24 +209,56 @@ class SimReport:
             )
         return "\n".join(lines) + "\n"
 
+    @classmethod
+    def from_csv(cls, text: str, source: str) -> SimReport:
+        """The report of a :meth:`to_csv` text. A ConfigError naming ``source`` rejects a
+        foreign header, no rows, a repeated cell and a row that lacks a number, has a
+        non-finite axis value, a negative count or n_runs < max(1, failures + rejections)."""
+        lines = text.strip().splitlines()
+        header = lines[0].split(",") if lines else []
+        if header != cls.CSV_HEADER.split(","):
+            raise ConfigError(f"{source}: not a study report CSV (header {header})")
+        cells: dict[tuple, SimCell] = {}  # in row order: row r holds entry r - 2
+        for row, line in enumerate(lines[1:], 2):
+            f = line.split(",")
+            try:
+                if len(f) != len(header):
+                    raise ValueError
+                cell = SimCell(f[0], int(f[1]), *map(float, f[2:5]), *map(int, f[5:8]))
+                finite = all(map(math.isfinite, (cell.sigma, cell.c, cell.level)))
+                float(f[8]) + float(f[9])  # fraction and se: numbers, but recomputed from the counts
+                if not (finite and min(cell.failures, cell.rejections) >= 0
+                        and cell.n_runs >= max(1, cell.failures + cell.rejections)):
+                    raise ValueError
+            except ValueError:
+                raise ConfigError(f"{source}:{row}: malformed report row {line!r}") from None
+            key = (cell.test, cell.m, cell.sigma, cell.c, cell.level)
+            if key in cells:
+                raise ConfigError(f"{source}:{row}: repeats the cell of row {list(cells).index(key) + 2}")
+            cells[key] = cell
+        if not cells:
+            raise ConfigError(f"{source}: report CSV has no rows")
+        return cls(cells=list(cells.values()))
+
     def to_table(self) -> str:
         """Aligned text table: one block per m, rows test within sigma within
         level, one column per departure level c (c = 0 is the empirical size).
-        A cell missing from the report reads n/a."""
-        cfg = self.config
+        Each axis is in its values' order of first appearance in the cells, the
+        run count is the largest cell's, and a cell missing from the report reads n/a."""
+        axes = list(zip(*self._index)) or [()] * 5
+        tests, m_values, sigmas, c_values, levels = (dict.fromkeys(values) for values in axes)
+        n_runs = max((cell.n_runs for cell in self.cells), default=0)
         out = []
-        for m in cfg.m_values:
-            out.append(f"empirical rejection rates, m = {m}, {cfg.n_runs} runs")
-            header = f"{'level':>6} {'sigma':>6} {'test':<6}" + "".join(
-                f"{f'c={c:g}':>8}" for c in cfg.c_values
-            )
+        for m in m_values:
+            out.append(f"empirical rejection rates, m = {m}, {n_runs} runs")
+            header = f"{'level':>6} {'sigma':>6} {'test':<6}" + "".join(f"{f'c={c:g}':>8}" for c in c_values)
             out.append(header)
             out.append("-" * len(header))
-            for level in cfg.levels:
-                for sigma in cfg.sigma_values:
-                    for test in cfg.tests:
+            for level in levels:
+                for sigma in sigmas:
+                    for test in tests:
                         row = f"{level:>6g} {sigma:>6g} {test:<6}"
-                        for c in cfg.c_values:
+                        for c in c_values:
                             cell = self._index.get((test, m, sigma, c, level))
                             row += f"{'n/a':>8}" if cell is None else f"{cell.fraction:>8.3f}"
                         out.append(row)
@@ -398,9 +429,4 @@ def run_study(config: SimConfig) -> SimReport:
         raise StudyError(
             f"{total_fail} of {total_apps} test applications failed (> 1%): {preview}"
         )
-    return SimReport(
-        cells=cells,
-        config=config,
-        failure_messages=all_messages,
-        runtime_s=time.perf_counter() - started,
-    )
+    return SimReport(cells=cells, failure_messages=all_messages, runtime_s=time.perf_counter() - started)

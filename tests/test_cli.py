@@ -132,6 +132,19 @@ class TestTestCommand:
         assert (out / "result_rlrt.json").read_bytes() == first
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_warning_is_one_line(self, null_csv, tmp_path):
+        """A warning reaches stderr as one ``warning:`` line, with no source location."""
+        out = tmp_path / "out"
+        args = ["test", "--input", null_csv, "--method", "rlrt", "--nsims", 500, "--out", out]
+        assert run(args) == 0
+        (entry,) = (out / "null_cache").glob("null_*.npz")
+        entry.write_bytes(entry.read_bytes()[:100])
+        proc = subprocess.run([sys.executable, "-m", "covtest.cli", *map(str, args)],
+                              capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0
+        assert proc.stderr == (f"warning: {entry}: unreadable null cache entry "
+                               "(File is not a zip file); simulating again\n")
+
     def test_foreign_cache_entry_is_replaced(self, null_csv, tmp_path, capsys):
         """An entry holding another seed's null under this request's name is not served."""
         out = tmp_path / "out"
@@ -315,6 +328,30 @@ class TestRejectedInputs:
 BOM = "\ufeff"  # the UTF-8 byte-order mark that Excel's "CSV UTF-8" writes
 
 
+class TestDegenerateClusters:
+    """One cluster, or clusters of one row each, carry no intercept variance:
+    score and cusum treat the rows as independent units, as without the column."""
+
+    @pytest.mark.parametrize("method", ["score", "cusum"])
+    @pytest.mark.parametrize("labels", ["one label", "one row each"])
+    def test_same_numbers_as_the_plain_file(self, tmp_path, method, labels):
+        ds = generate_dataset(200, 0.25, 4, seed=(1, 0))
+        cluster = np.zeros(200, dtype=int) if labels == "one label" else np.arange(200)[::-1]
+        save_csv(ds, tmp_path / "plain.csv")
+        save_csv(Dataset(y=ds.y, S=ds.S, t=ds.t, cluster=cluster), tmp_path / "clustered.csv")
+        results = []
+        for name, flags in [("plain", []), ("clustered", ["--cluster-col", "cluster"])]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, err = outcome(["test", "--input", tmp_path / f"{name}.csv", "--method", method,
+                                     "--resamples", 300, "--s-cols", "s1,s2", *flags,
+                                     "--out", tmp_path / name])
+            assert (code, err) == (0, "")
+            result = json.loads((tmp_path / name / f"result_{method}.json").read_text())
+            results.append((result["statistic"], result["p_value"]))
+        assert results[0] == results[1]
+
+
 class TestByteOrderMark:
     def test_data_file_gives_the_same_result(self, null_csv, tmp_path):
         """A BOM-prefixed copy of a data file, at the same path, gives the
@@ -431,7 +468,7 @@ class TestSimulateCommand:
     ], ids=["m", "sigma", "c", "levels", "tests"])
     def test_repeated_axis_value_is_config_error(self, tmp_path, capsys, flags, axis):
         """A repeated value would run its slice twice and write duplicate
-        report rows, which ``covtest report`` renders as another table."""
+        report rows, which ``covtest report`` refuses."""
         args = ["simulate", "--m", 30, "--sigma", "0.25", "--c", "0", "--runs", 3,
                 "--tests", "score", "--out", tmp_path / "sim"]
         assert run(args + flags) == 1
@@ -521,9 +558,17 @@ class TestReportCommand:
         assert "m = 30" in text and "score" in text
         assert text == (out / "report.txt").read_text()
 
-    @pytest.mark.parametrize(
-        "body", ["", "score,30,0.25,0,0.05,2,0\n", "score,x,0.25,0,0.05,2,0,1,0.5,0.3\n"]
-    )
+    @pytest.mark.parametrize("body", [
+        "",
+        "score,30,0.25,0,0.05,2,0\n",
+        "score,x,0.25,0,0.05,2,0,1,0.5,0.3\n",
+        "score,30,0.25,0,0.05,2,0,1,0.5,0.3,1\n",  # one field too many
+        "score,30,0.25,0,0.05,2,0,1,half,0.3\n",  # a fraction that is no number
+        "score,30,0.25,inf,0.05,2,0,1,0.5,0.3\n",  # a departure that is not finite
+        "score,30,0.25,0,0.05,0,0,0,nan,nan\n",  # no runs
+        "score,30,0.25,0,0.05,2,-1,1,0.5,0.3\n",  # a negative count
+        "score,30,0.25,0,0.05,2,1,2,2.0,nan\n",  # more failures and rejections than runs
+    ])
     def test_rejects_malformed_rows(self, tmp_path, capsys, body):
         bad = tmp_path / "r.csv"
         bad.write_text("test,m,sigma,c,level,n_runs,failures,rejections,fraction,se\n" + body)
@@ -546,6 +591,17 @@ class TestReportCommand:
         bad.write_text("a,b\n1,2\n")
         assert run(["report", "--input", bad, "--out", tmp_path]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_repeated_cell_is_one_config_error(self, tmp_path):
+        """Two rows of one cell are refused, not rendered with the last row's count."""
+        repeated = tmp_path / "r.csv"
+        repeated.write_text("test,m,sigma,c,level,n_runs,failures,rejections,fraction,se\n"
+                            "score,50,0.25,0,0.05,100,0,5,0.050000,0.021794\n"
+                            "score,50,0.25,1,0.05,100,0,9,0.090000,0.028618\n"
+                            "score,50,0.25,0,5e-2,100,0,7,0.070000,0.025515\n")
+        code, err = outcome(["report", "--input", repeated, "--out", tmp_path / "o"])
+        assert (code, err) == (1, f"config error: {repeated}:4: repeats the cell of row 2\n")
+        assert not (tmp_path / "o").exists()
 
 
 def src_env():
@@ -959,3 +1015,51 @@ class TestCliFuzz:
         assert code == 1
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+REPORT_HEADER = "test,m,sigma,c,level,n_runs,failures,rejections,fraction,se"
+REPORT_FAULTS = ("missing cell", "extra cell", "non-numeric count", "repeated cell")
+
+
+@st.composite
+def report_texts(draw):
+    """(text, faulty): valid report rows of distinct cells in a drawn order,
+    then up to two faults, each put on a drawn row."""
+    keys = draw(st.lists(st.tuples(
+        st.sampled_from(["score", "rlrt", "lrt1", "wavelet"]), st.sampled_from(["20", "50"]),
+        st.sampled_from(["0.25", "0.5"]), st.sampled_from(["0", "1", "2.5"]),
+        st.sampled_from(["0.05", "0.1"])), min_size=1, max_size=8, unique=True))
+    rows = []
+    for key in keys:
+        n_runs = draw(st.integers(1, 40))
+        failures = draw(st.integers(0, n_runs))
+        rejections = draw(st.integers(0, n_runs - failures))
+        rows.append([*key, str(n_runs), str(failures), str(rejections), "0.5", "0.1"])
+    faults = draw(st.lists(st.sampled_from(REPORT_FAULTS), max_size=2))
+    for fault in faults:
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "missing cell":
+            del rows[i][draw(st.integers(0, len(rows[i]) - 1))]
+        elif fault == "extra cell":
+            rows[i].append(draw(st.sampled_from(["", "1", "x"])))
+        elif fault == "non-numeric count":
+            rows[i][draw(st.integers(5, 7))] = draw(NOT_A_NUMBER)
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+    return "\n".join([REPORT_HEADER] + [",".join(row) for row in rows]) + "\n", bool(faults)
+
+
+class TestReportFuzz:
+    @given(case=report_texts())
+    def test_table_or_one_config_error_line(self, tmp_path_factory, case):
+        text, faulty = case
+        root = tmp_path_factory.mktemp("report")
+        (root / "r.csv").write_text(text)
+        code, err = outcome(["report", "--input", root / "r.csv", "--out", root / "out"])
+        assert "Traceback" not in err
+        if faulty:
+            assert code == 1 and err.startswith("config error: ") and err.count("\n") == 1
+            assert not (root / "out").exists()
+        else:
+            assert (code, err) == (0, "")
+            assert (root / "out" / "report.txt").read_text().startswith("empirical rejection rates, m = ")

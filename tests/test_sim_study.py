@@ -13,6 +13,8 @@ from covtest import (
     ConfigError,
     DataError,
     SimConfig,
+    SimCell,
+    SimReport,
     StudyError,
     build_design,
     fit_ols,
@@ -410,10 +412,13 @@ class TestRunStudy:
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_study(
-        tiny_config(tests=("score", "rlrt"), n_runs=4, c_values=(0, 2), levels=(0.05, 0.1))
-    )
+def report_config():
+    return tiny_config(tests=("score", "rlrt"), n_runs=4, c_values=(0, 2), levels=(0.05, 0.1))
+
+
+@pytest.fixture(scope="module")
+def report(report_config):
+    return run_study(report_config)
 
 
 class TestSimReport:
@@ -441,7 +446,27 @@ class TestSimReport:
         with pytest.raises(KeyError):
             report.get("cusum", 30, 0.25, 0, 0.05)
 
-    def test_config_echo_lines(self, report):
-        lines = report.config.lines()
+    def test_config_echo_lines(self, report_config):
+        lines = report_config.lines()
         assert "n_runs = 4" in lines
         assert any(line.startswith("tests = score,rlrt") for line in lines)
+
+    def test_from_csv_gives_back_the_csv_and_the_table(self):
+        """A five-test study over two m and two sigma, read back from its own CSV."""
+        report = run_study(tiny_config(
+            m_values=(30, 40), sigma_values=(0.25, 0.5), c_values=(0, 2), levels=(0.05, 0.1),
+            tests=("lrt1", "lrt2", "rlrt", "score", "cusum"), n_runs=3, n_sims_null=200,
+            cusum_resamples=20))
+        read = SimReport.from_csv(report.to_csv(), "x")
+        assert read.to_csv() == report.to_csv()
+        assert read.to_table() == report.to_table()
+
+    def test_table_axes_are_the_cells_first_appearance_order(self):
+        report = SimReport(cells=[
+            SimCell("score", 50, 0.5, 1, 0.1, 4, 0, 2), SimCell("wavelet", 20, 0.25, 0, 0.05, 7, 1, 3)])
+        lines = report.to_table().splitlines()
+        assert lines[0] == "empirical rejection rates, m = 50, 7 runs"
+        assert lines[1].split() == ["level", "sigma", "test", "c=1", "c=0"]
+        assert lines[3].split() == ["0.1", "0.5", "score", "0.500", "n/a"]
+        assert lines[4].split() == ["0.1", "0.5", "wavelet", "n/a", "n/a"]
+        assert SimReport(cells=[]).to_table() == ""
