@@ -118,8 +118,9 @@ def load_csv(path: str | Path, columns: ColumnMap = ColumnMap()) -> Dataset:
     """Load a dataset from a UTF-8 CSV file with a header row.
 
     Comma delimiter, '.' decimal separator, an optional byte-order mark. Row
-    order is preserved. Raises ConfigError for a missing file or column and a
-    header that names a column twice, and DataError for a file that cannot be
+    order is preserved. Raises ConfigError for a missing file or column, a
+    header that names a column twice and a column given two of the roles y, t,
+    s and cluster, and DataError for a file that cannot be
     read or decoded and for unusable cells, naming the offending row and
     column; an empty cluster label is unusable.
     """
@@ -154,6 +155,11 @@ def load_csv(path: str | Path, columns: ColumnMap = ColumnMap()) -> Dataset:
     else:
         taken = {iy, it} | ({icl} if icl is not None else set())
         i_s = [i for i in range(len(header)) if i not in taken]
+    used = [iy, it, *i_s, *([] if icl is None else [icl])]
+    shared = next((i for k, i in enumerate(used) if i in used[:k]), None)
+    if shared is not None:
+        raise ConfigError(f"{path}: column {header[shared]!r} is given more than one of the roles "
+                          "y, t, s and cluster")
 
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -29,7 +29,7 @@ import numpy as np
 from .data_io import Dataset
 from .errors import ConfigError, ModelError, NumericalError
 from .rng import SeedLike, chunked_streams
-from .spline_basis import DesignMatrices, FactoredStack, failed_cells
+from .spline_basis import DesignMatrices, FactoredStack, failed_cells, stacked_spectrum
 
 __all__ = [
     "SpectralCache",
@@ -50,7 +50,6 @@ __all__ = [
     "load_null_distribution",
 ]
 
-_EIG_CLIP_REL = 1e-12
 _ZERO_STAT = 1e-12
 _SIM_CHUNK = 1024
 # Part of every null-cache key: raise it whenever simulate_null's draws change,
@@ -152,38 +151,27 @@ def _sha(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
-def _eig_desc_clipped(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues of the symmetrized gram(s), those below _EIG_CLIP_REL of the largest
-    set to 0, and eigenvectors in that order; eigvalsh's values, as eigh's differ in the last bits."""
-    sym = 0.5 * (gram + gram.swapaxes(-1, -2))
-    try:
-        eigs, vectors = np.linalg.eigvalsh(sym)[..., ::-1], np.linalg.eigh(sym)[1][..., ::-1]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    return np.where(eigs < _EIG_CLIP_REL * np.maximum(eigs[..., :1], 0.0), 0.0, eigs), vectors
-
-
-def _projected_spectrum(Q: np.ndarray, B: np.ndarray, Y: np.ndarray):
-    """For Q the QR factor of X (R x n x p), B (n x K) and Y (R x n x C): mu, the clipped
-    eigenvalues of B'P0B (R x K); (y'P0B w)^2 / mu along their eigenvectors w (R x C x K), or 0
+def _coordinates(Q: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray], Y: np.ndarray):
+    """For Q the QR factor of X (R x n x p), its spectrum (mu, P0B W) from
+    ``spline_basis.stacked_spectrum`` and Y (R x n x C): mu; (y'P0B w)^2 / mu (R x C x K), or 0
     where mu is clipped, leaving that energy in the tail; and ||P0 y||^2 (R x C). A slice is bit
     for bit its own call's. P0B w, unlike w'B'P0y, keeps P0y's rounding inside span(X) out."""
-    R, PB = (a - Q @ (Q.swapaxes(-1, -2) @ a) for a in (Y, B))
-    mu, W = _eig_desc_clipped(B.T @ PB)
-    coords = R.swapaxes(-1, -2) @ (PB @ W)
+    mu, PBW = spectrum
+    R = Y - Q @ (Q.swapaxes(-1, -2) @ Y)
+    coords = R.swapaxes(-1, -2) @ PBW
     head = np.divide(coords**2, mu[..., None, :], out=np.zeros_like(coords), where=mu[..., None, :] > 0)
     return mu, head, np.einsum("...ij,...ij->...j", R, R)
 
 
 def spectral_decompose(design: DesignMatrices) -> SpectralCache:
-    """Eigenvalues of B'P0B (the bits observed_statistic reads) and B'B for the exact null sampler."""
+    """The design's eigenvalues of B'P0B and B'B (``DesignMatrices.spectrum`` and
+    ``raw_eigs``, the bits observed_statistic reads) for the exact null sampler."""
     X, B = design.X, design.B
     if B.shape[1] < 1:
         raise ConfigError("spectral decomposition needs at least one knot")
-    (proj_eigs,), _, _ = _projected_spectrum(design.qr.Q, B, np.empty((1, X.shape[0], 0)))
     return SpectralCache(
-        proj_eigs=proj_eigs,
-        raw_eigs=_eig_desc_clipped(B.T @ B)[0],
+        proj_eigs=design.spectrum[0][0],
+        raw_eigs=design.raw_eigs,
         n_obs=X.shape[0],
         n_cov=X.shape[1] - design.degree - 1,
         degree=design.degree,
@@ -199,20 +187,19 @@ def spectral_coordinates(design: DesignMatrices, y: np.ndarray) -> tuple[np.ndar
     :func:`profile_terms` reproduces the dense profiled likelihood exactly.
     """
     y = np.asarray(y, dtype=float)[None, :, None]
-    _, ((head,),), ((rss0,),) = _projected_spectrum(design.qr.Q, design.B, y)
+    _, ((head,),), ((rss0,),) = _coordinates(design.qr.Q, design.spectrum, y)
     return head, float(max(rss0 - head.sum(), 0.0))
 
 
-def default_lambda_grid(cache: SpectralCache | np.ndarray) -> LambdaGrid:
+def default_lambda_grid(cache: SpectralCache) -> LambdaGrid:
     """{0} followed by 200 log-spaced ratios from 1e-6 to 1e8, divided by the
-    mean of B'B's eigenvalues (the cache's ``raw_eigs``, or the array given).
+    mean of B'B's eigenvalues (the cache's ``raw_eigs``).
 
     Scaling by 1/mean(raw_eigs) makes the grid adaptive to the design's
     overall spline energy. The same grid must be used for observed statistics
     and for the null simulation so that grid coarseness cancels.
     """
-    raw = cache.raw_eigs if isinstance(cache, SpectralCache) else np.asarray(cache, dtype=float)
-    mean_eig = float(raw.mean()) if raw.size else 0.0
+    mean_eig = float(cache.raw_eigs.mean()) if cache.raw_eigs.size else 0.0
     if mean_eig <= 0:
         raise ModelError("spline basis is identically zero; cannot build a lambda grid")
     return LambdaGrid(np.concatenate([[0.0], np.logspace(-6, 8, 200) / mean_eig]))
@@ -284,12 +271,13 @@ def _grid_max(scaled: np.ndarray, mult: int) -> tuple[np.ndarray, np.ndarray]:
 class ProfileSolver:
     """Observed LRT/RLRT statistics for one spline basis B.
 
-    Holds B, the spline degree and the eigenvalues of B'B, clipped as the null
-    sampler's are (see :func:`spectral_decompose`). A call takes a stack of
-    replicates: one thin QR of each X, the sampler's eigenpairs of each K x K
-    gram B'P0B (:func:`_projected_spectrum`) and one K x G product for the
-    residual energy on the grid, shared by every (kind, h) pair and response
-    column of that X. Each kind scales that energy by its penalty and takes its
+    Holds the design, whose B, spline degree and eigenvalues of B'B it reads
+    (``DesignMatrices.raw_eigs``, the null sampler's). A call takes a stack of
+    replicates: one thin QR of each X, the eigenpairs of each K x K gram B'P0B
+    (``spline_basis.stacked_spectrum``, or the design's own ``spectrum`` when
+    the stack is the design's ``qr``) and one K x G product for the residual
+    energy on the grid, shared by every (kind, h) pair and response column of
+    that X. Each kind scales that energy by its penalty and takes its
     maximum by the step :func:`simulate_null` takes (:func:`_grid_max`), so the
     observed statistic and its null are one profile functional of one spectrum.
     A study reuses the solver across replicates, where B is fixed, passing a
@@ -297,8 +285,7 @@ class ProfileSolver:
     """
 
     def __init__(self, design: DesignMatrices):
-        self.B, self.degree = design.B, design.degree
-        self.raw_eigs = _eig_desc_clipped(self.B.T @ self.B)[0]
+        self.design, self.raw_eigs = design, design.raw_eigs
 
     def statistics(
         self, Y: np.ndarray, factored: FactoredStack, grid: LambdaGrid, specs: list[tuple[str, int]]
@@ -317,16 +304,17 @@ class ProfileSolver:
         columns of Q, the term :func:`simulate_null` draws as chi-square(h),
         so h lies in 0..degree as there.
         """
-        Q = factored.Q
+        Q, design = factored.Q, self.design
         n, p = Q.shape[-2:]
         if Y.shape[1] != n:
             raise ConfigError(f"design has {n} rows but dataset has {Y.shape[1]}")
         for kind, h in specs:
-            _check_h(kind, h, self.degree)
+            _check_h(kind, h, design.degree)
         out = np.zeros((4, len(specs), Y.shape[0], Y.shape[2]))
         values = grid.values
         with np.errstate(over="ignore", invalid="ignore"):  # failed_cells reports an overflow
-            proj, head, rss0 = _projected_spectrum(Q, self.B, Y)
+            own = factored is design.qr
+            proj, head, rss0 = _coordinates(Q, design.spectrum if own else stacked_spectrum(Q, design.B), Y)
             extras = {h: ((Q[..., p - h:].swapaxes(-1, -2) @ Y) ** 2).sum(axis=-2) for _, h in specs}
             failed, errors = failed_cells(factored, rss0, np.einsum("...ij,...ij->...j", Y, Y))
         # A failed cell is swept with no spline energy and unit energy in the
@@ -372,10 +360,9 @@ def observed_statistic(
     fixed effects in closed form at each grid ratio. The statistic is >= 0
     (see :func:`_grid_max`); ``h`` lies in 0..degree, and is 0 for the RLRT.
     """
-    solver = ProfileSolver(design)
     if grid is None:
-        grid = default_lambda_grid(solver.raw_eigs)
-    *cell, errors = solver.statistics(dataset.y[None, :, None], design.qr, grid, [(kind, h)])
+        grid = default_lambda_grid(spectral_decompose(design))
+    *cell, errors = ProfileSolver(design).statistics(dataset.y[None, :, None], design.qr, grid, [(kind, h)])
     if errors:
         raise errors[0, 0]
     stat, k, sigma2, rss_null = (a.item() for a in cell)

@@ -212,7 +212,7 @@ def fit_null(dataset: Dataset, design: DesignMatrices) -> tuple[NullFit, RemlPro
         fit = fit_reml_random_intercept(dataset, design)
     else:
         fit = replace(fit_ols(dataset, design), cluster=None)
-    return fit, reml_projection(fit, design.X)
+    return fit, reml_projection(fit, design.qr)
 
 
 def fit_ols_columns(Y: np.ndarray, factored: FactoredStack) -> tuple[RemlProjection, OlsFits]:
@@ -346,14 +346,16 @@ def _log_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     return math.exp(x)
 
 
-def reml_projection(fit: NullFit, X: np.ndarray) -> RemlProjection:
+def reml_projection(fit: NullFit, X: np.ndarray | FactoredStack) -> RemlProjection:
     """P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1 for the fitted covariance.
 
     Symmetric, annihilates the columns of X, and satisfies P V P = P. Only the
-    checked thin QR of V^-1/2 X is computed (:func:`~covtest.spline_basis.checked_qr`,
+    checked thin QR of V^-1/2 X is used (:func:`~covtest.spline_basis.checked_qr`,
     which raises the ModelError of an X that cannot be fit); see :class:`RemlProjection`.
+    ``X`` is the design or its checked QR (``DesignMatrices.qr``). At ratio 0,
+    V^-1/2 X = X / sigma: X's QR with R over sigma, the same bits from either.
     """
-    X = np.asarray(X, dtype=float)
+    factored, X = (X, X.X[0]) if isinstance(X, FactoredStack) else (None, np.asarray(X, dtype=float))
     if X.shape[0] != fit.n:
         raise ConfigError(f"design has {X.shape[0]} rows but the fit has {fit.n}")
     if fit.ratio > 0.0 and fit.cluster is None:
@@ -367,7 +369,11 @@ def reml_projection(fit: NullFit, X: np.ndarray) -> RemlProjection:
     cond = 1.0 + fit.ratio * float(sizes.max())
     if cond > 1e12:
         raise NumericalError(f"fitted covariance is ill-conditioned (cond = {cond:.3e})")
-    _, (Q,), (R,), _ = checked_qr(_whiten(X, fit.sigma2_eps, fit.ratio, cluster, sizes))
+    if fit.ratio > 0.0:
+        _, (Q,), (R,), _ = checked_qr(_whiten(X, fit.sigma2_eps, fit.ratio, cluster, sizes))
+    else:
+        _, (Q,), (R,), _ = checked_qr(X) if factored is None else factored
+        R = R / math.sqrt(fit.sigma2_eps)
     return RemlProjection(
         sigma2=fit.sigma2_eps, ratio=fit.ratio, cluster=cluster, sizes=sizes, X=X, Q=Q, R=R
     )

@@ -8,13 +8,8 @@ replicate, variate role), so the generated data do not depend on which tests
 are enabled, on the execution order, or on the worker count. The streams do
 not depend on sigma or c either, so the noise and departure levels of a
 replicate share S, t and the noise draw z, hence one draw and one X per
-spline degree. Replicates run in blocks of ``_BLOCK``, and a block is one set
-of arrays with a replicate axis R and a column axis of every (sigma, c): its
-responses (R x m x SC), one stacked QR per spline degree, the LRT/RLRT
-statistics of one stacked decomposition per degree, one stacked OLS fit and
-the score statistics of one kernel application, which fill one test x
-replicate x column array of p-values. Only the cusum resampling and the
-per-replicate data draw run per replicate.
+spline degree. Replicates run in blocks, each one set of arrays with a
+replicate axis and a column axis of every (sigma, c) (see :func:`_run_block`).
 """
 
 from __future__ import annotations
@@ -129,8 +124,6 @@ class SimConfig:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
-        if not self.c_values:
-            raise ConfigError("c_values needs at least one departure level")
         if not all(math.isfinite(c) for c in self.c_values):
             raise ConfigError(f"departure levels must be finite, got {list(self.c_values)}")
         if not all(math.isfinite(s) and s > 0 for s in self.sigma_values):
@@ -144,8 +137,11 @@ class SimConfig:
             raise ConfigError(f"unknown tests {unknown}; known: {list(KNOWN_TESTS)}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        for axis in ("m_values", "sigma_values", "c_values", "levels", "tests"):
+        for axis, noun in (("m_values", "sample size"), ("sigma_values", "noise level"),
+                           ("c_values", "departure level"), ("levels", "nominal level"), ("tests", "test")):
             values = getattr(self, axis)
+            if not values:
+                raise ConfigError(f"{axis} needs at least one {noun}")
             if len(set(values)) < len(values):
                 raise ConfigError(f"{axis} lists a value more than once: {list(values)}")
 
@@ -272,8 +268,9 @@ def _study_fixtures(config: SimConfig, m: int):
     spline degree used (1 for score and cusum), the design of one draw, whose
     A and B every replicate shares as t is the same grid, with knots only for
     an LRT degree, since score and cusum read X alone; per LRT degree, a
-    ProfileSolver, the lambda grid and each variant's null distribution. The
-    variants of a degree form a group, evaluated in one call for all c.
+    ProfileSolver, the lambda grid and each variant's null distribution, all
+    read from that design's one spectrum. The variants of a degree form a
+    group, evaluated in one call for all c.
     Building a design raises the ModelError of an m too small to fit it."""
     base = generate_dataset(m, config.sigma_values[0], 0, (config.seed, 0))
     lrt = [(vi, name, *_LRT_VARIANTS[name]) for vi, name in enumerate(config.tests)
@@ -285,14 +282,13 @@ def _study_fixtures(config: SimConfig, m: int):
     groups: dict[int, list[tuple[int, str, str, int]]] = {}
     fixtures: dict = {"designs": designs, "lrt_groups": groups}
     for vi, name, kind, d, h in lrt:
+        cache = spectral_decompose(designs[d])  # reads the design's one spectrum
         if d not in groups:
-            fixtures[("cache", d)] = spectral_decompose(designs[d])
             fixtures[("solver", d)] = ProfileSolver(designs[d])
-            fixtures[("grid", d)] = default_lambda_grid(fixtures[("cache", d)])
+            fixtures[("grid", d)] = default_lambda_grid(cache)
         fixtures[("null", name)] = simulate_null_cached(
-            fixtures[("cache", d)], kind, h, fixtures[("grid", d)], config.n_sims_null,
-            seed=(config.seed, 9000 + vi), cache_dir=config.cache_dir,
-        )
+            cache, kind, h, fixtures[("grid", d)], config.n_sims_null,
+            seed=(config.seed, 9000 + vi), cache_dir=config.cache_dir)
         groups.setdefault(d, []).append((vi, name, kind, h))
     if "score" in config.tests:
         fixtures["kernel"] = smoother_kernel(base.t, 1, NATURAL_SPLINE)
@@ -393,8 +389,6 @@ def run_study(config: SimConfig) -> SimReport:
     started = time.perf_counter()
     cells: list[SimCell] = []
     all_messages: list[str] = []
-    total_fail = 0
-    total_apps = 0
     for m in config.m_values:
         fixtures = _study_fixtures(config, m)
         blocks = [range(start, min(start + _BLOCK, config.n_runs))
@@ -421,12 +415,11 @@ def run_study(config: SimConfig) -> SimReport:
                             test=test, m=m, sigma=sigma, c=c, level=level, n_runs=config.n_runs,
                             failures=int(fails[ti, si, ci]), rejections=int(counts[ti, si, ci, li]),
                         ))
-        total_fail += int(fails.sum())
-        total_apps += fails.size * config.n_runs
         del fixtures  # this m's nulls and their sorted copies, before the next m's are simulated
-    if total_apps and total_fail > 0.01 * total_apps:
-        preview = "; ".join(all_messages[:5])
-        raise StudyError(
-            f"{total_fail} of {total_apps} test applications failed (> 1%): {preview}"
-        )
+    # Each application is counted once per level; SimConfig makes every axis non-empty.
+    total_fail, total_apps = (sum(cell.failures for cell in cells) // len(config.levels),
+                              len(cells) // len(config.levels) * config.n_runs)
+    if total_fail > 0.01 * total_apps:
+        raise StudyError(f"{total_fail} of {total_apps} test applications failed (> 1%): "
+                         f"{'; '.join(all_messages[:5])}")
     return SimReport(cells=cells, failure_messages=all_messages, runtime_s=time.perf_counter() - started)

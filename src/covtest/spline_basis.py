@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "build_design",
     "checked_qr",
     "stacked_qr",
+    "stacked_spectrum",
     "failed_cells",
     "smoother_kernel",
 ]
@@ -74,7 +76,9 @@ class DesignMatrices:
     ``X = [S | A]`` the combined fixed-effects design. ``qr`` is X's checked
     thin QR as a one-design stack, taken when the design is made, so a design
     that cannot be fit raises its ModelError there (:func:`checked_qr`), and
-    ``dataclasses.replace`` with a new X factors the new X.
+    ``dataclasses.replace`` with a new X factors the new X. ``spectrum`` (the
+    :func:`stacked_spectrum` of ``qr``) and ``raw_eigs`` (B'B's eigenvalues)
+    are computed on first use and kept, so a replaced design computes its own.
     """
 
     A: np.ndarray
@@ -86,6 +90,14 @@ class DesignMatrices:
 
     def __post_init__(self):
         object.__setattr__(self, "qr", checked_qr(self.X))
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        return stacked_spectrum(self.qr.Q, self.B)
+
+    @cached_property
+    def raw_eigs(self) -> np.ndarray:
+        return _clipped_eigs(self.B.T @ self.B)[0]
 
     @property
     def degree(self) -> int:
@@ -266,6 +278,30 @@ def stacked_qr(X: np.ndarray) -> FactoredStack:
     return FactoredStack(X, Q, R, errors)
 
 
+_EIG_CLIP_REL = 1e-12
+
+
+def _clipped_eigs(gram: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Descending eigenvalues of the symmetrized gram(s), those below _EIG_CLIP_REL of the largest set
+    to 0, and if ``vectors`` eigh's eigenvectors in that order; eigvalsh's values, as eigh's differ."""
+    sym = 0.5 * (gram + gram.swapaxes(-1, -2))
+    try:
+        eigs = np.linalg.eigvalsh(sym)[..., ::-1]
+        W = np.linalg.eigh(sym)[1][..., ::-1] if vectors else None
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    return np.where(eigs < _EIG_CLIP_REL * np.maximum(eigs[..., :1], 0.0), 0.0, eigs), W
+
+
+def stacked_spectrum(Q: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The projected spectrum of designs X with thin QR factors Q (R x n x p) and spline basis B
+    (n x K), one eigvalsh and one eigh of the stack of grams B'P0B = W diag(mu) W', P0B = B - QQ'B:
+    mu (R x K) and P0B W (R x n x K). A slice is bit for bit its own design's."""
+    PB = B - Q @ (Q.swapaxes(-1, -2) @ B)
+    mu, W = _clipped_eigs(B.T @ PB, vectors=True)
+    return mu, PB @ W
+
+
 def checked_qr(X: np.ndarray) -> FactoredStack:
     """:func:`stacked_qr` of one n x p design as a one-design stack; raises its ModelError."""
     factored = stacked_qr(X[None])
@@ -323,8 +359,8 @@ def smoother_kernel(
     """
     t = np.asarray(t, dtype=float)
     if kind == PENALIZED_GRAM:
-        if knots is None:
-            raise ConfigError("penalized-gram kernel requires a knot set")
+        if knots is None or not knots.knots.size:
+            raise ConfigError("penalized-gram kernel needs at least one knot")
         return GramKernel(_trunc_basis(t, knots))
     if kind == NATURAL_SPLINE:
         lo, hi = float(t.min()), float(t.max())

@@ -38,6 +38,27 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def counted_calls(monkeypatch, name, record):
+    """Wrap spline_basis's function ``name`` in every covtest module that holds
+    it, so that each call passes its first argument to ``record`` first."""
+    import importlib
+    import pkgutil
+
+    import covtest
+    from covtest import spline_basis
+
+    real = getattr(spline_basis, name)
+
+    def counted(first, *rest):
+        record(first)
+        return real(first, *rest)
+
+    for info in pkgutil.iter_modules(covtest.__path__):
+        module = importlib.import_module(f"covtest.{info.name}")
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+
+
 class TestTestCommand:
     def test_score_on_null_data(self, null_csv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -63,33 +84,47 @@ class TestTestCommand:
     ])
     def test_design_is_factored_once(self, tmp_path, monkeypatch, args):
         """build_design's checked QR of X serves every later step of a call:
-        the spectral decomposition, the observed statistic and the null fits.
-        Score and cusum take one more checked QR, of V^-1/2 X for the projection."""
-        import importlib
-        import pkgutil
-
-        import covtest
-        from covtest import spline_basis
-
+        the spectral decomposition, the observed statistic, the null fits and,
+        at rho-hat = 0, the projection, whose V^-1/2 X is X / sigma. Score and
+        cusum on clustered data, where rho-hat > 0, take one more checked QR,
+        of V^-1/2 X for the projection."""
         factored = []
-        real = spline_basis.stacked_qr
+        counted_calls(monkeypatch, "stacked_qr", lambda X: factored.append(X.copy()))
+        ds = self.run_on_clustered(tmp_path, args)
+        degree = args[args.index("--degree") + 1] if "--degree" in args else 1
+        A = np.vander(ds.t, degree + 1, increasing=True)  # X = [S | A]; V^-1/2 X scales A
+        assert [np.array_equal(stack[0, :, -A.shape[1]:], A) for stack in factored] == (
+            [True, False] if "--cluster-col" in args else [True])
 
-        def counted(X):
-            factored.append(X.copy())
-            return real(X)
+    @pytest.mark.parametrize("args", [["--method", "rlrt"], ["--method", "lrt", "--degree", 2, "--h", 1]])
+    def test_one_spectrum_per_lrt_call(self, tmp_path, monkeypatch, args):
+        """An LRT or RLRT call computes the design's spectrum once, for the
+        null sampler and the observed statistic alike: one projected spectrum,
+        whose gram B'P0B takes one eigvalsh and one eigh, and one eigvalsh of B'B."""
+        spectra, solvers = [], []
+        counted_calls(monkeypatch, "stacked_spectrum", spectra.append)
 
-        for info in pkgutil.iter_modules(covtest.__path__):
-            module = importlib.import_module(f"covtest.{info.name}")
-            if getattr(module, "stacked_qr", None) is real:
-                monkeypatch.setattr(module, "stacked_qr", counted)
+        def counted(name, real):
+            def call(a):
+                solvers.append(name)
+                return real(a)
+            return call
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        self.run_on_clustered(tmp_path, args)
+        assert len(spectra) == 1
+        assert sorted(solvers) == ["eigh", "eigvalsh", "eigvalsh"]
+
+    @staticmethod
+    def run_on_clustered(tmp_path, args):
+        """Run ``covtest test`` with ``args`` on a 40-row file with a cluster
+        column (a covariate unless --cluster-col names it); return its data."""
         ds = generate_dataset(40, 0.25, 2, seed=(16, 0))
         save_csv(Dataset(y=ds.y, S=ds.S, t=ds.t, cluster=np.arange(40) % 8), tmp_path / "in.csv")
         assert run(["test", "--input", tmp_path / "in.csv", "--knots", 8, "--nsims", 200,
                     "--resamples", 50, "--out", tmp_path / "o", *args]) == 0
-        degree = args[args.index("--degree") + 1] if "--degree" in args else 1
-        A = np.vander(ds.t, degree + 1, increasing=True)  # X = [S | A]; V^-1/2 X scales A
-        assert [np.array_equal(stack[0, :, -A.shape[1]:], A) for stack in factored] == (
-            [True] if args[1] in ("lrt", "rlrt") else [True, False])
+        return ds
 
     def test_rlrt_outputs_byte_identical(self, null_csv, tmp_path):
         out = tmp_path / "a"
@@ -710,6 +745,17 @@ class TestParseErrors:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+
+    def test_penalized_kernel_without_knots(self, null_csv, tmp_path):
+        code, err = outcome(["test", "--input", null_csv, "--method", "score", "--kernel", "penalized",
+                             "--knots", 0, "--out", tmp_path / "o"])
+        assert (code, err) == (1, "config error: penalized-gram kernel needs at least one knot\n")
+
+    def test_column_with_two_roles(self, null_csv, tmp_path):
+        code, err = outcome(["test", "--input", null_csv, "--method", "cusum", "--cluster-col", "y",
+                             "--out", tmp_path / "o"])
+        assert (code, err) == (1, f"config error: {null_csv}: column 'y' is given more than one "
+                                  "of the roles y, t, s and cluster\n")
 
     def test_inapplicable_key_named(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

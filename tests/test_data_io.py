@@ -48,6 +48,22 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no data rows"):
             load_csv(path)
 
+    @pytest.mark.parametrize("columns, name", [
+        (ColumnMap(y="y", t="y"), "y"),
+        (ColumnMap(s=("y",)), "y"),
+        (ColumnMap(s=("t",)), "t"),
+        (ColumnMap(s=("s1", "s1")), "s1"),
+        (ColumnMap(cluster="y"), "y"),
+        (ColumnMap(t="g", cluster="g"), "g"),
+    ])
+    def test_column_fills_one_role(self, tmp_path, columns, name):
+        """y, t, each s column and the cluster column are distinct header columns."""
+        path = write(tmp_path, "y,t,s1,g\n1.0,0.1,2.0,1\n2.0,0.2,3.0,2\n")
+        with pytest.raises(ConfigError) as info:
+            load_csv(path, columns)
+        assert str(info.value) == (f"{path}: column {name!r} is given more than one of the roles "
+                                   "y, t, s and cluster")
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_csv(tmp_path / "nope.csv")

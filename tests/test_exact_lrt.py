@@ -39,7 +39,7 @@ from covtest.exact_lrt import (
     null_distribution_key,
     save_null_distribution,
 )
-from covtest.spline_basis import PERFECT_FIT_REL, DesignMatrices, KnotSet, stacked_qr
+from covtest.spline_basis import PERFECT_FIT_REL, DesignMatrices, KnotSet, stacked_qr, stacked_spectrum
 from oracles import gamma_chisquare, log1p_ratio_null, log1p_ratio_sweep
 
 
@@ -100,11 +100,15 @@ class TestLambdaGrid:
         with pytest.raises(ConfigError, match="increasing"):
             LambdaGrid(np.array([0.0, 1.0, 1.0]))
 
+    @staticmethod
+    def cache_of(raw_eigs):
+        return SpectralCache(proj_eigs=raw_eigs, raw_eigs=raw_eigs, n_obs=10, n_cov=0, degree=1,
+                             n_knots=raw_eigs.size)
+
     def test_default_grid_shape_and_scale(self):
         """{0} and 200 log-spaced ratios on (1e-6, 1e8) over the mean eigenvalue,
         with the bits of the grid written with explicit log10 ends."""
-        eigs = np.array([4.0, 2.0])  # mean 3
-        grid = default_lambda_grid(eigs)
+        grid = default_lambda_grid(self.cache_of(np.array([4.0, 2.0])))  # mean 3
         assert grid.values[0] == 0.0
         assert grid.values.size == 201
         assert grid.values[1] == pytest.approx(1e-6 / 3.0)
@@ -114,7 +118,7 @@ class TestLambdaGrid:
 
     def test_zero_basis_rejected(self):
         with pytest.raises(Exception, match="identically zero"):
-            default_lambda_grid(np.zeros(3))
+            default_lambda_grid(self.cache_of(np.zeros(3)))
 
     def test_simulate_needs_positive_sims(self):
         ds, design = make_design(30, 1, 1, 4, seed=2)
@@ -157,8 +161,7 @@ class TestSpectralDecompose:
         """The observed statistic uses the eigenvalues of B'B and of B'P0B the
         null sampler uses, bit for bit: descending, with the same clipping of a
         near-zero eigenvalue (here from two almost equal basis columns). Those
-        of B'P0B are the ones the solver sweeps with on the one-replicate stack
-        observed_statistic passes."""
+        of B'P0B are also the ones a study's sweep takes on a stack of the same X."""
         designs = [make_design(40, 1, 1, 6, seed=9)[1]]
         for m in (30, 100, 2000):
             ds = generate_dataset(m, 0.25, 2, seed=(8, m))
@@ -169,8 +172,7 @@ class TestSpectralDecompose:
         for d in designs + [near]:
             cache = spectral_decompose(d)
             np.testing.assert_array_equal(ProfileSolver(d).raw_eigs, cache.raw_eigs)
-            y = rng.standard_normal(d.X.shape[0])
-            (proj,), _, _ = exact_lrt._projected_spectrum(d.qr.Q, d.B, y[None, :, None])
+            (proj,), _ = stacked_spectrum(stacked_qr(d.X[None]).Q, d.B)
             assert proj.tobytes() == cache.proj_eigs.tobytes()
         assert spectral_decompose(near).raw_eigs[-1] == 0.0
 
@@ -539,12 +541,15 @@ class TestObservedStatistic:
     def test_replaced_X_is_factored_anew(self):
         """dataclasses.replace with a new X factors the new X: the spectral
         cache, the observed statistics and the OLS fit are bit for bit those of
-        build_design on the dataset that X belongs to."""
+        build_design on the dataset that X belongs to. The design's kept
+        spectrum is not carried over: the replaced design has the new X's."""
         ds, design = make_design(80, 2, 1, 8, seed=45)
         plain = Dataset(y=ds.y, S=np.empty((80, 0)), t=ds.t)  # X = [1 | t], the intercept and t
+        _, old = design.spectrum  # P0B W, kept by the design before it is replaced
         built, swapped = build_design(plain, design.knots), replace(design, X=design.A)
         cache = spectral_decompose(built)
         assert spectral_decompose(swapped).proj_eigs.tobytes() == cache.proj_eigs.tobytes()
+        assert swapped.spectrum[1].tobytes() == built.spectrum[1].tobytes() != old.tobytes()
         grid = default_lambda_grid(cache)
         for kind, h in (("rlrt", 0), ("lrt", 0), ("lrt", 1)):
             assert (observed_statistic(plain, swapped, kind, h, grid)
@@ -616,7 +621,7 @@ class TestObservedStatistic:
         # Q[..., p + 1:], wrapping to some other h's statistic.
         ds, design = make_design(30, 2, 1, 4, seed=41)
         solver = ProfileSolver(design)
-        grid = default_lambda_grid(solver.raw_eigs)
+        grid = default_lambda_grid(spectral_decompose(design))
         p = design.X.shape[-1]
         assert (design.degree, p) == (1, 4)
         bad = [("lrt", design.degree + 1), ("lrt", p - 1), ("lrt", p), ("lrt", -1),
@@ -651,15 +656,14 @@ def test_statistics_and_null_samples_never_negative(data):
                                 fixed + noise - Q @ (Q.T @ noise),      # lambda-hat = 0
                                 design.B @ rng.standard_normal(k) + 1e-9 * noise,
                                 fixed + 1e-11 * np.linalg.norm(fixed) * noise])
-    solver = ProfileSolver(design)
-    grid = default_lambda_grid(solver.raw_eigs)
+    cache = spectral_decompose(design)
+    grid = default_lambda_grid(cache)
     specs = [("lrt", h), ("lrt", 0), ("rlrt", 0)]
-    stat, *_, failed = solver.statistics(Y, stacked_qr(X), grid, specs)
+    stat, *_, failed = ProfileSolver(design).statistics(Y, stacked_qr(X), grid, specs)
     usable = np.ones(stat.shape[1:], dtype=bool)
     for cell in failed:
         usable[cell] = False
     assert np.all(stat[:, usable] >= 0.0)
-    cache = spectral_decompose(design)
     for kind, kind_h in (("lrt", h), ("rlrt", 0)):
         null = simulate_null(cache, kind, kind_h, grid, 300, seed=seed)
         assert np.all(null.samples >= 0.0)
@@ -779,7 +783,7 @@ class TestStackedReplicates:
         stat, index, sigma2, _, errors = solver.statistics(Y, qr, LambdaGrid(values), specs)
         assert errors == {}
         Q = qr.Q
-        proj, head, rss0 = exact_lrt._projected_spectrum(Q, design.B, Y)
+        proj, head, rss0 = exact_lrt._coordinates(Q, stacked_spectrum(Q, design.B), Y)
         tail = np.maximum(rss0 - head.sum(axis=-1), 0.0)
         n, p = X.shape[1:]
         for j, (kind, h) in enumerate(specs):

@@ -20,7 +20,7 @@ from covtest import (
     place_knots,
     reml_projection,
 )
-from covtest.null_fit import NullFit, fit_ols_columns
+from covtest.null_fit import NullFit, fit_null, fit_ols_columns
 from covtest.spline_basis import DesignMatrices, KnotSet, stacked_qr
 from oracles import reml_slope_terms, restricted_loglik
 
@@ -316,6 +316,28 @@ class TestRemlProjection:
             np.testing.assert_array_equal(P, P.T)
             scale = np.abs(P).max()
             np.testing.assert_allclose(P @ fit.V @ P, P, atol=1e-8 * scale)
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_fit_null_projection_is_reml_projection(self, small_dataset, clustered):
+        """fit_null passes the design's QR, and gets the bits of reml_projection
+        on a bare X. At ratio 0 that is X's QR with R over sigma: the
+        projection of the whitened X / sigma, to rounding, with no second QR."""
+        ds = small_dataset
+        if clustered:
+            ds = clustered_dataset(n_clusters=5, size=4, shift=1.0, noise=0.7, seed=0)
+        design = design_for(ds)
+        fit, proj = fit_null(ds, design)
+        assert (fit.ratio > 0.0) == clustered
+        bare = reml_projection(fit, design.X)
+        for name in ("X", "Q", "R", "cluster", "sizes"):
+            np.testing.assert_array_equal(getattr(proj, name), getattr(bare, name))
+        if not clustered:
+            sigma = np.sqrt(fit.sigma2_eps)
+            np.testing.assert_array_equal(proj.Q, design.qr.Q[0])
+            np.testing.assert_array_equal(proj.R, design.qr.R[0] / sigma)
+            Q, R = np.linalg.qr(design.X / sigma)
+            np.testing.assert_allclose(proj.Q, Q, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(proj.R, R, rtol=1e-13)
 
     @pytest.mark.parametrize("clustered", [False, True])
     def test_rank_deficient_design_is_rejected(self, small_dataset, clustered):

@@ -363,6 +363,13 @@ class TestRunStudy:
         with pytest.raises(ConfigError, match="departure level"):
             tiny_config(c_values=())
 
+    @pytest.mark.parametrize("axis", ["m_values", "sigma_values", "levels", "tests"])
+    def test_empty_axis_rejected(self, axis):
+        """A study with no value on an axis has no cell to run: refused, as an
+        empty c_values is, not an IndexError (sigma) or an empty report."""
+        with pytest.raises(ConfigError, match=f"^{axis} needs at least one "):
+            run_study(SimConfig(**{axis: ()}))
+
     def test_unknown_test_rejected(self):
         with pytest.raises(ConfigError, match="unknown tests"):
             tiny_config(tests=("wavelet",))

@@ -235,8 +235,11 @@ class TestSmootherKernel:
         np.testing.assert_allclose(eigs[:-4], np.zeros(8), atol=1e-12)
 
     def test_penalized_requires_knots(self):
-        with pytest.raises(ConfigError, match="knot"):
-            smoother_kernel(np.linspace(0, 1, 10), 1, PENALIZED_GRAM)
+        """No knot set, or one with no knots, whose B B' = 0 no projection can test."""
+        t = np.linspace(0, 1, 10)
+        for knots in (None, place_knots(t, 0, 1)):
+            with pytest.raises(ConfigError, match="needs at least one knot"):
+                smoother_kernel(t, 1, PENALIZED_GRAM, knots)
 
     def test_natural_requires_varying_t(self):
         with pytest.raises(ModelError, match="non-constant"):
