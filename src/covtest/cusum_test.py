@@ -102,7 +102,8 @@ def _resampled_blocks(
     that callers needing only sup-norms never hold every path at once.
 
     Rows are laid out in sorted order once per call. A block's process at a
-    jump is then cumsum(g) - coef' cumsum(X)' at the last row of its ties,
+    jump is then cumsum(g) - coef' cumsum(X)' at the last row of its ties
+    (every row, taken in place, when the ordering has no ties),
     with coef = R^-1 (V^-1/2 Q)' g fitted in O(n p) per resample. A block
     is a sub-block of at most ``_SUB_BLOCK`` rows of a ``_RESAMPLE_CHUNK``
     chunk; its multipliers are the next rows of the chunk's stream, the same
@@ -115,6 +116,7 @@ def _resampled_blocks(
     contrib = fit.residuals[order]
     white_q = proj.whiten(proj.Q)[order]
     last = np.append(first[1:], fit.n) - 1
+    tied = last.size < fit.n  # without ties every row is the last of its group: no gather
     x_cum = np.cumsum(proj.X[order], axis=0)[last].T
     n_units = fit.n_units
 
@@ -126,7 +128,8 @@ def _resampled_blocks(
                 g *= contrib
                 coef = np.linalg.solve(proj.R, (g @ white_q).T).T
                 np.cumsum(g, axis=1, out=g)
-                g = np.take(g, last, axis=1)
+                if tied:
+                    g = np.take(g, last, axis=1)
                 g -= coef @ x_cum
                 g /= math.sqrt(n_units)
                 yield lo, hi, g

@@ -52,6 +52,10 @@ __all__ = [
 
 _ZERO_STAT = 1e-12
 _SIM_CHUNK = 1024
+# Each chunk's (K + 1) x G product and grid maximum run over sub-blocks of this
+# many rows, so the product buffer does not grow with the chunk; the draws are
+# the chunk's, made before its sub-blocks in the chunk stream's order.
+_SIM_BLOCK = 256
 # Part of every null-cache key: raise it whenever simulate_null's draws change,
 # so entries written by an earlier sampler are never served.
 _SAMPLER_VERSION = 3
@@ -410,20 +414,22 @@ def simulate_null(
     # [w | tail] @ weights is the scaled energy rss(lam) * scale(lam) that _grid_max takes.
     weights = np.vstack([_grid_weights(values, cache.proj_eigs) * scale, scale])
     rows, knots = min(n_sims, _SIM_CHUNK), cache.n_knots
-    # Reused by every chunk: the draws [w | tail], and one flat buffer that holds
-    # a chunk's standard normals until the product overwrites them with its
-    # scaled energies (rows x G; wider only for a grid shorter than K or h).
-    coords, work = np.empty((rows, knots + 1)), np.empty(rows * max(values.size, knots, h))
+    # Reused by every chunk: its standard normals (contiguous, as out= needs), its
+    # draws [w | tail] and one sub-block's scaled energies (at most _SIM_BLOCK x G).
+    normals, coords = np.empty(rows * max(knots, h)), np.empty((rows, knots + 1))
+    scaled = np.empty((min(rows, _SIM_BLOCK), values.size))
     samples = np.empty(n_sims)
     for start, stop, rng in chunked_streams(seed, n_sims, _SIM_CHUNK):
         r = stop - start
         chunk = coords[:r]
-        np.square(rng.standard_normal(out=work[:r * knots].reshape(r, knots)), out=chunk[:, :-1])
+        np.square(rng.standard_normal(out=normals[:r * knots].reshape(r, knots)), out=chunk[:, :-1])
         chunk[:, -1] = rng.chisquare(tail_df, size=r)
-        scaled = np.matmul(chunk, weights, out=work[:r * values.size].reshape(r, values.size))
-        samples[start:stop] = _grid_max(scaled, mult)[1]
+        for lo in range(0, r, _SIM_BLOCK):
+            hi = min(lo + _SIM_BLOCK, r)
+            block = np.matmul(chunk[lo:hi], weights, out=scaled[:hi - lo])
+            samples[start + lo:start + hi] = _grid_max(block, mult)[1]
         if kind == "lrt" and h > 0:
-            z = rng.standard_normal(out=work[:r * h].reshape(r, h))
+            z = rng.standard_normal(out=normals[:r * h].reshape(r, h))
             samples[start:stop] += _dropped_gain(cache.n_obs, np.square(z, out=z).sum(axis=1),
                                                  chunk.sum(axis=1))
     return NullDistribution(samples, _provenance(cache, kind, h, grid, n_sims, seed))

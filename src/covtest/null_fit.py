@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -43,9 +44,11 @@ def _obs_axis(a: np.ndarray) -> int:
     return 0 if a.ndim == 1 else -2
 
 
-def _cluster_sums(a: np.ndarray, cluster: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Sums of ``a`` along its observation axis within each cluster 0..m-1 (none empty)."""
-    order = np.argsort(cluster, kind="stable")
+def _cluster_sums(a: np.ndarray, cluster: np.ndarray, sizes: np.ndarray, order=None) -> np.ndarray:
+    """Sums of ``a`` along its observation axis within each cluster 0..m-1 (none
+    empty); ``order``, the stable argsort of ``cluster``, is taken when not given."""
+    if order is None:
+        order = np.argsort(cluster, kind="stable")
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     axis = _obs_axis(a)
     return np.add.reduceat(np.take(a, order, axis=axis), starts, axis=axis)
@@ -149,9 +152,14 @@ class RemlProjection:
         stack of such matrices."""
         return _whiten(a, self.sigma2, self.ratio, self.cluster, self.sizes)
 
+    @cached_property
+    def _cluster_order(self) -> np.ndarray:
+        return np.argsort(self.cluster, kind="stable")
+
     def cluster_sums(self, a: np.ndarray) -> np.ndarray:
-        """Z'a: the sums of the rows of ``a`` within each cluster."""
-        return _cluster_sums(a, self.cluster, self.sizes)
+        """Z'a: the sums of the rows of ``a`` within each cluster (the rows'
+        cluster order is sorted once per projection, not once per call)."""
+        return _cluster_sums(a, self.cluster, self.sizes, self._cluster_order)
 
     @property
     def P(self) -> np.ndarray:

@@ -147,8 +147,10 @@ def _sq_frobenius(A: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", A, A)
 
 
-# Cluster indicator columns per kernel application: about 2 MB per n x b block.
-_BLOCK_ENTRIES = 2**18
+# Cluster indicator columns per kernel application: 0.5 MB per n x b float64
+# block, of which the indicators, the kernel's gathered input, its running sums
+# and its output (four blocks) are alive at once.
+_BLOCK_ENTRIES = 2**16
 
 
 def _whitened_norms(kernel: SmootherKernel, proj: RemlProjection) -> tuple[float, float]:
@@ -176,6 +178,7 @@ def _whitened_norms(kernel: SmootherKernel, proj: RemlProjection) -> tuple[float
             trace -= float(gb @ ZMZ[ids, np.arange(ids.size)])
             sq_norm -= 2.0 * float(gb @ np.einsum("ij,ij->j", MZ, MZ))
             sq_norm += float(gb @ (g @ ZMZ**2))
+            del MZ  # freed before the next block's indicators are made
     return trace / proj.sigma2, sq_norm / proj.sigma2**2
 
 

@@ -241,9 +241,8 @@ class SimReport:
         level, one column per departure level c (c = 0 is the empirical size).
         Each axis is in its values' order of first appearance in the cells, the
         run count is the largest cell's, and a cell missing from the report reads n/a."""
-        axes = list(zip(*self._index)) or [()] * 5
-        tests, m_values, sigmas, c_values, levels = (dict.fromkeys(values) for values in axes)
-        n_runs = max((cell.n_runs for cell in self.cells), default=0)
+        tests, m_values, sigmas, c_values, levels = (dict.fromkeys(values) for values in zip(*self._index))
+        n_runs = max(cell.n_runs for cell in self.cells)
         out = []
         for m in m_values:
             out.append(f"empirical rejection rates, m = {m}, {n_runs} runs")

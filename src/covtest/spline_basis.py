@@ -164,7 +164,9 @@ class NaturalSplineKernel(SmootherKernel):
         self.kind = NATURAL_SPLINE
         self.n = u.shape[0]
         self._order = np.argsort(u, kind="stable")
-        self._sorted = bool(np.all(self._order == np.arange(self.n)))  # no gather, no scatter
+        self._sorted = bool(np.all(self._order == np.arange(self.n)))  # no gathers
+        self._inverse = np.empty_like(self._order)  # row i of the result is sorted row _inverse[i]
+        self._inverse[self._order] = np.arange(self.n)
         us = u[self._order]
         powers = np.arange(degree + 1)
         c = np.array([
@@ -197,7 +199,8 @@ class NaturalSplineKernel(SmootherKernel):
             np.cumsum(after, axis=0, out=after)  # work[i] is the sum over j >= i
             out[:-1] += np.multiply(work[1:], f[:-1], out=work[1:])
         if not self._sorted:
-            out[self._order] = out.copy()
+            # mode="clip" (the indices are a permutation) writes into work unbuffered
+            out = np.take(out, self._inverse, axis=0, out=work, mode="clip")
         return out.reshape(A.shape)
 
 

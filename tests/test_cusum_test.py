@@ -1,5 +1,6 @@
 """Cumulative-sum residual processes and the multiplier resampling test."""
 
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -256,6 +257,25 @@ class TestSubBlocks:
         sups = multiplier_null(fit, proj, ds.t, 600, seed=(3, clusters))
         _, paths = multiplier_processes(fit, proj, ds.t, 600, seed=(3, clusters))
         assert np.array_equal(sups, np.abs(paths).max(axis=1))
+
+    @pytest.mark.parametrize(
+        "clusters,tied,digest",
+        [
+            (0, False, "d3d21e88d47e8beeb5c26d3d298703c9390913214d10891449c082122407dff5"),
+            (0, True, "6b183c34cb411b2a702de23efe163e779af4d1ef84844f28b1fcba30e2e09c52"),
+            (15, False, "465aa1bffaa120806e5cd3ada719bf1142bd3ca43553c2e76808235f254eeb69"),
+            (15, True, "aeb89a321677d12b0912d79191986ead5c5728bc5e5a22467d49fe3f37fd2f71"),
+        ],
+    )
+    def test_paths_pinned_with_and_without_ties(self, clusters, tied, digest):
+        """Without ties the running sums are read in place, with ties they are
+        gathered at the last row of each tie group; both give the bits of the
+        resampler that always gathered (these digests are its output)."""
+        ds, _, fit, proj = drawn_pieces(120, clusters)
+        ordering = np.round(ds.t, 1) if tied else ds.t
+        points, paths = multiplier_processes(fit, proj, ordering, 300, seed=(4, clusters))
+        assert (points.size < ds.t.size) == tied
+        assert hashlib.sha256(np.ascontiguousarray(paths, dtype="<f8").tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("clusters", [0, 100])
     def test_working_set_is_a_few_sub_blocks(self, clusters):

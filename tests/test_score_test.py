@@ -23,7 +23,7 @@ from covtest import (
     smoother_kernel,
 )
 from covtest.null_fit import NullFit, fit_ols_columns
-from covtest.score_test import ScoreMoments, _gamma_q, _upper_tail, score_statistics
+from covtest.score_test import ScoreMoments, _gamma_q, _upper_tail, _whitened_norms, score_statistics
 from covtest.spline_basis import KnotSet, NATURAL_SPLINE, PENALIZED_GRAM, stacked_qr
 from oracles import restricted_loglik
 
@@ -309,23 +309,28 @@ class TestRunScoreTest:
         assert run_score_test(ds).p_value < 0.001
 
 
+def drawn_fit(n, clusters):
+    """Data of size n with two covariates, and its OLS or random-intercept fit
+    and projection (rows dealt to clusters at random)."""
+    rng = np.random.default_rng(clusters)
+    t = rng.uniform(0, 1, n)
+    S = rng.standard_normal((n, 2))
+    cluster = rng.integers(0, clusters, n) if clusters else None
+    y = S @ [1.0, -0.5] + t + 0.3 * rng.standard_normal(n)
+    if clusters:
+        y = y + rng.normal(0, 0.5, clusters)[cluster]
+    ds = Dataset(y=y, S=S, t=t, cluster=cluster)
+    design = build_design(ds, KnotSet(np.empty(0), 1))
+    fit = fit_reml_random_intercept(ds, design) if clusters else fit_ols(ds, design)
+    assert (fit.ratio > 0) == bool(clusters)
+    return ds, fit, reml_projection(fit, design.X)
+
+
 class TestMemory:
     @pytest.mark.parametrize("clusters", [0, 500])
     def test_large_n_stays_small(self, clusters):
         """Kernel and score at n = 20 000 stay far below one n x n array (3.2 GB)."""
-        rng = np.random.default_rng(clusters)
-        n = 20_000
-        t = rng.uniform(0, 1, n)
-        S = rng.standard_normal((n, 2))
-        cluster = rng.integers(0, clusters, n) if clusters else None
-        y = S @ [1.0, -0.5] + t + 0.3 * rng.standard_normal(n)
-        if clusters:
-            y = y + rng.normal(0, 0.5, clusters)[cluster]
-        ds = Dataset(y=y, S=S, t=t, cluster=cluster)
-        design = build_design(ds, KnotSet(np.empty(0), 1))
-        fit = fit_reml_random_intercept(ds, design) if clusters else fit_ols(ds, design)
-        assert (fit.ratio > 0) == bool(clusters)
-        proj = reml_projection(fit, design.X)
+        ds, fit, proj = drawn_fit(20_000, clusters)
         tracemalloc.start()
         try:
             result = score_statistic(fit, proj, smoother_kernel(ds.t, 1))
@@ -334,3 +339,18 @@ class TestMemory:
             tracemalloc.stop()
         assert 0.0 < result.p_value <= 1.0
         assert peak < 64 * 2**20
+
+    def test_cluster_blocks_stay_small(self):
+        """tr K and |K|^2 at n = 2000 with 100 clusters apply the kernel to
+        blocks of 32 cluster indicators (0.5 MB each), a few of them alive at
+        once: under 3 MB, where blocks of 2 MB took 7.6 MB."""
+        ds, fit, proj = drawn_fit(2000, 100)
+        kernel = smoother_kernel(ds.t, 1)
+        tracemalloc.start()
+        try:
+            trace, sq_norm = _whitened_norms(kernel, proj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < trace and 0.0 < sq_norm
+        assert peak < 3 * 2**20

@@ -476,4 +476,3 @@ class TestSimReport:
         assert lines[1].split() == ["level", "sigma", "test", "c=1", "c=0"]
         assert lines[3].split() == ["0.1", "0.5", "score", "0.500", "n/a"]
         assert lines[4].split() == ["0.1", "0.5", "wavelet", "n/a", "n/a"]
-        assert SimReport(cells=[]).to_table() == ""
