@@ -9,7 +9,10 @@ this record.
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +39,23 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise DataError(f"non-finite value in {name} at row {int(bad[0]) + 1}")
 
 
-def _normalize_cluster(labels) -> np.ndarray:
-    """Remap arbitrary labels to 0..m-1 in first-appearance order."""
-    index: dict = {}
-    return np.array([index.setdefault(lab, len(index)) for lab in labels], dtype=np.int64)
+def _normalize_cluster(labels: np.ndarray) -> np.ndarray:
+    """Remap arbitrary labels to 0..m-1 in first-appearance order. Integer
+    labels already in that order, as :func:`load_csv` codes them, are kept
+    without a sort: each is at least 0 and a new one is the largest so far plus 1."""
+    if labels.dtype.kind in "iu":
+        seen = np.maximum.accumulate(labels)
+        if labels.min() >= 0 and seen[0] == 0 and (np.diff(seen) <= 1).all():
+            return labels.astype(np.int64)
+    order = np.argsort(labels, kind="stable")  # not np.unique, which imports numpy.ma
+    ordered = labels[order]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    first = order[starts]  # each label's first row, in sorted label order
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    out = np.empty(labels.size, dtype=np.int64)
+    out[order] = rank[np.cumsum(starts) - 1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -99,6 +115,13 @@ class Dataset:
             return self.n
         return int(self.cluster.max()) + 1
 
+    @cached_property
+    def cluster_order(self) -> np.ndarray | None:
+        """The stable argsort of the cluster labels, taken on first use and
+        kept: every cluster's rows in row order, cluster by cluster. None
+        without clusters."""
+        return None if self.cluster is None else np.argsort(self.cluster, kind="stable")
+
 
 @dataclass(frozen=True)
 class ColumnMap:
@@ -122,20 +145,27 @@ def load_csv(path: str | Path, columns: ColumnMap = ColumnMap()) -> Dataset:
     header that names a column twice and a column given two of the roles y, t,
     s and cluster, and DataError for a file that cannot be
     read or decoded and for unusable cells, naming the offending row and
-    column; an empty cluster label is unusable.
+    column; an empty cluster label is unusable. Data row r is the r-th line
+    after the header, blank lines included.
+
+    numpy's parser reads the rows (:func:`_read_rows`); a file it rejects, or
+    whose rows it reads as unusable, is read again by the csv module
+    (:func:`_read_cells`), which accepts what Python's ``float`` accepts (such
+    as ``1_0``) and names the first fault.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"input file not found: {path}")
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = [row for row in reader if row]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if header is None:
-        raise DataError(f"{path}: file is empty")
+        dataset = _read_rows(path, columns)
+    except (ConfigError, OSError, ValueError, csv.Error):
+        dataset = None  # the csv read raises the same error, or the read error before it
+    return _read_cells(path, columns) if dataset is None else dataset
+
+
+def _roles(path: Path, header: list[str], columns: ColumnMap) -> tuple[list[str], list[int], int | None]:
+    """The stripped header, the columns of y, t and each s in that order, and
+    the cluster column."""
     header = [h.strip() for h in header]
     repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
     if repeated is not None:
@@ -160,28 +190,78 @@ def load_csv(path: str | Path, columns: ColumnMap = ColumnMap()) -> Dataset:
     if shared is not None:
         raise ConfigError(f"{path}: column {header[shared]!r} is given more than one of the roles "
                           "y, t, s and cluster")
+    return header, [iy, it, *i_s], icl
 
+
+def _unread(cell: str) -> float:
+    """A cell of a column no role reads: NaN, so unusable, only if it holds a NUL,
+    which the csv module of some Python versions rejects."""
+    return math.nan if "\0" in cell else 0.0
+
+
+def _read_rows(path: Path, columns: ColumnMap) -> Dataset | None:
+    """The dataset as numpy's parser reads it, or None when a row is not the
+    header's width or a cell is unusable. One n x (columns) float array holds
+    the file: a cluster label is coded by first appearance as it is read, and
+    a column no role reads is read as 0. Without ``usecols`` numpy rejects a
+    row whose width differs from the first row's."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            return None
+        header, cols, icl = _roles(path, header, columns)
+        codes: dict = {}
+
+        def code(cell: str) -> float:
+            label = cell.strip()
+            return codes.setdefault(label, len(codes)) if label and "\0" not in label else math.nan
+
+        converters = {i: code if i == icl else _unread for i in range(len(header)) if i not in cols}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a file without rows; the csv read names it
+            values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                                converters=converters)
+    if values.shape[1] != len(header) or not values.size or not np.isfinite(values).all():
+        return None
+    return Dataset(y=values[:, cols[0]], S=values[:, cols[2:]], t=values[:, cols[1]],
+                   cluster=None if icl is None else values[:, icl].astype(np.int64))
+
+
+def _read_cells(path: Path, columns: ColumnMap) -> Dataset:
+    """The dataset as the csv module and Python's ``float`` read it, one
+    ``str`` per cell; raises the error of a file that cannot be read, of its
+    header, or of its first unusable row or cell."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            top = last = reader.line_num
+            rows = []
+            for row in reader:
+                if row:
+                    rows.append((last + 1 - top, row))
+                last = reader.line_num
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: file is empty")
+    header, cols, icl = _roles(path, header, columns)
     if not rows:
         raise DataError(f"{path}: no data rows")
-
-    cols = [iy, it, *i_s]
-    values = cluster = None
-    if all(len(row) == len(header) for row in rows):
-        try:
-            values = np.array([[float(row[i].strip()) for row in rows] for i in cols])
-        except ValueError:
-            pass
-        if icl is not None:
-            cluster = [row[icl].strip() for row in rows]
-    if values is None or not np.isfinite(values).all() or (cluster is not None and "" in cluster):
-        raise DataError(f"{path}: {_first_fault(rows, header, cols, icl)}")
+    fault = _first_fault(rows, header, cols, icl)
+    if fault is not None:
+        raise DataError(f"{path}: {fault}")
+    values = np.array([[float(row[i].strip()) for _, row in rows] for i in cols])
+    cluster = None if icl is None else [row[icl].strip() for _, row in rows]
     return Dataset(y=values[0], S=values[2:].T, t=values[1], cluster=cluster)
 
 
-def _first_fault(rows: list[list[str]], header: list[str], cols: list[int], icl: int | None) -> str:
+def _first_fault(rows: list[tuple[int, list[str]]], header: list[str], cols: list[int],
+                 icl: int | None) -> str | None:
     """The first ragged row, unusable cell of ``cols`` or empty cluster label
-    (column ``icl``), in row-major order."""
-    for r, row in enumerate(rows, start=1):
+    (column ``icl``), in row-major order, of rows given with their data row
+    numbers; None if there is none."""
+    for r, row in rows:
         if len(row) != len(header):
             return f"data row {r} has {len(row)} cells, expected {len(header)}"
         for idx in cols:
@@ -194,7 +274,7 @@ def _first_fault(rows: list[list[str]], header: list[str], cols: list[int], icl:
                 return f"non-finite value {cell!r} in column {header[idx]!r} at data row {r}"
         if icl is not None and not row[icl].strip():
             return f"empty value in column {header[icl]!r} at data row {r}"
-    raise AssertionError("no unusable cell found")
+    return None
 
 
 def save_csv(dataset: Dataset, path: str | Path) -> None:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
-from .data_io import Dataset
+from .data_io import Dataset, _normalize_cluster
 from .errors import ConfigError, NumericalError
 from .spline_basis import DesignMatrices, FactoredStack, checked_qr, failed_cells
 
@@ -44,32 +43,31 @@ def _obs_axis(a: np.ndarray) -> int:
     return 0 if a.ndim == 1 else -2
 
 
-def _cluster_sums(a: np.ndarray, cluster: np.ndarray, sizes: np.ndarray, order=None) -> np.ndarray:
+def _cluster_sums(a: np.ndarray, sizes: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Sums of ``a`` along its observation axis within each cluster 0..m-1 (none
-    empty); ``order``, the stable argsort of ``cluster``, is taken when not given."""
-    if order is None:
-        order = np.argsort(cluster, kind="stable")
+    empty), given ``order``, the stable argsort of the rows' cluster labels."""
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     axis = _obs_axis(a)
     return np.add.reduceat(np.take(a, order, axis=axis), starts, axis=axis)
 
 
 def _whiten(
-    a, sigma2: float, ratio: float, cluster: np.ndarray, sizes: np.ndarray
+    a, sigma2: float, ratio: float, cluster: np.ndarray, sizes: np.ndarray, order: np.ndarray
 ) -> np.ndarray:
     """V^-1/2 a along the observation axis: (a - d[cluster] * mean_cluster(a)) / sigma.
 
     On a cluster of size n_i, I + ratio 11' has eigenvalue 1 + ratio n_i
     along 1 and 1 elsewhere, so its inverse square root shrinks the cluster
     mean by d_i = 1 - (1 + ratio n_i)^-1/2. Every d_i is 0 when ratio = 0.
-    When V = I the result is ``a`` itself, as a float array.
+    When V = I the result is ``a`` itself, as a float array. ``order`` is the
+    stable argsort of ``cluster`` (see :func:`_cluster_sums`).
     """
     if sigma2 == 1.0 and ratio == 0.0:
         return np.asarray(a, dtype=float)
     out = np.asarray(a, dtype=float) / math.sqrt(sigma2)
     if ratio > 0.0:
         shrink = (1.0 - 1.0 / np.sqrt(1.0 + ratio * sizes)) / sizes
-        sums = _cluster_sums(out, cluster, sizes) * shrink.reshape((-1,) + (1,) * min(out.ndim - 1, 1))
+        sums = _cluster_sums(out, sizes, order) * shrink.reshape((-1,) + (1,) * min(out.ndim - 1, 1))
         out -= np.take(sums, cluster, axis=_obs_axis(out))
     return out
 
@@ -125,7 +123,8 @@ class RemlProjection:
 
     ``Q R`` is the thin QR of V^-1/2 X for V = sigma2 (I + ratio ZZ'), so P is
     symmetric, annihilates the columns of X and satisfies P V P = P. Applying
-    V^-1/2 or the residual-forming map costs O(n p) per column. ``X``, ``Q``
+    V^-1/2 or the residual-forming map costs O(n p) per column. ``order`` is
+    the stable argsort of the cluster labels (see :func:`reml_projection`). ``X``, ``Q``
     and ``R`` may carry a leading replicate axis: the projections of a stack
     of designs that share V, as a study block's OLS fits do.
     """
@@ -134,6 +133,7 @@ class RemlProjection:
     ratio: float
     cluster: np.ndarray
     sizes: np.ndarray
+    order: np.ndarray
     X: np.ndarray
     Q: np.ndarray
     R: np.ndarray
@@ -144,22 +144,17 @@ class RemlProjection:
 
     def replicate(self, r: int) -> RemlProjection:
         """The projection of design ``r`` of a stack."""
-        return RemlProjection(self.sigma2, self.ratio, self.cluster, self.sizes,
+        return RemlProjection(self.sigma2, self.ratio, self.cluster, self.sizes, self.order,
                               self.X[r], self.Q[r], self.R[r])
 
     def whiten(self, a) -> np.ndarray:
         """V^-1/2 a for a vector, a matrix with one row per observation, or a
         stack of such matrices."""
-        return _whiten(a, self.sigma2, self.ratio, self.cluster, self.sizes)
-
-    @cached_property
-    def _cluster_order(self) -> np.ndarray:
-        return np.argsort(self.cluster, kind="stable")
+        return _whiten(a, self.sigma2, self.ratio, self.cluster, self.sizes, self.order)
 
     def cluster_sums(self, a: np.ndarray) -> np.ndarray:
-        """Z'a: the sums of the rows of ``a`` within each cluster (the rows'
-        cluster order is sorted once per projection, not once per call)."""
-        return _cluster_sums(a, self.cluster, self.sizes, self._cluster_order)
+        """Z'a: the sums of the rows of ``a`` within each cluster."""
+        return _cluster_sums(a, self.sizes, self.order)
 
     @property
     def P(self) -> np.ndarray:
@@ -215,12 +210,13 @@ def fit_null(dataset: Dataset, design: DesignMatrices) -> tuple[NullFit, RemlPro
     random-intercept REML fit when the data have two or more clusters and one
     of them two or more rows, else the OLS fit of independent rows, whose
     ``cluster`` is None. One cluster, or clusters of one row each, carry no
-    intercept variance, and a one-cluster fit would resample one unit."""
+    intercept variance, and a one-cluster fit would resample one unit. The
+    fit and the projection read the dataset's one sort of its cluster labels."""
     if dataset.cluster is not None and 2 <= dataset.n_units < dataset.n:
-        fit = fit_reml_random_intercept(dataset, design)
+        fit, order = fit_reml_random_intercept(dataset, design), dataset.cluster_order
     else:
-        fit = replace(fit_ols(dataset, design), cluster=None)
-    return fit, reml_projection(fit, design.qr)
+        fit, order = replace(fit_ols(dataset, design), cluster=None), None
+    return fit, reml_projection(fit, design.qr, order)
 
 
 def fit_ols_columns(Y: np.ndarray, factored: FactoredStack) -> tuple[RemlProjection, OlsFits]:
@@ -244,7 +240,8 @@ def fit_ols_columns(Y: np.ndarray, factored: FactoredStack) -> tuple[RemlProject
     if failed:
         resid = np.where(bad[:, None, :], 0.0, resid)
         rss = np.where(bad, n - p, rss)
-    proj = RemlProjection(1.0, 0.0, np.arange(n), np.ones(n, dtype=np.int64), X, Q, R)
+    rows = np.arange(n)
+    proj = RemlProjection(1.0, 0.0, rows, np.ones(n, dtype=np.int64), rows, X, Q, R)
     return proj, OlsFits(beta=beta, fitted=fitted, residuals=resid, sigma2=rss / (n - p), failed=failed)
 
 
@@ -265,7 +262,7 @@ def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullF
     """
     if dataset.cluster is None:
         raise ConfigError("random-intercept fit requires cluster labels")
-    cluster = dataset.cluster
+    cluster, order = dataset.cluster, dataset.cluster_order
     n_clusters = int(cluster.max()) + 1
     if n_clusters < 2:
         raise ConfigError(f"random-intercept fit needs >= 2 clusters, got {n_clusters}")
@@ -274,8 +271,8 @@ def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullF
     n, p_fixed = X.shape
 
     sizes = np.bincount(cluster, minlength=n_clusters)
-    sum_x = _cluster_sums(X, cluster, sizes)
-    sum_e = _cluster_sums(e, cluster, sizes)
+    sum_x = _cluster_sums(X, sizes, order)
+    sum_e = _cluster_sums(e, sizes, order)
     xtx, xte, ete = X.T @ X, X.T @ e, float(e @ e)
 
     def gls_terms(ratio: float):
@@ -327,7 +324,7 @@ def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullF
     fitted = X @ beta
     resid = dataset.y - fitted
     with np.errstate(over="ignore", invalid="ignore"):  # failed_cells reports an overflow
-        white = _whiten(resid, 1.0, ratio_hat, cluster, sizes)
+        white = _whiten(resid, 1.0, ratio_hat, cluster, sizes, order)
         rss = white @ white
         failed = failed_cells(design.qr, *np.reshape([rss, dataset.y @ dataset.y], (2, 1, 1)))[1]
     if failed:
@@ -354,7 +351,9 @@ def _log_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     return math.exp(x)
 
 
-def reml_projection(fit: NullFit, X: np.ndarray | FactoredStack) -> RemlProjection:
+def reml_projection(
+    fit: NullFit, X: np.ndarray | FactoredStack, order: np.ndarray | None = None
+) -> RemlProjection:
     """P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1 for the fitted covariance.
 
     Symmetric, annihilates the columns of X, and satisfies P V P = P. Only the
@@ -362,6 +361,8 @@ def reml_projection(fit: NullFit, X: np.ndarray | FactoredStack) -> RemlProjecti
     which raises the ModelError of an X that cannot be fit); see :class:`RemlProjection`.
     ``X`` is the design or its checked QR (``DesignMatrices.qr``). At ratio 0,
     V^-1/2 X = X / sigma: X's QR with R over sigma, the same bits from either.
+    ``order`` is the stable argsort of ``fit.cluster`` when the caller holds it
+    (``Dataset.cluster_order``, as :func:`fit_null` passes it); else it is taken here.
     """
     factored, X = (X, X.X[0]) if isinstance(X, FactoredStack) else (None, np.asarray(X, dtype=float))
     if X.shape[0] != fit.n:
@@ -369,19 +370,21 @@ def reml_projection(fit: NullFit, X: np.ndarray | FactoredStack) -> RemlProjecti
     if fit.ratio > 0.0 and fit.cluster is None:
         raise ConfigError("a positive intercept variance needs cluster labels")
     if fit.cluster is None:
-        cluster = np.arange(fit.n)
+        cluster = order = np.arange(fit.n)
     else:
-        _, cluster = np.unique(fit.cluster, return_inverse=True)
+        cluster = _normalize_cluster(np.asarray(fit.cluster))
+        if order is None:
+            order = np.argsort(cluster, kind="stable")
     sizes = np.bincount(cluster)
     # V's eigenvalues are sigma2 (1 + ratio n_i) and sigma2.
     cond = 1.0 + fit.ratio * float(sizes.max())
     if cond > 1e12:
         raise NumericalError(f"fitted covariance is ill-conditioned (cond = {cond:.3e})")
     if fit.ratio > 0.0:
-        _, (Q,), (R,), _ = checked_qr(_whiten(X, fit.sigma2_eps, fit.ratio, cluster, sizes))
+        _, (Q,), (R,), _ = checked_qr(_whiten(X, fit.sigma2_eps, fit.ratio, cluster, sizes, order))
     else:
         _, (Q,), (R,), _ = checked_qr(X) if factored is None else factored
         R = R / math.sqrt(fit.sigma2_eps)
     return RemlProjection(
-        sigma2=fit.sigma2_eps, ratio=fit.ratio, cluster=cluster, sizes=sizes, X=X, Q=Q, R=R
+        sigma2=fit.sigma2_eps, ratio=fit.ratio, cluster=cluster, sizes=sizes, order=order, X=X, Q=Q, R=R
     )

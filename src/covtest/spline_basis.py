@@ -234,16 +234,18 @@ def truncated_power(x, knot: float, degree: int):
     """(x - knot)_+^d: zero at and below the knot, polynomial above.
 
     The inequality is strict, so x == knot contributes 0 for every degree;
-    degree 0 is the indicator of x > knot.
+    degree 0 is the indicator of x > knot. The result is built in place in
+    the one array ``x - knot`` (n x K for a column of x against a row of
+    knots); a NaN x stays NaN for degree >= 1.
     """
     if degree < 0:
         raise ConfigError(f"degree must be >= 0, got {degree}")
-    x = np.asarray(x, dtype=float)
-    shifted = x - knot
+    out = np.asarray(np.asarray(x, dtype=float) - knot)  # 0-d differences come back as scalars
     if degree == 0:
-        out = (shifted > 0).astype(float)
+        np.greater(out, 0.0, out=out)
     else:
-        out = np.where(shifted > 0, shifted, 0.0) ** degree
+        np.maximum(out, 0.0, out=out)  # -0.0 becomes +0.0, as in where(out > 0, out, 0.0)
+        out **= degree
     return out if out.ndim else float(out)
 
 

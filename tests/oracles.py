@@ -220,3 +220,81 @@ def log1p_ratio_null(cache, kind, h, values, n_sims, seed, chunk=1024, draw=squa
             stat = stat + cache.n_obs * np.log1p(extra / (w.sum(axis=1) + tail))
         samples.append(stat)
     return np.clip(np.concatenate(samples), 0.0, None)
+
+
+def csv_load(path, columns):
+    """The data-CSV reader as the csv module and Python's ``float`` define it,
+    one ``str`` per cell: the reference that ``load_csv``'s numpy read must
+    match, bit for bit or error for error. Data row r is the r-th line after
+    the header, blank lines included."""
+    import csv
+    from pathlib import Path
+
+    from covtest import ConfigError, DataError, Dataset
+
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"input file not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            top = last = reader.line_num
+            rows = []
+            for row in reader:
+                if row:
+                    rows.append((last + 1 - top, row))
+                last = reader.line_num
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: file is empty")
+    header = [h.strip() for h in header]
+    repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"{path}: column {repeated!r} appears more than once in the header")
+
+    def col_index(name):
+        try:
+            return header.index(name)
+        except ValueError:
+            raise ConfigError(f"{path}: column {name!r} not found in header {header}") from None
+
+    iy, it = col_index(columns.y), col_index(columns.t)
+    icl = col_index(columns.cluster) if columns.cluster is not None else None
+    if columns.s is not None:
+        i_s = [col_index(name) for name in columns.s]
+    else:
+        i_s = [i for i in range(len(header)) if i not in {iy, it, icl}]
+    used = [iy, it, *i_s, *([] if icl is None else [icl])]
+    shared = next((i for k, i in enumerate(used) if i in used[:k]), None)
+    if shared is not None:
+        raise ConfigError(f"{path}: column {header[shared]!r} is given more than one of the roles "
+                          "y, t, s and cluster")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    cols = [iy, it, *i_s]
+    for r, row in rows:
+        if len(row) != len(header):
+            raise DataError(f"{path}: data row {r} has {len(row)} cells, expected {len(header)}")
+        for idx in cols:
+            cell = row[idx].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise DataError(f"{path}: non-numeric value {cell!r} in column {header[idx]!r} "
+                                f"at data row {r}") from None
+            if not math.isfinite(v):
+                raise DataError(f"{path}: non-finite value {cell!r} in column {header[idx]!r} "
+                                f"at data row {r}")
+        if icl is not None and not row[icl].strip():
+            raise DataError(f"{path}: empty value in column {header[icl]!r} at data row {r}")
+    values = np.array([[float(row[i].strip()) for _, row in rows] for i in cols])
+    cluster = None if icl is None else first_appearance([row[icl].strip() for _, row in rows])
+    return Dataset(y=values[0], S=values[2:].T, t=values[1], cluster=cluster)
+
+
+def first_appearance(labels):
+    """Labels remapped to 0..m-1 in first-appearance order, one dict lookup per label."""
+    index = {}
+    return np.array([index.setdefault(label, len(index)) for label in labels], dtype=np.int64)

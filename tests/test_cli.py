@@ -96,6 +96,24 @@ class TestTestCommand:
         assert [np.array_equal(stack[0, :, -A.shape[1]:], A) for stack in factored] == (
             [True, False] if "--cluster-col" in args else [True])
 
+    @pytest.mark.parametrize("method", ["score", "cusum"])
+    def test_cluster_labels_sorted_once(self, tmp_path, monkeypatch, method):
+        """A clustered score or cusum call (rho-hat > 0) takes one stable
+        argsort of its cluster labels: the REML fit's cluster sums, the
+        projection's V^-1/2 X and every later V^-1/2 and Z'a read it."""
+        labels = np.arange(40) % 8  # the file's labels, already in first-appearance order
+        sorts = []
+        real = np.argsort
+
+        def counted(a, *rest, **kwargs):
+            if np.shape(a) == labels.shape and np.array_equal(a, labels):
+                sorts.append(kwargs.get("kind"))
+            return real(a, *rest, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        self.run_on_clustered(tmp_path, ["--method", method, "--cluster-col", "cluster"])
+        assert sorts == ["stable"]
+
     @pytest.mark.parametrize("args", [["--method", "rlrt"], ["--method", "lrt", "--degree", 2, "--h", 1]])
     def test_one_spectrum_per_lrt_call(self, tmp_path, monkeypatch, args):
         """An LRT or RLRT call computes the design's spectrum once, for the
@@ -230,6 +248,15 @@ class TestErrorSurfacing:
         code, err = outcome(["test", "--input", path, "--method", "score", "--cluster-col", "cluster",
                              "--out", tmp_path / "o"])
         assert (code, err) == (1, f"data error: {path}: empty value in column 'cluster' at data row 8\n")
+
+    def test_fault_row_counts_blank_lines(self, tmp_path):
+        """Data row r is line r + 1 of the file, blank lines included, so the
+        row named is the one a reader finds at that line."""
+        path = tmp_path / "gaps.csv"
+        path.write_text("y,t,s1\n1,0.1,2\n\n\n1,abc,2\n")
+        code, err = outcome(["test", "--input", path, "--method", "score", "--out", tmp_path / "o"])
+        assert (code, err) == (
+            1, f"data error: {path}: non-numeric value 'abc' in column 't' at data row 4\n")
 
     def test_repeated_header_name_is_config_error(self, tmp_path):
         """A header that names y twice is refused, not resolved to its first

@@ -1,7 +1,11 @@
 """Dataset loading and validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covtest import (
     ColumnMap,
@@ -12,6 +16,8 @@ from covtest import (
     load_csv,
     save_csv,
 )
+from covtest.errors import CovtestError
+from oracles import csv_load, first_appearance
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -146,6 +152,115 @@ class TestLoadCsv:
         assert ds.S.tolist() == [[-0.0025], [2.0]]
         assert ds.cluster.tolist() == [0, 0]
 
+# Header and column map of each generated file: y, t and s1 alone; with a
+# cluster column; and with the columns shuffled around an unread column x.
+LAYOUTS = [
+    ("y,t,s1", ColumnMap()),
+    ("y,t,s1,g", ColumnMap(cluster="g")),
+    ("g,t,x,y,s1", ColumnMap(s=("s1",), cluster="g")),
+]
+# Cells numpy's parser and Python's float may read differently: padding,
+# quotes and separators str.strip removes, which both read; underscores and
+# non-ASCII digits, which only Python reads; and unusable cells: a leading
+# '#', non-finite and out-of-range values, empty cells and a NUL.
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([" 1.5 ", '"2.5"', '" -3 "', '"1"5', "\t3\t", "-0", "+.5", "1e-400",
+                     "\x1c7", "\u30008"]),
+)
+PYTHON_ONLY = st.sampled_from(["1_0", "\u0661\u0662"])
+UNUSABLE = st.sampled_from(["#1", "nan", "inf", "-Infinity", "1e400", "", " ", '"1,5"', '"1""5"',
+                            "0x10", "abc", "1.5e", "4\x00"])
+# Cluster labels, most of them spellings of one label that differ only in
+# padding and quotes, and the unusable ones.
+LABELS = st.sampled_from(["a", " a ", '"a"', '" a"', "\u3000a", "b", '"a,b"', "#c", "1", "01"])
+BAD_LABELS = st.sampled_from(["", " ", "a\x00"])
+FAULTS = ["python-only cell", "unusable cell", "bad label", "short row", "long row",
+          "whitespace line"]
+
+
+@st.composite
+def data_files(draw):
+    """A data CSV of 1 to 3 rows, blank lines between them, CRLF or LF, with or
+    without a byte-order mark, and zero to two faults from FAULTS (cell faults
+    first, so a shortened row keeps every cell index in range)."""
+    header, columns = draw(st.sampled_from(LAYOUTS))
+    names = header.split(",")
+    cell = {"g": LABELS, "x": st.one_of(LABELS, NUMBERS)}
+    rows = [[draw(cell.get(name, NUMBERS)) for name in names] for _ in range(draw(st.integers(1, 3)))]
+    before = [draw(st.sampled_from([[], [], [""]])) for _ in rows]
+    for fault in sorted(draw(st.lists(st.sampled_from(FAULTS), max_size=2)), key=FAULTS.index):
+        r = draw(st.integers(0, len(rows) - 1))
+        numeric = [j for j, name in enumerate(names) if name != "g"]
+        if fault == "bad label" and "g" in names:
+            rows[r][names.index("g")] = draw(BAD_LABELS)
+        elif fault in ("python-only cell", "unusable cell", "bad label"):
+            rows[r][draw(st.sampled_from(numeric))] = draw(
+                PYTHON_ONLY if fault == "python-only cell" else UNUSABLE)
+        elif fault == "short row":
+            rows[r] = rows[r][:-1]
+        elif fault == "long row":
+            rows[r] = rows[r] + [draw(NUMBERS)]
+        else:
+            before[r] = before[r] + [draw(st.sampled_from([" ", "\t"]))]
+    lines = [line for gap, row in zip(before, rows) for line in [*gap, ",".join(row)]]
+    sep = draw(st.sampled_from(["\n", "\r\n"]))
+    text = sep.join([header, *lines]) + draw(st.sampled_from([sep, ""]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text, columns
+
+
+def read_outcome(read, path, columns):
+    """A reader's dataset as (y, t, S, cluster) bytes, or its error's category and text."""
+    try:
+        ds = read(path, columns)
+    except CovtestError as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes())
+                 for a in (ds.y, ds.t, ds.S, ds.cluster))
+
+
+class TestLoadCsvFuzz:
+    @settings(max_examples=300)
+    @given(case=data_files())
+    def test_same_dataset_or_error_as_csv_module(self, tmp_path_factory, case):
+        """numpy's read, with the csv module's read of what it rejects, gives
+        the csv module's dataset bit for bit, or its error word for word."""
+        text, columns = case
+        path = tmp_path_factory.mktemp("data") / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(load_csv, path, columns) == read_outcome(csv_load, path, columns)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("clusters", [0, 500])
+    def test_large_file_peak(self, tmp_path, clusters):
+        """n = 20 000 rows of y, t, s1, s2 (and a cluster label): numpy's parser
+        holds the file as one float array, under 3 MB at the peak, where one
+        str per cell took 10.6 MB (12.3 MB with 500 clusters)."""
+        n = 20_000
+        rng = np.random.default_rng(clusters)
+        cols = [rng.standard_normal(n), rng.permutation(n) / (n - 1), *rng.standard_normal((2, n))]
+        names = ["y", "t", "s1", "s2"]
+        if clusters:
+            cols.append(np.arange(n) % clusters)
+            names.append("cluster")
+        path = tmp_path / "large.csv"
+        rows = (",".join(map(repr, row)) for row in zip(*(c.tolist() for c in cols)))
+        path.write_text(",".join(names) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        columns = ColumnMap(cluster="cluster" if clusters else None)
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.y.tobytes() == cols[0].tobytes() and ds.S.shape == (n, 2)
+        if clusters:
+            np.testing.assert_array_equal(ds.cluster, cols[4])
+        assert peak < 3 * 2**20
+
+
 class TestDataset:
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="mismatch"):
@@ -163,6 +278,15 @@ class TestDataset:
         ds = Dataset(y=[1, 2, 3, 4], S=np.empty((4, 0)), t=[1, 2, 3, 4], cluster=[7, 3, 7, 9])
         np.testing.assert_array_equal(ds.cluster, [0, 1, 0, 2])
         assert ds.n_units == 3
+
+    @given(st.lists(st.one_of(st.integers(-3, 3), st.sampled_from("abc")), min_size=1, max_size=60))
+    def test_cluster_remap_matches_dict_remap(self, labels):
+        """Integer, string and mixed labels, in or out of first-appearance
+        order, as a dict lookup per label remaps them."""
+        n = len(labels)
+        ds = Dataset(y=np.ones(n), S=np.empty((n, 0)), t=np.arange(n), cluster=labels)
+        assert ds.cluster.dtype == np.int64
+        np.testing.assert_array_equal(ds.cluster, first_appearance(np.asarray(labels).tolist()))
 
     def test_arrays_are_immutable(self, small_dataset):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Knot placement, truncated power basis, design matrices, smoother kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from covtest import (
     smoother_kernel,
     truncated_power,
 )
-from covtest.spline_basis import NATURAL_SPLINE, PENALIZED_GRAM, KnotSet, SmootherKernel
+from covtest.spline_basis import NATURAL_SPLINE, PENALIZED_GRAM, KnotSet, SmootherKernel, _trunc_basis
 from oracles import natural_spline_gram
 
 
@@ -110,6 +111,42 @@ class TestTruncatedPower:
         else:
             expected = 1.0 if degree == 0 else (x - knot) ** degree
             assert got == pytest.approx(expected, rel=1e-12)
+
+
+class TestMemory:
+    """n = 20 000 rows against K = 20 knots: one n x K float64 array is 3.2 MB."""
+
+    n, K = 20_000, 20
+
+    def test_build_design_peak_under_two_basis_arrays(self):
+        """B is built in its own buffer: build_design (A, B, X = [S | A] and
+        X's QR) peaks under two n x K arrays, where four n x K temporaries
+        of B took 9.9 MB."""
+        rng = np.random.default_rng(5)
+        ds = plain_dataset(rng.permutation(self.n) / (self.n - 1), p=2, seed=5)
+        knots = place_knots(ds.t, self.K, 1)
+        tracemalloc.start()
+        try:
+            design = build_design(ds, knots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert design.B.shape == (self.n, self.K)
+        assert peak < 2 * self.n * self.K * 8
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_basis_bits_are_the_where_formula(self, degree):
+        """The in-place basis has the bits of np.where(shifted > 0, shifted, 0.0) ** d
+        (the indicator for d = 0), ties at a knot and signed zeros included."""
+        rng = np.random.default_rng(degree)
+        t = np.round(rng.uniform(-2, 2, self.n), 2)  # many ties with the knots
+        t[:4] = [-0.0, 0.0, -0.0, 0.0]
+        knots = KnotSet(np.unique(np.concatenate([t[:self.K - 2], [-0.0, 1e-300]])), degree)
+        shifted = t[:, None] - knots.knots[None, :]
+        old = (shifted > 0).astype(float) if degree == 0 else np.where(shifted > 0, shifted, 0.0) ** degree
+        new = _trunc_basis(t, knots)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
 
 
 class TestBuildDesign:
