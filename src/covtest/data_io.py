@@ -231,7 +231,9 @@ def _read_cells(path: Path, columns: ColumnMap) -> Dataset:
     """The dataset as the csv module and Python's ``float`` read it, one
     ``str`` per cell; raises the error of a file that cannot be read, of its
     header, or of its first unusable row or cell."""
-    try:
+    limit = csv.field_size_limit()
+    try:  # no cell is longer than the file: under this limit a long cell is judged like any other
+        csv.field_size_limit(max(limit, path.stat().st_size))
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -243,6 +245,8 @@ def _read_cells(path: Path, columns: ColumnMap) -> Dataset:
                 last = reader.line_num
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
     if header is None:
         raise DataError(f"{path}: file is empty")
     header, cols, icl = _roles(path, header, columns)

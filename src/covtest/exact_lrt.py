@@ -68,7 +68,8 @@ class SpectralCache:
     ``proj_eigs`` are the K eigenvalues (descending) of B'P0B with P0 the
     projection off the fixed-effects columns; ``raw_eigs`` those of B'B.
     Projection shrinks the quadratic form, so proj_eigs <= raw_eigs holds
-    elementwise up to eigenvalue reordering.
+    elementwise, except where a raw eigenvalue is clipped to 0 (below 1e-12
+    of the largest; B'B has such at d = 3), which proj_eigs may exceed.
     """
 
     proj_eigs: np.ndarray
@@ -168,19 +169,13 @@ def _coordinates(Q: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray], Y: np.n
 
 
 def spectral_decompose(design: DesignMatrices) -> SpectralCache:
-    """The design's eigenvalues of B'P0B and B'B (``DesignMatrices.spectrum`` and
-    ``raw_eigs``, the bits observed_statistic reads) for the exact null sampler."""
-    X, B = design.X, design.B
-    if B.shape[1] < 1:
+    """The design's eigenvalues of B'P0B and B'B (``DesignMatrices.spectrum``'s eigh and
+    ``raw_eigs``'s eigvalsh, the bits observed_statistic reads) for the exact null sampler."""
+    (n, p), knots = design.X.shape, design.B.shape[1]
+    if knots < 1:
         raise ConfigError("spectral decomposition needs at least one knot")
-    return SpectralCache(
-        proj_eigs=design.spectrum[0][0],
-        raw_eigs=design.raw_eigs,
-        n_obs=X.shape[0],
-        n_cov=X.shape[1] - design.degree - 1,
-        degree=design.degree,
-        n_knots=B.shape[1],
-    )
+    return SpectralCache(proj_eigs=design.spectrum[0][0], raw_eigs=design.raw_eigs, n_obs=n,
+                         n_cov=p - design.degree - 1, degree=design.degree, n_knots=knots)
 
 
 def spectral_coordinates(design: DesignMatrices, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -277,7 +272,7 @@ class ProfileSolver:
 
     Holds the design, whose B, spline degree and eigenvalues of B'B it reads
     (``DesignMatrices.raw_eigs``, the null sampler's). A call takes a stack of
-    replicates: one thin QR of each X, the eigenpairs of each K x K gram B'P0B
+    replicates: one thin QR of each X, one eigh of each K x K gram B'P0B
     (``spline_basis.stacked_spectrum``, or the design's own ``spectrum`` when
     the stack is the design's ``qr``) and one K x G product for the residual
     energy on the grid, shared by every (kind, h) pair and response column of

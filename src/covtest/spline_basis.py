@@ -97,7 +97,7 @@ class DesignMatrices:
 
     @cached_property
     def raw_eigs(self) -> np.ndarray:
-        return _clipped_eigs(self.B.T @ self.B)[0]
+        return _clipped(_solve_symmetric(np.linalg.eigvalsh, self.B.T @ self.B))
 
     @property
     def degree(self) -> int:
@@ -286,25 +286,26 @@ def stacked_qr(X: np.ndarray) -> FactoredStack:
 _EIG_CLIP_REL = 1e-12
 
 
-def _clipped_eigs(gram: np.ndarray, vectors: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Descending eigenvalues of the symmetrized gram(s), those below _EIG_CLIP_REL of the largest set
-    to 0, and if ``vectors`` eigh's eigenvectors in that order; eigvalsh's values, as eigh's differ."""
-    sym = 0.5 * (gram + gram.swapaxes(-1, -2))
+def _solve_symmetric(solver, gram: np.ndarray):
+    """``solver`` (np.linalg.eigvalsh or eigh) of the symmetrized gram(s); a LinAlgError becomes a NumericalError."""
     try:
-        eigs = np.linalg.eigvalsh(sym)[..., ::-1]
-        W = np.linalg.eigh(sym)[1][..., ::-1] if vectors else None
+        return solver(0.5 * (gram + gram.swapaxes(-1, -2)))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    return np.where(eigs < _EIG_CLIP_REL * np.maximum(eigs[..., :1], 0.0), 0.0, eigs), W
+
+
+def _clipped(eigs: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (per gram of a stack) in descending order, those below _EIG_CLIP_REL of the largest 0."""
+    return np.where(eigs[..., ::-1] < _EIG_CLIP_REL * np.maximum(eigs[..., -1:], 0.0), 0.0, eigs[..., ::-1])
 
 
 def stacked_spectrum(Q: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The projected spectrum of designs X with thin QR factors Q (R x n x p) and spline basis B
-    (n x K), one eigvalsh and one eigh of the stack of grams B'P0B = W diag(mu) W', P0B = B - QQ'B:
-    mu (R x K) and P0B W (R x n x K). A slice is bit for bit its own design's."""
+    (n x K), from one eigh of the stack of grams B'P0B = W diag(mu) W', P0B = B - QQ'B: the
+    clipped mu (R x K, descending) and P0B W (R x n x K). A slice is bit for bit its own design's."""
     PB = B - Q @ (Q.swapaxes(-1, -2) @ B)
-    mu, W = _clipped_eigs(B.T @ PB, vectors=True)
-    return mu, PB @ W
+    mu, W = _solve_symmetric(np.linalg.eigh, B.T @ PB)
+    return _clipped(mu), PB @ W[..., ::-1]
 
 
 def checked_qr(X: np.ndarray) -> FactoredStack:

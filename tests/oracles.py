@@ -71,6 +71,31 @@ def _cho_solve(L, b):
     return x
 
 
+def extended_dense_profile(y, X, B, grid_values, kind, h):
+    """The LRT (null: X without its last h columns) or RLRT profile at each
+    grid value from two dense model fits, V = I + lam BB', with BB' and the
+    whole GLS and log-determinant chain in extended precision (np.longdouble),
+    as in the acceptance suite's extended path: its own error stays below
+    1e-10 where V has condition number ~ 1e9 at the top of the grid."""
+    ld = np.longdouble
+    m, p = X.shape
+    y, X, B = (np.asarray(a, dtype=ld) for a in (y, X, B))
+    gram = B @ B.T
+    rss, ldv, ldx = np.empty((3, len(grid_values)), dtype=ld)
+    for g, lam in enumerate(grid_values):
+        L = _cholesky(np.eye(m, dtype=ld) + ld(lam) * gram)
+        ViX = _cho_solve(L, X)
+        Lx = _cholesky(X.T @ ViX)
+        r = y - X @ _cho_solve(Lx, ViX.T @ y)
+        rss[g] = r @ _cho_solve(L, r)
+        ldv[g], ldx[g] = 2 * np.log(np.diag(L)).sum(), 2 * np.log(np.diag(Lx)).sum()
+    if kind == "lrt":
+        Xr = X[:, :p - h]
+        r0 = y - Xr @ _cho_solve(_cholesky(Xr.T @ Xr), Xr.T @ y)
+        return m * np.log((r0 @ r0) / rss) - ldv
+    return (m - p) * np.log(rss[0] / rss) - (ldv + ldx - ldx[0])
+
+
 def reml_slope_terms(y, X, cluster, ratio, dtype=np.longdouble):
     """The two terms of the slope of the REML criterion in the ratio.
 

@@ -1,18 +1,23 @@
-"""The benchmark's tracer still finds every covtest call it wraps.
+"""The benchmark's tracer still finds every covtest call it wraps, and the
+benchmark's checks still rebuild the program's lambda grid.
 
 ``bench/run.py --trace 1`` and ``bench/selftest.py`` replace covtest's public
 functions and ``ProfileSolver``'s methods by name; a rename in ``src/`` would
-break them without this test.
+break them without this test. ``bench/checks.py`` rebuilds the grid from its
+own clipped ``eigvalsh`` of B'B and compares its sha with every LRT/RLRT
+result, so one moved bit of ``DesignMatrices.raw_eigs`` fails every such call
+of the benchmark.
 """
 
 import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from covtest import (
-    Dataset, SimConfig, build_design, generate_dataset, observed_statistic, place_knots,
-    run_study, save_csv,
+    Dataset, SimConfig, build_design, default_lambda_grid, generate_dataset, observed_statistic,
+    place_knots, run_study, save_csv, spectral_decompose,
 )
 from covtest import cli, exact_lrt, score_test, sim_study
 
@@ -102,3 +107,17 @@ def test_null_fit_layers_recorded_for_score_and_cusum(monkeypatch, tmp_path):
         assert "null_fit.fit_ols" not in names[call]
     assert {"null_fit.fit_ols", "null_fit.reml_projection"} <= names["independent"]
     assert "null_fit.fit_reml_random_intercept" not in names["independent"]
+
+
+@pytest.mark.parametrize("m", [100, 2000])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_lambda_grid_is_the_benchmarks(monkeypatch, m, degree):
+    """The grid recipe: the program's lambda grid has the sha of the grid the
+    benchmark's checks rebuild from B alone."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import checks
+
+    ds = generate_dataset(m, 0.25, 0, seed=(7, 0))
+    design = build_design(ds, place_knots(ds.t, 20, degree))
+    grid = default_lambda_grid(spectral_decompose(design))
+    assert grid.sha == checks.grid_sha(checks.lambda_grid(design.B))

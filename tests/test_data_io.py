@@ -1,5 +1,6 @@
 """Dataset loading and validation."""
 
+import csv
 import tracemalloc
 
 import numpy as np
@@ -151,6 +152,22 @@ class TestLoadCsv:
         assert ds.t.tolist() == [0.5, 0.1]
         assert ds.S.tolist() == [[-0.0025], [2.0]]
         assert ds.cluster.tolist() == [0, 0]
+
+    def test_long_cell_does_not_hide_a_later_fault(self, tmp_path):
+        """A 140 000-digit cell, longer than the csv module's default field
+        limit (131 072), is read like any other: the file's fault is its later
+        non-numeric cell, as without the long cell, the limit is left as
+        found, and without the fault the file loads."""
+        long = "0." + "1" * 139_998
+        limit = csv.field_size_limit()
+        for t in (long, "0.1"):
+            path = write(tmp_path, f"y,t\n1.0,{t}\n2.0,0.5\nabc,0.7\n")
+            with pytest.raises(DataError) as err:
+                load_csv(path)
+            assert str(err.value) == f"{path}: non-numeric value 'abc' in column 'y' at data row 3"
+            assert csv.field_size_limit() == limit
+        path = write(tmp_path, f"y,t\n1.0,{long}\n2.0,0.5\n3.0,0.7\n")
+        assert load_csv(path).t.tolist() == [float(long), 0.5, 0.7]
 
 # Header and column map of each generated file: y, t and s1 alone; with a
 # cluster column; and with the columns shuffled around an unread column x.

@@ -40,7 +40,18 @@ from covtest.exact_lrt import (
     save_null_distribution,
 )
 from covtest.spline_basis import PERFECT_FIT_REL, DesignMatrices, KnotSet, stacked_qr, stacked_spectrum
-from oracles import gamma_chisquare, log1p_ratio_null, log1p_ratio_sweep
+from oracles import extended_dense_profile, gamma_chisquare, log1p_ratio_null, log1p_ratio_sweep
+
+
+# Every (kind, h) at spline degrees 1 to 3, m = 60 and 100, K = 20. At degree 3
+# B'B has an eigenvalue below the clip threshold at both m (on this draw of
+# sorted uniform t); the LRT's penalty reads it as 0, which moves the LRT
+# profile at the top of the grid by 3e-7 to 7e-5 relative: a known fault.
+EXTENDED_CASES = [
+    pytest.param(m, d, kind, h, marks=[pytest.mark.xfail(
+        strict=True, reason="B'B's clipped eigenvalue drops out of the LRT penalty")] if (kind, d) == ("lrt", 3) else [])
+    for m in (60, 100) for d in (1, 2, 3) for kind, h in [("rlrt", 0), *(("lrt", h) for h in range(d + 1))]
+]
 
 
 def make_design(m, p, d, n_knots, seed=0, t=None):
@@ -322,22 +333,24 @@ class TestSimulateNull:
     @pytest.mark.parametrize(
         "kind,d,h,digest",
         [
-            ("rlrt", 1, 0, "71830e4aa7f19a0d38858632202443b01da25810f4d0d282dfef68c7237555d4"),
-            ("lrt", 1, 0, "62445a312f2a51533e534d72d2c0a61d3e5a090dd54ab6ed083b2a434ab96a98"),
+            ("rlrt", 1, 0, "16f91f1af5626b6bc6d0ecb0b4d686af2ddf4061d47f2c414f6751af723b18d4"),
+            ("lrt", 1, 0, "c75c92c81f892392474c455472b24fdd711fa1bce3693dd02f94d2c146ff99a0"),
             ("lrt", 2, 1, "8319daabe97a370db67f005ce22975d58a601998579eab681e4be8c3ec4b7e46"),
         ],
     )
     def test_samples_pinned(self, kind, d, h, digest):
-        """The draws behind every cached null; a change here needs a new _SAMPLER_VERSION."""
+        """The draws behind every cached null. A change of the sampler's own
+        steps needs a new _SAMPLER_VERSION; a digest that moves with the
+        design's spectrum needs none, because the keys hash the eigenvalues."""
         assert pinned_null_digest(kind, d, h, 3000) == digest
 
     @pytest.mark.parametrize(
         "kind,d,h,n_sims,digest",
         [
-            ("rlrt", 1, 0, 257, "6b4ad6f9154d25f5addb3c2c32cf93dd6000ba8569e12bb67eb64d8dc07ae6b9"),
-            ("rlrt", 1, 0, 500, "5e2b454cfdfce2623bd68b1b0bae9d8a36480ac662ec22bc6755c1e37c9ea382"),
-            ("rlrt", 1, 0, 1025, "249f350dd655277892b1acbdd287dd2dae3afcd271f7c8f94bdadc477903f36f"),
-            ("rlrt", 1, 0, 2048, "3a791d962c43d21cbe5d5be22088dc516f80322936adecbcb74d1a4aba8aea03"),
+            ("rlrt", 1, 0, 257, "287087faf8f9def4733d520610f4de065408430745ac33f29f906c1f2bcab984"),
+            ("rlrt", 1, 0, 500, "a00dc62ab38e22abb86a852ba722ec4dd8b92e8cf1ea8296b390ba2fa2ff802d"),
+            ("rlrt", 1, 0, 1025, "7e811c654895c3f16a2bcdaaaaed9cf7624e7ebf0973275a7ce85f4fb087eb75"),
+            ("rlrt", 1, 0, 2048, "532918b5caf023c17830802c5c381ccd339017e49d195a1a09a687e4388afe48"),
             ("lrt", 2, 1, 257, "ebd0f946cdefcdff18ce57583d7a8b74684cbcfe47801e774fa3e3188463d712"),
             ("lrt", 2, 1, 500, "62d048db08f90495e9362196e802dd8773e865d54820f852dacff2bb6c0cf618"),
             ("lrt", 2, 1, 1025, "b60b41c852a67cd36aae0ba3d4972329d1926aca1dd4dd1f24e02c08d3b83592"),
@@ -479,6 +492,38 @@ class TestObservedStatistic:
             result = observed_statistic(ds, design, kind, h, grid)
             oracle = max(dense_path(y, design.X, design.B, grid.values, kind, h).max(), 0.0)
             assert result.statistic == pytest.approx(oracle, abs=1e-6, rel=1e-6)
+
+    @pytest.mark.parametrize("m,d,kind,h", EXTENDED_CASES)
+    def test_extended_precision_oracle(self, m, d, kind, h):
+        """Oracle: the dense two-model profile in extended precision at 15
+        grid indices, lambda-hat's among them. The statistic is the oracle's
+        value at lambda-hat to 1e-8 relative and no index beats it; the profile
+        the engine's pieces give there (the design's spectrum and coordinates,
+        the sweep's weights and penalty) is the oracle's to 1e-8 max(1, |value|)."""
+        rng = np.random.default_rng((0, m))
+        t = np.sort(rng.uniform(0, 1, m))
+        S = rng.standard_normal((m, 1))
+        y = 0.5 * S[:, 0] + np.sin(3 * t) + 0.3 * rng.standard_normal(m)
+        ds = Dataset(y=y, S=S, t=t)
+        design = build_design(ds, place_knots(t, 20, d))
+        cache = spectral_decompose(design)
+        assert (cache.raw_eigs == 0.0).any() == (d == 3)
+        grid = default_lambda_grid(cache)
+        result = observed_statistic(ds, design, kind, h, grid)
+        best = int(np.searchsorted(grid.values, result.lambda_hat))
+        idx = np.union1d(np.linspace(0, grid.values.size - 1, 14).round().astype(int), [best])
+        values = grid.values[idx]
+        oracle = extended_dense_profile(y, design.X, design.B, values, kind, h).astype(float)
+        assert result.statistic == pytest.approx(oracle[idx == best][0], rel=1e-8, abs=0)
+        assert oracle.max() <= result.statistic + 1e-8 * max(1.0, result.statistic)
+        head, tail = spectral_coordinates(design, y)
+        n, p = design.X.shape
+        rss0 = head.sum() + tail
+        rss = head @ exact_lrt._grid_weights(values, cache.proj_eigs) + tail
+        mult, pen = exact_lrt._kind_penalty(kind, values, n, n - p, cache.raw_eigs, cache.proj_eigs)
+        extra = ((design.qr.Q[0, :, p - h:].T @ y) ** 2).sum()  # 0 unless the null drops columns
+        profile = mult * np.log(rss0 / rss) - pen + n * np.log1p(extra / rss0)
+        assert np.all(np.abs(profile - oracle) <= 1e-8 * np.maximum(1.0, np.abs(oracle)))
 
     def test_scale_invariance_exact_for_binary_scales(self):
         ds, design = make_design(30, 2, 1, 6, seed=21)
@@ -1007,8 +1052,8 @@ class TestNullCache:
         assert null_distribution_key(cache, "rlrt", 0, grid, 1000, 5) != base
 
     @pytest.mark.parametrize("kind,m,d,key", [
-        ("rlrt", 100, 1, "ddd1c92d6743c0011c857cd7401890427a6e5fcdfec3dc13f763b52e182a4b6d"),
-        ("lrt", 2000, 3, "2b5f6fbca4faa6813724d18e5993744f7dd9728ef0a5abb733fb6911726ab0d7"),
+        ("rlrt", 100, 1, "59589a06457e60b36c7782ad07d2fe82fee0f33925cabfadc9a8db79d5f54900"),
+        ("lrt", 2000, 3, "32a112f548a640f6b1f92051c70744761bb7c71c6366026f92f5c0f56e84e2da"),
     ])
     def test_keys_pinned(self, kind, m, d, key):
         """The key hashes the eigenvalues bit for bit: one bit moved in any of

@@ -272,6 +272,37 @@ class TestRunStudy:
         assert data == {(5, rep, role): 2 * (1 + (rep == 0)) for rep in range(3) for role in range(3)}
         assert len(factored) == 2 * 2 * 2  # (m, block, degree 1 or 2)
 
+    def test_one_eigh_per_block_and_lrt_degree(self, monkeypatch):
+        """A block takes one eigh of its stack of grams B'P0B per LRT degree
+        and no eigvalsh; B'B's eigenvalues and the fixture design's spectrum
+        are taken once per m and degree, before the blocks."""
+        import covtest.sim_study as sim_study
+
+        solvers, blocks = [], []
+        real_block = sim_study._run_block
+
+        def counted(name, real):
+            def call(a):
+                solvers.append(name)
+                return real(a)
+            return call
+
+        def run_block(*args):
+            before = len(solvers)
+            result = real_block(*args)
+            blocks.append(sorted(solvers[before:]))
+            return result
+
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(sim_study, "_run_block", run_block)
+        monkeypatch.setattr(sim_study, "_BLOCK", 2)  # three runs make two blocks
+        run_study(tiny_config(m_values=(30, 40), sigma_values=(0.25, 0.5), c_values=(0, 2),
+                              tests=("lrt1", "lrt2", "rlrt", "score"), n_runs=3))
+        assert blocks == [["eigh", "eigh"]] * (2 * 2)  # (m, block); LRT degrees 1 and 2
+        # The fixtures add one eigh and one eigvalsh per (m, LRT degree).
+        assert sorted(solvers) == ["eigh"] * (4 * 2 + 2 * 2) + ["eigvalsh"] * (2 * 2)
+
     @pytest.mark.parametrize("threads", [1, 3])
     def test_two_sigma_failure_messages_pinned(self, monkeypatch, threads):
         """One collinear replicate in the second block and a perfect fit in

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from covtest import (
     ConfigError,
     Dataset,
     ModelError,
+    NumericalError,
     build_design,
     place_knots,
     smoother_kernel,
@@ -210,6 +212,18 @@ class TestBuildDesign:
             design = build_design(plain_dataset(t), ks)
             joint = np.hstack([design.A, design.B])
             assert np.linalg.matrix_rank(joint) == joint.shape[1]
+
+    def test_failed_eigensolver_is_numerical_error(self):
+        """A gram that eigh or eigvalsh cannot decompose (here, a NaN in B) is a
+        NumericalError, for the projected spectrum and for B'B's eigenvalues."""
+        design = build_design(plain_dataset(np.linspace(0, 1, 20)), place_knots(np.linspace(0, 1, 20), 4, 1))
+        B = design.B.copy()
+        B[3, 2] = np.nan
+        broken = replace(design, B=B)
+        with pytest.raises(NumericalError, match="eigendecomposition failed"):
+            broken.spectrum
+        with pytest.raises(NumericalError, match="eigendecomposition failed"):
+            broken.raw_eigs
 
 
 class TestNaturalSplineGram:
