@@ -26,6 +26,8 @@ __all__ = [
     "save_csv",
 ]
 
+_QUOTED_CHARS = 32  # of a cell in an error line: more than any double's repr (24)
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -264,18 +266,21 @@ def _first_fault(rows: list[tuple[int, list[str]]], header: list[str], cols: lis
                  icl: int | None) -> str | None:
     """The first ragged row, unusable cell of ``cols`` or empty cluster label
     (column ``icl``), in row-major order, of rows given with their data row
-    numbers; None if there is none."""
+    numbers; None if there is none. A cell longer than _QUOTED_CHARS is
+    quoted by its first _QUOTED_CHARS characters and its length."""
     for r, row in rows:
         if len(row) != len(header):
             return f"data row {r} has {len(row)} cells, expected {len(header)}"
         for idx in cols:
             cell = row[idx].strip()
             try:
-                v = float(cell)
+                fault = None if math.isfinite(float(cell)) else "non-finite"
             except ValueError:
-                return f"non-numeric value {cell!r} in column {header[idx]!r} at data row {r}"
-            if not np.isfinite(v):
-                return f"non-finite value {cell!r} in column {header[idx]!r} at data row {r}"
+                fault = "non-numeric"
+            if fault is not None:
+                quoted = repr(cell[:_QUOTED_CHARS])
+                quoted += f"... ({len(cell)} characters)" if len(cell) > _QUOTED_CHARS else ""
+                return f"{fault} value {quoted} in column {header[idx]!r} at data row {r}"
         if icl is not None and not row[icl].strip():
             return f"empty value in column {header[icl]!r} at data row {r}"
     return None

@@ -1,10 +1,10 @@
 """Null-model fitting: OLS for independent data, REML for random intercepts.
 
-Under the null the marginal covariance is V = sigma2 (I + ratio ZZ') with Z
+Under the null the marginal covariance is sigma2 V, V = I + ratio ZZ', with Z
 the cluster indicators (ratio = 0 for independent data). Nothing here builds
 an n x n matrix: fits profile the likelihood from per-cluster sums, and the
-REML projection P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1 used by the score and
-cumulative-sum tests is kept in factored form (see :class:`RemlProjection`).
+REML projection P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1 of the score and cusum
+tests is kept factored at unit variance (see :class:`RemlProjection`).
 """
 
 from __future__ import annotations
@@ -51,24 +51,19 @@ def _cluster_sums(a: np.ndarray, sizes: np.ndarray, order: np.ndarray) -> np.nda
     return np.add.reduceat(np.take(a, order, axis=axis), starts, axis=axis)
 
 
-def _whiten(
-    a, sigma2: float, ratio: float, cluster: np.ndarray, sizes: np.ndarray, order: np.ndarray
-) -> np.ndarray:
-    """V^-1/2 a along the observation axis: (a - d[cluster] * mean_cluster(a)) / sigma.
+def _whiten(a, ratio: float, cluster: np.ndarray, sizes: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """(I + ratio ZZ')^-1/2 a along the observation axis: a - d[cluster] * mean_cluster(a).
 
     On a cluster of size n_i, I + ratio 11' has eigenvalue 1 + ratio n_i
     along 1 and 1 elsewhere, so its inverse square root shrinks the cluster
-    mean by d_i = 1 - (1 + ratio n_i)^-1/2. Every d_i is 0 when ratio = 0.
-    When V = I the result is ``a`` itself, as a float array. ``order`` is the
-    stable argsort of ``cluster`` (see :func:`_cluster_sums`).
+    mean by d_i = 1 - (1 + ratio n_i)^-1/2: the identity at ratio 0. ``a`` is
+    never written to. ``order`` is the stable argsort of ``cluster``.
     """
-    if sigma2 == 1.0 and ratio == 0.0:
-        return np.asarray(a, dtype=float)
-    out = np.asarray(a, dtype=float) / math.sqrt(sigma2)
+    out = np.asarray(a, dtype=float)
     if ratio > 0.0:
         shrink = (1.0 - 1.0 / np.sqrt(1.0 + ratio * sizes)) / sizes
         sums = _cluster_sums(out, sizes, order) * shrink.reshape((-1,) + (1,) * min(out.ndim - 1, 1))
-        out -= np.take(sums, cluster, axis=_obs_axis(out))
+        out = out - np.take(sums, cluster, axis=_obs_axis(out))
     return out
 
 
@@ -119,21 +114,22 @@ class NullFit:
 
 @dataclass(frozen=True)
 class RemlProjection:
-    """REML projection P = V^-1/2 (I - QQ') V^-1/2 in factored form.
+    """REML projection P = V^-1/2 (I - QQ') V^-1/2 in factored form, at unit variance.
 
-    ``Q R`` is the thin QR of V^-1/2 X for V = sigma2 (I + ratio ZZ'), so P is
+    ``Q R`` is the thin QR of V^-1/2 X for V = I + ratio ZZ', so P is
     symmetric, annihilates the columns of X and satisfies P V P = P. Applying
     V^-1/2 or the residual-forming map costs O(n p) per column. ``order`` is
-    the stable argsort of the cluster labels (see :func:`reml_projection`). ``X``, ``Q``
-    and ``R`` may carry a leading replicate axis: the projections of a stack
-    of designs that share V, as a study block's OLS fits do.
+    the stable argsort of the cluster labels; at ratio 0 ``cluster``,
+    ``sizes`` and ``order`` are None. ``sigma2`` scales only the dense ``P``.
+    ``X``, ``Q`` and ``R`` may carry a leading replicate axis: the projections
+    of a stack of designs that share V, as a study block's OLS fits do.
     """
 
     sigma2: float
     ratio: float
-    cluster: np.ndarray
-    sizes: np.ndarray
-    order: np.ndarray
+    cluster: np.ndarray | None
+    sizes: np.ndarray | None
+    order: np.ndarray | None
     X: np.ndarray
     Q: np.ndarray
     R: np.ndarray
@@ -144,13 +140,12 @@ class RemlProjection:
 
     def replicate(self, r: int) -> RemlProjection:
         """The projection of design ``r`` of a stack."""
-        return RemlProjection(self.sigma2, self.ratio, self.cluster, self.sizes, self.order,
-                              self.X[r], self.Q[r], self.R[r])
+        return replace(self, X=self.X[r], Q=self.Q[r], R=self.R[r])
 
     def whiten(self, a) -> np.ndarray:
-        """V^-1/2 a for a vector, a matrix with one row per observation, or a
-        stack of such matrices."""
-        return _whiten(a, self.sigma2, self.ratio, self.cluster, self.sizes, self.order)
+        """(I + ratio ZZ')^-1/2 a for a vector, a matrix with one row per
+        observation, or a stack of such matrices."""
+        return _whiten(a, self.ratio, self.cluster, self.sizes, self.order)
 
     def cluster_sums(self, a: np.ndarray) -> np.ndarray:
         """Z'a: the sums of the rows of ``a`` within each cluster."""
@@ -158,10 +153,10 @@ class RemlProjection:
 
     @property
     def P(self) -> np.ndarray:
-        """Dense n x n projection, built on demand for dense checks."""
+        """Dense n x n projection for the covariance sigma2 V, built for dense checks."""
         root = self.whiten(np.eye(self.n))  # V^-1/2, symmetric
         rq = root @ self.Q
-        P = root @ root - rq @ rq.T
+        P = (root @ root - rq @ rq.T) / self.sigma2
         return 0.5 * (P + P.T)
 
 
@@ -240,8 +235,7 @@ def fit_ols_columns(Y: np.ndarray, factored: FactoredStack) -> tuple[RemlProject
     if failed:
         resid = np.where(bad[:, None, :], 0.0, resid)
         rss = np.where(bad, n - p, rss)
-    rows = np.arange(n)
-    proj = RemlProjection(1.0, 0.0, rows, np.ones(n, dtype=np.int64), rows, X, Q, R)
+    proj = RemlProjection(1.0, 0.0, None, None, None, X, Q, R)
     return proj, OlsFits(beta=beta, fitted=fitted, residuals=resid, sigma2=rss / (n - p), failed=failed)
 
 
@@ -324,7 +318,7 @@ def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullF
     fitted = X @ beta
     resid = dataset.y - fitted
     with np.errstate(over="ignore", invalid="ignore"):  # failed_cells reports an overflow
-        white = _whiten(resid, 1.0, ratio_hat, cluster, sizes, order)
+        white = _whiten(resid, ratio_hat, cluster, sizes, order)
         rss = white @ white
         failed = failed_cells(design.qr, *np.reshape([rss, dataset.y @ dataset.y], (2, 1, 1)))[1]
     if failed:
@@ -354,37 +348,30 @@ def _log_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
 def reml_projection(
     fit: NullFit, X: np.ndarray | FactoredStack, order: np.ndarray | None = None
 ) -> RemlProjection:
-    """P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1 for the fitted covariance.
+    """P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1 for the fit's V = I + ratio ZZ', at unit variance.
 
     Symmetric, annihilates the columns of X, and satisfies P V P = P. Only the
     checked thin QR of V^-1/2 X is used (:func:`~covtest.spline_basis.checked_qr`,
     which raises the ModelError of an X that cannot be fit); see :class:`RemlProjection`.
     ``X`` is the design or its checked QR (``DesignMatrices.qr``). At ratio 0,
-    V^-1/2 X = X / sigma: X's QR with R over sigma, the same bits from either.
-    ``order`` is the stable argsort of ``fit.cluster`` when the caller holds it
+    V^-1/2 X = X: X's own QR, the same bits from either. ``order`` is
+    the stable argsort of ``fit.cluster`` when the caller holds it
     (``Dataset.cluster_order``, as :func:`fit_null` passes it); else it is taken here.
     """
     factored, X = (X, X.X[0]) if isinstance(X, FactoredStack) else (None, np.asarray(X, dtype=float))
     if X.shape[0] != fit.n:
         raise ConfigError(f"design has {X.shape[0]} rows but the fit has {fit.n}")
-    if fit.ratio > 0.0 and fit.cluster is None:
-        raise ConfigError("a positive intercept variance needs cluster labels")
+    if fit.ratio == 0.0:
+        _, (Q,), (R,), _ = checked_qr(X) if factored is None else factored
+        return RemlProjection(fit.sigma2_eps, 0.0, None, None, None, X, Q, R)
     if fit.cluster is None:
-        cluster = order = np.arange(fit.n)
-    else:
-        cluster = _normalize_cluster(np.asarray(fit.cluster))
-        if order is None:
-            order = np.argsort(cluster, kind="stable")
+        raise ConfigError("a positive intercept variance needs cluster labels")
+    cluster = _normalize_cluster(np.asarray(fit.cluster))
+    order = np.argsort(cluster, kind="stable") if order is None else order
     sizes = np.bincount(cluster)
-    # V's eigenvalues are sigma2 (1 + ratio n_i) and sigma2.
+    # V's eigenvalues are 1 + ratio n_i and 1.
     cond = 1.0 + fit.ratio * float(sizes.max())
     if cond > 1e12:
         raise NumericalError(f"fitted covariance is ill-conditioned (cond = {cond:.3e})")
-    if fit.ratio > 0.0:
-        _, (Q,), (R,), _ = checked_qr(_whiten(X, fit.sigma2_eps, fit.ratio, cluster, sizes, order))
-    else:
-        _, (Q,), (R,), _ = checked_qr(X) if factored is None else factored
-        R = R / math.sqrt(fit.sigma2_eps)
-    return RemlProjection(
-        sigma2=fit.sigma2_eps, ratio=fit.ratio, cluster=cluster, sizes=sizes, order=order, X=X, Q=Q, R=R
-    )
+    _, (Q,), (R,), _ = checked_qr(_whiten(X, fit.ratio, cluster, sizes, order))
+    return RemlProjection(fit.sigma2_eps, fit.ratio, cluster, sizes, order, X, Q, R)

@@ -88,6 +88,7 @@ _EPS = float(np.finfo(float).eps)
 _FLOOR = 1e-300
 _MAX_TERMS = 100_000
 _TINY = float(np.finfo(float).tiny)
+_SCALE_ERROR = "scale of the response is out of double-precision range for the score statistic; rescale y"
 
 
 def _gamma_q(a: float, x: float) -> float:
@@ -154,16 +155,15 @@ _BLOCK_ENTRIES = 2**16
 
 
 def _whitened_norms(kernel: SmootherKernel, proj: RemlProjection) -> tuple[float, float]:
-    """tr K and |K|_F^2 for the whitened kernel K = V^-1/2 M V^-1/2.
+    """tr K and |K|_F^2 for the whitened kernel K = V^-1/2 M V^-1/2, V = I + ratio ZZ'.
 
-    With V^-1 = (I - Z G Z') / sigma2, g_i = ratio / (1 + ratio n_i) and z_i
-    the indicator of cluster i,
-    tr K = (tr M - sum_i g_i z_i'M z_i) / sigma2 and
-    |K|^2 = (|M|^2 - 2 sum_i g_i |M z_i|^2 + sum_ik g_i g_k (z_i'M z_k)^2) / sigma2^2.
+    With V^-1 = I - Z G Z', g_i = ratio / (1 + ratio n_i) and z_i the
+    indicator of cluster i, tr K = tr M - sum_i g_i z_i'M z_i and
+    |K|^2 = |M|^2 - 2 sum_i g_i |M z_i|^2 + sum_ik g_i g_k (z_i'M z_k)^2.
     M is applied to the indicators a block of clusters at a time, so the
     memory stays O(n) and the time is that of m kernel applications. The
     terms cancel where V^-1 removes most of M (a large ratio, clusters narrow
-    in t): |K|^2 then carries a relative error of about eps |M|^2 / (sigma2^2 |K|^2).
+    in t): |K|^2 then carries a relative error of about eps |M|^2 / |K|^2.
     """
     trace, sq_norm = kernel.trace, kernel.sq_norm
     if proj.ratio > 0.0:
@@ -179,7 +179,7 @@ def _whitened_norms(kernel: SmootherKernel, proj: RemlProjection) -> tuple[float
             sq_norm -= 2.0 * float(gb @ np.einsum("ij,ij->j", MZ, MZ))
             sq_norm += float(gb @ (g @ ZMZ**2))
             del MZ  # freed before the next block's indicators are made
-    return trace / proj.sigma2, sq_norm / proj.sigma2**2
+    return trace, sq_norm
 
 
 def score_statistic(fit: NullFit, proj: RemlProjection, kernel: SmootherKernel) -> ScoreResult:
@@ -212,8 +212,10 @@ def score_statistics(
     tr(PM) = tr K - tr Q'KQ and tr((PM)^2) = |K|^2 - 2 |KQ|^2 + |Q'KQ|^2
     (Frobenius norms). The kernel is applied once to the whole stack's
     [V^-1/2 Q | V^-1 r of every column], an n x R(p + C) block; tr K and
-    |K|^2 come from :func:`_whitened_norms`. A column whose V is s times
-    proj's has mean / s, variance / s^2 and u_quad / s^2.
+    |K|^2 come from :func:`_whitened_norms`. ``proj`` is at unit variance, so
+    a column of error variance s has mean / s, variance / s^2 and u_quad / s^2,
+    and df and the tail's arguments are free of s. A cell fails with a
+    NumericalError where dividing by s leaves one of them out of double range.
     """
     n, (stack, _, n_cols) = proj.n, residuals.shape
     if kernel.n != n or residuals.shape[1] != n:
@@ -235,20 +237,25 @@ def score_statistics(
     # tr((PM)^2) / 2, with KQ = V^-1/2 M V^-1/2 Q
     variance = 0.5 * (sq_norm_k - 2.0 * _sq_frobenius(proj.whiten(MWQ)) + _sq_frobenius(QKQ))
     mean, variance = (np.where(degenerate, 1.0, a)[:, None] for a in (mean, variance))
-    s = sigma2 / proj.sigma2
-    m, var = mean / s, variance / s**2
-    moments = ScoreMoments(mean=m, variance=var, scale=var / (2.0 * m), df=2.0 * m**2 / var)
-    u_quad = np.maximum(0.5 * np.einsum("...ij,...ij->...j", v, Mv) / s**2, 0.0)  # PSD form, clamp roundoff
-    p_value = _upper_tail(u_quad, moments)
-    a, x = _tail_arguments(u_quad, moments)
+    with np.errstate(all="ignore"):  # a field out of double range fails its cell below
+        m, var = mean / sigma2, variance / sigma2**2
+        df = np.broadcast_to(2.0 * mean**2 / variance, m.shape)  # free of sigma2, so never out of range
+        moments = ScoreMoments(mean=m, variance=var, scale=var / (2.0 * m), df=df)
+        u_unit = np.maximum(0.5 * np.einsum("...ij,...ij->...j", v, Mv), 0.0)  # PSD form, clamp roundoff
+        u_quad = u_unit / sigma2**2
+        p_value = _upper_tail(u_quad, moments)
+        a, x = _tail_arguments(u_quad, moments)
+        result = ScoreResult(u_quad=u_quad, null_mean=m, u_score=u_quad - m, moments=moments,
+                             p_value=p_value, kernel_kind=kernel.kind)
     failed = {(int(r), int(c)): NumericalError(
                   f"chi-square tail did not converge at a = {float(a[r, c])!r}, x = {float(x[r, c])!r}")
               for r, c in zip(*np.nonzero(np.isnan(p_value)))}
+    out_of_range = np.any([~np.isfinite(f) | ((np.abs(f) < _TINY) & (unit != 0.0))  # overflowed or underflowed
+                           for f, unit in ((u_quad, u_unit), (m, mean), (var, variance), (moments.scale, variance))], 0)
+    failed.update(((int(r), int(c)), NumericalError(_SCALE_ERROR)) for r, c in zip(*np.nonzero(out_of_range)))
     for r in np.flatnonzero(degenerate):
         failed.update(((int(r), c), DegenerateTestError(
             "projection annihilates the smoother kernel; score test is degenerate")) for c in range(n_cols))
-    result = ScoreResult(u_quad=u_quad, null_mean=m, u_score=u_quad - m, moments=moments,
-                         p_value=p_value, kernel_kind=kernel.kind)
     return result, failed
 
 

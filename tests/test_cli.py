@@ -85,7 +85,7 @@ class TestTestCommand:
     def test_design_is_factored_once(self, tmp_path, monkeypatch, args):
         """build_design's checked QR of X serves every later step of a call:
         the spectral decomposition, the observed statistic, the null fits and,
-        at rho-hat = 0, the projection, whose V^-1/2 X is X / sigma. Score and
+        at rho-hat = 0, the projection, whose V^-1/2 X is X. Score and
         cusum on clustered data, where rho-hat > 0, take one more checked QR,
         of V^-1/2 X for the projection."""
         factored = []
@@ -290,8 +290,27 @@ class TestErrorSurfacing:
         assert code == 1 and not caught
         assert err == OVERFLOW_LINE
 
+    @pytest.mark.parametrize("clustered", [False, True])
+    @pytest.mark.parametrize("factor", [1e-160, 1e-100, 1e100])
+    def test_score_out_of_range_scale_is_one_numerical_error(self, tmp_path, factor, clustered):
+        """y scaled so far that the score's moments leave double range (the
+        null variance scales as y^-4) ends in one numerical error line saying
+        so, with no RuntimeWarning before it and no traceback."""
+        ds = generate_dataset(60, 0.25, 2, seed=(13, 0))
+        cluster = np.arange(60) % 6 if clustered else None
+        path = tmp_path / "scaled.csv"
+        save_csv(Dataset(y=factor * ds.y, S=ds.S, t=ds.t, cluster=cluster), path)
+        args = ["--cluster-col", "cluster"] if clustered else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = outcome(["test", "--input", path, "--method", "score", "--out", tmp_path / "out", *args])
+        assert code == 1 and not caught
+        assert err == SCALE_LINE
+
 
 OVERFLOW_LINE = "numerical error: sum of squares of the response overflows double precision; rescale y\n"
+SCALE_LINE = ("numerical error: scale of the response is out of double-precision range for the "
+              "score statistic; rescale y\n")
 
 
 class TestFileSystemFaults:

@@ -169,6 +169,19 @@ class TestLoadCsv:
         path = write(tmp_path, f"y,t\n1.0,{long}\n2.0,0.5\n3.0,0.7\n")
         assert load_csv(path).t.tolist() == [float(long), 0.5, 0.7]
 
+    @pytest.mark.parametrize("cell, fault", [("x" * 140_000, "non-numeric"), ("1" * 140_000, "non-finite")])
+    def test_long_unusable_cell_makes_a_short_line(self, tmp_path, cell, fault):
+        """An error line quotes the first 32 characters of a long unusable cell
+        and its length, so a 140 000-character cell makes a line under 200
+        bytes that still names the column and the data row."""
+        path = write(tmp_path, f"y,t\n1.0,0.5\n2.0,{cell}\n")
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        line = f"data error: {err.value}\n"
+        assert str(err.value) == (f"{path}: {fault} value {cell[:32]!r}... (140000 characters) "
+                                  "in column 't' at data row 2")
+        assert len(line.encode()) < 200
+
 # Header and column map of each generated file: y, t and s1 alone; with a
 # cluster column; and with the columns shuffled around an unread column x.
 LAYOUTS = [

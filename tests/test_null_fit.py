@@ -1,7 +1,7 @@
 """Null-model fitting: OLS, random-intercept REML, and the REML projection."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -19,8 +19,12 @@ from covtest import (
     fit_reml_random_intercept,
     place_knots,
     reml_projection,
+    score_statistic,
+    smoother_kernel,
 )
+from covtest.cusum_test import multiplier_processes
 from covtest.null_fit import NullFit, fit_null, fit_ols_columns
+from covtest.score_test import score_statistics
 from covtest.spline_basis import DesignMatrices, KnotSet, stacked_qr
 from oracles import reml_slope_terms, restricted_loglik
 
@@ -320,8 +324,8 @@ class TestRemlProjection:
     @pytest.mark.parametrize("clustered", [False, True])
     def test_fit_null_projection_is_reml_projection(self, small_dataset, clustered):
         """fit_null passes the design's QR, and gets the bits of reml_projection
-        on a bare X. At ratio 0 that is X's QR with R over sigma: the
-        projection of the whitened X / sigma, to rounding, with no second QR."""
+        on a bare X. At ratio 0 that is X's own QR, with no second QR and no
+        cluster layout."""
         ds = small_dataset
         if clustered:
             ds = clustered_dataset(n_clusters=5, size=4, shift=1.0, noise=0.7, seed=0)
@@ -332,12 +336,33 @@ class TestRemlProjection:
         for name in ("X", "Q", "R", "cluster", "sizes"):
             np.testing.assert_array_equal(getattr(proj, name), getattr(bare, name))
         if not clustered:
-            sigma = np.sqrt(fit.sigma2_eps)
+            assert proj.cluster is proj.sizes is proj.order is None
             np.testing.assert_array_equal(proj.Q, design.qr.Q[0])
-            np.testing.assert_array_equal(proj.R, design.qr.R[0] / sigma)
-            Q, R = np.linalg.qr(design.X / sigma)
+            np.testing.assert_array_equal(proj.R, design.qr.R[0])
+            Q, R = np.linalg.qr(design.X)
             np.testing.assert_allclose(proj.Q, Q, rtol=0, atol=1e-13)
             np.testing.assert_allclose(proj.R, R, rtol=1e-13)
+
+    def test_cli_call_and_study_cell_share_one_projection(self, small_dataset):
+        """At ratio 0 a covtest test call's projection (reml_projection of the
+        OLS fit) is a study block's (fit_ols_columns of a 1 x 1 stack): the
+        same score in every bit, and the same resampled cusum paths."""
+        ds = small_dataset
+        design = design_for(ds)
+        fit, kern = fit_ols(ds, design), smoother_kernel(ds.t, 1)
+        call = reml_projection(fit, design.X)
+        study, fits = fit_ols_columns(ds.y[None, :, None], design.qr)
+        block, failed = score_statistics(fits.residuals, fits.sigma2, study, kern)
+        assert not failed
+
+        def bits(result):
+            *head, moments, p_value, _ = astuple(result)
+            return np.array([*head, *moments, p_value]).tobytes()
+
+        assert bits(score_statistic(fit, call, kern)) == bits(block.cell(0, 0))
+        paths = [multiplier_processes(f, p, ds.t, 50, seed=7)[1]
+                 for f, p in [(fit, call), (fits.null_fit(0, 0), study.replicate(0))]]
+        assert np.array_equal(*paths)
 
     @pytest.mark.parametrize("clustered", [False, True])
     def test_rank_deficient_design_is_rejected(self, small_dataset, clustered):

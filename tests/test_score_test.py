@@ -12,6 +12,7 @@ from covtest import (
     SmootherKernel,
     DegenerateFitError,
     DegenerateTestError,
+    NumericalError,
     build_design,
     fit_ols,
     fit_reml_random_intercept,
@@ -23,7 +24,14 @@ from covtest import (
     smoother_kernel,
 )
 from covtest.null_fit import NullFit, fit_ols_columns
-from covtest.score_test import ScoreMoments, _gamma_q, _upper_tail, _whitened_norms, score_statistics
+from covtest.score_test import (
+    _SCALE_ERROR,
+    ScoreMoments,
+    _gamma_q,
+    _upper_tail,
+    _whitened_norms,
+    score_statistics,
+)
 from covtest.spline_basis import KnotSet, NATURAL_SPLINE, PENALIZED_GRAM, stacked_qr
 from oracles import restricted_loglik
 
@@ -354,3 +362,44 @@ class TestMemory:
             tracemalloc.stop()
         assert 0.0 < trace and 0.0 < sq_norm
         assert peak < 3 * 2**20
+
+
+def response_scale_data(clustered):
+    """n = 300 rows of y = 0.7 s + 0.6 e^2t sin 9t + 0.3 e, t sorted uniform,
+    plus a N(0, 2^2) intercept on each of 30 clusters when ``clustered``."""
+    rng = np.random.default_rng(0)
+    n = 300
+    t = np.sort(rng.uniform(0, 1, n))
+    s = rng.standard_normal(n)
+    y = 0.7 * s + 0.6 * np.exp(2 * t) * np.sin(9 * t) + 0.3 * rng.standard_normal(n)
+    cluster = None
+    if clustered:
+        cluster = np.arange(n) % 30
+        y = y + 2.0 * rng.standard_normal(30)[cluster]
+    return y, s[:, None], t, cluster
+
+
+class TestResponseScale:
+    """The score test does not depend on y's units: the projection is at unit
+    variance and sigma-hat^2 is one scale. y * 10^k gives k = 0's p-value
+    while every reported field is a finite normal double, and one
+    NumericalError once a field leaves that range, never another exception."""
+
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_scaled_response(self, clustered):
+        y, S, t, cluster = response_scale_data(clustered)
+        ds = Dataset(y=y, S=S, t=t, cluster=cluster)
+        base = run_score_test(ds)
+        if clustered:
+            assert fit_reml_random_intercept(ds, build_design(ds, KnotSet(np.empty(0), 1))).ratio > 0.0
+        for k in (-150, -100, -77, -76, -70, -40, 40, 70, 76, 77, 100, 150):
+            try:
+                got = run_score_test(Dataset(y=y * 10.0**k, S=S, t=t, cluster=cluster))
+            except NumericalError as exc:
+                assert abs(k) >= 77, k
+                assert str(exc) == _SCALE_ERROR
+                continue
+            assert abs(k) < 100, k
+            fields = [got.u_quad, got.null_mean, *(getattr(got.moments, f) for f in ("mean", "variance", "scale", "df"))]
+            assert all(np.isfinite(f) and abs(f) >= np.finfo(float).tiny for f in fields), k
+            assert got.p_value == pytest.approx(base.p_value, rel=1e-10, abs=0), k

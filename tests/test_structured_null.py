@@ -154,7 +154,7 @@ def test_projection_matches_dense(kind):
     P = dense_projection(fit.V, design.X)
     assert _rel(proj.P, P) <= RTOL
     root = proj.whiten(np.eye(ds.n))
-    assert _rel(root @ root, np.linalg.inv(fit.V)) <= RTOL
+    assert _rel(root @ root, fit.sigma2_eps * np.linalg.inv(fit.V)) <= RTOL  # V^-1/2 at unit variance
 
 
 @pytest.mark.parametrize("kind", CASES)
