@@ -23,7 +23,7 @@ _HOMES = {
               "DegenerateFitError DegenerateTestError StudyError",
     "spline_basis": "KnotSet DesignMatrices SmootherKernel place_knots truncated_power "
                     "build_design smoother_kernel",
-    "null_fit": "NullFit RemlProjection fit_ols fit_reml_random_intercept reml_projection",
+    "null_fit": "NullFit fit_ols fit_reml_random_intercept reml_projection",
     "exact_lrt": "SpectralCache LambdaGrid NullDistribution TestResult ProfileSolver "
                  "spectral_decompose spectral_coordinates default_lambda_grid profile_terms "
                  "simulate_null simulate_null_cached observed_statistic p_value attach_pvalue",

@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,17 @@ def _load_dataset(cfg: dict):
     )
 
 
+@contextmanager
+def _sized_by(cfg: dict, flag: str):
+    """numpy's refusal of the arrays ``--flag``'s count sizes in the block (a MemoryError, or a
+    ValueError for a shape past the address space) as one config error naming the flag."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        count = cfg[flag.replace("-", "_")]
+        raise ConfigError(f"--{flag} {count} needs more memory than can be allocated ({exc})") from None
+
+
 def _lrt_null(cfg: dict, dataset):
     """Design, lambda grid and (cached) simulated null of an LRT/RLRT run."""
     from .exact_lrt import default_lambda_grid, simulate_null_cached, spectral_decompose
@@ -136,10 +148,11 @@ def _lrt_null(cfg: dict, dataset):
     design = build_design(dataset, place_knots(dataset.t, cfg["knots"], cfg["degree"]))
     cache = spectral_decompose(design)
     grid = default_lambda_grid(cache)
-    null = simulate_null_cached(
-        cache, cfg["method"], cfg["h"], grid, cfg["nsims"],
-        seed=(cfg["seed"], 1), cache_dir=_cache_dir(cfg),
-    )
+    with _sized_by(cfg, "nsims"):
+        null = simulate_null_cached(
+            cache, cfg["method"], cfg["h"], grid, cfg["nsims"],
+            seed=(cfg["seed"], 1), cache_dir=_cache_dir(cfg),
+        )
     return design, grid, null
 
 
@@ -239,7 +252,8 @@ def _cmd_test(cfg: dict) -> int:
         fit, proj = fit_null(dataset, design)
         ordering = dataset.t if cfg["ordering"] == "t" else fit.fitted
         process = cumulative_process(fit, ordering)
-        sups = multiplier_null(fit, proj, ordering, cfg["resamples"], seed=(cfg["seed"], 2))
+        with _sized_by(cfg, "resamples"):
+            sups = multiplier_null(fit, proj, ordering, cfg["resamples"], seed=(cfg["seed"], 2))
         result = sup_test(process, sups, process=cfg["ordering"])
         record.update(
             statistic=result.observed_sup,
@@ -248,18 +262,14 @@ def _cmd_test(cfg: dict) -> int:
             process=result.process,
         )
         if cfg["emit_processes"]:
-            points, paths = multiplier_processes(
-                fit, proj, ordering, cfg["emit_processes"], seed=(cfg["seed"], 2)
-            )
-            lines = ["point,observed," + ",".join(f"resample_{k+1}" for k in range(paths.shape[0]))]
-            for j, point in enumerate(points):
-                lines.append(
-                    f"{float(point)!r},{float(process.values[j])!r},"
-                    + ",".join(repr(float(v)) for v in paths[:, j])
+            with _sized_by(cfg, "emit-processes"):
+                points, paths = multiplier_processes(
+                    fit, proj, ordering, cfg["emit_processes"], seed=(cfg["seed"], 2)
                 )
-            (out_dir / f"cusum_process_{cfg['ordering']}.csv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8"
-            )
+            header = ["point", "observed", *(f"resample_{k + 1}" for k in range(paths.shape[0]))]
+            table = np.column_stack([points, process.values, paths.T])  # one row per jump point
+            lines = [",".join(header), *(",".join(map(repr, row.tolist())) for row in table)]
+            (out_dir / f"cusum_process_{cfg['ordering']}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     record["reject_at_level"] = bool(record["p_value"] < cfg["level"])
     record["level"] = cfg["level"]
     result_path = out_dir / f"result_{method}.json"

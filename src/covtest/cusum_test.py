@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .null_fit import NullFit, RemlProjection
+from .null_fit import NullFit
 from .rng import SeedLike, chunked_streams
+from .spline_basis import FactoredStack
 
 __all__ = [
     "CusumProcess",
@@ -89,7 +90,7 @@ def cumulative_process(fit: NullFit, ordering: np.ndarray) -> CusumProcess:
 
 
 def _resampled_blocks(
-    fit: NullFit, proj: RemlProjection, ordering: np.ndarray, n_resamples: int, seed: SeedLike
+    fit: NullFit, proj: FactoredStack, ordering: np.ndarray, n_resamples: int, seed: SeedLike
 ):
     """Jump points, and resampled processes evaluated there in blocks of rows.
 
@@ -114,10 +115,10 @@ def _resampled_blocks(
     order, points, first = _sorted_contributions(fit, ordering)
     rows = order if fit.cluster is None else fit.cluster[order]
     contrib = fit.residuals[order]
-    white_q = proj.whiten(proj.Q)[order]
+    white_q = proj.whiten(proj.Q[0])[order]
     last = np.append(first[1:], fit.n) - 1
     tied = last.size < fit.n  # without ties every row is the last of its group: no gather
-    x_cum = np.cumsum(proj.X[order], axis=0)[last].T
+    x_cum = np.cumsum(proj.X[0][order], axis=0)[last].T
     n_units = fit.n_units
 
     def blocks():
@@ -126,7 +127,7 @@ def _resampled_blocks(
                 hi = min(lo + _SUB_BLOCK, stop)
                 g = np.take(rng.standard_normal((hi - lo, n_units)), rows, axis=1)
                 g *= contrib
-                coef = np.linalg.solve(proj.R, (g @ white_q).T).T
+                coef = np.linalg.solve(proj.R[0], (g @ white_q).T).T
                 np.cumsum(g, axis=1, out=g)
                 if tied:
                     g = np.take(g, last, axis=1)
@@ -140,12 +141,13 @@ def _resampled_blocks(
 
 def multiplier_null(
     fit: NullFit,
-    proj: RemlProjection,
+    proj: FactoredStack,
     ordering: np.ndarray,
     n_resamples: int,
     seed: SeedLike = 0,
 ) -> np.ndarray:
-    """Sup-norms of ``n_resamples`` multiplier draws of the null process."""
+    """Sup-norms of ``n_resamples`` multiplier draws of the null process, under the fit's
+    one-design projection: its ``reml_projection``, or ``replicate(r)`` of a study block's stack."""
     _, blocks = _resampled_blocks(fit, proj, ordering, n_resamples, seed)
     sups = np.empty(n_resamples)
     for start, stop, processes in blocks:
@@ -156,7 +158,7 @@ def multiplier_null(
 
 def multiplier_processes(
     fit: NullFit,
-    proj: RemlProjection,
+    proj: FactoredStack,
     ordering: np.ndarray,
     n_resamples: int,
     seed: SeedLike = 0,

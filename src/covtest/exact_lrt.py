@@ -509,8 +509,8 @@ def load_null_distribution(path: str | Path) -> NullDistribution:
     with np.load(path, allow_pickle=False) as payload:
         provenance = json.loads(str(payload["provenance"]))
         samples = payload["samples"].astype(float)
-    if (provenance.get("format") != "covtest-null-cache" or provenance.get("version") != 1
-            or not {"kind", "h"} <= provenance.keys()):
+    if (not isinstance(provenance, dict) or provenance.get("format") != "covtest-null-cache"
+            or provenance.get("version") != 1 or not {"kind", "h"} <= provenance.keys()):
         raise ConfigError(f"{path}: not a recognised null-distribution cache file")
     return NullDistribution(samples, provenance)
 

@@ -4,7 +4,7 @@ Under the null the marginal covariance is sigma2 V, V = I + ratio ZZ', with Z
 the cluster indicators (ratio = 0 for independent data). Nothing here builds
 an n x n matrix: fits profile the likelihood from per-cluster sums, and the
 REML projection P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1 of the score and cusum
-tests is kept factored at unit variance (see :class:`RemlProjection`).
+tests is kept factored at unit variance (see :class:`~covtest.spline_basis.FactoredStack`).
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ import numpy as np
 
 from .data_io import Dataset, _normalize_cluster
 from .errors import ConfigError, NumericalError
-from .spline_basis import DesignMatrices, FactoredStack, checked_qr, failed_cells
+from .spline_basis import DesignMatrices, FactoredStack, _cluster_sums, _whiten, checked_qr, failed_cells
 
 __all__ = [
     "NullFit",
     "OlsFits",
-    "RemlProjection",
     "fit_null",
     "fit_ols",
     "fit_ols_columns",
@@ -35,36 +34,6 @@ __all__ = [
 _RATIO_MAX = 1e8
 _BRACKET_STEP = 10.0
 _ROOT_TOL = 1e-14
-
-
-def _obs_axis(a: np.ndarray) -> int:
-    """The observation axis: a vector's only one, else the second to last, so
-    a matrix has one row per observation and a stack one matrix per replicate."""
-    return 0 if a.ndim == 1 else -2
-
-
-def _cluster_sums(a: np.ndarray, sizes: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Sums of ``a`` along its observation axis within each cluster 0..m-1 (none
-    empty), given ``order``, the stable argsort of the rows' cluster labels."""
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    axis = _obs_axis(a)
-    return np.add.reduceat(np.take(a, order, axis=axis), starts, axis=axis)
-
-
-def _whiten(a, ratio: float, cluster: np.ndarray, sizes: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """(I + ratio ZZ')^-1/2 a along the observation axis: a - d[cluster] * mean_cluster(a).
-
-    On a cluster of size n_i, I + ratio 11' has eigenvalue 1 + ratio n_i
-    along 1 and 1 elsewhere, so its inverse square root shrinks the cluster
-    mean by d_i = 1 - (1 + ratio n_i)^-1/2: the identity at ratio 0. ``a`` is
-    never written to. ``order`` is the stable argsort of ``cluster``.
-    """
-    out = np.asarray(a, dtype=float)
-    if ratio > 0.0:
-        shrink = (1.0 - 1.0 / np.sqrt(1.0 + ratio * sizes)) / sizes
-        sums = _cluster_sums(out, sizes, order) * shrink.reshape((-1,) + (1,) * min(out.ndim - 1, 1))
-        out = out - np.take(sums, cluster, axis=_obs_axis(out))
-    return out
 
 
 def _sq_norms(A: np.ndarray) -> np.ndarray:
@@ -113,54 +82,6 @@ class NullFit:
 
 
 @dataclass(frozen=True)
-class RemlProjection:
-    """REML projection P = V^-1/2 (I - QQ') V^-1/2 in factored form, at unit variance.
-
-    ``Q R`` is the thin QR of V^-1/2 X for V = I + ratio ZZ', so P is
-    symmetric, annihilates the columns of X and satisfies P V P = P. Applying
-    V^-1/2 or the residual-forming map costs O(n p) per column. ``order`` is
-    the stable argsort of the cluster labels; at ratio 0 ``cluster``,
-    ``sizes`` and ``order`` are None. ``sigma2`` scales only the dense ``P``.
-    ``X``, ``Q`` and ``R`` may carry a leading replicate axis: the projections
-    of a stack of designs that share V, as a study block's OLS fits do.
-    """
-
-    sigma2: float
-    ratio: float
-    cluster: np.ndarray | None
-    sizes: np.ndarray | None
-    order: np.ndarray | None
-    X: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[-2]
-
-    def replicate(self, r: int) -> RemlProjection:
-        """The projection of design ``r`` of a stack."""
-        return replace(self, X=self.X[r], Q=self.Q[r], R=self.R[r])
-
-    def whiten(self, a) -> np.ndarray:
-        """(I + ratio ZZ')^-1/2 a for a vector, a matrix with one row per
-        observation, or a stack of such matrices."""
-        return _whiten(a, self.ratio, self.cluster, self.sizes, self.order)
-
-    def cluster_sums(self, a: np.ndarray) -> np.ndarray:
-        """Z'a: the sums of the rows of ``a`` within each cluster."""
-        return _cluster_sums(a, self.sizes, self.order)
-
-    @property
-    def P(self) -> np.ndarray:
-        """Dense n x n projection for the covariance sigma2 V, built for dense checks."""
-        root = self.whiten(np.eye(self.n))  # V^-1/2, symmetric
-        rq = root @ self.Q
-        P = (root @ root - rq @ rq.T) / self.sigma2
-        return 0.5 * (P + P.T)
-
-
-@dataclass(frozen=True)
 class OlsFits:
     """OLS fits of a stack of responses: R x p x C coefficients, R x n x C
     fitted values and residuals, R x C error variances, and a map from each
@@ -194,19 +115,20 @@ def fit_ols(dataset: Dataset, design: DesignMatrices) -> NullFit:
 
 def _fit_one(dataset: Dataset, design: DesignMatrices) -> OlsFits:
     """The OLS fit of one response, a 1 x n x 1 stack; raises its error if it failed."""
-    fits = fit_ols_columns(dataset.y[None, :, None], design.qr)[1]
+    fits = fit_ols_columns(dataset.y[None, :, None], design.qr)
     if fits.failed:
         raise fits.failed[0, 0]
     return fits
 
 
-def fit_null(dataset: Dataset, design: DesignMatrices) -> tuple[NullFit, RemlProjection]:
+def fit_null(dataset: Dataset, design: DesignMatrices) -> tuple[NullFit, FactoredStack]:
     """The null fit the score and cusum tests use, and its projection: the
     random-intercept REML fit when the data have two or more clusters and one
     of them two or more rows, else the OLS fit of independent rows, whose
     ``cluster`` is None. One cluster, or clusters of one row each, carry no
     intercept variance, and a one-cluster fit would resample one unit. The
-    fit and the projection read the dataset's one sort of its cluster labels."""
+    fit and the projection read the dataset's one sort of its cluster labels.
+    At ratio 0 the projection's X, Q and R are the design's ``qr``'s arrays."""
     if dataset.cluster is not None and 2 <= dataset.n_units < dataset.n:
         fit, order = fit_reml_random_intercept(dataset, design), dataset.cluster_order
     else:
@@ -214,29 +136,26 @@ def fit_null(dataset: Dataset, design: DesignMatrices) -> tuple[NullFit, RemlPro
     return fit, reml_projection(fit, design.qr, order)
 
 
-def fit_ols_columns(Y: np.ndarray, factored: FactoredStack) -> tuple[RemlProjection, OlsFits]:
+def fit_ols_columns(Y: np.ndarray, factored: FactoredStack) -> OlsFits:
     """OLS fits of responses Y (R x n x C) under a stack of designs factored
-    by :func:`~covtest.spline_basis.stacked_qr` (R x n x p).
-
-    Returns the stack's projection at unit error variance and the fits. A
-    cell fails by :func:`~covtest.spline_basis.failed_cells`; its numbers do
-    not depend on the other cells.
+    by :func:`~covtest.spline_basis.stacked_qr` (R x n x p), which is also
+    the fits' projection at unit variance. A cell fails by
+    :func:`~covtest.spline_basis.failed_cells`; its numbers do not depend on
+    the other cells.
     """
-    X, Q, R, _ = factored
-    n, p = X.shape[-2:]
+    n, p = factored.X.shape[-2:]
     if Y.shape[1] != n:
         raise ConfigError(f"design has {n} rows but dataset has {Y.shape[1]}")
     with np.errstate(over="ignore", invalid="ignore"):  # failed_cells reports an overflow
-        beta = np.linalg.solve(R, Q.swapaxes(-1, -2) @ Y)
-        fitted = X @ beta
+        beta = np.linalg.solve(factored.R, factored.Q.swapaxes(-1, -2) @ Y)
+        fitted = factored.X @ beta
         resid = Y - fitted
         rss = _sq_norms(resid)
         bad, failed = failed_cells(factored, rss, _sq_norms(Y))
     if failed:
         resid = np.where(bad[:, None, :], 0.0, resid)
         rss = np.where(bad, n - p, rss)
-    proj = RemlProjection(1.0, 0.0, None, None, None, X, Q, R)
-    return proj, OlsFits(beta=beta, fitted=fitted, residuals=resid, sigma2=rss / (n - p), failed=failed)
+    return OlsFits(beta=beta, fitted=fitted, residuals=resid, sigma2=rss / (n - p), failed=failed)
 
 
 def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullFit:
@@ -347,23 +266,24 @@ def _log_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
 
 def reml_projection(
     fit: NullFit, X: np.ndarray | FactoredStack, order: np.ndarray | None = None
-) -> RemlProjection:
+) -> FactoredStack:
     """P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1 for the fit's V = I + ratio ZZ', at unit variance.
 
-    Symmetric, annihilates the columns of X, and satisfies P V P = P. Only the
-    checked thin QR of V^-1/2 X is used (:func:`~covtest.spline_basis.checked_qr`,
-    which raises the ModelError of an X that cannot be fit); see :class:`RemlProjection`.
-    ``X`` is the design or its checked QR (``DesignMatrices.qr``). At ratio 0,
-    V^-1/2 X = X: X's own QR, the same bits from either. ``order`` is
-    the stable argsort of ``fit.cluster`` when the caller holds it
-    (``Dataset.cluster_order``, as :func:`fit_null` passes it); else it is taken here.
+    Symmetric, annihilates the columns of X, and satisfies P V P = P. It is
+    held as the one-design record of the checked thin QR of V^-1/2 X
+    (:func:`~covtest.spline_basis.checked_qr`, which raises the ModelError of
+    an X that cannot be fit), carrying the raw X, V's layout and the fit's
+    variance. ``X`` is the design or its checked QR (``DesignMatrices.qr``).
+    At ratio 0, V^-1/2 X = X: the projection is X's own QR, the given record's
+    arrays themselves. ``order`` is the stable argsort of ``fit.cluster`` when
+    the caller holds it (``Dataset.cluster_order``, as :func:`fit_null` passes
+    it); else it is taken here.
     """
     factored, X = (X, X.X[0]) if isinstance(X, FactoredStack) else (None, np.asarray(X, dtype=float))
     if X.shape[0] != fit.n:
         raise ConfigError(f"design has {X.shape[0]} rows but the fit has {fit.n}")
     if fit.ratio == 0.0:
-        _, (Q,), (R,), _ = checked_qr(X) if factored is None else factored
-        return RemlProjection(fit.sigma2_eps, 0.0, None, None, None, X, Q, R)
+        return replace(checked_qr(X) if factored is None else factored, sigma2=fit.sigma2_eps)
     if fit.cluster is None:
         raise ConfigError("a positive intercept variance needs cluster labels")
     cluster = _normalize_cluster(np.asarray(fit.cluster))
@@ -373,5 +293,5 @@ def reml_projection(
     cond = 1.0 + fit.ratio * float(sizes.max())
     if cond > 1e12:
         raise NumericalError(f"fitted covariance is ill-conditioned (cond = {cond:.3e})")
-    _, (Q,), (R,), _ = checked_qr(_whiten(X, fit.ratio, cluster, sizes, order))
-    return RemlProjection(fit.sigma2_eps, fit.ratio, cluster, sizes, order, X, Q, R)
+    return replace(checked_qr(_whiten(X, fit.ratio, cluster, sizes, order)), X=X[None], ratio=fit.ratio,
+                   cluster=cluster, sizes=sizes, order=order, sigma2=fit.sigma2_eps)

@@ -22,9 +22,10 @@ import numpy as np
 
 from .data_io import Dataset
 from .errors import ConfigError, DegenerateTestError, NumericalError
-from .null_fit import NullFit, RemlProjection, fit_null
+from .null_fit import NullFit, fit_null
 from .spline_basis import (
     NATURAL_SPLINE,
+    FactoredStack,
     KnotSet,
     SmootherKernel,
     build_design,
@@ -154,7 +155,7 @@ def _sq_frobenius(A: np.ndarray) -> np.ndarray:
 _BLOCK_ENTRIES = 2**16
 
 
-def _whitened_norms(kernel: SmootherKernel, proj: RemlProjection) -> tuple[float, float]:
+def _whitened_norms(kernel: SmootherKernel, proj: FactoredStack) -> tuple[float, float]:
     """tr K and |K|_F^2 for the whitened kernel K = V^-1/2 M V^-1/2, V = I + ratio ZZ'.
 
     With V^-1 = I - Z G Z', g_i = ratio / (1 + ratio n_i) and z_i the
@@ -182,7 +183,7 @@ def _whitened_norms(kernel: SmootherKernel, proj: RemlProjection) -> tuple[float
     return trace, sq_norm
 
 
-def score_statistic(fit: NullFit, proj: RemlProjection, kernel: SmootherKernel) -> ScoreResult:
+def score_statistic(fit: NullFit, proj: FactoredStack, kernel: SmootherKernel) -> ScoreResult:
     """Compute the score statistic and its calibrated one-sided p-value: the
     one-fit case of :func:`score_statistics`. All three inputs must come from
     the same dataset and design."""
@@ -196,13 +197,14 @@ def score_statistic(fit: NullFit, proj: RemlProjection, kernel: SmootherKernel) 
 
 
 def score_statistics(
-    residuals: np.ndarray, sigma2: np.ndarray, proj: RemlProjection, kernel: SmootherKernel
+    residuals: np.ndarray, sigma2: np.ndarray, proj: FactoredStack, kernel: SmootherKernel
 ) -> tuple[ScoreResult, dict]:
-    """Score statistics of a stack of null fits: R x n x C residuals with R x
-    C error variances, where replicate r's columns share design r of ``proj``
-    (or its one design) and its variance ratio. Returns a ScoreResult of R x C
-    arrays and a map from each failed (replicate, column) cell to its error:
-    a DegenerateTestError for every cell of a replicate whose projection
+    """Score statistics of a stack of null fits: R x n x C residuals with R x C
+    error variances, where replicate r's columns share design r of ``proj`` (or
+    its one design) and its V. ``proj`` is the record the fits were taken under:
+    a study block's stack, or one fit's ``reml_projection``. Returns a ScoreResult
+    of R x C arrays and a map from each failed (replicate, column) cell to its
+    error: a DegenerateTestError for every cell of a replicate whose projection
     annihilates the kernel (the test carries no information, e.g. M = 0 or
     col(M) inside col(X)), or a NumericalError where the tail did not
     converge. A failed cell's array entries are meaningless; a cell's numbers

@@ -345,7 +345,7 @@ def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
             failed.setdefault((r, k), []).extend((ti, error) for ti in group)
     ols = [(ti, name) for ti, name in enumerate(tests) if name in ("score", "cusum")]
     if ols:
-        proj, fits = fit_ols_columns(Y, factored[1])
+        proj, fits = factored[1], fit_ols_columns(Y, factored[1])
         t = fixtures["designs"][1].t
     for ti, name in ols:
         cell_errors = {}

@@ -219,6 +219,30 @@ class TestTestCommand:
         assert seed2.read_bytes() != seed1.read_bytes()
 
 
+    @pytest.mark.parametrize("entry", ["[1, 2]", "5", '"text"', "truncated", "foreign npz"])
+    def test_unusable_cache_entry_is_one_warning(self, null_csv, tmp_path, entry):
+        """An entry whose provenance is valid JSON but not an object, a
+        truncated entry and another program's .npz are each simulated again:
+        exit 0, one warning line, and the cold run's result byte for byte."""
+        out = tmp_path / "out"
+        args = ["test", "--input", null_csv, "--method", "rlrt", "--nsims", 500, "--seed", 4, "--out", out]
+        assert run(args) == 0
+        cold = (out / "result_rlrt.json").read_bytes()
+        (path,) = (out / "null_cache").glob("null_*.npz")
+        if entry == "truncated":
+            path.write_bytes(path.read_bytes()[:100])
+        elif entry == "foreign npz":
+            np.savez(path, weights=np.arange(3.0))
+        else:
+            np.savez(path, samples=np.zeros(500), provenance=np.array(entry))
+        proc = subprocess.run([sys.executable, "-m", "covtest.cli", *map(str, args)],
+                              capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0
+        assert proc.stderr.startswith(f"warning: {path}: unreadable null cache entry (")
+        assert proc.stderr.count("\n") == 1
+        assert (out / "result_rlrt.json").read_bytes() == cold
+
+
 class TestErrorSurfacing:
     def test_missing_column_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -357,6 +381,19 @@ class TestFileSystemFaults:
         code, err = outcome(["test", "--input", null_csv, "--method", "cusum", "--resamples", 20,
                              "--emit-processes", -1, "--out", tmp_path])
         assert (code, err) == (1, "config error: --emit-processes must be >= 0 (0 writes none), got -1\n")
+
+    @pytest.mark.parametrize("method, flag, count", [
+        ("cusum", "resamples", 10**15), ("rlrt", "nsims", 10**15),
+        ("cusum", "emit-processes", 10**15), ("cusum", "emit-processes", 10**17),
+    ])
+    def test_count_past_memory_names_the_flag(self, null_csv, tmp_path, method, flag, count):
+        """A count whose arrays no address space holds (10^15 doubles are 7 PiB;
+        10^17 paths of 60 points overflow numpy's size type) is refused at once:
+        one config error naming the flag, not numpy's traceback."""
+        code, err = outcome(["test", "--input", null_csv, "--method", method, "--knots", 5,
+                             "--resamples", 20, "--nsims", 50, f"--{flag}", count, "--out", tmp_path])
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith(f"config error: --{flag} {count} needs more memory than can be allocated (")
 
 
 class TestRejectedInputs:

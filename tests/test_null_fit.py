@@ -83,21 +83,22 @@ class TestFitOls:
         Y[2, :, 1] = S[2] @ [1.0, -0.5] + 0.5 - t  # replicate 2's second column fits exactly
         datasets = [[Dataset(y=Y[r, :, c], S=S[r], t=t) for c in range(2)] for r in range(3)]
         X = np.stack([np.column_stack([S[r], np.ones(25), t]) for r in range(3)])
-        proj, fits = fit_ols_columns(Y, stacked_qr(X))
+        proj = stacked_qr(X)
+        fits = fit_ols_columns(Y, proj)
         assert sorted(fits.failed) == [(1, 0), (1, 1), (2, 1)]
         assert str(fits.failed[1, 0]) == "fixed-effects design is rank deficient (4 columns, rank 3)"
         assert isinstance(fits.failed[2, 1], DegenerateFitError)
         for r, c in [(0, 0), (0, 1), (2, 0)]:
             ds = datasets[r][c]
             fit = fit_ols(ds, design_for(ds))
-            one = fit_ols_columns(Y[r, None, :, c, None], stacked_qr(X[r, None]))[1]
+            one = fit_ols_columns(Y[r, None, :, c, None], stacked_qr(X[r, None]))
             for name in ("beta", "fitted", "residuals"):
                 np.testing.assert_array_equal(getattr(fit, name), getattr(one.null_fit(0, 0), name))
                 np.testing.assert_allclose(getattr(fits.null_fit(r, c), name), getattr(fit, name),
                                            rtol=1e-12, atol=1e-12)
             assert fit.sigma2_eps == one.sigma2[0, 0]
             assert fits.sigma2[r, c] == pytest.approx(fit.sigma2_eps, rel=1e-12)
-            np.testing.assert_array_equal(proj.replicate(r).Q, stacked_qr(X).Q[r])
+            np.testing.assert_array_equal(proj.replicate(r).Q[0], stacked_qr(X).Q[r])
         for r, c in fits.failed:
             assert fits.sigma2[r, c] == 1.0 and not fits.residuals[r, :, c].any()
 
@@ -337,11 +338,10 @@ class TestRemlProjection:
             np.testing.assert_array_equal(getattr(proj, name), getattr(bare, name))
         if not clustered:
             assert proj.cluster is proj.sizes is proj.order is None
-            np.testing.assert_array_equal(proj.Q, design.qr.Q[0])
-            np.testing.assert_array_equal(proj.R, design.qr.R[0])
+            assert proj.X is design.qr.X and proj.Q is design.qr.Q and proj.R is design.qr.R
             Q, R = np.linalg.qr(design.X)
-            np.testing.assert_allclose(proj.Q, Q, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(proj.R, R, rtol=1e-13)
+            np.testing.assert_allclose(proj.Q[0], Q, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(proj.R[0], R, rtol=1e-13)
 
     def test_cli_call_and_study_cell_share_one_projection(self, small_dataset):
         """At ratio 0 a covtest test call's projection (reml_projection of the
@@ -351,7 +351,8 @@ class TestRemlProjection:
         design = design_for(ds)
         fit, kern = fit_ols(ds, design), smoother_kernel(ds.t, 1)
         call = reml_projection(fit, design.X)
-        study, fits = fit_ols_columns(ds.y[None, :, None], design.qr)
+        study = design.qr
+        fits = fit_ols_columns(ds.y[None, :, None], study)
         block, failed = score_statistics(fits.residuals, fits.sigma2, study, kern)
         assert not failed
 
@@ -392,4 +393,4 @@ class TestRemlProjection:
         )
         with pytest.raises(NumericalError, match="ill-conditioned"):
             reml_projection(fit, np.ones((4, 1)))
-        assert reml_projection(replace(fit, ratio=3e11), np.ones((4, 1))).Q.shape == (4, 1)
+        assert reml_projection(replace(fit, ratio=3e11), np.ones((4, 1))).Q.shape == (1, 4, 1)

@@ -136,7 +136,8 @@ class TestBatchedColumns:
         X = np.stack([design.X for design in designs])
         knots = place_knots(base.t, 10, 1) if kind == PENALIZED_GRAM else None
         kern = smoother_kernel(base.t, 1, kind, knots)
-        proj, fits = fit_ols_columns(Y, stacked_qr(X))
+        proj = stacked_qr(X)
+        fits = fit_ols_columns(Y, proj)
         results, failed = score_statistics(fits.residuals, fits.sigma2, proj, kern)
         assert results.p_value.shape == (3, len(levels)) and not failed
         with pytest.raises(DegenerateFitError) as single:
@@ -170,7 +171,8 @@ class TestBatchedColumns:
         X = np.stack([build_design(datasets[0], KnotSet(np.empty(0), 1)).X for datasets in draws])
         x0 = X[0, :, 0]
         kern = SmootherKernel(M=np.outer(x0, x0), kind="span")
-        proj, fits = fit_ols_columns(Y, stacked_qr(X))
+        proj = stacked_qr(X)
+        fits = fit_ols_columns(Y, proj)
         results, failed = score_statistics(fits.residuals, fits.sigma2, proj, kern)
         assert sorted(failed) == [(0, 0), (0, 1)]
         assert all(isinstance(error, DegenerateTestError) for error in failed.values())
@@ -187,7 +189,8 @@ class TestBatchedColumns:
         design = build_design(datasets[0], KnotSet(np.empty(0), 1))
         Y = np.column_stack([ds.y for ds in datasets])[None]
         kern = smoother_kernel(datasets[0].t, 1)
-        proj, fits = fit_ols_columns(Y, design.qr)
+        proj = design.qr
+        fits = fit_ols_columns(Y, proj)
         want, _ = score_statistics(fits.residuals, fits.sigma2, proj, kern)
         # 20 terms close the c = 0 series (17) but not the c = 4 continued fraction (21).
         monkeypatch.setattr(score_test, "_MAX_TERMS", 20)

@@ -390,6 +390,39 @@ class TestRunStudy:
         assert names.count("cusum_test.multiplier_null") == config.n_runs * len(config.c_values)
         assert "null_fit.fit_ols" not in names and "null_fit.reml_projection" not in names
 
+    def test_ols_stack_is_the_projection_scored_and_resampled(self, monkeypatch):
+        """A block's fit_ols_columns stack is itself the projection its score
+        test scores with, and cusum resamples under its replicates."""
+        import covtest.cusum_test as cusum_test
+        import covtest.sim_study as sim_study
+
+        stacks, scored, resampled = [], [], []
+        real_fit, real_score, real_null = (sim_study.fit_ols_columns, sim_study.score_statistics,
+                                           cusum_test.multiplier_null)
+
+        def fit_ols_columns(Y, factored):
+            stacks.append(factored)
+            return real_fit(Y, factored)
+
+        def score_statistics(residuals, sigma2, proj, kernel):
+            scored.append(proj)
+            return real_score(residuals, sigma2, proj, kernel)
+
+        def multiplier_null(fit, proj, *rest, **kw):
+            resampled.append(proj)
+            return real_null(fit, proj, *rest, **kw)
+
+        monkeypatch.setattr(sim_study, "fit_ols_columns", fit_ols_columns)
+        monkeypatch.setattr(sim_study, "score_statistics", score_statistics)
+        monkeypatch.setattr(cusum_test, "multiplier_null", multiplier_null)
+        run_study(tiny_config(tests=("score", "cusum"), n_runs=2, c_values=(0, 2)))
+        ((stack,), (proj,)) = stacks, scored
+        assert proj is stack and len(resampled) == 4
+        for r, one in enumerate(resampled[::2]):
+            assert all(np.shares_memory(getattr(one, name), getattr(stack, name)) for name in "XQR")
+            assert one.X.shape == (1, *stack.X.shape[1:])
+            np.testing.assert_array_equal(one.Q[0], stack.Q[r])
+
     def test_empty_departure_levels_rejected(self):
         with pytest.raises(ConfigError, match="departure level"):
             tiny_config(c_values=())
