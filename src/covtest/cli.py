@@ -24,13 +24,12 @@ import json
 import os
 import sys
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, CovtestError
+from .errors import ConfigError, CovtestError, sized_by
 
 
 def _list_of(cast, what: str):
@@ -127,17 +126,6 @@ def _load_dataset(cfg: dict):
     )
 
 
-@contextmanager
-def _sized_by(cfg: dict, flag: str):
-    """numpy's refusal of the arrays ``--flag``'s count sizes in the block (a MemoryError, or a
-    ValueError for a shape past the address space) as one config error naming the flag."""
-    try:
-        yield
-    except (MemoryError, ValueError) as exc:
-        count = cfg[flag.replace("-", "_")]
-        raise ConfigError(f"--{flag} {count} needs more memory than can be allocated ({exc})") from None
-
-
 def _lrt_null(cfg: dict, dataset):
     """Design, lambda grid and (cached) simulated null of an LRT/RLRT run."""
     from .exact_lrt import default_lambda_grid, simulate_null_cached, spectral_decompose
@@ -148,7 +136,7 @@ def _lrt_null(cfg: dict, dataset):
     design = build_design(dataset, place_knots(dataset.t, cfg["knots"], cfg["degree"]))
     cache = spectral_decompose(design)
     grid = default_lambda_grid(cache)
-    with _sized_by(cfg, "nsims"):
+    with sized_by("nsims", cfg["nsims"]):
         null = simulate_null_cached(
             cache, cfg["method"], cfg["h"], grid, cfg["nsims"],
             seed=(cfg["seed"], 1), cache_dir=_cache_dir(cfg),
@@ -252,7 +240,7 @@ def _cmd_test(cfg: dict) -> int:
         fit, proj = fit_null(dataset, design)
         ordering = dataset.t if cfg["ordering"] == "t" else fit.fitted
         process = cumulative_process(fit, ordering)
-        with _sized_by(cfg, "resamples"):
+        with sized_by("resamples", cfg["resamples"]):
             sups = multiplier_null(fit, proj, ordering, cfg["resamples"], seed=(cfg["seed"], 2))
         result = sup_test(process, sups, process=cfg["ordering"])
         record.update(
@@ -262,7 +250,7 @@ def _cmd_test(cfg: dict) -> int:
             process=result.process,
         )
         if cfg["emit_processes"]:
-            with _sized_by(cfg, "emit-processes"):
+            with sized_by("emit-processes", cfg["emit_processes"]):
                 points, paths = multiplier_processes(
                     fit, proj, ordering, cfg["emit_processes"], seed=(cfg["seed"], 2)
                 )

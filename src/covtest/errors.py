@@ -4,6 +4,8 @@ Every error carries a ``category`` used by the CLI to prefix diagnostics
 and pick exit codes: data, config, model, numerical.
 """
 
+from contextlib import contextmanager
+
 
 class CovtestError(Exception):
     """Base class for all errors raised by this package."""
@@ -45,3 +47,13 @@ class DegenerateTestError(ModelError):
 
 class StudyError(NumericalError):
     """Too many per-replicate failures for a simulation study to be trustworthy."""
+
+
+@contextmanager
+def sized_by(flag: str, count: int):
+    """numpy's refusal of the arrays a count sizes in the block (a MemoryError, or a ValueError
+    for a shape past the address space) as one config error naming the count's command-line flag."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"--{flag} {count} needs more memory than can be allocated ({exc})") from None

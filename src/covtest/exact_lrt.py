@@ -56,6 +56,10 @@ _SIM_CHUNK = 1024
 # many rows, so the product buffer does not grow with the chunk; the draws are
 # the chunk's, made before its sub-blocks in the chunk stream's order.
 _SIM_BLOCK = 256
+# ProfileSolver.statistics sweeps its replicates in slices whose R x G x K array of
+# grid weights holds about this many entries (512 KB), whatever the block's width:
+# smaller slices pay a slice's fixed cost (an eigh call, the failure checks) more often.
+_SWEEP_ENTRIES = 2**16
 # Part of every null-cache key: raise it whenever simulate_null's draws change,
 # so entries written by an earlier sampler are never served.
 _SAMPLER_VERSION = 3
@@ -236,8 +240,22 @@ def _grid_weights(values: np.ndarray, proj: np.ndarray) -> np.ndarray:
     residual energy rss(lam), the profile's denominator (its numerator's are
     ``lam * proj`` times these); R x K x G for a stack of R eigenvalue
     vectors (R x K)."""
-    shrink = 1.0 + values[:, None] * proj[..., None, :]    # (R x) G x K
-    return np.divide(1.0, shrink, out=shrink).swapaxes(-1, -2)
+    return _weights_in_place(values[:, None] * proj[..., None, :])
+
+
+def _weights_in_place(products: np.ndarray) -> np.ndarray:
+    """:func:`_grid_weights` from the (R x) G x K products lam * proj, taken in their place."""
+    products += 1.0
+    return np.divide(1.0, products, out=products).swapaxes(-1, -2)
+
+
+def _penalty(products: np.ndarray) -> np.ndarray:
+    """sum_k log1p(lam * eig_k) over the last axis of the (R x) G x K products
+    lam * eig, one G x K at a time, so no second array of their size is made."""
+    pen = np.empty(products.shape[:-1])
+    for row, out in zip(products.reshape(-1, *products.shape[-2:]), pen.reshape(-1, pen.shape[-1])):
+        np.log1p(row).sum(axis=-1, out=out)
+    return pen
 
 
 def _kind_penalty(kind: str, values: np.ndarray, n_obs: int, n_resid: int,
@@ -246,7 +264,7 @@ def _kind_penalty(kind: str, values: np.ndarray, n_obs: int, n_resid: int,
     rss(lam)) - pen(lam), with mult = n and B'B's eigenvalues for the LRT, n - p
     and B'P0B's for the RLRT; pen is R x G for a stack of B'P0B eigenvalues (R x K)."""
     mult, eigs = (n_obs, raw_eigs) if kind == "lrt" else (n_resid, proj_eigs)
-    return mult, np.log1p(values[:, None] * eigs[..., None, :]).sum(axis=-1)
+    return mult, _penalty(values[:, None] * eigs[..., None, :])
 
 
 def _dropped_gain(n_obs: int, extra: np.ndarray, rss0: np.ndarray) -> np.ndarray:
@@ -302,15 +320,38 @@ class ProfileSolver:
         the extra residual energy is the squared norm of y along the last h
         columns of Q, the term :func:`simulate_null` draws as chi-square(h),
         so h lies in 0..degree as there.
+
+        The replicates run in contiguous slices of max(1, _SWEEP_ENTRIES // (G K))
+        (16 at G = 201, K = 20), each holding one slice x G x K array, so the working
+        set does not grow with R. Every product and eigensolver call is per
+        replicate and every other step elementwise, so a cell's bits do not depend
+        on the slice size.
         """
-        Q, design = factored.Q, self.design
-        n, p = Q.shape[-2:]
+        n, p = factored.Q.shape[-2:]
         if Y.shape[1] != n:
             raise ConfigError(f"design has {n} rows but dataset has {Y.shape[1]}")
         for kind, h in specs:
-            _check_h(kind, h, design.degree)
-        out = np.zeros((4, len(specs), Y.shape[0], Y.shape[2]))
-        values = grid.values
+            _check_h(kind, h, self.design.degree)
+        values, reps, knots = grid.values, Y.shape[0], self.design.B.shape[1]
+        out = np.zeros((4, len(specs), reps, Y.shape[2]))
+        lrt = (_kind_penalty("lrt", values, n, n - p, self.raw_eigs, None)  # the design's, for every slice
+               if any(kind == "lrt" for kind, _ in specs) else None)
+        errors = {}
+        step = max(1, _SWEEP_ENTRIES // (values.size * max(knots, 1)))
+        for lo in range(0, reps, step):
+            hi = min(lo + step, reps)
+            part = self._sweep(Y[lo:hi], factored.replicates(lo, hi), values, specs, lrt, out[:, :, lo:hi])
+            errors.update(((lo + r, c), error) for (r, c), error in part.items())
+        return out[0], out[1].astype(np.intp), out[2], out[3], errors
+
+    def _sweep(self, Y: np.ndarray, factored: FactoredStack, values: np.ndarray,
+               specs: list[tuple[str, int]], lrt: tuple[int, np.ndarray] | None, out: np.ndarray) -> dict:
+        """One slice of :meth:`statistics`, with the LRT's (mult, pen): fills ``out``
+        (4 x S x R x C) and returns the slice's failed cells. lambda * mu is formed
+        once, as the slice's one R x G x K array: the RLRT penalty reads it, then
+        the grid weights 1 / (1 + lambda mu) are taken in its place."""
+        Q, design = factored.Q, self.design
+        n, p = Q.shape[-2:]
         with np.errstate(over="ignore", invalid="ignore"):  # failed_cells reports an overflow
             own = factored is design.qr
             proj, head, rss0 = _coordinates(Q, design.spectrum if own else stacked_spectrum(Q, design.B), Y)
@@ -321,15 +362,20 @@ class ProfileSolver:
         head = np.where(failed[..., None], 0.0, head)
         rss0 = np.where(failed, 1.0, rss0)
         tail = np.where(failed, 1.0, np.maximum(rss0 - head.sum(axis=-1), 0.0))
-        rss = head @ _grid_weights(values, proj)             # R x C x G
+        products = values[:, None] * proj[..., None, :]    # R x G x K: lambda mu
+        pens = {"lrt": lrt}
+        if any(kind == "rlrt" for kind, _ in specs):
+            pens["rlrt"] = n - p, _penalty(products)
+        rss = head @ _weights_in_place(products)             # R x C x G
+        del products
         rss += tail[..., None]
         for j, (kind, h) in enumerate(specs):
-            mult, pen = _kind_penalty(kind, values, n, n - p, self.raw_eigs, proj)
+            mult, pen = pens[kind]
             best, top = _grid_max(rss * np.exp(pen / mult)[..., None, :], mult)
             sigma2 = np.take_along_axis(rss, best[..., None], axis=-1)[..., 0] / mult
             extra = np.where(failed, 0.0, extras[h])
             out[:, j] = top + _dropped_gain(n, extra, rss0), best, sigma2, rss0 + extra
-        return out[0], out[1].astype(np.intp), out[2], out[3], errors
+        return errors
 
 
 def _check_h(kind: str, h: int, max_h: int) -> None:

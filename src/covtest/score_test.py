@@ -9,8 +9,8 @@ departure from the polynomial).
 The smoother kernel M is read only through M A, tr M and |M|_F^2 (see
 :class:`~covtest.spline_basis.SmootherKernel`), so no n x n matrix is built:
 the cost is O(n (d+1)) for independent data and O(n m) time in O(n) memory
-for m random-intercept clusters. The chi-square tail is computed with the
-standard library alone.
+for m random-intercept clusters. The chi-square tail is an array recurrence
+in numpy, with the standard library's lgamma for its prefactor.
 """
 
 from __future__ import annotations
@@ -92,56 +92,86 @@ _TINY = float(np.finfo(float).tiny)
 _SCALE_ERROR = "scale of the response is out of double-precision range for the score statistic; rescale y"
 
 
-def _gamma_q(a: float, x: float) -> float:
-    """Regularised upper incomplete gamma Q(a, x) for a > 0, x >= 0.
-
-    A power series for P = 1 - Q below x = a + 1, a continued fraction for Q
-    above it (modified Lentz), each scaled by x^a e^-x / Gamma(a). NaN for a
-    non-finite argument or when neither converges within _MAX_TERMS terms.
-    """
-    if not (math.isfinite(a) and math.isfinite(x)):
-        return math.nan
-    if x <= 0.0:
-        return 1.0
-    front = math.exp(a * math.log(x) - x - math.lgamma(a))
-    if x < a + 1.0:
-        term = total = 1.0 / a
-        for k in range(1, _MAX_TERMS):
-            term *= x / (a + k)
-            total += term
-            if term < _EPS * total:
-                return 1.0 - front * total
-    else:
-        b = x + 1.0 - a
-        c, d = 1.0 / _FLOOR, 1.0 / b
-        h = d
-        for k in range(1, _MAX_TERMS):
-            an = k * (a - k)
-            b += 2.0
-            d = an * d + b
-            d = 1.0 / (d if abs(d) > _FLOOR else _FLOOR)
-            c = b + an / c
-            c = c if abs(c) > _FLOOR else _FLOOR
-            h *= d * c
-            if abs(d * c - 1.0) <= _EPS:
-                return front * h
-    return math.nan
-
-
 def _tail_arguments(u_quad, moments: ScoreMoments) -> tuple[np.ndarray, np.ndarray]:
     """(a, x) of the gamma tail at u_quad: df / 2 and u_quad / (2 scale)."""
     return np.broadcast_arrays(0.5 * np.asarray(moments.df), 0.5 * np.asarray(u_quad) / moments.scale)
 
 
+def _series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k x^k / (a (a + 1) ... (a + k)) per element, up to its first term below
+    eps times the sum; NaN where that takes _MAX_TERMS terms. An element leaves the
+    live set at its own last term."""
+    total = np.full(a.shape, np.nan)
+    live = np.arange(a.size)
+    term = 1.0 / a
+    run = term.copy()
+    for k in range(1, _MAX_TERMS):
+        if not live.size:
+            break
+        term *= x / (a + k)
+        run += term
+        done = term < _EPS * run
+        if done.any():
+            total[live[done]] = run[done]
+            keep = ~done
+            live, a, x, term, run = live[keep], a[keep], x[keep], term[keep], run[keep]
+    return total
+
+
+def _fraction(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The continued fraction for Q(a, x) / (x^a e^-x / Gamma(a)) per element, by
+    modified Lentz, up to the first step within eps of 1; NaN where that takes
+    _MAX_TERMS terms. An element leaves the live set at its own last step."""
+    out = np.full(a.shape, np.nan)
+    live = np.arange(a.size)
+    b = x + 1.0 - a
+    c = np.full(a.shape, 1.0 / _FLOOR)
+    d = 1.0 / b
+    h = d.copy()
+    for k in range(1, _MAX_TERMS):
+        if not live.size:
+            break
+        an = k * (a - k)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / np.where(np.abs(d) > _FLOOR, d, _FLOOR)
+        c = b + an / c
+        c = np.where(np.abs(c) > _FLOOR, c, _FLOOR)
+        step = d * c
+        h *= step
+        done = np.abs(step - 1.0) <= _EPS
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live, a, b, c, d, h = live[keep], a[keep], b[keep], c[keep], d[keep], h[keep]
+    return out
+
+
 def _upper_tail(u_quad, moments: ScoreMoments) -> np.ndarray:
     """Upper tail of scale * chisq(df) beyond u_quad, elementwise (floats or
-    arrays of one shape), floored at the smallest float; NaN where
-    :func:`_gamma_q` is. The recurrence runs per element: an element's number
-    of terms depends on its own arguments, so a lockstep array recurrence
-    would run every element for as many terms as the slowest one needs."""
+    arrays of one shape), floored at the smallest float: the regularised upper
+    incomplete gamma Q(a, x) at (a, x) = :func:`_tail_arguments`, for a > 0.
+
+    A power series for P = 1 - Q below x = a + 1, a continued fraction for Q
+    above it (modified Lentz), each scaled by x^a e^-x / Gamma(a), which is
+    taken per element with ``math``'s lgamma, exp and log. The two recurrences
+    run as array steps over the elements still live, each element stopping at
+    its own term count, so a value is bit for bit the scalar recurrence's
+    (+, -, *, / and abs round alike in both). 1 for x <= 0; NaN for a
+    non-finite argument or where neither converges within _MAX_TERMS terms.
+    """
     a, x = _tail_arguments(u_quad, moments)
-    p = [_gamma_q(ak, xk) for ak, xk in zip(a.ravel().tolist(), x.ravel().tolist())]
-    return np.maximum(np.reshape(p, a.shape), _TINY)
+    shape, a, x = a.shape, a.ravel(), x.ravel()
+    finite = np.isfinite(a) & np.isfinite(x)
+    q = np.where(finite, 1.0, np.nan)
+    live = np.flatnonzero(finite & (x > 0.0))
+    a, x = a[live], x[live]
+    front = np.array([math.exp(ak * math.log(xk) - xk - math.lgamma(ak)) for ak, xk in zip(a.tolist(), x.tolist())])
+    low = x < a + 1.0
+    with np.errstate(all="ignore"):  # as in float arithmetic: an overflow is an inf, not a warning
+        q[live[low]] = 1.0 - front[low] * _series(a[low], x[low])
+        q[live[~low]] = front[~low] * _fraction(a[~low], x[~low])
+    return np.maximum(q.reshape(shape), _TINY)
 
 
 def _sq_frobenius(A: np.ndarray) -> np.ndarray:
@@ -153,6 +183,9 @@ def _sq_frobenius(A: np.ndarray) -> np.ndarray:
 # block, of which the indicators, the kernel's gathered input, its running sums
 # and its output (four blocks) are alive at once.
 _BLOCK_ENTRIES = 2**16
+# Entries of the n x R(p + C) kernel input per replicate slice of score_statistics
+# (128 KB); its kernel output and the kernel's scratch are alive with it.
+_SLICE_ENTRIES = 2**14
 
 
 def _whitened_norms(kernel: SmootherKernel, proj: FactoredStack) -> tuple[float, float]:
@@ -212,9 +245,13 @@ def score_statistics(
 
     With the whitened kernel K = V^-1/2 M V^-1/2 and P = V^-1/2 (I - QQ') V^-1/2,
     tr(PM) = tr K - tr Q'KQ and tr((PM)^2) = |K|^2 - 2 |KQ|^2 + |Q'KQ|^2
-    (Frobenius norms). The kernel is applied once to the whole stack's
-    [V^-1/2 Q | V^-1 r of every column], an n x R(p + C) block; tr K and
-    |K|^2 come from :func:`_whitened_norms`. ``proj`` is at unit variance, so
+    (Frobenius norms). The kernel is applied once per slice of replicates to
+    [V^-1/2 Q | V^-1 r of every column], an n x R(p + C) block of at most
+    max(1, _SLICE_ENTRIES // (n (p + C))) replicates (11 at n = 100, p = 4,
+    C = 10), so the working set does not grow with the stack; the kernel
+    acts on each column alone and every other step is per replicate, so a
+    cell's bits do not depend on the slice size. tr K and |K|^2 come from
+    :func:`_whitened_norms`, once per call. ``proj`` is at unit variance, so
     a column of error variance s has mean / s, variance / s^2 and u_quad / s^2,
     and df and the tail's arguments are free of s. A cell fails with a
     NumericalError where dividing by s leaves one of them out of double range.
@@ -224,26 +261,36 @@ def score_statistics(
         raise ConfigError(
             f"kernel ({kernel.n} rows) and fits ({residuals.shape[1]}) must match the projection's n = {n}"
         )
-    WQ = proj.whiten(proj.Q)
-    v = proj.whiten(proj.whiten(residuals))  # V^-1 r
-    p = WQ.shape[-1]
-    G = np.empty((n, stack, p + n_cols))  # observation-major, so the kernel reads it in place
-    G[..., :p] = np.broadcast_to(WQ, (stack, n, p)).transpose(1, 0, 2)
-    G[..., p:] = v.transpose(1, 0, 2)
-    MG = kernel.apply(G.reshape(n, -1)).reshape(G.shape).transpose(1, 0, 2)
-    MWQ, Mv = MG[..., :p], MG[..., p:]
+    p = proj.Q.shape[-1]
+    qkq_trace, kq_sq, qkq_sq, u_half = np.empty(stack), np.empty(stack), np.empty(stack), np.empty((stack, n_cols))
+    step = max(1, _SLICE_ENTRIES // (n * (p + n_cols)))
+    for lo in range(0, stack, step):
+        hi = min(lo + step, stack)
+        part = proj.replicates(lo, hi)
+        WQ = part.whiten(part.Q)
+        v = part.whiten(part.whiten(residuals[lo:hi]))  # V^-1 r
+        G = np.empty((n, hi - lo, p + n_cols))  # observation-major, so the kernel reads it in place
+        G[..., :p] = np.broadcast_to(WQ, (hi - lo, n, p)).transpose(1, 0, 2)
+        G[..., p:] = v.transpose(1, 0, 2)
+        MG = kernel.apply(G.reshape(n, -1)).reshape(G.shape).transpose(1, 0, 2)
+        del G
+        MWQ, Mv = MG[..., :p], MG[..., p:]
+        QKQ = WQ.swapaxes(-1, -2) @ MWQ
+        qkq_trace[lo:hi] = np.trace(QKQ, axis1=-2, axis2=-1)
+        kq_sq[lo:hi] = _sq_frobenius(part.whiten(MWQ))  # |KQ|^2, KQ = V^-1/2 M V^-1/2 Q
+        qkq_sq[lo:hi] = _sq_frobenius(QKQ)
+        u_half[lo:hi] = 0.5 * np.einsum("...ij,...ij->...j", v, Mv)
     trace_k, sq_norm_k = _whitened_norms(kernel, proj)
-    QKQ = WQ.swapaxes(-1, -2) @ MWQ
-    mean = 0.5 * (trace_k - np.trace(QKQ, axis1=-2, axis2=-1))  # tr(PM) / 2, per replicate
+    mean = 0.5 * (trace_k - qkq_trace)  # tr(PM) / 2, per replicate
     degenerate = (mean <= 1e-12 * max(trace_k, 0.0)) | (mean <= 0.0)
     # tr((PM)^2) / 2, with KQ = V^-1/2 M V^-1/2 Q
-    variance = 0.5 * (sq_norm_k - 2.0 * _sq_frobenius(proj.whiten(MWQ)) + _sq_frobenius(QKQ))
+    variance = 0.5 * (sq_norm_k - 2.0 * kq_sq + qkq_sq)
     mean, variance = (np.where(degenerate, 1.0, a)[:, None] for a in (mean, variance))
     with np.errstate(all="ignore"):  # a field out of double range fails its cell below
         m, var = mean / sigma2, variance / sigma2**2
         df = np.broadcast_to(2.0 * mean**2 / variance, m.shape)  # free of sigma2, so never out of range
         moments = ScoreMoments(mean=m, variance=var, scale=var / (2.0 * m), df=df)
-        u_unit = np.maximum(0.5 * np.einsum("...ij,...ij->...j", v, Mv), 0.0)  # PSD form, clamp roundoff
+        u_unit = np.maximum(u_half, 0.0)  # PSD form, clamp roundoff
         u_quad = u_unit / sigma2**2
         p_value = _upper_tail(u_quad, moments)
         a, x = _tail_arguments(u_quad, moments)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .data_io import Dataset, _check_finite
-from .errors import ConfigError, StudyError
+from .errors import ConfigError, StudyError, sized_by
 from .exact_lrt import (
     ProfileSolver,
     default_lambda_grid,
@@ -270,7 +270,9 @@ def _study_fixtures(config: SimConfig, m: int):
     ProfileSolver, the lambda grid and each variant's null distribution, all
     read from that design's one spectrum. The variants of a degree form a
     group, evaluated in one call for all c.
-    Building a design raises the ModelError of an m too small to fit it."""
+    Building a design raises the ModelError of an m too small to fit it, and a
+    null count whose draws cannot be allocated is refused there as the config
+    error of ``--nsims`` (:func:`~covtest.errors.sized_by`)."""
     base = generate_dataset(m, config.sigma_values[0], 0, (config.seed, 0))
     lrt = [(vi, name, *_LRT_VARIANTS[name]) for vi, name in enumerate(config.tests)
            if name in _LRT_VARIANTS]
@@ -285,9 +287,10 @@ def _study_fixtures(config: SimConfig, m: int):
         if d not in groups:
             fixtures[("solver", d)] = ProfileSolver(designs[d])
             fixtures[("grid", d)] = default_lambda_grid(cache)
-        fixtures[("null", name)] = simulate_null_cached(
-            cache, kind, h, fixtures[("grid", d)], config.n_sims_null,
-            seed=(config.seed, 9000 + vi), cache_dir=config.cache_dir)
+        with sized_by("nsims", config.n_sims_null):
+            fixtures[("null", name)] = simulate_null_cached(
+                cache, kind, h, fixtures[("grid", d)], config.n_sims_null,
+                seed=(config.seed, 9000 + vi), cache_dir=config.cache_dir)
         groups.setdefault(d, []).append((vi, name, kind, h))
     if "score" in config.tests:
         fixtures["kernel"] = smoother_kernel(base.t, 1, NATURAL_SPLINE)
@@ -297,12 +300,15 @@ def _study_fixtures(config: SimConfig, m: int):
 def _block_data(config: SimConfig, m: int, reps: range) -> tuple[np.ndarray, np.ndarray]:
     """Responses (R x m x SC, one column per noise and departure level,
     sigma-major) and covariates (R x m x 2) of the replicates ``reps``: one
-    :func:`_draw` per replicate for every (sigma, c), stacked. Column
-    si * C + ci of replicate rep is bit for bit the y of
+    :func:`_draw` per replicate for every (sigma, c), written into the two
+    arrays as it is made. Column si * C + ci of replicate rep is bit for bit the y of
     ``generate_dataset(m, sigma_values[si], c_values[ci], (seed, rep))``."""
-    draws = [_draw(m, config.sigma_values, config.c_values, (config.seed, rep)) for rep in reps]
-    Y = np.stack([rows for _, _, rows in draws]).reshape(len(reps), -1, m)
-    return Y.transpose(0, 2, 1).copy(), np.stack([S for S, _, _ in draws])
+    n_cols = len(config.sigma_values) * len(config.c_values)
+    Y, S = np.empty((len(reps), m, n_cols)), np.empty((len(reps), m, 2))
+    for r, rep in enumerate(reps):
+        s, _, rows = _draw(m, config.sigma_values, config.c_values, (config.seed, rep))
+        S[r], Y[r] = s, rows.reshape(n_cols, m).T
+    return Y, S
 
 
 def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
@@ -318,7 +324,11 @@ def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
     from its QR (:func:`fit_ols_columns`); the score test scores every cell
     with one kernel application (:func:`score_statistics`), and the cusum test
     resamples each cell from its replicate's projection at unit variance,
-    which its resampled sups do not depend on. Every step reports failures
+    which its resampled sups do not depend on; a resample count whose sups
+    cannot be allocated is refused there as the config error of
+    ``--resamples``. The sweep and the score pass each bound their own
+    working set by taking the block in slices of replicates, so a block's
+    width sets only its arrays of data and results. Every step reports failures
     per cell: a replicate whose X is rejected fails all its cells with the
     rejection, a perfect or overflowing fit fails its own cell. The p-values
     fill one test x replicate x column array, where a failed cell stays NaN;
@@ -358,9 +368,10 @@ def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
             for r, k in np.ndindex(len(reps), Y.shape[2]):
                 if (r, k) not in fits.failed:
                     fit = fits.null_fit(r, k)
-                    pvals[ti, r, k] = sup_test(cumulative_process(fit, t), multiplier_null(
-                        fit, proj.replicate(r), t, config.cusum_resamples,
-                        seed=(config.seed, reps[r], 3))).p_value
+                    with sized_by("resamples", config.cusum_resamples):
+                        sups = multiplier_null(fit, proj.replicate(r), t, config.cusum_resamples,
+                                               seed=(config.seed, reps[r], 3))
+                    pvals[ti, r, k] = sup_test(cumulative_process(fit, t), sups).p_value
         cell_errors.update(fits.failed)  # a cell whose fit failed reports the fit's error
         for (r, k), error in cell_errors.items():
             pvals[ti, r, k] = np.nan

@@ -111,10 +111,16 @@ class FactoredStack:
     def n(self) -> int:
         return self.X.shape[-2]
 
+    def replicates(self, lo: int, hi: int) -> FactoredStack:
+        """Designs lo..hi-1 as a stack of views; a one-design stack is every replicate's design, so itself."""
+        if len(self.errors) == 1:
+            return self
+        rows = slice(lo, hi)
+        return replace(self, X=self.X[rows], Q=self.Q[rows], R=self.R[rows], errors=self.errors[rows])
+
     def replicate(self, r: int) -> FactoredStack:
         """Design ``r`` as a one-design stack."""
-        one = slice(r, r + 1)
-        return replace(self, X=self.X[one], Q=self.Q[one], R=self.R[one], errors=self.errors[one])
+        return self.replicates(r, r + 1)
 
     def whiten(self, a) -> np.ndarray:
         """V^-1/2 a along the observation axis of a vector, a matrix or a stack."""

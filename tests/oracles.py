@@ -4,7 +4,9 @@ The package keeps V = sigma2 (I + ratio ZZ'), the REML projection and the
 smoother kernels in factored form and never builds an n x n matrix for them.
 These are the textbook dense versions, kept here as test oracles only. The
 LRT profile sweep is also kept in its written-out form, numerator over
-denominator, which the package's scaled-energy sweep must match.
+denominator, which the package's scaled-energy sweep must match, and the
+score test's chi-square tail in its scalar form, one element at a time, which
+the package's array recurrence must match bit for bit.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 from covtest.rng import chunked_streams
+from covtest.score_test import _EPS, _FLOOR, _MAX_TERMS
 
 
 def intercept_covariance(cluster, sigma2, ratio):
@@ -180,6 +183,42 @@ def dense_multiplier_processes(fit, X, ordering, n_resamples, seed):
     points, counts = np.unique(ordering, return_counts=True)
     sums = np.cumsum(mapped[:, np.argsort(ordering, kind="stable")], axis=1)
     return points, sums[:, np.cumsum(counts) - 1] / math.sqrt(m)
+
+
+def gamma_q(a: float, x: float, max_terms: int = _MAX_TERMS) -> float:
+    """Regularised upper incomplete gamma Q(a, x) for a > 0, x >= 0, one pair at a time.
+
+    A power series for P = 1 - Q below x = a + 1, a continued fraction for Q
+    above it (modified Lentz), each scaled by x^a e^-x / Gamma(a). NaN for a
+    non-finite argument or when neither converges within ``max_terms`` terms.
+    """
+    if not (math.isfinite(a) and math.isfinite(x)):
+        return math.nan
+    if x <= 0.0:
+        return 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for k in range(1, max_terms):
+            term *= x / (a + k)
+            total += term
+            if term < _EPS * total:
+                return 1.0 - front * total
+    else:
+        b = x + 1.0 - a
+        c, d = 1.0 / _FLOOR, 1.0 / b
+        h = d
+        for k in range(1, max_terms):
+            an = k * (a - k)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) > _FLOOR else _FLOOR)
+            c = b + an / c
+            c = c if abs(c) > _FLOOR else _FLOOR
+            h *= d * c
+            if abs(d * c - 1.0) <= _EPS:
+                return front * h
+    return math.nan
 
 
 def natural_spline_gram(u, degree=1):

@@ -395,6 +395,16 @@ class TestFileSystemFaults:
         assert code == 1 and err.count("\n") == 1
         assert err.startswith(f"config error: --{flag} {count} needs more memory than can be allocated (")
 
+    @pytest.mark.parametrize("tests, flag", [((), "nsims"), (("--tests", "cusum"), "resamples")],
+                             ids=["default-nsims", "cusum-resamples"])
+    def test_study_count_past_memory_names_the_flag(self, tmp_path, tests, flag):
+        """A study refuses each count at its own allocation, the fixtures' null
+        simulation and a block's multiplier resampling: the same one config error."""
+        count = 10**15
+        code, err = outcome(["simulate", "--m", 30, "--runs", 2, *tests, f"--{flag}", count, "--out", tmp_path])
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith(f"config error: --{flag} {count} needs more memory than can be allocated (")
+
 
 class TestRejectedInputs:
     @pytest.mark.parametrize("command", ["test", "null-sim"])

@@ -881,6 +881,22 @@ class TestStackedReplicates:
                     assert (cell_fields(stacked, grid, self.SPECS, j, r, c)
                             == cell_fields(single, grid, self.SPECS, j, 0, c))
 
+    def test_study_block_sweeps_in_bounded_slices(self, study_block):
+        """A study block at m = 100 (32 replicates x 10 columns, K = 20, G = 201,
+        d = 1) is swept 16 replicates at a time, each slice holding one 16 x G x K
+        array (0.51 MB): under 1 MB, where sweeping all 32 at once took 2.55 MB."""
+        _, fixtures, Y, factored = study_block(32)
+        solver, grid = fixtures[("solver", 1)], fixtures[("grid", 1)]
+        assert Y.shape == (32, 100, 10) and grid.values.size == 201 and solver.design.B.shape[1] == 20
+        assert exact_lrt._SWEEP_ENTRIES // (201 * 20) == 16
+        tracemalloc.start()
+        try:
+            solver.statistics(Y, factored[1], grid, [("lrt", 0), ("rlrt", 0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_too_few_rows_raise_for_the_stack(self):
         """No design of a stack with n <= p rows can be fit, so stacked_qr
         raises the row-count ModelError for the whole stack; one more row fits."""

@@ -1,9 +1,13 @@
 """Variance-component score test and its scaled chi-square calibration."""
 
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.special import chdtrc, gammaincc
 
 from covtest import (
@@ -13,6 +17,7 @@ from covtest import (
     DegenerateFitError,
     DegenerateTestError,
     NumericalError,
+    SimConfig,
     build_design,
     fit_ols,
     fit_reml_random_intercept,
@@ -20,20 +25,22 @@ from covtest import (
     place_knots,
     reml_projection,
     run_score_test,
+    run_study,
     score_statistic,
     smoother_kernel,
 )
+from covtest import score_test
 from covtest.null_fit import NullFit, fit_ols_columns
 from covtest.score_test import (
     _SCALE_ERROR,
     ScoreMoments,
-    _gamma_q,
+    _tail_arguments,
     _upper_tail,
     _whitened_norms,
     score_statistics,
 )
 from covtest.spline_basis import KnotSet, NATURAL_SPLINE, PENALIZED_GRAM, stacked_qr
-from oracles import restricted_loglik
+from oracles import gamma_q, restricted_loglik
 
 
 def ols_pieces(dataset, degree=1):
@@ -229,23 +236,64 @@ class TestSatterthwaite:
         x = df * np.exp(rng.uniform(np.log(1e-3), np.log(20), df.size))
         x[::3] = np.abs(df[::3] + 3 * np.sqrt(2 * df[::3]) * rng.standard_normal(df[::3].size))
         want = chdtrc(df, x)
-        got = np.array([self.tail(xi, 1.0, dfi) for dfi, xi in zip(df, x)])
+        got = self.tail(x, 1.0, df)
         keep = want > 1e-300
         assert keep.sum() > 10000 and (want[keep] < 1e-100).any()
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-10, atol=0)
 
     def test_array_tail_is_the_scalar_tail_per_element(self):
-        """On arrays the tail takes _gamma_q's own recurrence per element, bit
+        """On arrays the tail takes the scalar oracle's recurrence per element, bit
         for bit: on both sides of x = a + 1, at x = 0 and far in the tail,
         where it is floored at the smallest float."""
         a = np.array([[0.5, 0.5, 3.0, 3.0, 20.0], [20.0, 2.5, 2.5, 1.0, 0.7]])
         x = np.array([[1.4999, 1.5001, 3.9, 4.1, 21.0 - 1e-9], [21.0, 0.0, 400.0, 800.0, 1.7]])
         moments = ScoreMoments(mean=a, variance=a, scale=np.full(a.shape, 0.5), df=2.0 * a)
         got = _upper_tail(x, moments)  # the tail at u_quad = x is Q(df / 2, x)
-        want = [[max(_gamma_q(ak, xk), np.finfo(float).tiny) for ak, xk in zip(ar, xr)]
+        want = [[max(gamma_q(ak, xk), np.finfo(float).tiny) for ak, xk in zip(ar, xr)]
                 for ar, xr in zip(a.tolist(), x.tolist())]
         assert got.shape == a.shape and np.array_equal(got, want)
         assert got[1, 1] == 1.0 and got[1, 3] == np.finfo(float).tiny
+
+    @staticmethod
+    def scalar_tail(u_quad, moments, max_terms=score_test._MAX_TERMS):
+        """The tail by the scalar oracle, one element at a time."""
+        a, x = _tail_arguments(u_quad, moments)
+        return np.reshape([max(gamma_q(ak, xk, max_terms), np.finfo(float).tiny)
+                           for ak, xk in zip(a.ravel().tolist(), x.ravel().tolist())], a.shape)
+
+    def test_array_tail_is_the_scalar_tail_on_the_study_cells(self, monkeypatch):
+        """Bit for bit the scalar recurrence on every cell of the benchmark's study
+        grid (m = 50 and 100, two sigma, five c, 40 runs: 800 cells), as each
+        block passes them."""
+        cells = []
+        real = score_test._upper_tail
+
+        def spy(u_quad, moments):
+            cells.append((u_quad, moments, real(u_quad, moments)))
+            return cells[-1][2]
+
+        monkeypatch.setattr(score_test, "_upper_tail", spy)
+        run_study(SimConfig(m_values=(50, 100), tests=("score",), n_runs=40, n_knots=20, seed=1))
+        assert sum(got.size for *_, got in cells) == 800
+        for u_quad, moments, got in cells:
+            assert got.tobytes() == self.scalar_tail(u_quad, moments).tobytes()
+
+    @given(pairs=st.lists(st.tuples(
+               st.one_of(st.floats(1e-3, 1e4), st.sampled_from([math.nan, math.inf])),
+               st.one_of(st.floats(-10.0, 1e4), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))),
+               min_size=1, max_size=30),
+           max_terms=st.sampled_from([20, score_test._MAX_TERMS]))
+    @example(pairs=[(2.5, 0.0), (2.5, -1.0), (math.nan, 1.0), (1.0, math.inf), (50.0, 51.0), (100.0, 99.0),
+                    (0.5, 0.4)], max_terms=20)
+    def test_array_tail_is_the_scalar_tail_on_a_sample(self, pairs, max_terms):
+        """Bit for bit the scalar recurrence on (a, x) pairs on both sides of
+        x = a + 1, at x <= 0, with non-finite arguments (NaN) and, at 20 terms,
+        where a recurrence does not converge (NaN: (50, 51) and (100, 99) need more)."""
+        a, x = np.array(pairs).T
+        moments = ScoreMoments(mean=a, variance=a, scale=np.full(a.shape, 0.5), df=2.0 * a)
+        with mock.patch.object(score_test, "_MAX_TERMS", max_terms):
+            got = _upper_tail(x, moments)  # the tail at u_quad = x is Q(df / 2, x)
+        assert got.tobytes() == self.scalar_tail(x, moments, max_terms).tobytes()
 
     def test_matches_result_field(self, small_dataset):
         _, fit, proj, kern = ols_pieces(small_dataset)
@@ -350,6 +398,21 @@ class TestMemory:
             tracemalloc.stop()
         assert 0.0 < result.p_value <= 1.0
         assert peak < 64 * 2**20
+
+    def test_study_block_slices_stay_small(self, study_block):
+        """A study block at m = 100 (32 replicates x 10 columns, p = 4) applies the
+        kernel to 11 replicates at a time, an n x 11 (p + C) input (0.12 MB) with
+        the kernel's output and scratch: under 0.6 MB, where one n x 32 (p + C)
+        pass took 1.09 MB."""
+        _, fixtures, Y, factored = study_block(32)
+        fits = fit_ols_columns(Y, factored[1])
+        tracemalloc.start()
+        try:
+            score_statistics(fits.residuals, fits.sigma2, factored[1], fixtures["kernel"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * 2**20
 
     def test_cluster_blocks_stay_small(self):
         """tr K and |K|^2 at n = 2000 with 100 clusters apply the kernel to

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -22,7 +23,11 @@ from covtest import (
     nonlinear_effect,
     run_study,
 )
+from covtest import exact_lrt
+from covtest.null_fit import fit_ols_columns
 from covtest.rng import stream
+from covtest.score_test import ScoreMoments, score_statistics
+from covtest.sim_study import _block_data
 from covtest.spline_basis import KnotSet
 
 
@@ -130,6 +135,19 @@ class TestGenerateDataset:
                     ds = generate_dataset(30, sigma, c, seed=(8, rep))
                     assert np.array_equal(Y[r, :, 3 * si + ci], ds.y) and np.array_equal(S[r], ds.S)
 
+    def test_block_data_is_written_in_place(self, study_block):
+        """A study block at m = 100 (32 replicates x 10 columns) is written draw by
+        draw into its R x m x SC and R x m x 2 arrays (0.3 MB): under 0.5 MB, where
+        stacking the draws and copying their transpose took 0.88 MB."""
+        config = study_block(1)[0]
+        tracemalloc.start()
+        try:
+            Y, _ = _block_data(config, 100, range(32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Y.shape == (32, 100, 10) and peak < 0.5 * 2**20
+
     def test_overflowing_noise_is_one_data_error(self):
         """sigma z overflows at sigma = 1e308: the dataset check's DataError,
         with no RuntimeWarning before it."""
@@ -153,6 +171,10 @@ def broken_draw(real, collinear=None, perfect=None):
         return S, t, Y
 
     return draw
+
+
+# Replicates per slice of the LRT sweep in tiny_config's blocks: G = 201, K = 8.
+SWEEP = exact_lrt._SWEEP_ENTRIES // (201 * 8)
 
 
 def tiny_config(**kw):
@@ -198,14 +220,16 @@ class TestRunStudy:
             assert report.get(name, 30, 0.25, 2, 0.05).failures == 1
             assert report.get(name, 30, 0.25, 0, 0.05).failures == 0
 
-    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("block", [1, 7, SWEEP - 1, SWEEP, SWEEP + 1, 33, None])
     def test_block_size_does_not_change_report(self, monkeypatch, block):
         """The report is that of the default block size for any block size,
-        also when the runs are no multiple of it."""
+        also when the runs are no multiple of it, and for blocks at the edges
+        of the LRT sweep's replicate slices (SWEEP, 40 here), which the 81 runs
+        cut into full and short slices."""
         import covtest.sim_study as sim_study
 
         config = tiny_config(tests=("lrt1", "lrt2", "rlrt", "score", "cusum"), c_values=(0, 3),
-                             levels=(0.05, 0.1), n_runs=20, n_sims_null=300, cusum_resamples=50)
+                             levels=(0.05, 0.1), n_runs=81, n_sims_null=300, cusum_resamples=50)
         reference = run_study(config).to_csv()
         if block is not None:
             monkeypatch.setattr(sim_study, "_BLOCK", block)
@@ -389,6 +413,33 @@ class TestRunStudy:
         assert names.count("score_test.score_statistics") == 2
         assert names.count("cusum_test.multiplier_null") == config.n_runs * len(config.c_values)
         assert "null_fit.fit_ols" not in names and "null_fit.reml_projection" not in names
+
+    def test_block_cells_are_their_one_replicate_slices(self, study_block):
+        """Every output of the LRT sweep (slices of 16 replicates here) and the score
+        pass (slices of 11) on a 33-replicate study block at m = 100 equals, bit for
+        bit, that of a call on each replicate alone: the slices move no bit."""
+        _, fixtures, Y, factored = study_block(33)
+        specs = {1: [("lrt", 0), ("rlrt", 0)], 2: [("lrt", 1)]}
+        for d, stack in factored.items():
+            solver, grid = fixtures[("solver", d)], fixtures[("grid", d)]
+            *block, errors = solver.statistics(Y, stack, grid, specs[d])
+            assert errors == {}
+            for r in range(Y.shape[0]):
+                *one, _ = solver.statistics(Y[r:r + 1], stack.replicate(r), grid, specs[d])
+                assert all(a[:, r:r + 1].tobytes() == b.tobytes() for a, b in zip(block, one))
+        fits = fit_ols_columns(Y, factored[1])
+        scores, failed = score_statistics(fits.residuals, fits.sigma2, factored[1], fixtures["kernel"])
+        assert failed == {}
+
+        def fields(result, rows):
+            return [result.u_quad[rows], result.null_mean[rows], result.u_score[rows], result.p_value[rows],
+                    *(getattr(result.moments, f)[rows] for f in ScoreMoments.__dataclass_fields__)]
+
+        for r in range(Y.shape[0]):
+            one, _ = score_statistics(fits.residuals[r:r + 1], fits.sigma2[r:r + 1], factored[1].replicate(r),
+                                      fixtures["kernel"])
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(fields(scores, slice(r, r + 1)),
+                                                                  fields(one, slice(None))))
 
     def test_ols_stack_is_the_projection_scored_and_resampled(self, monkeypatch):
         """A block's fit_ols_columns stack is itself the projection its score
