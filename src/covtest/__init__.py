@@ -24,9 +24,9 @@ _HOMES = {
     "spline_basis": "KnotSet DesignMatrices SmootherKernel place_knots truncated_power "
                     "build_design smoother_kernel",
     "null_fit": "NullFit fit_ols fit_reml_random_intercept reml_projection",
-    "exact_lrt": "SpectralCache LambdaGrid NullDistribution TestResult ProfileSolver "
+    "exact_lrt": "SpectralCache LambdaGrid NullDistribution NullVariant TestResult ProfileSolver "
                  "spectral_decompose spectral_coordinates default_lambda_grid profile_terms "
-                 "simulate_null simulate_null_cached observed_statistic p_value attach_pvalue",
+                 "simulate_null simulate_nulls simulate_null_cached observed_statistic p_value attach_pvalue",
     "score_test": "ScoreMoments ScoreResult score_statistic run_score_test",
     "cusum_test": "CusumProcess CusumResult cumulative_process multiplier_null "
                   "multiplier_processes sup_test",

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import rng as rngmod
 from .data_io import Dataset
 from .errors import ConfigError, ModelError, NumericalError
 from .rng import SeedLike, chunked_streams
@@ -35,6 +36,7 @@ __all__ = [
     "SpectralCache",
     "LambdaGrid",
     "NullDistribution",
+    "NullVariant",
     "TestResult",
     "ProfileSolver",
     "spectral_decompose",
@@ -42,6 +44,7 @@ __all__ = [
     "default_lambda_grid",
     "profile_terms",
     "simulate_null",
+    "simulate_nulls",
     "simulate_null_cached",
     "observed_statistic",
     "p_value",
@@ -417,6 +420,18 @@ def observed_statistic(
     return TestResult(kind, stat, lam_hat, nuisance)
 
 
+class NullVariant(NamedTuple):
+    """One statistic whose null :func:`simulate_nulls` draws: the spectrum of its
+    design, its kind and h, its grid (None: :func:`default_lambda_grid`) and the key
+    of the stream its own terms come from (None: the pass's chunk stream)."""
+
+    cache: SpectralCache
+    kind: str
+    h: int = 0
+    grid: LambdaGrid | None = None
+    stream: SeedLike | None = None
+
+
 def simulate_null(
     cache: SpectralCache,
     kind: str,
@@ -425,55 +440,111 @@ def simulate_null(
     n_sims: int = 10000,
     seed: SeedLike = 0,
 ) -> NullDistribution:
-    """Sample the exact finite-sample null distribution of the statistic.
+    """Sample the exact finite-sample null distribution of the statistic: the
+    one-variant pass of :func:`simulate_nulls`, whose every draw comes from the
+    chunk streams keyed by (seed, chunk)."""
+    (null,) = _sample([NullVariant(cache, kind, h, grid)], n_sims, seed)
+    return null
 
-    Each replicate draws the chi-square ingredients, evaluates the profile
-    gain over the whole grid, and records the supremum: K unit-df terms for
-    the spline directions, each a squared standard normal; one pooled
-    chi-square(n - p - d - 1 - K) draw for the residual tail; and for the LRT
-    with h > 0 the dropped coefficients' chi-square(h) term, the sum of h
-    squared standard normals. Replicate randomness comes from fixed-size chunk
-    streams keyed by (seed, chunk), so results are independent of scheduling
-    and worker count.
+
+def simulate_nulls(
+    variants: list[NullVariant], n_sims: int = 10000, seed: SeedLike = 0, cache_dir: str | Path | None = None
+) -> list[NullDistribution]:
+    """The null distributions of several statistics of one knot count from one
+    pass of draws (:func:`_sample`): each sample's K spline terms are drawn once,
+    from the chunk streams of ``seed``, and read by every variant, and each
+    variant with a stream of its own draws its residual tail and h term there,
+    so its null does not depend on which other variants share the pass.
+    Memoised on disk per variant when cache_dir is set, as in
+    :func:`simulate_null_cached`: only the variants with no entry to serve are
+    simulated, with the bits of the full pass."""
+    variants = [_with_grid(v) for v in variants]
+    if cache_dir is None:
+        return _sample(variants, n_sims, seed)
+    entries = [_cache_entry(Path(cache_dir), v, n_sims, seed) for v in variants]
+    missing = [v for v, (_, null) in zip(variants, entries) if null is None]
+    fresh = iter(_sample(missing, n_sims, seed) if missing else [])
+    out = []
+    for path, null in entries:
+        if null is None:
+            null = next(fresh)
+            save_null_distribution(null, path)
+        out.append(null)
+    return out
+
+
+def _with_grid(variant: NullVariant) -> NullVariant:
+    return variant if variant.grid is not None else variant._replace(grid=default_lambda_grid(variant.cache))
+
+
+def _sample(variants: list[NullVariant], n_sims: int, seed: SeedLike) -> list[NullDistribution]:
+    """The exact null sampler, one pass for every variant.
+
+    Each replicate draws the chi-square ingredients, evaluates each variant's
+    profile gain over its grid, and records the supremum: K unit-df terms for
+    the spline directions, each a squared standard normal, shared by every
+    variant, so their spectra must have one knot count K; and per variant one
+    pooled chi-square(n - p - d - 1 - K) draw for its residual tail and, for
+    the LRT with h > 0, the dropped coefficients' chi-square(h) term, the sum
+    of h squared standard normals. Replicate randomness comes from fixed-size
+    chunk streams keyed by (seed, chunk), so results are independent of
+    scheduling and worker count: a chunk draws its K normals per replicate from
+    its stream, then each variant its tail and h term from the same chunk of its
+    own stream (``NullVariant.stream``, keyed (stream, chunk)), or from the
+    chunk stream itself after the normals. At most one variant may take the
+    chunk stream, so no variant's draws depend on the others': variants of one
+    pass share their spline terms as common random numbers, and a lone variant
+    without a stream of its own (:func:`simulate_null`) draws everything from
+    the chunk stream, as the sampler always has.
     """
-    _check_h(kind, h, cache.degree)
+    for v in variants:
+        _check_h(v.kind, v.h, v.cache.degree)
     if n_sims < 1:
         raise ConfigError(f"n_sims must be >= 1, got {n_sims}")
-    if grid is None:
-        grid = default_lambda_grid(cache)
-    tail_df = cache.complement_dim - cache.n_knots
-    if tail_df <= 0:
-        raise ConfigError(
-            f"residual tail is empty: n - p - d - 1 = {cache.complement_dim} "
-            f"must exceed the knot count {cache.n_knots}"
+    knots = {v.cache.n_knots for v in variants}
+    if len(knots) != 1:
+        raise ConfigError(f"the null variants of one pass need one knot count, got {sorted(knots)}")
+    if sum(v.stream is None for v in variants) > 1:
+        raise ConfigError("at most one null variant may draw from the pass's chunk stream")
+    (knots,) = knots
+    plans = []
+    for v in map(_with_grid, variants):
+        tail_df = v.cache.complement_dim - v.cache.n_knots
+        if tail_df <= 0:
+            raise ConfigError(
+                f"residual tail is empty: n - p - d - 1 = {v.cache.complement_dim} "
+                f"must exceed the knot count {v.cache.n_knots}"
+            )
+        mult, pen = _kind_penalty(
+            v.kind, v.grid.values, v.cache.n_obs, v.cache.complement_dim, v.cache.raw_eigs, v.cache.proj_eigs
         )
-    values = grid.values
-    mult, pen = _kind_penalty(
-        kind, values, cache.n_obs, cache.complement_dim, cache.raw_eigs, cache.proj_eigs
-    )
-    scale = np.exp(pen / mult)
-    # [w | tail] @ weights is the scaled energy rss(lam) * scale(lam) that _grid_max takes.
-    weights = np.vstack([_grid_weights(values, cache.proj_eigs) * scale, scale])
-    rows, knots = min(n_sims, _SIM_CHUNK), cache.n_knots
-    # Reused by every chunk: its standard normals (contiguous, as out= needs), its
-    # draws [w | tail] and one sub-block's scaled energies (at most _SIM_BLOCK x G).
-    normals, coords = np.empty(rows * max(knots, h)), np.empty((rows, knots + 1))
-    scaled = np.empty((min(rows, _SIM_BLOCK), values.size))
-    samples = np.empty(n_sims)
+        scale = np.exp(pen / mult)
+        # [w | tail] @ weights is the scaled energy rss(lam) * scale(lam) that _grid_max takes.
+        weights = np.vstack([_grid_weights(v.grid.values, v.cache.proj_eigs) * scale, scale])
+        plans.append((v, tail_df, mult, weights))
+    rows, width = min(n_sims, _SIM_CHUNK), max(weights.shape[1] for *_, weights in plans)
+    # Reused by every chunk and variant: its standard normals (contiguous, as out= needs),
+    # its draws [w | tail] and one sub-block's scaled energies (at most _SIM_BLOCK x G).
+    normals = np.empty(rows * max(knots, *(v.h for v, *_ in plans)))
+    coords, scaled = np.empty((rows, knots + 1)), np.empty(min(rows, _SIM_BLOCK) * width)
+    samples = np.empty((len(plans), n_sims))
     for start, stop, rng in chunked_streams(seed, n_sims, _SIM_CHUNK):
         r = stop - start
         chunk = coords[:r]
         np.square(rng.standard_normal(out=normals[:r * knots].reshape(r, knots)), out=chunk[:, :-1])
-        chunk[:, -1] = rng.chisquare(tail_df, size=r)
-        for lo in range(0, r, _SIM_BLOCK):
-            hi = min(lo + _SIM_BLOCK, r)
-            block = np.matmul(chunk[lo:hi], weights, out=scaled[:hi - lo])
-            samples[start + lo:start + hi] = _grid_max(block, mult)[1]
-        if kind == "lrt" and h > 0:
-            z = rng.standard_normal(out=normals[:r * h].reshape(r, h))
-            samples[start:stop] += _dropped_gain(cache.n_obs, np.square(z, out=z).sum(axis=1),
+        for (v, tail_df, mult, weights), out in zip(plans, samples):
+            own = rng if v.stream is None else rngmod.stream(v.stream, start // _SIM_CHUNK)
+            chunk[:, -1] = own.chisquare(tail_df, size=r)
+            for lo in range(0, r, _SIM_BLOCK):
+                hi, size = min(lo + _SIM_BLOCK, r), weights.shape[1]  # a contiguous (hi - lo) x G
+                block = np.matmul(chunk[lo:hi], weights, out=scaled[:(hi - lo) * size].reshape(-1, size))
+                out[start + lo:start + hi] = _grid_max(block, mult)[1]
+            if v.kind == "lrt" and v.h > 0:
+                z = own.standard_normal(out=normals[:r * v.h].reshape(r, v.h))
+                out[start:stop] += _dropped_gain(v.cache.n_obs, np.square(z, out=z).sum(axis=1),
                                                  chunk.sum(axis=1))
-    return NullDistribution(samples, _provenance(cache, kind, h, grid, n_sims, seed))
+    return [NullDistribution(out, _provenance(v.cache, v.kind, v.h, v.grid, n_sims, seed, v.stream))
+            for (v, *_), out in zip(plans, samples)]
 
 
 def p_value(observed: float | np.ndarray, null: NullDistribution) -> float | np.ndarray:
@@ -500,16 +571,24 @@ def attach_pvalue(result: TestResult, null: NullDistribution) -> TestResult:
 
 
 def _provenance(
-    cache: SpectralCache, kind: str, h: int, grid: LambdaGrid, n_sims: int, seed: SeedLike
+    cache: SpectralCache, kind: str, h: int, grid: LambdaGrid, n_sims: int, seed: SeedLike,
+    stream: SeedLike | None = None,
 ) -> dict:
-    """The identity of a simulated null: its file format and everything its draws depend on."""
+    """The identity of a simulated null: its file format and everything its draws
+    depend on; a variant with a stream of its own (:class:`NullVariant`) records it,
+    so its entry is never served for the lone-variant draws of the same seed."""
+    def words(key):
+        return int(key) if isinstance(key, (int, np.integer)) else [int(k) for k in key]
+
+    own = {} if stream is None else {"stream": words(stream)}
     return {
         "format": "covtest-null-cache",
         "version": 1,
         "kind": kind,
         "h": h,
         "n_sims": n_sims,
-        "seed": int(seed) if isinstance(seed, (int, np.integer)) else [int(s) for s in seed],
+        "seed": words(seed),
+        **own,
         "grid_sha": grid.sha,
         "n_grid": int(grid.values.size),
         "n_obs": cache.n_obs,
@@ -522,10 +601,11 @@ def _provenance(
 
 
 def null_distribution_key(
-    cache: SpectralCache, kind: str, h: int, grid: LambdaGrid, n_sims: int, seed: SeedLike
+    cache: SpectralCache, kind: str, h: int, grid: LambdaGrid, n_sims: int, seed: SeedLike,
+    stream: SeedLike | None = None,
 ) -> str:
     """Stable content key: the null's provenance and the sampler version."""
-    payload = {**_provenance(cache, kind, h, grid, n_sims, seed), "sampler_version": _SAMPLER_VERSION}
+    payload = {**_provenance(cache, kind, h, grid, n_sims, seed, stream), "sampler_version": _SAMPLER_VERSION}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
@@ -579,22 +659,29 @@ def simulate_null_cached(
         grid = default_lambda_grid(cache)
     if cache_dir is None:
         return simulate_null(cache, kind, h, grid, n_sims, seed)
-    cache_dir = Path(cache_dir)
+    path, null = _cache_entry(Path(cache_dir), NullVariant(cache, kind, h, grid), n_sims, seed)
+    if null is None:
+        null = simulate_null(cache, kind, h, grid, n_sims, seed)
+        save_null_distribution(null, path)
+    return null
+
+
+def _cache_entry(cache_dir: Path, variant: NullVariant, n_sims: int, seed: SeedLike):
+    """(path, null) of a variant's entry in cache_dir, its grid given: null is None
+    where there is no entry to serve, after a warning where the entry is unreadable
+    or foreign."""
     cache_dir.mkdir(parents=True, exist_ok=True)
-    key = null_distribution_key(cache, kind, h, grid, n_sims, seed)
-    path = cache_dir / f"null_{key[:24]}.npz"
+    identity = (variant.cache, variant.kind, variant.h, variant.grid, n_sims, seed, variant.stream)
+    path = cache_dir / f"null_{null_distribution_key(*identity)[:24]}.npz"
     if path.exists():
         try:
             null = load_null_distribution(path)
-            wanted = _provenance(cache, kind, h, grid, n_sims, seed)
-            if null.provenance != wanted or null.n_sims != n_sims:
+            if null.provenance != _provenance(*identity) or null.n_sims != n_sims:
                 raise ConfigError("its provenance or sample count is not the one its name hashes")
-            return null
+            return path, null
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, ConfigError) as exc:
             warnings.warn(
                 f"{path}: unreadable null cache entry ({exc}); simulating again",
-                stacklevel=2,
+                stacklevel=3,
             )
-    null = simulate_null(cache, kind, h, grid, n_sims, seed)
-    save_null_distribution(null, path)
-    return null
+    return path, None

@@ -4,6 +4,13 @@ All randomness in the package flows from integer seeds through
 ``numpy.random.SeedSequence``. Streams are keyed by (seed, index) tuples so
 that results are bit-reproducible and independent of execution order,
 chunking, or worker count.
+
+A key is read as a sequence of 32-bit words, one per int below 2**32 (a
+larger int takes more), and SeedSequence pads a key of fewer than four words
+with zeros. So keys of up to four words that differ only in trailing zeros
+name one stream: ``stream(s, a)`` is ``stream(s, a, 0)``. Keys that must name
+different streams must therefore differ in a word both of them have, as the
+study's (seed, index, role[, chunk]) keys do in their role word.
 """
 
 from __future__ import annotations

@@ -174,6 +174,17 @@ def _upper_tail(u_quad, moments: ScoreMoments) -> np.ndarray:
     return np.maximum(q.reshape(shape), _TINY)
 
 
+def _tail_p_values(u_quad, moments: ScoreMoments) -> tuple[np.ndarray, dict]:
+    """:func:`_upper_tail` at cells of one shape, and a map from each cell whose
+    tail did not converge (a NaN p-value) to its NumericalError."""
+    with np.errstate(all="ignore"):  # an argument out of double range is a NaN tail, reported so
+        p = _upper_tail(u_quad, moments)
+        a, x = _tail_arguments(u_quad, moments)
+    return p, {tuple(int(i) for i in cell): NumericalError(
+                   f"chi-square tail did not converge at a = {float(a[cell])!r}, x = {float(x[cell])!r}")
+               for cell in zip(*np.nonzero(np.isnan(p)))}
+
+
 def _sq_frobenius(A: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of a matrix, or of each matrix of a stack."""
     return np.einsum("...ij,...ij->...", A, A)
@@ -230,7 +241,7 @@ def score_statistic(fit: NullFit, proj: FactoredStack, kernel: SmootherKernel) -
 
 
 def score_statistics(
-    residuals: np.ndarray, sigma2: np.ndarray, proj: FactoredStack, kernel: SmootherKernel
+    residuals: np.ndarray, sigma2: np.ndarray, proj: FactoredStack, kernel: SmootherKernel, *, tail: bool = True
 ) -> tuple[ScoreResult, dict]:
     """Score statistics of a stack of null fits: R x n x C residuals with R x C
     error variances, where replicate r's columns share design r of ``proj`` (or
@@ -255,6 +266,8 @@ def score_statistics(
     a column of error variance s has mean / s, variance / s^2 and u_quad / s^2,
     and df and the tail's arguments are free of s. A cell fails with a
     NumericalError where dividing by s leaves one of them out of double range.
+    With ``tail=False`` the p-values are NaN and the tail is the caller's to
+    take (:func:`_tail_p_values`), as a study takes every block's in one call.
     """
     n, (stack, _, n_cols) = proj.n, residuals.shape
     if kernel.n != n or residuals.shape[1] != n:
@@ -292,13 +305,9 @@ def score_statistics(
         moments = ScoreMoments(mean=m, variance=var, scale=var / (2.0 * m), df=df)
         u_unit = np.maximum(u_half, 0.0)  # PSD form, clamp roundoff
         u_quad = u_unit / sigma2**2
-        p_value = _upper_tail(u_quad, moments)
-        a, x = _tail_arguments(u_quad, moments)
+        p_value, failed = _tail_p_values(u_quad, moments) if tail else (np.full(m.shape, np.nan), {})
         result = ScoreResult(u_quad=u_quad, null_mean=m, u_score=u_quad - m, moments=moments,
                              p_value=p_value, kernel_kind=kernel.kind)
-    failed = {(int(r), int(c)): NumericalError(
-                  f"chi-square tail did not converge at a = {float(a[r, c])!r}, x = {float(x[r, c])!r}")
-              for r, c in zip(*np.nonzero(np.isnan(p_value)))}
     out_of_range = np.any([~np.isfinite(f) | ((np.abs(f) < _TINY) & (unit != 0.0))  # overflowed or underflowed
                            for f, unit in ((u_quad, u_unit), (m, mean), (var, variance), (moments.scale, variance))], 0)
     failed.update(((int(r), int(c)), NumericalError(_SCALE_ERROR)) for r, c in zip(*np.nonzero(out_of_range)))

@@ -3,13 +3,16 @@
 Generates partially linear datasets with a tunable smooth departure from
 linearity, applies the configured tests to each replicate, and tabulates
 empirical rejection rates per (test, sample size, noise level, departure,
-nominal level). Per-replicate random streams are keyed by (master seed,
-replicate, variate role), so the generated data do not depend on which tests
-are enabled, on the execution order, or on the worker count. The streams do
-not depend on sigma or c either, so the noise and departure levels of a
-replicate share S, t and the noise draw z, hence one draw and one X per
-spline degree. Replicates run in blocks, each one set of arrays with a
-replicate axis and a column axis of every (sigma, c) (see :func:`_run_block`).
+nominal level). Every random stream of a study is keyed by (master seed,
+index, role), see :data:`_DATA`: one generator per replicate draws its data,
+so the generated data do not depend on which tests are enabled, on the
+execution order, or on the worker count. The stream does not depend on sigma
+or c either, so the noise and departure levels of a replicate share S, t and
+the noise draw z, hence one draw and one X per spline degree. The LRT
+variants' nulls of one m come from one pass of draws keyed by name, so a
+variant's counts do not depend on the other tests either. Replicates run in
+blocks, each one set of arrays with a replicate axis and a column axis of
+every (sigma, c) (see :func:`_run_block`).
 """
 
 from __future__ import annotations
@@ -24,14 +27,15 @@ from . import rng as rngmod
 from .data_io import Dataset, _check_finite
 from .errors import ConfigError, StudyError, sized_by
 from .exact_lrt import (
+    NullVariant,
     ProfileSolver,
     default_lambda_grid,
     p_value,
-    simulate_null_cached,
+    simulate_nulls,
     spectral_decompose,
 )
 from .null_fit import fit_ols_columns
-from .score_test import score_statistics
+from .score_test import ScoreMoments, _tail_p_values, score_statistics
 from .spline_basis import NATURAL_SPLINE, build_design, place_knots, smoother_kernel, stacked_qr
 
 __all__ = [
@@ -55,6 +59,17 @@ KNOWN_TESTS = ("lrt1", "lrt2", "rlrt", "score", "cusum")
 # Replicates per block: the unit of the stacked LRT pass and of the thread pool.
 _BLOCK = 32
 
+# The roles of a study's streams. Each stream is keyed (seed, index, role), a
+# chunked one extended by its chunk: at most four 32-bit words for a seed below
+# 2**32, so two roles' keys differ in a word both have and never name one
+# stream (see covtest.rng on the padding of short keys). The index is the
+# replicate for its data and its cusum multipliers; for the LRT nulls it is 0
+# for the spline terms every variant shares and 1 + the variant's place in
+# KNOWN_TESTS for the variant's own terms. A replicate's data stream is
+# generate_dataset's stream of S's first column; roles 1 and 2, its other two,
+# serve only the fixtures' draw (see _study_fixtures).
+_DATA, _MULTIPLIERS, _NULL = 0, 3, 4
+
 _TRUE_COEF = (1.3, 0.45)
 _S_VARIANCES = (0.3, 0.4)
 
@@ -71,13 +86,22 @@ def nonlinear_effect(t, c: float):
 
 
 def _draw(m: int, sigmas, levels, seed: rngmod.SeedLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One replicate's S (m x 2), t and responses: a sigmas x levels x m array
-    whose (sigma, c) row is (linear + f_c) + sigma z, from one draw of the
-    streams (seed, 0) and (seed, 1) for S and (seed, 2) for z. A non-finite
-    response raises the DataError a dataset would."""
-    s1 = rngmod.stream(seed, 0).normal(0.0, math.sqrt(_S_VARIANCES[0]), m)
-    s2 = rngmod.stream(seed, 1).normal(0.0, math.sqrt(_S_VARIANCES[1]), m)
-    z = rngmod.stream(seed, 2).standard_normal(m)
+    """One study replicate's S (m x 2), t and responses, ``seed`` = (master
+    seed, replicate): :func:`_data` from one generator, the stream (seed,
+    _DATA), which draws S's first column, its second, then z, m values each.
+    Its next draw is reserved for random intercepts."""
+    rng = rngmod.stream(seed, _DATA)
+    return _data(m, sigmas, levels, rng, rng, rng)
+
+
+def _data(m: int, sigmas, levels, *rngs: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S (m x 2), t and responses: a sigmas x levels x m array whose (sigma, c)
+    row is (linear + f_c) + sigma z, from one draw of S's two columns and z by
+    the three generators, in turn. A non-finite response raises the DataError a
+    dataset would."""
+    s1 = rngs[0].normal(0.0, math.sqrt(_S_VARIANCES[0]), m)
+    s2 = rngs[1].normal(0.0, math.sqrt(_S_VARIANCES[1]), m)
+    z = rngs[2].standard_normal(m)
     t = np.arange(m) / (m - 1)
     S, linear = np.column_stack([s1, s2]), _TRUE_COEF[0] * s1 + _TRUE_COEF[1] * s2
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, as the dataset check would
@@ -93,14 +117,16 @@ def generate_dataset(m: int, sigma: float, c: float, seed: rngmod.SeedLike) -> D
     [0, 1], and Gaussian noise of standard deviation sigma.
 
     The covariates are N(0, 0.3) and N(0, 0.4), given by their variances; the
-    draws come from per-role streams under ``seed``, so datasets with the same
-    seed share draws across c and sigma.
+    draws come from the per-role streams (seed, 0) and (seed, 1) for S and
+    (seed, 2) for z, so datasets with the same seed share draws across c and
+    sigma. A study replicate draws the same three from one stream instead
+    (:func:`_draw`).
     """
     if m < 2:
         raise ConfigError(f"need m >= 2, got {m}")
     if sigma <= 0:
         raise ConfigError(f"sigma must be > 0, got {sigma}")
-    S, t, ((y,),) = _draw(m, [sigma], [c], seed)
+    S, t, ((y,),) = _data(m, [sigma], [c], *(rngmod.stream(seed, role) for role in range(3)))
     return Dataset(y=y, S=S, t=t)
 
 
@@ -264,34 +290,42 @@ class SimReport:
 
 def _study_fixtures(config: SimConfig, m: int):
     """Pieces shared by every replicate and departure level of one m: per
-    spline degree used (1 for score and cusum), the design of one draw, whose
-    A and B every replicate shares as t is the same grid, with knots only for
-    an LRT degree, since score and cusum read X alone; per LRT degree, a
-    ProfileSolver, the lambda grid and each variant's null distribution, all
-    read from that design's one spectrum. The variants of a degree form a
+    spline degree used (1 for score and cusum), the design of
+    ``generate_dataset(m, sigma, 0, (seed, 0))``, whose S's first column is
+    replicate 0's and whose A and B every replicate shares as t is the same
+    grid, with knots only for an LRT degree, since score and cusum read X
+    alone; per LRT degree, a ProfileSolver and the lambda grid, and per LRT
+    variant its null distribution, all read from that design's one spectrum.
+    The nulls of every variant come from one pass of draws
+    (:func:`~covtest.exact_lrt.simulate_nulls`): the spline terms from the
+    streams (seed, 0, _NULL, chunk), shared, and a variant's own terms from
+    (seed, 1 + its place in KNOWN_TESTS, _NULL, chunk), so its null does not
+    depend on the other tests or their order. The variants of a degree form a
     group, evaluated in one call for all c.
     Building a design raises the ModelError of an m too small to fit it, and a
     null count whose draws cannot be allocated is refused there as the config
     error of ``--nsims`` (:func:`~covtest.errors.sized_by`)."""
     base = generate_dataset(m, config.sigma_values[0], 0, (config.seed, 0))
-    lrt = [(vi, name, *_LRT_VARIANTS[name]) for vi, name in enumerate(config.tests)
-           if name in _LRT_VARIANTS]
+    lrt = [(ti, name, *_LRT_VARIANTS[name]) for ti, name in enumerate(config.tests) if name in _LRT_VARIANTS]
     knotted = {d for _, _, _, d, _ in lrt}
     degrees = knotted | ({1} if {"score", "cusum"} & set(config.tests) else set())
     designs = {d: build_design(base, place_knots(base.t, config.n_knots if d in knotted else 0, d))
                for d in sorted(degrees)}
     groups: dict[int, list[tuple[int, str, str, int]]] = {}
     fixtures: dict = {"designs": designs, "lrt_groups": groups}
-    for vi, name, kind, d, h in lrt:
+    variants = []
+    for ti, name, kind, d, h in lrt:
         cache = spectral_decompose(designs[d])  # reads the design's one spectrum
         if d not in groups:
             fixtures[("solver", d)] = ProfileSolver(designs[d])
             fixtures[("grid", d)] = default_lambda_grid(cache)
+        groups.setdefault(d, []).append((ti, name, kind, h))
+        variants.append(NullVariant(cache, kind, h, fixtures[("grid", d)],
+                                    (config.seed, 1 + KNOWN_TESTS.index(name), _NULL)))
+    if variants:
         with sized_by("nsims", config.n_sims_null):
-            fixtures[("null", name)] = simulate_null_cached(
-                cache, kind, h, fixtures[("grid", d)], config.n_sims_null,
-                seed=(config.seed, 9000 + vi), cache_dir=config.cache_dir)
-        groups.setdefault(d, []).append((vi, name, kind, h))
+            nulls = simulate_nulls(variants, config.n_sims_null, (config.seed, 0, _NULL), config.cache_dir)
+        fixtures.update((("null", name), null) for (_, name, *_), null in zip(lrt, nulls))
     if "score" in config.tests:
         fixtures["kernel"] = smoother_kernel(base.t, 1, NATURAL_SPLINE)
     return fixtures
@@ -300,9 +334,8 @@ def _study_fixtures(config: SimConfig, m: int):
 def _block_data(config: SimConfig, m: int, reps: range) -> tuple[np.ndarray, np.ndarray]:
     """Responses (R x m x SC, one column per noise and departure level,
     sigma-major) and covariates (R x m x 2) of the replicates ``reps``: one
-    :func:`_draw` per replicate for every (sigma, c), written into the two
-    arrays as it is made. Column si * C + ci of replicate rep is bit for bit the y of
-    ``generate_dataset(m, sigma_values[si], c_values[ci], (seed, rep))``."""
+    :func:`_draw` per replicate, keyed (seed, rep), for every (sigma, c),
+    written into the two arrays as it is made."""
     n_cols = len(config.sigma_values) * len(config.c_values)
     Y, S = np.empty((len(reps), m, n_cols)), np.empty((len(reps), m, 2))
     for r, rep in enumerate(reps):
@@ -312,8 +345,10 @@ def _block_data(config: SimConfig, m: int, reps: range) -> tuple[np.ndarray, np.
 
 
 def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
-    """Rejection counts (test x sigma x c x level), failure counts (test x
-    sigma x c) and the failure messages of each sigma of the replicates ``reps``.
+    """The p-values (test x replicate x column) and the failed cells of the
+    replicates ``reps``, and the score test's cells whose chi-square tail is
+    still to be taken: None without the score test, else (its test index, a
+    replicate x column mask of those cells, and their ScoreResult).
 
     The block is a set of R x m x SC arrays (:func:`_block_data`): each
     replicate draws every (sigma, c) at once, so its columns share S, t and
@@ -322,22 +357,22 @@ def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
     stacked responses and one p-value lookup per variant over its replicate x
     column statistics. Score and cusum share one OLS fit of the whole stack
     from its QR (:func:`fit_ols_columns`); the score test scores every cell
-    with one kernel application (:func:`score_statistics`), and the cusum test
-    resamples each cell from its replicate's projection at unit variance,
-    which its resampled sups do not depend on; a resample count whose sups
-    cannot be allocated is refused there as the config error of
-    ``--resamples``. The sweep and the score pass each bound their own
-    working set by taking the block in slices of replicates, so a block's
-    width sets only its arrays of data and results. Every step reports failures
-    per cell: a replicate whose X is rejected fails all its cells with the
-    rejection, a perfect or overflowing fit fails its own cell. The p-values
-    fill one test x replicate x column array, where a failed cell stays NaN;
-    the failure messages of a (replicate, sigma, c) follow evaluation order:
-    the LRT groups, then score and cusum. The block's arrays are its own, so
-    blocks may run on separate threads.
+    with one kernel application (:func:`score_statistics`) and leaves the tail
+    to :func:`_score_tails`, and the cusum test resamples each cell from its
+    replicate's projection at unit variance, which its resampled sups do not
+    depend on, with the multipliers of the streams (seed, rep, _MULTIPLIERS,
+    chunk); a resample count whose sups cannot be allocated is refused there as
+    the config error of ``--resamples``. The sweep and the score pass each bound
+    their own working set by taking the block in slices of replicates, so a
+    block's width sets only its arrays of data and results. Every step reports
+    failures per cell: a replicate whose X is rejected fails all its cells with
+    the rejection, a perfect or overflowing fit fails its own cell. The
+    p-values fill one test x replicate x column array, where a failed cell
+    stays NaN; the failed cells map (replicate, column) to their (test index,
+    error) pairs in evaluation order: the LRT groups, then score and cusum. The
+    block's arrays are its own, so blocks may run on separate threads.
     """
-    tests, levels = config.tests, np.asarray(config.levels)
-    shape = (len(tests), len(config.sigma_values), len(config.c_values))
+    tests = config.tests
     Y, S = _block_data(config, m, reps)
     factored = {d: stacked_qr(np.stack([np.hstack([s, design.A]) for s in S]))
                 for d, design in fixtures["designs"].items()}
@@ -357,11 +392,12 @@ def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
     if ols:
         proj, fits = factored[1], fit_ols_columns(Y, factored[1])
         t = fixtures["designs"][1].t
+    score = None
     for ti, name in ols:
         cell_errors = {}
         if name == "score":
-            scores, cell_errors = score_statistics(fits.residuals, fits.sigma2, proj, fixtures["kernel"])
-            pvals[ti] = scores.p_value
+            scores, cell_errors = score_statistics(fits.residuals, fits.sigma2, proj, fixtures["kernel"],
+                                                   tail=False)
         else:  # cusum: SimConfig checks cusum_resamples, so only a fit can fail
             from .cusum_test import cumulative_process, multiplier_null, sup_test
 
@@ -370,17 +406,56 @@ def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
                     fit = fits.null_fit(r, k)
                     with sized_by("resamples", config.cusum_resamples):
                         sups = multiplier_null(fit, proj.replicate(r), t, config.cusum_resamples,
-                                               seed=(config.seed, reps[r], 3))
+                                               seed=(config.seed, reps[r], _MULTIPLIERS))
                     pvals[ti, r, k] = sup_test(cumulative_process(fit, t), sups).p_value
         cell_errors.update(fits.failed)  # a cell whose fit failed reports the fit's error
         for (r, k), error in cell_errors.items():
             pvals[ti, r, k] = np.nan
             failed.setdefault((r, k), []).append((ti, error))
+        if name == "score":
+            pending = np.ones(pvals.shape[1:], dtype=bool)
+            for r, k in cell_errors:
+                pending[r, k] = False
+            score = ti, pending, scores
+    return pvals, failed, score
+
+
+def _score_tails(results: list) -> None:
+    """The chi-square tail of every block's pending score cells, in one call
+    (:func:`~covtest.score_test._tail_p_values`, elementwise, so each cell has
+    the bits of a call per block): writes their p-values into the blocks' arrays
+    and adds a tail that did not converge to its cell's failures. It comes last
+    there, as in a block's own evaluation order: cusum, after score, fails only
+    a cell whose fit failed, which the score test then reports instead."""
+    parts = [(pvals, failed, score) for pvals, failed, score in results if score is not None]
+    if not parts:
+        return
+    u_quad = np.concatenate([scores.u_quad[pending] for *_, (_, pending, scores) in parts])
+    moments = ScoreMoments(*(np.concatenate([getattr(scores.moments, f.name)[pending]
+                                             for *_, (_, pending, scores) in parts])
+                             for f in fields(ScoreMoments)))
+    p, errors = _tail_p_values(u_quad, moments)
+    at = 0
+    for pvals, failed, (ti, pending, _) in parts:
+        cells = np.argwhere(pending)
+        pvals[ti][pending] = p[at:at + len(cells)]
+        for (i,), error in errors.items():
+            if at <= i < at + len(cells):
+                failed.setdefault(tuple(int(v) for v in cells[i - at]), []).append((ti, error))
+        at += len(cells)
+
+
+def _tally(config: SimConfig, m: int, reps: range, pvals: np.ndarray, failed: dict):
+    """Rejection counts (test x sigma x c x level), failure counts (test x sigma
+    x c) and the failure messages of each sigma of a block, those of a
+    (replicate, sigma, c) in the order its cell lists its errors."""
+    levels = np.asarray(config.levels)
+    shape = (len(config.tests), len(config.sigma_values), len(config.c_values))
     messages = [[] for _ in config.sigma_values]
     for r, k in sorted(failed):
         si, ci = divmod(k, shape[2])
-        messages[si].extend(f"{tests[ti]} m={m} sigma={config.sigma_values[si]:g} c={config.c_values[ci]:g} "
-                            f"rep={reps[r]}: {error}" for ti, error in failed[r, k])
+        messages[si].extend(f"{config.tests[ti]} m={m} sigma={config.sigma_values[si]:g} "
+                            f"c={config.c_values[ci]:g} rep={reps[r]}: {error}" for ti, error in failed[r, k])
     counts = (pvals[..., None] < levels).sum(axis=1).reshape(shape + levels.shape)
     return counts, np.isnan(pvals).sum(axis=1).reshape(shape), messages
 
@@ -392,9 +467,11 @@ def run_study(config: SimConfig) -> SimReport:
     Null distributions for the LRT variants are simulated once per (m, design)
     and reused across replicates, noise and departure levels. The replicates
     of each m run in blocks of ``_BLOCK`` (see :func:`_run_block`), one draw
-    per replicate for every sigma, which may run on a thread pool; the output
-    is the same for any worker count. Cells and failure messages are split
-    back per sigma, in (m, sigma, block, replicate, c, test) order.
+    per replicate for every sigma, which may run on a thread pool; the score
+    test's chi-square tails of an m are then taken in one call over every
+    block (:func:`_score_tails`). The output is the same for any worker count.
+    Cells and failure messages are split back per sigma, in (m, sigma, block,
+    replicate, c, test) order.
     """
     started = time.perf_counter()
     cells: list[SimCell] = []
@@ -414,10 +491,12 @@ def run_study(config: SimConfig) -> SimReport:
                 results = list(pool.map(job, blocks))
         else:
             results = [job(reps) for reps in blocks]
-        counts = sum(block_counts for block_counts, _, _ in results)
-        fails = sum(block_fails for _, block_fails, _ in results)
+        _score_tails(results)
+        tallies = [_tally(config, m, reps, pvals, failed) for reps, (pvals, failed, _) in zip(blocks, results)]
+        counts = sum(block_counts for block_counts, _, _ in tallies)
+        fails = sum(block_fails for _, block_fails, _ in tallies)
         for si, sigma in enumerate(config.sigma_values):
-            all_messages.extend(message for *_, messages in results for message in messages[si])
+            all_messages.extend(message for *_, messages in tallies for message in messages[si])
             for ti, test in enumerate(config.tests):
                 for ci, c in enumerate(config.c_values):
                     for li, level in enumerate(config.levels):

@@ -629,7 +629,7 @@ class TestSimulateCommand:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, err = outcome(args)
-        assert (code, err, caught) == (1, "data error: non-finite value in y at row 1\n", [])
+        assert (code, err, caught) == (1, "data error: non-finite value in y at row 10\n", [])
 
     def test_too_few_rows_is_one_model_error(self, tmp_path, monkeypatch):
         """At m = 4 the degree-1 design [S | 1, t] has as many rows as

@@ -18,6 +18,7 @@ from covtest import (
     LambdaGrid,
     ModelError,
     NullDistribution,
+    NullVariant,
     build_design,
     default_lambda_grid,
     fit_ols,
@@ -28,6 +29,7 @@ from covtest import (
     profile_terms,
     simulate_null,
     simulate_null_cached,
+    simulate_nulls,
     spectral_coordinates,
     spectral_decompose,
 )
@@ -453,6 +455,73 @@ class TestSimulateNull:
         cache = spectral_decompose(design)
         with pytest.raises(ConfigError, match="variance component"):
             simulate_null(cache, "rlrt", 1, None, 10, seed=0)
+
+
+def bench_variants(m):
+    """The study's three LRT variants (lrt1, lrt2, rlrt) on the spectra of one
+    draw at m with 20 knots, each with a stream of its own."""
+    ds = generate_dataset(m, 0.25, 0, seed=(m, 0))
+    caches = {d: spectral_decompose(build_design(ds, place_knots(ds.t, 20, d))) for d in (1, 2)}
+    return [NullVariant(caches[d], kind, h, default_lambda_grid(caches[d]), (m, index, 2))
+            for index, (kind, d, h) in enumerate([("lrt", 1, 0), ("lrt", 2, 1), ("rlrt", 1, 0)], 1)]
+
+
+class TestSharedPass:
+    """simulate_nulls: one pass of draws for every (kind, h) variant of a study's m."""
+
+    def test_lone_variant_is_simulate_null(self):
+        """A variant without a stream of its own, alone in its pass, has
+        simulate_null's draws, bit for bit, as the pinned digests do."""
+        for variant in bench_variants(60):
+            lone = variant._replace(stream=None)
+            (got,) = simulate_nulls([lone], 1500, 17)
+            want = simulate_null(lone.cache, lone.kind, lone.h, lone.grid, 1500, 17)
+            assert got.samples.tobytes() == want.samples.tobytes() and got.provenance == want.provenance
+
+    def test_variant_draws_do_not_depend_on_the_others(self):
+        """A variant's samples in a pass of all three, in either order, are
+        those of its pass alone: the pass shares only the spline terms."""
+        variants = bench_variants(50)
+        forward = simulate_nulls(variants, 2500, (3, 0, 2))
+        backward = simulate_nulls(variants[::-1], 2500, (3, 0, 2))[::-1]
+        for variant, a, b in zip(variants, forward, backward):
+            (alone,) = simulate_nulls([variant], 2500, (3, 0, 2))
+            assert a.samples.tobytes() == b.samples.tobytes() == alone.samples.tobytes()
+            assert a.provenance == alone.provenance and a.provenance["stream"] == list(variant.stream)
+
+    @pytest.mark.parametrize("m", [50, 100])
+    def test_same_law_as_a_lone_variant(self, m):
+        """Each variant's null from the shared pass has the law of its lone
+        simulate_null on an independent seed: a two-sample KS test and the mass
+        at zero, 20 000 draws each."""
+        variants = bench_variants(m)
+        for variant, got in zip(variants, simulate_nulls(variants, 20000, (m, 0, 2))):
+            want = simulate_null(variant.cache, variant.kind, variant.h, variant.grid, 20000, (m, 99))
+            stat, pv = ks_2samp(got.samples, want.samples)
+            assert pv > 0.01, f"{variant.kind} h = {variant.h}: KS p = {pv:.4f} (stat {stat:.4f})"
+            zm_got, zm_want = got.zero_mass_fraction, want.zero_mass_fraction
+            se = math.sqrt((zm_got * (1 - zm_got) + zm_want * (1 - zm_want)) / 20000 + 1e-12)
+            assert abs(zm_got - zm_want) <= 3.5 * se
+
+    def test_guards(self):
+        variants = bench_variants(50)
+        other = generate_dataset(50, 0.25, 0, seed=(50, 0))
+        cache = spectral_decompose(build_design(other, place_knots(other.t, 10, 1)))
+        with pytest.raises(ConfigError, match="one knot count, got \\[10, 20\\]"):
+            simulate_nulls([variants[0], NullVariant(cache, "rlrt", 0, None, (1, 2))], 100, 0)
+        with pytest.raises(ConfigError, match="at most one null variant"):
+            simulate_nulls([v._replace(stream=None) for v in variants[:2]], 100, 0)
+        with pytest.raises(ConfigError, match="variance component"):
+            simulate_nulls([variants[0], variants[2]._replace(h=1)], 100, 0)
+
+    def test_entry_with_a_stream_is_not_a_lone_request(self):
+        """The stream of a variant is part of its cache key: a study's entry is
+        never served to a lone request of the same seed, whose key is that of
+        a null with no stream."""
+        variant = bench_variants(50)[2]
+        identity = (variant.cache, variant.kind, variant.h, variant.grid, 1000, (5, 0, 2))
+        assert null_distribution_key(*identity, variant.stream) != null_distribution_key(*identity)
+        assert null_distribution_key(*identity, None) == null_distribution_key(*identity)
 
 
 class TestObservedStatistic:

@@ -27,7 +27,7 @@ from covtest import exact_lrt
 from covtest.null_fit import fit_ols_columns
 from covtest.rng import stream
 from covtest.score_test import ScoreMoments, score_statistics
-from covtest.sim_study import _block_data
+from covtest.sim_study import _block_data, _draw
 from covtest.spline_basis import KnotSet
 
 
@@ -71,16 +71,24 @@ class TestGenerateDataset:
         np.testing.assert_allclose(b.y - a.y, shift, atol=1e-12)
 
     def test_departure_levels_from_one_draw(self):
-        """Every departure level of a seed is, bit for bit, the design's
-        formula on one draw of the per-role streams, with S and t shared."""
-        s1 = stream((9, 6), 0).normal(0.0, math.sqrt(0.3), 50)
-        s2 = stream((9, 6), 1).normal(0.0, math.sqrt(0.4), 50)
+        """Every departure level of a study replicate is, bit for bit, the
+        design's formula on one draw of its one stream (seed, rep, 0): S's
+        first column, its second, then the noise, with S and t shared. A
+        generate_dataset call draws the same three from the per-role streams
+        (seed, 0), (seed, 1) and (seed, 2)."""
+        levels, t = (0, 1, 2.5, 4), np.arange(50) / 49
+        rng = stream((9, 6), 0)
+        s1, s2 = rng.normal(0.0, math.sqrt(0.3), 50), rng.normal(0.0, math.sqrt(0.4), 50)
+        noise = rng.standard_normal(50)
+        S, t_drawn, ((*Y,),) = _draw(50, [0.25], levels, (9, 6))
+        assert np.array_equal(S, np.column_stack([s1, s2])) and np.array_equal(t_drawn, t)
+        for c, y in zip(levels, Y):
+            assert np.array_equal(y, 1.3 * s1 + 0.45 * s2 + nonlinear_effect(t, c) + 0.25 * noise)
+        s1, s2 = stream((9, 6), 0).normal(0.0, math.sqrt(0.3), 50), stream((9, 6), 1).normal(0.0, math.sqrt(0.4), 50)
         noise = stream((9, 6), 2).standard_normal(50)
-        t = np.arange(50) / 49
-        for c in (0, 1, 2.5, 4):
+        for c in levels:
             one = generate_dataset(50, 0.25, c, seed=(9, 6))
-            y = 1.3 * s1 + 0.45 * s2 + nonlinear_effect(t, c) + 0.25 * noise
-            assert np.array_equal(one.y, y)
+            assert np.array_equal(one.y, 1.3 * s1 + 0.45 * s2 + nonlinear_effect(t, c) + 0.25 * noise)
             assert np.array_equal(one.S, np.column_stack([s1, s2])) and np.array_equal(one.t, t)
 
     def test_shared_noise_across_sigma(self):
@@ -122,18 +130,16 @@ class TestGenerateDataset:
 
     def test_block_slices_are_the_replicates_datasets(self):
         """A study block's R x m x SC responses (sigma-major) and R x m x 2
-        covariates hold, bit for bit, the data of one scalar generate_dataset
-        call per replicate, noise level and departure level."""
-        from covtest.sim_study import _block_data
-
+        covariates hold, bit for bit, the data of one scalar replicate draw
+        per replicate, noise level and departure level."""
         config = tiny_config(sigma_values=(0.5, 0.25), c_values=(0, 1.5, 4), seed=8)
         Y, S = _block_data(config, 30, range(3, 9))
         assert Y.shape == (6, 30, 6) and S.shape == (6, 30, 2) and Y.flags.c_contiguous
         for r, rep in enumerate(range(3, 9)):
             for si, sigma in enumerate(config.sigma_values):
                 for ci, c in enumerate(config.c_values):
-                    ds = generate_dataset(30, sigma, c, seed=(8, rep))
-                    assert np.array_equal(Y[r, :, 3 * si + ci], ds.y) and np.array_equal(S[r], ds.S)
+                    one_S, _, ((y,),) = _draw(30, [sigma], [c], (8, rep))
+                    assert np.array_equal(Y[r, :, 3 * si + ci], y) and np.array_equal(S[r], one_S)
 
     def test_block_data_is_written_in_place(self, study_block):
         """A study block at m = 100 (32 replicates x 10 columns) is written draw by
@@ -196,14 +202,16 @@ def tiny_config(**kw):
 
 class TestRunStudy:
     def test_report_csv_pinned(self):
-        """All five tests at two departure levels; the sha256 was taken before
-        the departure levels of a replicate shared one LRT decomposition."""
+        """All five tests at two departure levels. Re-pinned once when a
+        replicate's data came to be drawn from one stream and the LRT nulls from
+        one pass keyed by variant name; CHANGES.md gives the per-cell two-sample
+        check of that re-roll."""
         report = run_study(tiny_config(
             tests=("lrt1", "lrt2", "rlrt", "score", "cusum"), c_values=(0, 3),
             levels=(0.05, 0.1), n_runs=6,
         ))
         digest = hashlib.sha256(report.to_csv().encode()).hexdigest()
-        assert digest == "10075346968ee15538ed8c5591bc26d96f6e44b9704362f9d8047d48614794b8"
+        assert digest == "df07bb92cd752c94cfea7b78f200aaef49481ac1a4f4e02bb123a60ef6c0c9f7"
 
     def test_perfect_fit_fails_only_its_departure(self, monkeypatch):
         """A perfect null fit at one c fails that c's LRT cells only, with the
@@ -268,10 +276,11 @@ class TestRunStudy:
         ]
 
     def test_two_sigma_study_draws_and_factors_each_replicate_once(self, monkeypatch):
-        """The noise levels of a replicate share its draw and its X: each data
-        stream (seed, rep, role 0-2) is built once per (m, replicate), plus
-        once for the fixtures' draw of replicate 0, and the block takes one
-        stacked QR per (m, block, degree)."""
+        """The noise levels of a replicate share its draw and its X: its one
+        data stream (seed, rep, 0) is built once per (m, replicate), and the
+        fixtures' draw builds the three streams (seed, 0, role 0-2) of its
+        generate_dataset call once per m; the block takes one stacked QR per
+        (m, block, degree)."""
         import covtest.rng as rngmod
         import covtest.sim_study as sim_study
 
@@ -293,7 +302,7 @@ class TestRunStudy:
                              tests=("lrt1", "lrt2", "score", "cusum"), n_runs=3)
         run_study(config)
         data = {key: count for key, count in keys.items() if len(key) == 3 and key[1] < config.n_runs}
-        assert data == {(5, rep, role): 2 * (1 + (rep == 0)) for rep in range(3) for role in range(3)}
+        assert data == {(5, rep, 0): 2 * (1 + (rep == 0)) for rep in range(3)} | {(5, 0, 1): 2, (5, 0, 2): 2}
         assert len(factored) == 2 * 2 * 2  # (m, block, degree 1 or 2)
 
     def test_one_eigh_per_block_and_lrt_degree(self, monkeypatch):
@@ -375,6 +384,70 @@ class TestRunStudy:
                 == b.get("score", 30, 0.25, c, 0.05).rejections
             )
 
+    def test_variant_rows_do_not_depend_on_the_other_tests(self):
+        """A variant's null has streams keyed by its name, not by its place in
+        ``tests``: on one seed its report rows are the same under rlrt,
+        lrt1,rlrt and rlrt,lrt2,lrt1, and they reject at c = 1."""
+        rows = {}
+        for tests in (("rlrt",), ("lrt1", "rlrt"), ("rlrt", "lrt2", "lrt1")):
+            report = run_study(tiny_config(m_values=(50,), sigma_values=(0.5,), c_values=(0, 1), tests=tests,
+                                           levels=(0.05, 0.1), n_runs=100, n_sims_null=1000, seed=3))
+            for line in report.to_csv().splitlines()[1:]:
+                rows.setdefault(line.split(",", 1)[0], []).append(line)
+        assert {name: len(lines) for name, lines in rows.items()} == {"rlrt": 3 * 4, "lrt1": 2 * 4, "lrt2": 4}
+        for lines in rows.values():
+            width = 4  # c x level rows per study
+            assert all(lines[i:i + width] == lines[:width] for i in range(0, len(lines), width))
+        assert all(int(line.split(",")[7]) > 0 for line in rows["rlrt"][2:4])
+
+    def test_null_cache_entries_record_the_shared_pass(self, tmp_path, monkeypatch):
+        """A study's null-cache entries record each variant's own stream; a rerun
+        serves them all, and with one entry gone simulates that variant alone,
+        with the bits of the full pass."""
+        import covtest.sim_study as sim_study
+
+        config = tiny_config(tests=("lrt1", "rlrt", "score"), n_runs=4, cache_dir=str(tmp_path))
+        first = run_study(config).to_csv()
+        entries = sorted(tmp_path.glob("null_*.npz"))
+        streams = sorted(exact_lrt.load_null_distribution(path).provenance["stream"] for path in entries)
+        assert streams == [[5, 1, sim_study._NULL], [5, 3, sim_study._NULL]]
+        passes, real = [], exact_lrt._sample
+
+        def sample(variants, *args):
+            passes.append([v.kind for v in variants])
+            return real(variants, *args)
+
+        monkeypatch.setattr(exact_lrt, "_sample", sample)
+        assert run_study(config).to_csv() == first and passes == []
+        rlrt = next(path for path in entries if exact_lrt.load_null_distribution(path).kind == "rlrt")
+        rlrt.unlink()
+        assert run_study(config).to_csv() == first and passes == [["rlrt"]]
+
+    def test_unconverged_tail_fails_its_own_cell(self, monkeypatch):
+        """The score tails of an m are taken in one call after the blocks: a
+        tail that does not converge there fails the cell it came from, in the
+        first block (flat index 37: replicate 18, c = 2) or the second (70:
+        replicate 32 + 3, c = 0), counted in its cell and listed in block,
+        replicate and c order."""
+        import covtest.sim_study as sim_study
+        from covtest.errors import NumericalError
+
+        real = sim_study._tail_p_values
+
+        def tail(u_quad, moments):
+            p, errors = real(u_quad, moments)
+            for i in (70, 37):
+                p[i] = np.nan
+                errors[i,] = NumericalError(f"tail {i}")
+            return p, errors
+
+        monkeypatch.setattr(sim_study, "_tail_p_values", tail)
+        report = run_study(tiny_config(tests=("score", "lrt1"), c_values=(0, 2), n_runs=64))
+        assert report.failure_messages == ["score m=30 sigma=0.25 c=2 rep=18: tail 37",
+                                           "score m=30 sigma=0.25 c=0 rep=35: tail 70"]
+        assert [report.get(name, 30, 0.25, c, 0.05).failures
+                for name in ("score", "lrt1") for c in (0, 2)] == [1, 1, 0, 0]
+
     def test_thread_count_does_not_change_output(self):
         """All five tests over a full block and a partial one: blocks on three
         threads give the serial report."""
@@ -455,9 +528,9 @@ class TestRunStudy:
             stacks.append(factored)
             return real_fit(Y, factored)
 
-        def score_statistics(residuals, sigma2, proj, kernel):
+        def score_statistics(residuals, sigma2, proj, kernel, **kw):
             scored.append(proj)
-            return real_score(residuals, sigma2, proj, kernel)
+            return real_score(residuals, sigma2, proj, kernel, **kw)
 
         def multiplier_null(fit, proj, *rest, **kw):
             resampled.append(proj)
@@ -499,8 +572,8 @@ class TestRunStudy:
 
         real = sim_study.score_statistics
 
-        def boom(residuals, *args):
-            results, _ = real(residuals, *args)
+        def boom(residuals, *args, **kwargs):
+            results, _ = real(residuals, *args, **kwargs)
             return results, dict.fromkeys(np.ndindex(residuals.shape[0], residuals.shape[2]),
                                           ConfigError("synthetic failure"))
 
@@ -531,6 +604,75 @@ class TestRunStudy:
         assert cell.failures == 1
         assert report.failure_messages == ["score m=30 sigma=0.25 c=0 rep=3: one-off failure"]
         assert cell.n_runs == 100
+
+
+def study_keys(seed, n_runs, n_sims, resamples, tests):
+    """Every stream key of a study, as sim_study lays them out: each replicate's
+    data stream, the other two streams of the fixtures' generate_dataset draw
+    (its first is replicate 0's), each replicate's cusum multiplier chunks and
+    the chunks of the LRT nulls' shared spline terms and of each variant's own
+    terms."""
+    from covtest.cusum_test import _RESAMPLE_CHUNK
+    from covtest.sim_study import _DATA, _MULTIPLIERS, _NULL, KNOWN_TESTS
+
+    def chunks(n, size):
+        return range(-(-n // size))
+
+    keys = [(seed, rep, _DATA) for rep in range(n_runs)] + [(seed, 0, 1), (seed, 0, 2)]
+    if "cusum" in tests:
+        keys += [(seed, rep, _MULTIPLIERS, ci) for rep in range(n_runs) for ci in chunks(resamples, _RESAMPLE_CHUNK)]
+    nulls = [1 + KNOWN_TESTS.index(name) for name in tests if name.startswith(("lrt", "rlrt"))]
+    keys += [(seed, index, _NULL, ci) for index in [0] * bool(nulls) + nulls
+             for ci in chunks(n_sims, exact_lrt._SIM_CHUNK)]
+    return keys
+
+
+def old_study_keys(seed, n_runs, n_sims, resamples, tests):
+    """The layout before one stream per replicate: three data streams per
+    replicate, its cusum chunks under role 3, and each LRT variant's null
+    chunks under (seed, 9000 + its place in tests)."""
+    keys = [(seed, rep, role) for rep in range(n_runs) for role in range(3)]
+    keys += [(seed, rep, 3, ci) for rep in range(n_runs) for ci in range(-(-resamples // 256))]
+    keys += [(seed, 9000 + vi, ci) for vi, name in enumerate(tests) if name != "score" and name != "cusum"
+             for ci in range(-(-n_sims // exact_lrt._SIM_CHUNK))]
+    return keys
+
+
+def shared_states(keys) -> int:
+    """How many keys name a SeedSequence state that an earlier key names too."""
+    states = {np.random.SeedSequence(key).generate_state(4).tobytes() for key in keys}
+    return len(keys) - len(states)
+
+
+class TestStreamKeys:
+    FIVE = ("lrt1", "lrt2", "rlrt", "score", "cusum")
+
+    def test_study_draws_from_the_laid_out_keys(self, monkeypatch):
+        """A five-test study builds a generator for exactly the keys of
+        study_keys, with nulls and multipliers of two chunks each."""
+        import covtest.rng as rngmod
+
+        keys, real = set(), rngmod.stream
+
+        def stream(seed, *indices):
+            keys.add(rngmod._entropy(seed) + indices)
+            return real(seed, *indices)
+
+        monkeypatch.setattr(rngmod, "stream", stream)
+        run_study(tiny_config(tests=self.FIVE, n_runs=3, n_sims_null=1500, cusum_resamples=300))
+        assert keys == set(study_keys(5, 3, 1500, 300, self.FIVE))
+
+    def test_no_two_streams_of_a_large_study_share_a_state(self):
+        """At 20 000 runs of all five tests with the default draw counts, no
+        replicate's data, cusum multipliers or null chunk shares the stream of
+        another. The earlier layout did: SeedSequence pads a key shorter than
+        four words with zeros, so at --runs >= 9001 + vi LRT variant vi's null
+        chunks 0-2 were replicate 9000 + vi's three data streams and its chunk 3
+        that replicate's first multiplier chunk, 4 shared streams per variant."""
+        defaults = SimConfig()
+        counts = (20_000, defaults.n_sims_null, defaults.cusum_resamples, self.FIVE)
+        assert shared_states(study_keys(1, *counts)) == 0
+        assert shared_states(old_study_keys(1, *counts)) == 3 * 4
 
 
 @pytest.fixture(scope="module")
