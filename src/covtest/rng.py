@@ -5,12 +5,14 @@ All randomness in the package flows from integer seeds through
 that results are bit-reproducible and independent of execution order,
 chunking, or worker count.
 
-A key is read as a sequence of 32-bit words, one per int below 2**32 (a
-larger int takes more), and SeedSequence pads a key of fewer than four words
-with zeros. So keys of up to four words that differ only in trailing zeros
-name one stream: ``stream(s, a)`` is ``stream(s, a, 0)``. Keys that must name
-different streams must therefore differ in a word both of them have, as the
-study's (seed, index, role[, chunk]) keys do in their role word.
+A key is read as a sequence of 32-bit words, one per int, and SeedSequence
+pads a key of fewer than four words with zeros. So keys of up to four words
+that differ only in trailing zeros name one stream: ``stream(s, a)`` is
+``stream(s, a, 0)``. Keys that must name different streams must therefore
+differ in a word both of them have, as the study's (seed, index, role[,
+chunk]) keys do in their role word. A seed word outside [0, 2**32) is a
+ConfigError: numpy would refuse a negative one and read a larger one as two
+words, so that ``stream((2**32, 1))`` would be ``stream((0, 1, 1))``.
 """
 
 from __future__ import annotations
@@ -19,13 +21,17 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import ConfigError
+
 SeedLike = int | tuple[int, ...]
 
 
 def _entropy(seed: SeedLike) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+    words = (int(seed),) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
+    for word in words:
+        if not 0 <= word < 2**32:
+            raise ConfigError(f"seed must lie in [0, 2**32), got {word}")
+    return words
 
 
 def stream(seed: SeedLike, *indices: int) -> np.random.Generator:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from . import rng as rngmod
 from .data_io import Dataset, _check_finite
 from .errors import ConfigError, StudyError, sized_by
 from .exact_lrt import (
+    LambdaGrid,
+    NullDistribution,
     NullVariant,
     ProfileSolver,
     default_lambda_grid,
@@ -85,31 +88,38 @@ def nonlinear_effect(t, c: float):
     return out if out.ndim else float(out)
 
 
-def _draw(m: int, sigmas, levels, seed: rngmod.SeedLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One study replicate's S (m x 2), t and responses, ``seed`` = (master
-    seed, replicate): :func:`_data` from one generator, the stream (seed,
-    _DATA), which draws S's first column, its second, then z, m values each.
-    Its next draw is reserved for random intercepts."""
+def _draw(t: np.ndarray, effects: np.ndarray, sigmas, seed: rngmod.SeedLike) -> tuple[np.ndarray, np.ndarray]:
+    """One study replicate's S (m x 2) and responses, ``seed`` = (master seed,
+    replicate): :func:`_data` from one generator, the stream (seed, _DATA),
+    which draws S's first column, its second, then z, m values each. Its next
+    draw is reserved for random intercepts."""
     rng = rngmod.stream(seed, _DATA)
-    return _data(m, sigmas, levels, rng, rng, rng)
+    return _data(t, effects, sigmas, rng, rng, rng)
 
 
-def _data(m: int, sigmas, levels, *rngs: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S (m x 2), t and responses: a sigmas x levels x m array whose (sigma, c)
-    row is (linear + f_c) + sigma z, from one draw of S's two columns and z by
+def _data(t: np.ndarray, effects: np.ndarray, sigmas, *rngs: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """S (m x 2) and responses: a sigmas x levels x m array whose (sigma, c) row
+    is (linear + f_c) + sigma z, with f_c the row of ``effects`` (levels x m,
+    :func:`nonlinear_effect` on t), from one draw of S's two columns and z by
     the three generators, in turn. A non-finite response raises the DataError a
     dataset would."""
+    m = t.size
     s1 = rngs[0].normal(0.0, math.sqrt(_S_VARIANCES[0]), m)
     s2 = rngs[1].normal(0.0, math.sqrt(_S_VARIANCES[1]), m)
     z = rngs[2].standard_normal(m)
-    t = np.arange(m) / (m - 1)
     S, linear = np.column_stack([s1, s2]), _TRUE_COEF[0] * s1 + _TRUE_COEF[1] * s2
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, as the dataset check would
-        mean = linear + nonlinear_effect(t, np.asarray(levels, dtype=float)[:, None])
-        Y = mean + np.asarray(sigmas, dtype=float)[:, None, None] * z
+        Y = (linear + effects) + np.asarray(sigmas, dtype=float)[:, None, None] * z
     if not np.isfinite(Y).all():
         _check_finite("y", next(y for y in Y.reshape(-1, m) if not np.isfinite(y).all()))
-    return S, t, Y
+    return S, Y
+
+
+def _effects(m: int, levels) -> tuple[np.ndarray, np.ndarray]:
+    """t, the fixed grid on [0, 1], and :func:`nonlinear_effect` at each level (levels x m)."""
+    t = np.arange(m) / (m - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a response it makes non-finite is reported by _data
+        return t, nonlinear_effect(t, np.asarray(levels, dtype=float)[:, None])
 
 
 def generate_dataset(m: int, sigma: float, c: float, seed: rngmod.SeedLike) -> Dataset:
@@ -126,7 +136,8 @@ def generate_dataset(m: int, sigma: float, c: float, seed: rngmod.SeedLike) -> D
         raise ConfigError(f"need m >= 2, got {m}")
     if sigma <= 0:
         raise ConfigError(f"sigma must be > 0, got {sigma}")
-    S, t, ((y,),) = _data(m, [sigma], [c], *(rngmod.stream(seed, role) for role in range(3)))
+    t, effects = _effects(m, [c])
+    S, ((y,),) = _data(t, effects, [sigma], *(rngmod.stream(seed, role) for role in range(3)))
     return Dataset(y=y, S=S, t=t)
 
 
@@ -288,44 +299,49 @@ class SimReport:
         return "\n".join(out)
 
 
+class _LrtDegree(NamedTuple):
+    """The LRT variants of one spline degree: its ProfileSolver and lambda grid, and
+    per member variant, in ``tests`` order, its test index, kind, h and null."""
+
+    solver: ProfileSolver
+    grid: LambdaGrid
+    members: list[tuple[int, str, int, NullDistribution]]
+
+
 def _study_fixtures(config: SimConfig, m: int):
     """Pieces shared by every replicate and departure level of one m: per
     spline degree used (1 for score and cusum), the design of
     ``generate_dataset(m, sigma, 0, (seed, 0))``, whose S's first column is
     replicate 0's and whose A and B every replicate shares as t is the same
     grid, with knots only for an LRT degree, since score and cusum read X
-    alone; per LRT degree, a ProfileSolver and the lambda grid, and per LRT
-    variant its null distribution, all read from that design's one spectrum.
+    alone; per LRT degree an :class:`_LrtDegree`, in the order of its first
+    variant in ``tests``, all read from that design's one spectrum.
     The nulls of every variant come from one pass of draws
     (:func:`~covtest.exact_lrt.simulate_nulls`): the spline terms from the
     streams (seed, 0, _NULL, chunk), shared, and a variant's own terms from
     (seed, 1 + its place in KNOWN_TESTS, _NULL, chunk), so its null does not
-    depend on the other tests or their order. The variants of a degree form a
-    group, evaluated in one call for all c.
+    depend on the other tests or their order.
     Building a design raises the ModelError of an m too small to fit it, and a
     null count whose draws cannot be allocated is refused there as the config
     error of ``--nsims`` (:func:`~covtest.errors.sized_by`)."""
     base = generate_dataset(m, config.sigma_values[0], 0, (config.seed, 0))
     lrt = [(ti, name, *_LRT_VARIANTS[name]) for ti, name in enumerate(config.tests) if name in _LRT_VARIANTS]
-    knotted = {d for _, _, _, d, _ in lrt}
+    knotted = {d for *_, d, _ in lrt}
     degrees = knotted | ({1} if {"score", "cusum"} & set(config.tests) else set())
     designs = {d: build_design(base, place_knots(base.t, config.n_knots if d in knotted else 0, d))
                for d in sorted(degrees)}
-    groups: dict[int, list[tuple[int, str, str, int]]] = {}
-    fixtures: dict = {"designs": designs, "lrt_groups": groups}
-    variants = []
-    for ti, name, kind, d, h in lrt:
-        cache = spectral_decompose(designs[d])  # reads the design's one spectrum
-        if d not in groups:
-            fixtures[("solver", d)] = ProfileSolver(designs[d])
-            fixtures[("grid", d)] = default_lambda_grid(cache)
-        groups.setdefault(d, []).append((ti, name, kind, h))
-        variants.append(NullVariant(cache, kind, h, fixtures[("grid", d)],
-                                    (config.seed, 1 + KNOWN_TESTS.index(name), _NULL)))
-    if variants:
+    caches = {d: spectral_decompose(designs[d]) for *_, d, _ in lrt}  # each reads its design's one spectrum
+    grids = {d: default_lambda_grid(cache) for d, cache in caches.items()}
+    nulls = []
+    if lrt:
+        variants = [NullVariant(caches[d], kind, h, grids[d], (config.seed, 1 + KNOWN_TESTS.index(name), _NULL))
+                    for _, name, kind, d, h in lrt]
         with sized_by("nsims", config.n_sims_null):
             nulls = simulate_nulls(variants, config.n_sims_null, (config.seed, 0, _NULL), config.cache_dir)
-        fixtures.update((("null", name), null) for (_, name, *_), null in zip(lrt, nulls))
+    fixtures: dict = {"designs": designs,
+                      "lrt": {d: _LrtDegree(ProfileSolver(designs[d]), grid, []) for d, grid in grids.items()}}
+    for (ti, _, kind, d, h), null in zip(lrt, nulls):
+        fixtures["lrt"][d].members.append((ti, kind, h, null))
     if "score" in config.tests:
         fixtures["kernel"] = smoother_kernel(base.t, 1, NATURAL_SPLINE)
     return fixtures
@@ -334,71 +350,60 @@ def _study_fixtures(config: SimConfig, m: int):
 def _block_data(config: SimConfig, m: int, reps: range) -> tuple[np.ndarray, np.ndarray]:
     """Responses (R x m x SC, one column per noise and departure level,
     sigma-major) and covariates (R x m x 2) of the replicates ``reps``: one
-    :func:`_draw` per replicate, keyed (seed, rep), for every (sigma, c),
-    written into the two arrays as it is made."""
+    :func:`_draw` per replicate, keyed (seed, rep), for every (sigma, c) on one
+    :func:`_effects`, written into the two arrays as it is made."""
     n_cols = len(config.sigma_values) * len(config.c_values)
+    t, effects = _effects(m, config.c_values)
     Y, S = np.empty((len(reps), m, n_cols)), np.empty((len(reps), m, 2))
     for r, rep in enumerate(reps):
-        s, _, rows = _draw(m, config.sigma_values, config.c_values, (config.seed, rep))
-        S[r], Y[r] = s, rows.reshape(n_cols, m).T
+        S[r], rows = _draw(t, effects, config.sigma_values, (config.seed, rep))
+        Y[r] = rows.reshape(n_cols, m).T
     return Y, S
 
 
 def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
-    """The p-values (test x replicate x column) and the failed cells of the
-    replicates ``reps``, and the score test's cells whose chi-square tail is
-    still to be taken: None without the score test, else (its test index, a
-    replicate x column mask of those cells, and their ScoreResult).
+    """The p-values (test x replicate x column, NaN where a cell failed or its
+    score tail is still to be taken), the score test's ScoreResult (None
+    without it) and the failed cells of the replicates ``reps``, which map
+    (replicate, column) to their (test index, error) pairs in evaluation
+    order: the LRT degrees, then score and cusum in ``tests`` order.
 
-    The block is a set of R x m x SC arrays (:func:`_block_data`): each
-    replicate draws every (sigma, c) at once, so its columns share S, t and
-    hence X. Per degree the block stacks the replicates' X = [S | A] and takes
-    one QR of the stack; each LRT group makes one ProfileSolver call on the
-    stacked responses and one p-value lookup per variant over its replicate x
-    column statistics. Score and cusum share one OLS fit of the whole stack
-    from its QR (:func:`fit_ols_columns`); the score test scores every cell
-    with one kernel application (:func:`score_statistics`) and leaves the tail
-    to :func:`_score_tails`, and the cusum test resamples each cell from its
-    replicate's projection at unit variance, which its resampled sups do not
-    depend on, with the multipliers of the streams (seed, rep, _MULTIPLIERS,
-    chunk); a resample count whose sups cannot be allocated is refused there as
-    the config error of ``--resamples``. The sweep and the score pass each bound
-    their own working set by taking the block in slices of replicates, so a
-    block's width sets only its arrays of data and results. Every step reports
-    failures per cell: a replicate whose X is rejected fails all its cells with
-    the rejection, a perfect or overflowing fit fails its own cell. The
-    p-values fill one test x replicate x column array, where a failed cell
-    stays NaN; the failed cells map (replicate, column) to their (test index,
-    error) pairs in evaluation order: the LRT groups, then score and cusum. The
-    block's arrays are its own, so blocks may run on separate threads.
+    Every (sigma, c) of a replicate shares its draw, S and hence X, so per
+    degree the block takes one QR of the stacked X = [S | A] and each LRT
+    degree one ProfileSolver call for its variants. Score and cusum share one
+    OLS fit of the stack; cusum resamples each cell at unit variance, which
+    its sups do not depend on, from the streams (seed, rep, _MULTIPLIERS,
+    chunk). A count whose arrays cannot be allocated is refused as the config
+    error of its flag. The block's arrays are its own, so blocks may run on
+    separate threads.
     """
     tests = config.tests
     Y, S = _block_data(config, m, reps)
     factored = {d: stacked_qr(np.stack([np.hstack([s, design.A]) for s in S]))
                 for d, design in fixtures["designs"].items()}
     pvals = np.full((len(tests), len(reps), Y.shape[2]), np.nan)
-    failed: dict[tuple[int, int], list] = {}  # (replicate, column) -> [(test index, error)]
-    for d, members in fixtures["lrt_groups"].items():
-        specs = [(kind, h) for _, _, kind, h in members]
-        stats, *_, cell_errors = fixtures[("solver", d)].statistics(
-            Y, factored[d], fixtures[("grid", d)], specs)
-        group = [ti for ti, _, _, _ in members]
-        for j, (ti, name, _, _) in enumerate(members):
-            pvals[ti] = p_value(stats[j], fixtures[("null", name)])
+    failed: dict[tuple[int, int], list] = {}
+
+    def fail(cell_errors: dict, indices: list[int]) -> None:
         for (r, k), error in cell_errors.items():
-            pvals[group, r, k] = np.nan
-            failed.setdefault((r, k), []).extend((ti, error) for ti in group)
-    ols = [(ti, name) for ti, name in enumerate(tests) if name in ("score", "cusum")]
-    if ols:
-        proj, fits = factored[1], fit_ols_columns(Y, factored[1])
-        t = fixtures["designs"][1].t
-    score = None
-    for ti, name in ols:
-        cell_errors = {}
+            pvals[indices, r, k] = np.nan
+            failed.setdefault((reps[r], k), []).extend((ti, error) for ti in indices)
+
+    for d, group in fixtures["lrt"].items():
+        stats, *_, cell_errors = group.solver.statistics(Y, factored[d], group.grid,
+                                                         [(kind, h) for _, kind, h, _ in group.members])
+        for j, (ti, _, _, null) in enumerate(group.members):
+            pvals[ti] = p_value(stats[j], null)
+        fail(cell_errors, [ti for ti, *_ in group.members])
+    scores = None
+    if "score" in tests or "cusum" in tests:
+        proj, fits, t = factored[1], fit_ols_columns(Y, factored[1]), fixtures["designs"][1].t
+    for ti, name in enumerate(tests):
         if name == "score":
             scores, cell_errors = score_statistics(fits.residuals, fits.sigma2, proj, fixtures["kernel"],
                                                    tail=False)
-        else:  # cusum: SimConfig checks cusum_resamples, so only a fit can fail
+            fail({**cell_errors, **fits.failed}, [ti])  # a cell whose fit failed reports the fit's error
+        elif name == "cusum":  # SimConfig checks cusum_resamples, so only a fit can fail
             from .cusum_test import cumulative_process, multiplier_null, sup_test
 
             for r, k in np.ndindex(len(reps), Y.shape[2]):
@@ -408,107 +413,75 @@ def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
                         sups = multiplier_null(fit, proj.replicate(r), t, config.cusum_resamples,
                                                seed=(config.seed, reps[r], _MULTIPLIERS))
                     pvals[ti, r, k] = sup_test(cumulative_process(fit, t), sups).p_value
-        cell_errors.update(fits.failed)  # a cell whose fit failed reports the fit's error
-        for (r, k), error in cell_errors.items():
-            pvals[ti, r, k] = np.nan
-            failed.setdefault((r, k), []).append((ti, error))
-        if name == "score":
-            pending = np.ones(pvals.shape[1:], dtype=bool)
-            for r, k in cell_errors:
-                pending[r, k] = False
-            score = ti, pending, scores
-    return pvals, failed, score
+            fail(fits.failed, [ti])
+    return pvals, scores, failed
 
 
-def _score_tails(results: list) -> None:
-    """The chi-square tail of every block's pending score cells, in one call
-    (:func:`~covtest.score_test._tail_p_values`, elementwise, so each cell has
-    the bits of a call per block): writes their p-values into the blocks' arrays
-    and adds a tail that did not converge to its cell's failures. It comes last
-    there, as in a block's own evaluation order: cusum, after score, fails only
-    a cell whose fit failed, which the score test then reports instead."""
-    parts = [(pvals, failed, score) for pvals, failed, score in results if score is not None]
-    if not parts:
-        return
-    u_quad = np.concatenate([scores.u_quad[pending] for *_, (_, pending, scores) in parts])
-    moments = ScoreMoments(*(np.concatenate([getattr(scores.moments, f.name)[pending]
-                                             for *_, (_, pending, scores) in parts])
-                             for f in fields(ScoreMoments)))
-    p, errors = _tail_p_values(u_quad, moments)
-    at = 0
-    for pvals, failed, (ti, pending, _) in parts:
-        cells = np.argwhere(pending)
-        pvals[ti][pending] = p[at:at + len(cells)]
+def _study_m(config: SimConfig, m: int) -> tuple[list[SimCell], list[str]]:
+    """The cells and failure messages of one m, whose arrays are freed before the
+    next m's nulls are simulated. Its blocks of ``_BLOCK`` replicates may run on
+    a thread pool; the score test's chi-square tails are then taken in one call,
+    elementwise, so no cell's bits depend on the blocks."""
+    tests, sigmas, c_values, levels = config.tests, config.sigma_values, config.c_values, config.levels
+    fixtures = _study_fixtures(config, m)
+    blocks = [range(start, min(start + _BLOCK, config.n_runs)) for start in range(0, config.n_runs, _BLOCK)]
+
+    def job(reps: range):
+        return _run_block(config, m, fixtures, reps)
+
+    if config.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loads logging; serial runs skip it
+
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            results = list(pool.map(job, blocks))
+    else:
+        results = [job(reps) for reps in blocks]
+    del fixtures  # the nulls and their sorted copies, before the arrays below are made
+    pvals = np.concatenate([block_pvals for block_pvals, _, _ in results], axis=1)
+    failed = {cell: errors for *_, block_failed in results for cell, errors in block_failed.items()}
+    if "score" in tests:  # its pending cells in (replicate, column) order; a failed tail comes last in its cell
+        ti = tests.index("score")
+        pending = np.ones(pvals.shape[1:], dtype=bool)
+        for cell, errors in failed.items():
+            pending[cell] &= all(i != ti for i, _ in errors)
+        u_quad = np.concatenate([scores.u_quad for _, scores, _ in results])[pending]
+        moments = ScoreMoments(*(np.concatenate([getattr(scores.moments, f.name) for _, scores, _ in results])
+                                 [pending] for f in fields(ScoreMoments)))
+        pvals[ti][pending], errors = _tail_p_values(u_quad, moments)
+        cells_of = np.argwhere(pending)
         for (i,), error in errors.items():
-            if at <= i < at + len(cells):
-                failed.setdefault(tuple(int(v) for v in cells[i - at]), []).append((ti, error))
-        at += len(cells)
-
-
-def _tally(config: SimConfig, m: int, reps: range, pvals: np.ndarray, failed: dict):
-    """Rejection counts (test x sigma x c x level), failure counts (test x sigma
-    x c) and the failure messages of each sigma of a block, those of a
-    (replicate, sigma, c) in the order its cell lists its errors."""
-    levels = np.asarray(config.levels)
-    shape = (len(config.tests), len(config.sigma_values), len(config.c_values))
-    messages = [[] for _ in config.sigma_values]
-    for r, k in sorted(failed):
-        si, ci = divmod(k, shape[2])
-        messages[si].extend(f"{config.tests[ti]} m={m} sigma={config.sigma_values[si]:g} "
-                            f"c={config.c_values[ci]:g} rep={reps[r]}: {error}" for ti, error in failed[r, k])
-    counts = (pvals[..., None] < levels).sum(axis=1).reshape(shape + levels.shape)
-    return counts, np.isnan(pvals).sum(axis=1).reshape(shape), messages
+            failed.setdefault(tuple(map(int, cells_of[i])), []).append((ti, error))
+    shape = (len(tests), len(sigmas), len(c_values))
+    counts = (pvals[..., None] < np.asarray(levels)).sum(axis=1).reshape(shape + (len(levels),))
+    fails = np.isnan(pvals).sum(axis=1).reshape(shape)
+    n_c = len(c_values)
+    messages = [f"{tests[ti]} m={m} sigma={sigmas[k // n_c]:g} c={c_values[k % n_c]:g} rep={rep}: {error}"
+                for rep, k in sorted(failed, key=lambda cell: (cell[1] // n_c, cell)) for ti, error in failed[rep, k]]
+    cells = [SimCell(test=test, m=m, sigma=sigma, c=c, level=level, n_runs=config.n_runs,
+                     failures=int(fails[ti, si, ci]), rejections=int(counts[ti, si, ci, li]))
+             for si, sigma in enumerate(sigmas) for ti, test in enumerate(tests)
+             for ci, c in enumerate(c_values) for li, level in enumerate(levels)]
+    return cells, messages
 
 
 def run_study(config: SimConfig) -> SimReport:
-    """Run the full study described by ``config``.
+    """Run the full study described by ``config``, one m at a time.
 
-    Every configured test sees the same generated dataset within a replicate.
-    Null distributions for the LRT variants are simulated once per (m, design)
-    and reused across replicates, noise and departure levels. The replicates
-    of each m run in blocks of ``_BLOCK`` (see :func:`_run_block`), one draw
-    per replicate for every sigma, which may run on a thread pool; the score
-    test's chi-square tails of an m are then taken in one call over every
-    block (:func:`_score_tails`). The output is the same for any worker count.
-    Cells and failure messages are split back per sigma, in (m, sigma, block,
+    Every test sees the same replicates, and the output is the same for any
+    worker count. Cells and failure messages are listed in (m, sigma,
     replicate, c, test) order.
     """
     started = time.perf_counter()
     cells: list[SimCell] = []
-    all_messages: list[str] = []
+    messages: list[str] = []
     for m in config.m_values:
-        fixtures = _study_fixtures(config, m)
-        blocks = [range(start, min(start + _BLOCK, config.n_runs))
-                  for start in range(0, config.n_runs, _BLOCK)]
-
-        def job(reps: range):
-            return _run_block(config, m, fixtures, reps)
-
-        if config.threads > 1:
-            from concurrent.futures import ThreadPoolExecutor  # loads logging; serial runs skip it
-
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                results = list(pool.map(job, blocks))
-        else:
-            results = [job(reps) for reps in blocks]
-        _score_tails(results)
-        tallies = [_tally(config, m, reps, pvals, failed) for reps, (pvals, failed, _) in zip(blocks, results)]
-        counts = sum(block_counts for block_counts, _, _ in tallies)
-        fails = sum(block_fails for _, block_fails, _ in tallies)
-        for si, sigma in enumerate(config.sigma_values):
-            all_messages.extend(message for *_, messages in tallies for message in messages[si])
-            for ti, test in enumerate(config.tests):
-                for ci, c in enumerate(config.c_values):
-                    for li, level in enumerate(config.levels):
-                        cells.append(SimCell(
-                            test=test, m=m, sigma=sigma, c=c, level=level, n_runs=config.n_runs,
-                            failures=int(fails[ti, si, ci]), rejections=int(counts[ti, si, ci, li]),
-                        ))
-        del fixtures  # this m's nulls and their sorted copies, before the next m's are simulated
+        m_cells, m_messages = _study_m(config, m)
+        cells += m_cells
+        messages += m_messages
     # Each application is counted once per level; SimConfig makes every axis non-empty.
     total_fail, total_apps = (sum(cell.failures for cell in cells) // len(config.levels),
                               len(cells) // len(config.levels) * config.n_runs)
     if total_fail > 0.01 * total_apps:
         raise StudyError(f"{total_fail} of {total_apps} test applications failed (> 1%): "
-                         f"{'; '.join(all_messages[:5])}")
-    return SimReport(cells=cells, failure_messages=all_messages, runtime_s=time.perf_counter() - started)
+                         f"{'; '.join(messages[:5])}")
+    return SimReport(cells=cells, failure_messages=messages, runtime_s=time.perf_counter() - started)

@@ -955,7 +955,7 @@ class TestStackedReplicates:
         d = 1) is swept 16 replicates at a time, each slice holding one 16 x G x K
         array (0.51 MB): under 1 MB, where sweeping all 32 at once took 2.55 MB."""
         _, fixtures, Y, factored = study_block(32)
-        solver, grid = fixtures[("solver", 1)], fixtures[("grid", 1)]
+        solver, grid = fixtures["lrt"][1].solver, fixtures["lrt"][1].grid
         assert Y.shape == (32, 100, 10) and grid.values.size == 201 and solver.design.B.shape[1] == 20
         assert exact_lrt._SWEEP_ENTRIES // (201 * 20) == 16
         tracemalloc.start()

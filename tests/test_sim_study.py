@@ -27,7 +27,7 @@ from covtest import exact_lrt
 from covtest.null_fit import fit_ols_columns
 from covtest.rng import stream
 from covtest.score_test import ScoreMoments, score_statistics
-from covtest.sim_study import _block_data, _draw
+from covtest.sim_study import _block_data, _draw, _effects
 from covtest.spline_basis import KnotSet
 
 
@@ -80,7 +80,8 @@ class TestGenerateDataset:
         rng = stream((9, 6), 0)
         s1, s2 = rng.normal(0.0, math.sqrt(0.3), 50), rng.normal(0.0, math.sqrt(0.4), 50)
         noise = rng.standard_normal(50)
-        S, t_drawn, ((*Y,),) = _draw(50, [0.25], levels, (9, 6))
+        t_drawn, effects = _effects(50, levels)
+        S, ((*Y,),) = _draw(t_drawn, effects, [0.25], (9, 6))
         assert np.array_equal(S, np.column_stack([s1, s2])) and np.array_equal(t_drawn, t)
         for c, y in zip(levels, Y):
             assert np.array_equal(y, 1.3 * s1 + 0.45 * s2 + nonlinear_effect(t, c) + 0.25 * noise)
@@ -138,7 +139,7 @@ class TestGenerateDataset:
         for r, rep in enumerate(range(3, 9)):
             for si, sigma in enumerate(config.sigma_values):
                 for ci, c in enumerate(config.c_values):
-                    one_S, _, ((y,),) = _draw(30, [sigma], [c], (8, rep))
+                    one_S, ((y,),) = _draw(*_effects(30, [c]), [sigma], (8, rep))
                     assert np.array_equal(Y[r, :, 3 * si + ci], y) and np.array_equal(S[r], one_S)
 
     def test_block_data_is_written_in_place(self, study_block):
@@ -168,13 +169,14 @@ def broken_draw(real, collinear=None, perfect=None):
     ``collinear`` and a perfect fit at c = 2 of replicate ``perfect``; the
     fixtures' draw (replicate 0, c = 0 only) keeps its data."""
 
-    def draw(m, sigmas, levels, seed):
-        S, t, Y = real(m, sigmas, levels, seed)
+    def draw(t, effects, sigmas, seed):
+        S, Y = real(t, effects, sigmas, seed)
         if seed == (5, collinear):
             S = np.column_stack([S[:, 0], 2.0 * S[:, 0]])
-        if seed == (5, perfect) and 2 in levels:
-            Y[:, list(levels).index(2)] = 1.3 * S[:, 0] + 0.45 * S[:, 1] + 0.5 - t
-        return S, t, Y
+        at_2 = [np.array_equal(f, nonlinear_effect(t, 2)) for f in effects]
+        if seed == (5, perfect) and any(at_2):
+            Y[:, at_2.index(True)] = 1.3 * S[:, 0] + 0.45 * S[:, 1] + 0.5 - t
+        return S, Y
 
     return draw
 
@@ -233,15 +235,26 @@ class TestRunStudy:
         """The report is that of the default block size for any block size,
         also when the runs are no multiple of it, and for blocks at the edges
         of the LRT sweep's replicate slices (SWEEP, 40 here), which the 81 runs
-        cut into full and short slices."""
+        cut into full and short slices. So are the failure messages of a study
+        with a collinear replicate in a later block and a perfect fit at one c."""
         import covtest.sim_study as sim_study
 
         config = tiny_config(tests=("lrt1", "lrt2", "rlrt", "score", "cusum"), c_values=(0, 3),
                              levels=(0.05, 0.1), n_runs=81, n_sims_null=300, cusum_resamples=50)
-        reference = run_study(config).to_csv()
+        faulty = tiny_config(tests=("score", "lrt1", "cusum", "rlrt"), c_values=(0, 2), n_runs=150,
+                             n_sims_null=300, cusum_resamples=50)
+
+        def run():
+            with monkeypatch.context() as patch:
+                patch.setattr(sim_study, "_draw", broken_draw(sim_study._draw, collinear=70, perfect=40))
+                messages = run_study(faulty).failure_messages
+            return run_study(config).to_csv(), messages
+
+        reference = run()
+        assert len(reference[1]) == 4 * (2 + 1)  # every test at both c of rep 70, and at c = 2 of rep 40
         if block is not None:
             monkeypatch.setattr(sim_study, "_BLOCK", block)
-        assert run_study(config).to_csv() == reference
+        assert run() == reference
 
     def test_collinear_and_perfect_fit_fail_only_their_cells(self, monkeypatch):
         """In one block, a replicate with collinear S fails all its cells with
@@ -494,7 +507,7 @@ class TestRunStudy:
         _, fixtures, Y, factored = study_block(33)
         specs = {1: [("lrt", 0), ("rlrt", 0)], 2: [("lrt", 1)]}
         for d, stack in factored.items():
-            solver, grid = fixtures[("solver", d)], fixtures[("grid", d)]
+            solver, grid = fixtures["lrt"][d].solver, fixtures["lrt"][d].grid
             *block, errors = solver.statistics(Y, stack, grid, specs[d])
             assert errors == {}
             for r in range(Y.shape[0]):
