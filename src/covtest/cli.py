@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, CovtestError, sized_by
+from .errors import ConfigError, CovtestError, check_seed, sized_by
 
 
 def _list_of(cast, what: str):
@@ -383,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse argv, splicing in the ``--config`` file's options if one is given."""
+    """Parse argv, splicing in the ``--config`` file's options if one is given.
+    The seed is checked here, before any command makes its output paths."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
@@ -393,6 +394,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
             args = parser.parse_args(argv[:at] + tokens + argv[at:])
         except ConfigError as exc:
             raise ConfigError(f"{args.config}: {exc}") from None
+    check_seed(vars(args).get("seed", 0))
     return args
 
 

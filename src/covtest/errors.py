@@ -49,6 +49,15 @@ class StudyError(NumericalError):
     """Too many per-replicate failures for a simulation study to be trustworthy."""
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` if it lies in [0, 2**32), one word of a stream key (covtest.rng); else a
+    ConfigError. numpy would refuse a negative seed and read a larger one as two words,
+    the key of a smaller seed's streams."""
+    if not 0 <= seed < 2**32:
+        raise ConfigError(f"seed must lie in [0, 2**32), got {seed}")
+    return seed
+
+
 @contextmanager
 def sized_by(flag: str, count: int):
     """numpy's refusal of the arrays a count sizes in the block (a MemoryError, or a ValueError

@@ -11,8 +11,9 @@ that differ only in trailing zeros name one stream: ``stream(s, a)`` is
 ``stream(s, a, 0)``. Keys that must name different streams must therefore
 differ in a word both of them have, as the study's (seed, index, role[,
 chunk]) keys do in their role word. A seed word outside [0, 2**32) is a
-ConfigError: numpy would refuse a negative one and read a larger one as two
-words, so that ``stream((2**32, 1))`` would be ``stream((0, 1, 1))``.
+ConfigError (:func:`~covtest.errors.check_seed`): numpy would refuse a
+negative one and read a larger one as two words, so that
+``stream((2**32, 1))`` would be ``stream((0, 1, 1))``.
 """
 
 from __future__ import annotations
@@ -21,17 +22,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import check_seed
 
 SeedLike = int | tuple[int, ...]
 
 
 def _entropy(seed: SeedLike) -> tuple[int, ...]:
-    words = (int(seed),) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
-    for word in words:
-        if not 0 <= word < 2**32:
-            raise ConfigError(f"seed must lie in [0, 2**32), got {word}")
-    return words
+    if isinstance(seed, (int, np.integer)):
+        return (check_seed(int(seed)),)
+    return tuple(check_seed(int(s)) for s in seed)
 
 
 def stream(seed: SeedLike, *indices: int) -> np.random.Generator:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .data_io import Dataset, _check_finite
-from .errors import ConfigError, StudyError, sized_by
+from .errors import ConfigError, StudyError, check_seed, sized_by
 from .exact_lrt import (
     LambdaGrid,
     NullDistribution,
@@ -174,6 +174,7 @@ class SimConfig:
             raise ConfigError(f"unknown tests {unknown}; known: {list(KNOWN_TESTS)}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        check_seed(self.seed)
         for axis, noun in (("m_values", "sample size"), ("sigma_values", "noise level"),
                            ("c_values", "departure level"), ("levels", "nominal level"), ("tests", "test")):
             values = getattr(self, axis)
@@ -309,7 +310,8 @@ class _LrtDegree(NamedTuple):
 
 
 def _study_fixtures(config: SimConfig, m: int):
-    """Pieces shared by every replicate and departure level of one m: per
+    """Pieces shared by every replicate and departure level of one m: t and
+    the departure effects at every c (:func:`_effects`); per
     spline degree used (1 for score and cusum), the design of
     ``generate_dataset(m, sigma, 0, (seed, 0))``, whose S's first column is
     replicate 0's and whose A and B every replicate shares as t is the same
@@ -338,7 +340,7 @@ def _study_fixtures(config: SimConfig, m: int):
                     for _, name, kind, d, h in lrt]
         with sized_by("nsims", config.n_sims_null):
             nulls = simulate_nulls(variants, config.n_sims_null, (config.seed, 0, _NULL), config.cache_dir)
-    fixtures: dict = {"designs": designs,
+    fixtures: dict = {"effects": _effects(m, config.c_values), "designs": designs,
                       "lrt": {d: _LrtDegree(ProfileSolver(designs[d]), grid, []) for d, grid in grids.items()}}
     for (ti, _, kind, d, h), null in zip(lrt, nulls):
         fixtures["lrt"][d].members.append((ti, kind, h, null))
@@ -347,13 +349,13 @@ def _study_fixtures(config: SimConfig, m: int):
     return fixtures
 
 
-def _block_data(config: SimConfig, m: int, reps: range) -> tuple[np.ndarray, np.ndarray]:
+def _block_data(config: SimConfig, t: np.ndarray, effects: np.ndarray,
+                reps: range) -> tuple[np.ndarray, np.ndarray]:
     """Responses (R x m x SC, one column per noise and departure level,
     sigma-major) and covariates (R x m x 2) of the replicates ``reps``: one
-    :func:`_draw` per replicate, keyed (seed, rep), for every (sigma, c) on one
-    :func:`_effects`, written into the two arrays as it is made."""
-    n_cols = len(config.sigma_values) * len(config.c_values)
-    t, effects = _effects(m, config.c_values)
+    :func:`_draw` per replicate, keyed (seed, rep), for every (sigma, c), written
+    into the two arrays as it is made."""
+    m, n_cols = t.size, len(config.sigma_values) * len(config.c_values)
     Y, S = np.empty((len(reps), m, n_cols)), np.empty((len(reps), m, 2))
     for r, rep in enumerate(reps):
         S[r], rows = _draw(t, effects, config.sigma_values, (config.seed, rep))
@@ -361,7 +363,7 @@ def _block_data(config: SimConfig, m: int, reps: range) -> tuple[np.ndarray, np.
     return Y, S
 
 
-def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
+def _run_block(config: SimConfig, fixtures: dict, reps: range):
     """The p-values (test x replicate x column, NaN where a cell failed or its
     score tail is still to be taken), the score test's ScoreResult (None
     without it) and the failed cells of the replicates ``reps``, which map
@@ -378,7 +380,7 @@ def _run_block(config: SimConfig, m: int, fixtures: dict, reps: range):
     separate threads.
     """
     tests = config.tests
-    Y, S = _block_data(config, m, reps)
+    Y, S = _block_data(config, *fixtures["effects"], reps)
     factored = {d: stacked_qr(np.stack([np.hstack([s, design.A]) for s in S]))
                 for d, design in fixtures["designs"].items()}
     pvals = np.full((len(tests), len(reps), Y.shape[2]), np.nan)
@@ -427,7 +429,7 @@ def _study_m(config: SimConfig, m: int) -> tuple[list[SimCell], list[str]]:
     blocks = [range(start, min(start + _BLOCK, config.n_runs)) for start in range(0, config.n_runs, _BLOCK)]
 
     def job(reps: range):
-        return _run_block(config, m, fixtures, reps)
+        return _run_block(config, fixtures, reps)
 
     if config.threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # loads logging; serial runs skip it

@@ -41,7 +41,7 @@ def study_block():
     fixtures = _study_fixtures(config, 100)
 
     def block(reps):
-        Y, S = _block_data(config, 100, range(reps))
+        Y, S = _block_data(config, *fixtures["effects"], range(reps))
         factored = {d: stacked_qr(np.stack([np.hstack([s, design.A]) for s in S]))
                     for d, design in fixtures["designs"].items()}
         return config, fixtures, Y, factored

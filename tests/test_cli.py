@@ -410,20 +410,28 @@ class TestRejectedInputs:
     @pytest.mark.parametrize("command", [
         ["test", "--method", "rlrt"],
         ["test", "--method", "cusum", "--resamples", 20],
+        ["test", "--method", "score"],
         ["null-sim", "--method", "rlrt"],
         ["simulate", "--m", 30, "--runs", 2, "--tests", "rlrt,cusum", "--resamples", 20],
     ], ids=lambda argv: "-".join(map(str, argv[:3:2])))
     @pytest.mark.parametrize("seed", [-1, 0, 2**32 - 1, 2**32])
     def test_seed_outside_32_bits_is_one_config_error(self, null_csv, tmp_path, command, seed):
-        """Every seed in [0, 2**32) runs. A seed outside is one config error: numpy
-        refuses a negative one, and would read 2**32 as two words, so that its
-        streams were those of smaller seeds (stream((2**32, 1), 0) was stream((0, 1), 1))."""
+        """Every seed in [0, 2**32) runs. A seed outside is one config error, also
+        where no stream reads it (score), and made no output path: numpy refuses a
+        negative one, and would read 2**32 as two words, so that its streams were
+        those of smaller seeds (stream((2**32, 1), 0) was stream((0, 1), 1))."""
         inputs = [] if command[0] == "simulate" else ["--input", null_csv]
-        code, err = outcome(command + inputs + ["--knots", 5, "--nsims", 50, "--seed", seed, "--out", tmp_path])
+        out = tmp_path / "out"
+        code, err = outcome(command + inputs + ["--knots", 5, "--nsims", 50, "--seed", seed, "--out", out])
         if 0 <= seed < 2**32:
-            assert code == 0 and "error" not in err
+            assert code == 0
+            if command[0] == "simulate":  # its one stderr line is the study's runtime
+                assert err.startswith("runtime: ") and err.count("\n") == 1
+            else:
+                assert err == ""
         else:
             assert (code, err) == (1, f"config error: seed must lie in [0, 2**32), got {seed}\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["test", "null-sim"])
     @pytest.mark.parametrize("method", ["lrt", "rlrt"])
@@ -492,7 +500,7 @@ class TestDegenerateClusters:
                 code, err = outcome(["test", "--input", tmp_path / f"{name}.csv", "--method", method,
                                      "--resamples", 300, "--s-cols", "s1,s2", *flags,
                                      "--out", tmp_path / name])
-            assert code == 0 and "error" not in err
+            assert (code, err) == (0, "")
             result = json.loads((tmp_path / name / f"result_{method}.json").read_text())
             results.append((result["statistic"], result["p_value"]))
         assert results[0] == results[1]
@@ -1218,5 +1226,5 @@ class TestReportFuzz:
             assert code == 1 and err.startswith("config error: ") and err.count("\n") == 1
             assert not (root / "out").exists()
         else:
-            assert code == 0 and "error" not in err
+            assert (code, err) == (0, "")
             assert (root / "out" / "report.txt").read_text().startswith("empirical rejection rates, m = ")

@@ -134,7 +134,7 @@ class TestGenerateDataset:
         covariates hold, bit for bit, the data of one scalar replicate draw
         per replicate, noise level and departure level."""
         config = tiny_config(sigma_values=(0.5, 0.25), c_values=(0, 1.5, 4), seed=8)
-        Y, S = _block_data(config, 30, range(3, 9))
+        Y, S = _block_data(config, *_effects(30, config.c_values), range(3, 9))
         assert Y.shape == (6, 30, 6) and S.shape == (6, 30, 2) and Y.flags.c_contiguous
         for r, rep in enumerate(range(3, 9)):
             for si, sigma in enumerate(config.sigma_values):
@@ -146,10 +146,10 @@ class TestGenerateDataset:
         """A study block at m = 100 (32 replicates x 10 columns) is written draw by
         draw into its R x m x SC and R x m x 2 arrays (0.3 MB): under 0.5 MB, where
         stacking the draws and copying their transpose took 0.88 MB."""
-        config = study_block(1)[0]
+        config, fixtures, *_ = study_block(1)
         tracemalloc.start()
         try:
-            Y, _ = _block_data(config, 100, range(32))
+            Y, _ = _block_data(config, *fixtures["effects"], range(32))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -574,6 +574,11 @@ class TestRunStudy:
     def test_unknown_test_rejected(self):
         with pytest.raises(ConfigError, match="unknown tests"):
             tiny_config(tests=("wavelet",))
+
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seed_outside_32_bits_rejected(self, seed):
+        with pytest.raises(ConfigError, match=r"^seed must lie in \[0, 2\*\*32\)"):
+            tiny_config(seed=seed)
 
     @pytest.mark.parametrize("levels", [(2.0,), (0.05, 1.0), (0.0,), (float("nan"),)])
     def test_level_outside_unit_interval_rejected(self, levels):
