@@ -157,9 +157,28 @@ def _cache_dir(cfg: dict) -> Path:
     return Path(env) if env else Path(cfg["out"]) / "null_cache"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _check_dirs(cfg: dict) -> None:
+    """Refuse, before any work, an output or null-cache directory that cannot
+    be made because a file is at or above it. The cache is checked where an
+    LRT variant reads it: simulate's tests, or the method of test and null-sim."""
+    dirs = [Path(cfg["out"])]
+    if not {"lrt", "rlrt", "lrt1", "lrt2"}.isdisjoint(cfg.get("tests") or (cfg.get("method"),)):
+        dirs.append(_cache_dir(cfg))
+    for path in dirs:
+        blocker = next(a for a in (path, *path.parents) if a.exists())
+        if not blocker.is_dir():
+            raise ConfigError(f"cannot write to the output or null-cache directory: "
+                              f"{path}: {blocker} is not a directory")
+
+
+def _write(cfg: dict, name: str, text: str) -> Path:
+    """Write ``text`` to the file ``name`` of --out, whole; return its path."""
+    from .data_io import atomic_write
+
+    path = Path(cfg["out"]) / name
+    with atomic_write(path) as fh:
+        fh.write(text)
+    return path
 
 
 # Options of `covtest test` that a method does not read, left out of its
@@ -190,8 +209,6 @@ def _cmd_test(cfg: dict) -> int:
     if cfg["emit_processes"] < 0:
         raise ConfigError(f"--emit-processes must be >= 0 (0 writes none), got {cfg['emit_processes']}")
     dataset = _load_dataset(cfg)
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     record: dict = {
         "method": method,
         "n": dataset.n,
@@ -257,11 +274,10 @@ def _cmd_test(cfg: dict) -> int:
             header = ["point", "observed", *(f"resample_{k + 1}" for k in range(paths.shape[0]))]
             table = np.column_stack([points, process.values, paths.T])  # one row per jump point
             lines = [",".join(header), *(",".join(map(repr, row.tolist())) for row in table)]
-            (out_dir / f"cusum_process_{cfg['ordering']}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            _write(cfg, f"cusum_process_{cfg['ordering']}.csv", "\n".join(lines) + "\n")
     record["reject_at_level"] = bool(record["p_value"] < cfg["level"])
     record["level"] = cfg["level"]
-    result_path = out_dir / f"result_{method}.json"
-    _write_json(result_path, record)
+    result_path = _write(cfg, f"result_{method}.json", json.dumps(record, sort_keys=True, indent=2) + "\n")
     print(
         f"{method}: statistic = {record['statistic']:.6g}, "
         f"p = {record['p_value']:.6g} "
@@ -288,21 +304,14 @@ def _cmd_simulate(cfg: dict) -> int:
         threads=cfg["threads"],
         cache_dir=str(_cache_dir(cfg)),
     )
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = run_study(config)
     table = report.to_table()
-    (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-    (out_dir / "report.txt").write_text(table, encoding="utf-8")
-    (out_dir / "effective_config.txt").write_text(
-        "\n".join(config.lines()) + "\n", encoding="utf-8"
-    )
-    if report.failure_messages:
-        (out_dir / "failures.txt").write_text(
-            "\n".join(report.failure_messages) + "\n", encoding="utf-8"
-        )
+    csv_path = _write(cfg, "report.csv", report.to_csv())
+    _write(cfg, "report.txt", table)
+    _write(cfg, "effective_config.txt", "".join(f"{line}\n" for line in config.lines()))
+    _write(cfg, "failures.txt", "".join(f"{line}\n" for line in report.failure_messages))
     print(table)
-    print(f"wrote {out_dir / 'report.csv'}")
+    print(f"wrote {csv_path}")
     print(f"runtime: {report.runtime_s:.3f}s", file=sys.stderr)
     return 0
 
@@ -312,19 +321,14 @@ def _cmd_null_sim(cfg: dict) -> int:
         raise ConfigError("null-sim applies to --method lrt or rlrt")
     _require_independent(cfg)
     _, _, null = _lrt_null(cfg, _load_dataset(cfg))
-    out_dir = Path(cfg["out"])
-    summary_path = out_dir / f"null_summary_{cfg['method']}.json"
-    _write_json(
-        summary_path,
-        {
-            "cache_dir": str(_cache_dir(cfg)),
-            "zero_mass_fraction": null.zero_mass_fraction,
-            "n_sims": null.n_sims,
-            "quantiles": {f"q{q}": float(np.quantile(null.samples, q / 100)) for q in (90, 95, 99)},
-            "provenance": null.provenance,
-            "effective_config": _echo_lines(cfg, "null-sim"),
-        },
-    )
+    summary_path = _write(cfg, f"null_summary_{cfg['method']}.json", json.dumps({
+        "cache_dir": str(_cache_dir(cfg)),
+        "zero_mass_fraction": null.zero_mass_fraction,
+        "n_sims": null.n_sims,
+        "quantiles": {f"q{q}": float(np.quantile(null.samples, q / 100)) for q in (90, 95, 99)},
+        "provenance": null.provenance,
+        "effective_config": _echo_lines(cfg, "null-sim"),
+    }, sort_keys=True, indent=2) + "\n")
     print(
         f"{cfg['method']} null: {null.n_sims} draws, zero mass "
         f"{null.zero_mass_fraction:.3f}; wrote {summary_path}"
@@ -342,9 +346,7 @@ def _cmd_report(cfg: dict) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {cfg['input']}: {exc}") from None
     table = SimReport.from_csv(text, cfg["input"]).to_table()
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.txt").write_text(table, encoding="utf-8")
+    _write(cfg, "report.txt", table)
     print(table)
     return 0
 
@@ -409,6 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(argv)
         try:
+            _check_dirs(vars(args))
             return _COMMANDS[args.command][0](vars(args))
         except OSError as exc:  # inputs are read by code that raises CovtestError
             raise ConfigError(f"cannot write to the output or null-cache directory: {exc}") from None

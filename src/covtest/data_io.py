@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -286,13 +288,32 @@ def _first_fault(rows: list[tuple[int, list[str]]], header: list[str], cols: lis
     return None
 
 
+@contextmanager
+def atomic_write(path: str | Path, binary: bool = False):
+    """A handle on ``.<name>.<pid>.tmp`` beside ``path`` (UTF-8 text, no newline
+    translation, or bytes), renamed onto ``path`` when the block ends and removed
+    if it raises; the parent directory is made first. Every file covtest writes
+    goes through here, so each appears whole and a directory only with its first file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8",
+                  newline=None if binary else "") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset to CSV under the header y,t,s1..sp[,cluster]; finite
     doubles round-trip bit-exactly."""
     header = ["y", "t", *(f"s{k + 1}" for k in range(dataset.p))]
     if dataset.cluster is not None:
         header.append("cluster")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for i in range(dataset.n):

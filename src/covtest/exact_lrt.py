@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import warnings
 import zipfile
 from dataclasses import dataclass, replace
@@ -27,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng as rngmod
-from .data_io import Dataset
+from .data_io import Dataset, atomic_write
 from .errors import ConfigError, ModelError, NumericalError
 from .rng import SeedLike, chunked_streams
 from .spline_basis import DesignMatrices, FactoredStack, failed_cells, stacked_spectrum
@@ -611,24 +610,10 @@ def null_distribution_key(
 
 def save_null_distribution(null: NullDistribution, path: str | Path) -> None:
     """Write samples plus provenance; samples stored as little-endian float64.
-
-    The file is written under a temporary name in the same directory and
-    then renamed into place, so an interrupted write never leaves a partial
-    entry at ``path``.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                samples=null.samples.astype("<f8"),
-                provenance=np.array(json.dumps(null.provenance, sort_keys=True)),
-            )
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    The entry appears whole or not at all (:func:`~covtest.data_io.atomic_write`)."""
+    with atomic_write(path, binary=True) as fh:
+        np.savez(fh, samples=null.samples.astype("<f8"),
+                 provenance=np.array(json.dumps(null.provenance, sort_keys=True)))
 
 
 def load_null_distribution(path: str | Path) -> NullDistribution:
@@ -669,8 +654,7 @@ def simulate_null_cached(
 def _cache_entry(cache_dir: Path, variant: NullVariant, n_sims: int, seed: SeedLike):
     """(path, null) of a variant's entry in cache_dir, its grid given: null is None
     where there is no entry to serve, after a warning where the entry is unreadable
-    or foreign."""
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    or foreign. A lookup makes nothing: the directory appears with its first entry."""
     identity = (variant.cache, variant.kind, variant.h, variant.grid, n_sims, seed, variant.stream)
     path = cache_dir / f"null_{null_distribution_key(*identity)[:24]}.npz"
     if path.exists():

@@ -377,6 +377,62 @@ class TestFileSystemFaults:
         assert err.startswith("config error: cannot write to the output or null-cache directory: ")
         assert str(taken / "cache") in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [
+        ["test", "--method", "rlrt", "--knots", 5, "--nsims", 50],
+        ["null-sim", "--method", "rlrt", "--knots", 5, "--nsims", 50],
+        ["simulate", "--m", 30, "--c", 0, "--runs", 1, "--tests", "rlrt", "--knots", 5, "--nsims", 50],
+    ], ids=lambda argv: argv[0])
+    def test_out_naming_a_file_is_refused_before_sampling(self, null_csv, tmp_path, monkeypatch, command):
+        """The output and null-cache directories are checked before the handler
+        runs: an --out that is a file costs no null draw."""
+        import covtest.exact_lrt as exact_lrt
+
+        monkeypatch.delenv("COVTEST_CACHE_DIR", raising=False)
+        sampled, real = [], exact_lrt._sample
+        monkeypatch.setattr(exact_lrt, "_sample", lambda *args: sampled.append(args) or real(*args))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        inputs = [] if command[0] == "simulate" else ["--input", null_csv]
+        code, err = outcome(command + inputs + ["--out", taken])
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith(f"config error: cannot write to the output or null-cache directory: {taken}")
+        assert sampled == []
+
+    def test_failed_write_leaves_no_file(self, null_csv, tmp_path, monkeypatch):
+        """A file is renamed into place whole: where the rename fails, neither
+        the result nor its temporary file is left, and the call ends in one
+        config error line."""
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        out = tmp_path / "out"
+        out.mkdir()
+        monkeypatch.setattr(os, "replace", refuse)
+        code, err = outcome(["test", "--input", null_csv, "--method", "score", "--out", out])
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("config error: cannot write to the output or null-cache directory: ")
+        assert str(out / "result_score.json") in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "--method", "lrt", "--knots", 0, "--out", "knots_out"],
+        ["null-sim", "--method", "lrt", "--knots", 0, "--out", "nullsim_out"],
+        ["test", "--method", "rlrt", "--nsims", 10**14, "--out", "big_out"],
+        ["simulate", "--m", 4, "--tests", "score,cusum", "--knots", 1, "--runs", 3, "--out", "small_study"],
+        ["simulate", "--m", 30, "--tests", "rlrt", "--runs", 3, "--nsims", 10**14, "--out", "bigstudy"],
+    ], ids=lambda argv: argv[-1])
+    def test_refused_command_leaves_no_path(self, null_csv, tmp_path, monkeypatch, argv):
+        """A command refused after its flags parse, by the knots, a count past
+        memory or a design too small, makes neither its --out directory nor
+        the null cache below it: a directory appears only with its first file."""
+        monkeypatch.delenv("COVTEST_CACHE_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        inputs = [] if argv[0] == "simulate" else ["--input", null_csv]
+        code, err = outcome(argv + inputs)
+        assert code == 1 and err.count("\n") == 1 and " error: " in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_negative_emit_processes_names_the_flag(self, null_csv, tmp_path):
         code, err = outcome(["test", "--input", null_csv, "--method", "cusum", "--resamples", 20,
                              "--emit-processes", -1, "--out", tmp_path])
@@ -447,6 +503,7 @@ class TestRejectedInputs:
         assert code == 1
         err = capsys.readouterr().err
         assert err == "config error: spectral decomposition needs at least one knot\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.fixture
     def clustered_csv(self, tmp_path):
@@ -567,6 +624,23 @@ class TestSimulateCommand:
             assert 0.0 <= frac <= 1.0
         assert (out / "report.txt").exists()
         assert "n_runs = 2" in (out / "effective_config.txt").read_text()
+
+    def test_failures_file_is_always_rewritten(self, tmp_path, monkeypatch):
+        """failures.txt belongs to the last study written to --out: a clean
+        rerun into a directory whose previous study failed a cell empties it."""
+        import covtest.sim_study as sim_study
+        from test_sim_study import broken_draw
+
+        argv = ["simulate", "--m", 30, "--sigma", 0.25, "--c", "0,2", "--levels", 0.05, "--tests", "score",
+                "--runs", 150, "--seed", 5, "--out", tmp_path]
+        with monkeypatch.context() as patch:
+            patch.setattr(sim_study, "_draw", broken_draw(sim_study._draw, collinear=1))
+            assert outcome(argv)[0] == 0
+        rank = "fixed-effects design is rank deficient (4 columns, rank 3)"
+        assert (tmp_path / "failures.txt").read_text() == "".join(
+            f"score m=30 sigma=0.25 c={c} rep=1: {rank}\n" for c in (0, 2))
+        assert outcome(argv)[0] == 0
+        assert (tmp_path / "failures.txt").read_text() == ""
 
     def test_fractional_departure_levels(self, tmp_path):
         out = tmp_path / "sim"
