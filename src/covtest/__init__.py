@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # Home submodule -> the public names it defines, in ``__all__`` order.
 _HOMES = {
-    "data_io": "ColumnMap Dataset load_csv save_csv",
+    "data_io": "Clusters ColumnMap Dataset load_csv save_csv",
     "errors": "CovtestError DataError ConfigError ModelError NumericalError "
               "DegenerateFitError DegenerateTestError StudyError",
     "spline_basis": "KnotSet DesignMatrices SmootherKernel place_knots truncated_power "

@@ -113,7 +113,7 @@ def _resampled_blocks(
     if n_resamples < 1:
         raise ConfigError(f"n_resamples must be >= 1, got {n_resamples}")
     order, points, first = _sorted_contributions(fit, ordering)
-    rows = order if fit.cluster is None else fit.cluster[order]
+    rows = order if fit.clusters is None else fit.clusters.labels[order]
     contrib = fit.residuals[order]
     white_q = proj.whiten(proj.Q[0])[order]
     last = np.append(first[1:], fit.n) - 1

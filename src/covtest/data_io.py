@@ -2,8 +2,8 @@
 
 A :class:`Dataset` bundles a response vector ``y``, an ``n x p`` matrix ``S``
 of parametric covariates (no intercept column), a scalar smooth covariate
-``t``, and optional integer cluster labels. All tests in the package consume
-this record.
+``t``, and optional cluster labels, laid out once as a :class:`Clusters`
+record. All tests in the package consume this record.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import os
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 __all__ = [
+    "Clusters",
     "Dataset",
     "ColumnMap",
     "load_csv",
@@ -63,18 +64,74 @@ def _normalize_cluster(labels: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Clusters:
+    """The layout of Z, the cluster indicators of V = I + ratio ZZ'.
+
+    Built from a non-empty vector of finite numbers or of text; the one place labels
+    are coded, counted and sorted. ``labels`` are the codes 0..m-1 in first-appearance
+    order, ``sizes`` each cluster's row count and ``order`` the codes' stable argsort.
+    """
+
+    labels: np.ndarray
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or not labels.size:
+            raise DataError(f"cluster labels must be a non-empty vector, got shape {labels.shape}")
+        if labels.dtype.kind in "fc":
+            _check_finite("cluster", labels)
+        labels = _readonly(_normalize_cluster(labels))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "sizes", _readonly(np.bincount(labels)))
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The labels' stable argsort, taken on first use and kept: the rows cluster by cluster."""
+        return _readonly(np.argsort(self.labels, kind="stable"))
+
+    @property
+    def n_units(self) -> int:
+        return self.sizes.size
+
+    def sums(self, a) -> np.ndarray:
+        """Z'a: sums of ``a`` within each cluster along its observation axis: a vector's
+        only one, else the second to last (the rows of a matrix or of each matrix of a stack)."""
+        axis = 0 if np.ndim(a) == 1 else -2
+        starts = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
+        return np.add.reduceat(np.take(a, self.order, axis=axis), starts, axis=axis)
+
+    def whiten(self, a, ratio: float) -> np.ndarray:
+        """(I + ratio ZZ')^-1/2 a along the observation axis: a - d[labels] * mean_cluster(a).
+
+        On a cluster of size n_i, I + ratio 11' has eigenvalue 1 + ratio n_i
+        along 1 and 1 elsewhere, so its inverse square root shrinks the cluster
+        mean by d_i = 1 - (1 + ratio n_i)^-1/2: the identity at ratio 0. ``a`` is
+        never written to.
+        """
+        out = np.asarray(a, dtype=float)
+        if ratio > 0.0:
+            shrink = (1.0 - 1.0 / np.sqrt(1.0 + ratio * self.sizes)) / self.sizes
+            sums = self.sums(out) * shrink.reshape((-1,) + (1,) * min(out.ndim - 1, 1))
+            out = out - np.take(sums, self.labels, axis=0 if out.ndim == 1 else -2)
+        return out
+
+
+@dataclass(frozen=True)
 class Dataset:
     """Immutable input record for all tests.
 
     Invariants enforced at construction: equal lengths, finite entries,
     cluster labels (if any) remapped to a contiguous 0..m-1 range in
     first-appearance order. Missing values are rejected, never imputed.
+    ``clusters`` is the labels' :class:`Clusters` record, ``cluster`` its codes.
     """
 
     y: np.ndarray
     S: np.ndarray
     t: np.ndarray
     cluster: np.ndarray | None = None
+    clusters: Clusters | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -93,16 +150,14 @@ class Dataset:
             )
         for name, arr in (("y", y), ("t", t), ("S", S)):
             _check_finite(name, arr)
-        cluster = self.cluster
-        if cluster is not None:
-            cluster = np.asarray(cluster)
-            if cluster.shape[0] != n:
-                raise DataError(f"cluster has {cluster.shape[0]} rows, expected {n}")
-            cluster = _readonly(_normalize_cluster(cluster))
+        clusters = None if self.cluster is None else Clusters(self.cluster)
+        if clusters is not None and clusters.labels.size != n:
+            raise DataError(f"cluster has {clusters.labels.size} rows, expected {n}")
         object.__setattr__(self, "y", _readonly(y))
         object.__setattr__(self, "t", _readonly(t))
         object.__setattr__(self, "S", _readonly(S))
-        object.__setattr__(self, "cluster", cluster)
+        object.__setattr__(self, "cluster", None if clusters is None else clusters.labels)
+        object.__setattr__(self, "clusters", clusters)
 
     @property
     def n(self) -> int:
@@ -115,16 +170,7 @@ class Dataset:
     @property
     def n_units(self) -> int:
         """Number of independent units: clusters if present, rows otherwise."""
-        if self.cluster is None:
-            return self.n
-        return int(self.cluster.max()) + 1
-
-    @cached_property
-    def cluster_order(self) -> np.ndarray | None:
-        """The stable argsort of the cluster labels, taken on first use and
-        kept: every cluster's rows in row order, cluster by cluster. None
-        without clusters."""
-        return None if self.cluster is None else np.argsort(self.cluster, kind="stable")
+        return self.n if self.clusters is None else self.clusters.n_units
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_io import Dataset, _normalize_cluster
+from .data_io import Clusters, Dataset
 from .errors import ConfigError, NumericalError
-from .spline_basis import DesignMatrices, FactoredStack, _cluster_sums, _whiten, checked_qr, failed_cells
+from .spline_basis import DesignMatrices, FactoredStack, checked_qr, failed_cells
 
 __all__ = [
     "NullFit",
@@ -48,7 +48,7 @@ class NullFit:
     """Fitted null polynomial model.
 
     ``ratio`` is sigma2_b / sigma2_eps, 0 for independent data, so the
-    marginal covariance is sigma2_eps (I + ratio ZZ').
+    marginal covariance is sigma2_eps (I + ratio ZZ'), Z laid out by ``clusters``.
     """
 
     beta: np.ndarray
@@ -56,7 +56,7 @@ class NullFit:
     ratio: float
     fitted: np.ndarray
     residuals: np.ndarray
-    cluster: np.ndarray | None
+    clusters: Clusters | None
 
     @property
     def sigma2_b(self) -> float:
@@ -68,16 +68,14 @@ class NullFit:
 
     @property
     def n_units(self) -> int:
-        if self.cluster is None:
-            return self.n
-        return int(self.cluster.max()) + 1
+        return self.n if self.clusters is None else self.clusters.n_units
 
     @property
     def V(self) -> np.ndarray:
         """Dense n x n marginal covariance, built on demand for dense checks."""
         V = np.eye(self.n)
         if self.ratio > 0.0:
-            V += self.ratio * (self.cluster[:, None] == self.cluster[None, :])
+            V += self.ratio * (self.clusters.labels[:, None] == self.clusters.labels)
         return self.sigma2_eps * V
 
 
@@ -94,11 +92,11 @@ class OlsFits:
     sigma2: np.ndarray
     failed: dict
 
-    def null_fit(self, r: int, c: int, cluster: np.ndarray | None = None) -> NullFit:
+    def null_fit(self, r: int, c: int, clusters: Clusters | None = None) -> NullFit:
         """The NullFit of cell (r, c); its arrays are views of the stack's."""
         return NullFit(beta=self.beta[r, :, c], sigma2_eps=float(self.sigma2[r, c]), ratio=0.0,
                        fitted=self.fitted[r, :, c], residuals=self.residuals[r, :, c],
-                       cluster=cluster)
+                       clusters=clusters)
 
 
 def fit_ols(dataset: Dataset, design: DesignMatrices) -> NullFit:
@@ -110,7 +108,7 @@ def fit_ols(dataset: Dataset, design: DesignMatrices) -> NullFit:
     estimate for p fixed effects. A perfect fit is rejected: every downstream
     statistic divides by the residual variance.
     """
-    return _fit_one(dataset, design).null_fit(0, 0, dataset.cluster)
+    return _fit_one(dataset, design).null_fit(0, 0, dataset.clusters)
 
 
 def _fit_one(dataset: Dataset, design: DesignMatrices) -> OlsFits:
@@ -125,15 +123,15 @@ def fit_null(dataset: Dataset, design: DesignMatrices) -> tuple[NullFit, Factore
     """The null fit the score and cusum tests use, and its projection: the
     random-intercept REML fit when the data have two or more clusters and one
     of them two or more rows, else the OLS fit of independent rows, whose
-    ``cluster`` is None. One cluster, or clusters of one row each, carry no
+    ``clusters`` is None. One cluster, or clusters of one row each, carry no
     intercept variance, and a one-cluster fit would resample one unit. The
-    fit and the projection read the dataset's one sort of its cluster labels.
-    At ratio 0 the projection's X, Q and R are the design's ``qr``'s arrays."""
-    if dataset.cluster is not None and 2 <= dataset.n_units < dataset.n:
-        fit, order = fit_reml_random_intercept(dataset, design), dataset.cluster_order
+    fit and the projection read the dataset's one :class:`~covtest.data_io.Clusters`
+    record. At ratio 0 the projection's X, Q and R are the design's ``qr``'s arrays."""
+    if dataset.clusters is not None and 2 <= dataset.n_units < dataset.n:
+        fit = fit_reml_random_intercept(dataset, design)
     else:
-        fit, order = replace(fit_ols(dataset, design), cluster=None), None
-    return fit, reml_projection(fit, design.qr, order)
+        fit = replace(fit_ols(dataset, design), clusters=None)
+    return fit, reml_projection(fit, design.qr)
 
 
 def fit_ols_columns(Y: np.ndarray, factored: FactoredStack) -> OlsFits:
@@ -173,19 +171,16 @@ def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullF
     up to it. The sums are taken of the OLS residuals e rather than y (GLS of
     y is OLS plus GLS of e), which keeps rss free of cancellation.
     """
-    if dataset.cluster is None:
+    clusters = dataset.clusters
+    if clusters is None:
         raise ConfigError("random-intercept fit requires cluster labels")
-    cluster, order = dataset.cluster, dataset.cluster_order
-    n_clusters = int(cluster.max()) + 1
-    if n_clusters < 2:
-        raise ConfigError(f"random-intercept fit needs >= 2 clusters, got {n_clusters}")
+    if clusters.n_units < 2:
+        raise ConfigError(f"random-intercept fit needs >= 2 clusters, got {clusters.n_units}")
     ols = _fit_one(dataset, design)
     X, beta_ols, e = design.X, ols.beta[0, :, 0], ols.residuals[0, :, 0]
     n, p_fixed = X.shape
 
-    sizes = np.bincount(cluster, minlength=n_clusters)
-    sum_x = _cluster_sums(X, sizes, order)
-    sum_e = _cluster_sums(e, sizes, order)
+    sizes, sum_x, sum_e = clusters.sizes, clusters.sums(X), clusters.sums(e)
     xtx, xte, ete = X.T @ X, X.T @ e, float(e @ e)
 
     def gls_terms(ratio: float):
@@ -237,13 +232,13 @@ def fit_reml_random_intercept(dataset: Dataset, design: DesignMatrices) -> NullF
     fitted = X @ beta
     resid = dataset.y - fitted
     with np.errstate(over="ignore", invalid="ignore"):  # failed_cells reports an overflow
-        white = _whiten(resid, ratio_hat, cluster, sizes, order)
+        white = clusters.whiten(resid, ratio_hat)
         rss = white @ white
         failed = failed_cells(design.qr, *np.reshape([rss, dataset.y @ dataset.y], (2, 1, 1)))[1]
     if failed:
         raise failed[0, 0]
     return NullFit(beta=beta, sigma2_eps=float(rss) / (n - p_fixed), ratio=ratio_hat, fitted=fitted,
-                   residuals=resid, cluster=cluster)
+                   residuals=resid, clusters=clusters)
 
 
 def _log_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -264,34 +259,27 @@ def _log_root(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     return math.exp(x)
 
 
-def reml_projection(
-    fit: NullFit, X: np.ndarray | FactoredStack, order: np.ndarray | None = None
-) -> FactoredStack:
+def reml_projection(fit: NullFit, X: np.ndarray | FactoredStack) -> FactoredStack:
     """P = V^-1 - V^-1 X (X'V^-1 X)^-1 X'V^-1 for the fit's V = I + ratio ZZ', at unit variance.
 
     Symmetric, annihilates the columns of X, and satisfies P V P = P. It is
     held as the one-design record of the checked thin QR of V^-1/2 X
     (:func:`~covtest.spline_basis.checked_qr`, which raises the ModelError of
-    an X that cannot be fit), carrying the raw X, V's layout and the fit's
-    variance. ``X`` is the design or its checked QR (``DesignMatrices.qr``).
+    an X that cannot be fit), carrying the raw X, the fit's ``clusters`` and
+    its variance. ``X`` is the design or its checked QR (``DesignMatrices.qr``).
     At ratio 0, V^-1/2 X = X: the projection is X's own QR, the given record's
-    arrays themselves. ``order`` is the stable argsort of ``fit.cluster`` when
-    the caller holds it (``Dataset.cluster_order``, as :func:`fit_null` passes
-    it); else it is taken here.
+    arrays themselves.
     """
     factored, X = (X, X.X[0]) if isinstance(X, FactoredStack) else (None, np.asarray(X, dtype=float))
     if X.shape[0] != fit.n:
         raise ConfigError(f"design has {X.shape[0]} rows but the fit has {fit.n}")
     if fit.ratio == 0.0:
         return replace(checked_qr(X) if factored is None else factored, sigma2=fit.sigma2_eps)
-    if fit.cluster is None:
+    if fit.clusters is None:
         raise ConfigError("a positive intercept variance needs cluster labels")
-    cluster = _normalize_cluster(np.asarray(fit.cluster))
-    order = np.argsort(cluster, kind="stable") if order is None else order
-    sizes = np.bincount(cluster)
     # V's eigenvalues are 1 + ratio n_i and 1.
-    cond = 1.0 + fit.ratio * float(sizes.max())
+    cond = 1.0 + fit.ratio * float(fit.clusters.sizes.max())
     if cond > 1e12:
         raise NumericalError(f"fitted covariance is ill-conditioned (cond = {cond:.3e})")
-    return replace(checked_qr(_whiten(X, fit.ratio, cluster, sizes, order)), X=X[None], ratio=fit.ratio,
-                   cluster=cluster, sizes=sizes, order=order, sigma2=fit.sigma2_eps)
+    return replace(checked_qr(fit.clusters.whiten(X, fit.ratio)), X=X[None], ratio=fit.ratio,
+                   clusters=fit.clusters, sigma2=fit.sigma2_eps)

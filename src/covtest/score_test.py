@@ -212,13 +212,13 @@ def _whitened_norms(kernel: SmootherKernel, proj: FactoredStack) -> tuple[float,
     """
     trace, sq_norm = kernel.trace, kernel.sq_norm
     if proj.ratio > 0.0:
-        m = proj.sizes.size
-        g = proj.ratio / (1.0 + proj.ratio * proj.sizes)
+        clusters = proj.clusters
+        g = proj.ratio / (1.0 + proj.ratio * clusters.sizes)
         width = max(1, _BLOCK_ENTRIES // proj.n)
-        for lo in range(0, m, width):
-            ids = np.arange(lo, min(lo + width, m))
-            MZ = kernel.apply((proj.cluster[:, None] == ids).astype(float))
-            ZMZ = proj.cluster_sums(MZ)  # (i, k): z_i'M z_k
+        for lo in range(0, clusters.n_units, width):
+            ids = np.arange(lo, min(lo + width, clusters.n_units))
+            MZ = kernel.apply((clusters.labels[:, None] == ids).astype(float))
+            ZMZ = clusters.sums(MZ)  # (i, k): z_i'M z_k
             gb = g[ids]
             trace -= float(gb @ ZMZ[ids, np.arange(ids.size)])
             sq_norm -= 2.0 * float(gb @ np.einsum("ij,ij->j", MZ, MZ))

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data_io import Dataset
+from .data_io import Clusters, Dataset
 from .errors import ConfigError, DegenerateFitError, ModelError, NumericalError
 
 __all__ = [
@@ -56,45 +56,15 @@ class KnotSet:
         object.__setattr__(self, "knots", knots)
 
 
-def _obs_axis(a: np.ndarray) -> int:
-    """The observation axis: a vector's only one, else the second to last, so
-    a matrix has one row per observation and a stack one matrix per replicate."""
-    return 0 if a.ndim == 1 else -2
-
-
-def _cluster_sums(a: np.ndarray, sizes: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Sums of ``a`` along its observation axis within each cluster 0..m-1 (none
-    empty), given ``order``, the stable argsort of the rows' cluster labels."""
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    axis = _obs_axis(a)
-    return np.add.reduceat(np.take(a, order, axis=axis), starts, axis=axis)
-
-
-def _whiten(a, ratio: float, cluster: np.ndarray, sizes: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """(I + ratio ZZ')^-1/2 a along the observation axis: a - d[cluster] * mean_cluster(a).
-
-    On a cluster of size n_i, I + ratio 11' has eigenvalue 1 + ratio n_i
-    along 1 and 1 elsewhere, so its inverse square root shrinks the cluster
-    mean by d_i = 1 - (1 + ratio n_i)^-1/2: the identity at ratio 0. ``a`` is
-    never written to. ``order`` is the stable argsort of ``cluster``.
-    """
-    out = np.asarray(a, dtype=float)
-    if ratio > 0.0:
-        shrink = (1.0 - 1.0 / np.sqrt(1.0 + ratio * sizes)) / sizes
-        sums = _cluster_sums(out, sizes, order) * shrink.reshape((-1,) + (1,) * min(out.ndim - 1, 1))
-        out = out - np.take(sums, cluster, axis=_obs_axis(out))
-    return out
-
-
 @dataclass(frozen=True)
 class FactoredStack:
     """An R x n x p stack of fixed-effects designs ``X`` sharing V = I + ratio ZZ',
     the thin QR factors ``Q`` (R x n x p) and ``R`` (R x p x p) of each V^-1/2 X,
     and per design the ModelError that rejects it or None (see :func:`stacked_qr`).
 
-    Z is held as ``cluster`` (labels 0..m-1), ``sizes`` and ``order`` (the labels'
-    stable argsort); the defaults are V = I. Each design's REML projection at unit
-    variance is P = V^-1/2 (I - QQ') V^-1/2, and ``sigma2`` scales only the dense ``P``.
+    Z's layout is the :class:`~covtest.data_io.Clusters` record ``clusters``; the
+    defaults are V = I. Each design's REML projection at unit variance is
+    P = V^-1/2 (I - QQ') V^-1/2, and ``sigma2`` scales only the dense ``P``.
     """
 
     X: np.ndarray
@@ -102,9 +72,7 @@ class FactoredStack:
     R: np.ndarray
     errors: list
     ratio: float = 0.0
-    cluster: np.ndarray | None = None
-    sizes: np.ndarray | None = None
-    order: np.ndarray | None = None
+    clusters: Clusters | None = None
     sigma2: float = 1.0
 
     @property
@@ -124,11 +92,7 @@ class FactoredStack:
 
     def whiten(self, a) -> np.ndarray:
         """V^-1/2 a along the observation axis of a vector, a matrix or a stack."""
-        return _whiten(a, self.ratio, self.cluster, self.sizes, self.order)
-
-    def cluster_sums(self, a: np.ndarray) -> np.ndarray:
-        """Z'a: the sums of the rows of ``a`` within each cluster."""
-        return _cluster_sums(a, self.sizes, self.order)
+        return self.clusters.whiten(a, self.ratio) if self.ratio > 0.0 else np.asarray(a, dtype=float)
 
     @property
     def P(self) -> np.ndarray:

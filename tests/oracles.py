@@ -170,7 +170,7 @@ def dense_multiplier_processes(fit, X, ordering, n_resamples, seed):
     scaled by the square root of the number of units.
     """
     n = fit.n
-    unit = np.arange(n) if fit.cluster is None else np.asarray(fit.cluster)
+    unit = np.arange(n) if fit.clusters is None else fit.clusters.labels
     m = int(unit.max()) + 1
     V_inv = np.linalg.inv(fit.V)
     resid_form = np.eye(n) - X @ np.linalg.solve(X.T @ V_inv @ X, X.T @ V_inv)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -1302,3 +1303,43 @@ class TestReportFuzz:
         else:
             assert (code, err) == (0, "")
             assert (root / "out" / "report.txt").read_text().startswith("empirical rejection rates, m = ")
+
+
+@st.composite
+def cluster_files(draw):
+    """(CSV text, kind) of 12-60 rows y,t,s1,cluster, whose cluster column is one
+    cluster, all singletons, integer labels with gaps, text labels, or either
+    kind of label with the rows in any order."""
+    n = draw(st.integers(12, 60))
+    kind = draw(st.sampled_from(["one", "singletons", "gaps", "text", "any order"]))
+    m = {"one": 1, "singletons": n}.get(kind) or draw(st.integers(2, n // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = np.sort(np.arange(n) % m) if kind != "any order" else rng.permutation(np.arange(n) % m)
+    text = kind == "text" or (kind == "any order" and draw(st.booleans()))
+    names = draw(st.lists(st.text("abc_xyz", min_size=1, max_size=4) if text else st.integers(-10**4, 10**4),
+                          min_size=m, max_size=m, unique=True))
+    ds = generate_dataset(n, 0.25, draw(st.sampled_from([0, 4])), seed=(draw(st.integers(0, 99)), 0))
+    y = ds.y + draw(st.sampled_from([0.0, 0.5])) * rng.standard_normal(m)[unit]
+    rows = ["y,t,s1,cluster"] + [",".join([*(repr(float(v)) for v in (y[i], ds.t[i], ds.S[i, 0])),
+                                           str(names[unit[i]])]) for i in range(n)]
+    return "\n".join(rows) + "\n", kind
+
+
+class TestClusterColumnFuzz:
+    @settings(max_examples=40)
+    @given(case=cluster_files())
+    def test_p_value_or_one_error_line(self, tmp_path_factory, case):
+        """score and cusum on any cluster column: a result with a p-value in
+        (0, 1], or exit 1 with one ``<category> error:`` line and no --out path."""
+        text, _ = case
+        root = tmp_path_factory.mktemp("clusters")
+        (root / "in.csv").write_text(text)
+        for method, extra in [("score", []), ("cusum", ["--resamples", 50])]:
+            out = root / method
+            code, err = outcome(["test", "--input", root / "in.csv", "--method", method, "--s-cols", "s1",
+                                 "--cluster-col", "cluster", *extra, "--out", out])
+            if code == 0:
+                assert 0.0 < json.loads((out / f"result_{method}.json").read_text())["p_value"] <= 1.0
+            else:
+                assert code == 1 and re.fullmatch(r"[a-z]+ error: [^\n]*\n", err)
+                assert not out.exists()

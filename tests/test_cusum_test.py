@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from covtest import (
+    Clusters,
     ConfigError,
     Dataset,
     build_design,
@@ -36,7 +37,7 @@ def manual_fit(residuals, cluster=None, n=None):
         ratio=0.0,
         fitted=np.zeros(n),
         residuals=residuals,
-        cluster=None if cluster is None else np.asarray(cluster),
+        clusters=None if cluster is None else Clusters(cluster),
     )
 
 
@@ -96,6 +97,19 @@ class TestCumulativeProcess:
             process.values, np.array([1.0, 2.0, 1.0, 0.0]) / math.sqrt(2)
         )
 
+    def test_units_are_the_clusters_not_the_largest_label(self):
+        """A hand-made fit's labels [7, 3, 7, 9] are three units, as [0, 1, 0, 2] are:
+        the process is scaled by 1/sqrt(3), and the multiplier draws are the same."""
+        residuals, t = [1.0, -1.0, 2.0, -2.0], np.array([1.0, 2.0, 3.0, 4.0])
+        raw, coded = manual_fit(residuals, cluster=[7, 3, 7, 9]), manual_fit(residuals, cluster=[0, 1, 0, 2])
+        process = cumulative_process(raw, t)
+        assert process.n_units == raw.n_units == 3
+        np.testing.assert_array_equal(process.values, cumulative_process(coded, t).values)
+        np.testing.assert_allclose(process.values, np.array([1.0, 0.0, 2.0, 0.0]) / math.sqrt(3))
+        proj = reml_projection(raw, np.ones((4, 1)))
+        np.testing.assert_array_equal(multiplier_null(raw, proj, t, 40, seed=3),
+                                      multiplier_null(coded, proj, t, 40, seed=3))
+
 
 class TestMultiplierNull:
     def test_zero_residuals_give_zero_sups(self, small_dataset):
@@ -112,7 +126,7 @@ class TestMultiplierNull:
             ratio=0.0,
             fitted=fit.fitted,
             residuals=fit.residuals,
-            cluster=np.zeros(fit.n, dtype=int),
+            clusters=Clusters(np.zeros(fit.n, dtype=int)),
         )
         observed = cumulative_process(one_unit, small_dataset.t)
         points, paths = multiplier_processes(one_unit, proj, small_dataset.t, 20, seed=2)
@@ -239,7 +253,7 @@ class TestSubBlocks:
         process, so the multipliers can be read back: resample r is row
         r % 256 of one draw from the stream of chunk r // 256."""
         _, fit, proj = fitted_pieces(small_dataset)
-        one_unit = replace(fit, cluster=np.zeros(fit.n, dtype=int))
+        one_unit = replace(fit, clusters=Clusters(np.zeros(fit.n, dtype=int)))
         observed = cumulative_process(one_unit, small_dataset.t)
         _, paths = multiplier_processes(one_unit, proj, small_dataset.t, 600, seed=(8, 1))
         j = int(np.abs(observed.values).argmax())

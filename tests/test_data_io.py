@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covtest import (
+    Clusters,
     ColumnMap,
     DataError,
     ConfigError,
@@ -322,3 +323,59 @@ class TestDataset:
         with pytest.raises(ValueError):
             small_dataset.y[0] = 99.0
 
+    @pytest.mark.parametrize("labels,row", [([np.nan, np.nan, 1, 1], 1), ([1, 2, 3, np.inf], 4)])
+    def test_missing_cluster_label_rejected(self, labels, row):
+        """A NaN label is a missing value, rejected like one in y, not a cluster of its own."""
+        with pytest.raises(DataError) as info:
+            Dataset(y=[1, 2, 3, 4], S=np.empty((4, 0)), t=[1, 2, 3, 4], cluster=labels)
+        assert str(info.value) == f"non-finite value in cluster at row {row}"
+
+    @pytest.mark.parametrize("labels", [np.zeros((4, 2)), np.array(4), np.array([])])
+    def test_cluster_labels_not_a_vector_rejected(self, labels):
+        with pytest.raises(DataError, match="cluster labels must be a non-empty vector"):
+            Dataset(y=[1, 2, 3, 4], S=np.empty((4, 0)), t=[1, 2, 3, 4], cluster=labels)
+
+
+@st.composite
+def cluster_layouts(draw):
+    """Labels of one cluster, of singletons or of clusters of 1-40 rows, n <= 300;
+    integers with gaps and negatives or text, rows in any order."""
+    shape = draw(st.sampled_from(["mixed", "one", "singletons"]))
+    if shape == "one":
+        sizes = [draw(st.integers(1, 300))]
+    elif shape == "singletons":
+        sizes = [1] * draw(st.integers(1, 300))
+    else:
+        sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=30))
+        sizes = sizes[:max(1, int(np.searchsorted(np.cumsum(sizes), 300, side="right")))]
+    values = draw(st.sampled_from([st.integers(-10**6, 10**6), st.integers(-3, 400),
+                                   st.text("abxyz09", min_size=1, max_size=4)]))
+    names = draw(st.lists(values, min_size=len(sizes), max_size=len(sizes), unique=True))
+    labels = np.repeat(np.asarray(names), sizes)
+    return labels[np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(labels.size)]
+
+
+class TestClusters:
+    @given(labels=cluster_layouts())
+    @example(labels=np.array([0, -2, 1, -2, 2]))  # new labels rise by at most 1, but one is negative
+    def test_layout_and_methods_match_dense_z(self, labels):
+        """The coding, sizes and order against a brute-force first-appearance
+        coding, and sums(a) = Z'a and whiten(a, rho) = (I + rho ZZ')^-1/2 a
+        against a dense Z and one eigh of ZZ', for a vector, a matrix and a stack."""
+        clusters = Clusters(labels)
+        coded = first_appearance(labels.tolist())
+        n, m = coded.size, int(coded.max()) + 1
+        np.testing.assert_array_equal(clusters.labels, coded)
+        assert clusters.sizes.tolist() == [coded.tolist().count(k) for k in range(m)]
+        assert clusters.order.tolist() == sorted(range(n), key=lambda i: coded[i])
+        assert clusters.n_units == m
+        Z = (coded[:, None] == np.arange(m)).astype(float)
+        eigs, U = np.linalg.eigh(Z @ Z.T)
+        eigs = np.round(eigs)  # ZZ''s eigenvalues are the cluster sizes and 0, exactly
+        rng = np.random.default_rng(n)
+        for a in (rng.standard_normal(n), rng.standard_normal((n, 3)), rng.standard_normal((2, n, 3))):
+            want = Z.T @ a
+            assert np.abs(clusters.sums(a) - want).max() <= 1e-12 * np.abs(want).max()
+            for rho in (0.0, 1e-3, 1.0, 1e4):
+                want = (U / np.sqrt(1.0 + rho * eigs)) @ U.T @ a
+                assert np.abs(clusters.whiten(a, rho) - want).max() <= 1e-12 * np.abs(want).max()

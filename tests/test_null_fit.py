@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from covtest import (
+    Clusters,
     ConfigError,
     Dataset,
     DegenerateFitError,
@@ -289,7 +290,7 @@ class TestRemlProjection:
             ratio=0.0,
             fitted=np.zeros(2),
             residuals=np.zeros(2),
-            cluster=None,
+            clusters=None,
         )
         X = np.ones((2, 1))
         proj = reml_projection(fit, X)
@@ -334,10 +335,11 @@ class TestRemlProjection:
         fit, proj = fit_null(ds, design)
         assert (fit.ratio > 0.0) == clustered
         bare = reml_projection(fit, design.X)
-        for name in ("X", "Q", "R", "cluster", "sizes"):
+        for name in ("X", "Q", "R"):
             np.testing.assert_array_equal(getattr(proj, name), getattr(bare, name))
+        assert proj.clusters is bare.clusters
         if not clustered:
-            assert proj.cluster is proj.sizes is proj.order is None
+            assert proj.clusters is None
             assert proj.X is design.qr.X and proj.Q is design.qr.Q and proj.R is design.qr.R
             Q, R = np.linalg.qr(design.X)
             np.testing.assert_allclose(proj.Q[0], Q, rtol=0, atol=1e-13)
@@ -389,7 +391,7 @@ class TestRemlProjection:
             ratio=5e11,
             fitted=np.zeros(4),
             residuals=np.zeros(4),
-            cluster=np.array([0, 0, 0, 1]),
+            clusters=Clusters(np.array([0, 0, 0, 1])),
         )
         with pytest.raises(NumericalError, match="ill-conditioned"):
             reml_projection(fit, np.ones((4, 1)))

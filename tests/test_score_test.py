@@ -60,7 +60,7 @@ class TestScoreStatistic:
             ratio=0.0,
             fitted=fit.fitted,
             residuals=np.zeros(fit.n),
-            cluster=None,
+            clusters=None,
         )
         result = score_statistic(silent, proj, kern)
         assert result.u_quad == 0.0

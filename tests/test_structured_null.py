@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from covtest import (
+    Clusters,
     Dataset,
     build_design,
     cumulative_process,
@@ -198,7 +199,7 @@ def test_residual_map_fixes_residuals_and_kills_design(kind):
     contributions: the observed process for the residuals (a fixed point of
     the map) and zero for a column of the design (which the map annihilates)."""
     ds, design, fit, proj = _pieces(kind)
-    one_unit = replace(fit, cluster=np.zeros(ds.n, dtype=np.int64))
+    one_unit = replace(fit, clusters=Clusters(np.zeros(ds.n, dtype=np.int64)))
     _, _, rng = next(chunked_streams(1, 5, 256))
     multipliers = rng.standard_normal((5, 1))
     _, paths = multiplier_processes(one_unit, proj, ds.t, 5, seed=1)
