@@ -15,6 +15,19 @@ engine. Each handler imports the covtest functions it calls inside its own
 body, so a ``score`` call never loads the exact-LRT engine, an ``rlrt`` call
 never loads the score or cusum tests, and only ``simulate`` and ``report``
 load the study harness.
+
+Every output file is whole, closed and renamed into place
+(:func:`covtest.data_io.atomic_write`) before :func:`main` returns its exit
+code. :func:`run`, the entry point of ``covtest`` and ``python -m
+covtest.cli``, then flushes stdout and stderr and ends the process with
+``os._exit``: the interpreter's teardown (its last garbage collections,
+module clearing and C destructors) would only spend time on a process whose
+work is done. A process with a trace or profile hook set, as under coverage
+or cProfile, exits normally instead, so the hook can write its file. Nothing
+runs after :func:`main` returns, so any new output sink (a trace file, a log
+handler) must be flushed and closed before it returns. A closed stdout pipe
+(``covtest report ... | head -1``) is the reader having gone: stdout is
+pointed at ``os.devnull`` and the command ends with code 1 and no error line.
 """
 
 from __future__ import annotations
@@ -405,6 +418,16 @@ def _one_line_warning(message, *_) -> str:
     return f"warning: {message}\n"
 
 
+def _reader_gone() -> int:
+    """Point stdout at ``os.devnull`` after a write to it met a closed pipe, so
+    that no later flush meets it again (the Python docs' note on SIGPIPE); the
+    command's exit code, 1."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line_warning
@@ -413,6 +436,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             _check_dirs(vars(args))
             return _COMMANDS[args.command][0](vars(args))
+        except BrokenPipeError:  # the reader of stdout has gone, as under `| head -1`
+            return _reader_gone()
         except OSError as exc:  # inputs are read by code that raises CovtestError
             raise ConfigError(f"cannot write to the output or null-cache directory: {exc}") from None
     except CovtestError as exc:
@@ -422,5 +447,29 @@ def main(argv: list[str] | None = None) -> int:
         warnings.formatwarning = formatwarning
 
 
+def _hooked() -> bool:
+    """Whether a tracer or profiler watches this process: a ``sys.settrace`` or
+    ``sys.setprofile`` hook, or from Python 3.12 a ``sys.monitoring`` tool."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or (monitoring is not None and any(monitoring.get_tool(i) for i in range(6))))
+
+
+def run() -> None:
+    """Run :func:`main` as the process, then end it with main's exit code and no
+    interpreter teardown, unless a trace or profile hook is set. An exception
+    out of main (``--help``, ``--version``, a traceback, Ctrl-C) ends the
+    process as it would without this function."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _reader_gone()
+    if _hooked():
+        sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

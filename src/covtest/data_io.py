@@ -81,7 +81,14 @@ class Clusters:
             raise DataError(f"cluster labels must be a non-empty vector, got shape {labels.shape}")
         if labels.dtype.kind in "fc":
             _check_finite("cluster", labels)
-        labels = _readonly(_normalize_cluster(labels))
+        elif labels.dtype.kind == "O":  # a None, or a NaN among Python objects, is a missing label
+            _check_finite("cluster", np.array([
+                math.nan if v is None or (isinstance(v, float) and v != v) else 0.0 for v in labels
+            ]))
+        try:
+            labels = _readonly(_normalize_cluster(labels))
+        except TypeError as exc:  # Python objects that cannot be ordered, such as 1 and "a"
+            raise DataError(f"cluster labels cannot be ordered: {exc}") from None
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "sizes", _readonly(np.bincount(labels)))
 
@@ -310,12 +317,18 @@ def _read_cells(path: Path, columns: ColumnMap) -> Dataset:
     return Dataset(y=values[0], S=values[2:].T, t=values[1], cluster=cluster)
 
 
+def _quoted(cell: str) -> str:
+    """A cell for an error line: its repr, cut to its first _QUOTED_CHARS
+    characters and its length when it is longer."""
+    quoted = repr(cell[:_QUOTED_CHARS])
+    return quoted + (f"... ({len(cell)} characters)" if len(cell) > _QUOTED_CHARS else "")
+
+
 def _first_fault(rows: list[tuple[int, list[str]]], header: list[str], cols: list[int],
                  icl: int | None) -> str | None:
     """The first ragged row, unusable cell of ``cols`` or empty cluster label
-    (column ``icl``), in row-major order, of rows given with their data row
-    numbers; None if there is none. A cell longer than _QUOTED_CHARS is
-    quoted by its first _QUOTED_CHARS characters and its length."""
+    or one holding a NUL (column ``icl``), in row-major order, of rows given
+    with their data row numbers; None if there is none."""
     for r, row in rows:
         if len(row) != len(header):
             return f"data row {r} has {len(row)} cells, expected {len(header)}"
@@ -326,11 +339,11 @@ def _first_fault(rows: list[tuple[int, list[str]]], header: list[str], cols: lis
             except ValueError:
                 fault = "non-numeric"
             if fault is not None:
-                quoted = repr(cell[:_QUOTED_CHARS])
-                quoted += f"... ({len(cell)} characters)" if len(cell) > _QUOTED_CHARS else ""
-                return f"{fault} value {quoted} in column {header[idx]!r} at data row {r}"
+                return f"{fault} value {_quoted(cell)} in column {header[idx]!r} at data row {r}"
         if icl is not None and not row[icl].strip():
             return f"empty value in column {header[icl]!r} at data row {r}"
+        if icl is not None and "\0" in row[icl]:  # numpy's text arrays drop a trailing NUL
+            return f"unusable value {_quoted(row[icl].strip())} in column {header[icl]!r} at data row {r}"
     return None
 
 

@@ -353,6 +353,9 @@ def csv_load(path, columns):
                                 f"at data row {r}")
         if icl is not None and not row[icl].strip():
             raise DataError(f"{path}: empty value in column {header[icl]!r} at data row {r}")
+        if icl is not None and "\0" in row[icl]:
+            raise DataError(f"{path}: unusable value {row[icl].strip()!r} in column {header[icl]!r} "
+                            f"at data row {r}")
     values = np.array([[float(row[i].strip()) for _, row in rows] for i in cols])
     cluster = None if icl is None else first_appearance([row[icl].strip() for _, row in rows])
     return Dataset(y=values[0], S=values[2:].T, t=values[1], cluster=cluster)

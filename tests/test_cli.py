@@ -274,6 +274,17 @@ class TestErrorSurfacing:
                              "--out", tmp_path / "o"])
         assert (code, err) == (1, f"data error: {path}: empty value in column 'cluster' at data row 8\n")
 
+    def test_cluster_label_holding_a_nul_is_data_error(self, tmp_path):
+        """Labels alternating 'a' and 'a<NUL>' are refused, not read as one cluster."""
+        path = tmp_path / "nul.csv"
+        rows = "".join(f"{k},{k / 10},{'a' if k % 2 else 'a' + chr(0)}\n" for k in range(1, 11))
+        path.write_text(f"y,t,cluster\n{rows}")
+        code, err = outcome(["test", "--input", path, "--method", "score", "--cluster-col", "cluster",
+                             "--out", tmp_path / "o"])
+        assert (code, err) == (
+            1, f"data error: {path}: unusable value 'a\\x00' in column 'cluster' at data row 2\n")
+        assert not (tmp_path / "o").exists()
+
     def test_fault_row_counts_blank_lines(self, tmp_path):
         """Data row r is line r + 1 of the file, blank lines included, so the
         row named is the one a reader finds at that line."""
@@ -850,6 +861,174 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "covtest" in proc.stdout
+
+
+def tree_bytes(root):
+    """The bytes of every file below ``root``, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def without_runtime(text):
+    """A study's stderr without its one line that is a wall time."""
+    return re.sub(r"^runtime: [0-9.]+s\n", "", text, flags=re.M)
+
+
+@pytest.fixture(scope="module")
+def exit_path_inputs(tmp_path_factory):
+    """The input files of TestExitPath's calls: data, clustered data and a study report."""
+    root = tmp_path_factory.mktemp("inputs")
+    ds = generate_dataset(60, 0.25, 1, seed=(15, 0))
+    save_csv(ds, root / "data.csv")
+    label = np.arange(60) % 6
+    y = ds.y + np.random.default_rng(15).normal(0, 0.5, 6)[label]
+    save_csv(Dataset(y=y, S=ds.S, t=ds.t, cluster=label), root / "clustered.csv")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["simulate", "--m", "30", "--sigma", "0.25", "--c", "0,2", "--tests", "score,rlrt",
+                     "--runs", "4", "--nsims", "200", "--knots", "8", "--out", str(root / "study")]) == 0
+    (root / "study" / "report.csv").rename(root / "report.csv")
+    return root
+
+
+STUDY = ["simulate", "--m", "30", "--sigma", "0.25", "--c", "0,2", "--tests", "score,cusum,rlrt",
+         "--runs", "4", "--nsims", "200", "--resamples", "20", "--knots", "8", "--out", "out"]
+EXIT_PATH_CALLS = {
+    "lrt": ["test", "--input", "data.csv", "--method", "lrt", "--nsims", "300", "--out", "out"],
+    "rlrt": ["test", "--input", "data.csv", "--method", "rlrt", "--nsims", "300", "--out", "out"],
+    "score": ["test", "--input", "data.csv", "--method", "score", "--out", "out"],
+    "cusum": ["test", "--input", "data.csv", "--method", "cusum", "--resamples", "100",
+              "--emit-processes", "3", "--out", "out"],
+    "score-clustered": ["test", "--input", "clustered.csv", "--method", "score",
+                        "--cluster-col", "cluster", "--out", "out"],
+    "cusum-clustered": ["test", "--input", "clustered.csv", "--method", "cusum", "--resamples", "100",
+                        "--cluster-col", "cluster", "--emit-processes", "3", "--out", "out"],
+    "null-sim": ["null-sim", "--input", "data.csv", "--method", "rlrt", "--nsims", "300", "--out", "out"],
+    "simulate-1": [*STUDY, "--threads", "1"],
+    "simulate-3": [*STUDY, "--threads", "3"],
+    "report": ["report", "--input", "report.csv", "--out", "out"],
+    "config-error": ["test", "--input", "data.csv", "--method", "rlrt", "--cluster-col", "x",
+                     "--out", "out"],
+}
+
+
+class TestExitPath:
+    """``run``, the process entry point, ends the process with ``os._exit``
+    once ``main`` has returned; ``main`` never does."""
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (["test", "--input", "data.csv", "--method", "score", "--out", "out"], 0, ""),
+        (["test", "--input", "missing.csv", "--out", "out"], 1, "config error: input file not found"),
+        (["test", "--input", "bad.csv", "--method", "score", "--out", "out"], 1, "data error: bad.csv"),
+        (["simulate", "--m", "4", "--tests", "score", "--knots", "1", "--runs", "3", "--out", "out"],
+         1, "model error: need n > 4 rows"),
+        (["test", "--input", "huge.csv", "--method", "score", "--out", "out"], 1, OVERFLOW_LINE[:-1]),
+        (["--version"], 0, ""),
+    ], ids=["success", "config", "data", "model", "numerical", "version"])
+    def test_main_never_exits_hard(self, tmp_path, monkeypatch, argv, code, line):
+        def refuse(status):
+            raise AssertionError(f"main called os._exit({status})")
+
+        monkeypatch.setattr(os, "_exit", refuse)
+        monkeypatch.chdir(tmp_path)
+        ds = generate_dataset(60, 0.25, 2, seed=(13, 0))
+        save_csv(ds, "data.csv")
+        save_csv(Dataset(y=1e160 * ds.y, S=ds.S, t=ds.t), "huge.csv")
+        Path("bad.csv").write_text("y,t\n1.0,0.5\nfish,0.7\n")
+        got, err = outcome(argv)
+        assert got == code
+        assert err.startswith(line) and err.count("\n") == (1 if line else 0)
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_run_exits_with_mains_code(self, monkeypatch, hooked):
+        """``run`` hands main's code to ``os._exit``, or with a trace or profile
+        hook set to a normal ``sys.exit``."""
+        from covtest import cli
+
+        def hard_exit(status):
+            raise RuntimeError(status)
+
+        monkeypatch.setattr(os, "_exit", hard_exit)
+        monkeypatch.setattr(cli, "main", lambda: 3)
+        monkeypatch.setattr(cli, "_hooked", lambda: hooked)
+        with pytest.raises(SystemExit if hooked else RuntimeError) as info:
+            cli.run()
+        assert info.value.args == (3,)
+
+    @pytest.mark.parametrize("name", list(EXIT_PATH_CALLS))
+    def test_process_and_in_process_calls_agree(self, exit_path_inputs, tmp_path, monkeypatch, name):
+        """The same call as a ``python -m covtest.cli`` process and as an
+        in-process ``main``, each in a fresh directory holding the same inputs,
+        writes the same files, stdout, stderr and exit code."""
+        argv = EXIT_PATH_CALLS[name]
+        monkeypatch.delenv("COVTEST_CACHE_DIR", raising=False)
+        runs = {}
+        for how in ("process", "in-process"):
+            here = tmp_path / how
+            here.mkdir()
+            for source in exit_path_inputs.glob("*.csv"):
+                (here / source.name).write_bytes(source.read_bytes())
+            if how == "process":
+                proc = subprocess.run([sys.executable, "-m", "covtest.cli", *argv], cwd=here, env=src_env(),
+                                      capture_output=True, text=True, timeout=300)
+                code, out, err = proc.returncode, proc.stdout, proc.stderr
+            else:
+                monkeypatch.chdir(here)
+                out_io, err_io = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out_io), contextlib.redirect_stderr(err_io):
+                    code = main(argv)
+                out, err = out_io.getvalue(), err_io.getvalue()
+            runs[how] = (code, out, without_runtime(err), tree_bytes(here))
+        assert runs["process"] == runs["in-process"]
+        assert runs["process"][0] == (1 if name == "config-error" else 0)
+
+    @pytest.mark.parametrize("hook", ["", "sys.settrace(lambda *a: None)", "sys.setprofile(lambda *a: None)"])
+    def test_teardown_runs_only_under_a_hook(self, exit_path_inputs, tmp_path, hook):
+        """An exit handler, which the interpreter's teardown would run, runs
+        after ``run`` only when a trace or profile hook is set."""
+        data = exit_path_inputs / "data.csv"
+        code = (f"import atexit, sys\nfrom covtest import cli\n{hook}\n"
+                "atexit.register(print, 'teardown', file=sys.stderr)\n"
+                f"sys.argv = ['covtest', 'test', '--input', {str(data)!r}, '--method', 'score', "
+                f"'--out', {str(tmp_path / 'out')!r}]\ncli.run()\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(),
+                              timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ("teardown\n" if hook else "")
+        assert (tmp_path / "out" / "result_score.json").exists()
+
+    def test_profiled_call_writes_its_profile(self, exit_path_inputs, tmp_path):
+        import pstats
+
+        profile = tmp_path / "call.prof"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-o", str(profile), "-m", "covtest.cli", "test",
+             "--input", str(exit_path_inputs / "data.csv"), "--method", "score", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert profile.stat().st_size > 0
+        assert pstats.Stats(str(profile)).total_calls > 0
+        assert (tmp_path / "out" / "result_score.json").exists()
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("command", ["report", "test"])
+    def test_closed_stdout_is_the_reader_gone(self, exit_path_inputs, tmp_path, unbuffered, command):
+        """stdout a pipe whose reader has gone, as under ``| head -1``: the
+        files are written, and the call ends with code 1, no error line and no
+        traceback, whether each print meets the closed pipe or the last flush does."""
+        argv = {"report": ["report", "--input", str(exit_path_inputs / "report.csv")],
+                "test": ["test", "--input", str(exit_path_inputs / "data.csv"), "--method", "score"]}[command]
+        env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "covtest.cli", *argv, "--out", str(tmp_path)],
+                                  stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert (tmp_path / ("report.txt" if command == "report" else "result_score.json")).exists()
 
 
 class TestExampleDataScript:

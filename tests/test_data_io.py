@@ -122,6 +122,15 @@ class TestLoadCsv:
         ds = load_csv(path, ColumnMap(cluster="g"))
         np.testing.assert_array_equal(ds.cluster, [0, 1, 0, 2])
 
+    @pytest.mark.parametrize("label", ["a\x00", "\x00a", "a\x00b"])
+    def test_cluster_label_holding_a_nul_rejected(self, tmp_path, label):
+        """A NUL in a label is an unusable value: numpy's text arrays drop a
+        trailing one, which would make 'a' and 'a<NUL>' one cluster."""
+        rows = "".join(f"{k},{k / 10},{'a' if k % 2 else label}\n" for k in range(1, 11))
+        path = write(tmp_path, f"y,t,cluster\n{rows}")
+        with pytest.raises(DataError) as err:
+            load_csv(path, ColumnMap(cluster="cluster"))
+        assert str(err.value) == f"{path}: unusable value {label!r} in column 'cluster' at data row 2"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -323,12 +332,20 @@ class TestDataset:
         with pytest.raises(ValueError):
             small_dataset.y[0] = 99.0
 
-    @pytest.mark.parametrize("labels,row", [([np.nan, np.nan, 1, 1], 1), ([1, 2, 3, np.inf], 4)])
+    @pytest.mark.parametrize("labels,row", [
+        ([np.nan, np.nan, 1, 1], 1), ([1, 2, 3, np.inf], 4), ([None, 1, 1, 2], 1),
+        (["a", "b", None, "a"], 3), ([1, None, np.nan, 1], 2), ([1, 2, np.nan, None], 3),
+    ])
     def test_missing_cluster_label_rejected(self, labels, row):
-        """A NaN label is a missing value, rejected like one in y, not a cluster of its own."""
+        """A NaN or None label is a missing value, rejected like one in y, not a cluster of its own."""
         with pytest.raises(DataError) as info:
             Dataset(y=[1, 2, 3, 4], S=np.empty((4, 0)), t=[1, 2, 3, 4], cluster=labels)
         assert str(info.value) == f"non-finite value in cluster at row {row}"
+
+    def test_unorderable_cluster_labels_rejected(self):
+        with pytest.raises(DataError, match="cluster labels cannot be ordered"):
+            Dataset(y=[1, 2, 3, 4], S=np.empty((4, 0)), t=[1, 2, 3, 4],
+                    cluster=np.array([1, "a", 1, 2], dtype=object))
 
     @pytest.mark.parametrize("labels", [np.zeros((4, 2)), np.array(4), np.array([])])
     def test_cluster_labels_not_a_vector_rejected(self, labels):
