@@ -442,7 +442,7 @@ def simulate_null(
     """Sample the exact finite-sample null distribution of the statistic: the
     one-variant pass of :func:`simulate_nulls`, whose every draw comes from the
     chunk streams keyed by (seed, chunk)."""
-    (null,) = _sample([NullVariant(cache, kind, h, grid)], n_sims, seed)
+    (null,) = simulate_nulls([NullVariant(cache, kind, h, grid)], n_sims, seed)
     return null
 
 
@@ -454,10 +454,14 @@ def simulate_nulls(
     from the chunk streams of ``seed``, and read by every variant, and each
     variant with a stream of its own draws its residual tail and h term there,
     so its null does not depend on which other variants share the pass.
-    Memoised on disk per variant when cache_dir is set, as in
-    :func:`simulate_null_cached`: only the variants with no entry to serve are
-    simulated, with the bits of the full pass."""
-    variants = [_with_grid(v) for v in variants]
+
+    The one path of the null cache: when cache_dir is set, each variant is looked
+    up there (:func:`_cache_entry`), only the variants with no entry to serve are
+    drawn, in one pass with the bits of the full pass, and each is saved as it is
+    drawn. An entry is served only if its provenance and sample count are those
+    of the request; an unreadable or foreign entry is drawn again and
+    overwritten, with a warning."""
+    variants = [v if v.grid is not None else v._replace(grid=default_lambda_grid(v.cache)) for v in variants]
     if cache_dir is None:
         return _sample(variants, n_sims, seed)
     entries = [_cache_entry(Path(cache_dir), v, n_sims, seed) for v in variants]
@@ -472,12 +476,8 @@ def simulate_nulls(
     return out
 
 
-def _with_grid(variant: NullVariant) -> NullVariant:
-    return variant if variant.grid is not None else variant._replace(grid=default_lambda_grid(variant.cache))
-
-
 def _sample(variants: list[NullVariant], n_sims: int, seed: SeedLike) -> list[NullDistribution]:
-    """The exact null sampler, one pass for every variant.
+    """The exact null sampler, one pass for every variant, each with its grid.
 
     Each replicate draws the chi-square ingredients, evaluates each variant's
     profile gain over its grid, and records the supremum: K unit-df terms for
@@ -507,7 +507,7 @@ def _sample(variants: list[NullVariant], n_sims: int, seed: SeedLike) -> list[Nu
         raise ConfigError("at most one null variant may draw from the pass's chunk stream")
     (knots,) = knots
     plans = []
-    for v in map(_with_grid, variants):
+    for v in variants:
         tail_df = v.cache.complement_dim - v.cache.n_knots
         if tail_df <= 0:
             raise ConfigError(
@@ -635,19 +635,9 @@ def simulate_null_cached(
     seed: SeedLike = 0,
     cache_dir: str | Path | None = None,
 ) -> NullDistribution:
-    """Like :func:`simulate_null` but memoised on disk when cache_dir is set.
-
-    An entry is served only if its provenance and sample count are those of
-    the request; an unreadable or foreign entry is simulated again and
-    overwritten, with a warning."""
-    if grid is None:
-        grid = default_lambda_grid(cache)
-    if cache_dir is None:
-        return simulate_null(cache, kind, h, grid, n_sims, seed)
-    path, null = _cache_entry(Path(cache_dir), NullVariant(cache, kind, h, grid), n_sims, seed)
-    if null is None:
-        null = simulate_null(cache, kind, h, grid, n_sims, seed)
-        save_null_distribution(null, path)
+    """:func:`simulate_null` memoised on disk when cache_dir is set: the
+    one-variant call of :func:`simulate_nulls`, which serves, draws and saves it."""
+    (null,) = simulate_nulls([NullVariant(cache, kind, h, grid)], n_sims, seed, cache_dir)
     return null
 
 

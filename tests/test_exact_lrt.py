@@ -1116,7 +1116,7 @@ class TestNullCache:
         def no_draws(*args, **kwargs):
             raise AssertionError("the cached null was simulated again")
 
-        monkeypatch.setattr(exact_lrt, "simulate_null", no_draws)
+        monkeypatch.setattr(exact_lrt, "_sample", no_draws)
         back = simulate_null_cached(cache, "lrt", 1, None, 700, seed=(5, 1), cache_dir=tmp_path)
         assert np.array_equal(back.samples, fresh.samples)
         assert back.provenance == fresh.provenance
