@@ -617,7 +617,12 @@ def save_null_distribution(null: NullDistribution, path: str | Path) -> None:
 
 
 def load_null_distribution(path: str | Path) -> NullDistribution:
-    with np.load(path, allow_pickle=False) as payload:
+    """The null saved at path. The file is opened here, so it is closed whatever
+    np.load makes of it, and read only if it is a .npz archive."""
+    with open(path, "rb") as fh:
+        payload = np.load(fh, allow_pickle=False)
+        if not isinstance(payload, np.lib.npyio.NpzFile):
+            raise ConfigError(f"{path}: not a recognised null-distribution cache file")
         provenance = json.loads(str(payload["provenance"]))
         samples = payload["samples"].astype(float)
     if (not isinstance(provenance, dict) or provenance.get("format") != "covtest-null-cache"
@@ -644,7 +649,9 @@ def simulate_null_cached(
 def _cache_entry(cache_dir: Path, variant: NullVariant, n_sims: int, seed: SeedLike):
     """(path, null) of a variant's entry in cache_dir, its grid given: null is None
     where there is no entry to serve, after a warning where the entry is unreadable
-    or foreign. A lookup makes nothing: the directory appears with its first entry."""
+    or foreign: a broken file, zipfile's refusal of a compression method, version,
+    encryption or flag it does not support (a RuntimeError), or a header whose shape
+    cannot be allocated. A lookup makes nothing: the directory appears with its first entry."""
     identity = (variant.cache, variant.kind, variant.h, variant.grid, n_sims, seed, variant.stream)
     path = cache_dir / f"null_{null_distribution_key(*identity)[:24]}.npz"
     if path.exists():
@@ -653,7 +660,8 @@ def _cache_entry(cache_dir: Path, variant: NullVariant, n_sims: int, seed: SeedL
             if null.provenance != _provenance(*identity) or null.n_sims != n_sims:
                 raise ConfigError("its provenance or sample count is not the one its name hashes")
             return path, null
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, ConfigError) as exc:
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile, RuntimeError, MemoryError,
+                ConfigError) as exc:
             warnings.warn(
                 f"{path}: unreadable null cache entry ({exc}); simulating again",
                 stacklevel=3,

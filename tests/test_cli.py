@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from covtest import Dataset, generate_dataset, save_csv
 from covtest.cli import main
 
+import npz_faults
+
 
 @pytest.fixture
 def null_csv(tmp_path):
@@ -220,11 +222,14 @@ class TestTestCommand:
         assert seed2.read_bytes() != seed1.read_bytes()
 
 
-    @pytest.mark.parametrize("entry", ["[1, 2]", "5", '"text"', "truncated", "foreign npz"])
+    @pytest.mark.parametrize("entry", ["[1, 2]", "5", '"text"', "truncated", "foreign npz",
+                                       "compression 99", "oversized header"])
     def test_unusable_cache_entry_is_one_warning(self, null_csv, tmp_path, entry):
         """An entry whose provenance is valid JSON but not an object, a
-        truncated entry and another program's .npz are each simulated again:
-        exit 0, one warning line, and the cold run's result byte for byte."""
+        truncated entry, another program's .npz, an entry whose compression
+        method zipfile does not support and one whose samples header asks for
+        10**15 values are each simulated again: exit 0, one warning line, and
+        the cold run's result byte for byte."""
         out = tmp_path / "out"
         args = ["test", "--input", null_csv, "--method", "rlrt", "--nsims", 500, "--seed", 4, "--out", out]
         assert run(args) == 0
@@ -234,6 +239,10 @@ class TestTestCommand:
             path.write_bytes(path.read_bytes()[:100])
         elif entry == "foreign npz":
             np.savez(path, weights=np.arange(3.0))
+        elif entry == "compression 99":
+            path.write_bytes(npz_faults.unsupported_compression(path.read_bytes()))
+        elif entry == "oversized header":
+            path.write_bytes(npz_faults.oversized_header(path.read_bytes(), 10**15))
         else:
             np.savez(path, samples=np.zeros(500), provenance=np.array(entry))
         proc = subprocess.run([sys.executable, "-m", "covtest.cli", *map(str, args)],
@@ -242,6 +251,27 @@ class TestTestCommand:
         assert proc.stderr.startswith(f"warning: {path}: unreadable null cache entry (")
         assert proc.stderr.count("\n") == 1
         assert (out / "result_rlrt.json").read_bytes() == cold
+
+    def test_unusable_study_entries_are_one_warning_each(self, tmp_path):
+        """A study reads its nulls through the same lookup: with one entry's
+        compression method unsupported and another's samples header oversized,
+        the rerun warns once for each and writes the cold run's report."""
+        out = tmp_path / "study"
+        args = ["simulate", "--m", 30, "--sigma", 0.5, "--c", "0,2", "--tests", "lrt1,rlrt", "--runs", 8,
+                "--nsims", 200, "--seed", 2, "--out", out]
+        assert run(args) == 0
+        cold = (out / "report.csv").read_bytes()
+        first, second = sorted((out / "null_cache").glob("null_*.npz"))
+        first.write_bytes(npz_faults.unsupported_compression(first.read_bytes()))
+        second.write_bytes(npz_faults.oversized_header(second.read_bytes(), 10**15))
+        proc = subprocess.run([sys.executable, "-m", "covtest.cli", *map(str, args)],
+                              capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0
+        warned = sorted(line for line in proc.stderr.splitlines() if not line.startswith("runtime: "))
+        assert len(warned) == 2
+        assert warned[0].startswith(f"warning: {first}: unreadable null cache entry (That compression method")
+        assert warned[1].startswith(f"warning: {second}: unreadable null cache entry (Unable to allocate")
+        assert (out / "report.csv").read_bytes() == cold
 
 
 class TestErrorSurfacing:

@@ -1,13 +1,18 @@
 """Exact LRT/RLRT: spectral cache, profile terms, null sampler, observed stats."""
 
+import contextlib
 import hashlib
+import io
+import json
 import math
 import tracemalloc
+import unittest.mock
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -42,6 +47,7 @@ from covtest.exact_lrt import (
     save_null_distribution,
 )
 from covtest.spline_basis import PERFECT_FIT_REL, DesignMatrices, KnotSet, stacked_qr, stacked_spectrum
+import npz_faults
 from oracles import extended_dense_profile, gamma_chisquare, log1p_ratio_null, log1p_ratio_sweep
 
 
@@ -1183,3 +1189,117 @@ class TestNullCache:
         with pytest.raises(KeyboardInterrupt):
             save_null_distribution(null, tmp_path / "null.npz")
         assert list(tmp_path.iterdir()) == []
+
+
+def _fault(data: bytes, fault) -> bytes:
+    """A broken copy of a cache entry's bytes: the byte-level faults of :func:`cache_faults`."""
+    kind, *args = fault
+    if kind == "truncated":
+        return data[:args[0] % len(data)]
+    if kind == "flipped":
+        out = bytearray(data)
+        for at, value in args[0]:
+            out[at % len(data)] = value
+        return bytes(out)
+    if kind == "inserted":
+        at = args[0] % (len(data) + 1)
+        return data[:at] + args[1] + data[at:]
+    if kind == "unsupported compression":
+        return npz_faults.unsupported_compression(data, args[0])
+    return npz_faults.oversized_header(data, args[0])
+
+
+def _npz(**arrays) -> bytes:
+    out = io.BytesIO()
+    np.savez(out, **arrays)
+    return out.getvalue()
+
+
+def cache_faults():
+    """A fault of a null-cache entry: bytes truncated, set to other values or
+    inserted; a compression method zipfile does not support; a samples header
+    whose shape cannot be allocated; another program's .npz or .npy; a provenance that
+    is not this request's; or the request's own null saved under another
+    sampler version's key."""
+    where = st.integers(0, 2**20)
+    return st.one_of(
+        st.tuples(st.just("truncated"), where),
+        st.tuples(st.just("flipped"), st.lists(st.tuples(where, st.integers(0, 255)), min_size=1, max_size=4)),
+        st.tuples(st.just("inserted"), where, st.binary(min_size=1, max_size=8)),
+        st.tuples(st.just("unsupported compression"), st.sampled_from([1, 6, 9, 97, 99])),
+        st.tuples(st.just("oversized header"), st.sampled_from([10**15, 2**60, 2**63 - 1])),
+        st.tuples(st.just("foreign npz"), st.sampled_from(["weights", "samples only", "text provenance", ".npy"])),
+        st.tuples(st.just("wrong provenance"),
+                  st.sampled_from(["seed", "n_sims", "kind", "h", "format", "version", "grid_sha",
+                                   "raw_eigs_sha", "stream", "a list", "not json"])),
+        st.tuples(st.just("wrong sampler version"), st.sampled_from([-1, 1])),
+    )
+
+
+@pytest.fixture(scope="module")
+def cached_rlrt():
+    """(spectrum, its rlrt null of 50 draws, the bytes the cache saves for it)."""
+    ds, design = make_design(30, 1, 1, 4, seed=57)
+    cache = spectral_decompose(design)
+    fresh = simulate_null(cache, "rlrt", 0, None, 50, seed=6)
+    out = io.BytesIO()
+    with unittest.mock.patch.object(exact_lrt, "atomic_write", lambda path, binary: contextlib.nullcontext(out)):
+        save_null_distribution(fresh, "unused")
+    return cache, fresh, out.getvalue()
+
+
+class TestCacheEntryFaults:
+    @settings(max_examples=150)
+    @given(fault=cache_faults())
+    def test_served_whole_or_one_warning_and_the_same_bits(self, cached_rlrt, tmp_path_factory, fault):
+        """A lookup on a broken entry ends in no traceback and no error: it
+        serves the request's own null, or warns once, draws the same bits again
+        and saves the entry whole in place of the broken one. An entry another
+        sampler version saved lies under another name, so it is never read."""
+        cache, fresh, good = cached_rlrt
+        root = tmp_path_factory.mktemp("cache")
+        path = root / f"null_{null_distribution_key(cache, 'rlrt', 0, default_lambda_grid(cache), 50, 6)[:24]}.npz"
+        kind, detail = fault[0], fault[-1]
+        if kind == "foreign npz":
+            arrays = {"weights": {"weights": np.arange(3.0)}, "samples only": {"samples": fresh.samples},
+                      "text provenance": {"samples": fresh.samples, "provenance": np.array("covtest")}}
+            if detail == ".npy":
+                np.save(out := io.BytesIO(), fresh.samples)
+                broken = out.getvalue()
+            else:
+                broken = _npz(**arrays[detail])
+        elif kind == "wrong provenance":
+            provenance = {**fresh.provenance}
+            if detail in ("a list", "not json"):
+                provenance = [provenance] if detail == "a list" else None
+            else:
+                provenance[detail] = provenance.get(detail, 0) + 1 if detail in ("seed", "n_sims", "h", "version") \
+                    else [1, 2] if detail == "stream" else "other"
+            text = "{kind: rlrt" if provenance is None else json.dumps(provenance, sort_keys=True)
+            broken = _npz(samples=fresh.samples, provenance=np.array(text))
+        elif kind == "wrong sampler version":
+            version = exact_lrt._SAMPLER_VERSION + detail
+            with unittest.mock.patch.object(exact_lrt, "_SAMPLER_VERSION", version):
+                key = null_distribution_key(cache, "rlrt", 0, default_lambda_grid(cache), 50, 6)
+            stale = root / f"null_{key[:24]}.npz"
+            save_null_distribution(NullDistribution(fresh.samples + 1.0, fresh.provenance), stale)
+            broken = None
+        else:
+            broken = _fault(good, fault)
+        if broken is not None:
+            path.write_bytes(broken)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = simulate_null_cached(cache, "rlrt", 0, None, 50, seed=6, cache_dir=root)
+        assert np.array_equal(got.samples, fresh.samples) and got.provenance == fresh.provenance
+        assert len(caught) <= 1
+        if caught:
+            assert str(caught[0].message).startswith(f"{path}: unreadable null cache entry (")
+        if caught or broken is None:
+            assert path.read_bytes() == good
+        else:
+            assert path.read_bytes() == broken
+        if kind not in ("flipped", "inserted"):
+            assert len(caught) == (broken is not None)
+        if broken is None:
+            assert stale.exists() and len(list(root.iterdir())) == 2
