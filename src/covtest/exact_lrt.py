@@ -72,14 +72,15 @@ class SpectralCache:
     """Eigenvalues driving the exact null sampler.
 
     ``proj_eigs`` are the K eigenvalues (descending) of B'P0B with P0 the
-    projection off the fixed-effects columns; ``raw_eigs`` those of B'B.
-    Projection shrinks the quadratic form, so proj_eigs <= raw_eigs holds
-    elementwise, except where a raw eigenvalue is clipped to 0 (below 1e-12
-    of the largest; B'B has such at d = 3), which proj_eigs may exceed.
+    projection off the fixed-effects columns; ``raw_eigs`` those of B'B, from
+    an SVD of B (``DesignMatrices.raw_eigs``). Projection shrinks the
+    quadratic form, so proj_eigs <= raw_eigs holds elementwise. ``grid_scale``
+    is the lambda grid's scale (``DesignMatrices.grid_scale``).
     """
 
     proj_eigs: np.ndarray
     raw_eigs: np.ndarray
+    grid_scale: float
     n_obs: int
     n_cov: int
     degree: int
@@ -176,12 +177,13 @@ def _coordinates(Q: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray], Y: np.n
 
 def spectral_decompose(design: DesignMatrices) -> SpectralCache:
     """The design's eigenvalues of B'P0B and B'B (``DesignMatrices.spectrum``'s eigh and
-    ``raw_eigs``'s eigvalsh, the bits observed_statistic reads) for the exact null sampler."""
+    ``raw_eigs``'s SVD, the bits observed_statistic reads) and its grid scale, for the
+    exact null sampler."""
     (n, p), knots = design.X.shape, design.B.shape[1]
     if knots < 1:
         raise ConfigError("spectral decomposition needs at least one knot")
-    return SpectralCache(proj_eigs=design.spectrum[0][0], raw_eigs=design.raw_eigs, n_obs=n,
-                         n_cov=p - design.degree - 1, degree=design.degree, n_knots=knots)
+    return SpectralCache(proj_eigs=design.spectrum[0][0], raw_eigs=design.raw_eigs, grid_scale=design.grid_scale,
+                         n_obs=n, n_cov=p - design.degree - 1, degree=design.degree, n_knots=knots)
 
 
 def spectral_coordinates(design: DesignMatrices, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -198,16 +200,15 @@ def spectral_coordinates(design: DesignMatrices, y: np.ndarray) -> tuple[np.ndar
 
 def default_lambda_grid(cache: SpectralCache) -> LambdaGrid:
     """{0} followed by 200 log-spaced ratios from 1e-6 to 1e8, divided by the
-    mean of B'B's eigenvalues (the cache's ``raw_eigs``).
+    mean of B'B's eigenvalues (the cache's ``grid_scale``).
 
-    Scaling by 1/mean(raw_eigs) makes the grid adaptive to the design's
-    overall spline energy. The same grid must be used for observed statistics
-    and for the null simulation so that grid coarseness cancels.
+    Scaling by that mean makes the grid adaptive to the design's overall
+    spline energy. The same grid must be used for observed statistics and
+    for the null simulation so that grid coarseness cancels.
     """
-    mean_eig = float(cache.raw_eigs.mean()) if cache.raw_eigs.size else 0.0
-    if mean_eig <= 0:
+    if not cache.grid_scale > 0:
         raise ModelError("spline basis is identically zero; cannot build a lambda grid")
-    return LambdaGrid(np.concatenate([[0.0], np.logspace(-6, 8, 200) / mean_eig]))
+    return LambdaGrid(np.concatenate([[0.0], np.logspace(-6, 8, 200) / cache.grid_scale]))
 
 
 def profile_terms(

@@ -112,8 +112,9 @@ class DesignMatrices:
     thin QR as a one-design stack, taken when the design is made, so a design
     that cannot be fit raises its ModelError there (:func:`checked_qr`), and
     ``dataclasses.replace`` with a new X factors the new X. ``spectrum`` (the
-    :func:`stacked_spectrum` of ``qr``) and ``raw_eigs`` (B'B's eigenvalues)
-    are computed on first use and kept, so a replaced design computes its own.
+    :func:`stacked_spectrum` of ``qr``), ``raw_eigs`` (B'B's eigenvalues) and
+    ``grid_scale`` are computed on first use and kept, so a replaced design
+    computes its own.
     """
 
     A: np.ndarray
@@ -132,7 +133,16 @@ class DesignMatrices:
 
     @cached_property
     def raw_eigs(self) -> np.ndarray:
-        return _clipped(_solve_symmetric(np.linalg.eigvalsh, self.B.T @ self.B))
+        """B'B's eigenvalues, descending: B's squared singular values, set to 0
+        only where s <= n eps s_max. No gram is formed, so none is rounded away."""
+        s = _decomposed(lambda B: np.linalg.svd(B, compute_uv=False), self.B)
+        return np.where(s > self.B.shape[0] * np.finfo(float).eps * s[:1], s * s, 0.0)
+
+    @cached_property
+    def grid_scale(self) -> float:
+        """The lambda grid's scale: the mean of B'B's eigenvalues as one eigvalsh
+        of the gram, clipped as :func:`stacked_spectrum` clips, gives them."""
+        return float(_clipped(_decomposed(np.linalg.eigvalsh, _symmetric(self.B.T @ self.B))).mean())
 
     @property
     def degree(self) -> int:
@@ -321,10 +331,14 @@ def stacked_qr(X: np.ndarray) -> FactoredStack:
 _EIG_CLIP_REL = 1e-12
 
 
-def _solve_symmetric(solver, gram: np.ndarray):
-    """``solver`` (np.linalg.eigvalsh or eigh) of the symmetrized gram(s); a LinAlgError becomes a NumericalError."""
+def _symmetric(gram: np.ndarray) -> np.ndarray:
+    return 0.5 * (gram + gram.swapaxes(-1, -2))
+
+
+def _decomposed(solver, a: np.ndarray):
+    """``solver`` (an eigensolver or an SVD) of a; a LinAlgError becomes a NumericalError."""
     try:
-        return solver(0.5 * (gram + gram.swapaxes(-1, -2)))
+        return solver(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
@@ -339,7 +353,7 @@ def stacked_spectrum(Q: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarr
     (n x K), from one eigh of the stack of grams B'P0B = W diag(mu) W', P0B = B - QQ'B: the
     clipped mu (R x K, descending) and P0B W (R x n x K). A slice is bit for bit its own design's."""
     PB = B - Q @ (Q.swapaxes(-1, -2) @ B)
-    mu, W = _solve_symmetric(np.linalg.eigh, B.T @ PB)
+    mu, W = _decomposed(np.linalg.eigh, _symmetric(B.T @ PB))
     return _clipped(mu), PB @ W[..., ::-1]
 
 

@@ -365,3 +365,31 @@ def first_appearance(labels):
     """Labels remapped to 0..m-1 in first-appearance order, one dict lookup per label."""
     index = {}
     return np.array([index.setdefault(label, len(index)) for label in labels], dtype=np.int64)
+
+
+def extended_singular_values(B):
+    """The singular values of B (descending) by one-sided Jacobi (Hestenes) in
+    np.longdouble: column pairs are rotated until every pair is orthogonal to
+    working precision, and the column norms are then the singular values, each
+    to high relative accuracy, the smallest included."""
+    ld = np.longdouble
+    U = np.array(B, dtype=ld)
+    k = U.shape[1]
+    tol = np.finfo(ld).eps * U.shape[0]
+    for _ in range(100):
+        worst = ld(0)
+        for i in range(k - 1):
+            for j in range(i + 1, k):
+                a, b, c = U[:, i] @ U[:, i], U[:, j] @ U[:, j], U[:, i] @ U[:, j]
+                if c == 0 or abs(c) <= tol * np.sqrt(a * b):
+                    continue
+                worst = max(worst, abs(c) / np.sqrt(a * b))
+                zeta = (b - a) / (2 * c)
+                tan = np.sign(zeta) / (abs(zeta) + np.sqrt(1 + zeta * zeta)) if zeta else ld(1)
+                cos = 1 / np.sqrt(1 + tan * tan)
+                ui = U[:, i].copy()
+                U[:, i] = cos * ui - cos * tan * U[:, j]
+                U[:, j] = cos * tan * ui + cos * U[:, j]
+        if worst <= tol:
+            break
+    return np.sort(np.sqrt((U * U).sum(axis=0)))[::-1]

@@ -38,7 +38,7 @@ from covtest import (
     spectral_coordinates,
     spectral_decompose,
 )
-from covtest import exact_lrt
+from covtest import exact_lrt, spline_basis
 from covtest.exact_lrt import (
     ProfileSolver,
     SpectralCache,
@@ -48,18 +48,49 @@ from covtest.exact_lrt import (
 )
 from covtest.spline_basis import PERFECT_FIT_REL, DesignMatrices, KnotSet, stacked_qr, stacked_spectrum
 import npz_faults
-from oracles import extended_dense_profile, gamma_chisquare, log1p_ratio_null, log1p_ratio_sweep
+from oracles import extended_dense_profile, extended_singular_values, gamma_chisquare, log1p_ratio_null, log1p_ratio_sweep
 
 
-# Every (kind, h) at spline degrees 1 to 3, m = 60 and 100, K = 20. At degree 3
-# B'B has an eigenvalue below the clip threshold at both m (on this draw of
-# sorted uniform t); the LRT's penalty reads it as 0, which moves the LRT
-# profile at the top of the grid by 3e-7 to 7e-5 relative: a known fault.
+# Every (kind, h) at spline degrees 1 to 3: on one draw of sorted uniform t at
+# m = 60 and 100 with K = 20 and at m = 200 with K = 30, and on two more draws at
+# m = 60 and 100 for degree 3, where B'B's smallest eigenvalues are below 1e-12
+# of its largest (the LRT penalty reads them).
 EXTENDED_CASES = [
-    pytest.param(m, d, kind, h, marks=[pytest.mark.xfail(
-        strict=True, reason="B'B's clipped eigenvalue drops out of the LRT penalty")] if (kind, d) == ("lrt", 3) else [])
-    for m in (60, 100) for d in (1, 2, 3) for kind, h in [("rlrt", 0), *(("lrt", h) for h in range(d + 1))]
+    pytest.param(m, K, draw, d, kind, h, id="-".join(map(str, (m, d, kind, h))) + (f"-K{K}" if K != 20 else "")
+                 + (f"-draw{draw}" if draw else ""))
+    for m, K, draw, degrees in [(60, 20, 0, (1, 2, 3)), (100, 20, 0, (1, 2, 3)), (200, 30, 0, (1, 2, 3)),
+                                (60, 20, 1, (3,)), (60, 20, 2, (3,)), (100, 20, 1, (3,)), (100, 20, 2, (3,))]
+    for d in degrees for kind, h in [("rlrt", 0), *(("lrt", h) for h in range(d + 1))]
 ]
+
+
+def oracle_case(m, K, draw, d):
+    """(dataset, design) of an extended-precision oracle case: sorted uniform t,
+    one covariate and a smooth departure, K knots of degree d."""
+    rng = np.random.default_rng((draw, m))
+    t = np.sort(rng.uniform(0, 1, m))
+    S = rng.standard_normal((m, 1))
+    ds = Dataset(y=0.5 * S[:, 0] + np.sin(3 * t) + 0.3 * rng.standard_normal(m), S=S, t=t)
+    return ds, build_design(ds, place_knots(t, K, d))
+
+
+@st.composite
+def random_designs(draw):
+    """A design of n = 12-300 rows, d = 1-3, p = 0-3 covariates and 1-30 knots,
+    on t sorted, unsorted or tied."""
+    n, d, p = draw(st.integers(12, 300)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.uniform(0, 1, n)
+    layout = draw(st.sampled_from(["sorted", "unsorted", "tied"]))
+    if layout == "sorted":
+        t = np.sort(t)
+    elif layout == "tied":
+        levels = draw(st.integers(d + 2, max(d + 2, n // 2)))
+        t = rng.integers(0, levels, n) / levels
+    distinct = np.unique(t).size
+    knots = draw(st.integers(1, max(1, min(30, distinct - 1, n - p - d - 2))))
+    return build_design(Dataset(y=rng.standard_normal(n), S=rng.standard_normal((n, p)), t=t),
+                        place_knots(t, knots, d))
 
 
 def make_design(m, p, d, n_knots, seed=0, t=None):
@@ -121,8 +152,8 @@ class TestLambdaGrid:
 
     @staticmethod
     def cache_of(raw_eigs):
-        return SpectralCache(proj_eigs=raw_eigs, raw_eigs=raw_eigs, n_obs=10, n_cov=0, degree=1,
-                             n_knots=raw_eigs.size)
+        return SpectralCache(proj_eigs=raw_eigs, raw_eigs=raw_eigs, grid_scale=float(raw_eigs.mean()), n_obs=10,
+                             n_cov=0, degree=1, n_knots=raw_eigs.size)
 
     def test_default_grid_shape_and_scale(self):
         """{0} and 200 log-spaced ratios on (1e-6, 1e8) over the mean eigenvalue,
@@ -178,9 +209,11 @@ class TestSpectralDecompose:
 
     def test_solver_penalty_eigenvalues_are_the_samplers(self, rng):
         """The observed statistic uses the eigenvalues of B'B and of B'P0B the
-        null sampler uses, bit for bit: descending, with the same clipping of a
-        near-zero eigenvalue (here from two almost equal basis columns). Those
-        of B'P0B are also the ones a study's sweep takes on a stack of the same X."""
+        null sampler uses, bit for bit, descending. Those of B'P0B are also the
+        ones a study's sweep takes on a stack of the same X. Where two basis
+        columns are almost equal, B'B's near-zero eigenvalue (about 1e-19 of
+        the largest) is kept at its extended-precision value, and B'P0B's is
+        clipped to 0."""
         designs = [make_design(40, 1, 1, 6, seed=9)[1]]
         for m in (30, 100, 2000):
             ds = generate_dataset(m, 0.25, 2, seed=(8, m))
@@ -193,7 +226,30 @@ class TestSpectralDecompose:
             np.testing.assert_array_equal(ProfileSolver(d).raw_eigs, cache.raw_eigs)
             (proj,), _ = stacked_spectrum(stacked_qr(d.X[None]).Q, d.B)
             assert proj.tobytes() == cache.proj_eigs.tobytes()
-        assert spectral_decompose(near).raw_eigs[-1] == 0.0
+        cache = spectral_decompose(near)
+        assert cache.raw_eigs[-1] == pytest.approx(float(extended_singular_values(near.B)[-1] ** 2), rel=1e-6)
+        assert cache.raw_eigs[-1] < 1e-18 * cache.raw_eigs[0] and cache.proj_eigs[-1] == 0.0
+
+    @pytest.mark.parametrize("m,K,draw,d", sorted({case.values[:4] for case in EXTENDED_CASES}))
+    def test_raw_eigs_are_the_extended_precision_ones(self, m, K, draw, d):
+        """B'B's eigenvalues on the extended-precision oracle's designs are the
+        squared singular values of B from one-sided Jacobi in np.longdouble, each
+        to 1e-10 relative, the smallest (down to 1e-14 of the largest at d = 3)
+        included; an eigvalsh of the float64 gram misses them by up to 3e-6, or
+        by all of one it sets to 0."""
+        design = oracle_case(m, K, draw, d)[1]
+        want = extended_singular_values(design.B) ** 2
+        got = spectral_decompose(design).raw_eigs
+        assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+    @given(case=random_designs())
+    def test_projection_never_grows_an_eigenvalue(self, case):
+        """Projecting off X shrinks B's quadratic form, so each eigenvalue of
+        B'P0B is at most the matching one of B'B, up to the eigensolver's
+        rounding of B'P0B (K eps of its largest eigenvalue)."""
+        cache = spectral_decompose(case)
+        slack = cache.n_knots * np.finfo(float).eps * cache.raw_eigs[0]
+        assert np.all(cache.proj_eigs <= cache.raw_eigs + slack)
 
 
 class TestProfileTerms:
@@ -201,6 +257,7 @@ class TestProfileTerms:
         return SpectralCache(
             proj_eigs=np.array([1.0]),
             raw_eigs=np.array([1.0]),
+            grid_scale=1.0,
             n_obs=10,
             n_cov=0,
             degree=1,
@@ -223,6 +280,7 @@ class TestProfileTerms:
         cache = SpectralCache(
             proj_eigs=np.zeros(3),
             raw_eigs=np.array([4.0, 2.0, 1.0]),
+            grid_scale=7.0 / 3.0,
             n_obs=12,
             n_cov=0,
             degree=1,
@@ -242,6 +300,7 @@ class TestProfileTerms:
         cache = SpectralCache(
             proj_eigs=np.linspace(2, 1, k),
             raw_eigs=np.linspace(4, 2, k),
+            grid_scale=3.0,
             n_obs=k + 8,
             n_cov=0,
             degree=1,
@@ -342,8 +401,8 @@ class TestSimulateNull:
         "kind,d,h,digest",
         [
             ("rlrt", 1, 0, "16f91f1af5626b6bc6d0ecb0b4d686af2ddf4061d47f2c414f6751af723b18d4"),
-            ("lrt", 1, 0, "c75c92c81f892392474c455472b24fdd711fa1bce3693dd02f94d2c146ff99a0"),
-            ("lrt", 2, 1, "8319daabe97a370db67f005ce22975d58a601998579eab681e4be8c3ec4b7e46"),
+            ("lrt", 1, 0, "5045512a47e28314d960eccc99b7f1574e85dc45d127db649d97474e470cac51"),
+            ("lrt", 2, 1, "98726d471afe7ddcdc7c03255b877ed12edc8e5c5d03774df3f2ca83fe662240"),
         ],
     )
     def test_samples_pinned(self, kind, d, h, digest):
@@ -453,6 +512,26 @@ class TestSimulateNull:
         stat, pv = ks_2samp(got.samples, want)
         assert pv > 0.01, f"KS p = {pv:.4f} (stat {stat:.4f})"
         zm_got, zm_want = got.zero_mass_fraction, float((want <= 1e-12).mean())
+        se = math.sqrt((zm_got * (1 - zm_got) + zm_want * (1 - zm_want)) / 20000 + 1e-12)
+        assert abs(zm_got - zm_want) <= 3.5 * se
+
+    @pytest.mark.parametrize("m", [50, 100])
+    @pytest.mark.parametrize("d,h", [(1, 0), (2, 1), (3, 0), (3, 2)])
+    def test_same_law_as_the_clipped_gram_eigenvalues(self, d, h, m):
+        """The LRT null on B'B's eigenvalues from an SVD of B has the law of the
+        null on those of one clipped eigvalsh of the float64 gram, the recipe
+        the pinned digests were drawn with before: a two-sample KS test and the
+        mass at zero, 20 000 draws each on fixed seeds."""
+        ds = generate_dataset(m, 0.25, 0, seed=(m, d))
+        design = build_design(ds, place_knots(ds.t, 20, d))
+        cache = spectral_decompose(design)
+        gram = spline_basis._clipped(np.linalg.eigvalsh(spline_basis._symmetric(design.B.T @ design.B)))
+        grid = default_lambda_grid(cache)
+        got = simulate_null(cache, "lrt", h, grid, 20000, seed=(43, m, d, h))
+        want = simulate_null(replace(cache, raw_eigs=gram), "lrt", h, grid, 20000, seed=(44, m, d, h))
+        stat, pv = ks_2samp(got.samples, want.samples)
+        assert pv > 0.01, f"KS p = {pv:.4f} (stat {stat:.4f})"
+        zm_got, zm_want = got.zero_mass_fraction, want.zero_mass_fraction
         se = math.sqrt((zm_got * (1 - zm_got) + zm_want * (1 - zm_want)) / 20000 + 1e-12)
         assert abs(zm_got - zm_want) <= 3.5 * se
 
@@ -568,21 +647,16 @@ class TestObservedStatistic:
             oracle = max(dense_path(y, design.X, design.B, grid.values, kind, h).max(), 0.0)
             assert result.statistic == pytest.approx(oracle, abs=1e-6, rel=1e-6)
 
-    @pytest.mark.parametrize("m,d,kind,h", EXTENDED_CASES)
-    def test_extended_precision_oracle(self, m, d, kind, h):
+    @pytest.mark.parametrize("m,K,draw,d,kind,h", EXTENDED_CASES)
+    def test_extended_precision_oracle(self, m, K, draw, d, kind, h):
         """Oracle: the dense two-model profile in extended precision at 15
         grid indices, lambda-hat's among them. The statistic is the oracle's
         value at lambda-hat to 1e-8 relative and no index beats it; the profile
         the engine's pieces give there (the design's spectrum and coordinates,
         the sweep's weights and penalty) is the oracle's to 1e-8 max(1, |value|)."""
-        rng = np.random.default_rng((0, m))
-        t = np.sort(rng.uniform(0, 1, m))
-        S = rng.standard_normal((m, 1))
-        y = 0.5 * S[:, 0] + np.sin(3 * t) + 0.3 * rng.standard_normal(m)
-        ds = Dataset(y=y, S=S, t=t)
-        design = build_design(ds, place_knots(t, 20, d))
+        ds, design = oracle_case(m, K, draw, d)
+        y = ds.y
         cache = spectral_decompose(design)
-        assert (cache.raw_eigs == 0.0).any() == (d == 3)
         grid = default_lambda_grid(cache)
         result = observed_statistic(ds, design, kind, h, grid)
         best = int(np.searchsorted(grid.values, result.lambda_hat))
@@ -1143,8 +1217,8 @@ class TestNullCache:
         assert null_distribution_key(cache, "rlrt", 0, grid, 1000, 5) != base
 
     @pytest.mark.parametrize("kind,m,d,key", [
-        ("rlrt", 100, 1, "59589a06457e60b36c7782ad07d2fe82fee0f33925cabfadc9a8db79d5f54900"),
-        ("lrt", 2000, 3, "32a112f548a640f6b1f92051c70744761bb7c71c6366026f92f5c0f56e84e2da"),
+        ("rlrt", 100, 1, "64a03b631d8c3d7f5d974df7b0c0774c120afc33879d303e1853845bf04ef19e"),
+        ("lrt", 2000, 3, "e12eeca77b534c63b464d9ac1695431f98f2ddb1cd0826491303a138d8401c99"),
     ])
     def test_keys_pinned(self, kind, m, d, key):
         """The key hashes the eigenvalues bit for bit: one bit moved in any of
