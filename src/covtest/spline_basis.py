@@ -268,11 +268,10 @@ def place_knots(t, n_knots: int, degree: int = 1) -> KnotSet:
             f"{n_knots} knots need at least {n_knots + 1} distinct t values, "
             f"found {distinct.size}; use a smaller knot count"
         )
+    # With D >= K + 1 distinct values, ceil(kD / (K + 1)) rises by at least 1 with k,
+    # so the knots are distinct values of t in strictly increasing order.
     order = np.ceil(np.arange(1, n_knots + 1) * distinct.size / (n_knots + 1)).astype(int)
-    knots = distinct[order - 1]
-    if np.any(np.diff(knots) <= 0):
-        raise ConfigError("tied t values collapsed two knots; use a smaller knot count")
-    return KnotSet(knots, degree)
+    return KnotSet(distinct[order - 1], degree)
 
 
 def truncated_power(x, knot: float, degree: int):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -73,6 +73,17 @@ class TestPlaceKnots:
         ks = place_knots(t, n_knots)
         assert np.all(np.diff(ks.knots) > 0)
         assert ks.knots.min() >= t.min() and ks.knots.max() <= t.max()
+
+    @given(values=st.lists(st.integers(-40, 40), min_size=2, max_size=200), data=st.data())
+    def test_strictly_increasing_on_tied_unsorted_t(self, values, data):
+        """On tied, unsorted t with D distinct values, any K <= D - 1 knots are K
+        distinct values of t in strictly increasing order."""
+        t = np.array(values, dtype=float) / 8
+        distinct = np.unique(t)
+        assume(distinct.size >= 2)
+        n_knots = data.draw(st.integers(1, distinct.size - 1))
+        knots = place_knots(t, n_knots, data.draw(st.integers(1, 3))).knots
+        assert knots.size == n_knots and np.all(np.diff(knots) > 0) and np.isin(knots, distinct).all()
 
     def test_random_order_statistic_property(self):
         rng = np.random.default_rng(11)
