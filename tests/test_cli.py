@@ -291,6 +291,28 @@ class TestErrorSurfacing:
         assert run(["test", "--method", "score", "--out", tmp_path]) == 1
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,line", [
+        (["simulate", "--runs", 0], "config error: n_runs must be >= 1, got 0"),
+        (["simulate", "--threads", 0], "config error: threads must be >= 1, got 0"),
+        (["null-sim", "--method", "score", "--input", "{null}"], "config error: null-sim applies to --method lrt or rlrt"),
+        (["report"], "config error: --input is required"),
+        (["test", "--method", "rlrt", "--knots", -1, "--input", "{null}"],
+         "config error: number of knots must be >= 0, got -1"),
+        (["test", "--method", "score", "--input", "{empty}"], "data error: {empty}: file is empty"),
+    ], ids=["simulate-runs-0", "simulate-threads-0", "null-sim-score", "report-no-input", "test-knots-minus-1",
+            "test-empty-input"])
+    def test_refusal_is_one_line_and_no_output(self, null_csv, tmp_path, argv, line):
+        """Each refusal exits 1 with its one error line and makes no --out path."""
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+
+        def fill(arg):
+            return str(arg).format(null=null_csv, empty=empty)
+
+        code, err = outcome([*map(fill, argv), "--out", tmp_path / "out"])
+        assert (code, err) == (1, fill(line) + "\n")
+        assert not (tmp_path / "out").exists()
+
     def test_empty_cluster_label_is_data_error(self, tmp_path):
         """An empty cluster cell is a missing value: the call refuses it
         rather than read it as a seventh cluster of its own."""
@@ -980,6 +1002,32 @@ class TestExitPath:
         monkeypatch.setattr(cli, "main", lambda: 3)
         monkeypatch.setattr(cli, "_hooked", lambda: hooked)
         with pytest.raises(SystemExit if hooked else RuntimeError) as info:
+            cli.run()
+        assert info.value.args == (3,)
+
+    @pytest.mark.parametrize("tool_id", [0, 1, 2, 5, None])
+    def test_a_monitoring_tool_is_a_hook(self, monkeypatch, tool_id):
+        """From Python 3.12 a profiler or coverage tool can attach through
+        ``sys.monitoring`` alone, with no trace or profile hook: with a tool
+        registered under any of the six ids ``run`` ends through ``sys.exit``,
+        and with none through ``os._exit``. The fake module stands in for the
+        real one on any version."""
+        from covtest import cli
+
+        class Monitoring:
+            @staticmethod
+            def get_tool(i):
+                return "a tool" if i == tool_id else None
+
+        def hard_exit(status):
+            raise RuntimeError(status)
+
+        monkeypatch.setattr(sys, "monitoring", Monitoring, raising=False)
+        monkeypatch.setattr(sys, "gettrace", lambda: None)
+        monkeypatch.setattr(sys, "getprofile", lambda: None)
+        monkeypatch.setattr(os, "_exit", hard_exit)
+        monkeypatch.setattr(cli, "main", lambda: 3)
+        with pytest.raises(RuntimeError if tool_id is None else SystemExit) as info:
             cli.run()
         assert info.value.args == (3,)
 
