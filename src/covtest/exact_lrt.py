@@ -74,7 +74,8 @@ class SpectralCache:
     ``proj_eigs`` are the K eigenvalues (descending) of B'P0B with P0 the
     projection off the fixed-effects columns; ``raw_eigs`` those of B'B, from
     an SVD of B (``DesignMatrices.raw_eigs``). Projection shrinks the
-    quadratic form, so proj_eigs <= raw_eigs holds elementwise. ``grid_scale``
+    quadratic form, so proj_eigs <= raw_eigs holds elementwise, up to the
+    eigensolver's rounding of proj_eigs (K eps of the largest). ``grid_scale``
     is the lambda grid's scale (``DesignMatrices.grid_scale``).
     """
 
