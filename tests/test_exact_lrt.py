@@ -1,6 +1,5 @@
 """Exact LRT/RLRT: spectral cache, profile terms, null sampler, observed stats."""
 
-import contextlib
 import hashlib
 import io
 import json
@@ -1265,27 +1264,42 @@ class TestNullCache:
         assert list(tmp_path.iterdir()) == []
 
 
-def _fault(data: bytes, fault) -> bytes:
-    """A broken copy of a cache entry's bytes: the byte-level faults of :func:`cache_faults`."""
+def _broken(good: bytes, null: NullDistribution, fault) -> bytes:
+    """The bytes of a broken cache entry for ``null``, whose entry is ``good``:
+    one of the faults of :func:`cache_faults` but another sampler version's."""
     kind, *args = fault
     if kind == "truncated":
-        return data[:args[0] % len(data)]
+        return good[:args[0] % len(good)]
     if kind == "flipped":
-        out = bytearray(data)
+        out = bytearray(good)
         for at, value in args[0]:
-            out[at % len(data)] = value
+            out[at % len(good)] = value
         return bytes(out)
     if kind == "inserted":
-        at = args[0] % (len(data) + 1)
-        return data[:at] + args[1] + data[at:]
+        at = args[0] % (len(good) + 1)
+        return good[:at] + args[1] + good[at:]
     if kind == "unsupported compression":
-        return npz_faults.unsupported_compression(data, args[0])
-    return npz_faults.oversized_header(data, args[0])
-
-
-def _npz(**arrays) -> bytes:
+        return npz_faults.unsupported_compression(good, args[0])
+    if kind == "oversized header":
+        return npz_faults.oversized_header(good, args[0])
     out = io.BytesIO()
-    np.savez(out, **arrays)
+    if kind == "foreign file":
+        if args[0] == ".npy":
+            np.save(out, null.samples)
+        else:
+            np.savez(out, **{"weights": {"weights": np.arange(3.0)}, "samples only": {"samples": null.samples},
+                             "text provenance": {"samples": null.samples, "provenance": np.array("covtest")}}[args[0]])
+    else:  # a wrong provenance: another value of one field, a JSON list, or not JSON
+        field, provenance = args[0], null.provenance
+        if field == "a list":
+            text = json.dumps([provenance])
+        elif field == "not json":
+            text = "{kind: rlrt"
+        else:
+            value = provenance.get(field)
+            other = [1, 2] if field == "stream" else value + 1 if isinstance(value, int) else "other"
+            text = json.dumps({**provenance, field: other}, sort_keys=True)
+        np.savez(out, samples=null.samples, provenance=np.array(text))
     return out.getvalue()
 
 
@@ -1302,7 +1316,7 @@ def cache_faults():
         st.tuples(st.just("inserted"), where, st.binary(min_size=1, max_size=8)),
         st.tuples(st.just("unsupported compression"), st.sampled_from([1, 6, 9, 97, 99])),
         st.tuples(st.just("oversized header"), st.sampled_from([10**15, 2**60, 2**63 - 1])),
-        st.tuples(st.just("foreign npz"), st.sampled_from(["weights", "samples only", "text provenance", ".npy"])),
+        st.tuples(st.just("foreign file"), st.sampled_from(["weights", "samples only", "text provenance", ".npy"])),
         st.tuples(st.just("wrong provenance"),
                   st.sampled_from(["seed", "n_sims", "kind", "h", "format", "version", "grid_sha",
                                    "raw_eigs_sha", "stream", "a list", "not json"])),
@@ -1311,15 +1325,14 @@ def cache_faults():
 
 
 @pytest.fixture(scope="module")
-def cached_rlrt():
+def cached_rlrt(tmp_path_factory):
     """(spectrum, its rlrt null of 50 draws, the bytes the cache saves for it)."""
     ds, design = make_design(30, 1, 1, 4, seed=57)
     cache = spectral_decompose(design)
     fresh = simulate_null(cache, "rlrt", 0, None, 50, seed=6)
-    out = io.BytesIO()
-    with unittest.mock.patch.object(exact_lrt, "atomic_write", lambda path, binary: contextlib.nullcontext(out)):
-        save_null_distribution(fresh, "unused")
-    return cache, fresh, out.getvalue()
+    path = tmp_path_factory.mktemp("entry") / "null.npz"
+    save_null_distribution(fresh, path)
+    return cache, fresh, path.read_bytes()
 
 
 class TestCacheEntryFaults:
@@ -1333,34 +1346,15 @@ class TestCacheEntryFaults:
         cache, fresh, good = cached_rlrt
         root = tmp_path_factory.mktemp("cache")
         path = root / f"null_{null_distribution_key(cache, 'rlrt', 0, default_lambda_grid(cache), 50, 6)[:24]}.npz"
-        kind, detail = fault[0], fault[-1]
-        if kind == "foreign npz":
-            arrays = {"weights": {"weights": np.arange(3.0)}, "samples only": {"samples": fresh.samples},
-                      "text provenance": {"samples": fresh.samples, "provenance": np.array("covtest")}}
-            if detail == ".npy":
-                np.save(out := io.BytesIO(), fresh.samples)
-                broken = out.getvalue()
-            else:
-                broken = _npz(**arrays[detail])
-        elif kind == "wrong provenance":
-            provenance = {**fresh.provenance}
-            if detail in ("a list", "not json"):
-                provenance = [provenance] if detail == "a list" else None
-            else:
-                provenance[detail] = provenance.get(detail, 0) + 1 if detail in ("seed", "n_sims", "h", "version") \
-                    else [1, 2] if detail == "stream" else "other"
-            text = "{kind: rlrt" if provenance is None else json.dumps(provenance, sort_keys=True)
-            broken = _npz(samples=fresh.samples, provenance=np.array(text))
-        elif kind == "wrong sampler version":
-            version = exact_lrt._SAMPLER_VERSION + detail
-            with unittest.mock.patch.object(exact_lrt, "_SAMPLER_VERSION", version):
+        kind = fault[0]
+        if kind == "wrong sampler version":
+            with unittest.mock.patch.object(exact_lrt, "_SAMPLER_VERSION", exact_lrt._SAMPLER_VERSION + fault[1]):
                 key = null_distribution_key(cache, "rlrt", 0, default_lambda_grid(cache), 50, 6)
             stale = root / f"null_{key[:24]}.npz"
             save_null_distribution(NullDistribution(fresh.samples + 1.0, fresh.provenance), stale)
             broken = None
         else:
-            broken = _fault(good, fault)
-        if broken is not None:
+            broken = _broken(good, fresh, fault)
             path.write_bytes(broken)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
