@@ -272,12 +272,12 @@ def _cmd_test(cfg: dict) -> int:
         process = cumulative_process(fit, ordering)
         with sized_by("resamples", cfg["resamples"]):
             sups = multiplier_null(fit, proj, ordering, cfg["resamples"], seed=(cfg["seed"], 2))
-        result = sup_test(process, sups, process=cfg["ordering"])
+        result = sup_test(process, sups)
         record.update(
             statistic=result.observed_sup,
             p_value=result.p_value,
-            n_resamples=result.n_resamples,
-            process=result.process,
+            n_resamples=cfg["resamples"],
+            process=cfg["ordering"],
         )
         if cfg["emit_processes"]:
             with sized_by("emit-processes", cfg["emit_processes"]):

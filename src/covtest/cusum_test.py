@@ -47,7 +47,6 @@ class CusumProcess:
 
     points: np.ndarray
     values: np.ndarray
-    n_units: int
 
     @property
     def sup(self) -> float:
@@ -61,9 +60,7 @@ class CusumProcess:
 @dataclass(frozen=True)
 class CusumResult:
     observed_sup: float
-    n_resamples: int
     p_value: float
-    process: str
 
 
 def _sorted_contributions(fit: NullFit, ordering: np.ndarray):
@@ -86,7 +83,7 @@ def cumulative_process(fit: NullFit, ordering: np.ndarray) -> CusumProcess:
     order, points, first = _sorted_contributions(fit, ordering)
     steps = np.add.reduceat(fit.residuals[order], first)
     values = np.cumsum(steps) / math.sqrt(fit.n_units)
-    return CusumProcess(points=points, values=values, n_units=fit.n_units)
+    return CusumProcess(points=points, values=values)
 
 
 def _resampled_blocks(
@@ -171,7 +168,7 @@ def multiplier_processes(
     return points, processes
 
 
-def sup_test(observed: CusumProcess, null_sups: np.ndarray, process: str = "t") -> CusumResult:
+def sup_test(observed: CusumProcess, null_sups: np.ndarray) -> CusumResult:
     """Empirical sup-norm test with the add-one p-value rule; a NaN sup gets a
     NaN p-value."""
     null_sups = np.asarray(null_sups, dtype=float)
@@ -179,6 +176,4 @@ def sup_test(observed: CusumProcess, null_sups: np.ndarray, process: str = "t") 
         raise ConfigError("need at least one resampled sup-norm")
     obs = observed.sup
     p = math.nan if math.isnan(obs) else (1 + int((null_sups >= obs).sum())) / (1 + null_sups.size)
-    return CusumResult(
-        observed_sup=obs, n_resamples=int(null_sups.size), p_value=p, process=process
-    )
+    return CusumResult(observed_sup=obs, p_value=p)

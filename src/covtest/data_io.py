@@ -52,15 +52,9 @@ def _normalize_cluster(labels: np.ndarray) -> np.ndarray:
         seen = np.maximum.accumulate(labels)
         if labels.min() >= 0 and seen[0] == 0 and (np.diff(seen) <= 1).all():
             return labels.astype(np.int64)
-    order = np.argsort(labels, kind="stable")  # not np.unique, which imports numpy.ma
-    ordered = labels[order]
-    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    first = order[starts]  # each label's first row, in sorted label order
-    rank = np.empty(first.size, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(first.size)
-    out = np.empty(labels.size, dtype=np.int64)
-    out[order] = rank[np.cumsum(starts) - 1]
-    return out
+    # unlike the bare np.unique(labels), this call loads no numpy.ma
+    _, first, codes = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[codes]  # each label's rank by its first row
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,6 @@ class ScoreResult:
     u_score: float
     moments: ScoreMoments
     p_value: float
-    kernel_kind: str
 
     def cell(self, r: int, c: int) -> ScoreResult:
         """The result of cell (r, c) of a stack's arrays, in floats."""
@@ -82,7 +81,7 @@ class ScoreResult:
         moments = ScoreMoments(*(at(getattr(self.moments, f.name)) for f in fields(ScoreMoments)))
         return ScoreResult(u_quad=at(self.u_quad), null_mean=at(self.null_mean),
                            u_score=at(self.u_score), moments=moments,
-                           p_value=at(self.p_value), kernel_kind=self.kernel_kind)
+                           p_value=at(self.p_value))
 
 
 _EPS = float(np.finfo(float).eps)
@@ -306,8 +305,7 @@ def score_statistics(
         u_unit = np.maximum(u_half, 0.0)  # PSD form, clamp roundoff
         u_quad = u_unit / sigma2**2
         p_value, failed = _tail_p_values(u_quad, moments) if tail else (np.full(m.shape, np.nan), {})
-        result = ScoreResult(u_quad=u_quad, null_mean=m, u_score=u_quad - m, moments=moments,
-                             p_value=p_value, kernel_kind=kernel.kind)
+        result = ScoreResult(u_quad=u_quad, null_mean=m, u_score=u_quad - m, moments=moments, p_value=p_value)
     out_of_range = np.any([~np.isfinite(f) | ((np.abs(f) < _TINY) & (unit != 0.0))  # overflowed or underflowed
                            for f, unit in ((u_quad, u_unit), (m, mean), (var, variance), (moments.scale, variance))], 0)
     failed.update(((int(r), int(c)), NumericalError(_SCALE_ERROR)) for r, c in zip(*np.nonzero(out_of_range)))

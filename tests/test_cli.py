@@ -1298,6 +1298,24 @@ class TestModulesPerCommand:
         assert loaded_modules(code) == expected
         assert (tmp_path / f"result_{method}.json").exists()
 
+    def test_text_cluster_labels(self, tmp_path):
+        """A ``1_0`` cell, which numpy's parser rejects, sends the file to the csv
+        module's read, whose text cluster labels are coded without numpy.ma."""
+        ds = generate_dataset(60, 0.25, 0, seed=(11, 0))
+        columns = zip(ds.y.tolist(), ds.t.tolist(), ds.S[:, 0].tolist())
+        rows = [f"{y!r},{t!r},{s!r},g{i % 6}" for i, (y, t, s) in enumerate(columns)]
+        rows[0] = "1_0" + rows[0][rows[0].index(","):]  # y = 10, written as only Python's float reads it
+        path = tmp_path / "text.csv"
+        path.write_text("\n".join(["y,t,s1,cluster", *rows]) + "\n")
+        code = (
+            "from covtest.cli import main\n"
+            f"assert main(['test', '--input', {str(path)!r}, '--method', 'score', '--cluster-col', 'cluster', "
+            f"'--out', {str(tmp_path)!r}]) == 0"
+        )
+        modules = "data_io errors null_fit score_test spline_basis"
+        assert loaded_modules(code) == {"covtest", "covtest.cli"} | {f"covtest.{m}" for m in modules.split()}
+        assert (tmp_path / "result_score.json").exists()
+
     def test_simulate_command(self, tmp_path):
         """The default tests (lrt1, lrt2, rlrt, score) on one thread: no cusum module."""
         code = (

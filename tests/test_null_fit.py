@@ -359,7 +359,7 @@ class TestRemlProjection:
         assert not failed
 
         def bits(result):
-            *head, moments, p_value, _ = astuple(result)
+            *head, moments, p_value = astuple(result)
             return np.array([*head, *moments, p_value]).tobytes()
 
         assert bits(score_statistic(fit, call, kern)) == bits(block.cell(0, 0))
