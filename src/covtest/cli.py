@@ -139,22 +139,27 @@ def _load_dataset(cfg: dict):
     )
 
 
-def _lrt_null(cfg: dict, dataset):
-    """Design, lambda grid and (cached) simulated null of an LRT/RLRT run."""
-    from .exact_lrt import default_lambda_grid, simulate_null_cached, spectral_decompose
+def _lrt_design(cfg: dict, dataset):
+    """Design, spectra and lambda grid of an LRT/RLRT run."""
+    from .exact_lrt import default_lambda_grid, spectral_decompose
     from .spline_basis import build_design, place_knots
 
     if cfg["knots"] == 0:  # before the design, whose rank check would answer first
         raise ConfigError("spectral decomposition needs at least one knot")
     design = build_design(dataset, place_knots(dataset.t, cfg["knots"], cfg["degree"]))
     cache = spectral_decompose(design)
-    grid = default_lambda_grid(cache)
+    return design, cache, default_lambda_grid(cache)
+
+
+def _lrt_null(cfg: dict, cache, grid):
+    """The (cached) simulated null of an LRT/RLRT run."""
+    from .exact_lrt import simulate_null_cached
+
     with sized_by("nsims", cfg["nsims"]):
-        null = simulate_null_cached(
+        return simulate_null_cached(
             cache, cfg["method"], cfg["h"], grid, cfg["nsims"],
             seed=(cfg["seed"], 1), cache_dir=_cache_dir(cfg),
         )
-    return design, grid, null
 
 
 def _require_independent(cfg: dict) -> None:
@@ -231,10 +236,11 @@ def _cmd_test(cfg: dict) -> int:
     if method in ("lrt", "rlrt"):
         from .exact_lrt import attach_pvalue, observed_statistic
 
-        design, grid, null = _lrt_null(cfg, dataset)
-        result = attach_pvalue(
-            observed_statistic(dataset, design, method, cfg["h"], grid), null
-        )
+        design, cache, grid = _lrt_design(cfg, dataset)
+        # the statistic before the null, whose cache entry would outlive a refusal
+        observed = observed_statistic(dataset, design, method, cfg["h"], grid)
+        null = _lrt_null(cfg, cache, grid)
+        result = attach_pvalue(observed, null)
         record.update(
             statistic=result.statistic,
             p_value=result.p_value,
@@ -333,7 +339,7 @@ def _cmd_null_sim(cfg: dict) -> int:
     if cfg["method"] not in ("lrt", "rlrt"):
         raise ConfigError("null-sim applies to --method lrt or rlrt")
     _require_independent(cfg)
-    _, _, null = _lrt_null(cfg, _load_dataset(cfg))
+    null = _lrt_null(cfg, *_lrt_design(cfg, _load_dataset(cfg))[1:])
     summary_path = _write(cfg, f"null_summary_{cfg['method']}.json", json.dumps({
         "cache_dir": str(_cache_dir(cfg)),
         "zero_mass_fraction": null.zero_mass_fraction,

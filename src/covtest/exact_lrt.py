@@ -624,12 +624,12 @@ def load_null_distribution(path: str | Path) -> NullDistribution:
     with open(path, "rb") as fh:
         payload = np.load(fh, allow_pickle=False)
         if not isinstance(payload, np.lib.npyio.NpzFile):
-            raise ConfigError(f"{path}: not a recognised null-distribution cache file")
+            raise ConfigError("not a recognised null-distribution cache file")
         provenance = json.loads(str(payload["provenance"]))
         samples = payload["samples"].astype(float)
     if (not isinstance(provenance, dict) or provenance.get("format") != "covtest-null-cache"
             or provenance.get("version") != 1 or not {"kind", "h"} <= provenance.keys()):
-        raise ConfigError(f"{path}: not a recognised null-distribution cache file")
+        raise ConfigError("not a recognised null-distribution cache file")
     return NullDistribution(samples, provenance)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covtest import Dataset, generate_dataset, save_csv
@@ -189,17 +189,24 @@ class TestTestCommand:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_warning_is_one_line(self, null_csv, tmp_path):
-        """A warning reaches stderr as one ``warning:`` line, with no source location."""
+        """A warning reaches stderr as one ``warning:`` line, with no source
+        location, naming the entry's path once: for a truncated entry, then
+        for a .npy file in its place."""
         out = tmp_path / "out"
         args = ["test", "--input", null_csv, "--method", "rlrt", "--nsims", 500, "--out", out]
         assert run(args) == 0
-        (entry,) = (out / "null_cache").glob("null_*.npz")
-        entry.write_bytes(entry.read_bytes()[:100])
-        proc = subprocess.run([sys.executable, "-m", "covtest.cli", *map(str, args)],
-                              capture_output=True, text=True, env=src_env())
-        assert proc.returncode == 0
-        assert proc.stderr == (f"warning: {entry}: unreadable null cache entry "
-                               "(File is not a zip file); simulating again\n")
+        (path,) = (out / "null_cache").glob("null_*.npz")
+        for entry, reason in [("truncated", "File is not a zip file"),
+                              (".npy", "not a recognised null-distribution cache file")]:
+            if entry == "truncated":
+                path.write_bytes(path.read_bytes()[:100])
+            else:
+                with open(path, "wb") as fh:
+                    np.save(fh, np.zeros(500))
+            proc = subprocess.run([sys.executable, "-m", "covtest.cli", *map(str, args)],
+                                  capture_output=True, text=True, env=src_env())
+            assert proc.returncode == 0
+            assert proc.stderr == f"warning: {path}: unreadable null cache entry ({reason}); simulating again\n"
 
     def test_foreign_cache_entry_is_replaced(self, null_csv, tmp_path, capsys):
         """An entry holding another seed's null under this request's name is not served."""
@@ -299,8 +306,11 @@ class TestErrorSurfacing:
         (["test", "--method", "rlrt", "--knots", -1, "--input", "{null}"],
          "config error: number of knots must be >= 0, got -1"),
         (["test", "--method", "score", "--input", "{empty}"], "data error: {empty}: file is empty"),
+        (["simulate", "--knots", 0, "--tests", "rlrt"], "config error: spectral decomposition needs at least one knot"),
+        (["simulate", "--knots", 0, "--tests", "lrt2,score"],
+         "config error: spectral decomposition needs at least one knot"),
     ], ids=["simulate-runs-0", "simulate-threads-0", "null-sim-score", "report-no-input", "test-knots-minus-1",
-            "test-empty-input"])
+            "test-empty-input", "simulate-knots-0-rlrt", "simulate-knots-0-lrt2-score"])
     def test_refusal_is_one_line_and_no_output(self, null_csv, tmp_path, argv, line):
         """Each refusal exits 1 with its one error line and makes no --out path."""
         empty = tmp_path / "empty.csv"
@@ -1617,4 +1627,103 @@ class TestClusterColumnFuzz:
                 assert 0.0 < json.loads((out / f"result_{method}.json").read_text())["p_value"] <= 1.0
             else:
                 assert code == 1 and re.fullmatch(r"[a-z]+ error: [^\n]*\n", err)
+                assert not out.exists()
+
+
+UNUSABLE = ("nan", "inf", "-inf", "", "x1")  # cells no role reads as a finite number
+
+
+def data_columns(n, t_kind, clusters, scale, seed):
+    """The cells, by column, of a fault-free data file y,t,s1,s2[,cluster] of n
+    rows: t spread, tied (four values) or constant; no cluster column, one
+    cluster, three or all singletons; y scaled by 10^scale."""
+    rng = np.random.default_rng(seed)
+    t = {"spread": rng.permutation(n) / max(n - 1, 1), "tied": rng.integers(0, 4, n) / 3,
+         "constant": np.full(n, 0.5)}[t_kind]
+    s1, s2 = rng.standard_normal((2, n))
+    y = (s1 - 0.5 * s2 + 2.0 * (t - 0.5) ** 2 + 0.3 * rng.standard_normal(n)) * 10.0**scale
+    columns = {name: [repr(v) for v in values.tolist()] for name, values in zip("y t s1 s2".split(), (y, t, s1, s2))}
+    if clusters is not None:
+        labels = {"one": np.zeros(n, int), "three": np.arange(n) % 3, "singletons": np.arange(n)}[clusters]
+        columns["cluster"] = [str(k) for k in labels]
+    return columns
+
+
+def data_text(header, columns):
+    return "\n".join([",".join(header)] + [",".join(cells) for cells in zip(*columns.values())]) + "\n"
+
+
+@st.composite
+def data_files(draw):
+    """(CSV text, cluster column or None, expected outcome) of a data file from
+    :func:`data_columns` of 14, 30 or 1-3 rows, perhaps with a fault: a role's
+    column missing, s2 renamed to another column's name, or one or two drawn
+    cells replaced. The expected outcome is "config" for a header fault,
+    "data" for an unusable cell in y, t or s or an empty cluster label, "ok"
+    for a fault-free file of 14 or more rows, t not constant and y at unit
+    scale, and None where either exit may come."""
+    n = draw(st.one_of(st.sampled_from([14, 30]), st.integers(1, 3)))
+    t_kind = draw(st.sampled_from(["spread", "tied", "constant"]))
+    scale = draw(st.one_of(st.just(0), st.sampled_from([160, -160])))
+    clusters = draw(st.one_of(st.none(), st.sampled_from(["one", "three", "singletons"])))
+    columns = data_columns(n, t_kind, clusters, scale, draw(st.integers(0, 2**16)))
+    header = list(columns)
+    expected = "ok" if n >= 14 and t_kind != "constant" and scale == 0 else None
+    fault = draw(st.one_of(st.none(), st.sampled_from(["missing", "duplicate", "cells"])))
+    if fault == "missing":
+        del columns[draw(st.sampled_from([name for name in header if name not in ("s1", "s2")]))]
+        header, expected = list(columns), "config"
+    elif fault == "duplicate":
+        header[3], expected = draw(st.sampled_from(header[:3])), "config"
+    elif fault == "cells":
+        expected = None
+        for _ in range(draw(st.integers(1, 2))):
+            name = draw(st.sampled_from(header))
+            row, cell = draw(st.integers(0, n - 1)), draw(st.sampled_from(UNUSABLE))
+            columns[name][row] = cell
+            if name != "cluster" or cell == "":  # any other label is text, a cluster of its own
+                expected = "data"
+    return data_text(header, columns), None if clusters is None else "cluster", expected
+
+
+def _one_cluster():
+    return data_text(["y", "t", "s1", "s2", "cluster"], data_columns(14, "spread", "one", 0, 1))
+
+
+def _empty_label():
+    columns = data_columns(14, "spread", "three", 0, 2)
+    columns["cluster"][5] = ""
+    return data_text(list(columns), columns)
+
+
+class TestDataFileFuzz:
+    @settings(max_examples=100)
+    @given(case=data_files())
+    # one file each mutant of the rules below would misjudge, whatever hypothesis draws
+    @example(case=(_one_cluster(), "cluster", "ok"))
+    @example(case=(_empty_label(), "cluster", "data"))
+    def test_result_or_one_error_line(self, tmp_path_factory, case):
+        """Every method on any data file: exit 0 with a result whose p-value lies
+        in (0, 1], or exit 1 with one ``<category> error:`` line, at most one
+        warning and no --out path. A header fault is a config error, an unusable
+        cell a data error, and a well-posed file a result; the LRTs refuse a
+        cluster column as a config error."""
+        text, cluster, expected = case
+        root = tmp_path_factory.mktemp("data")
+        (root / "in.csv").write_text(text)
+        for method in ("lrt", "rlrt", "score", "cusum"):
+            out = root / method
+            argv = ["test", "--input", root / "in.csv", "--method", method, "--knots", 3, "--nsims", 50,
+                    "--resamples", 50, "--out", out, *(["--cluster-col", cluster] if cluster else [])]
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("default")
+                code, err = outcome(argv)
+            assert len(warned) <= 1, [str(w.message) for w in warned]
+            want = "config" if cluster and method in ("lrt", "rlrt") else expected
+            if code == 0:
+                assert want in ("ok", None), err
+                assert 0.0 < json.loads((out / f"result_{method}.json").read_text())["p_value"] <= 1.0
+            else:
+                assert want != "ok", err
+                assert code == 1 and re.fullmatch(rf"{want or '[a-z]+'} error: [^\n]*\n", err), err
                 assert not out.exists()
