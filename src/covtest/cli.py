@@ -339,7 +339,8 @@ def _cmd_null_sim(cfg: dict) -> int:
     if cfg["method"] not in ("lrt", "rlrt"):
         raise ConfigError("null-sim applies to --method lrt or rlrt")
     _require_independent(cfg)
-    null = _lrt_null(cfg, *_lrt_design(cfg, _load_dataset(cfg))[1:])
+    _, cache, grid = _lrt_design(cfg, _load_dataset(cfg))
+    null = _lrt_null(cfg, cache, grid)
     summary_path = _write(cfg, f"null_summary_{cfg['method']}.json", json.dumps({
         "cache_dir": str(_cache_dir(cfg)),
         "zero_mass_fraction": null.zero_mass_fraction,
