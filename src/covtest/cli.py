@@ -239,6 +239,7 @@ def _cmd_test(cfg: dict) -> int:
         design, cache, grid = _lrt_design(cfg, dataset)
         # the statistic before the null, whose cache entry would outlive a refusal
         observed = observed_statistic(dataset, design, method, cfg["h"], grid)
+        del design  # the sampler reads only the cache and the grid
         null = _lrt_null(cfg, cache, grid)
         result = attach_pvalue(observed, null)
         record.update(
@@ -339,7 +340,8 @@ def _cmd_null_sim(cfg: dict) -> int:
     if cfg["method"] not in ("lrt", "rlrt"):
         raise ConfigError("null-sim applies to --method lrt or rlrt")
     _require_independent(cfg)
-    _, cache, grid = _lrt_design(cfg, _load_dataset(cfg))
+    design, cache, grid = _lrt_design(cfg, _load_dataset(cfg))
+    del design  # the sampler reads only the cache and the grid
     null = _lrt_null(cfg, cache, grid)
     summary_path = _write(cfg, f"null_summary_{cfg['method']}.json", json.dumps({
         "cache_dir": str(_cache_dir(cfg)),

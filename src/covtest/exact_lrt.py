@@ -19,7 +19,7 @@ import math
 import warnings
 import zipfile
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,7 +29,7 @@ from . import rng as rngmod
 from .data_io import Dataset, atomic_write
 from .errors import ConfigError, ModelError, NumericalError
 from .rng import SeedLike, chunked_streams
-from .spline_basis import DesignMatrices, FactoredStack, failed_cells, stacked_spectrum
+from .spline_basis import DesignMatrices, FactoredStack, failed_cells, projected_blocks, stacked_spectrum
 
 __all__ = [
     "SpectralCache",
@@ -73,7 +73,7 @@ class SpectralCache:
 
     ``proj_eigs`` are the K eigenvalues (descending) of B'P0B with P0 the
     projection off the fixed-effects columns; ``raw_eigs`` those of B'B, from
-    an SVD of B (``DesignMatrices.raw_eigs``). Projection shrinks the
+    the SVD of B's QR factor (``DesignMatrices.raw_eigs``). Projection shrinks the
     quadratic form, so proj_eigs <= raw_eigs holds elementwise, up to the
     eigensolver's rounding of proj_eigs (K eps of the largest). ``grid_scale``
     is the lambda grid's scale (``DesignMatrices.grid_scale``).
@@ -164,14 +164,15 @@ def _sha(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
-def _coordinates(Q: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray], Y: np.ndarray):
-    """For Q the QR factor of X (R x n x p), its spectrum (mu, P0B W) from
+def _coordinates(Q: np.ndarray, B: np.ndarray, spectrum: tuple[np.ndarray, np.ndarray, np.ndarray], Y: np.ndarray):
+    """For Q the QR factor of X (R x n x p), B, their spectrum (mu, W, Q'B) from
     ``spline_basis.stacked_spectrum`` and Y (R x n x C): mu; (y'P0B w)^2 / mu (R x C x K), or 0
-    where mu is clipped, leaving that energy in the tail; and ||P0 y||^2 (R x C). A slice is bit
-    for bit its own call's. P0B w, unlike w'B'P0y, keeps P0y's rounding inside span(X) out."""
-    mu, PBW = spectrum
+    where mu is clipped, leaving that energy in the tail; and ||P0 y||^2 (R x C). P0B W is formed
+    per row block. A slice is bit for bit its own call's. P0B w, unlike w'B'P0y, keeps P0y's
+    rounding inside span(X) out."""
+    mu, W, QtB = spectrum
     R = Y - Q @ (Q.swapaxes(-1, -2) @ Y)
-    coords = R.swapaxes(-1, -2) @ PBW
+    coords = reduce(np.add, (R[..., rows, :].swapaxes(-1, -2) @ (PB @ W) for rows, PB in projected_blocks(Q, B, QtB)))
     head = np.divide(coords**2, mu[..., None, :], out=np.zeros_like(coords), where=mu[..., None, :] > 0)
     return mu, head, np.einsum("...ij,...ij->...j", R, R)
 
@@ -195,7 +196,7 @@ def spectral_coordinates(design: DesignMatrices, y: np.ndarray) -> tuple[np.ndar
     :func:`profile_terms` reproduces the dense profiled likelihood exactly.
     """
     y = np.asarray(y, dtype=float)[None, :, None]
-    _, ((head,),), ((rss0,),) = _coordinates(design.qr.Q, design.spectrum, y)
+    _, ((head,),), ((rss0,),) = _coordinates(design.qr.Q, design.B, design.spectrum, y)
     return head, float(max(rss0 - head.sum(), 0.0))
 
 
@@ -358,7 +359,7 @@ class ProfileSolver:
         n, p = Q.shape[-2:]
         with np.errstate(over="ignore", invalid="ignore"):  # failed_cells reports an overflow
             own = factored is design.qr
-            proj, head, rss0 = _coordinates(Q, design.spectrum if own else stacked_spectrum(Q, design.B), Y)
+            proj, head, rss0 = _coordinates(Q, design.B, design.spectrum if own else stacked_spectrum(Q, design.B), Y)
             extras = {h: ((Q[..., p - h:].swapaxes(-1, -2) @ Y) ** 2).sum(axis=-2) for _, h in specs}
             failed, errors = failed_cells(factored, rss0, np.einsum("...ij,...ij->...j", Y, Y))
         # A failed cell is swept with no spline energy and unit energy in the

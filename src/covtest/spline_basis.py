@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "checked_qr",
     "stacked_qr",
     "stacked_spectrum",
+    "projected_blocks",
     "failed_cells",
     "smoother_kernel",
 ]
@@ -114,7 +115,7 @@ class DesignMatrices:
     ``dataclasses.replace`` with a new X factors the new X. ``spectrum`` (the
     :func:`stacked_spectrum` of ``qr``), ``raw_eigs`` (B'B's eigenvalues) and
     ``grid_scale`` are computed on first use and kept, so a replaced design
-    computes its own.
+    computes its own; none is an n x K array.
     """
 
     A: np.ndarray
@@ -128,15 +129,20 @@ class DesignMatrices:
         object.__setattr__(self, "qr", checked_qr(self.X))
 
     @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return stacked_spectrum(self.qr.Q, self.B)
 
     @cached_property
     def raw_eigs(self) -> np.ndarray:
         """B'B's eigenvalues, descending: B's squared singular values, set to 0
-        only where s <= n eps s_max. No gram is formed, so none is rounded away."""
-        s = _decomposed(lambda B: np.linalg.svd(B, compute_uv=False), self.B)
-        return np.where(s > self.B.shape[0] * np.finfo(float).eps * s[:1], s * s, 0.0)
+        only where s <= n eps s_max, from the K x K R of a row-blocked QR of B (as
+        numpy's SVD of a tall B in one block). No gram is formed, so none is rounded away."""
+        B = self.B
+        R = B[:0]
+        for rows in _row_blocks(*B.shape):
+            R = np.linalg.qr(np.vstack([R, B[rows]]), mode="r")
+        s = _decomposed(lambda R: np.linalg.svd(R, compute_uv=False), R)
+        return np.where(s > B.shape[0] * np.finfo(float).eps * s[:1], s * s, 0.0)
 
     @cached_property
     def grid_scale(self) -> float:
@@ -330,6 +336,8 @@ def stacked_qr(X: np.ndarray) -> FactoredStack:
 
 
 _EIG_CLIP_REL = 1e-12
+# Entries in a row block of B (3,276 rows at K = 20)
+_BLOCK_ENTRIES = 2**16
 
 
 def _symmetric(gram: np.ndarray) -> np.ndarray:
@@ -349,13 +357,26 @@ def _clipped(eigs: np.ndarray) -> np.ndarray:
     return np.where(eigs[..., ::-1] < _EIG_CLIP_REL * np.maximum(eigs[..., -1:], 0.0), 0.0, eigs[..., ::-1])
 
 
-def stacked_spectrum(Q: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """Row slices of an n x width array, each of about _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def projected_blocks(Q: np.ndarray, B: np.ndarray, QtB: np.ndarray):
+    """(rows, P0B[rows]) of P0B = B - QQ'B for each row block of B in turn."""
+    return ((rows, B[rows] - Q[..., rows, :] @ QtB) for rows in _row_blocks(*B.shape))
+
+
+def stacked_spectrum(Q: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The projected spectrum of designs X with thin QR factors Q (R x n x p) and spline basis B
     (n x K), from one eigh of the stack of grams B'P0B = W diag(mu) W', P0B = B - QQ'B: the
-    clipped mu (R x K, descending) and P0B W (R x n x K). A slice is bit for bit its own design's."""
-    PB = B - Q @ (Q.swapaxes(-1, -2) @ B)
-    mu, W = _decomposed(np.linalg.eigh, _symmetric(B.T @ PB))
-    return _clipped(mu), PB @ W[..., ::-1]
+    clipped mu (R x K, descending), W (its columns in mu's order) and Q'B, the gram summed over
+    row blocks, sum_b B_b'(B_b - Q_b Q'B). A slice is bit for bit its own design's."""
+    QtB = Q.swapaxes(-1, -2) @ B
+    gram = reduce(np.add, (B[rows].T @ PB for rows, PB in projected_blocks(Q, B, QtB)))
+    mu, W = _decomposed(np.linalg.eigh, _symmetric(gram))
+    return _clipped(mu), W[..., ::-1], QtB
 
 
 def checked_qr(X: np.ndarray) -> FactoredStack:

@@ -848,6 +848,33 @@ class TestNullSimCommand:
         assert list(cache.glob("null_*.npz"))
 
 
+@pytest.mark.parametrize("command", ["test", "null-sim"])
+def test_design_released_before_the_null(null_csv, tmp_path, monkeypatch, command):
+    """``test`` and ``null-sim`` hold no reference to the design (B, X and its QR)
+    while the null is drawn: the sampler reads only the spectral cache and the grid."""
+    import weakref
+
+    from covtest import cli
+
+    designs, alive = [], []
+    real_design, real_null = cli._lrt_design, cli._lrt_null
+
+    def design(cfg, dataset):
+        out = real_design(cfg, dataset)
+        designs.append(weakref.ref(out[0]))
+        return out
+
+    def null(cfg, cache, grid):
+        alive.append(designs[0]() is not None)
+        return real_null(cfg, cache, grid)
+
+    monkeypatch.setattr(cli, "_lrt_design", design)
+    monkeypatch.setattr(cli, "_lrt_null", null)
+    assert run([command, "--input", null_csv, "--method", "rlrt", "--knots", 10, "--nsims", 50,
+                "--out", tmp_path / "out"]) == 0
+    assert alive == [False]
+
+
 class TestReportCommand:
     def test_round_trip_render(self, tmp_path, capsys):
         out = tmp_path / "sim"

@@ -223,7 +223,7 @@ class TestSpectralDecompose:
         for d in designs + [near]:
             cache = spectral_decompose(d)
             np.testing.assert_array_equal(ProfileSolver(d).raw_eigs, cache.raw_eigs)
-            (proj,), _ = stacked_spectrum(stacked_qr(d.X[None]).Q, d.B)
+            (proj,), _, _ = stacked_spectrum(stacked_qr(d.X[None]).Q, d.B)
             assert proj.tobytes() == cache.proj_eigs.tobytes()
         cache = spectral_decompose(near)
         assert cache.raw_eigs[-1] == pytest.approx(float(extended_singular_values(near.B)[-1] ** 2), rel=1e-6)
@@ -748,7 +748,7 @@ class TestObservedStatistic:
         spectrum is not carried over: the replaced design has the new X's."""
         ds, design = make_design(80, 2, 1, 8, seed=45)
         plain = Dataset(y=ds.y, S=np.empty((80, 0)), t=ds.t)  # X = [1 | t], the intercept and t
-        _, old = design.spectrum  # P0B W, kept by the design before it is replaced
+        _, old, _ = design.spectrum  # W, kept by the design before it is replaced
         built, swapped = build_design(plain, design.knots), replace(design, X=design.A)
         cache = spectral_decompose(built)
         assert spectral_decompose(swapped).proj_eigs.tobytes() == cache.proj_eigs.tobytes()
@@ -986,7 +986,7 @@ class TestStackedReplicates:
         stat, index, sigma2, _, errors = solver.statistics(Y, qr, LambdaGrid(values), specs)
         assert errors == {}
         Q = qr.Q
-        proj, head, rss0 = exact_lrt._coordinates(Q, stacked_spectrum(Q, design.B), Y)
+        proj, head, rss0 = exact_lrt._coordinates(Q, design.B, stacked_spectrum(Q, design.B), Y)
         tail = np.maximum(rss0 - head.sum(axis=-1), 0.0)
         n, p = X.shape[1:]
         for j, (kind, h) in enumerate(specs):
@@ -1077,6 +1077,102 @@ class TestSpectralDenseEquivalence:
             for g, lam in enumerate(grid.values):
                 gain = profile_terms(cache, head, tail, lam).gain
                 assert gain == pytest.approx(dense[g], abs=1e-8 * max(1, abs(dense[g])))
+
+
+class TestRowBlocks:
+    """The spectrum, the coordinates and B's singular values over row blocks of
+    ``spline_basis._BLOCK_ENTRIES`` entries."""
+
+    SPECS = [("rlrt", 0), ("lrt", 0), ("lrt", 1)]
+
+    @pytest.mark.parametrize("m", [100, 2000])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_one_block_is_the_unblocked_product(self, m, d):
+        """In one block the design's spectrum, its coordinates and raw_eigs are bit
+        for bit the unblocked products: one eigh of B'(B - QQ'B), (P0y)'((B - QQ'B) W)
+        and B's squared singular values from numpy's SVD of the whole of B."""
+        ds = generate_dataset(m, 0.25, 2, seed=(46, m))
+        design = build_design(ds, place_knots(ds.t, 20, d))
+        (Q,), B = design.qr.Q, design.B
+        assert len(spline_basis._row_blocks(*B.shape)) == 1
+        PB = B - Q @ (Q.T @ B)
+        mu, W = np.linalg.eigh(spline_basis._symmetric(B.T @ PB))
+        mu, W = spline_basis._clipped(mu), W[:, ::-1]
+        (got_mu,), (got_W,), (got_QtB,) = design.spectrum
+        assert got_mu.tobytes() == mu.tobytes() and got_W.tobytes() == W.tobytes()
+        assert got_QtB.tobytes() == (Q.T @ B).tobytes()
+        r = ds.y - Q @ (Q.T @ ds.y)
+        coords = r @ (PB @ W)
+        head, _ = spectral_coordinates(design, ds.y)
+        assert head.tobytes() == np.divide(coords**2, mu, out=np.zeros_like(coords), where=mu > 0).tobytes()
+        sv = np.linalg.svd(B, compute_uv=False)
+        want = np.where(sv > m * np.finfo(float).eps * sv[:1], sv * sv, 0.0)
+        assert design.raw_eigs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_match_one_block(self, monkeypatch, d):
+        """At n = 20 000 (7 blocks at K = 20) the rlrt, lrt and lrt h = 1 statistics
+        are within 1e-12 relative of the same code with the budget raised past n."""
+        ds = generate_dataset(20_000, 0.25, 1, seed=(47, d))
+        knots = place_knots(ds.t, 20, d)
+
+        def statistics():
+            design = build_design(ds, knots)
+            grid = default_lambda_grid(spectral_decompose(design))
+            stats = [observed_statistic(ds, design, kind, h, grid).statistic for kind, h in self.SPECS]
+            return len(spline_basis._row_blocks(*design.B.shape)), np.array(stats)
+
+        blocks, got = statistics()
+        monkeypatch.setattr(spline_basis, "_BLOCK_ENTRIES", 20 * 20_000)
+        one, want = statistics()
+        assert blocks == 7 and one == 1
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestMemory:
+    N, K = 20_000, 20
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        ds = generate_dataset(self.N, 0.25, 1, seed=48)
+        return ds, build_design(ds, place_knots(ds.t, self.K, 1))
+
+    def test_spectrum_and_statistic_peak(self, large):
+        """spectral_decompose and observed_statistic at n = 20 000, K = 20 peak under
+        one n x K array (3.2 MB) of tracemalloc beyond the design, B included: P0B, P0B W
+        and the copy of B an SVD takes are each formed one row block at a time."""
+        ds, design = large
+        design = replace(design)  # a fresh design: its spectrum is computed under the trace
+        tracemalloc.start()
+        try:
+            grid = default_lambda_grid(spectral_decompose(design))
+            observed_statistic(ds, design, "rlrt", 0, grid)
+            observed_statistic(ds, design, "lrt", 1, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.N * self.K * 8
+
+    def test_design_keeps_no_n_row_array(self, large):
+        """After the spectrum and a statistic, the only arrays with n rows the design
+        holds are A, B, X, t and X's QR: its spectrum is mu, W and Q'B."""
+        ds, design = large
+        observed_statistic(ds, design, "rlrt", 0, default_lambda_grid(spectral_decompose(design)))
+        assert {"spectrum", "raw_eigs", "grid_scale"} <= set(vars(design))
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+            elif isinstance(value, (DesignMatrices, spline_basis.FactoredStack)):
+                for item in vars(value).values():
+                    yield from arrays(item)
+
+        kept = [design.A, design.B, design.X, design.t, design.qr.X, design.qr.Q]
+        tall = [a for a in arrays(design) if self.N in a.shape]
+        assert len(tall) == len(kept) and all(any(a is b for b in kept) for a in tall)
 
 
 class TestPValue:
